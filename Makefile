@@ -51,7 +51,7 @@ bench-fleet: ## sharded-ingest throughput at 1/2/4 shards (scaling floor enforce
 bench-stream: ## livestats per-report cost (O(1) floor: deep-stream/early ratio) and snapshot latency; writes BENCH_stream.json
 	HOMESIGHT_BENCH_STREAM_JSON=$(abspath BENCH_stream.json) $(GO) test -run TestBenchStreamJSON -count=1 ./internal/livestats
 
-fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL replay, and vet directive parser
+fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL replay, vet directive parser, live sketches and the rank kernel
 	$(GO) test -run NONE -fuzz '^FuzzBlockCodec$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run NONE -fuzz '^FuzzRollupCodec$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run NONE -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/store
@@ -59,6 +59,7 @@ fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL r
 	$(GO) test -run NONE -fuzz '^FuzzBatchFrame$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run NONE -fuzz '^FuzzQuantileSketch$$' -fuzztime $(FUZZTIME) ./internal/livestats
 	$(GO) test -run NONE -fuzz '^FuzzRankSketch$$' -fuzztime $(FUZZTIME) ./internal/livestats
+	$(GO) test -run NONE -fuzz '^FuzzRankKernel$$' -fuzztime $(FUZZTIME) ./internal/stats/corr
 
 obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, grep required series
 	GO="$(GO)" sh scripts/obs_smoke.sh

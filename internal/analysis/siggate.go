@@ -20,13 +20,14 @@ var sigGateAllowed = []string{
 
 // SigGate enforces the paper's Definition 1: cor(X, Y) is zero unless the
 // coefficient is statistically significant (p < α). Calling
-// corr.{Pearson,Spearman,Kendall} directly bypasses the gate, so every use
-// outside the allowlist must go through corrsim (Cor, Measure.Similarity or
-// Measure.Detailed) — or carry an explicit //homesight:rawcorr opt-out
-// where the raw coefficient is deliberately reported.
+// corr.{Pearson,Spearman,Kendall,SpearmanKendall} directly bypasses the
+// gate, so every use outside the allowlist must go through corrsim (Cor,
+// Measure.Similarity or Measure.Detailed) — or carry an explicit
+// //homesight:rawcorr opt-out where the raw coefficient is deliberately
+// reported.
 var SigGate = &Analyzer{
 	Name: "sig-gate",
-	Doc: "direct corr.{Pearson,Spearman,Kendall} calls bypass the Definition 1 " +
+	Doc: "direct corr.{Pearson,Spearman,Kendall,SpearmanKendall} calls bypass the Definition 1 " +
 		"significance gate; route them through corrsim or annotate //homesight:rawcorr",
 	Run: runSigGate,
 }
@@ -51,7 +52,7 @@ func runSigGate(pass *Pass) {
 			return true
 		}
 		switch fn.Name() {
-		case "Pearson", "Spearman", "Kendall":
+		case "Pearson", "Spearman", "Kendall", "SpearmanKendall":
 			pass.Reportf(call.Pos(),
 				"raw corr.%s bypasses the Definition 1 significance gate; use corrsim.Cor / corrsim.Measure, or annotate //homesight:rawcorr if the ungated coefficient is the point",
 				fn.Name())

@@ -8,10 +8,11 @@ import (
 )
 
 func direct(x, y []float64) float64 {
-	r, _ := corr.Pearson(x, y)  // want `raw corr\.Pearson bypasses the Definition 1 significance gate`
-	s, _ := corr.Spearman(x, y) // want `raw corr\.Spearman bypasses`
-	k, _ := corr.Kendall(x, y)  // want `raw corr\.Kendall bypasses`
-	return r.Coeff + s.Coeff + k.Coeff
+	r, _ := corr.Pearson(x, y)                // want `raw corr\.Pearson bypasses the Definition 1 significance gate`
+	s, _ := corr.Spearman(x, y)               // want `raw corr\.Spearman bypasses`
+	k, _ := corr.Kendall(x, y)                // want `raw corr\.Kendall bypasses`
+	rho, tau, _ := corr.SpearmanKendall(x, y) // want `raw corr\.SpearmanKendall bypasses`
+	return r.Coeff + s.Coeff + k.Coeff + rho.Coeff + tau.Coeff
 }
 
 func gated(x, y []float64) float64 {
@@ -30,7 +31,7 @@ func optedOutAbove(x, y []float64) float64 {
 	return r.Coeff
 }
 
-// acf is fine: only the three coefficient entry points are gated.
+// acf is fine: only the coefficient entry points are gated.
 func acf(x []float64) []float64 {
 	return corr.ACF(x, 4)
 }

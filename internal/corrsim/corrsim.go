@@ -120,25 +120,21 @@ func (m Measure) Detailed(x, y []float64) Detail {
 	if len(cx) < 3 {
 		return d
 	}
-	var err error
-	type coeff struct {
-		use  Coefficients
-		fn   func(x, y []float64) (corr.Result, error)
-		dest *corr.Result
+	// Excluded coefficients are reported as never-significant. The errors
+	// below cannot occur: completePairs returns equal lengths, checked ≥ 3.
+	excluded := corr.Result{Coeff: math.NaN(), PValue: 1, N: len(cx)}
+	d.Pearson, d.Spearman, d.Kendall = excluded, excluded, excluded
+	if m.Use.has(UsePearson) {
+		d.Pearson, _ = corr.Pearson(cx, cy)
 	}
-	for _, c := range []coeff{
-		{UsePearson, corr.Pearson, &d.Pearson},
-		{UseSpearman, corr.Spearman, &d.Spearman},
-		{UseKendall, corr.Kendall, &d.Kendall},
-	} {
-		if !m.Use.has(c.use) {
-			// Excluded coefficients are reported as never-significant.
-			*c.dest = corr.Result{Coeff: math.NaN(), PValue: 1, N: len(cx)}
-			continue
-		}
-		if *c.dest, err = c.fn(cx, cy); err != nil {
-			return d
-		}
+	switch rho, tau := m.Use.has(UseSpearman), m.Use.has(UseKendall); {
+	case rho && tau:
+		// One pass of the rank kernel: the two sorts are shared.
+		d.Spearman, d.Kendall, _ = corr.SpearmanKendall(cx, cy)
+	case rho:
+		d.Spearman, _ = corr.Spearman(cx, cy)
+	case tau:
+		d.Kendall, _ = corr.Kendall(cx, cy)
 	}
 	alpha := m.alpha()
 	best := 0.0

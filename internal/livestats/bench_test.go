@@ -70,13 +70,16 @@ func BenchmarkOnReport(b *testing.B) {
 }
 
 // BenchmarkSnapshot measures assembling one home's live analysis after
-// a sketch-mode-length stream.
+// a stream long enough to put both sketches in sketch mode, with no
+// report between snapshots: every device is clean, so the rank memo
+// answers and the cost is the O(devices) read-out.
 func BenchmarkSnapshot(b *testing.B) {
 	bs := newBenchStream(8)
 	tr := bs.tracker()
-	for i := 0; i < 4*DefaultRankCap; i++ {
+	for i := 0; i < DefaultQuantCap+DefaultRankCap; i++ {
 		tr.OnReport(bs.next())
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := tr.Snapshot("gw-bench"); !ok {

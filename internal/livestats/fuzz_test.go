@@ -171,23 +171,30 @@ func FuzzRankSketch(f *testing.F) {
 		if rs.Sampled() != (len(xs) > rs.cap) {
 			t.Fatalf("Sampled() = %v with n %d, cap %d", rs.Sampled(), len(xs), rs.cap)
 		}
-		for _, res := range []corr.Result{rs.Spearman(), rs.Kendall()} {
+		gotS, gotK := rs.SpearmanKendall()
+		for _, res := range []corr.Result{gotS, gotK} {
 			if !math.IsNaN(res.Coeff) && (res.Coeff < -1 || res.Coeff > 1) {
 				t.Fatalf("coefficient %v outside [-1, 1]", res.Coeff)
 			}
 		}
-		if gotS, gotK := again.Spearman(), again.Kendall(); !fuzzResultEq(gotS, rs.Spearman()) || !fuzzResultEq(gotK, rs.Kendall()) {
+		if againS, againK := again.SpearmanKendall(); !fuzzResultEq(againS, gotS) || !fuzzResultEq(againK, gotK) {
 			t.Fatalf("same stream, same seed diverged: %+v/%+v vs %+v/%+v",
-				rs.Spearman(), rs.Kendall(), gotS, gotK)
+				gotS, gotK, againS, againK)
+		}
+		// Every append bumps the generation; past the cap only accepted
+		// draws do.
+		gen, fill := rs.Generation(), uint64(len(rs.xs))
+		if gen != again.Generation() || gen < fill || gen > uint64(len(xs)) || (!rs.Sampled() && gen != fill) {
+			t.Fatalf("generation %d (twin %d) after %d pairs at cap %d", gen, again.Generation(), len(xs), rs.cap)
 		}
 		if !rs.Sampled() && len(xs) >= 3 {
 			wantS, _ := corr.Spearman(xs, ys)
 			wantK, _ := corr.Kendall(xs, ys)
-			if got := rs.Spearman(); !fuzzResultEq(got, wantS) {
-				t.Fatalf("exact Spearman = %+v, want %+v", got, wantS)
+			if !fuzzResultEq(gotS, wantS) {
+				t.Fatalf("exact Spearman = %+v, want %+v", gotS, wantS)
 			}
-			if got := rs.Kendall(); !fuzzResultEq(got, wantK) {
-				t.Fatalf("exact Kendall = %+v, want %+v", got, wantK)
+			if !fuzzResultEq(gotK, wantK) {
+				t.Fatalf("exact Kendall = %+v, want %+v", gotK, wantK)
 			}
 		}
 	})

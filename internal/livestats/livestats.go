@@ -30,8 +30,10 @@
 package livestats
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,12 +111,18 @@ type deviceState struct {
 
 	pearson CoMoment
 	ranks   *RankSketch
+	// rankMemo holds ρ and τ at the reservoir generation they were last
+	// computed for; Snapshot recomputes only when ranks has moved on.
+	rankMemo rankMemo
 	// eucA = Σ (x−G)² and eucB = Σ G² over the device's observed
 	// minutes; with the home's global Σ G² they give the exact
 	// missing-as-zero Euclidean distance (see home snapshot).
 	eucA, eucB float64
 	traffic    float64
 	qin, qout  *QuantileSketch
+	// tauIn and tauOut hold the whiskers at the observation counts they
+	// were last computed for.
+	tauIn, tauOut whiskerMemo
 }
 
 // home is one gateway's live state; it has its own lock so snapshots
@@ -123,8 +131,9 @@ type home struct {
 	mu      sync.Mutex
 	id      string
 	devs    map[string]*deviceState
-	sg2     float64 // Σ G² over every minute the home was observed
-	minutes int64   // minutes with at least one valid delta
+	byMAC   []*deviceState // devs' values in ascending MAC order
+	sg2     float64        // Σ G² over every minute the home was observed
+	minutes int64          // minutes with at least one valid delta
 	reports int64
 
 	// scratch carries the per-report valid deltas between the two
@@ -227,6 +236,8 @@ func (t *Tracker) update(h *home, idx int, rep gateway.Report) int64 {
 				qout:    NewQuantileSketch(t.cfg.QuantCap),
 			}
 			h.devs[dc.MAC] = ds
+			at := sort.Search(len(h.byMAC), func(i int) bool { return h.byMAC[i].dev.MAC > dc.MAC })
+			h.byMAC = slices.Insert(h.byMAC, at, ds)
 			t.counters.devices.Add(1)
 			t.cfg.Metrics.Devices.Inc()
 		}
@@ -350,9 +361,14 @@ func (t *Tracker) Homes() []string {
 }
 
 // Snapshot assembles the live analysis of one home from the operator
-// state: O(devices · cap) — reservoir rank statistics dominate — and
-// never touches the store. The second return is false for an untracked
-// gateway.
+// state and never touches the store. Two read-outs are not O(1): the rank
+// pair costs one pass of the rank kernel over the reservoir, and the
+// whisker of a still-buffering quantile sketch a sort of its buffer. Both
+// are memoised per device against the sketch's change counter, so they
+// are paid only for devices that changed since the last snapshot: the
+// cost is O(devices + dirty devices · cap), and an unchanged home
+// allocates nothing beyond the HomeSnapshot it returns. The second return
+// is false for an untracked gateway.
 func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 	start := t.cfg.Now()
 	t.mu.RLock()
@@ -368,18 +384,14 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 		Reports: h.reports,
 		Minutes: h.minutes,
 		Phi:     t.cfg.Phi,
+		Devices: make([]DeviceLive, 0, len(h.byMAC)),
 	}
-	macs := make([]string, 0, len(h.devs))
-	for mac := range h.devs {
-		macs = append(macs, mac)
-	}
-	sort.Strings(macs)
-	for _, mac := range macs {
-		ds := h.devs[mac]
+	for _, ds := range h.byMAC {
+		rho, tau := ds.rankMemo.coefficients(ds.ranks)
 		detail := corrsim.Detail{
 			Pearson:  ds.pearson.Result(),
-			Spearman: ds.ranks.Spearman(),
-			Kendall:  ds.ranks.Kendall(),
+			Spearman: rho,
+			Kendall:  tau,
 			N:        int(ds.pearson.N()),
 		}
 		detail.Similarity = detail.SimilarityUnder(t.cfg.Measure)
@@ -389,7 +401,7 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 		// unobserved home minutes contribute (0−0)². Rounding can push
 		// the difference a hair negative — clamp.
 		euc := math.Sqrt(math.Max(0, ds.eucA+(h.sg2-ds.eucB)))
-		th := background.Threshold{TauIn: ds.qin.Whisker(), TauOut: ds.qout.Whisker()}
+		th := background.Threshold{TauIn: ds.tauIn.whisker(ds.qin), TauOut: ds.tauOut.whisker(ds.qout)}
 		snap.Devices = append(snap.Devices, DeviceLive{
 			Device:        ds.dev,
 			Pairs:         ds.pearson.N(),
@@ -407,8 +419,8 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 			QuantSketched: ds.qin.Sketched() || ds.qout.Sketched(),
 		})
 	}
-	sort.SliceStable(snap.Devices, func(i, j int) bool {
-		return snap.Devices[i].Similarity > snap.Devices[j].Similarity
+	slices.SortStableFunc(snap.Devices, func(a, b DeviceLive) int {
+		return cmp.Compare(b.Similarity, a.Similarity)
 	})
 	t.cfg.Metrics.SnapshotSeconds.Observe(t.cfg.Now().Sub(start).Seconds())
 	return snap, true

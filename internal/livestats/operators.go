@@ -80,6 +80,7 @@ type RankSketch struct {
 	cap    int
 	xs, ys []float64
 	n      int64
+	gen    uint64
 	rng    *rand.Rand
 }
 
@@ -98,37 +99,71 @@ func (r *RankSketch) Observe(x, y float64) {
 	if len(r.xs) < r.cap {
 		r.xs = append(r.xs, x)
 		r.ys = append(r.ys, y)
+		r.gen++
 		return
 	}
 	if j := r.rng.Int63n(r.n); j < int64(r.cap) {
 		r.xs[j] = x
 		r.ys[j] = y
+		r.gen++
 	}
 }
 
 // N returns the number of pairs offered to the reservoir.
 func (r *RankSketch) N() int64 { return r.n }
 
+// Generation counts the changes to the reservoir's contents: it moves on
+// an append or a replacement, and not on a rejected Algorithm R draw —
+// past the cap that is all but cap/n of the stream. Equal generations
+// mean equal contents, so equal coefficients.
+func (r *RankSketch) Generation() uint64 { return r.gen }
+
 // Sampled reports whether the stream overflowed the reservoir (the
 // coefficients are then estimates, not exact).
 func (r *RankSketch) Sampled() bool { return r.n > int64(r.cap) }
 
-// Spearman returns Spearman's ρ over the reservoir sample.
-func (r *RankSketch) Spearman() corr.Result {
-	res, err := corr.Spearman(r.xs, r.ys) //homesight:rawcorr — Definition 1 gating is applied downstream via corrsim.Detail.SimilarityUnder
+// SpearmanKendall returns Spearman's ρ and Kendall's τ-b over the
+// reservoir sample, from one pass of the rank kernel.
+func (r *RankSketch) SpearmanKendall() (rho, tau corr.Result) {
+	rho, tau, err := corr.SpearmanKendall(r.xs, r.ys) //homesight:rawcorr — Definition 1 gating is applied downstream via corrsim.Detail.SimilarityUnder
 	if err != nil {
-		return corr.Result{Coeff: math.NaN(), PValue: 1, N: len(r.xs)}
+		undefined := corr.Result{Coeff: math.NaN(), PValue: 1, N: len(r.xs)}
+		return undefined, undefined
 	}
-	return res
+	return rho, tau
 }
 
-// Kendall returns Kendall's τ-b over the reservoir sample.
-func (r *RankSketch) Kendall() corr.Result {
-	res, err := corr.Kendall(r.xs, r.ys) //homesight:rawcorr — Definition 1 gating is applied downstream via corrsim.Detail.SimilarityUnder
-	if err != nil {
-		return corr.Result{Coeff: math.NaN(), PValue: 1, N: len(r.ys)}
+// rankMemo remembers a RankSketch's coefficients at one generation, so a
+// snapshot re-runs the rank kernel only for reservoirs that changed.
+type rankMemo struct {
+	valid    bool
+	gen      uint64
+	rho, tau corr.Result
+}
+
+func (m *rankMemo) coefficients(r *RankSketch) (rho, tau corr.Result) {
+	if gen := r.Generation(); !m.valid || m.gen != gen {
+		m.rho, m.tau = r.SpearmanKendall()
+		m.gen, m.valid = gen, true
 	}
-	return res
+	return m.rho, m.tau
+}
+
+// whiskerMemo remembers a QuantileSketch's whisker at one observation
+// count. Every finite observation changes the sketch, so equal counts
+// mean an equal whisker — which, while the sketch still buffers, is a
+// sort of up to QuantCap values that an unchanged device need not repeat.
+// The zero value is the memo of an empty sketch (count 0, whisker 0).
+type whiskerMemo struct {
+	n int64
+	w float64
+}
+
+func (m *whiskerMemo) whisker(q *QuantileSketch) float64 {
+	if n := q.N(); m.n != n {
+		m.w, m.n = q.Whisker(), n
+	}
+	return m.w
 }
 
 // probQ1 and probQ3 are the quartile probabilities of the Tukey

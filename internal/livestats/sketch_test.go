@@ -80,11 +80,12 @@ func TestRankSketchExactUnderCap(t *testing.T) {
 	}
 	wantS, _ := corr.Spearman(xs, ys)
 	wantK, _ := corr.Kendall(xs, ys)
-	if got := rs.Spearman(); got != wantS {
-		t.Errorf("Spearman = %+v, want %+v", got, wantS)
+	gotS, gotK := rs.SpearmanKendall()
+	if gotS != wantS {
+		t.Errorf("Spearman = %+v, want %+v", gotS, wantS)
 	}
-	if got := rs.Kendall(); got != wantK {
-		t.Errorf("Kendall = %+v, want %+v", got, wantK)
+	if gotK != wantK {
+		t.Errorf("Kendall = %+v, want %+v", gotK, wantK)
 	}
 }
 
@@ -107,11 +108,12 @@ func TestRankSketchEstimateBeyondCap(t *testing.T) {
 	}
 	wantS, _ := corr.Spearman(xs, ys)
 	wantK, _ := corr.Kendall(xs, ys)
-	if got := rs.Spearman(); math.Abs(got.Coeff-wantS.Coeff) > 0.15 {
-		t.Errorf("Spearman estimate %v too far from batch %v", got.Coeff, wantS.Coeff)
+	gotS, gotK := rs.SpearmanKendall()
+	if math.Abs(gotS.Coeff-wantS.Coeff) > 0.15 {
+		t.Errorf("Spearman estimate %v too far from batch %v", gotS.Coeff, wantS.Coeff)
 	}
-	if got := rs.Kendall(); math.Abs(got.Coeff-wantK.Coeff) > 0.15 {
-		t.Errorf("Kendall estimate %v too far from batch %v", got.Coeff, wantK.Coeff)
+	if math.Abs(gotK.Coeff-wantK.Coeff) > 0.15 {
+		t.Errorf("Kendall estimate %v too far from batch %v", gotK.Coeff, wantK.Coeff)
 	}
 }
 
@@ -125,7 +127,8 @@ func TestRankSketchDeterministic(t *testing.T) {
 			x := rng.Float64() * 100
 			rs.Observe(x, x+rng.Float64()*10)
 		}
-		return rs.Spearman()
+		rho, _ := rs.SpearmanKendall()
+		return rho
 	}
 	if a, b := build(), build(); a != b {
 		t.Errorf("same stream, same seed produced %+v then %+v", a, b)

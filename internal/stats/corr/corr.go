@@ -8,7 +8,6 @@ package corr
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"homesight/internal/stats"
 	"homesight/internal/stats/dist"
@@ -76,210 +75,4 @@ func pValueFromR(r float64, n int) float64 {
 	}
 	t := r * math.Sqrt(float64(n-2)/(1-r*r))
 	return dist.StudentsT{DF: float64(n - 2)}.TwoSidedP(t)
-}
-
-// Spearman returns Spearman's rank correlation ρ with a two-sided p-value
-// from the t-approximation on the ranks (the method used by R's cor.test
-// for n > 1290 and a sound approximation for the window lengths homesight
-// works at).
-func Spearman(x, y []float64) (Result, error) {
-	if len(x) != len(y) {
-		return Result{}, ErrLength
-	}
-	if len(x) < 3 {
-		return Result{}, ErrTooShort
-	}
-	rx, ry := stats.Ranks(x), stats.Ranks(y)
-	return Pearson(rx, ry)
-}
-
-// Kendall returns Kendall's τ-b (tie-adjusted) with a two-sided p-value from
-// the normal approximation with the tie-corrected null variance.
-// The statistic is computed in O(n log n) via merge-sort inversion counting.
-func Kendall(x, y []float64) (Result, error) {
-	if len(x) != len(y) {
-		return Result{}, ErrLength
-	}
-	n := len(x)
-	if n < 3 {
-		return Result{}, ErrTooShort
-	}
-
-	// Sort index pairs by x, breaking ties by y; discordant pairs are then
-	// exactly the inversions of the y sequence among x-distinct pairs.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if x[idx[a]] != x[idx[b]] { //homesight:ignore float-eq — exact tie grouping for τ-b
-			return x[idx[a]] < x[idx[b]]
-		}
-		return y[idx[a]] < y[idx[b]]
-	})
-	ys := make([]float64, n)
-	xs := make([]float64, n)
-	for i, j := range idx {
-		ys[i] = y[j]
-		xs[i] = x[j]
-	}
-
-	n0 := float64(n) * float64(n-1) / 2
-	n1 := tiePairSum(xs)             // pairs tied in x
-	n2 := tiePairSum(sortedCopy(ys)) // pairs tied in y
-	n3 := jointTiePairSum(xs, ys)    // pairs tied in both
-
-	// Because the input is sorted by (x, y ascending), y is ascending within
-	// every x-tie group, so x-tied pairs contribute no inversions: the
-	// inversion count is exactly the number of strictly discordant pairs.
-	discordant := float64(countInversions(ys))
-	// Pairs untied in both coordinates: n0 - n1 - n2 + n3.
-	untied := n0 - n1 - n2 + n3
-	concordant := untied - discordant
-	num := concordant - discordant
-
-	den := math.Sqrt((n0 - n1) * (n0 - n2))
-	if den == 0 {
-		return Result{Coeff: math.NaN(), PValue: 1, N: n}, nil
-	}
-	tau := num / den
-	if tau > 1 {
-		tau = 1
-	} else if tau < -1 {
-		tau = -1
-	}
-
-	p := kendallPValue(xs, ys, num)
-	return Result{Coeff: tau, PValue: p, N: n}, nil
-}
-
-// sortedCopy returns an ascending copy of xs.
-func sortedCopy(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
-}
-
-// tiePairSum returns sum over tie groups of t(t-1)/2 for a sorted slice.
-func tiePairSum(sorted []float64) float64 {
-	total := 0.0
-	for i := 0; i < len(sorted); {
-		j := i
-		for j+1 < len(sorted) && sorted[j+1] == sorted[i] { //homesight:ignore float-eq — exact tie grouping
-			j++
-		}
-		t := float64(j - i + 1)
-		total += t * (t - 1) / 2
-		i = j + 1
-	}
-	return total
-}
-
-// jointTiePairSum returns the number of pairs tied in both coordinates.
-// xs is sorted by (x, y), so joint ties are consecutive.
-func jointTiePairSum(xs, ys []float64) float64 {
-	total := 0.0
-	for i := 0; i < len(xs); {
-		j := i
-		for j+1 < len(xs) && xs[j+1] == xs[i] && ys[j+1] == ys[i] { //homesight:ignore float-eq — exact tie grouping
-			j++
-		}
-		t := float64(j - i + 1)
-		total += t * (t - 1) / 2
-		i = j + 1
-	}
-	return total
-}
-
-// countInversions counts inversions (pairs i<j with ys[i] > ys[j]) using
-// merge sort in O(n log n). Equal values are not inversions.
-func countInversions(ys []float64) int64 {
-	buf := make([]float64, len(ys))
-	work := make([]float64, len(ys))
-	copy(work, ys)
-	return mergeCount(work, buf)
-}
-
-func mergeCount(a, buf []float64) int64 {
-	n := len(a)
-	if n < 2 {
-		return 0
-	}
-	mid := n / 2
-	inv := mergeCount(a[:mid], buf[:mid]) + mergeCount(a[mid:], buf[mid:])
-	i, j, k := 0, mid, 0
-	for i < mid && j < n {
-		if a[i] <= a[j] {
-			buf[k] = a[i]
-			i++
-		} else {
-			buf[k] = a[j]
-			inv += int64(mid - i)
-			j++
-		}
-		k++
-	}
-	for i < mid {
-		buf[k] = a[i]
-		i++
-		k++
-	}
-	for j < n {
-		buf[k] = a[j]
-		j++
-		k++
-	}
-	copy(a, buf[:n])
-	return inv
-}
-
-// kendallPValue computes the two-sided p-value of the concordant-minus-
-// discordant statistic S under the null, using the normal approximation
-// with the tie-corrected variance (Kendall 1970):
-//
-//	var(S) = [n(n-1)(2n+5) - Σt(t-1)(2t+5) - Σu(u-1)(2u+5)]/18
-//	       + [Σt(t-1)(t-2) Σu(u-1)(u-2)] / (9 n(n-1)(n-2))
-//	       + [Σt(t-1) Σu(u-1)] / (2 n(n-1))
-func kendallPValue(xs, ys []float64, s float64) float64 {
-	n := float64(len(xs))
-	tx := tieGroupSizes(xs)
-	ty := tieGroupSizes(sortedCopy(ys))
-
-	sum := func(groups []float64, f func(t float64) float64) float64 {
-		total := 0.0
-		for _, t := range groups {
-			total += f(t)
-		}
-		return total
-	}
-	v0 := n * (n - 1) * (2*n + 5)
-	vt := sum(tx, func(t float64) float64 { return t * (t - 1) * (2*t + 5) })
-	vu := sum(ty, func(t float64) float64 { return t * (t - 1) * (2*t + 5) })
-	v1 := sum(tx, func(t float64) float64 { return t * (t - 1) }) *
-		sum(ty, func(t float64) float64 { return t * (t - 1) })
-	v2 := sum(tx, func(t float64) float64 { return t * (t - 1) * (t - 2) }) *
-		sum(ty, func(t float64) float64 { return t * (t - 1) * (t - 2) })
-
-	variance := (v0-vt-vu)/18 + v2/(9*n*(n-1)*(n-2)) + v1/(2*n*(n-1))
-	if variance <= 0 {
-		return 1
-	}
-	z := s / math.Sqrt(variance)
-	return 2 * dist.StdNormal.Survival(math.Abs(z))
-}
-
-// tieGroupSizes returns the sizes of the tie groups of a sorted slice,
-// including singleton groups (they contribute zero to every tie sum).
-func tieGroupSizes(sorted []float64) []float64 {
-	var groups []float64
-	for i := 0; i < len(sorted); {
-		j := i
-		for j+1 < len(sorted) && sorted[j+1] == sorted[i] { //homesight:ignore float-eq — exact tie grouping
-			j++
-		}
-		groups = append(groups, float64(j-i+1))
-		i = j + 1
-	}
-	return groups
 }

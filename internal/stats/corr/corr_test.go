@@ -127,61 +127,6 @@ func TestKendallTauBWithTies(t *testing.T) {
 	}
 }
 
-func TestKendallMatchesQuadratic(t *testing.T) {
-	// The O(n log n) implementation must match a brute-force O(n^2) count.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 3 + rng.Intn(40)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = float64(rng.Intn(8)) // deliberately tie-heavy
-			y[i] = float64(rng.Intn(8))
-		}
-		fast, err := Kendall(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow := kendallBrute(x, y)
-		if math.IsNaN(fast.Coeff) != math.IsNaN(slow) {
-			t.Fatalf("NaN mismatch: fast=%v slow=%v", fast.Coeff, slow)
-		}
-		if !math.IsNaN(slow) && math.Abs(fast.Coeff-slow) > 1e-10 {
-			t.Fatalf("trial %d: fast=%.12f slow=%.12f x=%v y=%v", trial, fast.Coeff, slow, x, y)
-		}
-	}
-}
-
-// kendallBrute is the textbook O(n^2) tau-b.
-func kendallBrute(x, y []float64) float64 {
-	n := len(x)
-	var conc, disc, tx, ty float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx, dy := x[i]-x[j], y[i]-y[j]
-			switch {
-			case dx == 0 && dy == 0:
-				tx++
-				ty++
-			case dx == 0:
-				tx++
-			case dy == 0:
-				ty++
-			case dx*dy > 0:
-				conc++
-			default:
-				disc++
-			}
-		}
-	}
-	n0 := float64(n) * float64(n-1) / 2
-	den := math.Sqrt((n0 - tx) * (n0 - ty))
-	if den == 0 {
-		return math.NaN()
-	}
-	return (conc - disc) / den
-}
-
 func TestCorrelationsAgreeOnIndependentNoise(t *testing.T) {
 	// Independent noise should rarely be significant; check the p-values are
 	// roughly uniform by counting rejections at alpha = 0.2 over many trials.

@@ -184,24 +184,32 @@ func ZScores(xs []float64) []float64 {
 }
 
 // Ranks returns the fractional ranks of xs (1-based, ties receive the
-// average rank), the form required by Spearman's correlation.
+// average rank), the form required by Spearman's correlation. -0 and +0
+// tie. A NaN has no rank and leaves none well-defined for the rest: if xs
+// holds one, every rank is NaN.
 func Ranks(xs []float64) []float64 {
 	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
 	ranks := make([]float64, n)
+	perm := make([]uint32, n)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	var o Order
+	if !o.Argsort(xs, perm) {
+		for i := range ranks {
+			ranks[i] = math.NaN()
+		}
+		return ranks
+	}
 	for i := 0; i < n; {
 		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] { //homesight:ignore float-eq — rank ties are exact equality
+		for j+1 < n && xs[perm[j+1]] == xs[perm[i]] { //homesight:ignore float-eq — rank ties are exact equality
 			j++
 		}
 		// Average rank for the tie group [i, j].
 		avg := float64(i+j)/2 + 1
 		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
+			ranks[perm[k]] = avg
 		}
 		i = j + 1
 	}
