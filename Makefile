@@ -1,8 +1,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 SARIF ?= homesight-vet.sarif
+BASE ?= HEAD
+N ?= 10
 
-.PHONY: build test race vet lint vet-fix-check vet-sarif bench bench-build bench-scaling bench-store bench-query bench-fleet bench-stream test-faults fuzz-smoke obs-smoke check
+.PHONY: build test race vet lint vet-fix-check vet-sarif bench bench-build bench-scaling bench-store bench-query bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check
 
 build: ## compile every package
 	$(GO) build ./...
@@ -48,8 +50,8 @@ bench-query: ## concurrent-read query benchmarks (raw vs 8h rollup, cache hit ra
 bench-fleet: ## sharded-ingest throughput at 1/2/4 shards (scaling floor enforced on >=4-CPU hosts); writes BENCH_fleet.json
 	HOMESIGHT_BENCH_FLEET_JSON=$(abspath BENCH_fleet.json) $(GO) test -run TestBenchFleetJSON -count=1 -v ./internal/fleet
 
-bench-stream: ## livestats per-report cost (O(1) floor: deep-stream/early ratio) and snapshot latency; writes BENCH_stream.json
-	HOMESIGHT_BENCH_STREAM_JSON=$(abspath BENCH_stream.json) $(GO) test -run TestBenchStreamJSON -count=1 ./internal/livestats
+bench-pairs: ## end-to-end benchmark of this tree against commit BASE over N alternating pairs (WORKLOADS: default all four); prints medians, quartiles, wins and a verdict per metric
+	bash scripts/bench_pairs.sh $(BASE) $(N) $(WORKLOADS)
 
 fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL replay, vet directive parser, live sketches and the rank kernel
 	$(GO) test -run NONE -fuzz '^FuzzBlockCodec$$' -fuzztime $(FUZZTIME) ./internal/store
@@ -64,5 +66,5 @@ fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL r
 obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, grep required series
 	GO="$(GO)" sh scripts/obs_smoke.sh
 
-check: vet race lint vet-fix-check vet-sarif test-faults bench-build bench-scaling bench-store bench-query bench-fleet bench-stream fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet (baseline) + fix drift + SARIF artifact + fault suite + bench smoke + scaling floor + store bench + query bench + fleet bench + stream bench + fuzz smoke + obs smoke
+check: vet race lint vet-fix-check vet-sarif test-faults bench-build bench-scaling bench-store bench-query bench-fleet fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet (baseline) + fix drift + SARIF artifact + fault suite + bench smoke + scaling floor + store bench + query bench + fleet bench + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

@@ -14,6 +14,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -92,6 +93,13 @@ func Start(cfg Config) (*Fleet, error) {
 		}
 		f.shards = append(f.shards, s)
 	}
+	// Start-up — opening partitions, replaying WALs, rebuilding trackers,
+	// and whatever the process loaded before calling Start — leaves garbage
+	// the pacer would count into its next heap goal, so the fleet's peak
+	// footprint would depend on where start-up's last collection happened
+	// to fall (anywhere up to 2× the start-up heap). One collection here
+	// sets the goal from what is live when serving begins.
+	runtime.GC()
 	return f, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -119,6 +120,23 @@ func assertSeriesEqual(t *testing.T, got, want map[store.Key][]store.Point) {
 				break
 			}
 		}
+	}
+}
+
+// TestStartCollectsStartupGarbage pins the collection that ends Start:
+// garbage made before serving begins must not set the pacer's heap goal
+// for the serving phase (FLEET.md, "Fleet").
+func TestStartCollectsStartupGarbage(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := Start(Config{Dir: t.TempDir(), Shards: 1, Start: anchor, Step: time.Minute})
+	if err != nil {
+		t.Fatalf("fleet.Start: %v", err)
+	}
+	defer f.Close() //homesight:ignore unchecked-close — test teardown
+	runtime.ReadMemStats(&after)
+	if after.NumForcedGC == before.NumForcedGC {
+		t.Errorf("fleet.Start forced no collection (NumForcedGC stayed %d)", before.NumForcedGC)
 	}
 }
 

@@ -26,10 +26,10 @@ func TestFaultLiveShardKillReplay(t *testing.T) {
 	f, err := Start(Config{
 		Dir: root, Shards: 3, Start: anchor, Step: time.Minute,
 		Sync: store.SyncAlways,
-		// Capacities beyond the campaign length keep every operator in
+		// A reservoir larger than the campaign keeps the rank operator in
 		// exact mode, so convergence is checked at float tolerance, not
-		// sketch tolerance.
-		Live: &livestats.Config{RankCap: minutes + 1, QuantCap: minutes + 1, Seed: 11},
+		// sampling tolerance.
+		Live: &livestats.Config{RankCap: minutes + 1, Seed: 11},
 	})
 	if err != nil {
 		t.Fatalf("fleet.Start: %v", err)

@@ -262,31 +262,49 @@ func (s *Shard) serveConn(conn net.Conn) {
 			s.counters.framesRejected.Add(1)
 			return
 		}
-		s.ingestBatch(reps)
 		// Acknowledge only after the whole frame is appended: the ack is
 		// the reporter's license to retire the frame from its unacked
-		// window, so ack ⇒ appended (and with SyncAlways, ⇒ durable).
+		// window, so ack ⇒ appended (and with SyncAlways, ⇒ durable). A
+		// store that refused the frame gets no ack: the connection closes,
+		// the sender keeps the frame and its shard-loss path takes over.
+		if err := s.ingestBatch(reps); err != nil {
+			return
+		}
 		if _, err := conn.Write(ack[:]); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Shard) ingestBatch(reps []gateway.Report) {
+// ingestBatch appends one frame's reports and advances the live state.
+// A report the store rejects for its content (no gateway id) is counted
+// and skipped — the frame is still acked, so a poison report cannot wedge
+// its sender. Any other Append error means the store itself is failing
+// (closed, a sticky flush error, a WAL write error): the rest of the
+// frame is dropped and the error returned, and the frame must not be
+// acked.
+func (s *Shard) ingestBatch(reps []gateway.Report) error {
 	start := s.cfg.Now()
+	var appended int64
+	var failed error
 	for _, rep := range reps {
 		if err := s.store.Append(rep); err != nil {
 			s.counters.appendErrors.Add(1)
-			continue
+			if errors.Is(err, store.ErrNoGateway) {
+				continue
+			}
+			failed = err
+			break
 		}
 		if s.tracker != nil {
 			// Only appended reports advance the live state, so the
 			// tracker never gets ahead of the partition it rebuilds from.
 			s.tracker.OnReport(rep)
 		}
-		s.counters.reportsAppended.Add(1)
-		s.reports.Inc()
+		appended++
 	}
+	s.counters.reportsAppended.Add(appended)
+	s.reports.Add(appended)
 	d := s.cfg.Now().Sub(start)
 	s.counters.framesDecoded.Add(1)
 	s.batches.Inc()
@@ -294,6 +312,7 @@ func (s *Shard) ingestBatch(reps []gateway.Report) {
 	if s.cfg.onFrame != nil {
 		s.cfg.onFrame(len(reps), d)
 	}
+	return failed
 }
 
 // Watermarks exposes the partition's per-series high-water timestamps —

@@ -1,0 +1,64 @@
+package fleet
+
+import (
+	"errors"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"homesight/internal/gateway"
+	"homesight/internal/telemetry"
+)
+
+// TestShardWithholdsAckWhenStoreRefuses pins "ack ⇒ appended" from the
+// failing side, over a net.Pipe into the shard's own serve loop: a frame
+// carrying a poison report (no gateway id) is acked with the report
+// counted in AppendErrors, so it cannot wedge its sender; a frame that
+// arrives after the partition store has crashed gets no ack byte — the
+// connection closes, which is what leaves the frame in the sender's
+// unacked window for the router's shard-loss path.
+func TestShardWithholdsAckWhenStoreRefuses(t *testing.T) {
+	s, err := StartShard(ShardConfig{
+		Name: ShardName(0), Addr: "127.0.0.1:0", Dir: t.TempDir(),
+		Start: anchor, Step: time.Minute,
+	})
+	if err != nil {
+		t.Fatalf("StartShard: %v", err)
+	}
+	defer s.Kill()
+	client, server := net.Pipe()
+	defer client.Close()
+	s.wg.Add(1)
+	go s.serveConn(server)
+	if err := client.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	reps := buildCampaign([]string{"home-000"}, 3)
+	poison := gateway.Report{Timestamp: anchor, Devices: reps[0].Devices}
+	// sendFrame writes one frame and reads the shard's one-byte answer.
+	sendFrame := func(frame ...gateway.Report) (byte, error) {
+		if _, err := client.Write(telemetry.AppendBatchFrame(nil, frame)); err != nil {
+			t.Fatalf("writing frame: %v", err)
+		}
+		var ack [1]byte
+		_, err := io.ReadFull(client, ack[:])
+		return ack[0], err
+	}
+
+	if b, err := sendFrame(reps[0], poison, reps[1]); err != nil || b != telemetry.BatchAck {
+		t.Fatalf("frame with a poison report: ack %#x, err %v; want an ack", b, err)
+	}
+	if st := s.Stats(); st.ReportsAppended != 2 || st.AppendErrors != 1 || st.FramesDecoded != 1 {
+		t.Fatalf("after the poison frame: %+v, want 2 appended, 1 append error, 1 frame", st)
+	}
+
+	s.store.Crash()
+	if b, err := sendFrame(reps[2]); !errors.Is(err, io.EOF) {
+		t.Fatalf("frame after the store crashed: read %#x, err %v; want no ack and a closed connection", b, err)
+	}
+	if st := s.Stats(); st.ReportsAppended != 2 || st.AppendErrors != 2 {
+		t.Errorf("after the refused frame: %+v, want 2 appended, 2 append errors", st)
+	}
+}

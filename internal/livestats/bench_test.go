@@ -1,11 +1,9 @@
 package livestats
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
-	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -70,13 +68,13 @@ func BenchmarkOnReport(b *testing.B) {
 }
 
 // BenchmarkSnapshot measures assembling one home's live analysis after
-// a stream long enough to put both sketches in sketch mode, with no
-// report between snapshots: every device is clean, so the rank memo
-// answers and the cost is the O(devices) read-out.
+// a stream long enough to put the rank reservoirs in sampling mode, with
+// no report between snapshots: every device is clean, so the rank memo
+// answers and the cost is the O(devices) read-out plus the whisker walks.
 func BenchmarkSnapshot(b *testing.B) {
 	bs := newBenchStream(8)
 	tr := bs.tracker()
-	for i := 0; i < DefaultQuantCap+DefaultRankCap; i++ {
+	for i := 0; i < 5*DefaultRankCap; i++ {
 		tr.OnReport(bs.next())
 	}
 	b.ReportAllocs()
@@ -102,87 +100,37 @@ func benchWindow(tr *Tracker, bs *benchStream, n int) time.Duration {
 	return time.Since(start) / time.Duration(n)
 }
 
-func benchStreamPercentile(ds []time.Duration, p float64) time.Duration {
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// TestBenchStreamJSON writes BENCH_stream.json — steady-state
-// per-report operator cost at two stream depths (the bounded ratio is
-// the O(1) evidence: cost must not grow with stream length) and
-// snapshot latency percentiles — when HOMESIGHT_BENCH_STREAM_JSON is
-// set. It is the `make bench-stream` artifact.
-func TestBenchStreamJSON(t *testing.T) {
-	path := os.Getenv("HOMESIGHT_BENCH_STREAM_JSON")
-	if path == "" {
-		t.Skip("set HOMESIGHT_BENCH_STREAM_JSON=BENCH_stream.json to write the bench artifact")
-	}
+// TestOnReportCostFlatAcrossMinute4096 pins the per-report cost as flat
+// in stream depth: the mean over a window of a 12-device home's stream
+// that spans minute 4 096 may not exceed 3x the mean over its first 1 024
+// minutes. Minute 4 096 is where the threshold operator used to convert
+// its exact buffer into a sketch by sorting it eleven times per direction
+// per device — one report costing more than a hundred ordinary ones, and
+// every home of a fleet paying it in the same minute. The best of three
+// attempts is judged, so a scheduling stall has to hit all three windows
+// to fail the test; a cost that belongs to the code is in every attempt.
+func TestOnReportCostFlatAcrossMinute4096(t *testing.T) {
 	const (
-		devs   = 8
-		window = 4096
-		deep   = 16 * DefaultRankCap // well past every sketch capacity
+		early = 1024
+		from  = 4096 - 256
+		late  = 512
 	)
-	bs := newBenchStream(devs)
-	tr := bs.tracker()
-
-	// Early window: the first `window` minutes (operators in exact mode).
-	early := benchWindow(tr, bs, window)
-	// Burn to depth, then measure again: operators in sketch mode with
-	// 16x the history behind them.
-	for bs.minute < deep {
-		tr.OnReport(bs.next())
-	}
-	late := benchWindow(tr, bs, window)
-	ratio := float64(late) / float64(early)
-
-	// A per-report cost that grows with stream length would blow this
-	// bound immediately (the stream is 16x deeper); 3x headroom absorbs
-	// timer noise and the exact→sketch mode change.
-	if ratio > 3.0 {
-		t.Errorf("per-report cost grew with stream depth: early %v, late %v (ratio %.2f > 3.0)", early, late, ratio)
-	}
-
-	const snaps = 500
-	lat := make([]time.Duration, snaps)
-	for i := range lat {
-		start := time.Now()
-		if _, ok := tr.Snapshot("gw-bench"); !ok {
-			t.Fatal("home vanished")
+	best := math.Inf(1)
+	var bestEarly, bestLate time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		bs := newBenchStream(12)
+		tr := bs.tracker()
+		e := benchWindow(tr, bs, early)
+		for bs.minute < from {
+			tr.OnReport(bs.next())
 		}
-		lat[i] = time.Since(start)
+		l := benchWindow(tr, bs, late)
+		if ratio := float64(l) / float64(e); ratio < best {
+			best, bestEarly, bestLate = ratio, e, l
+		}
 	}
-
-	entries := []map[string]any{
-		{
-			"name":               "LiveOnReport",
-			"devices_per_report": devs,
-			"window_reports":     window,
-			"early_ns_per_op":    early.Nanoseconds(),
-			"late_ns_per_op":     late.Nanoseconds(),
-			"late_stream_depth":  deep,
-			"late_early_ratio":   ratio,
-			"rank_cap":           DefaultRankCap,
-			"quant_cap":          DefaultQuantCap,
-		},
-		{
-			"name":           "LiveSnapshot",
-			"devices":        devs,
-			"samples":        snaps,
-			"p50_us":         float64(benchStreamPercentile(lat, 0.50).Nanoseconds()) / 1e3,
-			"p99_us":         float64(benchStreamPercentile(lat, 0.99).Nanoseconds()) / 1e3,
-			"stream_depth":   bs.minute,
-			"rank_sampled":   true,
-			"quant_sketched": true,
-		},
+	if best > 3.0 {
+		t.Errorf("per-report cost across minute 4 096 is %v against %v early (ratio %.2f > 3.0)", bestLate, bestEarly, best)
 	}
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("per-report: early %v, late %v (ratio %.2f); snapshot p99 %v", early, late, ratio, benchStreamPercentile(lat, 0.99))
+	t.Logf("per-report: early %v, across minute 4 096 %v (ratio %.2f)", bestEarly, bestLate, best)
 }

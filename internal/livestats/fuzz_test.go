@@ -33,87 +33,86 @@ func fuzzResultEq(a, b corr.Result) bool {
 	return a.N == b.N && num(a.Coeff, b.Coeff) && num(a.PValue, b.PValue)
 }
 
+// fuzzBytes maps a 2-byte code to a byte delta: the top two bits pick a
+// scale, so one input mixes values around the 8 192 seam, around the
+// 40 000 group border, up to a full 32-bit counter and up to the top of
+// uint64.
+func fuzzBytes(u uint16) uint64 {
+	v := uint64(u & 0x3fff)
+	switch u >> 14 {
+	case 0:
+		return v
+	case 1:
+		return v * 7
+	case 2:
+		return v << 18
+	}
+	return v << 50
+}
+
 // FuzzQuantileSketch pins the threshold operator against arbitrary
-// streams: observing never panics, non-finite values never enter the
-// sample, exact mode reproduces the batch quantiles and boxplot whisker
-// bit-for-bit, quantile queries stay monotone in p, and the whisker
-// stays within the observed range. Byte 0 sizes the buffer (so small
-// inputs still cross into sketch mode); the rest is a stream of 2-byte
-// value codes.
+// integer streams. The whisker is always the batch whisker of the floored
+// stream (or the exact maximum when the fence clears it) and never above
+// the maximum; it is background.EstimateTau of the raw stream bit for bit,
+// capped τ included, whenever the quartile order statistics and the
+// whisker are below 8 192; the quantiles are stats.Quantile of the floored
+// stream, monotone in p, and the quartiles lie within 2^-7 below the raw
+// ones. The batch whisker is a data point inside the fence and can sit
+// below the interpolated Q3, so there is no Q3 clamp to check. The input
+// is a stream of 2-byte value codes.
 func FuzzQuantileSketch(f *testing.F) {
 	f.Add([]byte{})
-	// A ramp that stays exact, with a NaN and both infinities mixed in.
-	exact := []byte{200}
-	for i := 0; i < 20; i++ {
-		exact = binary.BigEndian.AppendUint16(exact, uint16(i*37))
+	// A ramp through the unit-bucket range.
+	var ramp []byte
+	for i := 0; i < 40; i++ {
+		ramp = binary.BigEndian.AppendUint16(ramp, uint16(i*197))
 	}
-	exact = binary.BigEndian.AppendUint16(exact, 0xffff)
-	exact = binary.BigEndian.AppendUint16(exact, 0xfffe)
-	exact = binary.BigEndian.AppendUint16(exact, 0xfffd)
-	f.Add(exact)
-	// A long bursty stream over a minimum-size buffer: collapses to P²
-	// markers.
-	burst := []byte{0}
+	f.Add(ramp)
+	// Background chatter with bursts in every log scale.
+	var burst []byte
 	for i := 0; i < 300; i++ {
 		v := uint16(i % 97)
 		if i%31 == 0 {
-			v = 40000 + uint16(i)
+			v = uint16(i%3+1)<<14 | uint16(i*53)&0x3fff
 		}
 		burst = binary.BigEndian.AppendUint16(burst, v)
 	}
 	f.Add(burst)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		capacity := minQuantCap
-		if len(data) > 0 {
-			capacity += int(data[0])
-			data = data[1:]
-		}
-		q := NewQuantileSketch(capacity)
-		var finite []float64
-		for len(data) >= 2 {
-			v := fuzzVal(binary.BigEndian.Uint16(data))
-			data = data[2:]
+		q := new(QuantileSketch)
+		var vals []uint64
+		for ; len(data) >= 2; data = data[2:] {
+			v := fuzzBytes(binary.BigEndian.Uint16(data))
 			q.Observe(v)
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				finite = append(finite, v)
-			}
+			vals = append(vals, v)
 		}
-		if q.N() != int64(len(finite)) {
-			t.Fatalf("N = %d, want %d finite observations", q.N(), len(finite))
+		if q.N() != int64(len(vals)) {
+			t.Fatalf("N = %d, want %d", q.N(), len(vals))
 		}
-		if len(finite) == 0 {
+		if len(vals) == 0 {
 			if w := q.Whisker(); w != 0 {
 				t.Fatalf("empty-sample whisker = %v, want 0", w)
 			}
 			return
 		}
-		if !q.Sketched() {
-			for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-				if got, want := q.Quantile(p), stats.Quantile(finite, p); got != want {
-					t.Fatalf("exact Quantile(%v) = %v, want %v", p, got, want)
-				}
-			}
-			b, err := stats.NewBoxplot(finite, stats.DefaultWhiskerK)
-			if err != nil {
-				t.Fatalf("batch boxplot: %v", err)
-			}
-			if got := q.Whisker(); got != b.UpperWhisker {
-				t.Fatalf("exact whisker = %v, want batch %v", got, b.UpperWhisker)
-			}
-		}
+		checkWhisker(t, q, vals)
+		floored, raw := toFloats(vals, sketchFloor), toFloats(vals, rawValue)
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 1.0; p += 0.05 {
 			v := q.Quantile(p)
-			if math.IsNaN(v) {
-				t.Fatalf("Quantile(%v) = NaN on a non-empty sample", p)
+			if want := stats.Quantile(floored, p); v != want {
+				t.Fatalf("Quantile(%v) = %v, want %v of the floored stream", p, v, want)
 			}
-			if v < prev-1e-9 {
+			if v < prev {
 				t.Fatalf("Quantile(%v) = %v < previous %v", p, v, prev)
 			}
 			prev = v
 		}
-		if w := q.Whisker(); w > q.Max() {
-			t.Fatalf("whisker %v above observed max %v", w, q.Max())
+		for _, p := range []float64{probQ1, probQ3} {
+			got, want := q.Quantile(p), stats.Quantile(raw, p)
+			if got > want || want-got > want/(1<<sketchPageBits) {
+				t.Fatalf("Quantile(%v) = %v, raw %v: not within 2^-7 below", p, got, want)
+			}
 		}
 	})
 }

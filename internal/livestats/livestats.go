@@ -13,7 +13,8 @@
 //     τ-b (exact while the stream fits, uniform-sample estimates
 //     beyond);
 //   - two QuantileSketches — the per-direction Tukey-whisker background
-//     threshold τ (exact while buffering, P² marker estimates beyond);
+//     threshold τ, read off a counting histogram of the byte deltas
+//     (exact below 8 192 bytes, 2^-7-relative buckets above);
 //   - exact running Euclidean-distance and traffic-volume accumulators
 //     for the Sec. 6.2 baseline rankings.
 //
@@ -47,14 +48,9 @@ import (
 	"homesight/internal/stats/corr"
 )
 
-// Default operator capacities: the reservoir covers a 1024-minute
-// (~17 h) stream exactly, the quantile buffer a ~2.8-day stream; both
-// stay exact for the test campaigns and collapse to sketches on
-// deployment-length streams.
-const (
-	DefaultRankCap  = 1024
-	DefaultQuantCap = 4096
-)
+// DefaultRankCap is the default reservoir capacity: it covers a
+// 1024-minute (~17 h) stream exactly and samples deployment-length ones.
+const DefaultRankCap = 1024
 
 // Config configures a Tracker.
 type Config struct {
@@ -67,10 +63,8 @@ type Config struct {
 	Measure corrsim.Measure
 	// Phi is the Definition 4 dominance threshold (0 → DefaultPhi).
 	Phi float64
-	// RankCap and QuantCap size the rank reservoir and the quantile
-	// buffer per device (0 → the defaults above).
-	RankCap  int
-	QuantCap int
+	// RankCap sizes the rank reservoir per device (0 → DefaultRankCap).
+	RankCap int
 	// Seed derives the per-device reservoir RNGs (mixed with a hash of
 	// gateway and MAC), so snapshots are reproducible run to run.
 	Seed int64
@@ -90,9 +84,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RankCap <= 0 {
 		cfg.RankCap = DefaultRankCap
-	}
-	if cfg.QuantCap <= 0 {
-		cfg.QuantCap = DefaultQuantCap
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
@@ -119,10 +110,7 @@ type deviceState struct {
 	// missing-as-zero Euclidean distance (see home snapshot).
 	eucA, eucB float64
 	traffic    float64
-	qin, qout  *QuantileSketch
-	// tauIn and tauOut hold the whiskers at the observation counts they
-	// were last computed for.
-	tauIn, tauOut whiskerMemo
+	qin, qout  QuantileSketch
 }
 
 // home is one gateway's live state; it has its own lock so snapshots
@@ -232,8 +220,6 @@ func (t *Tracker) update(h *home, idx int, rep gateway.Report) int64 {
 				dev:     devices.Device{MAC: dc.MAC, Name: dc.Name, Inferred: devices.Classify(dc.MAC, dc.Name)},
 				lastIdx: -1,
 				ranks:   NewRankSketch(t.cfg.RankCap, t.deviceSeed(h.id, dc.MAC)),
-				qin:     NewQuantileSketch(t.cfg.QuantCap),
-				qout:    NewQuantileSketch(t.cfg.QuantCap),
 			}
 			h.devs[dc.MAC] = ds
 			at := sort.Search(len(h.byMAC), func(i int) bool { return h.byMAC[i].dev.MAC > dc.MAC })
@@ -264,8 +250,8 @@ func (t *Tracker) update(h *home, idx int, rep gateway.Report) int64 {
 		if !okIn || !okOut {
 			continue // first reading after init/reset: no interval
 		}
-		ds.qin.Observe(float64(din))
-		ds.qout.Observe(float64(dout))
+		ds.qin.Observe(din)
+		ds.qout.Observe(dout)
 		x := float64(din) + float64(dout)
 		g += x
 		pending = append(pending, pendingDelta{ds: ds, x: x})
@@ -308,10 +294,9 @@ type DeviceLive struct {
 	Threshold background.Threshold
 	Tau       float64
 	Group     background.Group
-	// RankSampled and QuantSketched flag estimate (vs exact) mode for
-	// the rank coefficients and the threshold respectively.
-	RankSampled   bool
-	QuantSketched bool
+	// RankSampled flags estimate (vs exact) mode for the rank
+	// coefficients.
+	RankSampled bool
 }
 
 // HomeSnapshot is one home's live analysis — the online mirror of the
@@ -361,14 +346,14 @@ func (t *Tracker) Homes() []string {
 }
 
 // Snapshot assembles the live analysis of one home from the operator
-// state and never touches the store. Two read-outs are not O(1): the rank
-// pair costs one pass of the rank kernel over the reservoir, and the
-// whisker of a still-buffering quantile sketch a sort of its buffer. Both
-// are memoised per device against the sketch's change counter, so they
-// are paid only for devices that changed since the last snapshot: the
-// cost is O(devices + dirty devices · cap), and an unchanged home
-// allocates nothing beyond the HomeSnapshot it returns. The second return
-// is false for an untracked gateway.
+// state and never touches the store. One read-out is not O(1): the rank
+// pair costs one pass of the rank kernel over the reservoir. It is
+// memoised per device against the reservoir's generation, so it is paid
+// only for devices that changed since the last snapshot: the cost is
+// O(devices + dirty devices · RankCap), and an unchanged home allocates
+// nothing beyond the HomeSnapshot it returns. The whiskers are a walk over
+// the histogram pages a device has touched, with no sort. The second
+// return is false for an untracked gateway.
 func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 	start := t.cfg.Now()
 	t.mu.RLock()
@@ -401,22 +386,21 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 		// unobserved home minutes contribute (0−0)². Rounding can push
 		// the difference a hair negative — clamp.
 		euc := math.Sqrt(math.Max(0, ds.eucA+(h.sg2-ds.eucB)))
-		th := background.Threshold{TauIn: ds.tauIn.whisker(ds.qin), TauOut: ds.tauOut.whisker(ds.qout)}
+		th := background.Threshold{TauIn: ds.qin.Whisker(), TauOut: ds.qout.Whisker()}
 		snap.Devices = append(snap.Devices, DeviceLive{
-			Device:        ds.dev,
-			Pairs:         ds.pearson.N(),
-			Pearson:       detail.Pearson,
-			Spearman:      detail.Spearman,
-			Kendall:       detail.Kendall,
-			Similarity:    detail.Similarity,
-			Dominant:      detail.Similarity > t.cfg.Phi,
-			Euclidean:     euc,
-			Traffic:       ds.traffic,
-			Threshold:     th,
-			Tau:           th.Tau(),
-			Group:         background.GroupOf(math.Max(th.TauIn, th.TauOut)),
-			RankSampled:   ds.ranks.Sampled(),
-			QuantSketched: ds.qin.Sketched() || ds.qout.Sketched(),
+			Device:      ds.dev,
+			Pairs:       ds.pearson.N(),
+			Pearson:     detail.Pearson,
+			Spearman:    detail.Spearman,
+			Kendall:     detail.Kendall,
+			Similarity:  detail.Similarity,
+			Dominant:    detail.Similarity > t.cfg.Phi,
+			Euclidean:   euc,
+			Traffic:     ds.traffic,
+			Threshold:   th,
+			Tau:         th.Tau(),
+			Group:       background.GroupOf(math.Max(th.TauIn, th.TauOut)),
+			RankSampled: ds.ranks.Sampled(),
 		})
 	}
 	slices.SortStableFunc(snap.Devices, func(a, b DeviceLive) int {

@@ -2,6 +2,7 @@ package livestats
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,11 +58,10 @@ func campaignReports(dep *synth.Deployment, i int) []gateway.Report {
 func exactConfig(dep *synth.Deployment) Config {
 	cfg := dep.Config()
 	return Config{
-		Start:    cfg.Start,
-		Step:     time.Minute,
-		RankCap:  cfg.Minutes() + 1,
-		QuantCap: cfg.Minutes() + 1,
-		Seed:     1,
+		Start:   cfg.Start,
+		Step:    time.Minute,
+		RankCap: cfg.Minutes() + 1,
+		Seed:    1,
 	}
 }
 
@@ -364,5 +364,38 @@ func TestSnapshotEuclideanDefinition(t *testing.T) {
 	}
 	if a.Traffic != 90 || b.Traffic != 6 {
 		t.Errorf("traffic A=%v B=%v, want 90 and 6", a.Traffic, b.Traffic)
+	}
+}
+
+// TestOnReportSteadyStateAllocatesNothing: on an established home — every
+// device known, the reservoirs past their capacity, every delta landing on
+// a histogram page an earlier one touched — a report allocates nothing.
+func TestOnReportSteadyStateAllocatesNothing(t *testing.T) {
+	start := time.Unix(0, 0).UTC()
+	tr := NewTracker(Config{Start: start, RankCap: 16, Seed: 1})
+	rep := gateway.Report{GatewayID: "gw", Devices: make([]gateway.DeviceCounters, 6)}
+	for d := range rep.Devices {
+		rep.Devices[d].MAC = fmt.Sprintf("aa:aa:aa:aa:aa:%02x", d)
+	}
+	minute := 0
+	send := func() {
+		for d := range rep.Devices {
+			// Deltas cycle through five values per direction: one in the
+			// unit-bucket range, one in the log range.
+			rep.Devices[d].RxBytes += uint64(1000 + 37*d + minute%5)
+			rep.Devices[d].TxBytes += uint64(90000 + 1000*d + minute%5)
+		}
+		rep.Timestamp = start.Add(time.Duration(minute) * time.Minute)
+		minute++
+		tr.OnReport(rep)
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if a := testing.AllocsPerRun(200, send); a != 0 {
+		t.Errorf("steady-state OnReport allocates %v times per report, want 0", a)
+	}
+	if st := tr.Stats(); st.StaleRows != 0 || st.ReportsProcessed != int64(minute) {
+		t.Errorf("the stream was meant to be clean: %+v after %d reports", st, minute)
 	}
 }

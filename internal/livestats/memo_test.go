@@ -11,12 +11,12 @@ import (
 	"homesight/internal/synth"
 )
 
-// memoConfig puts the RankCap boundary (and the QuantCap one) well inside
-// the stream prefixes the memo tests feed, so they cross from the exact
-// reservoir into Algorithm R replacement, where most reports leave most
-// reservoirs — and so their generations — untouched.
+// memoConfig puts the RankCap boundary well inside the stream prefixes
+// the memo tests feed, so they cross from the exact reservoir into
+// Algorithm R replacement, where most reports leave most reservoirs — and
+// so their generations — untouched.
 func memoConfig(dep *synth.Deployment) Config {
-	return Config{Start: dep.Config().Start, RankCap: 96, QuantCap: 128, Seed: 3}
+	return Config{Start: dep.Config().Start, RankCap: 96, Seed: 3}
 }
 
 // sameSnapshot is reflect.DeepEqual for snapshots, except that a NaN

@@ -2,6 +2,7 @@ package livestats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"homesight/internal/stats"
@@ -149,231 +150,157 @@ func (m *rankMemo) coefficients(r *RankSketch) (rho, tau corr.Result) {
 	return m.rho, m.tau
 }
 
-// whiskerMemo remembers a QuantileSketch's whisker at one observation
-// count. Every finite observation changes the sketch, so equal counts
-// mean an equal whisker — which, while the sketch still buffers, is a
-// sort of up to QuantCap values that an unchanged device need not repeat.
-// The zero value is the memo of an empty sketch (count 0, whisker 0).
-type whiskerMemo struct {
-	n int64
-	w float64
-}
-
-func (m *whiskerMemo) whisker(q *QuantileSketch) float64 {
-	if n := q.N(); m.n != n {
-		m.w, m.n = q.Whisker(), n
-	}
-	return m.w
-}
-
 // probQ1 and probQ3 are the quartile probabilities of the Tukey
-// boxplot (Sec. 6.1) — the whisker fence is Q3 + k·(Q3 − Q1) — and
-// p2GuardProb positions the outermost interior markers of the ladder
-// (a marker placement, not a significance level).
+// boxplot (Sec. 6.1): the whisker fence is Q3 + k·(Q3 − Q1).
 const (
-	probQ1      = 0.25
-	probQ3      = 0.75
-	p2GuardProb = 0.05
+	probQ1 = 0.25
+	probQ3 = 0.75
 )
 
-// p2Probs is the P² marker ladder: the three quartiles the boxplot
-// whisker needs, guard markers at the extremes, and intermediate
-// markers that keep the parabolic updates stable.
-var p2Probs = []float64{0, p2GuardProb, 0.125, probQ1, 0.375, 0.5, 0.625, probQ3, 0.875, 1 - p2GuardProb, 1}
+// Bucket geometry of the QuantileSketch. Values below 2^sketchLinearBits
+// (8 192, above background.CapBytes) get a bucket each; above, every
+// octave [2^e, 2^(e+1)) is cut into sketchPageSize buckets of relative
+// width 2^-sketchPageBits. A page is sketchPageSize adjacent buckets:
+// sketchLinearPages of them tile the unit-width range, then one per octave.
+const (
+	sketchLinearBits  = 13
+	sketchPageBits    = 7
+	sketchPageSize    = 1 << sketchPageBits
+	sketchLinearPages = 1 << (sketchLinearBits - sketchPageBits)
+	sketchPages       = sketchLinearPages + (64 - sketchLinearBits)
+)
 
-// minQuantCap keeps the exact warm-up buffer comfortably larger than
-// the marker ladder.
-const minQuantCap = 32
+// sketchPage is one page of bucket counts. A uint32 bucket holds 8 000
+// years of one-per-minute observations.
+type sketchPage [sketchPageSize]uint32
 
 // QuantileSketch is the online operator behind the Sec. 6.1 background
-// threshold: it tracks the Tukey boxplot upper whisker of a value
-// stream in O(1) space. Up to its capacity it buffers the values and
-// Whisker is exactly stats.NewBoxplot on them; past the capacity the
-// buffer collapses into an extended-P² marker set (Jain & Chlamtac)
-// and the whisker becomes the estimate min(Q3 + 1.5·IQR, max), clamped
-// below by Q3 — the quantities the batch whisker is squeezed between.
-// Non-finite observations are ignored, matching background.EstimateTau
-// dropping NaN (byte deltas are always finite).
+// threshold: a counting histogram over byte deltas from which the Tukey
+// boxplot upper whisker is read at any stream depth. Observe is a counter
+// increment; pages are allocated the first time a value lands in them, so
+// a sketch costs what its device's traffic range touches. The zero value
+// is an empty sketch.
+//
+// The histogram remembers every observation as its bucket's smallest
+// value — itself below 8 192, rounded down to 8 significant bits above —
+// so Quantile and Whisker are exactly stats.Quantile and the
+// stats.NewBoxplot whisker of that floored stream: bit-equal to the batch
+// statistics of the raw stream wherever the order statistics involved are
+// below 8 192, and built from order statistics at most 2^-7 below the raw
+// ones otherwise.
 type QuantileSketch struct {
-	cap      int
-	buf      []float64 // exact mode, arrival order
-	n        int64     // finite observations consumed
-	max      float64
-	sketched bool
-	h        []float64 // marker heights
-	pos      []float64 // marker positions (integer-valued counts)
-	want     []float64 // desired marker positions
+	n     int64
+	max   uint64
+	pages [sketchPages]*sketchPage
 }
 
-// NewQuantileSketch returns a sketch whose exact warm-up buffer holds
-// capacity values (clamped to a small minimum).
-func NewQuantileSketch(capacity int) *QuantileSketch {
-	if capacity < minQuantCap {
-		capacity = minQuantCap
+// sketchBucket locates v's bucket.
+func sketchBucket(v uint64) (page, slot int) {
+	if v < 1<<sketchLinearBits {
+		return int(v >> sketchPageBits), int(v & (sketchPageSize - 1))
 	}
-	return &QuantileSketch{cap: capacity, max: math.Inf(-1)}
+	e := bits.Len64(v) - 1
+	return sketchLinearPages + e - sketchLinearBits, int(v>>(e-sketchPageBits)) & (sketchPageSize - 1)
 }
 
-// N returns the number of finite observations consumed.
+// sketchValue is the smallest value of a bucket — what the histogram
+// remembers of every observation that landed there.
+func sketchValue(page, slot int) uint64 {
+	if page < sketchLinearPages {
+		return uint64(page<<sketchPageBits | slot)
+	}
+	e := page - sketchLinearPages + sketchLinearBits
+	return uint64(sketchPageSize|slot) << (e - sketchPageBits)
+}
+
+// N returns the number of observations consumed.
 func (q *QuantileSketch) N() int64 { return q.n }
 
-// Sketched reports whether the exact buffer has collapsed into P²
-// markers (quantiles are then estimates, not exact).
-func (q *QuantileSketch) Sketched() bool { return q.sketched }
-
-// Max returns the largest observation so far (-Inf before any).
-func (q *QuantileSketch) Max() float64 { return q.max }
+// Max returns the largest observation so far, exactly (0 before any).
+func (q *QuantileSketch) Max() uint64 { return q.max }
 
 // Observe consumes one value in O(1).
-func (q *QuantileSketch) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
+func (q *QuantileSketch) Observe(v uint64) {
 	q.n++
 	if v > q.max {
 		q.max = v
 	}
-	if !q.sketched {
-		q.buf = append(q.buf, v)
-		if len(q.buf) > q.cap {
-			q.collapse()
-		}
-		return
+	page, slot := sketchBucket(v)
+	p := q.pages[page]
+	if p == nil {
+		p = new(sketchPage)
+		q.pages[page] = p
 	}
-	q.p2Add(v)
+	p[slot]++
 }
 
-// collapse seeds the P² markers from the exact buffer's sample
-// quantiles and drops the buffer.
-func (q *QuantileSketch) collapse() {
-	m := len(p2Probs)
-	q.h = make([]float64, m)
-	q.pos = make([]float64, m)
-	q.want = make([]float64, m)
-	n := float64(len(q.buf))
-	for i, p := range p2Probs {
-		q.h[i] = stats.Quantile(q.buf, p)
-		q.want[i] = 1 + p*(n-1)
-		q.pos[i] = math.Round(q.want[i])
-	}
-	// Marker positions must be strictly increasing integer counts.
-	for i := 1; i < m; i++ {
-		if q.pos[i] <= q.pos[i-1] {
-			q.pos[i] = q.pos[i-1] + 1
+// orderPair returns the remembered values at ascending 0-based ranks k and
+// k+1; past the top of the sample the second repeats the first.
+func (q *QuantileSketch) orderPair(k int64) (lo, hi float64) {
+	var cum int64
+	found := false
+	for page, p := range q.pages {
+		if p == nil {
+			continue
 		}
-	}
-	// The top marker owns the whole sample.
-	if q.pos[m-1] < n {
-		q.pos[m-1] = n
-	}
-	q.buf = nil
-	q.sketched = true
-}
-
-// p2Add is one extended-P² update: locate the cell, shift the counts,
-// then nudge interior markers toward their desired positions with the
-// piecewise-parabolic (falling back to linear) height formula.
-func (q *QuantileSketch) p2Add(v float64) {
-	m := len(q.h)
-	var k int
-	switch {
-	case v < q.h[0]:
-		q.h[0] = v
-		k = 0
-	case v >= q.h[m-1]:
-		if v > q.h[m-1] {
-			q.h[m-1] = v
-		}
-		k = m - 2
-	default:
-		k = 0
-		for k+1 < m-1 && q.h[k+1] <= v {
-			k++
-		}
-	}
-	for i := k + 1; i < m; i++ {
-		q.pos[i]++
-	}
-	for i := 1; i < m; i++ {
-		q.want[i] += p2Probs[i]
-	}
-	for i := 1; i < m-1; i++ {
-		d := q.want[i] - q.pos[i]
-		if (d >= 1 && q.pos[i+1]-q.pos[i] > 1) || (d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1
+		for slot, c := range p {
+			if c == 0 {
+				continue
 			}
-			hp := q.parabolic(i, s)
-			if q.h[i-1] < hp && hp < q.h[i+1] {
-				q.h[i] = hp
-			} else {
-				q.h[i] = q.linear(i, s)
+			cum += int64(c)
+			if !found && cum > k {
+				lo, found = float64(sketchValue(page, slot)), true
 			}
-			q.pos[i] += s
+			if cum > k+1 {
+				return lo, float64(sketchValue(page, slot))
+			}
 		}
 	}
+	return lo, lo
 }
 
-// parabolic is the P² piecewise-parabolic height prediction for moving
-// marker i by d (±1).
-func (q *QuantileSketch) parabolic(i int, d float64) float64 {
-	np, n0, nn := q.pos[i-1], q.pos[i], q.pos[i+1]
-	hp, h0, hn := q.h[i-1], q.h[i], q.h[i+1]
-	return h0 + d/(nn-np)*((n0-np+d)*(hn-h0)/(nn-n0)+(nn-n0-d)*(h0-hp)/(n0-np))
-}
-
-// linear is the fallback height prediction along the neighbour in the
-// movement direction.
-func (q *QuantileSketch) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return q.h[i] + d*(q.h[j]-q.h[i])/(q.pos[j]-q.pos[i])
-}
-
-// Quantile returns the p-th sample quantile: exact (type-7, matching
-// stats.Quantile) while buffering, interpolated marker heights once
-// sketched. It returns NaN before any observation.
+// Quantile returns the p-th type-7 sample quantile of the remembered
+// values, with the interpolation expression of stats.Quantile. It returns
+// NaN before any observation.
 func (q *QuantileSketch) Quantile(p float64) float64 {
 	if q.n == 0 {
 		return math.NaN()
 	}
-	if !q.sketched {
-		return stats.Quantile(q.buf, p)
-	}
-	if p <= 0 {
-		return q.h[0]
-	}
-	if p >= 1 {
-		return q.h[len(q.h)-1]
-	}
-	i := 0
-	for i+1 < len(p2Probs) && p2Probs[i+1] < p {
-		i++
-	}
-	lo, hi := p2Probs[i], p2Probs[i+1]
-	frac := (p - lo) / (hi - lo)
-	return q.h[i] + frac*(q.h[i+1]-q.h[i])
+	h := math.Min(math.Max(p, 0), 1) * float64(q.n-1)
+	k := math.Floor(h)
+	lo, hi := q.orderPair(int64(k))
+	frac := h - k
+	return lo*(1-frac) + hi*frac
 }
 
-// Whisker returns the Tukey upper-whisker estimate — the Sec. 6.1 raw
-// τ. Exact mode reproduces stats.NewBoxplot bit-for-bit; sketch mode
-// returns max(Q3, min(Q3 + 1.5·IQR, max)), the interval the true
-// whisker always lies in. Returns 0 before any observation, matching
-// background.EstimateTau on an empty sample.
+// Whisker returns the Tukey upper whisker — the Sec. 6.1 raw τ: the
+// largest remembered value within the fence Q3 + 1.5·IQR, or the exact
+// maximum when the fence clears it. It returns 0 before any observation,
+// matching background.EstimateTau on an empty sample.
 func (q *QuantileSketch) Whisker() float64 {
 	if q.n == 0 {
 		return 0
 	}
-	if !q.sketched {
-		b, err := stats.NewBoxplot(q.buf, stats.DefaultWhiskerK)
-		if err != nil {
-			return 0
-		}
-		return b.UpperWhisker
-	}
 	q1 := q.Quantile(probQ1)
 	q3 := q.Quantile(probQ3)
-	fence := q3 + stats.DefaultWhiskerK*(q3-q1)
-	w := math.Min(fence, q.max)
-	return math.Max(w, q3)
+	iqr := q3 - q1
+	fence := q3 + stats.DefaultWhiskerK*iqr
+	if max := float64(q.max); fence >= max {
+		return max
+	}
+	page, slot := sketchBucket(uint64(fence))
+	for ; page >= 0; page, slot = page-1, sketchPageSize-1 {
+		p := q.pages[page]
+		if p == nil {
+			continue
+		}
+		for ; slot >= 0; slot-- {
+			if p[slot] != 0 {
+				return float64(sketchValue(page, slot))
+			}
+		}
+	}
+	// Interpolation can round Q3 an ulp under every observation; the batch
+	// whisker then stays at Q3.
+	return q3
 }

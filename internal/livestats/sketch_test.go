@@ -3,10 +3,13 @@ package livestats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"homesight/internal/background"
 	"homesight/internal/stats"
 	"homesight/internal/stats/corr"
+	"homesight/internal/synth"
 )
 
 // TestCoMomentMatchesBatchPearson proves the online Pearson operator is
@@ -135,111 +138,229 @@ func TestRankSketchDeterministic(t *testing.T) {
 	}
 }
 
-// TestQuantileSketchExactUnderCap: while buffering, quantiles and the
-// whisker reproduce the batch statistics bit-for-bit.
+// sketchOf feeds vals to a fresh sketch.
+func sketchOf(vals []uint64) *QuantileSketch {
+	q := new(QuantileSketch)
+	for _, v := range vals {
+		q.Observe(v)
+	}
+	return q
+}
+
+func toFloats(vals []uint64, f func(uint64) uint64) []float64 {
+	out := make([]float64, len(vals))
+	for i, v := range vals {
+		out[i] = float64(f(v))
+	}
+	return out
+}
+
+func rawValue(v uint64) uint64 { return v }
+
+// sketchFloor is the value the sketch remembers for v: v itself below
+// 8 192, v rounded down to 8 significant bits (within 2^-7) above.
+func sketchFloor(v uint64) uint64 { return sketchValue(sketchBucket(v)) }
+
+// flooredWhisker spells the sketch's contract with the batch code: the
+// stats.NewBoxplot whisker of the floored stream, or the exact maximum
+// when the fence clears it.
+func flooredWhisker(vals []uint64) float64 {
+	b, err := stats.NewBoxplot(toFloats(vals, sketchFloor), stats.DefaultWhiskerK)
+	if err != nil {
+		return 0
+	}
+	if max := float64(slices.Max(vals)); b.Q3+stats.DefaultWhiskerK*b.IQR >= max {
+		return max
+	}
+	return b.UpperWhisker
+}
+
+// q3Upper is the larger of the two order statistics the type-7 Q3
+// interpolates between — the largest of the four the whisker fence is
+// built from.
+func q3Upper(vals []uint64) uint64 {
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	hi := int(math.Floor(probQ3*float64(len(sorted)-1))) + 1
+	return sorted[min(hi, len(sorted)-1)]
+}
+
+// checkWhisker holds one sketch to both halves of its contract: always
+// the batch whisker of the floored stream, and the batch whisker of the
+// raw stream — background.EstimateTau, bit for bit — whenever the
+// quartile order statistics and the whisker are below 8 192. It reports
+// whether the second half applied.
+func checkWhisker(t testing.TB, q *QuantileSketch, vals []uint64) (exact bool) {
+	t.Helper()
+	got := q.Whisker()
+	if want := flooredWhisker(vals); got != want {
+		t.Fatalf("whisker = %v, want %v (batch whisker of the floored stream), n=%d", got, want, len(vals))
+	}
+	if got > float64(q.Max()) {
+		t.Fatalf("whisker %v above the observed max %d", got, q.Max())
+	}
+	if q3Upper(vals) >= 1<<sketchLinearBits || got >= 1<<sketchLinearBits {
+		return false
+	}
+	want := background.EstimateTau(toFloats(vals, rawValue))
+	if got != want {
+		t.Fatalf("linear-range whisker = %v, want EstimateTau %v, n=%d", got, want, len(vals))
+	}
+	if g, w := (background.Threshold{TauIn: got}).Tau(), (background.Threshold{TauIn: want}).Tau(); g != w {
+		t.Fatalf("capped tau = %v, want %v", g, w)
+	}
+	return true
+}
+
+// TestQuantileSketchExactUnderCap: a stream that stays under the
+// unit-bucket range (8 192 bytes, above background.CapBytes) reproduces
+// the batch quantiles and whisker bit-for-bit at any depth.
 func TestQuantileSketchExactUnderCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	q := NewQuantileSketch(4096)
-	var vals []float64
-	for i := 0; i < 3000; i++ {
-		v := math.Floor(rng.ExpFloat64() * 500)
+	q := new(QuantileSketch)
+	var vals []uint64
+	for i := 0; i < 20000; i++ {
+		v := min(uint64(rng.ExpFloat64()*500), 1<<sketchLinearBits-1)
 		vals = append(vals, v)
 		q.Observe(v)
 	}
-	if q.Sketched() {
-		t.Fatal("stream under cap must not be sketched")
-	}
+	raw := toFloats(vals, rawValue)
 	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if got, want := q.Quantile(p), stats.Quantile(vals, p); got != want {
+		if got, want := q.Quantile(p), stats.Quantile(raw, p); got != want {
 			t.Errorf("Quantile(%v) = %v, want %v", p, got, want)
 		}
 	}
-	b, err := stats.NewBoxplot(vals, stats.DefaultWhiskerK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Whisker(); got != b.UpperWhisker {
-		t.Errorf("Whisker = %v, want batch %v", got, b.UpperWhisker)
+	if !checkWhisker(t, q, vals) {
+		t.Error("a stream under 8 192 must be held to EstimateTau")
 	}
 }
 
-// TestQuantileSketchEstimateBeyondCap: once collapsed to P² markers the
-// whisker estimate must stay within the documented tolerance of the
-// batch whisker on background-shaped (bulk + bursts) traffic.
-func TestQuantileSketchEstimateBeyondCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	q := NewQuantileSketch(512)
-	var vals []float64
-	for i := 0; i < 50000; i++ {
-		// Background chatter with occasional active bursts — the Sec.
-		// 4.1 shape the whisker threshold depends on.
-		v := math.Floor(rng.ExpFloat64() * 200)
-		if rng.Float64() < 0.02 {
-			v += math.Floor(rng.Float64() * 100000)
+// TestQuantileSketchExactBeyondOldBuffer walks synth device series past
+// 1×, 4× and 16× the 4 096-value buffer the sketch used to collapse at.
+// At every depth the whisker is EstimateTau of the same prefix bit for bit
+// when the quartiles and whisker sit in the unit-bucket range — the bulk
+// of devices, whose background chatter owns the box — and within 2^-6
+// of it otherwise.
+func TestQuantileSketchExactBeyondOldBuffer(t *testing.T) {
+	dep := synth.NewDeployment(synth.Config{Homes: 2, Weeks: 7, Seed: 42})
+	series, exact := 0, 0
+	for h := 0; h < dep.NumHomes(); h++ {
+		for _, dt := range dep.Home(h).Traffic() {
+			for _, ser := range [][]float64{dt.In.Values, dt.Out.Values} {
+				var vals []uint64
+				q := new(QuantileSketch)
+				for _, v := range ser {
+					if math.IsNaN(v) {
+						continue
+					}
+					vals = append(vals, uint64(v))
+					q.Observe(uint64(v))
+					if n := len(vals); n != 4096 && n != 4*4096 && n != 16*4096 {
+						continue
+					}
+					series++
+					if checkWhisker(t, q, vals) {
+						exact++
+						continue
+					}
+					want := background.EstimateTau(toFloats(vals, rawValue))
+					if got := q.Whisker(); math.Abs(got-want) > want/64 {
+						t.Errorf("home %d %s n=%d: whisker %v vs batch %v: off by more than 2^-6", h, dt.Spec.Device.MAC, len(vals), got, want)
+					}
+				}
+			}
 		}
-		vals = append(vals, v)
-		q.Observe(v)
 	}
-	if !q.Sketched() {
-		t.Fatal("stream past cap must be sketched")
+	if series == 0 || exact*4 < series*3 {
+		t.Errorf("%d of %d synth prefixes were held to bit equality, want at least three quarters", exact, series)
 	}
-	b, err := stats.NewBoxplot(vals, stats.DefaultWhiskerK)
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("%d of %d synth prefixes bit-equal to EstimateTau, the rest within 2^-6", exact, series)
+}
+
+// TestQuantileSketchBoundaries pins the bucket geometry at its seams and
+// the degenerate streams.
+func TestQuantileSketchBoundaries(t *testing.T) {
+	for _, tc := range []struct{ v, floor uint64 }{
+		{0, 0}, {1, 1}, {8191, 8191}, {8192, 8192}, {8193, 8192}, {8255, 8192}, {8256, 8256},
+		{39999, 39936}, {40000, 39936}, {40001, 39936}, {40192, 40192},
+		{1 << 32, 1 << 32}, {1<<32 + 1, 1 << 32}, {math.MaxUint64, 255 << 56},
+	} {
+		if got := sketchFloor(tc.v); got != tc.floor {
+			t.Errorf("sketchFloor(%d) = %d, want %d", tc.v, got, tc.floor)
+		}
+		if tc.v-tc.floor > tc.v>>sketchPageBits {
+			t.Errorf("sketchFloor(%d) = %d is more than 2^-7 below", tc.v, tc.floor)
+		}
+		// A bucket's smallest value is its own floor, and the one before
+		// it belongs to the bucket below.
+		if page, slot := sketchBucket(tc.floor); sketchValue(page, slot) != tc.floor {
+			t.Errorf("bucket of %d starts at %d", tc.floor, sketchValue(page, slot))
+		}
+		if tc.floor > 0 && sketchFloor(tc.floor-1) >= tc.floor {
+			t.Errorf("%d and %d share a bucket", tc.floor-1, tc.floor)
+		}
+		// A single observation is its own box: the floor, or the exact
+		// value when the floor already clears it.
+		one := sketchOf([]uint64{tc.v})
+		if got := one.Whisker(); got != float64(tc.floor) || one.Max() != tc.v || one.N() != 1 {
+			t.Errorf("single %d: whisker %v, max %d, n %d", tc.v, got, one.Max(), one.N())
+		}
+		checkWhisker(t, one, []uint64{tc.v})
+		same := []uint64{tc.v, tc.v, tc.v, tc.v, tc.v, tc.v, tc.v}
+		checkWhisker(t, sketchOf(same), same)
 	}
-	got := q.Whisker()
-	if b.UpperWhisker == 0 {
-		t.Fatal("degenerate batch whisker")
+	if page, _ := sketchBucket(math.MaxUint64); page != sketchPages-1 {
+		t.Errorf("MaxUint64 lands in page %d of %d", page, sketchPages)
 	}
-	if rel := math.Abs(got-b.UpperWhisker) / b.UpperWhisker; rel > 0.25 {
-		t.Errorf("sketched whisker %v vs batch %v: relative error %.3f > 0.25", got, b.UpperWhisker, rel)
-	}
-	// The estimate is clamped into [Q3, fence] by construction.
-	q3 := q.Quantile(0.75)
-	if got < q3 {
-		t.Errorf("whisker %v below its own Q3 %v", got, q3)
-	}
-	if got > q.Max() {
-		t.Errorf("whisker %v above the observed max %v", got, q.Max())
+	var empty QuantileSketch
+	if w := empty.Whisker(); w != 0 || !math.IsNaN(empty.Quantile(0.5)) || empty.Max() != 0 {
+		t.Errorf("empty sketch: whisker %v, median %v, max %d", w, empty.Quantile(0.5), empty.Max())
 	}
 }
 
-// TestQuantileSketchMonotoneQuantiles: marker heights stay ordered, so
-// quantile queries are monotone in p.
+// TestQuantileSketchGroupBoundaries documents the one verdict-level
+// caveat of the 2^-7 buckets. background.CapBytes (5 000) lies in the
+// unit-bucket range, so a τ is never moved across it; background.LargeBytes
+// (40 000) lies inside the bucket [39 936, 40 192), so a raw τ in
+// (40 000, 40 192) reads as 39 936 and lands in Medium where the batch
+// says Large.
+func TestQuantileSketchGroupBoundaries(t *testing.T) {
+	group := func(v uint64) (live, batch background.Group) {
+		vals := []uint64{v, v, v, v, v}
+		return background.GroupOf(sketchOf(vals).Whisker()), background.GroupOf(background.EstimateTau(toFloats(vals, rawValue)))
+	}
+	for _, v := range []uint64{4999, 5000, 5001, 8191, 39935, 39936, 40000, 40192, 40193} {
+		if live, batch := group(v); live != batch {
+			t.Errorf("τ %d: live group %s, batch %s", v, live, batch)
+		}
+	}
+	for _, v := range []uint64{40001, 40100, 40191} {
+		if live, batch := group(v); live != background.Medium || batch != background.Large {
+			t.Errorf("τ %d: live group %s, batch %s; want the documented medium/large split", v, live, batch)
+		}
+	}
+}
+
+// TestQuantileSketchMonotoneQuantiles: over a stream spanning both bucket
+// ranges every quantile is stats.Quantile of the floored stream, so
+// queries are monotone in p.
 func TestQuantileSketchMonotoneQuantiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	q := NewQuantileSketch(64)
+	var vals []uint64
 	for i := 0; i < 10000; i++ {
-		q.Observe(rng.NormFloat64() * 1000)
+		vals = append(vals, uint64(rng.ExpFloat64()*6000))
 	}
+	q := sketchOf(vals)
+	floored := toFloats(vals, sketchFloor)
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 1.0; p += 0.05 {
 		v := q.Quantile(p)
-		if v < prev-1e-9 {
+		if want := stats.Quantile(floored, p); v != want {
+			t.Fatalf("Quantile(%v) = %v, want %v", p, v, want)
+		}
+		if v < prev {
 			t.Fatalf("Quantile(%v) = %v < previous %v", p, v, prev)
 		}
 		prev = v
-	}
-}
-
-// TestQuantileSketchIgnoresNonFinite: NaN (a missing observation, per
-// background.EstimateTau) and ±Inf never enter the sketch.
-func TestQuantileSketchIgnoresNonFinite(t *testing.T) {
-	q := NewQuantileSketch(64)
-	q.Observe(math.NaN())
-	q.Observe(math.Inf(1))
-	q.Observe(math.Inf(-1))
-	if q.N() != 0 {
-		t.Fatalf("N = %d after non-finite observations, want 0", q.N())
-	}
-	if w := q.Whisker(); w != 0 {
-		t.Errorf("empty-sample whisker = %v, want 0 (background.EstimateTau contract)", w)
-	}
-	for i := 0; i < 10; i++ {
-		q.Observe(float64(i))
-		q.Observe(math.NaN())
-	}
-	if q.N() != 10 {
-		t.Fatalf("N = %d, want 10", q.N())
 	}
 }

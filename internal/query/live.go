@@ -62,10 +62,9 @@ type LiveDevice struct {
 	TauOut float64 `json:"tau_out"`
 	Tau    float64 `json:"tau"`
 	Group  string  `json:"group"`
-	// RankSampled / QuantSketched flag estimate (vs exact) mode for the
-	// rank coefficients and the threshold respectively.
-	RankSampled   bool `json:"rank_sampled,omitempty"`
-	QuantSketched bool `json:"quant_sketched,omitempty"`
+	// RankSampled flags estimate (vs exact) mode for the rank
+	// coefficients.
+	RankSampled bool `json:"rank_sampled,omitempty"`
 }
 
 // LiveData is the /api/v1/homes/{gw}/live payload: the home's devices
@@ -95,23 +94,22 @@ func (a *API) handleLive(r *http.Request) (any, error) {
 	}
 	for _, d := range snap.Devices {
 		data.Devices = append(data.Devices, LiveDevice{
-			MAC:           d.Device.MAC,
-			Name:          d.Device.Name,
-			Type:          string(d.Device.Inferred),
-			Pairs:         d.Pairs,
-			Pearson:       liveCoeff(d.Pearson),
-			Spearman:      liveCoeff(d.Spearman),
-			Kendall:       liveCoeff(d.Kendall),
-			Similarity:    d.Similarity,
-			Dominant:      d.Dominant,
-			Euclidean:     d.Euclidean,
-			Traffic:       d.Traffic,
-			TauIn:         d.Threshold.TauIn,
-			TauOut:        d.Threshold.TauOut,
-			Tau:           d.Tau,
-			Group:         string(d.Group),
-			RankSampled:   d.RankSampled,
-			QuantSketched: d.QuantSketched,
+			MAC:         d.Device.MAC,
+			Name:        d.Device.Name,
+			Type:        string(d.Device.Inferred),
+			Pairs:       d.Pairs,
+			Pearson:     liveCoeff(d.Pearson),
+			Spearman:    liveCoeff(d.Spearman),
+			Kendall:     liveCoeff(d.Kendall),
+			Similarity:  d.Similarity,
+			Dominant:    d.Dominant,
+			Euclidean:   d.Euclidean,
+			Traffic:     d.Traffic,
+			TauIn:       d.Threshold.TauIn,
+			TauOut:      d.Threshold.TauOut,
+			Tau:         d.Tau,
+			Group:       string(d.Group),
+			RankSampled: d.RankSampled,
 		})
 		if d.Dominant {
 			data.Dominants = append(data.Dominants, d.Device.MAC)

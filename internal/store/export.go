@@ -89,14 +89,14 @@ func (s *Store) campaignMinutes() int {
 	startSec := s.cfg.Start.Unix()
 	stepSec := int64(s.cfg.Step / time.Second)
 	minutes := 0
-	for _, ts := range s.wm {
+	s.eachWatermark(func(_ Key, ts int64) {
 		if ts < startSec {
-			continue
+			return
 		}
 		if m := int((ts-startSec)/stepSec) + 1; m > minutes {
 			minutes = m
 		}
-	}
+	})
 	return minutes
 }
 

@@ -48,6 +48,10 @@ import (
 // ErrClosed is returned by operations on a closed (or crashed) store.
 var ErrClosed = errors.New("store: closed")
 
+// ErrNoGateway is returned by Append for a report without a gateway id:
+// the report is refused, the store is unharmed.
+var ErrNoGateway = errors.New("store: report without gateway id")
+
 // SyncPolicy selects when the WAL is fsynced.
 type SyncPolicy int
 
@@ -123,6 +127,30 @@ type memSeries struct {
 	pts []Point
 }
 
+// series is the append cursor of one (gateway, device, direction) key:
+// its high-water timestamp — the only copy; Watermarks, Stats and the
+// export read it here — and its slot in the active memtable.
+type series struct {
+	// wm is the high-water timestamp, meaningful once seen is set (zero
+	// is a valid timestamp).
+	wm   int64
+	seen bool
+	// mem is the series' entry in the active memtable, nil until its
+	// first point since the last rotation: rotateLocked clears every
+	// cached pointer when it swaps the memtable.
+	mem *memSeries
+}
+
+// device is one catalog entry — a device's recorded name and its two
+// directions' cursors — reached with one lookup per device per report.
+type device struct {
+	name string
+	dirs [2]series
+}
+
+// deviceSet is one gateway's devices by MAC.
+type deviceSet map[string]*device
+
 // storeMeta is the meta.json payload.
 type storeMeta struct {
 	Start time.Time `json:"start"`
@@ -167,8 +195,10 @@ type Store struct {
 	memPoints int
 	frozen    map[Key]*memSeries // memtable being flushed, nil when idle
 	frozenWAL []uint64           // WAL files the frozen memtable covers
-	wm        map[Key]int64      // per-series high-water timestamp
-	names     map[string]map[string]string
+	// catalog is gateway → MAC → device: every known device's name and
+	// per-direction cursors. numSeries counts the cursors with a watermark.
+	catalog   map[string]deviceSet
+	numSeries int
 	segs      []*segment
 	nextSeg   uint64
 	scratch   []byte        // WAL record encode buffer, reused under mu
@@ -198,8 +228,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:     cfg,
 		mem:     make(map[Key]*memSeries),
-		wm:      make(map[Key]int64),
-		names:   make(map[string]map[string]string),
+		catalog: make(map[string]deviceSet),
 		flushCh: make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
 		nextSeg: 1,
@@ -286,18 +315,75 @@ func (s *Store) loadNames() error {
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw, &s.names); err != nil {
+	var names map[string]map[string]string
+	if err := json.Unmarshal(raw, &names); err != nil {
 		return fmt.Errorf("store: names.json: %w", err)
 	}
+	for gw, devs := range names {
+		for mac, name := range devs {
+			s.devicesOf(gw).get(mac).name = name
+		}
+	}
 	return nil
+}
+
+// devicesOf returns (creating if needed) one gateway's part of the
+// catalog. Caller holds mu (or owns the store, at Open).
+func (s *Store) devicesOf(gatewayID string) deviceSet {
+	devs := s.catalog[gatewayID]
+	if devs == nil {
+		devs = make(deviceSet)
+		s.catalog[gatewayID] = devs
+	}
+	return devs
+}
+
+// get returns (creating if needed) a device's catalog entry.
+func (ds deviceSet) get(mac string) *device {
+	dev := ds[mac]
+	if dev == nil {
+		dev = &device{}
+		ds[mac] = dev
+	}
+	return dev
+}
+
+// eachWatermark calls fn for every series that has a watermark. Caller
+// holds mu.
+func (s *Store) eachWatermark(fn func(k Key, ts int64)) {
+	for gw, devs := range s.catalog {
+		for mac, dev := range devs {
+			for dir := range dev.dirs {
+				if sr := &dev.dirs[dir]; sr.seen {
+					fn(Key{Gateway: gw, Device: mac, Dir: Direction(dir)}, sr.wm)
+				}
+			}
+		}
+	}
+}
+
+// advance moves a series' watermark to ts.
+func (s *Store) advance(sr *series, ts int64) {
+	if !sr.seen {
+		sr.seen = true
+		s.numSeries++
+	}
+	sr.wm = ts
 }
 
 // saveNames persists the name catalog; called with flushMu held (never
 // on the append hot path).
 func (s *Store) saveNames() error {
 	s.mu.Lock()
-	raw, err := json.MarshalIndent(s.names, "", "  ")
+	names := make(map[string]map[string]string, len(s.catalog))
+	for gw, devs := range s.catalog {
+		names[gw] = make(map[string]string, len(devs))
+		for mac, dev := range devs {
+			names[gw][mac] = dev.name
+		}
+	}
 	s.mu.Unlock()
+	raw, err := json.MarshalIndent(names, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -336,16 +422,14 @@ func (s *Store) openSegments() error {
 		s.segs = append(s.segs, seg)
 		s.nextSeg = seq + 1
 		for _, ss := range seg.series {
-			if last := ss.blocks[len(ss.blocks)-1].maxTs; last > s.wm[ss.key] || !s.hasWM(ss.key) {
-				s.wm[ss.key] = last
+			sr := &s.devicesOf(ss.key.Gateway).get(ss.key.Device).dirs[ss.key.Dir]
+			if last := ss.blocks[len(ss.blocks)-1].maxTs; !sr.seen || last > sr.wm {
+				s.advance(sr, last)
 			}
 		}
 	}
 	return nil
 }
-
-// hasWM reports whether a watermark exists (zero is a valid timestamp).
-func (s *Store) hasWM(k Key) bool { _, ok := s.wm[k]; return ok }
 
 func (s *Store) closeSegments() {
 	for _, seg := range s.segs {
@@ -385,43 +469,45 @@ func (s *Store) replayWALs() error {
 }
 
 // ingest applies one report to the memtable: the shared path of live
-// appends and WAL replay. Caller holds mu (or owns the store, at Open).
+// appends and WAL replay. The gateway is resolved once per report and
+// each device once, to the catalog entry that carries both directions'
+// cursors, so the steady state is 1 + devices map lookups; only a series'
+// first point after a rotation touches the keyed memtable map. Caller
+// holds mu (or owns the store, at Open).
 func (s *Store) ingest(rep gateway.Report) {
 	ts := rep.Timestamp.Unix()
-	for _, dc := range rep.Devices {
-		if dc.Name != "" {
-			gw := s.names[rep.GatewayID]
-			if gw == nil {
-				gw = make(map[string]string)
-				s.names[rep.GatewayID] = gw
-			}
-			gw[dc.MAC] = dc.Name
-		} else if s.names[rep.GatewayID] == nil {
-			s.names[rep.GatewayID] = make(map[string]string)
-		}
-		if _, ok := s.names[rep.GatewayID][dc.MAC]; !ok {
-			s.names[rep.GatewayID][dc.MAC] = dc.Name
+	var devs deviceSet
+	if len(rep.Devices) > 0 { // a report without devices does not register its gateway
+		devs = s.devicesOf(rep.GatewayID)
+	}
+	var points, dups int64
+	for i := range rep.Devices {
+		dc := &rep.Devices[i]
+		dev := devs.get(dc.MAC)
+		if dc.Name != "" && dc.Name != dev.name {
+			dev.name = dc.Name
 		}
 		for dir, val := range [2]uint64{dc.RxBytes, dc.TxBytes} {
-			k := Key{Gateway: rep.GatewayID, Device: dc.MAC, Dir: Direction(dir)}
-			if wm, ok := s.wm[k]; ok && ts <= wm {
-				s.dups++
-				s.cfg.Metrics.DupPoints.Inc()
+			sr := &dev.dirs[dir]
+			if sr.seen && ts <= sr.wm {
+				dups++
 				continue
 			}
-			ser := s.mem[k]
-			if ser == nil {
-				ser = &memSeries{}
-				s.mem[k] = ser
+			if sr.mem == nil {
+				sr.mem = &memSeries{}
+				s.mem[Key{Gateway: rep.GatewayID, Device: dc.MAC, Dir: Direction(dir)}] = sr.mem
 			}
-			ser.pts = append(ser.pts, Point{Ts: ts, Val: val})
-			s.wm[k] = ts
-			s.memPoints++
-			s.points++
-			s.cfg.Metrics.Points.Inc()
+			sr.mem.pts = append(sr.mem.pts, Point{Ts: ts, Val: val})
+			s.advance(sr, ts)
+			points++
 		}
 	}
+	s.memPoints += int(points)
+	s.points += points
+	s.dups += dups
 	s.reports++
+	s.cfg.Metrics.Points.Add(points)
+	s.cfg.Metrics.DupPoints.Add(dups)
 	s.cfg.Metrics.Appends.Inc()
 }
 
@@ -432,7 +518,7 @@ func (s *Store) ingest(rep gateway.Report) {
 // Append returns.
 func (s *Store) Append(rep gateway.Report) error {
 	if rep.GatewayID == "" {
-		return fmt.Errorf("store: report without gateway id")
+		return ErrNoGateway
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -499,6 +585,11 @@ func (s *Store) rotateLocked() (bool, error) {
 	s.frozen = s.mem
 	s.frozenWAL = s.walSeqs
 	s.mem = make(map[Key]*memSeries)
+	for _, devs := range s.catalog {
+		for _, dev := range devs {
+			dev.dirs[0].mem, dev.dirs[1].mem = nil, nil
+		}
+	}
 	s.memPoints = 0
 	s.wal = w
 	s.walSeq = next
@@ -724,10 +815,8 @@ func (s *Store) Crash() {
 func (s *Store) Watermarks() map[Key]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[Key]int64, len(s.wm))
-	for k, ts := range s.wm {
-		out[k] = ts
-	}
+	out := make(map[Key]int64, s.numSeries)
+	s.eachWatermark(func(k Key, ts int64) { out[k] = ts })
 	return out
 }
 
@@ -739,7 +828,7 @@ func (s *Store) Stats() Stats {
 		Reports:          s.reports,
 		Points:           s.points,
 		DupPoints:        s.dups,
-		Series:           len(s.wm),
+		Series:           s.numSeries,
 		Segments:         len(s.segs),
 		MemPoints:        s.memPoints,
 		WALRecords:       s.walRecords,
@@ -810,8 +899,8 @@ func (s *Store) SegmentInfos() []SegmentInfo {
 func (s *Store) Gateways() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.names))
-	for gw := range s.names {
+	out := make([]string, 0, len(s.catalog))
+	for gw := range s.catalog {
 		out = append(out, gw)
 	}
 	sort.Strings(out)
@@ -822,8 +911,8 @@ func (s *Store) Gateways() []string {
 func (s *Store) Devices(gatewayID string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.names[gatewayID]))
-	for mac := range s.names[gatewayID] {
+	out := make([]string, 0, len(s.catalog[gatewayID]))
+	for mac := range s.catalog[gatewayID] {
 		out = append(out, mac)
 	}
 	sort.Strings(out)
@@ -834,7 +923,10 @@ func (s *Store) Devices(gatewayID string) []string {
 func (s *Store) DeviceName(gatewayID, mac string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.names[gatewayID][mac]
+	if dev := s.catalog[gatewayID][mac]; dev != nil {
+		return dev.name
+	}
+	return ""
 }
 
 // Start and Step expose the store's series anchor.
