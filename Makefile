@@ -4,7 +4,7 @@ SARIF ?= homesight-vet.sarif
 BASE ?= HEAD
 N ?= 10
 
-.PHONY: build test race vet lint vet-fix-check vet-sarif bench bench-build bench-scaling bench-store bench-query bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check
+.PHONY: build test race vet lint vet-fix-check vet-sarif bench bench-build bench-scaling bench-store bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check
 
 build: ## compile every package
 	$(GO) build ./...
@@ -44,16 +44,13 @@ bench-scaling: ## enforce the p=4 >= 2.5x speedup floor on the full suite (skips
 bench-store: ## store append/select/compression benchmarks; writes BENCH_store.json
 	HOMESIGHT_BENCH_STORE_JSON=$(abspath BENCH_store.json) $(GO) test -run TestBenchStoreJSON -count=1 ./internal/store
 
-bench-query: ## concurrent-read query benchmarks (raw vs 8h rollup, cache hit rate); writes BENCH_query.json
-	HOMESIGHT_BENCH_QUERY_JSON=$(abspath BENCH_query.json) $(GO) test -run TestBenchQueryJSON -count=1 ./internal/query
-
 bench-fleet: ## sharded-ingest throughput at 1/2/4 shards (scaling floor enforced on >=4-CPU hosts); writes BENCH_fleet.json
 	HOMESIGHT_BENCH_FLEET_JSON=$(abspath BENCH_fleet.json) $(GO) test -run TestBenchFleetJSON -count=1 -v ./internal/fleet
 
 bench-pairs: ## end-to-end benchmark of this tree against commit BASE over N alternating pairs (WORKLOADS: default all four); prints medians, quartiles, wins and a verdict per metric
 	bash scripts/bench_pairs.sh $(BASE) $(N) $(WORKLOADS)
 
-fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL replay, vet directive parser, live sketches and the rank kernel
+fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL replay, vet directive parser, live sketches, the rank kernel and the /series encoder
 	$(GO) test -run NONE -fuzz '^FuzzBlockCodec$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run NONE -fuzz '^FuzzRollupCodec$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run NONE -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/store
@@ -62,9 +59,10 @@ fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL r
 	$(GO) test -run NONE -fuzz '^FuzzQuantileSketch$$' -fuzztime $(FUZZTIME) ./internal/livestats
 	$(GO) test -run NONE -fuzz '^FuzzRankSketch$$' -fuzztime $(FUZZTIME) ./internal/livestats
 	$(GO) test -run NONE -fuzz '^FuzzRankKernel$$' -fuzztime $(FUZZTIME) ./internal/stats/corr
+	$(GO) test -run NONE -fuzz '^FuzzEncodeSeries$$' -fuzztime $(FUZZTIME) ./internal/query
 
 obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, grep required series
 	GO="$(GO)" sh scripts/obs_smoke.sh
 
-check: vet race lint vet-fix-check vet-sarif test-faults bench-build bench-scaling bench-store bench-query bench-fleet fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet (baseline) + fix drift + SARIF artifact + fault suite + bench smoke + scaling floor + store bench + query bench + fleet bench + fuzz smoke + obs smoke
+check: vet race lint vet-fix-check vet-sarif test-faults bench-build bench-scaling bench-store bench-fleet fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet (baseline) + fix drift + SARIF artifact + fault suite + bench smoke + scaling floor + store bench + fleet bench + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

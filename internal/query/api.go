@@ -1,11 +1,9 @@
 package query
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -15,9 +13,9 @@ import (
 )
 
 // defaultCacheEntries bounds the response LRU when Config.CacheEntries
-// is zero. Entries are whole JSON payloads (a few KB to a few hundred
-// KB for a full-campaign series), so the default keeps the cache in the
-// tens of MB worst case.
+// is zero. Entries are whole encoded bodies (a few hundred bytes to a
+// few KB: raw point ranges are not cached), so the default keeps the
+// cache well under a MB.
 const defaultCacheEntries = 128
 
 // Config configures New.
@@ -33,7 +31,8 @@ type Config struct {
 	// private registry (counting stays on, nothing is exported).
 	Registry *obs.Registry
 	// CacheEntries sizes the response LRU: 0 means defaultCacheEntries,
-	// negative disables caching (every lookup is a miss).
+	// negative disables caching — the LRU and the per-home summary memo
+	// (every lookup is a miss).
 	CacheEntries int
 	// Now is the latency clock; nil → time.Now. Injectable so tests and
 	// benchmarks control the only wall-clock read in this package.
@@ -47,7 +46,9 @@ type API struct {
 	live  LiveSource
 	m     *metrics
 	cache *cache
-	now   func() time.Time
+	// summaries memoises /summary per home; nil when caching is disabled.
+	summaries *summaryMemo
+	now       func() time.Time
 }
 
 // New builds the API. It panics when both Store and Live are nil:
@@ -67,13 +68,17 @@ func New(cfg Config) *API {
 	if entries == 0 {
 		entries = defaultCacheEntries
 	}
-	return &API{
+	a := &API{
 		st:    cfg.Store,
 		live:  cfg.Live,
 		m:     newMetrics(cfg.Registry),
 		cache: newCache(entries),
 		now:   cfg.Now,
 	}
+	if entries > 0 {
+		a.summaries = newSummaryMemo()
+	}
+	return a
 }
 
 // Handler returns the API mux. Every route is GET-only (the store is
@@ -89,7 +94,7 @@ func (a *API) Handler() http.Handler {
 		mux.Handle("GET /api/v1/series", a.endpoint("series", (*API).handleSeries))
 	}
 	if a.live != nil {
-		mux.Handle("GET /api/v1/homes/{gw}/live", a.endpoint("live", (*API).handleLive))
+		mux.Handle("GET /api/v1/homes/{gw}/live", a.endpoint("live", enveloped((*API).handleLive)))
 	}
 	return mux
 }
@@ -110,17 +115,19 @@ func badRequestf(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// endpoint wraps a handler with instrumentation and envelope encoding:
-// the handler returns a payload or an error, and everything on the wire
-// — success, 4xx, 5xx — is an Envelope.
-func (a *API) endpoint(name string, h func(*API, *http.Request) (any, error)) http.Handler {
+// endpoint wraps a handler with instrumentation and the wire: the
+// handler returns a complete encoded body (encodeEnvelope, or a cached
+// one) or an error, and everything written — success, 4xx, 5xx — is an
+// Envelope, whole, with its Content-Length.
+func (a *API) endpoint(name string, h func(*API, *http.Request) ([]byte, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := a.now()
-		data, err := h(a, r)
+		body, err := h(a, r)
 		a.m.latency.With(name).Observe(a.now().Sub(t0).Seconds())
 		a.m.requests.With(name).Inc()
+		code := http.StatusOK
 		if err != nil {
-			code := http.StatusInternalServerError
+			code = http.StatusInternalServerError
 			var he *httpError
 			switch {
 			case errors.As(err, &he):
@@ -128,39 +135,47 @@ func (a *API) endpoint(name string, h func(*API, *http.Request) (any, error)) ht
 			case errors.Is(err, store.ErrBadRequest):
 				code = http.StatusBadRequest
 			}
-			writeJSON(w, code, WrapError(code, err.Error()))
-			return
+			body, _ = encodeEnvelope(WrapError(code, err.Error())) // an int and a string always encode
 		}
-		writeJSON(w, http.StatusOK, Wrap(data))
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(code)
+		_, _ = w.Write(body) // a broken client socket is the client's problem
 	})
 }
 
-func writeJSON(w http.ResponseWriter, code int, env Envelope) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(env) // a broken client socket is the client's problem
+// enveloped adapts a handler that returns a payload to one that returns
+// its encoded envelope: the route for answers that are built per request
+// and never cached.
+func enveloped(h func(*API, *http.Request) (any, error)) func(*API, *http.Request) ([]byte, error) {
+	return func(a *API, r *http.Request) ([]byte, error) {
+		data, err := h(a, r)
+		if err != nil {
+			return nil, err
+		}
+		return encodeEnvelope(Wrap(data))
+	}
 }
 
 // lookup consults the response cache; a disabled cache is all misses.
-func (a *API) lookup(key string) (any, bool) {
-	v, ok := a.cache.get(key)
+func (a *API) lookup(key string) ([]byte, bool) {
+	body, ok := a.cache.get(key)
 	if ok {
 		a.m.hits.Inc()
 	} else {
 		a.m.misses.Inc()
 	}
-	return v, ok
+	return body, ok
 }
 
-// hasGateway reports whether gw is in the store's catalog.
-func (a *API) hasGateway(gw string) bool {
-	for _, id := range a.st.Gateways() {
-		if id == gw {
-			return true
-		}
+// fill encodes a freshly built payload and caches the body under key.
+func (a *API) fill(key string, data any) ([]byte, error) {
+	body, err := encodeEnvelope(Wrap(data))
+	if err != nil {
+		return nil, err
 	}
-	return false
+	a.cache.put(key, body)
+	return body, nil
 }
 
 // HomeInfo is one row of /api/v1/homes.
@@ -169,18 +184,18 @@ type HomeInfo struct {
 	Devices int    `json:"devices"`
 }
 
-func (a *API) handleHomes(r *http.Request) (any, error) {
-	key := fmt.Sprintf("homes@%d", a.st.Generation())
-	if v, ok := a.lookup(key); ok {
-		return v, nil
+func (a *API) handleHomes(r *http.Request) ([]byte, error) {
+	// The one answer about every home: keyed on the store-wide generation.
+	key := "homes@" + strconv.FormatInt(a.st.Generation(), 10)
+	if body, ok := a.lookup(key); ok {
+		return body, nil
 	}
 	gws := a.st.Gateways()
 	out := make([]HomeInfo, 0, len(gws))
 	for _, gw := range gws {
 		out = append(out, HomeInfo{ID: gw, Devices: len(a.st.Devices(gw))})
 	}
-	a.cache.put(key, out)
-	return out, nil
+	return a.fill(key, out)
 }
 
 // DeviceInfo is one row of /api/v1/homes/{gw}/devices.
@@ -190,14 +205,15 @@ type DeviceInfo struct {
 	Type string `json:"type"`
 }
 
-func (a *API) handleDevices(r *http.Request) (any, error) {
+func (a *API) handleDevices(r *http.Request) ([]byte, error) {
 	gw := r.PathValue("gw")
-	if !a.hasGateway(gw) {
+	ver, ok := a.st.HomeVersion(gw)
+	if !ok {
 		return nil, notFoundf("unknown gateway %q", gw)
 	}
-	key := fmt.Sprintf("devices/%s@%d", gw, a.st.Generation())
-	if v, ok := a.lookup(key); ok {
-		return v, nil
+	key := "devices/" + gw + "@" + strconv.FormatInt(ver, 10)
+	if body, ok := a.lookup(key); ok {
+		return body, nil
 	}
 	macs := a.st.Devices(gw)
 	out := make([]DeviceInfo, 0, len(macs))
@@ -209,8 +225,7 @@ func (a *API) handleDevices(r *http.Request) (any, error) {
 			Type: string(devices.Classify(mac, name)),
 		})
 	}
-	a.cache.put(key, out)
-	return out, nil
+	return a.fill(key, out)
 }
 
 // SeriesPoint and SeriesBin are the two wire forms of series samples.
@@ -225,7 +240,8 @@ type SeriesBin struct {
 	Value float64 `json:"value"` // the bin reduced under agg
 }
 
-// SeriesData is the /api/v1/series payload.
+// SeriesData is the /api/v1/series payload: the wire schema clients
+// decode into. The server writes it with encodeSeries.
 type SeriesData struct {
 	Gateway   string        `json:"gateway"`
 	Device    string        `json:"device"`
@@ -255,7 +271,7 @@ func parseQueryTime(param, s string) (time.Time, error) {
 	return t, nil
 }
 
-func (a *API) handleSeries(r *http.Request) (any, error) {
+func (a *API) handleSeries(r *http.Request) ([]byte, error) {
 	q := r.URL.Query()
 	gw, mac := q.Get("gw"), q.Get("device")
 	if gw == "" || mac == "" {
@@ -291,10 +307,11 @@ func (a *API) handleSeries(r *http.Request) (any, error) {
 			return nil, badRequestf("bad limit %q", s)
 		}
 	}
-	if !a.hasGateway(gw) {
+	ver, ok := a.st.HomeVersion(gw)
+	if !ok {
 		return nil, notFoundf("unknown gateway %q", gw)
 	}
-	if !containsString(a.st.Devices(gw), mac) {
+	if !a.st.HasDevice(gw, mac) {
 		return nil, notFoundf("unknown device %q on gateway %q", mac, gw)
 	}
 
@@ -312,44 +329,30 @@ func (a *API) handleSeries(r *http.Request) (any, error) {
 	// served uncached.
 	cacheKey := ""
 	if gran != store.GranRaw {
-		cacheKey = fmt.Sprintf("series/%s/%s/%s/%s/%s/%d/%d/%d@%d",
-			gw, mac, req.Key.Dir, gran, agg, from.Unix(), to.Unix(), limit, a.st.Generation())
-		if v, ok := a.lookup(cacheKey); ok {
-			return v, nil
+		// An omitted "to" is the campaign end, which a point for any home
+		// can move: such an answer is keyed on the end it was built for.
+		toKey := strconv.FormatInt(to.Unix(), 10)
+		if to.IsZero() {
+			_, end := a.st.Campaign()
+			toKey = "end" + strconv.FormatInt(end.Unix(), 10)
+		}
+		cacheKey = "series/" + gw + "/" + mac + "/" + dir.String() + "/" + gran.String() + "/" + agg.String() +
+			"/" + strconv.FormatInt(from.Unix(), 10) + "/" + toKey + "/" + strconv.Itoa(limit) +
+			"@" + strconv.FormatInt(ver, 10)
+		if body, ok := a.lookup(cacheKey); ok {
+			return body, nil
 		}
 	}
 	res, err := a.st.Query(r.Context(), req)
 	if err != nil {
 		return nil, err
 	}
-	data := SeriesData{
-		Gateway:   gw,
-		Device:    mac,
-		Dir:       res.Key.Dir.String(),
-		Gran:      res.Gran.String(),
-		From:      res.From.Unix(),
-		To:        res.To.Unix(),
-		Truncated: res.Truncated,
-	}
-	if res.Gran == store.GranRaw {
-		data.Points = make([]SeriesPoint, 0, len(res.Points))
-		for _, p := range res.Points {
-			data.Points = append(data.Points, SeriesPoint{Ts: p.Ts, Val: p.Val})
-		}
-	} else {
-		data.Agg = res.Agg.String()
-		data.Bins = make([]SeriesBin, 0, len(res.Bins))
-		for _, b := range res.Bins {
-			data.Bins = append(data.Bins, SeriesBin{Start: b.Start, Count: b.Count, Value: b.Value(res.Agg)})
-		}
+	body, err := encodeSeries(res)
+	if err != nil {
+		return nil, err
 	}
 	if cacheKey != "" {
-		a.cache.put(cacheKey, data)
+		a.cache.put(cacheKey, body)
 	}
-	return data, nil
-}
-
-func containsString(xs []string, s string) bool {
-	i := sort.SearchStrings(xs, s)
-	return i < len(xs) && xs[i] == s
+	return body, nil
 }

@@ -94,6 +94,18 @@ func get(t *testing.T, h http.Handler, url string, wantCode int) wireEnvelope {
 	return env
 }
 
+// fetch returns the raw body of one 200 answer; unlike get it may be
+// called off the test goroutine.
+func fetch(t *testing.T, h http.Handler, url string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("GET %s: status %d (body %s)", url, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
 func TestHomesEndpoint(t *testing.T) {
 	h := newTestAPI(t, newTestStore(t, 120)).Handler()
 	env := get(t, h, "/api/v1/homes", http.StatusOK)
@@ -234,7 +246,7 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatal("repeated binned query did not hit the cache")
 	}
 
-	// New data advances the store generation: the same URL must now be a
+	// New data advances the home's version: the same URL must now be a
 	// miss and reflect the appended minute.
 	em := gateway.NewEmitter("gw001")
 	rep := em.Emit(testStart.Add(6*time.Hour), []gateway.DeviceMinute{
@@ -276,20 +288,20 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := newCache(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.put("c", 3)
+	c.put("a", []byte("1"))
+	c.put("b", []byte("2"))
+	c.put("c", []byte("3"))
 	if _, ok := c.get("a"); ok {
 		t.Fatal("oldest entry survived past capacity")
 	}
-	if v, ok := c.get("c"); !ok || v.(int) != 3 {
+	if v, ok := c.get("c"); !ok || string(v) != "3" {
 		t.Fatal("newest entry missing")
 	}
 	// b was not evicted and a get refreshes recency.
 	if _, ok := c.get("b"); !ok {
 		t.Fatal("entry b missing")
 	}
-	c.put("d", 4)
+	c.put("d", []byte("4"))
 	if _, ok := c.get("b"); !ok {
 		t.Fatal("recently-used entry evicted before stale one")
 	}

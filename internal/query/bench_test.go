@@ -2,13 +2,7 @@ package query
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +11,7 @@ import (
 )
 
 // benchStore ingests 2 gateways x 8 devices x 1 week of minutes with
-// several flushed segments — the concurrent-read corpus.
+// several flushed segments.
 func benchStore(t *testing.T) *store.Store {
 	t.Helper()
 	s, err := store.Open(store.Config{
@@ -59,173 +53,46 @@ func benchStore(t *testing.T) *store.Store {
 	return s
 }
 
-// runReaders fans work out to `readers` goroutines, each issuing
-// `perReader` sequential calls, and returns every call's latency plus
-// the wall-clock time of the whole phase.
-func runReaders(t *testing.T, readers, perReader int, call func(r, i int) error) ([]time.Duration, float64) {
-	t.Helper()
-	lat := make([]time.Duration, readers*perReader)
-	var wg sync.WaitGroup
-	errs := make(chan error, readers)
-	start := time.Now()
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < perReader; i++ {
-				t0 := time.Now()
-				if err := call(r, i); err != nil {
-					errs <- err
-					return
-				}
-				lat[r*perReader+i] = time.Since(t0)
-			}
-		}(r)
+// keyOf rotates over benchStore's 2 x 8 x 2 series.
+func keyOf(n int) store.Key {
+	return store.Key{
+		Gateway: fmt.Sprintf("gw%03d", n%2+1),
+		Device:  fmt.Sprintf("02:00:00:00:0%d:0%d", n%2, n%8),
+		Dir:     store.Direction(n % 2),
 	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	return lat, wall
 }
 
-func percentile(lat []time.Duration, p float64) time.Duration {
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// TestBenchQueryJSON writes BENCH_query.json — raw-range and
-// 8h-downsampled query latency under 32 concurrent readers, the warm
-// cache hit rate through the HTTP tier, and the block-read-counter
-// proof that downsampled queries decode zero raw minute blocks — when
-// HOMESIGHT_BENCH_QUERY_JSON is set. It is the `make bench-query`
-// artifact.
-func TestBenchQueryJSON(t *testing.T) {
-	path := os.Getenv("HOMESIGHT_BENCH_QUERY_JSON")
-	if path == "" {
-		t.Skip("set HOMESIGHT_BENCH_QUERY_JSON=BENCH_query.json to write the bench artifact")
-	}
+// An 8h whole-campaign query is answered from the precomputed rollup
+// blocks alone: the block-read counters must show zero raw decodes.
+func TestRollupQueryDecodesNoRawBlock(t *testing.T) {
 	s := benchStore(t)
-	ctx := context.Background()
-	const readers, perReader = 32, 64
-	keyOf := func(n int) store.Key {
-		return store.Key{
-			Gateway: fmt.Sprintf("gw%03d", n%2+1),
-			Device:  fmt.Sprintf("02:00:00:00:0%d:0%d", n%2, n%8),
-			Dir:     store.Direction(n % 2),
-		}
-	}
-
-	// Phase 1: raw 24h windows, rotating across series and days.
-	var rawPoints int64
-	var mu sync.Mutex
-	rawLat, rawWall := runReaders(t, readers, perReader, func(r, i int) error {
-		n := r*perReader + i
-		from := testStart.Add(time.Duration(n%6) * 24 * time.Hour)
-		res, err := s.Query(ctx, store.QueryRequest{
-			Key: keyOf(n), From: from, To: from.Add(24 * time.Hour),
-		})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		rawPoints += int64(len(res.Points))
-		mu.Unlock()
-		return nil
-	})
-
-	// Phase 2: 8h-downsampled whole-campaign queries, uncached. The
-	// block-read counters must show zero raw decodes: every answer comes
-	// from the precomputed rollup blocks.
 	before := s.Stats()
-	downLat, downWall := runReaders(t, readers, perReader, func(r, i int) error {
-		_, err := s.Query(ctx, store.QueryRequest{Key: keyOf(r*perReader + i), Gran: store.Gran8h})
-		return err
-	})
-	after := s.Stats()
-	rawDecodes := after.RawBlockReads - before.RawBlockReads
-	rollupDecodes := after.RollupBlockReads - before.RollupBlockReads
-	if rawDecodes != 0 {
-		t.Errorf("8h-downsampled phase decoded %d raw minute blocks, want 0", rawDecodes)
-	}
-	if rollupDecodes == 0 {
-		t.Error("8h-downsampled phase decoded no rollup blocks")
-	}
-
-	// Phase 3: the HTTP tier warm, 32 readers rotating over 16 binned
-	// URLs — steady-state cache hit rate.
-	a := New(Config{Store: s})
-	h := a.Handler()
-	httpCall := func(r, i int) error {
-		n := r*perReader + i
-		url := fmt.Sprintf("/api/v1/series?gw=gw%03d&device=02:00:00:00:0%d:0%d&gran=8h&agg=sum",
-			n%2+1, n%2, n%8)
-		req := httptest.NewRequest("GET", url, nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return fmt.Errorf("GET %s: status %d: %s", url, rec.Code, rec.Body)
+	for n := 0; n < 32; n++ {
+		if _, err := s.Query(context.Background(), store.QueryRequest{Key: keyOf(n), Gran: store.Gran8h}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
 	}
-	warmLat, warmWall := runReaders(t, readers, perReader, httpCall)
-	hits, misses := a.m.hits.Value(), a.m.misses.Value()
-	hitRate := float64(hits) / float64(hits+misses)
+	after := s.Stats()
+	if raw := after.RawBlockReads - before.RawBlockReads; raw != 0 {
+		t.Errorf("8h-downsampled queries decoded %d raw minute blocks, want 0", raw)
+	}
+	if after.RollupBlockReads == before.RollupBlockReads {
+		t.Error("8h-downsampled queries decoded no rollup block")
+	}
+}
 
-	st := s.Stats()
-	entries := []map[string]any{
-		{
-			"name":          "QueryRaw24hWindow",
-			"readers":       readers,
-			"queries":       readers * perReader,
-			"p50_us":        float64(percentile(rawLat, 0.50)) / 1e3,
-			"p99_us":        float64(percentile(rawLat, 0.99)) / 1e3,
-			"qps":           float64(readers*perReader) / rawWall,
-			"points_per_op": float64(rawPoints) / float64(readers*perReader),
-		},
-		{
-			"name":                  "Query8hDownsampledCampaign",
-			"readers":               readers,
-			"queries":               readers * perReader,
-			"p50_us":                float64(percentile(downLat, 0.50)) / 1e3,
-			"p99_us":                float64(percentile(downLat, 0.99)) / 1e3,
-			"qps":                   float64(readers*perReader) / downWall,
-			"raw_blocks_decoded":    rawDecodes,
-			"rollup_blocks_decoded": rollupDecodes,
-		},
-		{
-			"name":     "QueryHTTPWarmCache",
-			"readers":  readers,
-			"requests": readers * perReader,
-			"p50_us":   float64(percentile(warmLat, 0.50)) / 1e3,
-			"p99_us":   float64(percentile(warmLat, 0.99)) / 1e3,
-			"rps":      float64(readers*perReader) / warmWall,
-			"hit_rate": hitRate,
-			"hits":     hits,
-			"misses":   misses,
-		},
-		{
-			"name":     "Corpus",
-			"corpus":   "2 gateways x 8 devices x 1 week",
-			"points":   st.Points,
-			"segments": st.Segments,
-		},
+// A binned URL set that fits the LRU is served from it once warm.
+func TestWarmBinnedURLsHitCache(t *testing.T) {
+	a := New(Config{Store: benchStore(t)})
+	h := a.Handler()
+	const urls, rounds = 16, 4
+	for n := 0; n < urls*rounds; n++ {
+		k := keyOf(n % urls)
+		url := fmt.Sprintf("/api/v1/series?gw=%s&device=%s&dir=%s&gran=8h&agg=sum", k.Gateway, k.Device, k.Dir)
+		fetch(t, h, url)
 	}
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("raw p99 %.0fµs, 8h p99 %.0fµs (raw decodes %d, rollup %d), warm hit rate %.3f",
-		float64(percentile(rawLat, 0.99))/1e3, float64(percentile(downLat, 0.99))/1e3,
-		rawDecodes, rollupDecodes, hitRate)
-	if hitRate < 0.5 {
-		t.Errorf("warm cache hit rate %.3f below 0.5", hitRate)
+	hits, misses := a.m.hits.Value(), a.m.misses.Value()
+	if rate := float64(hits) / float64(hits+misses); rate < 0.5 {
+		t.Errorf("warm cache hit rate %.3f (%d hits, %d misses) below 0.5", rate, hits, misses)
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"sync"
 )
 
-// cache is a small mutex-guarded LRU holding whole response payloads.
-// Keys embed the store generation (see store.Generation), so a cache
-// entry can never serve an answer from before a newly accepted point —
-// invalidation is free and total. A nil *cache is a valid, disabled
-// cache.
+// cache is a small mutex-guarded LRU holding whole encoded response
+// bodies (see encodeEnvelope): a hit is written as it is. Keys embed the
+// version of the one home the answer is about (store.HomeVersion; the
+// home list embeds store.Generation), so an entry can never serve an
+// answer from before a newly accepted point of that home — invalidation
+// is free, and a point for one home leaves every other home's entries
+// alone. A nil *cache is a valid, disabled cache.
 type cache struct {
 	mu  sync.Mutex
 	max int
@@ -19,7 +21,7 @@ type cache struct {
 
 type cacheEntry struct {
 	key string
-	val any
+	val []byte
 }
 
 func newCache(max int) *cache {
@@ -29,7 +31,7 @@ func newCache(max int) *cache {
 	return &cache{max: max, ll: list.New(), m: make(map[string]*list.Element, max)}
 }
 
-func (c *cache) get(key string) (any, bool) {
+func (c *cache) get(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -43,7 +45,7 @@ func (c *cache) get(key string) (any, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-func (c *cache) put(key string, val any) {
+func (c *cache) put(key string, val []byte) {
 	if c == nil {
 		return
 	}

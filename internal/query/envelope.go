@@ -13,9 +13,22 @@
 // Every response — success or error — is wrapped in the Envelope below,
 // the same wrapper cmd/homestore -json prints, so the CLI and the
 // server never drift. Binned series answers come from the store's
-// precomputed segment rollups and never decode raw minutes; whole
-// answers are cached in a store-generation-keyed LRU
-// (homesight_query_cache_{hits,misses}_total).
+// precomputed segment rollups and never decode raw minutes.
+//
+// A request is "find the bytes, write the bytes". What is cached is the
+// encoded envelope, newline included, so a hit is a Content-Length and
+// one Write. /homes, /devices and binned /series bodies live in one LRU
+// (cache.go) whose keys embed the version of the home they are about
+// (store.HomeVersion; /homes, about every home, embeds
+// store.Generation; an answer whose window ends at the defaulted
+// campaign end also embeds that end): a point accepted for one home
+// invalidates that home's answers and no other's. /summary, which costs
+// a thousand times what the others do to rebuild, lives outside the LRU
+// in one memo slot per home (summary.go) under the same version, built
+// once however many requests miss it together. Raw /series ranges are
+// not cached; encodeSeries writes them, and binned answers, without
+// reflection. homesight_query_cache_{hits,misses}_total count the LRU
+// and the memo alike.
 package query
 
 // Version is the wire version every envelope carries.

@@ -11,8 +11,8 @@ type metrics struct {
 	// latency is the request duration distribution by endpoint
 	// (homesight_query_request_seconds).
 	latency *obs.HistogramVec
-	// hits/misses count response-cache lookups
-	// (homesight_query_cache_hits_total,
+	// hits/misses count lookups of the response LRU and of the per-home
+	// summary memo (homesight_query_cache_hits_total,
 	// homesight_query_cache_misses_total).
 	hits, misses *obs.Counter
 }

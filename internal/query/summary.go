@@ -2,9 +2,9 @@ package query
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"net/http"
+	"sync"
 
 	"homesight/internal/aggregate"
 	"homesight/internal/devices"
@@ -57,21 +57,81 @@ type Summary struct {
 	Motifs    SummaryMotifs `json:"motifs"`
 }
 
-func (a *API) handleSummary(r *http.Request) (any, error) {
+// summaryMemo keeps each home's last /summary body outside the response
+// LRU: a summary costs tens of milliseconds to build and a KB to keep,
+// and in the LRU it was evicted by answers that cost microseconds to
+// rebuild long before it was asked for again. One slot per catalogued
+// gateway (gateways never leave the catalog, so the memo is bounded by
+// it), each under its own mutex: concurrent misses for one home build
+// once, misses for different homes do not wait for each other.
+type summaryMemo struct {
+	mu    sync.Mutex
+	homes map[string]*summarySlot
+}
+
+// summarySlot is one home's memoised body and what it was built at: the
+// home's store.HomeVersion and the campaign end (the summary window's
+// To, which a point for any home can move).
+type summarySlot struct {
+	mu       sync.Mutex
+	ver, end int64
+	body     []byte // nil until the first build
+}
+
+func newSummaryMemo() *summaryMemo {
+	return &summaryMemo{homes: make(map[string]*summarySlot)}
+}
+
+// slot returns (creating if needed) gw's slot; callers have checked that
+// gw is catalogued.
+func (m *summaryMemo) slot(gw string) *summarySlot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sl := m.homes[gw]
+	if sl == nil {
+		sl = &summarySlot{}
+		m.homes[gw] = sl
+	}
+	return sl
+}
+
+func (a *API) handleSummary(r *http.Request) ([]byte, error) {
 	gw := r.PathValue("gw")
-	if !a.hasGateway(gw) {
+	if _, ok := a.st.HomeVersion(gw); !ok {
 		return nil, notFoundf("unknown gateway %q", gw)
 	}
-	key := fmt.Sprintf("summary/%s@%d", gw, a.st.Generation())
-	if v, ok := a.lookup(key); ok {
-		return v, nil
+	if a.summaries == nil {
+		a.m.misses.Inc()
+		return a.summaryBody(r.Context(), gw)
 	}
-	sum, err := a.buildSummary(r.Context(), gw)
+	sl := a.summaries.slot(gw)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	// Read under the slot's lock, so a request that waited out another's
+	// build compares the slot with the store as it is now.
+	ver, _ := a.st.HomeVersion(gw)
+	_, campaignEnd := a.st.Campaign()
+	end := campaignEnd.Unix()
+	if sl.body != nil && sl.ver == ver && sl.end == end {
+		a.m.hits.Inc()
+		return sl.body, nil
+	}
+	a.m.misses.Inc()
+	//homesight:ignore lock-held — single flight: sl.mu guards this one home's slot, and holding it across the build is what makes concurrent misses wait for one build instead of running sixteen
+	body, err := a.summaryBody(r.Context(), gw)
 	if err != nil {
 		return nil, err
 	}
-	a.cache.put(key, sum)
-	return sum, nil
+	sl.ver, sl.end, sl.body = ver, end, body
+	return body, nil
+}
+
+func (a *API) summaryBody(ctx context.Context, gw string) ([]byte, error) {
+	sum, err := a.buildSummary(ctx, gw)
+	if err != nil {
+		return nil, err
+	}
+	return encodeEnvelope(Wrap(sum))
 }
 
 // buildSummary reconstructs every device of gw over the campaign and

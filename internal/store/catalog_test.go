@@ -18,6 +18,14 @@ type refStore struct {
 	pts          map[Key][]Point
 	names        map[string]map[string]string
 	points, dups int64
+	// seen is, per gateway, the HomeVersion and the number of stored points
+	// at the previous check.
+	seen map[string]homeSeen
+}
+
+type homeSeen struct {
+	version int64
+	points  int
 }
 
 func (r *refStore) append(rep gateway.Report) {
@@ -81,6 +89,43 @@ func (r *refStore) check(t *testing.T, s *Store, base Stats, step string) {
 			}
 		}
 	}
+	// The read-side catalog calls of the serving tier: a home's version is
+	// Σ (watermark + 1), moves exactly when the home gains a point, and
+	// doubles as the existence check; the campaign ends one step past the
+	// highest watermark of any home, however often it was asked before.
+	wantVer, homePoints := make(map[string]int64), make(map[string]int)
+	var lastTs int64
+	for k, pts := range r.pts {
+		wantVer[k.Gateway] += pts[len(pts)-1].Ts + 1
+		homePoints[k.Gateway] += len(pts)
+		lastTs = max(lastTs, pts[len(pts)-1].Ts)
+	}
+	for gw, devs := range r.names {
+		ver, ok := s.HomeVersion(gw)
+		if !ok || ver != wantVer[gw] {
+			t.Fatalf("%s: HomeVersion(%s) = %d, %v, want %d, true", step, gw, ver, ok, wantVer[gw])
+		}
+		if prev, known := r.seen[gw]; known && (ver > prev.version) != (homePoints[gw] > prev.points) {
+			t.Fatalf("%s: %s went from %d to %d points and from version %d to %d", step, gw, prev.points, homePoints[gw], prev.version, ver)
+		}
+		r.seen[gw] = homeSeen{version: ver, points: homePoints[gw]}
+		for mac := range devs {
+			if !s.HasDevice(gw, mac) {
+				t.Fatalf("%s: HasDevice(%s, %s) = false", step, gw, mac)
+			}
+		}
+		if s.HasDevice(gw, "no-such-mac") {
+			t.Fatalf("%s: HasDevice(%s, no-such-mac) = true", step, gw)
+		}
+	}
+	if ver, ok := s.HomeVersion("no-such-gw"); ok || ver != 0 || s.HasDevice("no-such-gw", deviceMAC(0)) {
+		t.Fatalf("%s: an unknown gateway has version %d, %v", step, ver, ok)
+	}
+	if len(r.pts) > 0 {
+		if _, end := s.Campaign(); !end.Equal(time.Unix(lastTs, 0).Add(time.Minute)) {
+			t.Fatalf("%s: campaign ends %v, want one minute past %v", step, end, time.Unix(lastTs, 0).UTC())
+		}
+	}
 	st := s.Stats()
 	if st.Points != base.Points+r.points || st.DupPoints != base.DupPoints+r.dups || st.Series != len(r.pts) {
 		t.Fatalf("%s: stats points %d dups %d series %d, want %d, %d, %d", step,
@@ -107,7 +152,7 @@ func TestStoreRandomOpsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := &refStore{pts: make(map[Key][]Point), names: make(map[string]map[string]string)}
+		ref := &refStore{pts: make(map[Key][]Point), names: make(map[string]map[string]string), seen: make(map[string]homeSeen)}
 		var base Stats
 		next := make(map[string]int) // per gateway: the next fresh minute
 		counters := make(map[string]uint64)

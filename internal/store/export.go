@@ -82,10 +82,16 @@ func (s *Store) Export(dir string) error {
 	return os.WriteFile(filepath.Join(dir, "deployment.json"), raw, 0o644)
 }
 
-// campaignMinutes returns one past the highest stored minute index.
+// campaignMinutes returns one past the highest stored minute index. The
+// walk over every series' watermark runs once per Generation; ingest takes
+// no part in the memo.
 func (s *Store) campaignMinutes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	gen := s.Generation()
+	if s.campaign.valid && s.campaign.gen == gen {
+		return s.campaign.minutes
+	}
 	startSec := s.cfg.Start.Unix()
 	stepSec := int64(s.cfg.Step / time.Second)
 	minutes := 0
@@ -97,6 +103,7 @@ func (s *Store) campaignMinutes() int {
 			minutes = m
 		}
 	})
+	s.campaign.valid, s.campaign.gen, s.campaign.minutes = true, gen, minutes
 	return minutes
 }
 

@@ -207,6 +207,14 @@ type Store struct {
 	reports, points, dups int64
 	walRecords, walTrunc  int
 
+	// campaign memoises campaignMinutes on the Generation it was computed
+	// at: watermarks only move when Generation does.
+	campaign struct {
+		valid   bool
+		gen     int64
+		minutes int
+	}
+
 	flushMu  sync.Mutex // serializes segment production
 	flushCh  chan struct{}
 	stopCh   chan struct{}
@@ -917,6 +925,37 @@ func (s *Store) Devices(gatewayID string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// HasDevice reports whether mac is in gatewayID's catalog.
+func (s *Store) HasDevice(gatewayID, mac string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.catalog[gatewayID][mac] != nil
+}
+
+// HomeVersion returns a value that advances every time the store accepts
+// a point for gatewayID, and whether the gateway is catalogued at all: the
+// per-home counterpart of Generation, and what the serving tier keys one
+// home's cached answers on so that traffic for other homes leaves them
+// alone. It is Σ (watermark + 1) over the home's series: an accepted point
+// either raises one watermark or adds a series, so the sum (of unix
+// seconds, which are not negative) is strictly monotone and equal versions
+// bracket identical stored points for that home. (A rename carried by a
+// report whose points are all duplicates moves neither this nor
+// Generation.) O(devices of the home).
+func (s *Store) HomeVersion(gatewayID string) (v int64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	devs, ok := s.catalog[gatewayID]
+	for _, dev := range devs {
+		for dir := range dev.dirs {
+			if sr := &dev.dirs[dir]; sr.seen {
+				v += sr.wm + 1
+			}
+		}
+	}
+	return v, ok
 }
 
 // DeviceName returns the recorded name for a device ("" if none).
