@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"homesight/internal/motif"
 	"homesight/internal/stats"
 	"homesight/internal/stats/corr"
+	"homesight/internal/stats/tests"
 )
 
 // The experiment runners are integration-heavy; all tests share one small
@@ -624,4 +626,47 @@ func mkMotif(support int) *motif.Motif {
 		m.Members = append(m.Members, motif.Instance{GatewayID: "gw0"})
 	}
 	return m
+}
+
+// TestStationarityADFGoldens pins tests.ADF on real suite input: τ, p,
+// lags and N of the ten StationarityGateways of the benchmark's first
+// pinned dataset (16 homes × 2 weeks, seed 20140317), recorded from the
+// dense-QR fit ADF ran before it solved the normal equations.
+func TestStationarityADFGoldens(t *testing.T) {
+	e, err := NewEnv(WithHomes(16), WithWeeks(2), WithSeed(20140317))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[int]float64{ // home index → τ
+		14: -11.863892937133308,
+		13: -15.657362974164659,
+		2:  -15.375562169358501,
+		4:  -17.96162143102492,
+		5:  -14.212364561907869,
+		6:  -12.417954914848208,
+		9:  -14.261623371464053,
+		15: -13.814177455916921,
+		3:  -17.406459180324418,
+		1:  -11.397284937635712,
+	}
+	top := e.StationarityGateways()
+	if len(top) != len(golden) {
+		t.Fatalf("%d stationarity gateways, goldens cover %d", len(top), len(golden))
+	}
+	for _, i := range top {
+		want, ok := golden[i]
+		if !ok {
+			t.Fatalf("gateway %d has no golden", i)
+		}
+		got, err := tests.ADF(e.RawOverall(i, 28).FillMissing(0).Values, -1)
+		if err != nil {
+			t.Fatalf("gateway %d: %v", i, err)
+		}
+		if rel := math.Abs(got.Stat-want) / math.Abs(want); rel > 1e-9 {
+			t.Errorf("gateway %d: τ = %.17g, golden %.17g (rel %.3g)", i, got.Stat, want, rel)
+		}
+		if got.PValue != 0.01 || got.Lags != 45 || got.N != 20114 {
+			t.Errorf("gateway %d: p/lags/N = %g/%d/%d, golden 0.01/45/20114", i, got.PValue, got.Lags, got.N)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"homesight/internal/background"
@@ -310,19 +311,19 @@ func (e *Env) Stationarity(i int) gatewayStationarity {
 		if a, err := tests.ADF(s.Values, -1); err == nil && a.PValue > core.Alpha {
 			p.adf = true
 		}
-		// Pairwise KS across the four weeks of minute values.
-		perWeek := 7 * 24 * 60
+		// Pairwise KS across the four weeks of minute values. Each week
+		// is sorted once for its three comparisons, in place: s is this
+		// call's own copy and the order-dependent tests are done with it.
+		const perWeek = 7 * 24 * 60
 		var weeks [][]float64
-		for w := 0; w < 4; w++ {
-			sub, err := s.Slice(w*perWeek, (w+1)*perWeek)
-			if err != nil {
-				break
-			}
-			weeks = append(weeks, sub.Values)
+		for w := 0; w < 4 && (w+1)*perWeek <= len(s.Values); w++ {
+			week := s.Values[w*perWeek : (w+1)*perWeek]
+			sort.Float64s(week)
+			weeks = append(weeks, week)
 		}
 		for i := 0; i < len(weeks); i++ {
 			for j := i + 1; j < len(weeks); j++ {
-				ks, err := tests.KolmogorovSmirnov(weeks[i], weeks[j])
+				ks, err := tests.KolmogorovSmirnovSorted(weeks[i], weeks[j])
 				if err != nil {
 					continue
 				}

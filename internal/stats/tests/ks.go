@@ -35,11 +35,16 @@ func (r KSResult) Rejected(alpha float64) bool { return r.PValue < alpha }
 // from the same distribution. The p-value uses the asymptotic Kolmogorov
 // distribution with the Numerical-Recipes finite-sample correction.
 func KolmogorovSmirnov(x, y []float64) (KSResult, error) {
-	if len(x) == 0 || len(y) == 0 {
+	return KolmogorovSmirnovSorted(sortedCopy(x), sortedCopy(y))
+}
+
+// KolmogorovSmirnovSorted is KolmogorovSmirnov for samples already in
+// ascending order; a caller comparing k samples pairwise sorts each
+// once instead of k-1 times.
+func KolmogorovSmirnovSorted(xs, ys []float64) (KSResult, error) {
+	if len(xs) == 0 || len(ys) == 0 {
 		return KSResult{}, ErrTooShort
 	}
-	xs := sortedCopy(x)
-	ys := sortedCopy(y)
 	n1, n2 := len(xs), len(ys)
 
 	// Walk both sorted samples computing the max CDF gap.

@@ -1,24 +1,36 @@
 package tests
 
 import (
+	"errors"
 	"math"
 	"sync"
 
 	"homesight/internal/stats"
-	"homesight/internal/stats/regress"
 )
 
-// urScratch is the reusable per-call state for ADF/KPSS: the OLS
-// workspace plus the difference/residual buffer. Pooled so the
-// unit-root sweeps over every gateway series stop re-allocating a full
-// design matrix per fit — the workspace buffers dominate and are sized
-// once at the campaign's series length.
+// ErrSingular is returned by ADF when the unit-root regression has no
+// unique solution: a regressor has no variation over the sample or is a
+// linear combination of the others. A constant series is the common
+// case; callers in the traffic pipeline treat it as trivially
+// stationary.
+var ErrSingular = errors.New("tests: singular unit-root regression")
+
+// urScratch is the pooled per-call buffer of ADF/KPSS, so the unit-root
+// sweeps over every gateway series stop re-allocating a series-length
+// slice per test.
 type urScratch struct {
-	ws  regress.Workspace
 	buf []float64
 }
 
 var urPool = sync.Pool{New: func() any { return new(urScratch) }}
+
+// grow returns sc.buf resized to n, reusing its capacity.
+func (sc *urScratch) grow(n int) []float64 {
+	if cap(sc.buf) < n {
+		sc.buf = make([]float64, n)
+	}
+	return sc.buf[:n]
+}
 
 // UnitRootResult is the outcome of a unit-root / stationarity test.
 type UnitRootResult struct {
@@ -51,48 +63,194 @@ var adfCrit = []struct {
 //
 // H0: γ = 0 (unit root, non-stationary); small p-values reject the unit
 // root, i.e. support stationarity. If lags < 0, the Schwert rule
-// floor(12·(T/100)^0.25) is used.
+// floor(12·(T/100)^0.25) is used. A regression without a unique
+// solution (constant series, collinear lags) returns ErrSingular.
 func ADF(y []float64, lags int) (UnitRootResult, error) {
 	t := len(y)
 	if lags < 0 {
 		lags = int(math.Floor(12 * math.Pow(float64(t)/100, 0.25)))
 	}
-	// Need rows t-1-lags > predictors (2+lags) with slack.
-	if t < lags+12 {
+	// The regression has 2+lags coefficients; it needs more rows than
+	// that, with slack.
+	rows := t - 1 - lags
+	if t < lags+12 || rows <= lags+2 {
 		return UnitRootResult{}, ErrTooShort
 	}
-
 	sc := urPool.Get().(*urScratch)
 	defer urPool.Put(sc)
-	dy := diffInto(sc.buf, y)
-	sc.buf = dy
-
-	rows := len(dy) - lags
-	p := 2 + lags
-	design, resp := sc.ws.Design(rows, p)
-	for i := 0; i < rows; i++ {
-		tIdx := i + lags // index into dy; corresponds to y index tIdx+1
-		row := design[i*p : (i+1)*p]
-		row[0] = 1
-		row[1] = y[tIdx] // y_{t-1}
-		for k := 1; k <= lags; k++ {
-			row[1+k] = dy[tIdx-k]
-		}
-		resp[i] = dy[tIdx]
-	}
-	m, err := sc.ws.FitDesign()
+	tau, err := adfTau(sc, y, lags)
 	if err != nil {
-		// A constant series has no unit-root question to answer; callers in
-		// the traffic pipeline treat it as trivially stationary.
 		return UnitRootResult{}, err
 	}
-	tau := m.Coeffs[1] / m.StdErrs[1]
 	return UnitRootResult{
 		Stat:   tau,
 		PValue: adfPValue(tau, rows),
 		Lags:   lags,
 		N:      rows,
 	}, nil
+}
+
+// Refusal thresholds of adfTau. A column is the intercept over again
+// when centring leaves less than adfConstTol of its norm (the rank
+// tolerance of the QR fit this solver replaced). After that the Gram
+// matrix has a unit diagonal, so a Cholesky pivot is 1 − R² of that
+// column on the ones before it; the O(n) sums behind it carry rounding
+// error near n·ε ≈ 10⁻¹², so below adfPivotTol the pivot — and a τ
+// computed through it — is mostly noise.
+const (
+	adfConstTol = 1e-12
+	adfPivotTol = 1e-10
+)
+
+// adfTau returns the t-statistic of γ̂ in the ADF regression, solved
+// from the normal equations in O(n·lags) instead of factorizing the
+// n×(2+lags) design: the response and every lag column are one vector,
+// Δy, read at lags+1 shifts, so their cross-products are lags+1 dot
+// products over the rows all shifts share plus O(lags²) edge terms, and
+// the level column adds lags+2 more dot products.
+//
+// Normal equations square the design's condition number, so the
+// columns are conditioned first. The intercept is eliminated by
+// centring (with a constant in the model, the other coefficients and
+// the residuals are those of the regression on centred columns). The
+// level y_{t-1} is centred by its mean *before* any product is formed:
+// on a series that idles far from zero (mean²/variance ≈ 10⁸, say)
+// Σy² − n·ȳ² would lose those eight digits, τ with them; centred first
+// it keeps ten. Δy is shifted by its mean over the rows every shift
+// shares, so each window's own mean is off by edge terms only and
+// removing it afterwards costs at most a bit. Then the Gram matrix is
+// scaled to a unit diagonal and Cholesky-factorized with the response
+// as its last column, which leaves the whole answer in its last row:
+// the entry under the level column is γ̂/se(γ̂) up to the residual
+// scale, and the final pivot is RSS/S_yy.
+func adfTau(sc *urScratch, y []float64, lags int) (float64, error) {
+	nd := len(y) - 1  // differences
+	rows := nd - lags // regression rows
+	q := lags + 2     // Gram columns: lags 1..lags, level, response
+	level, resp := lags, lags+1
+	buf := sc.grow(nd + rows + q*q + 2*q)
+	d, buf := buf[:nd], buf[nd:]
+	lvl, buf := buf[:rows], buf[rows:]
+	g, buf := buf[:q*q], buf[q*q:]
+	sum, raw := buf[:q], buf[q:] // per column: Σ shifted values, Σ unshifted values²
+
+	// col maps a shift of Δy (0 = the response, j = lag j) to its Gram
+	// column; at addresses the lower triangle.
+	col := func(shift int) int {
+		if shift == 0 {
+			return resp
+		}
+		return shift - 1
+	}
+	at := func(a, b int) int {
+		if a < b {
+			a, b = b, a
+		}
+		return a*q + b
+	}
+
+	// Row i of the design reads Δy at i+lags-shift and the level at
+	// y[i+lags]; Δy[lags : nd-lags] is in every shift's window.
+	dmean := (y[nd-lags] - y[lags]) / float64(rows-lags)
+	for i := range d {
+		d[i] = y[i+1] - y[i] - dmean
+	}
+	ywin := y[lags : lags+rows]
+	ymean := stats.Mean(ywin)
+	sum[level] = 0
+	for i, v := range ywin {
+		lvl[i] = v - ymean
+		sum[level] += lvl[i]
+	}
+	s := 0.0
+	for _, v := range d[lags:] {
+		s += v
+	}
+	sum[resp] = s
+	for j := 1; j <= lags; j++ {
+		s += d[lags-j] - d[nd-j] // the window moves back one step
+		sum[col(j)] = s
+	}
+
+	// Lag block, one diagonal (h = difference of shifts) at a time:
+	// shifts j and j+h multiply Δy[u]·Δy[u-h] over u in
+	// [lags-j, nd-1-j]. The range [lags, nd-1-lags+h] is common to every
+	// j; the rest is a tail that grows as j falls and a head that grows
+	// as j rises. Only additions: a traffic spike near either end of
+	// the series never has to be subtracted back out.
+	for h := 0; h <= lags; h++ {
+		core := dot(d[lags:nd-lags+h], d[lags-h:nd-lags])
+		edge := 0.0
+		for j := lags - h; j >= 0; j-- {
+			g[at(col(j), col(j+h))] = core + edge
+			if j > 0 {
+				edge += d[nd-j] * d[nd-j-h]
+			}
+		}
+		edge = 0
+		for j := 1; j <= lags-h; j++ {
+			edge += d[lags-j] * d[lags-j-h]
+			g[at(col(j), col(j+h))] += edge
+		}
+	}
+	for j := 0; j <= lags; j++ {
+		g[at(level, col(j))] = dot(lvl, d[lags-j:nd-j])
+	}
+	g[at(level, level)] = dot(lvl, lvl)
+
+	// Remove the window means, refuse columns that were constant, and
+	// scale to a unit diagonal.
+	n := float64(rows)
+	for a := 0; a < q; a++ {
+		raw[a] = g[a*q+a] + dmean*(2*sum[a]+n*dmean) // Σ(d+dmean)²
+	}
+	raw[level] = dot(ywin, ywin)
+	for a := 0; a < q; a++ {
+		for b := 0; b <= a; b++ {
+			g[a*q+b] -= sum[a] * sum[b] / n
+		}
+	}
+	for a := 0; a < q; a++ {
+		if !(g[a*q+a] > adfConstTol*adfConstTol*raw[a]) { // also refuses NaN
+			return 0, ErrSingular
+		}
+		sum[a] = 1 / math.Sqrt(g[a*q+a])
+	}
+	for a := 0; a < q; a++ {
+		for b := 0; b <= a; b++ {
+			g[a*q+b] *= sum[a] * sum[b]
+		}
+	}
+
+	// In-place Cholesky of the lower triangle.
+	for a := 0; a < q; a++ {
+		for b := 0; b <= a; b++ {
+			v := g[a*q+b] - dot(g[a*q:a*q+b], g[b*q:b*q+b])
+			switch {
+			case b < a:
+				g[a*q+b] = v / g[b*q+b]
+			case a == resp:
+				// A perfect fit is not a singular design: τ is ±Inf.
+				g[a*q+a] = math.Sqrt(math.Max(v, 0))
+			case !(v > adfPivotTol):
+				return 0, ErrSingular
+			default:
+				g[a*q+a] = math.Sqrt(v)
+			}
+		}
+	}
+	sigma := g[resp*q+resp] / math.Sqrt(float64(rows-q))
+	return g[resp*q+level] / sigma, nil
+}
+
+// dot returns Σ a[i]·b[i] over len(a) elements.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
 }
 
 // adfPValue interpolates the p-value from the MacKinnon critical values,
@@ -144,10 +302,7 @@ func KPSS(y []float64, lags int) (UnitRootResult, error) {
 	sc := urPool.Get().(*urScratch)
 	defer urPool.Put(sc)
 	mean := stats.Mean(y)
-	if cap(sc.buf) < t {
-		sc.buf = make([]float64, t)
-	}
-	e := sc.buf[:t]
+	e := sc.grow(t)
 	for i, v := range y {
 		e[i] = v - mean
 	}
@@ -202,26 +357,4 @@ func kpssPValue(eta float64) float64 {
 		}
 	}
 	return 0.01
-}
-
-// diff returns the first differences of y.
-func diff(y []float64) []float64 {
-	return diffInto(nil, y)
-}
-
-// diffInto writes the first differences of y into buf (reusing its
-// capacity) and returns the result.
-func diffInto(buf, y []float64) []float64 {
-	if len(y) < 2 {
-		return buf[:0]
-	}
-	n := len(y) - 1
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	d := buf[:n]
-	for i := 1; i < len(y); i++ {
-		d[i-1] = y[i] - y[i-1]
-	}
-	return d
 }

@@ -127,7 +127,9 @@ func (c *ingestCounters) snapshot() IngestStats {
 
 // Collector is the central TCP report sink. Connection readers frame and
 // parse wire lines; a single ingest worker drains the bounded queue into
-// the store, preserving per-connection report order.
+// the store, preserving per-connection report order, and connections
+// take turns per gateway in accept order (see connTurn), so a gateway's
+// reports stay in order across a reconnect too.
 type Collector struct {
 	store *Store
 	ln    net.Listener
@@ -135,7 +137,7 @@ type Collector struct {
 
 	mu     sync.Mutex
 	closed bool
-	conns  map[net.Conn]bool
+	conns  map[net.Conn]*connTurn
 	wg     sync.WaitGroup
 
 	queue      chan gateway.Report
@@ -145,6 +147,24 @@ type Collector struct {
 	// Errs receives per-line and per-report ingest errors (dropped and
 	// counted in IngestStats.ErrorsShed when full).
 	Errs chan error
+}
+
+// connTurn is one connection's place in the collector's one ordering
+// rule: a gateway's reports are queued connection by connection, in
+// accept order. A reporter that reconnects replays its resend tail on
+// the new connection while the old one's reader may still hold hundreds
+// of buffered lines; both feed the shared queue, and without the rule
+// the replay overtakes and every overtaken original is rejected as
+// late.
+type connTurn struct {
+	seq uint64 // accept order
+	// identified is closed when the connection is about to queue its
+	// first report, done after it has queued its last.
+	identified, done chan struct{}
+	// gateways the connection has queued reports for; nil until
+	// identified. Written by the connection's own goroutine under
+	// Collector.mu, read by the others under it.
+	gateways map[string]bool
 }
 
 // NewCollector starts listening on addr (e.g. "127.0.0.1:0") with the
@@ -165,7 +185,7 @@ func NewCollectorConfig(addr string, store *Store, cfg CollectorConfig) (*Collec
 		store:      store,
 		ln:         ln,
 		cfg:        cfg,
-		conns:      make(map[net.Conn]bool),
+		conns:      make(map[net.Conn]*connTurn),
 		queue:      make(chan gateway.Report, cfg.QueueSize),
 		ingestDone: make(chan struct{}),
 		Errs:       make(chan error, 16),
@@ -184,15 +204,18 @@ func (c *Collector) Stats() IngestStats { return c.counters.snapshot() }
 
 func (c *Collector) acceptLoop() {
 	defer c.wg.Done()
-	for {
+	for seq := uint64(0); ; seq++ {
 		conn, err := c.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		// The turn is numbered and registered here, not in serveConn:
+		// goroutines start in any order, accepts do not.
+		turn := &connTurn{seq: seq, identified: make(chan struct{}), done: make(chan struct{})}
 		c.mu.Lock()
 		closed := c.closed
 		if !closed {
-			c.conns[conn] = true
+			c.conns[conn] = turn
 		}
 		c.mu.Unlock()
 		if closed {
@@ -200,7 +223,66 @@ func (c *Collector) acceptLoop() {
 			return
 		}
 		c.wg.Add(1)
-		go c.serveConn(conn)
+		go c.serveConn(conn, turn)
+	}
+}
+
+// turnWait is the longest awaitTurn holds a report back: ReadTimeout,
+// or DefaultReadTimeout when reads have no deadline — a half-open
+// earlier connection then never finishes, and the wait must.
+func (cfg CollectorConfig) turnWait() time.Duration {
+	if cfg.ReadTimeout > 0 {
+		return cfg.ReadTimeout
+	}
+	return DefaultReadTimeout
+}
+
+// awaitTurn blocks until turn may queue its first report for gateway:
+// no earlier-accepted, still-open connection has queued reports for it
+// (such a connection is waited for until it is done), and none has yet
+// to say what it carries (it has queued nothing; it is waited for until
+// it identifies itself or is done). Waiting only on earlier connections
+// cannot deadlock, and Close ends it: it closes every socket, so
+// connections finish in accept order. A connection whose peer went
+// silent without closing holds its successors up until its own read
+// gives up, after ReadTimeout; the wait is bounded by turnWait whether
+// or not reads have a deadline, and the report is queued regardless
+// once it passes.
+func (c *Collector) awaitTurn(turn *connTurn, gateway string) {
+	t := time.NewTimer(c.cfg.turnWait())
+	defer t.Stop()
+	for expired := false; ; {
+		var identified, done <-chan struct{}
+		c.mu.Lock()
+		for _, o := range c.conns {
+			if o.seq >= turn.seq {
+				continue
+			}
+			if o.gateways == nil {
+				identified, done = o.identified, o.done
+			} else if o.gateways[gateway] {
+				done = o.done
+			}
+			if done != nil {
+				break
+			}
+		}
+		if done == nil || expired {
+			if turn.gateways == nil {
+				turn.gateways = make(map[string]bool)
+				close(turn.identified)
+			}
+			turn.gateways[gateway] = true
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+		select {
+		case <-identified:
+		case <-done:
+		case <-t.C:
+			expired = true
+		}
 	}
 }
 
@@ -208,7 +290,7 @@ func (c *Collector) acceptLoop() {
 // independently: a malformed line is counted and skipped (resync at the
 // next newline) instead of killing the connection, up to the
 // per-connection MaxConnDrops budget.
-func (c *Collector) serveConn(conn net.Conn) {
+func (c *Collector) serveConn(conn net.Conn, turn *connTurn) {
 	defer c.wg.Done()
 	c.counters.connsOpened.Add(1)
 	c.counters.activeConns.Add(1)
@@ -221,6 +303,7 @@ func (c *Collector) serveConn(conn net.Conn) {
 		c.mu.Lock()
 		delete(c.conns, conn)
 		c.mu.Unlock()
+		close(turn.done)
 	}()
 	br := bufio.NewReaderSize(conn, 32<<10)
 	drops := 0 // per-connection malformed-line counter
@@ -229,7 +312,7 @@ func (c *Collector) serveConn(conn net.Conn) {
 			_ = conn.SetReadDeadline(c.cfg.Now().Add(c.cfg.ReadTimeout))
 		}
 		line, err := readLine(br, c.cfg.MaxLineBytes)
-		if len(line) > 0 && !c.ingestLine(line) {
+		if len(line) > 0 && !c.ingestLine(line, turn) {
 			c.cfg.Metrics.Resyncs.Inc()
 			drops++
 			if drops > c.cfg.MaxConnDrops {
@@ -266,10 +349,11 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 }
 
 // ingestLine parses one wire line and queues the report, reporting
-// whether the line was well-formed. The queue send blocks when full:
-// that is the backpressure path, propagated to the reporter through the
-// unread socket.
-func (c *Collector) ingestLine(line []byte) bool {
+// whether the line was well-formed. The first report of each gateway on
+// a connection waits its turn (awaitTurn). The queue send blocks when
+// full: that is the backpressure path, propagated to the reporter
+// through the unread socket.
+func (c *Collector) ingestLine(line []byte, turn *connTurn) bool {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
 		return true // blank line: harmless keepalive
@@ -281,14 +365,20 @@ func (c *Collector) ingestLine(line []byte) bool {
 		c.shed(fmt.Errorf("telemetry: dropped malformed line (%d bytes): %w", len(line), err))
 		return false
 	}
+	// Only this goroutine writes turn.gateways (under c.mu, for the
+	// other connections' awaitTurn), so it reads it bare.
+	if !turn.gateways[rep.GatewayID] {
+		c.awaitTurn(turn, rep.GatewayID)
+	}
 	c.queue <- rep
 	c.cfg.Metrics.QueueDepth.Set(float64(len(c.queue)))
 	return true
 }
 
 // ingestLoop is the single consumer of the bounded queue. One worker
-// keeps per-connection (and therefore per-gateway) report order intact;
-// the store's own lock is the serialization point either way.
+// keeps the queue's order — per connection by construction, per gateway
+// across connections by awaitTurn — intact; the store's own lock is the
+// serialization point either way.
 func (c *Collector) ingestLoop() {
 	defer close(c.ingestDone)
 	for rep := range c.queue {

@@ -315,6 +315,185 @@ func TestFaultCleanBreaks(t *testing.T) {
 	}
 }
 
+// TestFaultReconnectOvertake reproduces, on every run, the loss a
+// reconnect used to cause: connection A still has buffered reports when
+// connection B replays the tail A already delivered and carries on. With
+// the ingest worker parked and a one-slot queue both readers block on
+// the queue, and a queue shared first-come would interleave them, the
+// recorder rejecting every report of A that B's overtook. The
+// collector's per-gateway turn (awaitTurn) holds B back until A is done.
+func TestFaultReconnectOvertake(t *testing.T) {
+	store := NewStore(mon, time.Minute)
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var ingested []int // minute of every accepted report, in ingest order
+	store.OnReport(func(rep gateway.Report) {
+		once.Do(func() { close(entered) })
+		<-gate
+		ingested = append(ingested, int(rep.Timestamp.Sub(mon)/time.Minute))
+	})
+	col, err := NewCollectorConfig("127.0.0.1:0", store, CollectorConfig{QueueSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const minutes, split, tail = 100, 50, DefaultResendTail
+	em := gateway.NewEmitter("gwR")
+	lines := make([][]byte, minutes)
+	for m := range lines {
+		lines[m] = gatewayJSONLine(t, em.Emit(mon.Add(time.Duration(m)*time.Minute),
+			[]gateway.DeviceMinute{{MAC: "m1", InBytes: 10, OutBytes: 1}}))
+	}
+	send := func(lines [][]byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", col.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range lines {
+			if _, err := conn.Write(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(lines[:split]) // A: minutes 0–49, all but a couple still unread
+	<-entered
+	send(lines[split-tail:]) // B: replays 42–49, continues to 99
+	deadline := time.Now().Add(5 * time.Second)
+	for col.Stats().ConnsOpened != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("second connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Not what makes the fixed collector pass — it is correct whenever
+	// the gate opens — but what made the unfixed one fail every time:
+	// B's reader gets to the queue before A's backlog starts to move.
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	if err := col.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < len(ingested) && m < minutes; m++ {
+		if ingested[m] != m {
+			t.Fatalf("report %d ingested is minute %d: out of order (%v)", m, ingested[m], ingested)
+		}
+	}
+	if st := col.Stats(); len(ingested) != minutes || st.ReportsIngested != minutes || st.IngestErrors != tail {
+		t.Errorf("ingested %d reports (stats %d) and rejected %d, want %d and the %d replayed duplicates",
+			len(ingested), st.ReportsIngested, st.IngestErrors, minutes, tail)
+	}
+}
+
+// turnFixture is a collector, an earlier connection A that never says
+// which gateway it carries, and a later connection B that has written
+// five reports for gwT — the case awaitTurn can only leave by its bound
+// or by A finishing.
+type turnFixture struct {
+	store *Store
+	col   *Collector
+	a     net.Conn
+	sent  time.Time // just before B's reports were written
+}
+
+const turnReports = 5
+
+func newTurnFixture(t *testing.T, readTimeout time.Duration) *turnFixture {
+	t.Helper()
+	f := &turnFixture{store: NewStore(mon, time.Minute)}
+	var err error
+	f.col, err = NewCollectorConfig("127.0.0.1:0", f.store, CollectorConfig{ReadTimeout: readTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.col.Close() })
+	if f.a, err = net.Dial("tcp", f.col.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.a.Close() })
+	f.awaitStats(t, "connection A accepted", func(st IngestStats) bool { return st.ConnsOpened == 1 })
+	b, err := net.Dial("tcp", f.col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := gateway.NewEmitter("gwT")
+	f.sent = time.Now()
+	for m := 0; m < turnReports; m++ {
+		line := gatewayJSONLine(t, em.Emit(mon.Add(time.Duration(m)*time.Minute),
+			[]gateway.DeviceMinute{{MAC: "m1", InBytes: 10, OutBytes: 1}}))
+		if _, err := b.Write(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func (f *turnFixture) awaitStats(t *testing.T, what string, ok func(IngestStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok(f.col.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for: %s (stats %+v)", what, f.col.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFaultSilentConnTurnExpires pins awaitTurn's bound: an earlier
+// connection that stays open and alive (blank keepalive lines refresh
+// its read deadline) but never identifies itself delays a later
+// connection's first report by ReadTimeout, not for ever.
+func TestFaultSilentConnTurnExpires(t *testing.T) {
+	const readTimeout = 200 * time.Millisecond
+	stop := make(chan struct{})
+	defer close(stop)
+	f := newTurnFixture(t, readTimeout)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(readTimeout / 10):
+				_, _ = f.a.Write([]byte("\n"))
+			}
+		}
+	}()
+	f.awaitStats(t, "B's reports ingested once its turn wait expires",
+		func(st IngestStats) bool { return st.ReportsIngested == turnReports })
+	if waited := time.Since(f.sent); waited < readTimeout {
+		t.Errorf("B's reports ingested after %v: not held for A at all (ReadTimeout %v)", waited, readTimeout)
+	}
+	if st := f.col.Stats(); st.IngestErrors != 0 || st.LinesDropped != 0 {
+		t.Errorf("stats %+v: want no rejected report and no dropped line", st)
+	}
+}
+
+// TestFaultSilentConnNoReadDeadline: with read deadlines off a half-open
+// earlier connection never finishes on its own, so the turn wait must
+// keep a bound of its own; and the later connection is released the
+// moment the earlier one does close.
+func TestFaultSilentConnNoReadDeadline(t *testing.T) {
+	f := newTurnFixture(t, -1)
+	if got := f.col.cfg.turnWait(); got != DefaultReadTimeout {
+		t.Fatalf("turnWait with ReadTimeout < 0 = %v, want DefaultReadTimeout", got)
+	}
+	f.awaitStats(t, "connection B accepted", func(st IngestStats) bool { return st.ConnsOpened == 2 })
+	time.Sleep(50 * time.Millisecond)
+	if st := f.col.Stats(); st.ReportsIngested != 0 {
+		t.Fatalf("%d reports ingested while the earlier connection was open and silent", st.ReportsIngested)
+	}
+	if err := f.a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.awaitStats(t, "B's reports ingested after A closed",
+		func(st IngestStats) bool { return st.ReportsIngested == turnReports })
+}
+
 // TestFaultDelayedFlushReadTimeout pins the read-deadline path: a sender
 // whose flushes stall past the collector's read deadline is disconnected
 // and the reporter's reconnect path recovers delivery.
@@ -407,9 +586,10 @@ func TestFaultGarbageFloodBudget(t *testing.T) {
 			break // collector hung up mid-flood: exactly the point
 		}
 	}
-	// The collector must hang up on its own (budget exceeded).
+	// The collector must hang up on its own (budget exceeded). Opened
+	// first: before the accept, ActiveConns is 0 too.
 	deadline := time.Now().Add(5 * time.Second)
-	for col.Stats().ActiveConns != 0 {
+	for st := col.Stats(); st.ConnsOpened < 1 || st.ActiveConns != 0; st = col.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatal("garbage flood connection was never closed")
 		}

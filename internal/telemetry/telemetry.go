@@ -8,8 +8,9 @@
 // faults rather than only surviving the happy path:
 //
 //   - the Collector resyncs past malformed lines, bounds per-connection
-//     garbage, enforces read deadlines and applies backpressure through a
-//     bounded ingest queue (see Collector and IngestStats);
+//     garbage, enforces read deadlines, applies backpressure through a
+//     bounded ingest queue and keeps a gateway's reports in order across
+//     its reconnects (see Collector and IngestStats);
 //   - the Reporter reconnects with exponential backoff + jitter and
 //     replays a bounded resend buffer across broken pipes (see Reporter);
 //   - the faultnet subpackage injects deterministic connection faults to
