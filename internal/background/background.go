@@ -56,11 +56,11 @@ func EstimateTau(values []float64) float64 {
 			obs = append(obs, v)
 		}
 	}
-	b, err := stats.NewBoxplot(obs, stats.DefaultWhiskerK)
+	tau, err := stats.UpperWhisker(obs, stats.DefaultWhiskerK)
 	if err != nil {
 		return 0
 	}
-	return b.UpperWhisker
+	return tau
 }
 
 // CapTau applies the paper's cap: τ_back = min(τ, 5000).

@@ -10,12 +10,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"homesight/internal/background"
 	"homesight/internal/core"
 	"homesight/internal/corrsim"
 	"homesight/internal/dataset"
@@ -29,10 +27,20 @@ import (
 
 // Env is the shared experiment environment: a deployment handle, lazily
 // built race-safe caches of the heavy intermediates every experiment
-// re-derives (per-home device series, pairwise correlation details,
-// dominance results, background thresholds), and the parallelism budget
-// for per-gateway fan-out. Homes themselves are regenerated on demand
-// (generation is deterministic and cheap relative to the analyses).
+// re-derives, and the parallelism budget for per-gateway fan-out.
+//
+// What is kept per home, for the length of the run: the gateway's raw and
+// active overall series over the campaign, every device's overall series
+// over the longer analysis window (WeeksWeeklyMotif, six of the paper's
+// eight weeks: the weekly-motif members' windows are read from it at
+// minute resolution), and a handful of scalars (coverage
+// flags, the Sec. 4.1b/4.2c coefficients, the Fig. 4 thresholds) — all
+// produced by one buildHome from one generation or store read of the home
+// (home.go). The overall series stay because dominance, the cohort
+// selections and the motif-window dominance read them again and again at
+// minute resolution; the per-direction series, two more per device, are
+// read only by the build and die with its view. Pair details, dominance
+// results and stationarity outcomes are memoized per home on top.
 type Env struct {
 	Dep *synth.Deployment
 	// Framework carries the paper's analysis parameters.
@@ -58,50 +66,17 @@ type Env struct {
 	// while concurrent experiments split it fairly.
 	sem chan struct{}
 
-	gws    *memo[int, []*gatewayCache]
-	series *memo[int, homeSeries]
-	pairs  *memo[int, []corrsim.Detail]
-	doms   *memo[int, dominance.Result]
-	taus   *memo[tauKey, background.Threshold]
-	stat   *memo[int, gatewayStationarity]
+	homes *memo[int, *gatewayCache]
+	gws   *memo[int, []*gatewayCache]
+	pairs *memo[int, []corrsim.Detail]
+	doms  *memo[int, dominance.Result]
+	stat  *memo[int, gatewayStationarity]
 
 	// Store backing (WithStore): homes whose gateway the store holds read
-	// their series from disk; the rest stay synthetic. See env_store.go.
+	// their traffic from disk; the rest stay synthetic. See env_store.go.
 	store    *store.Store
 	storeGWs map[string]bool
-	storeSer *memo[int, storeHome]
 }
-
-// gatewayCache holds the per-home aggregate artifacts shared by the
-// aggregation and motif experiments.
-type gatewayCache struct {
-	id        string
-	index     int
-	residents int
-	surveyed  bool
-	archetype synth.Archetype
-
-	// raw is the full-campaign overall traffic.
-	raw *timeseries.Series
-	// active is raw with per-device background removed before summing.
-	active *timeseries.Series
-
-	weeklyCoverageMain  bool // >=1 obs every week of WeeksMain
-	weeklyCoverageMotif bool // >=1 obs every week of WeeksWeeklyMotif
-	dailyCoverageMain   bool // >=1 obs every day of WeeksMain
-}
-
-// homeSeries is the cached dominance input of one home: the gateway
-// overall plus every device's overall series, truncated to WeeksMain.
-type homeSeries struct {
-	gateway *timeseries.Series
-	devices []dominance.DeviceSeries
-}
-
-// tauKey keys the background-threshold cache. The same device estimated
-// over different windows yields different thresholds, so the window length
-// is part of the key.
-type tauKey struct{ home, device, days int }
 
 // Option configures NewEnv. Options validate eagerly: an out-of-range
 // value surfaces as a constructor error instead of a panic mid-run.
@@ -217,11 +192,10 @@ func NewEnv(opts ...Option) (*Env, error) {
 	if e.WeeksMain > e.Dep.Config().Weeks {
 		e.WeeksMain = e.Dep.Config().Weeks
 	}
+	e.homes = newMemo[int, *gatewayCache](e.newCache("home-build"), e.now)
 	e.gws = newMemo[int, []*gatewayCache](e.newCache("gateway-aggregates"), e.now)
-	e.series = newMemo[int, homeSeries](e.newCache("device-series"), e.now)
 	e.pairs = newMemo[int, []corrsim.Detail](e.newCache("pair-similarity"), e.now)
 	e.doms = newMemo[int, dominance.Result](e.newCache("dominance"), e.now)
-	e.taus = newMemo[tauKey, background.Threshold](e.newCache("background-threshold"), e.now)
 	e.stat = newMemo[int, gatewayStationarity](e.newCache("stationarity"), e.now)
 	if cfg.storeDir != "" {
 		if err := e.openStore(cfg.storeDir); err != nil {
@@ -282,7 +256,8 @@ func (e *Env) newCache(name string) *cacheMetrics {
 	return c
 }
 
-// Home regenerates home i (cheap and deterministic).
+// Home returns home i's inventory and reporting plan; its traffic is only
+// generated if the caller asks the returned Home for it.
 func (e *Env) Home(i int) *synth.Home { return e.Dep.Home(i) }
 
 // memo is a race-safe lazy cache: concurrent callers of get share one
@@ -433,49 +408,28 @@ func (e *Env) forEach(ctx context.Context, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// gatewayCaches returns the per-home aggregate cache, built on first
-// use. The build goes through the memo layer like every other shared
-// intermediate, so concurrent first callers share one build (counted as
-// build waits, not hits) and a panicking build is retried by the next
-// caller instead of leaving a poisoned nil cache — under the parallel
-// engine many experiments race to be first here.
+// gatewayCaches returns every home's build, in home order, building the
+// missing ones on first use. Both levels go through the memo layer like
+// every other shared intermediate, so concurrent first callers share one
+// build per home (counted as build waits, not hits) and a panicking build
+// is retried by the next caller instead of leaving a poisoned nil cache —
+// under the parallel engine many experiments race to be first here.
 func (e *Env) gatewayCaches() []*gatewayCache {
 	return e.gws.get(0, func() []*gatewayCache {
-		nHomes := e.Dep.NumHomes()
-		gws := make([]*gatewayCache, nHomes)
-		// The aggregate build itself fans out: each slot i is written by
-		// exactly one worker, and nothing reads gws until the build returns.
+		gws := make([]*gatewayCache, e.Dep.NumHomes())
+		// The builds fan out: each slot i is written by exactly one worker,
+		// and nothing reads gws until the build returns.
 		//homesight:ignore ctx-flow — memoized cache build: later callers share the result, so the first caller's cancellation must not poison the cache
-		_ = e.forEach(context.Background(), nHomes, func(i int) {
-			h := e.Home(i)
-			gc := &gatewayCache{
-				id:        h.ID,
-				index:     i,
-				residents: h.Residents,
-				surveyed:  i < e.SurveyHomes,
-				archetype: h.Archetype,
-			}
-			if e.storeBacked(h.ID) {
-				sh := e.storeHomeFor(i)
-				gc.raw = sh.overall
-				gc.active = e.storeActiveOverall(i, sh)
-			} else {
-				gc.raw = h.Overall()
-				gc.active = e.activeOverall(i, h)
-			}
-			gc.weeklyCoverageMain = dataset.HasWeeklyCoverage(gc.raw, e.WeeksMain)
-			gc.weeklyCoverageMotif = dataset.HasWeeklyCoverage(gc.raw, e.WeeksWeeklyMotif)
-			gc.dailyCoverageMain = dataset.HasDailyCoverage(gc.raw, e.WeeksMain*7)
-			gws[i] = gc
+		_ = e.forEach(context.Background(), len(gws), func(i int) {
+			gws[i] = e.home(i)
 		})
 		return gws
 	})
 }
 
-// Warm pre-builds every heavy shared intermediate — the per-home
-// gateway aggregates (with their per-device background thresholds),
-// device series, pairwise correlation details and dominance results —
-// fanned across the Env's parallelism before any experiment runs. With
+// Warm pre-builds every heavy shared intermediate — the per-home builds,
+// pairwise correlation details and dominance results — fanned across the
+// Env's parallelism before any experiment runs. With
 // a warm Env no experiment pays another's first-touch build or blocks
 // on an in-flight one, which is what drives the
 // homesight_cache_build_wait_seconds series to ~0 under the parallel
@@ -488,94 +442,20 @@ func (e *Env) Warm(ctx context.Context) error {
 	}
 	e.gatewayCaches()
 	idxs := e.WeeklyCohortIndexes()
-	// Dominance pulls device series and pair details through their own
-	// memos, so one pass over the cohort fills all three caches.
+	// Dominance pulls pair details through their own memo, so one pass
+	// over the cohort fills both caches.
 	return e.forEach(ctx, len(idxs), func(j int) {
 		e.Dominance(idxs[j])
 	})
 }
 
-// Threshold returns the memoized τ_back of device dev in home i estimated
-// over the given in/out series; days disambiguates the estimation window.
-// The caller supplies the series (already truncated as needed) so the
-// cache never regenerates traffic just to key a lookup.
-func (e *Env) Threshold(i, dev, days int, in, out *timeseries.Series) background.Threshold {
-	return e.taus.get(tauKey{home: i, device: dev, days: days}, func() background.Threshold {
-		return background.EstimateThreshold(in, out)
-	})
-}
-
-// activeOverall is ActiveOverall with the per-device thresholds routed
-// through the Env's cache.
-func (e *Env) activeOverall(i int, h *synth.Home) *timeseries.Series {
-	days := e.Dep.Config().Weeks * 7
-	return activeOverall(h, func(dev int, dt *synth.DeviceTraffic) background.Threshold {
-		return e.Threshold(i, dev, days, dt.In, dt.Out)
-	})
-}
-
-// ActiveOverall computes a home's aggregated *active* traffic: each
-// device's overall series is thresholded at its personal τ_back
-// (Sec. 6.1) before summing, so background chatter does not pollute the
-// aggregate patterns.
-func ActiveOverall(h *synth.Home) *timeseries.Series {
-	return activeOverall(h, func(_ int, dt *synth.DeviceTraffic) background.Threshold {
-		return background.EstimateThreshold(dt.In, dt.Out)
-	})
-}
-
-func activeOverall(h *synth.Home, threshold func(dev int, dt *synth.DeviceTraffic) background.Threshold) *timeseries.Series {
-	var sum *timeseries.Series
-	for dev, dt := range h.Traffic() {
-		th := threshold(dev, dt)
-		act := dt.Overall().Threshold(th.Tau())
-		if sum == nil {
-			sum = act
-			continue
-		}
-		s, err := sum.Add(act)
-		if err != nil {
-			panic(err) // same grid by construction
-		}
-		sum = s
-	}
-	if sum == nil {
-		return h.Overall()
-	}
-	// Preserve gateway-off minutes as missing: Add treats NaN+x as x, but
-	// a minute where the gateway reported nothing must stay NaN.
-	raw := h.Overall()
-	out := sum.Clone()
-	for i, v := range raw.Values {
-		if math.IsNaN(v) {
-			out.Values[i] = math.NaN()
-		}
-	}
-	return out
-}
-
-// DeviceSeries returns the memoized dominance inputs of home i: the
-// gateway overall plus every device's overall series, truncated to the
-// main analysis window (WeeksMain). Callers must not mutate the returned
-// series — they are shared across experiments.
+// DeviceSeries returns the dominance inputs of home i: the gateway
+// overall plus every device's overall series over the main analysis
+// window (WeeksMain). Callers must not mutate the returned series — they
+// are shared across experiments.
 func (e *Env) DeviceSeries(i int) (*timeseries.Series, []dominance.DeviceSeries) {
-	hs := e.series.get(i, func() homeSeries {
-		h := e.Home(i)
-		if e.storeBacked(h.ID) {
-			return e.storeHomeSeries(i)
-		}
-		days := e.WeeksMain * 7
-		gw := truncate(h.Overall(), days)
-		devs := make([]dominance.DeviceSeries, 0, len(h.Devices))
-		for _, dt := range h.Traffic() {
-			devs = append(devs, dominance.DeviceSeries{
-				Device: dt.Spec.Device,
-				Series: truncate(dt.Overall(), days),
-			})
-		}
-		return homeSeries{gateway: gw, devices: devs}
-	})
-	return hs.gateway, hs.devices
+	gc := e.home(i)
+	return gc.mainGateway, gc.mainDevices
 }
 
 // PairDetails returns the memoized Definition 1 correlation details of
@@ -661,7 +541,7 @@ func (e *Env) DailyCohort() (ids []string, series []*timeseries.Series) {
 
 // RawOverall returns the raw overall series of home i, truncated to days.
 func (e *Env) RawOverall(i, days int) *timeseries.Series {
-	return truncate(e.gatewayCaches()[i].raw, days)
+	return truncate(e.home(i).raw, days)
 }
 
 // truncate slices a minute series to the first `days` days.

@@ -1,25 +1,22 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"time"
 
-	"homesight/internal/devices"
-	"homesight/internal/dominance"
 	"homesight/internal/store"
-	"homesight/internal/timeseries"
 )
 
 // WithStore attaches a homestore directory (see internal/store and
 // STORAGE.md) to the Env: homes whose gateway appears in the store load
-// their device and gateway series from disk instead of re-synthesizing
-// them, while homes the collector never persisted fall back to the
-// synthesizer. This is what lets the experiment runners analyse a real
+// their traffic from disk instead of re-synthesizing it (Env.storeView),
+// while homes the collector never persisted fall back to the
+// synthesizer. Every experiment that reads minute-level traffic reads it
+// through that one per-home view, so the whole suite analyses the
 // collected campaign with the exact reconstruction pipeline the paper
-// applies to its measurement data. The Env owns the handle; call
-// Env.Close when done.
+// applies to its measurement data; only Fig. 1's incoming-only anatomy
+// and the survey inventory still come from the synthesizer. The Env owns
+// the handle; call Env.Close when done.
 func WithStore(dir string) Option {
 	return func(c *envConfig) error {
 		if dir == "" {
@@ -51,8 +48,8 @@ func (e *Env) StoreBacked(i int) bool { return e.storeBacked(e.Home(i).ID) }
 
 func (e *Env) storeBacked(id string) bool { return e.store != nil && e.storeGWs[id] }
 
-// openStore wires cfg.storeDir into the Env: it opens the store, indexes
-// which gateways it holds, and installs the per-home read-through cache.
+// openStore wires cfg.storeDir into the Env: it opens the store and
+// indexes which gateways it holds.
 // The stored meta (campaign anchor, step) wins over any synth defaults,
 // and a store not on the minute grid is rejected — every analysis in
 // this package assumes minute resolution.
@@ -70,129 +67,5 @@ func (e *Env) openStore(dir string) error {
 	for _, id := range st.Gateways() {
 		e.storeGWs[id] = true
 	}
-	e.storeSer = newMemo[int, storeHome](e.newCache("store-series"), e.now)
 	return nil
-}
-
-// storeHome is the cached on-disk view of one home: the raw gateway
-// overall plus, per device (sorted by MAC), the reconstructed in/out
-// series and their sum — everything DeviceSeries and the aggregate cache
-// need, read from disk exactly once per home.
-type storeHome struct {
-	overall *timeseries.Series
-	devs    []storeDevice
-}
-
-type storeDevice struct {
-	dev     devices.Device
-	in, out *timeseries.Series
-	overall *timeseries.Series
-}
-
-// storeHomeFor reads (memoized) home i's series from the store over the
-// full campaign grid. Store read errors are disk corruption, not
-// analysis conditions, so they panic like the other unreachable grid
-// mismatches in this package — run `homestore verify` on a suspect dir.
-func (e *Env) storeHomeFor(i int) storeHome {
-	return e.storeSer.get(i, func() storeHome {
-		id := e.Home(i).ID
-		n := e.Dep.Config().Minutes()
-		to := e.store.Start().Add(time.Duration(n) * e.store.Step())
-		var sh storeHome
-		for _, mac := range e.store.Devices(id) {
-			var res [2]*store.Result
-			for dir := 0; dir < 2; dir++ {
-				var err error
-				//homesight:ignore ctx-flow — cache fill runs to completion by design: a half-read home must never be memoized
-				res[dir], err = e.store.Query(context.Background(), store.QueryRequest{
-					Key:         store.Key{Gateway: id, Device: mac, Dir: store.Direction(dir)},
-					To:          to,
-					Reconstruct: true,
-				})
-				if err != nil {
-					panic(fmt.Sprintf("experiments: reading %s/%s from store: %v", id, mac, err))
-				}
-			}
-			if res[0].LastIndex < 0 && res[1].LastIndex < 0 {
-				continue
-			}
-			in, out := res[0].Series, res[1].Series
-			sum, err := in.Add(out)
-			if err != nil {
-				panic(err) // same grid by construction
-			}
-			name := e.store.DeviceName(id, mac)
-			sh.devs = append(sh.devs, storeDevice{
-				dev:     devices.Device{MAC: mac, Name: name, Inferred: devices.Classify(mac, name)},
-				in:      in,
-				out:     out,
-				overall: sum,
-			})
-			if sh.overall == nil {
-				sh.overall = sum.Clone()
-				continue
-			}
-			s, err := sh.overall.Add(sum)
-			if err != nil {
-				panic(err) // same grid by construction
-			}
-			sh.overall = s
-		}
-		if sh.overall == nil {
-			vals := make([]float64, n)
-			for m := range vals {
-				vals[m] = math.NaN()
-			}
-			sh.overall = timeseries.New(e.store.Start(), e.store.Step(), vals)
-		}
-		return sh
-	})
-}
-
-// storeHomeSeries builds the dominance inputs of a store-backed home —
-// the disk-side twin of the synth branch in DeviceSeries.
-func (e *Env) storeHomeSeries(i int) homeSeries {
-	sh := e.storeHomeFor(i)
-	days := e.WeeksMain * 7
-	hs := homeSeries{gateway: truncate(sh.overall, days)}
-	hs.devices = make([]dominance.DeviceSeries, 0, len(sh.devs))
-	for _, sd := range sh.devs {
-		hs.devices = append(hs.devices, dominance.DeviceSeries{
-			Device: sd.dev,
-			Series: truncate(sd.overall, days),
-		})
-	}
-	return hs
-}
-
-// storeActiveOverall is activeOverall for a store-backed home: each
-// device's overall is thresholded at its personal τ_back (estimated from
-// the reconstructed in/out split, cached on the Env) before summing, and
-// gateway-off minutes stay missing.
-func (e *Env) storeActiveOverall(i int, sh storeHome) *timeseries.Series {
-	days := e.Dep.Config().Weeks * 7
-	var sum *timeseries.Series
-	for dev, sd := range sh.devs {
-		th := e.Threshold(i, dev, days, sd.in, sd.out)
-		act := sd.overall.Threshold(th.Tau())
-		if sum == nil {
-			sum = act
-			continue
-		}
-		s, err := sum.Add(act)
-		if err != nil {
-			panic(err) // same grid by construction
-		}
-		sum = s
-	}
-	if sum == nil {
-		return sh.overall
-	}
-	out := sum.Clone()
-	for m, v := range sh.overall.Values {
-		if math.IsNaN(v) {
-			out.Values[m] = math.NaN()
-		}
-	}
-	return out
 }

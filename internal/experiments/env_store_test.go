@@ -13,8 +13,9 @@ import (
 
 // persistHome replays home i's campaign into the store and a parity
 // recorder through the same emitted reports, mirroring what the
-// collector's persistence callback sees.
-func persistHome(t *testing.T, s *store.Store, dep *synth.Deployment, i int) *gateway.Recorder {
+// collector's persistence callback sees. The device with MAC flat, if
+// any, stays associated but moves no bytes: its counters never advance.
+func persistHome(t *testing.T, s *store.Store, dep *synth.Deployment, i int, flat string) *gateway.Recorder {
 	t.Helper()
 	cfg := dep.Config()
 	h := dep.Home(i)
@@ -24,12 +25,16 @@ func persistHome(t *testing.T, s *store.Store, dep *synth.Deployment, i int) *ga
 	for m := 0; m < cfg.Minutes(); m++ {
 		var dms []gateway.DeviceMinute
 		for _, dt := range traffic {
-			dms = append(dms, gateway.DeviceMinute{
+			dm := gateway.DeviceMinute{
 				MAC:      dt.Spec.Device.MAC,
 				Name:     dt.Spec.Device.Name,
 				InBytes:  dt.In.Values[m],
 				OutBytes: dt.Out.Values[m],
-			})
+			}
+			if dm.MAC == flat && !math.IsNaN(dm.InBytes) {
+				dm.InBytes, dm.OutBytes = 0, 0
+			}
+			dms = append(dms, dm)
 		}
 		rep := em.Emit(cfg.Start.Add(time.Duration(m)*time.Minute), dms)
 		if len(rep.Devices) == 0 {
@@ -75,7 +80,7 @@ func TestEnvWithStore(t *testing.T) {
 	}
 	recs := map[int]*gateway.Recorder{}
 	for _, i := range []int{0, 1} {
-		recs[i] = persistHome(t, s, dep, i)
+		recs[i] = persistHome(t, s, dep, i, "")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -217,8 +217,8 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 		byID[m.ID] = m
 	}
 
-	// Group all members of the selected motifs by gateway so each home is
-	// regenerated exactly once. The group list is ordered by first
+	// Group all members of the selected motifs by gateway so each home's
+	// overall dominants are looked up once. The group list is ordered by first
 	// appearance (profiles, then member order) — deterministic, unlike a
 	// map iteration.
 	type memberRef struct {
@@ -277,7 +277,7 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 			overallMACs[sc.Device.MAC] = true
 		}
 
-		h := e.Home(idx)
+		gc := gws[idx]
 		for _, ref := range groups[g].refs {
 			p := &part[ref.motifIdx]
 			p.members++
@@ -287,12 +287,12 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 				wEnd = w.Start.Add(timeseries.Week)
 			}
 			// Window-local dominance at minute resolution.
-			gwWin := h.Overall().Between(w.Start, wEnd)
+			gwWin := gc.raw.Between(w.Start, wEnd)
 			var devWins []deviceWindow
-			for _, dt := range h.Traffic() {
+			for _, ds := range gc.devices {
 				devWins = append(devWins, deviceWindow{
-					dev:  dt.Spec.Device,
-					vals: dt.Overall().Between(w.Start, wEnd),
+					dev:  ds.Device,
+					vals: ds.Series.Between(w.Start, wEnd),
 				})
 			}
 			winDom := 0

@@ -92,43 +92,47 @@ type InOutResult struct {
 	Gateways             int
 }
 
-// TabInOutCorrelation computes corr(in, out) per gateway over week one.
-func TabInOutCorrelation(ctx context.Context, e *Env) (InOutResult, error) {
-	n := 7 * 24 * 60
-	type perHome struct {
-		coeff float64
-		ok    bool
-	}
-	nHomes := e.Dep.NumHomes()
-	per := make([]perHome, nHomes)
-	err := e.forEach(ctx, nHomes, func(i int) {
-		h := e.Home(i)
-		in := make([]float64, n)
-		out := make([]float64, n)
-		for _, dt := range h.Traffic() {
-			for m := 0; m < n; m++ {
-				if v := dt.In.Values[m]; !math.IsNaN(v) {
-					in[m] += v
-					out[m] += dt.Out.Values[m]
-				}
+// homeCoeff is one home's contribution to a per-gateway correlation
+// table: the coefficient, whether it is significant at core.Alpha (where
+// the table reports that), and whether the home has one at all.
+type homeCoeff struct {
+	coeff   float64
+	sig, ok bool
+}
+
+// inOutCorrelation is corr(in, out) of one home's summed device traffic
+// over week one.
+func inOutCorrelation(v homeView) homeCoeff {
+	const n = 7 * 24 * 60
+	in := make([]float64, n)
+	out := make([]float64, n)
+	for _, d := range v.devs {
+		for m := 0; m < n; m++ {
+			if x := d.in.Values[m]; !math.IsNaN(x) {
+				in[m] += x
+				out[m] += d.out.Values[m]
 			}
 		}
-		// The paper reports the distribution of the *raw* coefficient here
-		// (mean ≈ .92): gating insignificant values to zero would shift the
-		// mean, so this site deliberately bypasses Definition 1.
-		r, err := corr.Pearson(in, out) //homesight:rawcorr
-		if err != nil || math.IsNaN(r.Coeff) {
-			return
-		}
-		per[i] = perHome{coeff: r.Coeff, ok: true}
-	})
-	if err != nil {
+	}
+	// The paper reports the distribution of the *raw* coefficient here
+	// (mean ≈ .92): gating insignificant values to zero would shift the
+	// mean, so this site deliberately bypasses Definition 1.
+	r, err := corr.Pearson(in, out) //homesight:rawcorr
+	if err != nil || math.IsNaN(r.Coeff) {
+		return homeCoeff{}
+	}
+	return homeCoeff{coeff: r.Coeff, ok: true}
+}
+
+// TabInOutCorrelation reduces the per-gateway corr(in, out) of week one.
+func TabInOutCorrelation(ctx context.Context, e *Env) (InOutResult, error) {
+	if err := ctx.Err(); err != nil {
 		return InOutResult{}, err
 	}
 	var coeffs []float64
-	for _, p := range per {
-		if p.ok {
-			coeffs = append(coeffs, p.coeff)
+	for _, gc := range e.gatewayCaches() {
+		if gc.inOut.ok {
+			coeffs = append(coeffs, gc.inOut.coeff)
 		}
 	}
 	return InOutResult{
@@ -384,40 +388,50 @@ type DeviceCountResult struct {
 	SignificantShare float64
 }
 
-// TabDeviceCountCorrelation computes corr(traffic, #connected devices).
-func TabDeviceCountCorrelation(ctx context.Context, e *Env) (DeviceCountResult, error) {
-	type perHome struct {
-		coeff float64
-		sig   bool
-		ok    bool
-	}
-	nHomes := e.Dep.NumHomes()
-	per := make([]perHome, nHomes)
-	if err := e.forEach(ctx, nHomes, func(i int) {
-		h := e.Home(i)
-		const days = 7
-		overall := truncate(h.Overall(), days)
-		counts := truncate(h.ConnectedCount(), days)
-		// Routed through the Definition 1 machinery (UseSpearman variant):
-		// Detailed exposes the raw ρ alongside its significance test.
-		d := corrsim.Measure{Use: corrsim.UseSpearman}.
-			Detailed(overall.FillMissing(0).Values, counts.FillMissing(0).Values)
-		r := d.Spearman
-		if d.N < 3 || math.IsNaN(r.Coeff) {
-			return
+// deviceCountCorrelation is corr(traffic, #connected devices) of one home
+// over week one: a device counts as connected in a minute it moved any
+// bytes, and minutes the gateway did not report count as no traffic from
+// no devices.
+func deviceCountCorrelation(v homeView) homeCoeff {
+	const n = 7 * 24 * 60
+	overall := make([]float64, n)
+	counts := make([]float64, n)
+	for m := range overall {
+		x := v.overall.Values[m]
+		if math.IsNaN(x) {
+			continue
 		}
-		per[i] = perHome{coeff: r.Coeff, sig: r.Significant(core.Alpha), ok: true}
-	}); err != nil {
+		overall[m] = x
+		for _, d := range v.devs {
+			if in := d.in.Values[m]; !math.IsNaN(in) && in+d.out.Values[m] > 0 {
+				counts[m]++
+			}
+		}
+	}
+	// Routed through the Definition 1 machinery (UseSpearman variant):
+	// Detailed exposes the raw ρ alongside its significance test.
+	d := corrsim.Measure{Use: corrsim.UseSpearman}.Detailed(overall, counts)
+	r := d.Spearman
+	if d.N < 3 || math.IsNaN(r.Coeff) {
+		return homeCoeff{}
+	}
+	return homeCoeff{coeff: r.Coeff, sig: r.Significant(core.Alpha), ok: true}
+}
+
+// TabDeviceCountCorrelation reduces the per-gateway corr(traffic,
+// #connected devices) of week one.
+func TabDeviceCountCorrelation(ctx context.Context, e *Env) (DeviceCountResult, error) {
+	if err := ctx.Err(); err != nil {
 		return DeviceCountResult{}, err
 	}
 	var coeffs []float64
 	significant := 0
-	for _, p := range per {
-		if !p.ok {
+	for _, gc := range e.gatewayCaches() {
+		if !gc.devCount.ok {
 			continue
 		}
-		coeffs = append(coeffs, p.coeff)
-		if p.sig {
+		coeffs = append(coeffs, gc.devCount.coeff)
+		if gc.devCount.sig {
 			significant++
 		}
 	}
@@ -526,72 +540,42 @@ type Fig04Result struct {
 	PortableShareSmall, FixedShareLarge float64
 }
 
-// Fig04BackgroundTau estimates τ for every active device over WeeksMain.
+// Fig04BackgroundTau groups every active device's τ over WeeksMain.
 func Fig04BackgroundTau(ctx context.Context, e *Env) (Fig04Result, error) {
-	days := e.WeeksMain * 7
-	type perHome struct {
-		tauIn, tauOut        []float64
-		devices              int
-		largeIn, largeOut    int
-		small, medium, large int
-		smallPortable        int
-		largeFixed           int
-	}
-	nHomes := e.Dep.NumHomes()
-	per := make([]perHome, nHomes)
-	if err := e.forEach(ctx, nHomes, func(i int) {
-		h := e.Home(i)
-		p := &per[i]
-		for dev, dt := range h.Traffic() {
-			in := truncate(dt.In, days)
-			if in.ObservedCount() < 60 {
-				continue // barely-seen devices have no meaningful background
-			}
-			out := truncate(dt.Out, days)
-			th := e.Threshold(i, dev, days, in, out)
-			p.devices++
-			p.tauIn = append(p.tauIn, th.TauIn)
-			p.tauOut = append(p.tauOut, th.TauOut)
-			if th.TauIn > background.LargeBytes {
-				p.largeIn++
-			}
-			if th.TauOut > background.LargeBytes {
-				p.largeOut++
-			}
-			truth := dt.Spec.Device.Truth
-			switch background.GroupOf(math.Max(th.TauIn, th.TauOut)) {
-			case background.Small:
-				p.small++
-				if truth == devices.Portable {
-					p.smallPortable++
-				}
-			case background.Medium:
-				p.medium++
-			case background.Large:
-				p.large++
-				if truth == devices.Fixed {
-					p.largeFixed++
-				}
-			}
-		}
-	}); err != nil {
+	if err := ctx.Err(); err != nil {
 		return Fig04Result{}, err
 	}
 	var tauIn, tauOut []float64
 	var small, medium, large int
 	var smallPortable, largeFixed int
 	res := Fig04Result{}
-	for _, p := range per {
-		res.Devices += p.devices
-		tauIn = append(tauIn, p.tauIn...)
-		tauOut = append(tauOut, p.tauOut...)
-		res.LargeIn += p.largeIn
-		res.LargeOut += p.largeOut
-		small += p.small
-		medium += p.medium
-		large += p.large
-		smallPortable += p.smallPortable
-		largeFixed += p.largeFixed
+	for _, gc := range e.gatewayCaches() {
+		for _, dt := range gc.taus {
+			th := dt.th
+			res.Devices++
+			tauIn = append(tauIn, th.TauIn)
+			tauOut = append(tauOut, th.TauOut)
+			if th.TauIn > background.LargeBytes {
+				res.LargeIn++
+			}
+			if th.TauOut > background.LargeBytes {
+				res.LargeOut++
+			}
+			switch background.GroupOf(math.Max(th.TauIn, th.TauOut)) {
+			case background.Small:
+				small++
+				if dt.dev.Truth == devices.Portable {
+					smallPortable++
+				}
+			case background.Medium:
+				medium++
+			case background.Large:
+				large++
+				if dt.dev.Truth == devices.Fixed {
+					largeFixed++
+				}
+			}
+		}
 	}
 	if res.Devices > 0 {
 		res.SmallShare = float64(small) / float64(res.Devices)

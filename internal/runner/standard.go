@@ -103,7 +103,7 @@ func StandardExperiments(res *experiments.Results) []Experiment {
 			}),
 		// Dominance detection is the other heavy experiment: one shard per
 		// cohort home warms the dominance memo (and, transitively, the
-		// device-series and pair-similarity memos it reads through).
+		// pair-similarity memo and the home's build it reads through).
 		NewSharded("fig5", "dominant devices and types",
 			func(e *experiments.Env) int { return len(e.WeeklyCohortIndexes()) },
 			func(ctx context.Context, e *experiments.Env, s int) error {

@@ -125,15 +125,25 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	if p >= 1 {
 		return sorted[n-1]
 	}
-	h := p * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := lo + 1
-	if hi >= n {
+	lo, frac := quantileRank(n, p)
+	if lo+1 >= n {
 		return sorted[n-1]
 	}
-	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return interpolate(sorted[lo], sorted[lo+1], frac)
 }
+
+// quantileRank places the type-7 p-quantile (0 < p < 1) of an n-sample on
+// its order statistics: frac of the way from rank lo to rank lo+1.
+func quantileRank(n int, p float64) (lo int, frac float64) {
+	h := p * float64(n-1)
+	lo = int(math.Floor(h))
+	return lo, h - float64(lo)
+}
+
+// interpolate is the one expression every quantile in this package is
+// read through; recorded outputs hold its rounding, so it does not change
+// shape without them.
+func interpolate(lo, hi, frac float64) float64 { return lo*(1-frac) + hi*frac }
 
 // Summary bundles the five-number summary plus moments of a sample.
 type Summary struct {
