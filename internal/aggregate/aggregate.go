@@ -8,7 +8,6 @@ package aggregate
 import (
 	"time"
 
-	"homesight/internal/corrsim"
 	"homesight/internal/stationarity"
 	"homesight/internal/timeseries"
 )
@@ -37,9 +36,9 @@ var BestDaily = timeseries.DailySpec(3 * time.Hour)
 
 // Analyzer computes aggregation curves.
 type Analyzer struct {
-	// Measure is the similarity measure (zero value = α 0.05).
-	Measure corrsim.Measure
 	// Checker decides strong stationarity (zero value = paper defaults).
+	// Its Measure is also Definition 3's: the average similarity is read
+	// off the window pairs the Definition 2 check scores anyway.
 	Checker stationarity.Checker
 }
 
@@ -64,18 +63,11 @@ func (a Analyzer) WeeklyGateway(s *timeseries.Series, bin, phase time.Duration) 
 	if err != nil {
 		return GatewayWeekly{}, err
 	}
-	observed := observedWindows(wins)
-	out := GatewayWeekly{}
-	for i := 0; i < len(observed); i++ {
-		for j := i + 1; j < len(observed); j++ {
-			out.AvgCorr += a.Measure.Similarity(observed[i].Values, observed[j].Values)
-			out.Pairs++
-		}
-	}
+	res := a.Checker.CheckWindows(observedWindows(wins))
+	out := GatewayWeekly{Pairs: res.Pairs, Stationary: res.Stationary}
 	if out.Pairs > 0 {
-		out.AvgCorr /= float64(out.Pairs)
+		out.AvgCorr = res.SumSimilarity / float64(out.Pairs)
 	}
-	out.Stationary = a.Checker.CheckWindows(observed).Stationary
 	return out, nil
 }
 
@@ -103,24 +95,18 @@ func (a Analyzer) DailyGateway(s *timeseries.Series, bin time.Duration) (Gateway
 	if err != nil {
 		return GatewayDaily{}, err
 	}
-	observed := observedWindows(wins)
-	out := GatewayDaily{}
-	byDay := make(map[time.Weekday][]timeseries.Window)
-	for _, w := range observed {
-		byDay[w.Weekday()] = append(byDay[w.Weekday()], w)
-	}
-	for _, group := range byDay {
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				out.AvgCorr += a.Measure.Similarity(group[i].Values, group[j].Values)
-				out.Pairs++
-			}
+	res := a.Checker.CheckByWeekday(observedWindows(wins))
+	out := GatewayDaily{StationaryDays: res.StationaryDays}
+	// Weekday order, Sunday first: a float sum must not follow map order.
+	for wd := time.Sunday; wd <= time.Saturday; wd++ {
+		if r, ok := res.ByWeekday[wd]; ok {
+			out.AvgCorr += r.SumSimilarity
+			out.Pairs += r.Pairs
 		}
 	}
 	if out.Pairs > 0 {
 		out.AvgCorr /= float64(out.Pairs)
 	}
-	out.StationaryDays = a.Checker.CheckByWeekday(observed).StationaryDays
 	return out, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"homesight/internal/synth"
 	"homesight/internal/timeseries"
 )
 
@@ -173,5 +174,29 @@ func TestCandidateBinsAreValid(t *testing.T) {
 	}
 	if BestWeekly.PointsPerWindow() != 21 || BestDaily.PointsPerWindow() != 8 {
 		t.Error("paper's best specs should give 21 and 8 points per window")
+	}
+}
+
+// TestDailyGatewayBitDeterministic pins DailyGateway's AvgCorr to one bit
+// pattern per (home, bin): the same-weekday similarities must be summed in
+// weekday order, not in the order a map happens to yield the weekdays (the
+// 3-decimal rendering of Fig. 8 hides the difference; the bits do not).
+func TestDailyGatewayBitDeterministic(t *testing.T) {
+	dep := synth.NewDeployment(synth.Config{Seed: 20140317, Homes: 4, Weeks: 3})
+	for h := 0; h < 4; h++ {
+		s := dep.Home(h).Overall()
+		for _, bin := range DailyBins {
+			seen := map[uint64]bool{}
+			for call := 0; call < 60; call++ {
+				g, err := Default.DailyGateway(s, bin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen[math.Float64bits(g.AvgCorr)] = true
+			}
+			if len(seen) != 1 {
+				t.Errorf("home %d, %v bins: %d distinct AvgCorr bit patterns over 60 calls", h, bin, len(seen))
+			}
+		}
 	}
 }

@@ -24,6 +24,13 @@ import (
 //     unseeded-rand calls are flagged, and so is any call to a function
 //     whose exported fact says the taint is reachable through it.
 //
+// A third source needs no call at all: Go randomises map iteration order,
+// and floating-point addition is not associative, so a float `+=`, `-=`
+// or `*=` inside a range over a map yields different bits from run to run
+// whenever its target outlives the loop and is shared across keys (not
+// indexed by the range key). That is flagged too; the fix is to iterate
+// in a sorted order or to accumulate integers.
+//
 // The sanctioned fixes: thread a seeded *rand.Rand (math/rand methods on
 // an injected generator are clean), or inject a clock — store the
 // time.Now *function value* in a field at construction (`now: time.Now`
@@ -35,7 +42,8 @@ import (
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "wall-clock (time.Now/Since/Until) or unseeded math/rand reached from a " +
-		"deterministic pipeline stage; inject a clock or thread a seeded *rand.Rand",
+		"deterministic pipeline stage, or a float sum in map order; inject a clock, " +
+		"thread a seeded *rand.Rand, or iterate in a sorted order",
 	Facts: factsDeterminism,
 	Run:   runDeterminism,
 }
@@ -226,6 +234,10 @@ func runDeterminism(pass *Pass) {
 		return
 	}
 	ast.Inspect(pass.File, func(n ast.Node) bool {
+		if rs, ok := n.(*ast.RangeStmt); ok {
+			checkMapOrderSums(pass, rs)
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -261,4 +273,64 @@ func runDeterminism(pass *Pass) {
 		}
 		return true
 	})
+}
+
+// checkMapOrderSums flags the float accumulations inside a range over a
+// map whose result depends on the iteration order: a `+=`, `-=` or `*=`
+// on a float target declared outside the loop and not indexed by the
+// range key. Nested loops are included — the map order still decides the
+// sequence of additions.
+func checkMapOrderSums(pass *Pass, rs *ast.RangeStmt) {
+	if _, ok := pass.Info.TypeOf(rs.X).Underlying().(*types.Map); !ok {
+		return
+	}
+	var key types.Object
+	if id, ok := rs.Key.(*ast.Ident); ok {
+		key = pass.Info.ObjectOf(id)
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != 1 {
+			return true
+		}
+		switch as.Tok.String() {
+		case "+=", "-=", "*=":
+		default:
+			return true
+		}
+		target := as.Lhs[0]
+		if b, ok := pass.Info.TypeOf(target).Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+			return true
+		}
+		root, keyed := rootOf(pass.Info, target, key)
+		if keyed || root == nil || (root.Pos() >= rs.Pos() && root.Pos() < rs.End()) {
+			return true
+		}
+		pass.Reportf(as.Pos(),
+			"float %s on %s inside a range over a map sums in map order, which Go randomises, so the bits differ from run to run; iterate in a sorted order or accumulate integers",
+			as.Tok, root.Name())
+		return true
+	})
+}
+
+// rootOf returns the variable an assignment target is rooted in (x for
+// x, x.f, x[i], *x …) and whether some index on the way is the range key.
+func rootOf(info *types.Info, e ast.Expr, key types.Object) (root types.Object, keyed bool) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return info.ObjectOf(x), keyed
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			if id, ok := ast.Unparen(x.Index).(*ast.Ident); ok && key != nil && info.ObjectOf(id) == key {
+				keyed = true
+			}
+			e = x.X
+		default:
+			return nil, keyed
+		}
+	}
 }

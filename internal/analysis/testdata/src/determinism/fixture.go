@@ -58,3 +58,44 @@ func annotated() time.Time {
 func callsAnnotated() time.Time {
 	return annotated() // want `call to annotated reaches wall clock`
 }
+
+// Float sums inside a range over a map follow Go's randomised map order.
+func mapOrderSums(byDay map[int][]float64, weights map[string]float64) (float64, []float64, map[string]float64) {
+	total := 0.0
+	for _, vals := range byDay {
+		for _, v := range vals {
+			total += v // want `float \+= on total inside a range over a map sums in map order`
+		}
+	}
+	scaled := make([]float64, 4)
+	for _, w := range weights {
+		scaled[0] -= w // want `float -= on scaled inside a range over a map`
+		scaled[1] *= w // want `float \*= on scaled inside a range over a map`
+	}
+	out := struct{ sum float64 }{}
+	for _, w := range weights {
+		out.sum += w // want `float \+= on out inside a range over a map`
+	}
+
+	// Not flagged: the target is indexed by the range key (one
+	// accumulator per key), declared inside the loop, an integer, or the
+	// range is over a slice.
+	perKey := map[string]float64{}
+	for name, w := range weights {
+		perKey[name] += w
+		local := 0.0
+		local += w
+		_ = local
+	}
+	count := 0
+	for range weights {
+		count += 1
+	}
+	for _, v := range scaled {
+		total += v
+	}
+	for _, w := range weights {
+		total += w //homesight:ignore determinism — the weights are integers below 2^53, exact in any order
+	}
+	return total + float64(count), scaled, perKey
+}

@@ -15,6 +15,14 @@ func direct(x, y []float64) float64 {
 	return r.Coeff + s.Coeff + k.Coeff + rho.Coeff + tau.Coeff
 }
 
+func complete(x, y []float64) float64 {
+	p, _, _, _ := corr.Complete(x, y) // want `raw corr\.Complete bypasses`
+	var yr corr.Ranked
+	yr.Rank(y)                   // ranking alone computes no coefficient: no finding
+	q, _, _, _ := yr.Complete(x) // want `raw corr\.Complete bypasses`
+	return p.Coeff + q.Coeff
+}
+
 func gated(x, y []float64) float64 {
 	// Routed through Definition 1: no finding.
 	return corrsim.Cor(x, y) + corrsim.Default.Similarity(x, y)

@@ -48,15 +48,10 @@ func GroupOf(tau float64) Group {
 // values in one direction: the upper whisker of the Tukey boxplot. The
 // whisker works because background chatter owns the bulk of the
 // probability mass while active traffic surfaces as outliers (Sec. 4.1).
-// It returns 0 for an empty sample.
+// Missing minutes (NaN) are skipped. It returns 0 when nothing is
+// observed.
 func EstimateTau(values []float64) float64 {
-	obs := make([]float64, 0, len(values))
-	for _, v := range values {
-		if !math.IsNaN(v) {
-			obs = append(obs, v)
-		}
-	}
-	tau, err := stats.UpperWhisker(obs, stats.DefaultWhiskerK)
+	tau, err := stats.UpperWhisker(values, stats.DefaultWhiskerK)
 	if err != nil {
 		return 0
 	}

@@ -69,7 +69,7 @@ func (f Framework) StronglyStationary(windows [][]float64) stationarity.Result {
 
 // Analyzer returns the Definition 3 aggregation analyzer.
 func (f Framework) Analyzer() aggregate.Analyzer {
-	return aggregate.Analyzer{Measure: f.Measure(), Checker: f.Checker()}
+	return aggregate.Analyzer{Checker: f.Checker()}
 }
 
 // BestWeeklyAggregation sweeps the paper's weekly candidate binnings

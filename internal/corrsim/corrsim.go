@@ -114,37 +114,60 @@ func (m Measure) Similarity(x, y []float64) float64 {
 }
 
 // Detailed returns the similarity along with each underlying coefficient.
+// The complete pairs are compacted into the rank kernel's pooled scratch,
+// so a warm call allocates nothing.
 func (m Measure) Detailed(x, y []float64) Detail {
-	cx, cy := completePairs(x, y)
-	d := Detail{N: len(cx)}
-	if len(cx) < 3 {
+	return m.detail(corr.Complete(x, y))
+}
+
+// detail gates the coefficients of n complete pairs into a Detail.
+func (m Measure) detail(pearson, rho, tau corr.Result, n int) Detail {
+	d := Detail{N: n}
+	if n < 3 {
 		return d
 	}
-	// Excluded coefficients are reported as never-significant. The errors
-	// below cannot occur: completePairs returns equal lengths, checked ≥ 3.
-	excluded := corr.Result{Coeff: math.NaN(), PValue: 1, N: len(cx)}
+	// Excluded coefficients are reported as never-significant.
+	excluded := corr.Result{Coeff: math.NaN(), PValue: 1, N: n}
 	d.Pearson, d.Spearman, d.Kendall = excluded, excluded, excluded
 	if m.Use.has(UsePearson) {
-		d.Pearson, _ = corr.Pearson(cx, cy)
+		d.Pearson = pearson
 	}
-	switch rho, tau := m.Use.has(UseSpearman), m.Use.has(UseKendall); {
-	case rho && tau:
-		// One pass of the rank kernel: the two sorts are shared.
-		d.Spearman, d.Kendall, _ = corr.SpearmanKendall(cx, cy)
-	case rho:
-		d.Spearman, _ = corr.Spearman(cx, cy)
-	case tau:
-		d.Kendall, _ = corr.Kendall(cx, cy)
+	if m.Use.has(UseSpearman) {
+		d.Spearman = rho
 	}
-	alpha := m.alpha()
-	best := 0.0
-	for _, r := range []corr.Result{d.Pearson, d.Spearman, d.Kendall} {
-		if r.Significant(alpha) && r.Coeff > best {
-			best = r.Coeff
-		}
+	if m.Use.has(UseKendall) {
+		d.Kendall = tau
 	}
-	d.Similarity = best
+	d.Similarity = d.SimilarityUnder(m)
 	return d
+}
+
+// Reference is one series prepared to be compared with many others under
+// a Measure — a gateway against each of its devices. Its ascending order
+// is computed once (corr.Ranked), so every comparison sorts only the other
+// side; each result equals, bit for bit, the Measure's own method with the
+// reference as y.
+type Reference struct {
+	m      Measure
+	ranked corr.Ranked
+}
+
+// Against prepares y as the second argument of many comparisons. y must
+// not change while the Reference is in use.
+func (m Measure) Against(y []float64) *Reference {
+	r := &Reference{m: m}
+	r.ranked.Rank(y)
+	return r
+}
+
+// Detailed is m.Detailed(x, y) for the reference y.
+func (r *Reference) Detailed(x []float64) Detail {
+	return r.m.detail(r.ranked.Complete(x))
+}
+
+// Similarity is m.Similarity(x, y) for the reference y.
+func (r *Reference) Similarity(x []float64) float64 {
+	return r.Detailed(x).Similarity
 }
 
 // SimilarityUnder re-evaluates Definition 1 from the already-computed
@@ -183,22 +206,4 @@ func (d Detail) SimilarityUnder(m Measure) float64 {
 // negative correlation contributes 0, i.e. distance 1).
 func (m Measure) Distance(x, y []float64) float64 {
 	return 1 - m.Similarity(x, y)
-}
-
-// completePairs drops positions where either value is NaN.
-func completePairs(x, y []float64) ([]float64, []float64) {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	cx := make([]float64, 0, n)
-	cy := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
-			continue
-		}
-		cx = append(cx, x[i])
-		cy = append(cy, y[i])
-	}
-	return cx, cy
 }

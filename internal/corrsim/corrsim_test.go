@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"homesight/internal/stats/corr"
 )
 
 func TestInterpret(t *testing.T) {
@@ -259,5 +261,75 @@ func TestSimilarityUnderMatchesDirectMeasure(t *testing.T) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("SimilarityUnder(%+v) = %g, direct = %g", m, got, want)
 		}
+	}
+}
+
+// TestReferenceMatchesDetailed holds a Reference — one ranking of the
+// gateway-like side reused across many devices — bit for bit to Detailed
+// with that side as y, over devices that observe different minutes (each
+// filters the shared order by its own NaN mask), a silent device and a
+// shorter one.
+func TestReferenceMatchesDetailed(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 3000
+	gw := make([]float64, n)
+	for i := range gw {
+		gw[i] = math.Floor(rng.ExpFloat64() * 800)
+		if rng.Float64() < 0.05 {
+			gw[i] = math.NaN() // the gateway did not report
+		}
+	}
+	for _, m := range []Measure{Default, {Use: UseKendall}, {Alpha: 0.2, Use: UsePearson | UseSpearman}} {
+		ref := m.Against(gw)
+		for dev := 0; dev < 8; dev++ {
+			x := make([]float64, n-dev*100)
+			for i := range x {
+				switch {
+				case dev == 7:
+					x[i] = 0
+				case rng.Float64() < 0.1*float64(dev):
+					x[i] = math.NaN()
+				case rng.Float64() < 0.5:
+					x[i] = math.Floor(gw[i] * rng.Float64())
+				}
+			}
+			want, got := m.Detailed(x, gw), ref.Detailed(x)
+			if got.N != want.N || got.Similarity != want.Similarity ||
+				!sameResult(got.Pearson, want.Pearson) || !sameResult(got.Spearman, want.Spearman) ||
+				!sameResult(got.Kendall, want.Kendall) {
+				t.Fatalf("%+v device %d: Reference.Detailed = %+v, Detailed = %+v", m, dev, got, want)
+			}
+			if ref.Similarity(x) != want.Similarity {
+				t.Fatalf("%+v device %d: Reference.Similarity differs", m, dev)
+			}
+		}
+	}
+}
+
+func sameResult(a, b corr.Result) bool {
+	return math.Float64bits(a.Coeff) == math.Float64bits(b.Coeff) &&
+		math.Float64bits(a.PValue) == math.Float64bits(b.PValue) && a.N == b.N
+}
+
+func TestDetailedWarmCallAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	rng := rand.New(rand.NewSource(2))
+	x, y := make([]float64, 10080), make([]float64, 10080)
+	for i := range x {
+		y[i] = math.Floor(rng.ExpFloat64() * 1e3)
+		x[i] = math.Floor(y[i] * rng.Float64())
+		if i%50 == 0 {
+			x[i] = math.NaN()
+		}
+	}
+	ref := Default.Against(y)
+	Default.Detailed(x, y)
+	if a := testing.AllocsPerRun(20, func() {
+		Default.Detailed(x, y)
+		ref.Detailed(x)
+	}); a != 0 {
+		t.Errorf("warm Detailed allocates %v times, want 0", a)
 	}
 }

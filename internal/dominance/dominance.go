@@ -85,13 +85,16 @@ func (d Detector) Detect(gateway *timeseries.Series, devs []DeviceSeries) Result
 	// traffic, not "skip the minute": skipping would hand sparse guest
 	// devices an artificially tiny distance.
 	zgw := gateway.FillMissing(0)
-	for k, ds := range devs {
-		sim := 0.0
-		if d.Similarity != nil {
-			sim = d.Similarity(k, ds, gateway)
-		} else {
-			sim = d.Measure.Similarity(ds.Series.Values, gateway.Values)
+	similarity := d.Similarity
+	if similarity == nil {
+		// The gateway is ranked once for every device.
+		ref := d.Measure.Against(gateway.Values)
+		similarity = func(_ int, ds DeviceSeries, _ *timeseries.Series) float64 {
+			return ref.Similarity(ds.Series.Values)
 		}
+	}
+	for k, ds := range devs {
+		sim := similarity(k, ds, gateway)
 		sc := Score{
 			Device:     ds.Device,
 			Similarity: sim,

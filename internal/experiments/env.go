@@ -461,15 +461,17 @@ func (e *Env) DeviceSeries(i int) (*timeseries.Series, []dominance.DeviceSeries)
 // PairDetails returns the memoized Definition 1 correlation details of
 // every (device, gateway) series pair of home i over the main window,
 // computed with all three coefficients so any measure variant can be
-// re-derived via Detail.SimilarityUnder.
+// re-derived via Detail.SimilarityUnder. The gateway overall is ranked
+// once for all the home's devices.
 func (e *Env) PairDetails(i int) []corrsim.Detail {
 	return e.pairs.get(i, func() []corrsim.Detail {
 		gw, devs := e.DeviceSeries(i)
 		m := e.Framework.Measure()
 		m.Use = corrsim.UseAll
+		ref := m.Against(gw.Values)
 		out := make([]corrsim.Detail, len(devs))
 		for k, ds := range devs {
-			out[k] = m.Detailed(ds.Series.Values, gw.Values)
+			out[k] = ref.Detailed(ds.Series.Values)
 		}
 		return out
 	})

@@ -286,26 +286,20 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 			if r.Kind == "weekly" {
 				wEnd = w.Start.Add(timeseries.Week)
 			}
-			// Window-local dominance at minute resolution.
-			gwWin := gc.raw.Between(w.Start, wEnd)
-			var devWins []deviceWindow
-			for _, ds := range gc.devices {
-				devWins = append(devWins, deviceWindow{
-					dev:  ds.Device,
-					vals: ds.Series.Between(w.Start, wEnd),
-				})
-			}
+			// Window-local dominance at minute resolution; the gateway's
+			// window is ranked once for all the home's devices.
+			gwWin := det.Measure.Against(gc.raw.Between(w.Start, wEnd).Values)
 			winDom := 0
 			intersect := 0
-			for _, dw := range devWins {
-				sim := det.Measure.Similarity(dw.vals.Values, gwWin.Values)
+			for _, ds := range gc.devices {
+				sim := gwWin.Similarity(ds.Series.Between(w.Start, wEnd).Values)
 				if sim > core.DominancePhi {
 					winDom++
 					if p.types == nil {
 						p.types = make(map[devices.Type]int)
 					}
-					p.types[dw.dev.Inferred]++
-					if overallMACs[dw.dev.MAC] {
+					p.types[ds.Device.Inferred]++
+					if overallMACs[ds.Device.MAC] {
 						intersect++
 					}
 				}
@@ -324,6 +318,7 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 	workdays := make([]int, len(profiles))
 	counts := make([][4]int, len(profiles))
 	intersects := make([][4]int, len(profiles))
+	totalTypes := make([]int, len(profiles))
 	for _, part := range partials {
 		for pi := range part {
 			p := &part[pi]
@@ -335,6 +330,7 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 			}
 			for typ, n := range p.types {
 				out[pi].TypeDist[typ] += float64(n)
+				totalTypes[pi] += n
 			}
 		}
 	}
@@ -348,14 +344,10 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 			out[pi].CountDist[k] = float64(counts[pi][k]) / n
 			out[pi].IntersectDist[k] = float64(intersects[pi][k]) / n
 		}
-		totalTypes := 0.0
-		for _, v := range out[pi].TypeDist {
-			totalTypes += v
-		}
-		if totalTypes > 0 {
-			for k := range out[pi].TypeDist {
-				out[pi].TypeDist[k] /= totalTypes
-			}
+		// The total is an integer, so the shares cannot depend on the
+		// order the map yields the types in.
+		for typ := range out[pi].TypeDist {
+			out[pi].TypeDist[typ] /= float64(totalTypes[pi])
 		}
 		if r.Kind == "daily" {
 			out[pi].WorkdayShare = float64(workdays[pi]) / n
@@ -363,11 +355,6 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 		}
 	}
 	return out, nil
-}
-
-type deviceWindow struct {
-	dev  devices.Device
-	vals *timeseries.Series
 }
 
 func cap3(k int) int {

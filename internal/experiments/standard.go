@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"homesight/internal/background"
@@ -316,13 +315,14 @@ func (e *Env) Stationarity(i int) gatewayStationarity {
 			p.adf = true
 		}
 		// Pairwise KS across the four weeks of minute values. Each week
-		// is sorted once for its three comparisons, in place: s is this
-		// call's own copy and the order-dependent tests are done with it.
+		// is sorted once, by radix, for its three comparisons, in place: s
+		// is this call's own copy and the order-dependent tests are done
+		// with it.
 		const perWeek = 7 * 24 * 60
 		var weeks [][]float64
 		for w := 0; w < 4 && (w+1)*perWeek <= len(s.Values); w++ {
 			week := s.Values[w*perWeek : (w+1)*perWeek]
-			sort.Float64s(week)
+			stats.Sort(week)
 			weeks = append(weeks, week)
 		}
 		for i := 0; i < len(weeks); i++ {

@@ -236,7 +236,9 @@ func (r *Recorder) Overall(n int) *timeseries.Series {
 	for i := range vals {
 		vals[i] = math.NaN()
 	}
-	for _, rec := range r.devices {
+	// MAC order: a float sum must not follow map order.
+	for _, mac := range r.MACs() {
+		rec := r.devices[mac]
 		for i := 0; i < n && i < len(rec.in); i++ {
 			v := rec.in[i]
 			if math.IsNaN(v) {

@@ -99,10 +99,12 @@ func Offline(ctx context.Context, st *store.Store, gw string, m corrsim.Measure,
 	out.Minutes = overall.Len()
 	// One Detailed per device backs both the detail map and, through
 	// the Similarity hook, the detector — so the similarity the result
-	// ranks by is bit-identical to the detail reported.
+	// ranks by is bit-identical to the detail reported. The overall is
+	// ranked once for every device.
+	ref := m.Against(overall.Values)
 	det := dominance.Detector{Measure: m, Phi: phi}
-	det.Similarity = func(k int, ds dominance.DeviceSeries, gws *timeseries.Series) float64 {
-		d := m.Detailed(ds.Series.Values, gws.Values)
+	det.Similarity = func(_ int, ds dominance.DeviceSeries, _ *timeseries.Series) float64 {
+		d := ref.Detailed(ds.Series.Values)
 		out.Details[ds.Device.MAC] = d
 		return d.Similarity
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"homesight/internal/corrsim"
+	"homesight/internal/stats"
 	"homesight/internal/stats/tests"
 	"homesight/internal/timeseries"
 )
@@ -55,6 +56,11 @@ type Result struct {
 	Pairs int
 	// MinSimilarity is the smallest pairwise correlation similarity seen.
 	MinSimilarity float64
+	// SumSimilarity is the sum of the pairwise similarities, added in
+	// (i, j) order with i < j: the numerator of Definition 3's average, so
+	// an aggregation curve reads it here instead of computing every pair's
+	// similarity a second time.
+	SumSimilarity float64
 	// CorrFailures counts pairs below the correlation threshold.
 	CorrFailures int
 	// KSFailures counts pairs whose KS test rejected distribution equality.
@@ -72,17 +78,25 @@ func (c Checker) Check(windows [][]float64) Result {
 	}
 	thr := c.corrThreshold()
 	alpha := c.alpha()
+	// Each window's observed values are sorted once, by radix, for every
+	// KS test it takes part in.
+	sorted := make([][]float64, len(windows))
+	for i, w := range windows {
+		sorted[i] = observed(w)
+		stats.Sort(sorted[i])
+	}
 	for i := 0; i < len(windows); i++ {
 		for j := i + 1; j < len(windows); j++ {
 			res.Pairs++
 			sim := c.Measure.Similarity(windows[i], windows[j])
+			res.SumSimilarity += sim
 			if sim < res.MinSimilarity {
 				res.MinSimilarity = sim
 			}
 			if !(sim > thr) {
 				res.CorrFailures++
 			}
-			ks, err := tests.KolmogorovSmirnov(observed(windows[i]), observed(windows[j]))
+			ks, err := tests.KolmogorovSmirnovSorted(sorted[i], sorted[j])
 			if err != nil || ks.Rejected(alpha) {
 				res.KSFailures++
 			}
@@ -141,7 +155,8 @@ func (c Checker) CheckByWeekday(windows []timeseries.Window) WeekdayResult {
 	return out
 }
 
-// observed strips NaNs for the KS test, which compares value distributions.
+// observed copies xs without its NaNs for the KS test, which compares
+// value distributions.
 func observed(xs []float64) []float64 {
 	out := make([]float64, 0, len(xs))
 	for _, v := range xs {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"homesight/internal/corrsim"
 	"homesight/internal/timeseries"
 )
 
@@ -160,4 +161,28 @@ func TestCustomThresholds(t *testing.T) {
 		t.Error("strict threshold should fail noisy windows")
 	}
 	_ = loose // looseness is data-dependent; the point is it must not panic
+}
+
+// TestCheckSumSimilarity holds SumSimilarity to the (i<j)-ordered sum of
+// the Definition 1 similarities, bit for bit: Definition 3's average is
+// read off it instead of scoring every window pair a second time.
+func TestCheckSumSimilarity(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		wins := repeatingWindows(int(seed)+2, 21, 0.6, seed)
+		wins[0][3] = math.NaN() // a missing bin leaves one pair shorter
+		for _, c := range []Checker{Default, {Measure: corrsim.Measure{Alpha: 0.2, Use: corrsim.UseKendall}}} {
+			want := 0.0
+			for i := range wins {
+				for j := i + 1; j < len(wins); j++ {
+					want += c.Measure.Similarity(wins[i], wins[j])
+				}
+			}
+			if got := c.Check(wins).SumSimilarity; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("seed %d, %+v: SumSimilarity = %v, want %v", seed, c.Measure, got, want)
+			}
+		}
+	}
+	if r := Default.Check([][]float64{{1, 2, 3}}); r.SumSimilarity != 0 || r.Pairs != 0 {
+		t.Errorf("one window: %+v, want no pairs and a zero sum", r)
+	}
 }

@@ -130,6 +130,45 @@ func checkKernelAgainstOracle(t *testing.T, k *rankKernel, x, y []float64) {
 	}
 }
 
+// sameBits reports whether two results are the same bits.
+func sameBits(a, b Result) bool {
+	return math.Float64bits(a.Coeff) == math.Float64bits(b.Coeff) &&
+		math.Float64bits(a.PValue) == math.Float64bits(b.PValue) && a.N == b.N
+}
+
+// checkRankedEntry holds the ranked-y entry (Ranked.Complete) and the
+// plain Complete bit-equal to Pearson and SpearmanKendall on the complete
+// pairs of (x, y), compacted here by hand. r is reused across calls, as a
+// gateway's ranking is across its devices.
+func checkRankedEntry(t *testing.T, r *Ranked, x, y []float64) {
+	t.Helper()
+	var cx, cy []float64
+	for i := range x {
+		if !math.IsNaN(x[i]) && !math.IsNaN(y[i]) {
+			cx, cy = append(cx, x[i]), append(cy, y[i])
+		}
+	}
+	var wantP, wantRho, wantTau Result
+	if len(cx) >= 3 {
+		wantP, _ = Pearson(cx, cy)
+		wantRho, wantTau, _ = SpearmanKendall(cx, cy)
+	}
+	r.Rank(y)
+	for _, entry := range []string{"Ranked.Complete", "Complete"} {
+		var p, rho, tau Result
+		var n int
+		if entry == "Complete" {
+			p, rho, tau, n = Complete(x, y)
+		} else {
+			p, rho, tau, n = r.Complete(x)
+		}
+		if n != len(cx) || !sameBits(p, wantP) || !sameBits(rho, wantRho) || !sameBits(tau, wantTau) {
+			t.Errorf("%s n=%d: got (%d, %+v, %+v, %+v), want (%d, %+v, %+v, %+v)\nx=%v\ny=%v",
+				entry, len(x), n, p, rho, tau, len(cx), wantP, wantRho, wantTau, x, y)
+		}
+	}
+}
+
 func TestRankKernelMatchesOracle(t *testing.T) {
 	var k rankKernel // one kernel across every size, growing and shrinking
 	seed := int64(1000)
@@ -207,6 +246,19 @@ func TestRankEdgeCases(t *testing.T) {
 	checkKernelAgainstOracle(t, &k, []float64{3, 1, 2}, []float64{1, 3, 2})
 	checkKernelAgainstOracle(t, &k, []float64{1, 1, 2}, []float64{1, 2, 2})
 
+	// The ranked-y entry on the same edges: NaNs leave the pair (not the
+	// whole sample), signed zeros tie, infinities are extreme, a tied side
+	// is undefined, and fewer than three complete pairs is no result.
+	var r Ranked
+	for _, c := range undefinedCases {
+		checkRankedEntry(t, &r, c.x, c.y)
+	}
+	checkRankedEntry(t, &r, x, y)
+	checkRankedEntry(t, &r, []float64{-inf, -1, negZero, 1, inf}, []float64{1, 2, 3, 4, 5})
+	checkRankedEntry(t, &r, []float64{3, 1, 2}, []float64{1, 3, 2})
+	checkRankedEntry(t, &r, []float64{nan, 1, 2, 3, 4}, []float64{4, nan, 2, 2, 1})
+	checkRankedEntry(t, &r, []float64{1, 2, nan}, []float64{nan, 2, 3})
+
 	if _, _, err := SpearmanKendall([]float64{1, 2}, []float64{1}); err != ErrLength {
 		t.Errorf("want ErrLength, got %v", err)
 	}
@@ -217,9 +269,10 @@ func TestRankEdgeCases(t *testing.T) {
 
 // FuzzRankKernel decodes the input as little-endian (x, y) float pairs —
 // quantised half of the time, so ties, joint ties and signed zeros are
-// common — and checks the kernel against the O(n²) oracle. One kernel
-// serves every input a worker sees, so its buffers are reused across calls
-// of different n.
+// common — and checks the kernel against the O(n²) oracle, and the
+// ranked-y entry bit for bit against the plain one on the complete pairs.
+// One kernel and one Ranked serve every input a worker sees, so their
+// buffers are reused across calls of different n.
 func FuzzRankKernel(f *testing.F) {
 	pack := func(vals ...float64) []byte {
 		b := make([]byte, 0, 8*len(vals))
@@ -234,6 +287,7 @@ func FuzzRankKernel(f *testing.F) {
 	f.Add(pack(1, 2, 2, 4, 3, 6), false)
 	f.Add(pack(-1.5, 2.25, 3e300, -4e-300, 5, 5, 1e-310, -1e-310, 0, 0), false)
 	var k rankKernel
+	var r Ranked
 	f.Fuzz(func(t *testing.T, data []byte, quantise bool) {
 		n := min(len(data)/16, 256)
 		if n < 3 {
@@ -247,6 +301,7 @@ func FuzzRankKernel(f *testing.F) {
 				x[i], y[i] = math.Round(math.Mod(x[i], 4)), math.Round(math.Mod(y[i], 4))
 			}
 		}
+		checkRankedEntry(t, &r, x, y)
 		hasNaN := false
 		for i := range x {
 			hasNaN = hasNaN || math.IsNaN(x[i]) || math.IsNaN(y[i])
@@ -272,6 +327,20 @@ func TestRankKernelWarmCallAllocatesNothing(t *testing.T) {
 		k.pair(small, small, true, true)
 	}); a != 0 {
 		t.Errorf("warm kernel call allocates %v times, want 0", a)
+	}
+	// The pooled entry points, the ranked one included.
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	var r Ranked
+	r.Rank(y)
+	if a := testing.AllocsPerRun(20, func() {
+		_, _, _ = SpearmanKendall(x, y)
+		_, _, _, _ = Complete(x, y)
+		_, _, _, _ = r.Complete(x)
+		r.Rank(y)
+	}); a != 0 {
+		t.Errorf("warm SpearmanKendall / Complete / Ranked allocates %v times, want 0", a)
 	}
 }
 

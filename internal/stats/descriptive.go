@@ -211,9 +211,10 @@ func Ranks(xs []float64) []float64 {
 		}
 		return ranks
 	}
+	keys := o.Keys()
 	for i := 0; i < n; {
 		j := i
-		for j+1 < n && xs[perm[j+1]] == xs[perm[i]] { //homesight:ignore float-eq — rank ties are exact equality
+		for j+1 < n && keys[j+1] == keys[i] {
 			j++
 		}
 		// Average rank for the tie group [i, j].

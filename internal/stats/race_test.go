@@ -1,0 +1,7 @@
+//go:build race
+
+package stats
+
+// raceEnabled reports a -race build, whose sync.Pool drops items on
+// purpose: the warm-call allocation tests skip there.
+const raceEnabled = true

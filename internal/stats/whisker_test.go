@@ -4,22 +4,41 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// checkWhisker holds UpperWhisker to the sorting definition with ==: the
-// same float, not a close one (so a signed zero may differ in sign only).
+// checkWhisker holds UpperWhisker to the sorting definition over the
+// observed values with ==: the same float, not a close one. A signed zero
+// may differ in sign only — OrderKey folds -0 onto +0, and the sort leaves
+// the two zeros in either order — and == counts them equal. xs must come
+// back untouched.
 func checkWhisker(t *testing.T, what string, xs []float64, k float64) {
 	t.Helper()
-	want, err := NewBoxplot(xs, k)
-	if err != nil {
-		t.Fatalf("%s: oracle: %v", what, err)
+	var obs []float64
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			obs = append(obs, x)
+		}
 	}
-	work := append([]float64(nil), xs...)
-	got, err := UpperWhisker(work, k)
+	before := append([]float64(nil), xs...)
+	got, err := UpperWhisker(xs, k)
+	if len(obs) == 0 {
+		if err != ErrEmpty {
+			t.Fatalf("%s: nothing observed: err = %v, want ErrEmpty", what, err)
+		}
+		return
+	}
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("%s: UpperWhisker modified xs[%d]: %v → %v", what, i, before[i], xs[i])
+		}
+	}
+	want, err := NewBoxplot(obs, k)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", what, err)
 	}
 	if got != want.UpperWhisker && !(math.IsNaN(got) && math.IsNaN(want.UpperWhisker)) {
 		t.Fatalf("%s (n=%d, k=%g): UpperWhisker = %v, NewBoxplot says %v\nxs = %v",
@@ -78,55 +97,58 @@ func TestUpperWhiskerMatchesBoxplot(t *testing.T) {
 			}
 		}
 	}
-	// Orders a median-of-three pivot handles worst.
+	// Sorted inputs, and the digit boundaries of the radix select: a
+	// quartile pair split across two buckets (every value distinct), keys
+	// that differ only in their lowest bits, and both signs.
 	for _, n := range []int{64, 1000, 4097} {
 		asc, desc, pipe := make([]float64, n), make([]float64, n), make([]float64, n)
+		ulps, signed := make([]float64, n), make([]float64, n)
 		for i := range asc {
 			asc[i], desc[i] = float64(i), float64(n-i)
 			pipe[i] = float64(min(i, n-i))
+			ulps[i] = math.Float64frombits(math.Float64bits(1) + uint64(rng.Intn(5)))
+			signed[i] = float64(rng.Intn(7)-3) * math.Pow(2, float64(rng.Intn(40)-20))
 		}
 		checkWhisker(t, "ascending", asc, DefaultWhiskerK)
 		checkWhisker(t, "descending", desc, DefaultWhiskerK)
 		checkWhisker(t, "organ pipe", pipe, DefaultWhiskerK)
+		checkWhisker(t, "ulps apart", ulps, DefaultWhiskerK)
+		checkWhisker(t, "both signs", signed, DefaultWhiskerK)
 	}
-	if _, err := UpperWhisker(nil, DefaultWhiskerK); err != ErrEmpty {
-		t.Errorf("empty sample: err = %v, want ErrEmpty", err)
+	// Missing minutes are skipped, as EstimateTau's callers need.
+	nan := math.NaN()
+	checkWhisker(t, "NaN-riddled", []float64{nan, 3, 0, nan, 0, 9, 1, nan, 700, 2}, DefaultWhiskerK)
+	checkWhisker(t, "one observed", []float64{nan, 5, nan}, DefaultWhiskerK)
+	checkWhisker(t, "signed zeros", []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1), 1, 0}, DefaultWhiskerK)
+	for _, xs := range [][]float64{nil, {}, {nan, nan}} {
+		if _, err := UpperWhisker(xs, DefaultWhiskerK); err != ErrEmpty {
+			t.Errorf("UpperWhisker(%v): err = %v, want ErrEmpty", xs, err)
+		}
 	}
 }
 
-// TestSelectRank checks the selection contract at every round budget,
-// including the ones small enough that the sort fallback finishes the job
-// (the budget orderPair grants is generous enough that no input above
-// exhausts it).
-func TestSelectRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for rep := 0; rep < 300; rep++ {
-		n := 2 + rng.Intn(300)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(rng.Intn(50))
+func TestUpperWhiskerWarmCallAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]float64, 20160)
+	for i := range xs {
+		if rng.Float64() < 0.4 {
+			xs[i] = math.Floor(math.Exp(rng.NormFloat64()*2 + 6))
 		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		r, rounds := rng.Intn(n), rng.Intn(4)
-		if rep%2 == 0 {
-			rounds = 64
-		}
-		selectRank(xs, r, rounds)
-		if xs[r] != sorted[r] {
-			t.Fatalf("rank %d of %d, %d rounds: got %v, want %v", r, n, rounds, xs[r], sorted[r])
-		}
-		for i, x := range xs {
-			if (i < r && x > xs[r]) || (i > r && x < xs[r]) {
-				t.Fatalf("rank %d of %d, %d rounds: a[%d] = %v on the wrong side of %v", r, n, rounds, i, x, xs[r])
-			}
-		}
+	}
+	if _, err := UpperWhisker(xs, DefaultWhiskerK); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() { _, _ = UpperWhisker(xs, DefaultWhiskerK) }); a != 0 {
+		t.Errorf("warm UpperWhisker allocates %v times, want 0", a)
 	}
 }
 
 // FuzzUpperWhisker decodes the input as little-endian floats — quantised
-// half of the time, so ties and signed zeros are common — drops the NaNs
-// (UpperWhisker's callers do) and holds the result to NewBoxplot.
+// half of the time, so ties and signed zeros are common — and holds the
+// result to NewBoxplot over the observed values (checkWhisker).
 func FuzzUpperWhisker(f *testing.F) {
 	pack := func(vals ...float64) []byte {
 		b := make([]byte, 0, 8*len(vals))
@@ -147,13 +169,31 @@ func FuzzUpperWhisker(f *testing.F) {
 			if quantise {
 				x = math.Round(math.Mod(x, 4))
 			}
-			if !math.IsNaN(x) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return
+			xs = append(xs, x)
 		}
 		checkWhisker(t, "fuzz", xs, k)
 	})
+}
+
+// BenchmarkUpperWhisker times τ_back's whisker on two weeks of minutes:
+// "traffic" is idle zeros under integer-byte bursts, "normal" continuous.
+func BenchmarkUpperWhisker(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	traffic, normal := make([]float64, 20160), make([]float64, 20160)
+	for i := range traffic {
+		if rng.Float64() < 0.4 {
+			traffic[i] = math.Floor(math.Exp(rng.NormFloat64()*2 + 6))
+		}
+		normal[i] = rng.NormFloat64()
+	}
+	for name, xs := range map[string][]float64{"traffic": traffic, "normal": normal} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := UpperWhisker(xs, DefaultWhiskerK); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

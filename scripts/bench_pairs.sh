@@ -8,9 +8,13 @@
 # then prints, per end-to-end metric of BENCHMARK.json, each side's median
 # and quartiles, how many pairs the working tree won, and a verdict:
 #
-#   gain        the tree won at least 9 of 10 pairs (ties count for neither)
-#               and the medians differ by more than the base's own
-#               interquartile distance
+#   gain        the tree won at least 9 of 10 pairs (ties count for neither),
+#               the medians differ by more than the base's own
+#               interquartile distance, and by more than the metric's bound
+#               (what `go run ./bench -compare` and the merge gate demand
+#               of a claimed gain)
+#   gain<bound  the same, except that the gap is within the bound: a real
+#               improvement, but not one a claim can rest on
 #   WORSE       the tree's median is worse than the base's by more than the
 #               metric's bound
 #   unresolved  neither, but a side's interquartile distance exceeds the
@@ -123,7 +127,7 @@ END {
 		spread = 0
 		if (b[2] != 0 && (b[3] - b[1]) / b[2] > spread) spread = (b[3] - b[1]) / b[2]
 		if (t[2] != 0 && (t[3] - t[1]) / t[2] > spread) spread = (t[3] - t[1]) / t[2]
-		if (wins >= 0.9 * np[key] && delta > b[3] - b[1]) verdict = "gain"
+		if (wins >= 0.9 * np[key] && delta > b[3] - b[1]) verdict = (b[2] != 0 && delta / b[2] > bnd[key]) ? "gain" : "gain<bound"
 		else if (b[2] != 0 && -delta / b[2] > bnd[key]) verdict = "WORSE"
 		else if (spread > bnd[key]) verdict = "unresolved"
 		if (b[2] != 0) verdict = sprintf("%s (%+.1f%%)", verdict, 100 * (t[2] - b[2]) / b[2])
