@@ -12,7 +12,6 @@ package homesight
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -513,27 +512,6 @@ func BenchmarkWeeklyWindowing(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTelemetryPipeline measures report throughput end to end:
-// emitter → JSON wire encoding → store ingestion (in-process, no socket).
-func BenchmarkTelemetryPipeline(b *testing.B) {
-	cfg := synth.DefaultConfig()
-	start := cfg.Start
-	em := gateway.NewEmitter("gwB")
-	store := telemetry.NewStore(start, time.Minute)
-	dms := make([]gateway.DeviceMinute, 10)
-	for d := range dms {
-		dms[d] = gateway.DeviceMinute{MAC: fmt.Sprintf("m%02d", d), InBytes: 1000, OutBytes: 100}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := em.Emit(start.Add(time.Duration(i)*time.Minute), dms)
-		if err := store.Ingest(rep); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(dms)), "devices/report")
 }
 
 // BenchmarkStreamingMotifFeed measures the streaming stage's per-report

@@ -1,53 +1,54 @@
 // Command collector runs the central telemetry sink of Sec. 3: gateways
-// connect over TCP and stream one JSON report per minute; the collector
-// reconstructs per-device traffic and (optionally) feeds the streaming
-// motif stage.
+// stream their per-minute counter reports over TCP, in CRC'd batch
+// frames, to an ingest fleet of -shards shards, each appending into its
+// own homestore partition under <data-dir>/shard-NNNN/. A single-node
+// collector is the default: a 1-shard fleet.
 //
 // Usage:
 //
-//	collector -addr :7800                 # serve until interrupted
-//	collector -demo -homes 5 -weeks 1    # spawn in-process reporters
+//	collector -addr 127.0.0.1:7800       # serve until interrupted
+//	collector -demo -homes 5 -weeks 1    # replay a synthetic campaign
 //
-// In demo mode the command simulates the given homes, replays their
-// campaign through real TCP connections at full speed, then prints the
-// per-gateway totals and the motifs the streaming stage discovered.
+// In demo mode the command simulates the given homes, routes their
+// campaign through a consistent-hash router over real TCP at full speed
+// and drains the fleet. It then reconstructs every gateway's report
+// stream from the partitions, in gateway order, and prints the
+// per-gateway totals and the daily motifs the streaming stage finds in
+// that stream — output that depends on neither the shard count nor
+// goroutine scheduling.
+//
+// -data-dir is the fleet root; empty means a temporary root removed at
+// exit. -fsync selects the WAL policy (interval, always, never). Inspect
+// a partition with cmd/homestore -dir <data-dir>/shard-0000. See
+// FLEET.md and STORAGE.md.
 //
 // -debug-addr serves live observability (Prometheus /metrics, /healthz,
-// /debug/pprof) alongside the ingest listener; the homesight_ingest_*
-// series mirror telemetry.IngestStats exactly. See OBSERVABILITY.md.
+// /debug/pprof): the homesight_fleet_* families and, with -live, the
+// homesight_live_* ones. See OBSERVABILITY.md.
 //
-// -data-dir persists every ingested report to a homestore directory
-// (internal/store): a WAL-backed, compressed time-series store that
-// survives process crashes. Inspect it with cmd/homestore; the fsync
-// policy is selected by -fsync (interval, always, never). See
-// STORAGE.md.
-//
-// -live runs a livestats.Tracker on the ingest callback — the paper's
+// -live runs a livestats.Tracker on every shard — the paper's
 // correlation, threshold and dominance definitions as O(1) online
-// operators — and serves GET /api/v1/homes/{gw}/live on -debug-addr
-// (with -data-dir the store-backed query routes mount alongside it).
+// operators — and serves GET /api/v1/homes/{gw}/live on -debug-addr.
 // -hold keeps a demo process, and with it the debug server, alive for
 // the given duration after the campaign so the live tier can be
 // inspected. See STREAMING.md.
 //
-// -shards N runs the fleet ingest tier instead of the single-process
-// collector: N batch-frame shard listeners, each owning a homestore
-// partition under <data-dir>/shard-NNNN/ (requires -data-dir). With
-// -demo the synthetic campaign is routed through an in-process
-// consistent-hash router; without it the shards serve until
-// interrupted. -router name=addr,... replays the demo campaign against
-// an already-running fleet's shard listeners instead. See FLEET.md.
+// -router name=addr,... replays the demo campaign against an
+// already-running fleet's shard listeners instead of starting one.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
-	"sync"
+	"syscall"
 	"time"
 
 	"homesight/internal/fleet"
@@ -60,6 +61,143 @@ import (
 	"homesight/internal/synth"
 	"homesight/internal/telemetry"
 )
+
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	default:
+		slogx.With("component", "collector").Fatal("collector failed", "err", err)
+	}
+}
+
+// run is the whole command: it parses args and writes the demo's report
+// to stdout; logs go to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("collector", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:0", "listen address of every shard")
+	demo := fs.Bool("demo", false, "replay a synthetic deployment through the fleet")
+	homes := fs.Int("homes", 5, "demo: number of gateways")
+	weeks := fs.Int("weeks", 1, "demo: campaign length")
+	seed := fs.Int64("seed", 0, "demo: master seed; also seeds the live rank reservoirs")
+	debugAddr := fs.String("debug-addr", "",
+		"serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
+	dataDir := fs.String("data-dir", "",
+		"fleet root: shard i persists to <dir>/shard-NNNN (empty = a temporary root removed at exit)")
+	fsync := fs.String("fsync", "interval", "homestore WAL fsync policy: interval, always, never")
+	shards := fs.Int("shards", 1, "number of ingest shards")
+	routerTo := fs.String("router", "",
+		"demo: route the campaign to an external fleet, comma-separated name=addr pairs")
+	live := fs.Bool("live", false,
+		"maintain O(1) live analytics per home and serve /api/v1/homes/{gw}/live on -debug-addr")
+	hold := fs.Duration("hold", 0,
+		"demo: keep the process (and -debug-addr) up this long after the campaign completes")
+	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	lvl, err := slogx.ParseLevel(*logLevel)
+	if err != nil {
+		return fmt.Errorf("-log-level: %w", err)
+	}
+	slogx.SetLevel(lvl)
+	logger := slogx.With("component", "collector")
+	dep := synth.NewDeployment(synth.Config{Homes: *homes, Weeks: *weeks, Seed: *seed})
+	reg := obs.NewRegistry()
+
+	if *routerTo != "" {
+		addrs, err := parseShardAddrs(*routerTo)
+		if err != nil {
+			return fmt.Errorf("-router: %w", err)
+		}
+		stop, err := startDebug(logger, *debugAddr, reg, nil)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		return campaign(logger, stdout, dep, fleet.RouterConfig{Shards: addrs})
+	}
+
+	policy, err := parseSyncPolicy(*fsync)
+	if err != nil {
+		return fmt.Errorf("-fsync: %w", err)
+	}
+	root := *dataDir
+	if root == "" {
+		if root, err = os.MkdirTemp("", "collector-"); err != nil {
+			return err
+		}
+		defer func() { _ = os.RemoveAll(root) }()
+	}
+	cfg := dep.Config()
+	metrics := fleet.NewFleetMetrics(reg)
+	fcfg := fleet.Config{
+		Dir: root, Shards: *shards, Addr: *addr,
+		Start: cfg.Start, Step: time.Minute, Sync: policy, Metrics: metrics,
+	}
+	if *live {
+		fcfg.Live = &livestats.Config{Seed: *seed, Metrics: livestats.NewMetrics(reg)}
+	}
+	f, err := fleet.Start(fcfg)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = f.Close() }() //homesight:ignore unchecked-close — drained shards are skipped; an error path's shards close best-effort
+	for _, sa := range f.Addrs() {
+		logger.Info("shard listening", "shard", sa.Name, "addr", sa.Addr)
+	}
+	var api http.Handler
+	if *live {
+		if st := liveStats(f, *shards); st.ReportsProcessed > 0 {
+			logger.Info("live state rebuilt", "reports", st.ReportsProcessed, "homes", st.Homes)
+		}
+		api = query.New(query.Config{Live: f, Registry: reg}).Handler()
+	}
+	stop, err := startDebug(logger, *debugAddr, reg, api)
+	if err != nil {
+		return err
+	}
+	defer stop()
+
+	// SIGINT and SIGTERM end serving or holding through the deferred
+	// cleanup, which removes a temporary root.
+	stopped, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	if !*demo {
+		<-stopped.Done()
+		logger.Info("shutting down", "shards", *shards)
+		printShardStats(stdout, f, *shards)
+		return f.Close()
+	}
+	err = campaign(logger, stdout, dep, fleet.RouterConfig{
+		Shards: f.Addrs(), Metrics: metrics, Replay: f.ReplayFunc(),
+	})
+	if err != nil {
+		return err
+	}
+	if err := f.Drain(); err != nil {
+		return err
+	}
+	printShardStats(stdout, f, *shards)
+	if err := report(stdout, root, cfg); err != nil {
+		return err
+	}
+	if *live {
+		st := liveStats(f, *shards)
+		fmt.Fprintf(stdout, "live analytics: %d homes, %d devices, %d reports processed, %d stale rows\n",
+			st.Homes, st.Devices, st.ReportsProcessed, st.StaleRows)
+	}
+	if *hold > 0 {
+		logger.Info("holding for inspection", "hold", *hold)
+		select {
+		case <-time.After(*hold):
+		case <-stopped.Done():
+		}
+	}
+	return nil
+}
 
 // parseSyncPolicy maps the -fsync flag vocabulary onto store.SyncPolicy.
 func parseSyncPolicy(s string) (homestore.SyncPolicy, error) {
@@ -74,385 +212,44 @@ func parseSyncPolicy(s string) (homestore.SyncPolicy, error) {
 	return 0, fmt.Errorf("unknown fsync policy %q (want interval, always or never)", s)
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:0", "listen address")
-	demo := flag.Bool("demo", false, "replay a synthetic deployment through the collector")
-	homes := flag.Int("homes", 5, "demo: number of gateways")
-	weeks := flag.Int("weeks", 1, "demo: campaign length")
-	seed := flag.Int64("seed", 0, "demo: master seed")
-	readTimeout := flag.Duration("read-timeout", telemetry.DefaultReadTimeout,
-		"per-connection read deadline (negative disables)")
-	queue := flag.Int("queue", telemetry.DefaultQueueSize,
-		"ingest queue bound (full queue backpressures the sockets)")
-	metricsPath := flag.String("metrics", "",
-		`demo: write ingest accounting as JSON to this path ("-" = stderr)`)
-	debugAddr := flag.String("debug-addr", "",
-		"serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-	dataDir := flag.String("data-dir", "",
-		"persist ingested reports to this homestore directory (empty = in-memory only)")
-	fsync := flag.String("fsync", "interval",
-		"homestore WAL fsync policy: interval, always, never")
-	shards := flag.Int("shards", 0,
-		"run the sharded fleet ingest tier with this many shards (requires -data-dir)")
-	routerTo := flag.String("router", "",
-		"demo: route the campaign to an external fleet, comma-separated name=addr pairs")
-	live := flag.Bool("live", false,
-		"maintain O(1) live analytics per home and serve /api/v1/homes/{gw}/live on -debug-addr")
-	hold := flag.Duration("hold", 0,
-		"demo: keep the process (and -debug-addr) up this long after the campaign completes")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	flag.Parse()
-
-	logger := slogx.With("component", "collector")
-	if lvl, err := slogx.ParseLevel(*logLevel); err != nil {
-		logger.Fatal("bad flag", "flag", "log-level", "err", err)
-	} else {
-		slogx.SetLevel(lvl)
+// startDebug serves the registry (and api under /api/v1/, when given)
+// on addr; "" serves nothing. The returned func stops the server.
+func startDebug(logger *slogx.Logger, addr string, reg *obs.Registry, api http.Handler) (func(), error) {
+	if addr == "" {
+		return func() {}, nil
 	}
-
-	cfg := synth.Config{Homes: *homes, Weeks: *weeks, Seed: *seed}
-	dep := synth.NewDeployment(cfg)
-	cfg = dep.Config()
-
-	store := telemetry.NewStore(cfg.Start, time.Minute)
-	streaming := &telemetry.StreamingMotifs{}
-
-	reg := obs.NewRegistry()
-	// The debug server starts once the serving mode has built its query
-	// surface: with -live the mode hands over an API handler and the
-	// server mounts it under /api/v1/ next to /metrics.
-	var debugSrv *obs.Server
-	defer func() {
-		if debugSrv != nil {
-			_ = debugSrv.Close() //homesight:ignore unchecked-close — best-effort shutdown at exit
-		}
-	}()
-	startDebug := func(api http.Handler) {
-		if *debugAddr == "" {
-			return
-		}
-		var opts []obs.ServerOption
-		if api != nil {
-			opts = append(opts, obs.WithHandler("/api/v1/", api))
-		}
-		srv, err := obs.NewServer(*debugAddr, reg, opts...)
-		if err != nil {
-			logger.Fatal("debug server failed", "addr", *debugAddr, "err", err)
-		}
-		debugSrv = srv
-		logger.Info("debug server listening", "addr", srv.Addr())
+	var opts []obs.ServerOption
+	if api != nil {
+		opts = append(opts, obs.WithHandler("/api/v1/", api))
 	}
-
-	if *routerTo != "" {
-		startDebug(nil)
-		routerDemo(logger, dep, *routerTo)
-		return
-	}
-	if *shards > 0 {
-		runFleet(logger, reg, dep, fleetOptions{
-			Shards: *shards, Addr: *addr, DataDir: *dataDir, Fsync: *fsync,
-			Demo: *demo, Live: *live, Hold: *hold, StartDebug: startDebug,
-		})
-		return
-	}
-
-	// The ingest store takes a single callback, so persistence composes
-	// with the streaming stage in one closure: both observe every
-	// successfully ingested report, in order.
-	var persist *homestore.Store
-	if *dataDir != "" {
-		policy, err := parseSyncPolicy(*fsync)
-		if err != nil {
-			logger.Fatal("bad flag", "flag", "fsync", "err", err)
-		}
-		persist, err = homestore.Open(homestore.Config{
-			Dir:     *dataDir,
-			Start:   cfg.Start,
-			Step:    time.Minute,
-			Sync:    policy,
-			Metrics: homestore.NewMetrics(reg),
-		})
-		if err != nil {
-			logger.Fatal("store open failed", "dir", *dataDir, "err", err)
-		}
-		st := persist.Stats()
-		logger.Info("persisting reports", "dir", *dataDir, "fsync", *fsync,
-			"recovered_points", st.Points, "segments", st.Segments)
-	}
-	closeStore := func() {
-		if persist == nil {
-			return
-		}
-		st := persist.Stats()
-		if err := persist.Close(); err != nil {
-			logger.Error("store close failed", "err", err)
-			return
-		}
-		logger.Info("store closed", "reports", st.Reports, "points", st.Points,
-			"segments", st.Segments, "compression", st.Compression)
-	}
-	var tracker *livestats.Tracker
-	if *live {
-		tracker = livestats.NewTracker(livestats.Config{
-			Start:   cfg.Start,
-			Seed:    *seed,
-			Metrics: livestats.NewMetrics(reg),
-		})
-		if persist != nil {
-			// Warm the live state from the recovered history so the /live
-			// answers pick up exactly where the last process left off; the
-			// tracker's watermarks make the replay idempotent against the
-			// reports about to stream in.
-			n, err := tracker.Rebuild(context.Background(), persist)
-			if err != nil {
-				logger.Fatal("live rebuild failed", "dir", *dataDir, "err", err)
-			}
-			logger.Info("live state rebuilt", "reports", n, "homes", len(tracker.Homes()))
-		}
-	}
-	switch {
-	case persist != nil || tracker != nil:
-		store.OnReport(func(rep gateway.Report) {
-			streaming.Feed(rep)
-			if persist != nil {
-				if err := persist.Append(rep); err != nil {
-					logger.Error("store append failed", "gateway", rep.GatewayID, "err", err)
-				}
-			}
-			if tracker != nil {
-				tracker.OnReport(rep)
-			}
-		})
-	default:
-		store.OnReport(streaming.Feed)
-	}
-	if tracker != nil {
-		qcfg := query.Config{Live: tracker, Registry: reg}
-		if persist != nil {
-			qcfg.Store = persist
-		}
-		startDebug(query.New(qcfg).Handler())
-	} else {
-		startDebug(nil)
-	}
-
-	col, err := telemetry.NewCollectorConfig(*addr, store, telemetry.CollectorConfig{
-		ReadTimeout: *readTimeout,
-		QueueSize:   *queue,
-		Metrics:     telemetry.NewIngestMetrics(reg),
-	})
+	srv, err := obs.NewServer(addr, reg, opts...)
 	if err != nil {
-		logger.Fatal("listen failed", "addr", *addr, "err", err)
+		return nil, fmt.Errorf("debug server on %s: %w", addr, err)
 	}
-	defer func() { _ = col.Close() }() //homesight:ignore unchecked-close — best-effort shutdown at process exit
-	logger.Info("listening", "addr", col.Addr())
-
-	if !*demo {
-		// Serve until interrupted.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		st := col.Stats()
-		logger.Info("shutting down", "gateways", len(store.GatewayIDs()))
-		logger.Info("ingest accounting",
-			"reports", st.ReportsIngested, "dropped", st.LinesDropped,
-			"rejected", st.IngestErrors, "shed", st.ErrorsShed)
-		closeStore()
-		return
-	}
-
-	// Drain the error channel so per-line drop reports reach the log
-	// instead of being shed once the channel fills.
-	go func() {
-		for err := range col.Errs {
-			logger.Warn("ingest error", "err", err)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < dep.NumHomes(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := replayHome(col.Addr(), dep, i); err != nil {
-				logger.Error("replay failed", "gateway", i, "err", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	// All reporters have disconnected. Wait until every gateway's stream has
-	// been accepted (its first report ingested), then drain: the collector
-	// stops accepting and joins the connection handlers at EOF. Only after
-	// that are the recorders safe to read — gateway.Recorder itself is not
-	// locked against concurrent ingestion.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(store.GatewayIDs()) < dep.NumHomes() && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err := col.Drain(); err != nil {
-		logger.Fatal("drain failed", "err", err)
-	}
-	streaming.Flush()
-	closeStore()
-
-	stats := col.Stats()
-	fmt.Printf("ingest: %d reports, %d lines dropped, %d rejected, %d errors shed, %d conns\n",
-		stats.ReportsIngested, stats.LinesDropped, stats.IngestErrors, stats.ErrorsShed, stats.ConnsOpened)
-	if *metricsPath != "" {
-		if err := writeMetrics(*metricsPath, stats); err != nil {
-			logger.Fatal("metrics write failed", "path", *metricsPath, "err", err)
-		}
-	}
-
-	fmt.Println("gateway totals (reconstructed from counter reports):")
-	for _, id := range store.GatewayIDs() {
-		rec := store.Recorder(id)
-		overall := rec.Overall(cfg.Minutes())
-		fmt.Printf("  %s  devices=%d  total=%.3g bytes\n", id, len(rec.MACs()), overall.Total())
-	}
-
-	motifs := streaming.Motifs()
-	fmt.Printf("streaming stage discovered %d daily motifs:\n", len(motifs))
-	for _, m := range motifs {
-		if m.Support() < 2 {
-			continue
-		}
-		fmt.Printf("  motif %d: support %d across %d gateways\n", m.ID, m.Support(), len(m.Gateways()))
-	}
-	if tracker != nil {
-		ls := tracker.Stats()
-		fmt.Printf("live analytics: %d homes, %d devices, %d reports processed, %d stale rows\n",
-			ls.Homes, ls.Devices, ls.ReportsProcessed, ls.StaleRows)
-	}
-	holdOpen(logger, *hold)
+	logger.Info("debug server listening", "addr", srv.Addr())
+	return func() { _ = srv.Close() }, nil //homesight:ignore unchecked-close — best-effort shutdown at exit
 }
 
-// holdOpen keeps a demo process — and with it the debug server and its
-// /api/v1/ surface — alive after the campaign so the live tier can be
-// curled before exit.
-func holdOpen(logger *slogx.Logger, d time.Duration) {
-	if d <= 0 {
-		return
+// liveStats sums the shard trackers' accounting; homes are counted once
+// across the fleet.
+func liveStats(f *fleet.Fleet, shards int) livestats.TrackerStats {
+	var sum livestats.TrackerStats
+	for i := 0; i < shards; i++ {
+		st := f.Shard(i).LiveTracker().Stats()
+		sum.ReportsProcessed += st.ReportsProcessed
+		sum.StaleRows += st.StaleRows
+		sum.Devices += st.Devices
 	}
-	logger.Info("holding for inspection", "hold", d)
-	time.Sleep(d)
+	sum.Homes = int64(len(f.LiveHomes()))
+	return sum
 }
 
-// writeMetrics emits the run's ingest accounting in the RunMetrics
-// schema shared with cmd/experiments ("-" = stderr, matching the
-// -metrics contract documented in the README).
-func writeMetrics(path string, stats telemetry.IngestStats) error {
-	m := telemetry.RunMetrics{Ingest: &stats}
-	if path == "-" {
-		return m.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(f); err != nil {
-		_ = f.Close() //homesight:ignore unchecked-close — write error wins
-		return err
-	}
-	return f.Close()
-}
-
-// fleetOptions carries the flag surface of the fleet mode into runFleet.
-type fleetOptions struct {
-	Shards  int
-	Addr    string
-	DataDir string
-	Fsync   string
-	Demo    bool
-	Live    bool
-	Hold    time.Duration
-	// StartDebug boots the debug server once the fleet exists, mounting
-	// the query handler (the Fleet as LiveSource) when one is given.
-	StartDebug func(http.Handler)
-}
-
-// runFleet runs the sharded ingest tier: batch-frame shards over
-// partitions under the data dir. In demo mode the synthetic campaign is
-// routed through an in-process consistent-hash router and the run's
-// accounting printed; otherwise the shards serve until interrupted.
-// With Live each shard runs its own tracker and the fleet serves the
-// union view through /api/v1/homes/{gw}/live on the debug server.
-func runFleet(logger *slogx.Logger, reg *obs.Registry, dep *synth.Deployment, opt fleetOptions) {
-	if opt.DataDir == "" {
-		logger.Fatal("bad flag", "flag", "shards", "err", fmt.Errorf("-shards requires -data-dir"))
-	}
-	policy, err := parseSyncPolicy(opt.Fsync)
-	if err != nil {
-		logger.Fatal("bad flag", "flag", "fsync", "err", err)
-	}
-	cfg := dep.Config()
-	metrics := fleet.NewFleetMetrics(reg)
-	fcfg := fleet.Config{
-		Dir: opt.DataDir, Shards: opt.Shards, Addr: opt.Addr,
-		Start: cfg.Start, Step: time.Minute, Sync: policy, Metrics: metrics,
-	}
-	if opt.Live {
-		// Shard trackers keep their instruments private (per-shard gauges
-		// would fight over one registry); the shared registry still serves
-		// the fleet and query metrics.
-		fcfg.Live = &livestats.Config{}
-	}
-	f, err := fleet.Start(fcfg)
-	if err != nil {
-		logger.Fatal("fleet start failed", "dir", opt.DataDir, "err", err)
-	}
-	for _, sa := range f.Addrs() {
-		logger.Info("shard listening", "shard", sa.Name, "addr", sa.Addr)
-	}
-	if opt.Live {
-		opt.StartDebug(query.New(query.Config{Live: f, Registry: reg}).Handler())
-	} else {
-		opt.StartDebug(nil)
-	}
-
-	if !opt.Demo {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		logger.Info("shutting down fleet", "shards", opt.Shards)
-		printShardStats(f, opt.Shards)
-		if err := f.Close(); err != nil {
-			logger.Error("fleet close failed", "err", err)
-		}
-		return
-	}
-
-	if err := fleetCampaign(logger, dep, f.Addrs(), metrics, f.ReplayFunc()); err != nil {
-		logger.Fatal("fleet campaign failed", "err", err)
-	}
-	if err := f.Drain(); err != nil {
-		logger.Fatal("fleet drain failed", "err", err)
-	}
-	printShardStats(f, opt.Shards)
-	if opt.Live {
-		fmt.Printf("live analytics: %d homes across the fleet\n", len(f.LiveHomes()))
-	}
-	holdOpen(logger, opt.Hold)
-}
-
-func printShardStats(f *fleet.Fleet, n int) {
-	for i := 0; i < n; i++ {
+func printShardStats(w io.Writer, f *fleet.Fleet, shards int) {
+	for i := 0; i < shards; i++ {
 		s := f.Shard(i)
 		st := s.Stats()
-		fmt.Printf("  %s  reports=%d frames=%d conns=%d append_errors=%d\n",
+		fmt.Fprintf(w, "  %s  reports=%d frames=%d conns=%d append_errors=%d\n",
 			s.Name(), st.ReportsAppended, st.FramesDecoded, st.ConnsOpened, st.AppendErrors)
-	}
-}
-
-// routerDemo replays the synthetic campaign against an already-running
-// fleet named by comma-separated name=addr pairs.
-func routerDemo(logger *slogx.Logger, dep *synth.Deployment, spec string) {
-	addrs, err := parseShardAddrs(spec)
-	if err != nil {
-		logger.Fatal("bad flag", "flag", "router", "err", err)
-	}
-	if err := fleetCampaign(logger, dep, addrs, nil, nil); err != nil {
-		logger.Fatal("fleet campaign failed", "err", err)
 	}
 }
 
@@ -478,12 +275,11 @@ func parseShardAddrs(spec string) ([]fleet.ShardAddr, error) {
 	return out, nil
 }
 
-// fleetCampaign streams the deployment's full campaign minute-major
-// through a router over the given shards and prints the aggregate
-// delivery accounting.
-func fleetCampaign(logger *slogx.Logger, dep *synth.Deployment, addrs []fleet.ShardAddr, metrics *fleet.FleetMetrics, replay fleet.ReplayFunc) error {
+// campaign streams the deployment's full campaign minute-major through
+// a router configured by rcfg and prints the delivery accounting.
+func campaign(logger *slogx.Logger, w io.Writer, dep *synth.Deployment, rcfg fleet.RouterConfig) error {
 	cfg := dep.Config()
-	r, err := fleet.NewRouter(fleet.RouterConfig{Shards: addrs, Metrics: metrics, Replay: replay})
+	r, err := fleet.NewRouter(rcfg)
 	if err != nil {
 		return err
 	}
@@ -515,12 +311,14 @@ func fleetCampaign(logger *slogx.Logger, dep *synth.Deployment, addrs []fleet.Sh
 				continue
 			}
 			if err := r.Send(ctx, rep); err != nil {
+				_ = r.Close() //homesight:ignore unchecked-close — send error wins
 				return fmt.Errorf("minute %d gateway %s: %w", m, rep.GatewayID, err)
 			}
 			sent++
 		}
 	}
 	if err := r.Flush(ctx); err != nil {
+		_ = r.Close() //homesight:ignore unchecked-close — flush error wins
 		return err
 	}
 	stats := r.Stats()
@@ -528,45 +326,67 @@ func fleetCampaign(logger *slogx.Logger, dep *synth.Deployment, addrs []fleet.Sh
 	if err := r.Close(); err != nil {
 		return err
 	}
-	logger.Info("fleet campaign complete", "shards", len(addrs), "live", len(r.Live()))
-	fmt.Printf("fleet: routed %d reports in %s (%.0f reports/s) across %d shards\n",
-		sent, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds(), len(addrs))
-	fmt.Printf("router: %d batches flushed, %d rebalances, %d replayed, %d reassigned\n",
+	logger.Info("fleet campaign complete", "shards", len(rcfg.Shards), "live", len(r.Live()))
+	fmt.Fprintf(w, "fleet: routed %d reports in %s (%.0f reports/s) across %d shards\n",
+		sent, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds(), len(rcfg.Shards))
+	fmt.Fprintf(w, "router: %d batches flushed, %d rebalances, %d replayed, %d reassigned\n",
 		stats.BatchesFlushed, stats.Rebalances, stats.ReplayedReports, stats.ReassignedReports)
 	return nil
 }
 
-// replayHome streams one home's full campaign through a TCP reporter.
-func replayHome(addr string, dep *synth.Deployment, i int) error {
-	h := dep.Home(i)
-	traffic := h.Traffic()
-	// Each gateway gets its own jitter seed so a fleet-wide collector
-	// outage does not produce lockstep reconnect storms.
-	rep, err := telemetry.DialConfig(addr, telemetry.ReporterConfig{Seed: int64(i) + 1})
+// report reconstructs every gateway's report stream from the fleet's
+// live partitions, in gateway order, and prints the per-gateway totals a
+// gateway.Recorder rebuilds from it and the daily motifs the streaming
+// stage finds in it. Both depend only on what the partitions hold.
+func report(w io.Writer, root string, cfg synth.Config) error {
+	dirs, err := fleet.LivePartitions(root)
 	if err != nil {
 		return err
 	}
-	em := gateway.NewEmitter(h.ID)
-	cfg := dep.Config()
-	for m := 0; m < cfg.Minutes(); m++ {
-		var dms []gateway.DeviceMinute
-		for _, dt := range traffic {
-			dms = append(dms, gateway.DeviceMinute{
-				MAC:      dt.Spec.Device.MAC,
-				Name:     dt.Spec.Device.Name,
-				InBytes:  dt.In.Values[m],
-				OutBytes: dt.Out.Values[m],
-			})
-		}
-		r := em.Emit(cfg.Start.Add(time.Duration(m)*time.Minute), dms)
-		if len(r.Devices) == 0 {
-			continue
-		}
-		if err := rep.Send(r); err != nil {
-			_ = rep.Close() //homesight:ignore unchecked-close — send error wins
+	owner := make(map[string]*homestore.Store)
+	for _, dir := range dirs {
+		st, err := homestore.Open(homestore.Config{Dir: dir})
+		if err != nil {
 			return err
 		}
+		defer func() { _ = st.Close() }() //homesight:ignore unchecked-close — read-only pass over a drained partition
+		for _, gw := range st.Gateways() {
+			if _, split := owner[gw]; split {
+				return fmt.Errorf("gateway %s is in more than one partition under %s", gw, root)
+			}
+			owner[gw] = st
+		}
 	}
-	// Close flushes the tail of the stream; its error is the result.
-	return rep.Close()
+	gws := make([]string, 0, len(owner))
+	for gw := range owner {
+		gws = append(gws, gw)
+	}
+	sort.Strings(gws)
+
+	sm := &telemetry.StreamingMotifs{}
+	fmt.Fprintln(w, "gateway totals (reconstructed from counter reports):")
+	for _, gw := range gws {
+		reps, err := owner[gw].ReconstructReports(context.Background(), gw)
+		if err != nil {
+			return err
+		}
+		rec := gateway.NewRecorder(cfg.Start, time.Minute)
+		for _, rep := range reps {
+			if err := rec.Ingest(rep); err != nil {
+				return err
+			}
+			sm.Feed(rep)
+		}
+		fmt.Fprintf(w, "  %s  devices=%d  total=%.3g bytes\n", gw, len(rec.MACs()), rec.Overall(cfg.Minutes()).Total())
+	}
+	sm.Flush()
+	motifs := sm.Motifs()
+	fmt.Fprintf(w, "streaming stage discovered %d daily motifs:\n", len(motifs))
+	for _, m := range motifs {
+		if m.Support() < 2 {
+			continue
+		}
+		fmt.Fprintf(w, "  motif %d: support %d across %d gateways\n", m.ID, m.Support(), len(m.Gateways()))
+	}
+	return nil
 }

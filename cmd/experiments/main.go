@@ -64,11 +64,9 @@ func main() {
 		slogx.SetLevel(lvl)
 	}
 
-	// One registry carries all three layers: runner timings, Env cache
-	// counters, and the ingest family (pre-registered at zero here — this
-	// binary runs no collector, but dashboards want uniform series).
+	// One registry carries both layers: runner timings and Env cache
+	// counters.
 	reg := obs.NewRegistry()
-	_ = telemetry.NewIngestMetrics(reg)
 	if *debugAddr != "" {
 		srv, err := obs.NewServer(*debugAddr, reg)
 		if err != nil {

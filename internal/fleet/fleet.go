@@ -1,12 +1,13 @@
-// Package fleet is the sharded ingest tier: a consistent-hash router
-// (keyed by gateway ID) in front of N collector shards, each owning its
-// own homestore partition under <root>/shard-NNNN/. Reports travel as
-// CRC'd batch frames (internal/telemetry's batch protocol) with the
-// line reporter's backoff and resend-tail discipline; on shard loss the
-// router shrinks the ring, replays the dead partition's durable history
-// to the surviving shards, then re-routes the in-flight tail — the
-// replay-first ordering plus the store's per-series WAL watermarks make
-// the handoff idempotent, so the fleet loses no acknowledged report.
+// Package fleet is the ingest tier: a consistent-hash router (keyed by
+// gateway ID) in front of N shards, each owning its own homestore
+// partition under <root>/shard-NNNN/. A single-node collector is a
+// 1-shard fleet. Reports travel as CRC'd batch frames (the batch
+// protocol of internal/telemetry) under the BatchReporter's backoff and
+// unacked-window discipline; on shard loss the router shrinks the ring,
+// replays the dead partition's durable history to the surviving shards,
+// then re-routes the in-flight tail — the replay-first ordering plus the
+// store's per-series WAL watermarks make the handoff idempotent, so the
+// fleet loses no acknowledged report.
 //
 // FLEET.md documents the architecture, the frame format, the rebalance
 // protocol and a worked 4-shard campaign.
@@ -26,7 +27,7 @@ import (
 )
 
 // Config configures an in-process Fleet: N shards under one root
-// directory, the deployment shape cmd/collector -shards runs.
+// directory, the deployment shape cmd/collector runs.
 type Config struct {
 	// Dir is the fleet root; shard i's partition lives at
 	// Dir/shard-NNNN/.

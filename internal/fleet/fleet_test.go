@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"homesight/internal/gateway"
+	"homesight/internal/livestats"
 	"homesight/internal/obs"
 	"homesight/internal/store"
 	"homesight/internal/telemetry"
@@ -200,6 +201,59 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFleetLiveMetricsSum pins the live family in fleet mode: shard
+// trackers sharing one livestats.Metrics add up, so the exported series
+// equal the sums over the shards' trackers.
+func TestFleetLiveMetricsSum(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := livestats.NewMetrics(reg)
+	f, err := Start(Config{
+		Dir: t.TempDir(), Shards: 2, Start: anchor, Step: time.Minute,
+		Live: &livestats.Config{Metrics: m},
+	})
+	if err != nil {
+		t.Fatalf("fleet.Start: %v", err)
+	}
+	r, err := NewRouter(RouterConfig{Shards: f.Addrs(), BatchSize: 16})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	gateways := []string{"home-000", "home-001", "home-002", "home-003", "home-004", "home-005"}
+	ctx := context.Background()
+	for _, rep := range buildCampaign(gateways, 60) {
+		if err := r.Send(ctx, rep); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	if err := r.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("router Close: %v", err)
+	}
+	if err := f.Drain(); err != nil {
+		t.Fatalf("fleet Drain: %v", err)
+	}
+	var reports, homes, used int64
+	for i := 0; i < 2; i++ {
+		tr := f.Shard(i).LiveTracker()
+		reports += tr.Stats().ReportsProcessed
+		homes += int64(len(tr.Homes()))
+		if len(tr.Homes()) > 0 {
+			used++
+		}
+	}
+	if used != 2 {
+		t.Fatalf("only %d of 2 shards own a gateway; the sum checks nothing", used)
+	}
+	if got := m.Reports.Value(); got != reports {
+		t.Errorf("homesight_live_reports_total = %d, want %d (sum over shard trackers)", got, reports)
+	}
+	if got := m.Homes.Value(); got != float64(homes) || homes != int64(len(gateways)) {
+		t.Errorf("homesight_live_homes = %v, shard trackers hold %d, want %d", got, homes, len(gateways))
+	}
+}
+
 func shardIndex(t *testing.T, name string) int {
 	t.Helper()
 	var i int
@@ -242,7 +296,7 @@ func TestFaultShardKill(t *testing.T) {
 		Reporter: telemetry.ReporterConfig{
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  8 * time.Millisecond,
-			ResendTail:  8,
+			Window:      8,
 		},
 		DialShard: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)

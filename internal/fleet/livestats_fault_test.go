@@ -41,7 +41,7 @@ func TestFaultLiveShardKillReplay(t *testing.T) {
 		Reporter: telemetry.ReporterConfig{
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  8 * time.Millisecond,
-			ResendTail:  8,
+			Window:      8,
 		},
 	})
 	if err != nil {

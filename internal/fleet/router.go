@@ -39,8 +39,8 @@ type ReplayFunc func(shard string, send func(gateway.Report) error) error
 // runtime one.
 type RouterConfig struct {
 	// Shards is the initial shard set. Every shard is dialed eagerly by
-	// NewRouter so configuration errors surface immediately, the
-	// line-reporter convention.
+	// NewRouter so configuration errors surface immediately, as
+	// DialBatch does.
 	Shards []ShardAddr
 	// VNodes is the ring's virtual-node count per shard. 0 →
 	// DefaultVNodes.
@@ -345,7 +345,7 @@ func (r *Router) rebalanceLocked(ctx context.Context, sh *routerShard, undeliver
 
 // Close flushes nothing and closes every reporter; call Flush first
 // when trailing delivery matters. Reports still batched are reported as
-// an error, the line reporter's Close contract.
+// an error.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

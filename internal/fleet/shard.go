@@ -17,6 +17,12 @@ import (
 	"homesight/internal/telemetry"
 )
 
+// DefaultReadTimeout closes a shard connection that stays silent this
+// long. Gateways report once a minute, so a few missed minutes of
+// silence close the connection and let the reporter's reconnect path
+// take over.
+const DefaultReadTimeout = 5 * time.Minute
+
 // ShardConfig configures one fleet shard: a TCP server speaking the
 // batch frame protocol into its own homestore partition.
 type ShardConfig struct {
@@ -34,8 +40,8 @@ type ShardConfig struct {
 	Start time.Time
 	Step  time.Duration
 	Sync  store.SyncPolicy
-	// ReadTimeout closes a connection silent this long; 0 → the
-	// collector's DefaultReadTimeout, negative → no deadline.
+	// ReadTimeout closes a connection silent this long; 0 →
+	// DefaultReadTimeout, negative → no deadline.
 	ReadTimeout time.Duration
 	// MaxFrameBytes bounds a frame's declared payload; 0 →
 	// telemetry.MaxBatchBytes.
@@ -54,9 +60,10 @@ type ShardConfig struct {
 	// start the tracker rebuilds from the partition's durable history,
 	// so snapshots survive a shard restart (and, via catch-up replay
 	// into a survivor, a shard kill). Start and Step are taken from the
-	// shard, not from Live. Like the shard's embedded store, the tracker
-	// keeps its instruments on a private registry — per-shard gauges
-	// would fight on a shared one — so leave Live.Metrics nil here.
+	// shard, not from Live. Live.Metrics is honoured: every
+	// homesight_live_* instrument only accumulates (counters, histograms,
+	// gauges raised when a home or device is first seen), so trackers
+	// sharing one Metrics add up across shards; nil keeps them private.
 	Live *livestats.Config
 
 	// onFrame, when set, observes every decoded frame's report count
@@ -67,7 +74,7 @@ type ShardConfig struct {
 
 func (cfg ShardConfig) withDefaults() ShardConfig {
 	if cfg.ReadTimeout == 0 {
-		cfg.ReadTimeout = telemetry.DefaultReadTimeout
+		cfg.ReadTimeout = DefaultReadTimeout
 	}
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = telemetry.MaxBatchBytes
@@ -150,7 +157,6 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.Live != nil {
 		lc := *cfg.Live
 		lc.Start, lc.Step = cfg.Start, cfg.Step
-		lc.Metrics = nil
 		tracker = livestats.NewTracker(lc)
 		// Warm the tracker from the partition's recovered history: its
 		// per-device watermarks end up mirroring the store's, so live
@@ -229,10 +235,10 @@ func (s *Shard) acceptLoop() {
 }
 
 // serveConn decodes one connection's frame stream into the partition,
-// acknowledging each appended frame with one BatchAck byte. Unlike the
-// line collector there is no resync path: a corrupt frame closes the
-// connection and the sender's reconnect replays its unacked window
-// (the watermark dedups what already landed).
+// acknowledging each appended frame with one BatchAck byte. There is no
+// resync path: a corrupt frame closes the connection and the sender's
+// reconnect replays its unacked window (the watermark dedups what
+// already landed).
 func (s *Shard) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	s.counters.connsOpened.Add(1)
@@ -333,9 +339,9 @@ func (s *Shard) open() bool {
 
 // Drain stops accepting new connections, waits for the existing
 // handlers to read their streams to EOF, then closes the partition
-// cleanly — the collector's Drain contract: frames still buffered in
-// the sockets are fully appended first. Drain blocks until every client
-// has disconnected, so close the routers before draining the fleet.
+// cleanly: frames still buffered in the sockets are fully appended
+// first. Drain blocks until every client has disconnected, so close the
+// routers before draining the fleet.
 func (s *Shard) Drain() error {
 	if !s.shutdown(false) {
 		return telemetry.ErrClosed

@@ -57,9 +57,9 @@ func fuzzBytes(u uint16) uint64 {
 // capped τ included, whenever the quartile order statistics and the
 // whisker are below 8 192; the quantiles are stats.Quantile of the floored
 // stream, monotone in p, and the quartiles lie within 2^-7 below the raw
-// ones. The batch whisker is a data point inside the fence and can sit
-// below the interpolated Q3, so there is no Q3 clamp to check. The input
-// is a stream of 2-byte value codes.
+// ones (up to the interpolation's rounding). The batch whisker is a data
+// point inside the fence and can sit below the interpolated Q3, so there
+// is no Q3 clamp to check. The input is a stream of 2-byte value codes.
 func FuzzQuantileSketch(f *testing.F) {
 	f.Add([]byte{})
 	// A ramp through the unit-bucket range.
@@ -78,6 +78,10 @@ func FuzzQuantileSketch(f *testing.F) {
 		burst = binary.BigEndian.AppendUint16(burst, v)
 	}
 	f.Add(burst)
+	// Equal order statistics: lo·(1−f) + hi·f rounded an ulp either side
+	// of lo == hi, so a higher p could return a smaller quantile.
+	f.Add([]byte("a0a0a0"))
+	f.Add([]byte("0000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := new(QuantileSketch)
 		var vals []uint64
@@ -108,9 +112,12 @@ func FuzzQuantileSketch(f *testing.F) {
 			}
 			prev = v
 		}
+		// Flooring only lowers values, but stats.Interpolate is monotone in
+		// p, not in the order statistics: rounding hi−lo can put a floored
+		// quartile an ulp or two above the raw one (seed_interpolation_ulp).
 		for _, p := range []float64{probQ1, probQ3} {
 			got, want := q.Quantile(p), stats.Quantile(raw, p)
-			if got > want || want-got > want/(1<<sketchPageBits) {
+			if got-want > want*0x1p-50 || want-got > want/(1<<sketchPageBits) {
 				t.Fatalf("Quantile(%v) = %v, raw %v: not within 2^-7 below", p, got, want)
 			}
 		}

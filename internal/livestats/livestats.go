@@ -199,7 +199,7 @@ func (t *Tracker) home(gw string) *home {
 	if h = t.homes[gw]; h == nil {
 		h = &home{id: gw, devs: make(map[string]*deviceState)}
 		t.homes[gw] = h
-		t.cfg.Metrics.Homes.Set(float64(len(t.homes)))
+		t.cfg.Metrics.Homes.Inc()
 	}
 	return h
 }

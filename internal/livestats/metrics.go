@@ -11,7 +11,9 @@ type Metrics struct {
 	// (homesight_live_stale_rows_total).
 	Stale *obs.Counter
 	// Homes and Devices gauge the tracked population
-	// (homesight_live_homes, homesight_live_devices).
+	// (homesight_live_homes, homesight_live_devices). Both are raised as
+	// each home or device is first seen, so trackers sharing one Metrics
+	// (a fleet's shards) add up.
 	Homes   *obs.Gauge
 	Devices *obs.Gauge
 	// UpdateSeconds is the per-report operator-update duration

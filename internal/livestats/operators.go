@@ -260,7 +260,7 @@ func (q *QuantileSketch) orderPair(k int64) (lo, hi float64) {
 }
 
 // Quantile returns the p-th type-7 sample quantile of the remembered
-// values, with the interpolation expression of stats.Quantile. It returns
+// values, read through stats.Interpolate like stats.Quantile. It returns
 // NaN before any observation.
 func (q *QuantileSketch) Quantile(p float64) float64 {
 	if q.n == 0 {
@@ -269,8 +269,7 @@ func (q *QuantileSketch) Quantile(p float64) float64 {
 	h := math.Min(math.Max(p, 0), 1) * float64(q.n-1)
 	k := math.Floor(h)
 	lo, hi := q.orderPair(int64(k))
-	frac := h - k
-	return lo*(1-frac) + hi*frac
+	return stats.Interpolate(lo, hi, h-k)
 }
 
 // Whisker returns the Tukey upper whisker — the Sec. 6.1 raw τ: the

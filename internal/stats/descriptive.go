@@ -129,7 +129,7 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	if lo+1 >= n {
 		return sorted[n-1]
 	}
-	return interpolate(sorted[lo], sorted[lo+1], frac)
+	return Interpolate(sorted[lo], sorted[lo+1], frac)
 }
 
 // quantileRank places the type-7 p-quantile (0 < p < 1) of an n-sample on
@@ -140,10 +140,13 @@ func quantileRank(n int, p float64) (lo int, frac float64) {
 	return lo, h - float64(lo)
 }
 
-// interpolate is the one expression every quantile in this package is
-// read through; recorded outputs hold its rounding, so it does not change
-// shape without them.
-func interpolate(lo, hi, frac float64) float64 { return lo*(1-frac) + hi*frac }
+// Interpolate is the one expression every type-7 quantile is read
+// through, here and in livestats.QuantileSketch: frac (in [0, 1)) of the
+// way from order statistic lo to hi ≥ lo. It is exact when lo == hi, and
+// the clamp keeps it at or below hi where lo + (hi−lo) rounds past it, so
+// a quantile never decreases as p grows. Recorded outputs hold its
+// rounding, so it does not change shape without them.
+func Interpolate(lo, hi, frac float64) float64 { return min(hi, lo+frac*(hi-lo)) }
 
 // Summary bundles the five-number summary plus moments of a sample.
 type Summary struct {

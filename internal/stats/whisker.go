@@ -44,8 +44,8 @@ func UpperWhisker(xs []float64, k float64) (float64, error) {
 	lo1, frac1 := quantileRank(n, 0.25)
 	lo3, frac3 := quantileRank(n, 0.75)
 	q := selectPairs(keys, s.tmp, or^and, [2]int{lo1, lo3})
-	q1 := interpolate(keyFloat(q[0][0]), keyFloat(q[0][1]), frac1)
-	q3 := interpolate(keyFloat(q[1][0]), keyFloat(q[1][1]), frac3)
+	q1 := Interpolate(keyFloat(q[0][0]), keyFloat(q[0][1]), frac1)
+	q3 := Interpolate(keyFloat(q[1][0]), keyFloat(q[1][1]), frac3)
 	hiFence := q3 + k*(q3-q1)
 	if hiFence != hiFence { //homesight:ignore float-eq — the NaN self-inequality test
 		return q3, nil // no observation is <= a NaN fence

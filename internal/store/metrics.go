@@ -14,7 +14,7 @@ var fsyncBuckets = []float64{
 // homesight_store_* families of OBSERVABILITY.md. Construct one per
 // registry with NewMetrics and hand it to Config.Metrics; a nil
 // Config.Metrics gets a private registry so the counting path is always
-// on (the IngestMetrics pattern).
+// on.
 type Metrics struct {
 	// Appends counts reports accepted by Append
 	// (homesight_store_appends_total); Points counts the series points

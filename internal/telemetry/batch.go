@@ -12,10 +12,9 @@ import (
 	"homesight/internal/gateway"
 )
 
-// Batch wire protocol: the fleet ingest tier (internal/fleet) moves
-// reports in length-prefixed binary frames instead of the collector's
-// one-JSON-object-per-line protocol, amortizing syscalls and framing
-// over many reports. One frame is
+// Batch wire protocol: reports travel to the fleet ingest tier
+// (internal/fleet) in length-prefixed binary frames, amortizing
+// syscalls and framing over many reports. One frame is
 //
 //	[4] payload length, little-endian uint32
 //	[4] CRC32-C (Castagnoli) of the payload
@@ -36,10 +35,9 @@ import (
 //	    uvarint               tx counter
 //
 // A decoder that sees a bad CRC or malformed payload cannot resync on a
-// binary stream the way the line collector skips to the next newline,
-// so frame corruption is terminal for the connection: the receiver
-// drops the conn and the sender's reconnect + resend discipline
-// redelivers (the shard's store dedups replays by watermark).
+// binary stream, so frame corruption is terminal for the connection:
+// the receiver drops the conn and the sender's reconnect + resend
+// discipline redelivers (the shard's store dedups replays by watermark).
 //
 // The protocol is acknowledged: after appending a frame the receiver
 // writes a single BatchAck byte back. The sender keeps every
@@ -47,8 +45,8 @@ import (
 // window fills, so a slow receiver exerts backpressure instead of
 // letting acknowledged-but-unread frames pile up invisibly in socket
 // buffers — without the ack, a kernel buffer can absorb minutes of
-// frames that a bounded resend tail has already evicted, and a crash
-// then loses them with no replay source.
+// frames the sender has already forgotten, and a crash then loses them
+// with no replay source.
 const (
 	// MaxBatchBytes bounds a frame's declared payload length. A header
 	// announcing more is corruption (or an adversarial peer), rejected

@@ -138,22 +138,25 @@ func TestBatchFrameCorruption(t *testing.T) {
 
 // batchSink is a minimal shard stand-in: it reads frames off real TCP
 // connections, records every decoded report in arrival order, and acks
-// each frame per the protocol.
+// each frame per the protocol — once release is closed, when it has one.
 type batchSink struct {
-	ln net.Listener
-	wg sync.WaitGroup
+	ln      net.Listener
+	release <-chan struct{}
+	wg      sync.WaitGroup
 
 	mu   sync.Mutex
 	reps []gateway.Report
 }
 
-func newBatchSink(t *testing.T) *batchSink {
+func newBatchSink(t *testing.T) *batchSink { return startBatchSink(t, nil) }
+
+func startBatchSink(t *testing.T, release <-chan struct{}) *batchSink {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	s := &batchSink{ln: ln}
+	s := &batchSink{ln: ln, release: release}
 	s.wg.Add(1)
 	go s.accept()
 	return s
@@ -183,6 +186,9 @@ func (s *batchSink) accept() {
 				s.mu.Lock()
 				s.reps = append(s.reps, reps...)
 				s.mu.Unlock()
+				if s.release != nil {
+					<-s.release
+				}
 				if _, err := conn.Write([]byte{BatchAck}); err != nil {
 					return
 				}
@@ -274,7 +280,7 @@ func TestBatchReporterResend(t *testing.T) {
 func TestBatchReporterDrainTail(t *testing.T) {
 	sink := newBatchSink(t)
 	defer sink.stop()
-	rep, err := DialBatch(sink.ln.Addr().String(), ReporterConfig{ResendTail: 2})
+	rep, err := DialBatch(sink.ln.Addr().String(), ReporterConfig{Window: 2})
 	if err != nil {
 		t.Fatalf("DialBatch: %v", err)
 	}

@@ -13,13 +13,67 @@ import (
 	"homesight/internal/gateway"
 )
 
-// DefaultBatchWindow is how many written-but-unacked frames a
-// BatchReporter keeps in flight before blocking for acknowledgements.
-// The window is both the pipeline depth (throughput) and the exact
-// bound on what a shard crash can leave undelivered (correctness): on
-// reconnect or rebalance every unacked frame is replayed, so nothing
-// a caller handed to a successful Send is ever silently dropped.
-const DefaultBatchWindow = 4
+// Reporter defaults: a broken pipe costs at most a few seconds of
+// backoff, and every frame it may have swallowed is still in the window.
+const (
+	// DefaultDialAttempts bounds reconnect attempts per Send/Flush call.
+	DefaultDialAttempts = 6
+	// DefaultBaseBackoff is the first reconnect delay; it doubles per
+	// attempt up to DefaultMaxBackoff, with jitter.
+	DefaultBaseBackoff = 50 * time.Millisecond
+	// DefaultMaxBackoff caps the reconnect delay.
+	DefaultMaxBackoff = 2 * time.Second
+	// DefaultBatchWindow is how many written-but-unacked frames a
+	// BatchReporter keeps in flight before blocking for acknowledgements.
+	// The window is both the pipeline depth (throughput) and the exact
+	// bound on what a shard crash can leave undelivered (correctness): on
+	// reconnect or rebalance every unacked frame is replayed, so nothing
+	// a caller handed to a successful Send is ever silently dropped.
+	DefaultBatchWindow = 4
+)
+
+// ReporterConfig tunes a BatchReporter's retry envelope. The zero value
+// selects the defaults above and a plain TCP dial.
+type ReporterConfig struct {
+	// Dial opens the transport connection. nil → net.Dial("tcp", addr).
+	// Tests inject faultnet wrappers here.
+	Dial func() (net.Conn, error)
+	// DialAttempts bounds connection attempts per Send/Flush call before
+	// the call returns an error. 0 → DefaultDialAttempts.
+	DialAttempts int
+	// BaseBackoff and MaxBackoff shape the exponential reconnect backoff.
+	// 0 → the defaults.
+	BaseBackoff time.Duration
+	MaxBackoff  time.Duration
+	// Window is the unacked-window depth in frames. 0 → DefaultBatchWindow.
+	Window int
+	// Seed seeds the backoff jitter. The default (0 → 1) is fixed so
+	// tests are deterministic; deployments give each reporter its own seed
+	// to decorrelate a reconnecting fleet.
+	Seed int64
+}
+
+func (cfg ReporterConfig) withDefaults(addr string) ReporterConfig {
+	if cfg.Dial == nil {
+		cfg.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	if cfg.DialAttempts <= 0 {
+		cfg.DialAttempts = DefaultDialAttempts
+	}
+	if cfg.BaseBackoff <= 0 {
+		cfg.BaseBackoff = DefaultBaseBackoff
+	}
+	if cfg.MaxBackoff <= 0 {
+		cfg.MaxBackoff = DefaultMaxBackoff
+	}
+	if cfg.Window <= 0 {
+		cfg.Window = DefaultBatchWindow
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	return cfg
+}
 
 // BatchReporterStats is a snapshot of a batch reporter's delivery
 // accounting.
@@ -41,17 +95,14 @@ type BatchReporterStats struct {
 
 // BatchReporter is the fleet router's per-shard client: it ships
 // batches of reports as CRC'd frames (AppendBatchFrame) over one TCP
-// connection, with the line reporter's retry envelope — exponential
-// backoff with jitter and a bounded dial-attempt budget per call. The
-// resend discipline is ack-driven: a written frame stays in the unacked
-// window until the shard acknowledges it (one BatchAck byte per
-// appended frame), the window is bounded so a slow shard backpressures
-// the sender instead of hiding frames in socket buffers, and every
-// unacked frame is replayed after a reconnect (the shard's store dedups
-// replays by watermark). It reuses ReporterConfig: PendingBuffer is
-// ignored (a failed Send leaves the batch with the caller), and
-// ResendTail is the unacked-window depth in batches, defaulting to
-// DefaultBatchWindow.
+// connection, with exponential backoff with jitter and a bounded
+// dial-attempt budget per call. The resend discipline is ack-driven: a
+// written frame stays in the unacked window until the shard
+// acknowledges it (one BatchAck byte per appended frame), the window is
+// bounded (ReporterConfig.Window) so a slow shard backpressures the
+// sender instead of hiding frames in socket buffers, and every unacked
+// frame is replayed after a reconnect (the shard's store dedups replays
+// by watermark). A failed Send leaves the batch with the caller.
 type BatchReporter struct {
 	addr string
 	cfg  ReporterConfig
@@ -67,15 +118,10 @@ type BatchReporter struct {
 	closed  bool
 }
 
-// DialBatch connects a batch reporter to a fleet shard address. Like
-// DialConfig, the first dial is eager and not retried so configuration
-// errors surface immediately.
+// DialBatch connects a batch reporter to a fleet shard address. The
+// first dial is eager and not retried, so configuration errors (bad
+// address, no listener) surface immediately.
 func DialBatch(addr string, cfg ReporterConfig) (*BatchReporter, error) {
-	if cfg.ResendTail <= 0 {
-		// The window must hold at least the frame in flight, so the line
-		// reporter's "negative → no tail" escape hatch does not apply.
-		cfg.ResendTail = DefaultBatchWindow
-	}
 	cfg = cfg.withDefaults(addr)
 	b := &BatchReporter{addr: addr, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	conn, err := cfg.Dial()
@@ -156,7 +202,7 @@ func (b *BatchReporter) deliver(ctx context.Context, reps []gateway.Report) erro
 		// past the unacked bound. This is what keeps "accepted by Send"
 		// recoverable — a slower shard backpressures us here instead of
 		// accumulating unacked frames in its socket buffer.
-		if len(b.window) >= b.cfg.ResendTail {
+		if len(b.window) >= b.cfg.Window {
 			if err := b.readAck(); err != nil {
 				b.teardown()
 			}
@@ -279,7 +325,9 @@ func (b *BatchReporter) DrainTail() []gateway.Report {
 }
 
 // backoff returns the jittered exponential delay before reconnect
-// attempt n (n >= 1), exactly the line reporter's envelope.
+// attempt n (n >= 1): the base doubles per attempt up to the cap, then
+// the delay is drawn uniformly from [d/2, d] so a fleet of reporters
+// does not reconnect in lockstep.
 func (b *BatchReporter) backoff(attempt int) time.Duration {
 	d := b.cfg.BaseBackoff << uint(attempt-1)
 	if d <= 0 || d > b.cfg.MaxBackoff {

@@ -6,8 +6,8 @@
 //
 // The wrapper sits on the reporter side of a real TCP connection, which
 // exercises the full stack on both ends: the reporter's reconnect and
-// resend paths, and the collector's resync, accounting and deadline
-// paths.
+// replay paths, and the shard's frame rejection, accounting and
+// deadline paths.
 package faultnet
 
 import (
@@ -22,9 +22,9 @@ import (
 // resend.
 var ErrInjected = errors.New("faultnet: injected fault")
 
-// DefaultGarbage is the injected line noise: bytes that can never parse
-// as a JSON report but terminate in a newline, so a resyncing reader
-// drops exactly one line per injection.
+// DefaultGarbage is the injected noise. Read as a batch frame header, its
+// first four bytes declare a payload far past telemetry.MaxBatchBytes, so
+// a shard rejects it as a corrupt frame before reading further.
 var DefaultGarbage = []byte("\x00\x01<<faultnet garbage>>\x02\n")
 
 // Faults is a deterministic fault plan for one wrapped connection.
@@ -39,20 +39,20 @@ type Faults struct {
 	FailEvery int
 	// PartialWrites lists write indexes that transmit only the first
 	// half of the payload and then fail with ErrInjected: a mid-report
-	// broken pipe, leaving a truncated line on the peer's wire.
+	// broken pipe, leaving a truncated frame on the peer's wire.
 	PartialWrites []int
 	// GarbageEvery > 0 injects Garbage into the stream before every
-	// n-th write: line noise between reports.
+	// n-th write: noise between frames.
 	GarbageEvery int
 	// Garbage overrides DefaultGarbage when non-nil.
 	Garbage []byte
 	// WriteDelay pauses before every write: a slow sender or delayed
-	// flush. Combined with a collector read deadline it forces timeouts.
+	// flush. Combined with a shard read deadline it forces timeouts.
 	WriteDelay time.Duration
 }
 
 // Injections counts the faults a Conn actually fired, so tests can
-// reconcile collector drop counters against ground truth.
+// reconcile receiver drop counters against ground truth.
 type Injections struct {
 	// Fails is the number of writes failed before reaching the wire.
 	Fails int

@@ -60,9 +60,6 @@ type RunMetrics struct {
 	GoroutineHighWater int                      `json:"goroutine_high_water"`
 	Experiments        []ExperimentMetrics      `json:"experiments"`
 	Caches             map[string]CacheSnapshot `json:"caches,omitempty"`
-	// Ingest is the collector's ingest accounting for runs that serve the
-	// collection pipeline (cmd/collector -demo -metrics).
-	Ingest *IngestStats `json:"ingest,omitempty"`
 }
 
 // CacheHitRate is the aggregate hit rate across every cache in the run

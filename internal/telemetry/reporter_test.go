@@ -1,16 +1,15 @@
 package telemetry
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"math/rand"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"homesight/internal/gateway"
 	"homesight/internal/telemetry/faultnet"
 )
 
@@ -20,13 +19,12 @@ func TestReporterConfigDefaults(t *testing.T) {
 		t.Error("default Dial missing")
 	}
 	if got.DialAttempts != DefaultDialAttempts || got.BaseBackoff != DefaultBaseBackoff ||
-		got.MaxBackoff != DefaultMaxBackoff || got.PendingBuffer != DefaultPendingBuffer ||
-		got.ResendTail != DefaultResendTail || got.Seed != 1 {
+		got.MaxBackoff != DefaultMaxBackoff || got.Window != DefaultBatchWindow || got.Seed != 1 {
 		t.Errorf("withDefaults() = %+v", got)
 	}
-	// Negative ResendTail disables the replay buffer.
-	if got := (ReporterConfig{ResendTail: -1}).withDefaults("addr"); got.ResendTail != 0 {
-		t.Errorf("ResendTail = %d, want 0", got.ResendTail)
+	// The window holds at least the frame in flight.
+	if got := (ReporterConfig{Window: -1}).withDefaults("addr"); got.Window != DefaultBatchWindow {
+		t.Errorf("Window = %d, want %d", got.Window, DefaultBatchWindow)
 	}
 }
 
@@ -35,8 +33,8 @@ func TestReporterConfigDefaults(t *testing.T) {
 // deterministic for a fixed seed.
 func TestReporterBackoffEnvelope(t *testing.T) {
 	cfg := ReporterConfig{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}.withDefaults("x")
-	r1 := &Reporter{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	r2 := &Reporter{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	r1 := &BatchReporter{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	r2 := &BatchReporter{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	for attempt := 1; attempt <= 10; attempt++ {
 		d := cfg.BaseBackoff << uint(attempt-1)
 		if d <= 0 || d > cfg.MaxBackoff {
@@ -52,100 +50,80 @@ func TestReporterBackoffEnvelope(t *testing.T) {
 	}
 }
 
-// TestReporterPendingOverflow pins the bounded-buffer contract: when
-// every write fails, the pending buffer drops its oldest report (counted)
-// rather than growing without bound, and once the transport heals the
-// surviving reports are delivered.
-func TestReporterPendingOverflow(t *testing.T) {
-	store := NewStore(mon, time.Minute)
-	col, err := NewCollector("127.0.0.1:0", store)
+// TestCollectorBackpressure pins the window contract: while the
+// collector withholds its acks, the reporter writes Window frames and
+// then blocks instead of hiding more in socket buffers; releasing the
+// acks drains everything without loss.
+func TestCollectorBackpressure(t *testing.T) {
+	release := make(chan struct{})
+	sink := startBatchSink(t, release)
+	rep, err := DialBatch(sink.ln.Addr().String(), ReporterConfig{Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	broken := true
-	rep, err := DialConfig(col.Addr(), ReporterConfig{
-		PendingBuffer: 4,
-		DialAttempts:  1,
-		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    2 * time.Millisecond,
-		Dial: func() (net.Conn, error) {
-			raw, err := net.Dial("tcp", col.Addr())
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if broken {
-				return faultnet.Wrap(raw, faultnet.Faults{FailEvery: 1}), nil
-			}
-			return raw, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	em := gateway.NewEmitter("gwOV")
-	const minutes = 6
-	for m := 0; m < minutes; m++ {
-		r := em.Emit(mon.Add(time.Duration(m)*time.Minute), []gateway.DeviceMinute{{MAC: "m1", InBytes: 3, OutBytes: 3}})
-		if err := rep.Send(r); err == nil {
-			t.Fatalf("send %d succeeded over a dead transport", m)
+	ctx := context.Background()
+	reps := batchReports(3)
+	for i := 0; i < 2; i++ {
+		if err := rep.Send(ctx, reps[i:i+1]); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if st := rep.Stats(); st.DroppedOverflow != minutes-4 {
-		t.Errorf("DroppedOverflow = %d, want %d", st.DroppedOverflow, minutes-4)
+	third := make(chan error, 1)
+	go func() { third <- rep.Send(ctx, reps[2:3]) }()
+	select {
+	case err := <-third:
+		t.Fatalf("third send returned (%v) with the window full and no ack", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	// Heal the transport: Drain must deliver the 4 surviving reports.
-	mu.Lock()
-	broken = false
-	mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := rep.Drain(ctx); err != nil {
-		t.Fatalf("drain after heal: %v", err)
+	close(release)
+	if err := <-third; err != nil {
+		t.Fatalf("third send after release: %v", err)
+	}
+	if err := rep.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
 	}
 	if err := rep.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Recorder("gwOV") == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("healed reporter never delivered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := col.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// Reports 0 and 1 were evicted; 2..5 survive. Minute 3 onward has a
-	// computable delta (minute 2 re-initializes the meters after the gap).
-	in, _ := store.Recorder("gwOV").Series("m1", minutes)
-	for m := 3; m < minutes; m++ {
-		if in.Values[m] != 3 {
-			t.Errorf("minute %d = %g, want 3", m, in.Values[m])
-		}
+	if got := sink.stop(); len(got) != len(reps) {
+		t.Errorf("collector received %d reports, want %d", len(got), len(reps))
 	}
 }
 
-// TestReporterDrainContextCancel pins cancellation: with every write
-// failing, Send and Drain give up when their context does, keep the
-// pending report, and return the context error.
+// TestReporterDrainContextCancel pins cancellation: with the collector
+// hanging up on every frame and every reconnect failing its writes,
+// Flush and Send give up when their context does and return its error.
 func TestReporterDrainContextCancel(t *testing.T) {
-	store := NewStore(mon, time.Minute)
-	col, err := NewCollector("127.0.0.1:0", store)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = col.Close() }()
-	rep, err := DialConfig(col.Addr(), ReporterConfig{
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				_, _ = ReadBatchFrame(bufio.NewReader(conn), 0)
+				_ = conn.Close() // no ack
+			}()
+		}
+	}()
+	dials := 0
+	rep, err := DialBatch(ln.Addr().String(), ReporterConfig{
 		DialAttempts: 1 << 20, // never give up on attempts; only ctx ends it
 		BaseBackoff:  time.Millisecond,
 		MaxBackoff:   5 * time.Millisecond,
 		Dial: func() (net.Conn, error) {
-			raw, err := net.Dial("tcp", col.Addr())
+			raw, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				return nil, err
+			}
+			dials++
+			if dials == 1 {
+				return raw, nil
 			}
 			return faultnet.Wrap(raw, faultnet.Faults{FailEvery: 1}), nil
 		},
@@ -153,48 +131,46 @@ func TestReporterDrainContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := gateway.NewEmitter("gwC")
-	r := em.Emit(mon, []gateway.DeviceMinute{{MAC: "m1", InBytes: 1, OutBytes: 1}})
+	reps := batchReports(2)
+	// The first connection takes the frame; the collector hangs up unacked.
+	if err := rep.Send(context.Background(), reps[:1]); err != nil {
+		t.Fatalf("Send = %v", err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if err := rep.SendContext(ctx, r); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SendContext = %v, want deadline exceeded", err)
+	if err := rep.Flush(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Flush = %v, want deadline exceeded", err)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
-	if err := rep.Drain(ctx2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Drain = %v, want deadline exceeded", err)
+	if err := rep.Send(ctx2, reps[1:]); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Send = %v, want deadline exceeded", err)
 	}
-	// The report is still pending, and Close says so.
-	err = rep.Close()
-	if err == nil || !strings.Contains(err.Error(), "undelivered") {
-		t.Fatalf("Close = %v, want undelivered-reports error", err)
+	if tail := rep.DrainTail(); len(tail) != 1 {
+		t.Errorf("unacked window holds %d reports, want the 1 never acked", len(tail))
 	}
+	_ = rep.Close()
 	if err := rep.Close(); err != ErrClosed {
 		t.Errorf("second Close = %v, want ErrClosed", err)
 	}
-	if err := rep.Send(r); err != ErrClosed {
+	if err := rep.Send(context.Background(), reps[1:]); err != ErrClosed {
 		t.Errorf("Send after Close = %v, want ErrClosed", err)
 	}
 }
 
 // TestReporterDialAttemptBudget pins the per-call retry budget: a
 // transport that fails every write makes Send fail after the configured
-// reconnect attempts, and the report stays pending rather than being
-// lost.
+// reconnect attempts, and the batch stays with the caller.
 func TestReporterDialAttemptBudget(t *testing.T) {
-	store := NewStore(mon, time.Minute)
-	col, err := NewCollector("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = col.Close() }()
-	rep, err := DialConfig(col.Addr(), ReporterConfig{
+	sink := newBatchSink(t)
+	defer sink.stop()
+	addr := sink.ln.Addr().String()
+	rep, err := DialBatch(addr, ReporterConfig{
 		DialAttempts: 2,
 		BaseBackoff:  time.Millisecond,
 		MaxBackoff:   2 * time.Millisecond,
 		Dial: func() (net.Conn, error) {
-			raw, err := net.Dial("tcp", col.Addr())
+			raw, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
 			}
@@ -204,13 +180,15 @@ func TestReporterDialAttemptBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := gateway.NewEmitter("gwD")
-	r := em.Emit(mon, []gateway.DeviceMinute{{MAC: "m1", InBytes: 1, OutBytes: 1}})
-	err = rep.Send(r)
+	defer rep.Close()
+	err = rep.Send(context.Background(), batchReports(1))
 	if err == nil || !strings.Contains(err.Error(), "reconnect attempts") {
 		t.Fatalf("Send = %v, want reconnect-budget error", err)
 	}
-	if err := rep.Close(); err == nil || !strings.Contains(err.Error(), "undelivered") {
-		t.Fatalf("Close = %v, want undelivered-reports error", err)
+	if tail := rep.DrainTail(); len(tail) != 0 {
+		t.Errorf("a failed Send left %d reports in the window, want 0", len(tail))
+	}
+	if st := rep.Stats(); st.WriteErrors == 0 || st.BatchesSent != 0 {
+		t.Errorf("stats %+v: want write errors and no batch sent", st)
 	}
 }

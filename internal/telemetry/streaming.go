@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -36,9 +37,10 @@ type StreamStats struct {
 // future work: it consumes the live report stream, reconstructs each
 // gateway's per-minute traffic, and the moment a calendar day completes it
 // aggregates the day into 3-hour bins, removes background traffic and
-// matches the window against the motifs discovered so far.
-//
-// Wire it to a Store with store.OnReport(sm.Feed).
+// matches the window against the motifs discovered so far. Feed it each
+// gateway's reports in time order (cmd/collector -demo feeds the
+// campaign reconstructed from the fleet's partitions, gateway by
+// gateway).
 type StreamingMotifs struct {
 	// Spec is the window mapping (zero value → the paper's best daily
 	// spec, 3h bins).
@@ -176,12 +178,18 @@ func (sm *StreamingMotifs) finishDay(gatewayID string, buf *dayBuffer) {
 	sm.stats.DaysEmitted++
 }
 
-// Flush finalizes all pending day buffers (end of stream).
+// Flush finalizes all pending day buffers (end of stream), in gateway
+// order: the matcher's motifs depend on the order days reach it.
 func (sm *StreamingMotifs) Flush() {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	for gw, buf := range sm.days {
-		if buf.seen > 0 {
+	gws := make([]string, 0, len(sm.days))
+	for gw := range sm.days {
+		gws = append(gws, gw)
+	}
+	sort.Strings(gws)
+	for _, gw := range gws {
+		if buf := sm.days[gw]; buf.seen > 0 {
 			sm.finishDay(gw, buf)
 		}
 	}

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,161 +10,29 @@ import (
 
 var mon = time.Date(2014, 3, 17, 0, 0, 0, 0, time.UTC)
 
-func TestStoreIngestAndLookup(t *testing.T) {
-	s := NewStore(mon, time.Minute)
-	e := gateway.NewEmitter("gw001")
-	for m := 0; m < 3; m++ {
-		rep := e.Emit(mon.Add(time.Duration(m)*time.Minute), []gateway.DeviceMinute{
-			{MAC: "m1", InBytes: 100, OutBytes: 10},
-		})
-		if err := s.Ingest(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := s.GatewayIDs()
-	if len(ids) != 1 || ids[0] != "gw001" {
-		t.Errorf("ids = %v", ids)
-	}
-	rec := s.Recorder("gw001")
-	if rec == nil {
-		t.Fatal("recorder missing")
-	}
-	in, _ := rec.Series("m1", 3)
-	if in.Values[1] != 100 || in.Values[2] != 100 {
-		t.Errorf("series = %v", in.Values)
-	}
-	if s.Recorder("nope") != nil {
-		t.Error("unknown gateway should be nil")
-	}
-	if err := s.Ingest(gateway.Report{}); err == nil {
-		t.Error("report without gateway id should fail")
-	}
+type motifSummary struct {
+	support  int
+	gateways int
 }
 
-func TestCollectorEndToEnd(t *testing.T) {
-	store := NewStore(mon, time.Minute)
-	col, err := NewCollector("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-
-	const gateways = 4
-	const minutes = 30
-	var wg sync.WaitGroup
-	for g := 0; g < gateways; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rep, err := Dial(col.Addr())
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
+// buildReports emits a deterministic campaign: `days` full days of
+// per-minute reports for one device with an evening activity pattern.
+func buildReports(gatewayID string, days int) []gateway.Report {
+	em := gateway.NewEmitter(gatewayID)
+	var reps []gateway.Report
+	for d := 0; d < days; d++ {
+		for m := 0; m < 24*60; m++ {
+			ts := mon.AddDate(0, 0, d).Add(time.Duration(m) * time.Minute)
+			traffic := 120.0 // background chatter
+			if m/60 >= 19 && m/60 < 23 {
+				traffic = 2e6 // evening activity
 			}
-			defer rep.Close()
-			em := gateway.NewEmitter(gwID(g))
-			for m := 0; m < minutes; m++ {
-				r := em.Emit(mon.Add(time.Duration(m)*time.Minute), []gateway.DeviceMinute{
-					{MAC: "m1", InBytes: float64(100 * (g + 1)), OutBytes: 10},
-				})
-				if err := rep.Send(r); err != nil {
-					t.Errorf("send: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Every sender has disconnected. Wait until each stream has been
-	// accepted (its recorder exists — a lock-protected lookup), then drain:
-	// the handlers join at EOF and the recorders become safe to read.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		done := 0
-		for g := 0; g < gateways; g++ {
-			if store.Recorder(gwID(g)) != nil {
-				done++
-			}
-		}
-		if done == gateways {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("collector accepted only %d/%d gateways", done, gateways)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := col.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// Verify reconstructed values.
-	for g := 0; g < gateways; g++ {
-		in, _ := store.Recorder(gwID(g)).Series("m1", minutes)
-		for m := 1; m < minutes; m++ {
-			if in.Values[m] != float64(100*(g+1)) {
-				t.Fatalf("gateway %d minute %d = %g", g, m, in.Values[m])
-			}
+			reps = append(reps, em.Emit(ts, []gateway.DeviceMinute{
+				{MAC: "m1", InBytes: traffic, OutBytes: traffic / 10},
+			}))
 		}
 	}
-}
-
-func gwID(g int) string {
-	return string([]byte{'g', 'w', byte('0' + g)})
-}
-
-func TestCollectorCloseIsIdempotentish(t *testing.T) {
-	store := NewStore(mon, time.Minute)
-	col, err := NewCollector("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := col.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.Close(); err != ErrClosed {
-		t.Errorf("second close = %v, want ErrClosed", err)
-	}
-	if err := col.Drain(); err != ErrClosed {
-		t.Errorf("drain after close = %v, want ErrClosed", err)
-	}
-}
-
-func TestCollectorSurvivesMalformedStream(t *testing.T) {
-	store := NewStore(mon, time.Minute)
-	col, err := NewCollector("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	rep, err := Dial(col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Raw garbage through the same socket.
-	if _, err := rep.conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	rep.Close()
-	// A healthy client must still work.
-	rep2, err := Dial(col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	em := gateway.NewEmitter("gwX")
-	for m := 0; m < 2; m++ {
-		r := em.Emit(mon.Add(time.Duration(m)*time.Minute), []gateway.DeviceMinute{{MAC: "m1", InBytes: 5, OutBytes: 5}})
-		if err := rep2.Send(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep2.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Recorder("gwX") == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("healthy client not ingested")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return reps
 }
 
 func TestStreamingMotifsFindsRecurringDays(t *testing.T) {
@@ -198,61 +64,6 @@ func TestStreamingMotifsFindsRecurringDays(t *testing.T) {
 	}
 	if motifs[0].RepeatShare() != 1 {
 		t.Errorf("repeat share = %g, want 1 (single gateway)", motifs[0].RepeatShare())
-	}
-}
-
-func TestStreamingViaCollector(t *testing.T) {
-	// End to end: reports over TCP → store → streaming stage.
-	store := NewStore(mon, time.Minute)
-	sm := &StreamingMotifs{}
-	store.OnReport(sm.Feed)
-	col, err := NewCollector("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-
-	rep, err := Dial(col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	em := gateway.NewEmitter("gwB")
-	total := 0
-	for d := 0; d < 3; d++ {
-		for m := 0; m < 24*60; m++ {
-			ts := mon.AddDate(0, 0, d).Add(time.Duration(m) * time.Minute)
-			traffic := 50.0
-			if m/60 >= 20 {
-				traffic = 1e6
-			}
-			r := em.Emit(ts, []gateway.DeviceMinute{{MAC: "m1", InBytes: traffic, OutBytes: 5}})
-			if err := rep.Send(r); err != nil {
-				t.Fatal(err)
-			}
-			total++
-		}
-	}
-	rep.Close()
-	// Wait for the stream to be accepted, drain it to EOF, then flush the
-	// final day.
-	deadline := time.Now().Add(10 * time.Second)
-	for store.Recorder("gwB") == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("stream was never accepted")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := col.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	in, _ := store.Recorder("gwB").Series("m1", total)
-	if in == nil || math.IsNaN(in.Values[total-1]) {
-		t.Fatal("stream did not drain")
-	}
-	sm.Flush()
-	motifs := sm.Motifs()
-	if len(motifs) != 1 || motifs[0].Support() != 3 {
-		t.Fatalf("motifs over TCP = %+v", motifs)
 	}
 }
 
@@ -301,57 +112,5 @@ func TestStreamingFromSynthHome(t *testing.T) {
 	}
 	if best < 3 {
 		t.Errorf("best streamed motif support = %d, want >= 3 for a clockwork home", best)
-	}
-}
-
-func TestCollectorReportsIngestErrors(t *testing.T) {
-	store := NewStore(mon, time.Minute)
-	col, err := NewCollector("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	rep, err := Dial(col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	// A report that predates the store anchor is an ingest error; it must
-	// surface on the collector's error channel, not kill the connection.
-	bad := gateway.Report{GatewayID: "gwE", Timestamp: mon.Add(-time.Hour)}
-	if err := rep.Send(bad); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-col.Errs:
-		if err == nil {
-			t.Fatal("nil error on Errs")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ingest error never surfaced")
-	}
-	// The connection still works afterwards.
-	em := gateway.NewEmitter("gwE")
-	for m := 0; m < 2; m++ {
-		good := em.Emit(mon.Add(time.Duration(m)*time.Minute), []gateway.DeviceMinute{{MAC: "m1", InBytes: 1, OutBytes: 1}})
-		if err := rep.Send(good); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rep.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Recorder("gwE") == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("connection died after ingest error")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := col.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if in, _ := store.Recorder("gwE").Series("m1", 2); in == nil || math.IsNaN(in.Values[1]) {
-		t.Fatal("good reports after the ingest error were not ingested")
 	}
 }

@@ -4,16 +4,16 @@
 # Starts cmd/experiments on a scaled-down deployment with -debug-addr on
 # a kernel-assigned port, waits for the debug server to announce itself
 # on stderr, curls /healthz and /metrics, and greps the exposition for
-# one representative series from each instrumented layer (ingest,
-# runner, cache). Then boots cmd/collector with -data-dir to verify the
-# homesight_store_* families reach the same surface, then `homestore
-# serve` on the collector's store to verify the query tier: one
-# /api/v1/* endpoint answering the versioned envelope and the
-# homesight_query_* families on /metrics. Then boots the collector
-# again in fleet mode (-shards 2) to verify the homesight_fleet_*
-# families register the moment the shards start. Finally runs a demo
-# collector with -live and curls /api/v1/homes/{gw}/live plus the
-# homesight_live_* families — the streaming analytics tier end to end.
+# one representative series from each instrumented layer (runner,
+# cache). Then boots cmd/collector as a 2-shard fleet to verify the
+# homesight_fleet_* families register the moment the shards start, then
+# `homestore serve` on the collector's first partition to verify the
+# homesight_store_* families and the query tier: one /api/v1/* endpoint
+# answering the versioned envelope and the homesight_query_* families on
+# /metrics (shard stores keep private registries, FLEET.md, so the store
+# families are scraped here). Finally runs a demo collector with -live
+# and curls /api/v1/homes/{gw}/live plus the homesight_live_* families —
+# the streaming analytics tier end to end.
 # Wired into `make check` via the obs-smoke target.
 #
 # Exits non-zero (and prints the captured log) on any missing endpoint
@@ -22,12 +22,16 @@ set -eu
 
 GO=${GO:-go}
 TMP=$(mktemp -d)
-PID= CPID= QPID= FPID= LPID=
-trap 'kill "$PID" "$CPID" "$QPID" "$FPID" "$LPID" 2>/dev/null || true; wait "$PID" "$CPID" "$QPID" "$FPID" "$LPID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+PID= QPID= FPID= LPID=
+trap 'kill "$PID" "$QPID" "$FPID" "$LPID" 2>/dev/null || true; wait "$PID" "$QPID" "$FPID" "$LPID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+
+# Built once and run directly, so every kill below reaches the program
+# itself (a killed `go run` leaves its child running).
+$GO build -o "$TMP/bin/" ./cmd/experiments ./cmd/collector ./cmd/homestore
 
 # A tiny run (-run fig5 keeps it to one experiment) held open long
 # enough to scrape; -hold is the window, generous for slow CI machines.
-$GO run ./cmd/experiments -homes 4 -weeks 2 -run fig5 \
+"$TMP/bin/experiments" -homes 4 -weeks 2 -run fig5 \
     -debug-addr 127.0.0.1:0 -hold 60s \
     >"$TMP/stdout" 2>"$TMP/stderr" &
 PID=$!
@@ -63,11 +67,9 @@ fail() {
 HEALTH=$(curl -fsS --max-time 10 "http://$ADDR/healthz") || fail "/healthz unreachable"
 [ "$HEALTH" = "ok" ] || fail "/healthz said '$HEALTH', want 'ok'"
 
-# /metrics must be valid-enough exposition carrying all three layers.
+# /metrics must be valid-enough exposition carrying both layers.
 curl -fsS --max-time 10 "http://$ADDR/metrics" >"$TMP/metrics" || fail "/metrics unreachable"
 for metric in \
-    homesight_ingest_reports_total \
-    homesight_ingest_dropped_total \
     homesight_runner_experiment_seconds \
     homesight_runner_busy_workers \
     homesight_cache_hits_total \
@@ -82,102 +84,10 @@ kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 PID=
 
-# Storage layer: a collector with -data-dir registers the
-# homesight_store_* families on its debug registry the moment the store
-# opens; serve mode holds the endpoint up while we scrape.
-$GO run ./cmd/collector -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
-    -data-dir "$TMP/store" \
-    >"$TMP/col-stdout" 2>"$TMP/col-stderr" &
-CPID=$!
-
-CADDR=
-i=0
-while [ $i -lt 150 ]; do
-    CADDR=$(sed -n 's/.*msg="debug server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/col-stderr" | head -n 1)
-    [ -n "$CADDR" ] && break
-    if ! kill -0 "$CPID" 2>/dev/null; then
-        echo "obs-smoke: collector exited before serving" >&2
-        cat "$TMP/col-stderr" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$CADDR" ]; then
-    echo "obs-smoke: collector debug server never announced an address" >&2
-    cat "$TMP/col-stderr" >&2
-    exit 1
-fi
-
-cfail() {
-    echo "obs-smoke: $1" >&2
-    cat "$TMP/col-stderr" >&2
-    exit 1
-}
-
-curl -fsS --max-time 10 "http://$CADDR/metrics" >"$TMP/col-metrics" || cfail "collector /metrics unreachable"
-for metric in \
-    homesight_store_appends_total \
-    homesight_store_points_total \
-    homesight_store_segments \
-    homesight_store_wal_fsync_seconds; do
-    grep -q "^# TYPE $metric " "$TMP/col-metrics" || cfail "collector /metrics misses $metric"
-done
-
-kill "$CPID" 2>/dev/null || true
-wait "$CPID" 2>/dev/null || true
-CPID=
-
-# Query tier: homestore serve on the collector's (empty but valid)
-# store must answer /api/v1/homes with the versioned envelope and put
-# the homesight_query_* families on the same /metrics surface.
-$GO run ./cmd/homestore serve -dir "$TMP/store" -addr 127.0.0.1:0 \
-    >"$TMP/q-stdout" 2>"$TMP/q-stderr" &
-QPID=$!
-
-QADDR=
-i=0
-while [ $i -lt 150 ]; do
-    QADDR=$(sed -n 's/.*msg="query server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/q-stderr" | head -n 1)
-    [ -n "$QADDR" ] && break
-    if ! kill -0 "$QPID" 2>/dev/null; then
-        echo "obs-smoke: homestore serve exited before serving" >&2
-        cat "$TMP/q-stderr" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$QADDR" ]; then
-    echo "obs-smoke: query server never announced an address" >&2
-    cat "$TMP/q-stderr" >&2
-    exit 1
-fi
-
-qfail() {
-    echo "obs-smoke: $1" >&2
-    cat "$TMP/q-stderr" >&2
-    exit 1
-}
-
-curl -fsS --max-time 10 "http://$QADDR/api/v1/homes" >"$TMP/q-homes" || qfail "/api/v1/homes unreachable"
-grep -q '"version":"v1"' "$TMP/q-homes" || qfail "/api/v1/homes not wrapped in the v1 envelope"
-
-curl -fsS --max-time 10 "http://$QADDR/metrics" >"$TMP/q-metrics" || qfail "query /metrics unreachable"
-for metric in \
-    homesight_query_requests_total \
-    homesight_query_cache_misses_total; do
-    grep -q "^# TYPE $metric " "$TMP/q-metrics" || qfail "query /metrics misses $metric"
-done
-
-kill "$QPID" 2>/dev/null || true
-wait "$QPID" 2>/dev/null || true
-QPID=
-
-# Fleet tier: a collector in sharded mode registers the
-# homesight_fleet_* families (and binds each shard's labelled series)
-# as the shards start, before any report arrives.
-$GO run ./cmd/collector -shards 2 -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
+# Fleet tier: a collector registers the homesight_fleet_* families (and
+# binds each shard's labelled series) as the shards start, before any
+# report arrives; its partitions live under -data-dir.
+"$TMP/bin/collector" -shards 2 -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
     -data-dir "$TMP/fleet" \
     >"$TMP/f-stdout" 2>"$TMP/f-stderr" &
 FPID=$!
@@ -219,18 +129,73 @@ for metric in \
 done
 # The per-shard series are bound at startup, so the shard label must
 # already be present.
-grep -q 'homesight_fleet_shard_reports_total{shard="shard-0000"}' "$TMP/f-metrics" \
-    || ffail "fleet /metrics misses the shard-0000 labelled series"
+for shard in shard-0000 shard-0001; do
+    grep -q "homesight_fleet_shard_reports_total{shard=\"$shard\"}" "$TMP/f-metrics" \
+        || ffail "fleet /metrics misses the $shard labelled series"
+done
 
 kill "$FPID" 2>/dev/null || true
 wait "$FPID" 2>/dev/null || true
 FPID=
 
-# Live tier: a demo collector with -live feeds a livestats tracker off
-# the ingest callback and serves /api/v1/homes/{gw}/live on the debug
-# server; -hold keeps it up after the campaign so the snapshot can be
-# scraped. Synth gateway IDs are gw%03d, so gw000 always exists.
-$GO run ./cmd/collector -demo -homes 2 -weeks 1 -live \
+# Storage and query tiers: homestore serve on the collector's first
+# (empty but valid) partition registers the homesight_store_* families
+# as the store opens, must answer /api/v1/homes with the versioned
+# envelope and puts the homesight_query_* families on the same /metrics
+# surface.
+"$TMP/bin/homestore" serve -dir "$TMP/fleet/shard-0000" -addr 127.0.0.1:0 \
+    >"$TMP/q-stdout" 2>"$TMP/q-stderr" &
+QPID=$!
+
+QADDR=
+i=0
+while [ $i -lt 150 ]; do
+    QADDR=$(sed -n 's/.*msg="query server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/q-stderr" | head -n 1)
+    [ -n "$QADDR" ] && break
+    if ! kill -0 "$QPID" 2>/dev/null; then
+        echo "obs-smoke: homestore serve exited before serving" >&2
+        cat "$TMP/q-stderr" >&2
+        exit 1
+    fi
+    i=$((i + 1))
+    sleep 0.2
+done
+if [ -z "$QADDR" ]; then
+    echo "obs-smoke: query server never announced an address" >&2
+    cat "$TMP/q-stderr" >&2
+    exit 1
+fi
+
+qfail() {
+    echo "obs-smoke: $1" >&2
+    cat "$TMP/q-stderr" >&2
+    exit 1
+}
+
+curl -fsS --max-time 10 "http://$QADDR/api/v1/homes" >"$TMP/q-homes" || qfail "/api/v1/homes unreachable"
+grep -q '"version":"v1"' "$TMP/q-homes" || qfail "/api/v1/homes not wrapped in the v1 envelope"
+
+curl -fsS --max-time 10 "http://$QADDR/metrics" >"$TMP/q-metrics" || qfail "query /metrics unreachable"
+for metric in \
+    homesight_store_appends_total \
+    homesight_store_points_total \
+    homesight_store_segments \
+    homesight_store_wal_fsync_seconds \
+    homesight_query_requests_total \
+    homesight_query_cache_misses_total; do
+    grep -q "^# TYPE $metric " "$TMP/q-metrics" || qfail "query /metrics misses $metric"
+done
+
+kill "$QPID" 2>/dev/null || true
+wait "$QPID" 2>/dev/null || true
+QPID=
+
+# Live tier: a demo collector with -live runs a livestats tracker on
+# every shard, exports the homesight_live_* families and serves
+# /api/v1/homes/{gw}/live on the debug server; -hold keeps it up after
+# the campaign so the snapshot can be scraped. Synth gateway IDs are
+# gw%03d, so gw000 always exists.
+"$TMP/bin/collector" -demo -homes 2 -weeks 1 -live \
     -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -hold 60s \
     >"$TMP/l-stdout" 2>"$TMP/l-stderr" &
 LPID=$!
@@ -290,4 +255,4 @@ done
 kill "$LPID" 2>/dev/null || true
 wait "$LPID" 2>/dev/null || true
 LPID=
-echo "obs-smoke: /healthz, /metrics (ingest+runner+cache+store+query+fleet+live), /api/v1 and pprof all served"
+echo "obs-smoke: /healthz, /metrics (runner+cache+fleet+store+query+live), /api/v1 and pprof all served"
