@@ -4,7 +4,7 @@ SARIF ?= homesight-vet.sarif
 BASE ?= HEAD
 N ?= 10
 
-.PHONY: build test race vet lint vet-fix-check vet-sarif bench bench-build bench-store bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check
+.PHONY: build test race vet lint vet-fix-check vet-sarif bench bench-build bench-store bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check check-full
 
 build: ## compile every package
 	$(GO) build ./...
@@ -62,6 +62,9 @@ fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL r
 
 obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, grep required series
 	GO="$(GO)" sh scripts/obs_smoke.sh
+
+check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~40 s and ~2.6 GB peak RSS, so outside check
+	$(GO) run ./cmd/experiments -homes 196 -weeks 8 | diff - experiments_output.txt
 
 check: vet race lint vet-fix-check vet-sarif test-faults bench-build bench-store bench-fleet fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet (baseline) + fix drift + SARIF artifact + fault suite + bench smoke + store bench + fleet bench + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

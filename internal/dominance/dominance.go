@@ -31,8 +31,14 @@ type DeviceSeries struct {
 // three notions of dominance.
 type Score struct {
 	Device devices.Device
-	// Similarity is the Definition 1 correlation similarity to the gateway.
+	// Similarity is the Definition 1 correlation similarity to the gateway
+	// under the detector's measure: Detail.SimilarityUnder(Measure).
 	Similarity float64
+	// Detail holds all three coefficients behind Similarity, whatever
+	// coefficients the detector's measure selects, so any measure variant
+	// can be re-derived with Detail.SimilarityUnder; Detail.Similarity
+	// equals Similarity.
+	Detail corrsim.Detail
 	// Euclidean is the Euclidean distance to the gateway series (smaller =
 	// more dominant under the baseline).
 	Euclidean float64
@@ -56,12 +62,6 @@ type Detector struct {
 	Measure corrsim.Measure
 	// Phi is the dominance threshold (0 → DefaultPhi).
 	Phi float64
-	// Similarity, when non-nil, supplies the Definition 1 similarity of
-	// device k against the gateway instead of Measure.Similarity. The
-	// experiments Env routes its pairwise-correlation cache through this
-	// hook; any implementation must be equivalent to Measure.Similarity
-	// on the same inputs or the Definition 4 semantics change.
-	Similarity func(k int, ds DeviceSeries, gateway *timeseries.Series) float64
 }
 
 // Default is the paper's detector (φ = 0.6, α = 0.05).
@@ -77,7 +77,8 @@ func (d Detector) phi() float64 {
 // Detect scores every device against the gateway series and returns the
 // φ-dominant set. Devices are compared on the gateway's own grid; the
 // caller is responsible for aligning the series (synth and dataset both
-// produce aligned grids).
+// produce aligned grids). This is the one Definition 1 / Definition 4
+// pass over a home: the gateway is ranked once for every device.
 func (d Detector) Detect(gateway *timeseries.Series, devs []DeviceSeries) Result {
 	res := Result{All: make([]Score, 0, len(devs))}
 	phi := d.phi()
@@ -85,19 +86,16 @@ func (d Detector) Detect(gateway *timeseries.Series, devs []DeviceSeries) Result
 	// traffic, not "skip the minute": skipping would hand sparse guest
 	// devices an artificially tiny distance.
 	zgw := gateway.FillMissing(0)
-	similarity := d.Similarity
-	if similarity == nil {
-		// The gateway is ranked once for every device.
-		ref := d.Measure.Against(gateway.Values)
-		similarity = func(_ int, ds DeviceSeries, _ *timeseries.Series) float64 {
-			return ref.Similarity(ds.Series.Values)
-		}
-	}
-	for k, ds := range devs {
-		sim := similarity(k, ds, gateway)
+	all := d.Measure
+	all.Use = corrsim.UseAll
+	ref := all.Against(gateway.Values)
+	for _, ds := range devs {
+		detail := ref.Detailed(ds.Series.Values)
+		detail.Similarity = detail.SimilarityUnder(d.Measure)
 		sc := Score{
 			Device:     ds.Device,
-			Similarity: sim,
+			Similarity: detail.Similarity,
+			Detail:     detail,
 			Traffic:    ds.Series.Total(),
 		}
 		// Equal lengths by construction; an error would be a caller bug and

@@ -1,11 +1,13 @@
 package dominance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"homesight/internal/corrsim"
 	"homesight/internal/devices"
 	"homesight/internal/synth"
 	"homesight/internal/timeseries"
@@ -225,38 +227,51 @@ func TestDetectSkipsAllNaNDevice(t *testing.T) {
 	}
 }
 
-// TestDetectorSimilarityHook checks that a non-nil Similarity hook replaces
-// Measure.Similarity as the Definition 4 input — the seam the experiments
-// Env uses to route its pairwise-correlation cache into detection.
-func TestDetectorSimilarityHook(t *testing.T) {
-	gw := mkSeries([]float64{1, 2, 3, 4, 5, 6})
-	devs := []DeviceSeries{
-		mkDevice("aa:aa:aa:00:00:01", []float64{0, 0, 0, 0, 0, 0}),
-		mkDevice("aa:aa:aa:00:00:02", []float64{0, 0, 0, 0, 0, 0}),
-		mkDevice("aa:aa:aa:00:00:03", []float64{0, 0, 0, 0, 0, 0}),
-	}
-	canned := []float64{0.3, 0.95, 0.7}
-	var seen []int
-	det := Detector{Similarity: func(k int, ds DeviceSeries, gateway *timeseries.Series) float64 {
-		seen = append(seen, k)
-		if gateway != gw {
-			t.Error("hook did not receive the gateway series")
+// TestDetectKeepsEveryCoefficient: a detector whose measure selects one
+// coefficient still keeps all three on Score.Detail, so every variant of
+// the measure re-derives from one Detect — each bit-equal to scoring the
+// device under that variant directly — while Similarity, and so the
+// φ-dominant set, follows the detector's own measure.
+func TestDetectKeepsEveryCoefficient(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 600
+	gw := make([]float64, n)
+	var devs []DeviceSeries
+	for k := 1; k <= 4; k++ {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(k) * 200 * rng.Float64()
+			if rng.Float64() < 0.05 {
+				vals[i] = math.NaN()
+			} else {
+				gw[i] += vals[i] * vals[i] // a monotone, non-linear coupling
+			}
 		}
-		return canned[k]
-	}}
-	res := det.Detect(gw, devs)
-	if len(seen) != len(devs) {
-		t.Fatalf("hook called for %d devices, want %d", len(seen), len(devs))
+		devs = append(devs, mkDevice(fmt.Sprintf("aa:aa:aa:00:00:%02d", k), vals))
 	}
-	if len(res.Dominants) != 2 {
-		t.Fatalf("dominants = %d, want the two above φ=0.6", len(res.Dominants))
+	spearman := corrsim.Measure{Use: corrsim.UseSpearman}
+	res := Detector{Measure: spearman}.Detect(mkSeries(gw), devs)
+	if len(res.All) != len(devs) {
+		t.Fatalf("%d scores for %d devices", len(res.All), len(devs))
 	}
-	if res.Dominants[0].Device.MAC != "aa:aa:aa:00:00:02" ||
-		res.Dominants[1].Device.MAC != "aa:aa:aa:00:00:03" {
-		t.Errorf("dominants order = %s, %s",
-			res.Dominants[0].Device.MAC, res.Dominants[1].Device.MAC)
-	}
-	if math.Abs(res.Dominants[0].Similarity-0.95) > 1e-12 {
-		t.Errorf("similarity = %g, want the hook's value", res.Dominants[0].Similarity)
+	for _, sc := range res.All {
+		var x []float64
+		for _, ds := range devs {
+			if ds.Device.MAC == sc.Device.MAC {
+				x = ds.Series.Values
+			}
+		}
+		if d := sc.Detail; math.IsNaN(d.Pearson.Coeff) || math.IsNaN(d.Kendall.Coeff) || d.N == 0 {
+			t.Fatalf("%s: detail %+v does not carry every coefficient", sc.Device.MAC, d)
+		}
+		if want := spearman.Similarity(x, gw); sc.Similarity != want || sc.Detail.Similarity != want {
+			t.Errorf("%s: similarity %v (detail %v), spearman-only scores %v", sc.Device.MAC, sc.Similarity, sc.Detail.Similarity, want)
+		}
+		for _, use := range []corrsim.Coefficients{corrsim.UseAll, corrsim.UsePearson, corrsim.UseKendall} {
+			m := corrsim.Measure{Use: use}
+			if got, want := sc.Detail.SimilarityUnder(m), m.Similarity(x, gw); got != want {
+				t.Errorf("%s under %v: %v from the detail, %v directly", sc.Device.MAC, use, got, want)
+			}
+		}
 	}
 }

@@ -35,9 +35,10 @@ var ablationVariants = []struct {
 }
 
 // TabSimilarityAblation runs the dominance detection under each variant.
-// All four variants are re-derived from the Env's pairwise coefficient
-// cache via Detail.SimilarityUnder, so a home's three correlation
-// coefficients are computed once instead of once per variant.
+// All four variants are re-derived from the coefficients each Score of the
+// home's dominance result carries (Score.Detail, via SimilarityUnder), so
+// a home's three correlation coefficients are computed once instead of
+// once per variant.
 func TabSimilarityAblation(ctx context.Context, e *Env) (AblationResult, error) {
 	res := AblationResult{
 		Dominants:    make(map[string]int),
@@ -47,13 +48,13 @@ func TabSimilarityAblation(ctx context.Context, e *Env) (AblationResult, error) 
 	type perHome [4]int // dominants per variant, ablationVariants order
 	per := make([]perHome, len(idxs))
 	if err := e.forEach(ctx, len(idxs), func(j int) {
-		details := e.PairDetails(idxs[j])
+		scores := e.Dominance(idxs[j]).All
 		for vi, v := range ablationVariants {
 			m := corrsim.Measure{Use: v.use}
 			count := 0
-			for _, d := range details {
+			for _, sc := range scores {
 				// Detect's dominance criterion: similarity strictly above φ.
-				if d.SimilarityUnder(m) > dominance.DefaultPhi {
+				if sc.Detail.SimilarityUnder(m) > dominance.DefaultPhi {
 					count++
 				}
 			}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"homesight/internal/core"
-	"homesight/internal/corrsim"
 	"homesight/internal/dataset"
 	"homesight/internal/dominance"
 	"homesight/internal/obs"
@@ -34,13 +33,14 @@ import (
 // over the longer analysis window (WeeksWeeklyMotif, six of the paper's
 // eight weeks: the weekly-motif members' windows are read from it at
 // minute resolution), and a handful of scalars (coverage
-// flags, the Sec. 4.1b/4.2c coefficients, the Fig. 4 thresholds) — all
-// produced by one buildHome from one generation or store read of the home
-// (home.go). The overall series stay because dominance, the cohort
-// selections and the motif-window dominance read them again and again at
-// minute resolution; the per-direction series, two more per device, are
-// read only by the build and die with its view. Pair details, dominance
-// results and stationarity outcomes are memoized per home on top.
+// flags, the Sec. 4.1b/4.2c coefficients, the Fig. 4 thresholds, the
+// Def. 4 result of a weekly-cohort home) — all produced by one buildHome
+// from one generation or store read of the home (home.go). The overall
+// series stay because the cohort selections and the motif-window
+// dominance read them again and again at minute resolution; the
+// per-direction series, two more per device, are read only by the build
+// and die with its table. Stationarity outcomes are memoized per home on
+// top.
 type Env struct {
 	Dep *synth.Deployment
 	// Framework carries the paper's analysis parameters.
@@ -68,8 +68,6 @@ type Env struct {
 
 	homes *memo[int, *gatewayCache]
 	gws   *memo[int, []*gatewayCache]
-	pairs *memo[int, []corrsim.Detail]
-	doms  *memo[int, dominance.Result]
 	stat  *memo[int, gatewayStationarity]
 
 	// Store backing (WithStore): homes whose gateway the store holds read
@@ -194,8 +192,6 @@ func NewEnv(opts ...Option) (*Env, error) {
 	}
 	e.homes = newMemo[int, *gatewayCache](e.newCache("home-build"), e.now)
 	e.gws = newMemo[int, []*gatewayCache](e.newCache("gateway-aggregates"), e.now)
-	e.pairs = newMemo[int, []corrsim.Detail](e.newCache("pair-similarity"), e.now)
-	e.doms = newMemo[int, dominance.Result](e.newCache("dominance"), e.now)
 	e.stat = newMemo[int, gatewayStationarity](e.newCache("stationarity"), e.now)
 	if cfg.storeDir != "" {
 		if err := e.openStore(cfg.storeDir); err != nil {
@@ -352,7 +348,7 @@ func (m *memo[K, V]) build(k K, e *memoEntry[V], build func() V) V {
 // over the slots.
 //
 // Scheduling is two-level: the engine's pool decides which experiments
-// (and experiment shards) run, while every forEach in the Env draws
+// run, while every forEach in the Env draws
 // helpers from one semaphore of parallelism-1 slots. The calling
 // goroutine always works, so fan-out never deadlocks when the budget is
 // exhausted (including nested fan-outs during cache builds), and a
@@ -427,72 +423,35 @@ func (e *Env) gatewayCaches() []*gatewayCache {
 	})
 }
 
-// Warm pre-builds every heavy shared intermediate — the per-home builds,
-// pairwise correlation details and dominance results — fanned across the
-// Env's parallelism before any experiment runs. With
-// a warm Env no experiment pays another's first-touch build or blocks
-// on an in-flight one, which is what drives the
+// Warm pre-builds every home — and with each weekly-cohort home its
+// dominance — fanned across the Env's parallelism before any experiment
+// runs. With a warm Env no experiment pays another's first-touch build or
+// blocks on an in-flight one, which is what drives the
 // homesight_cache_build_wait_seconds series to ~0 under the parallel
 // engine. The engine calls Warm automatically unless Engine.SkipWarm is
-// set (cmd/experiments sets it when -run selects a subset, where
-// warming every cache would cost more than the experiments saved).
+// set (cmd/experiments sets it when -run selects a subset, which then
+// builds on first touch). Its only error is ctx's at entry: once started,
+// the builds run to completion.
 func (e *Env) Warm(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	e.gatewayCaches()
-	idxs := e.WeeklyCohortIndexes()
-	// Dominance pulls pair details through their own memo, so one pass
-	// over the cohort fills both caches.
-	return e.forEach(ctx, len(idxs), func(j int) {
-		e.Dominance(idxs[j])
-	})
+	return nil
 }
 
-// DeviceSeries returns the dominance inputs of home i: the gateway
-// overall plus every device's overall series over the main analysis
-// window (WeeksMain). Callers must not mutate the returned series — they
-// are shared across experiments.
-func (e *Env) DeviceSeries(i int) (*timeseries.Series, []dominance.DeviceSeries) {
-	gc := e.home(i)
-	return gc.mainGateway, gc.mainDevices
-}
-
-// PairDetails returns the memoized Definition 1 correlation details of
-// every (device, gateway) series pair of home i over the main window,
-// computed with all three coefficients so any measure variant can be
-// re-derived via Detail.SimilarityUnder. The gateway overall is ranked
-// once for all the home's devices.
-func (e *Env) PairDetails(i int) []corrsim.Detail {
-	return e.pairs.get(i, func() []corrsim.Detail {
-		gw, devs := e.DeviceSeries(i)
-		m := e.Framework.Measure()
-		m.Use = corrsim.UseAll
-		ref := m.Against(gw.Values)
-		out := make([]corrsim.Detail, len(devs))
-		for k, ds := range devs {
-			out[k] = ref.Detailed(ds.Series.Values)
-		}
-		return out
-	})
-}
-
-// Dominance returns the memoized Definition 4 result of home i under the
-// framework detector over the main window. The detector reads its
-// similarities from the pairwise cache, so Fig. 5, the agreement table,
-// the residents table and the motif analysis all share one correlation
-// pass per home.
+// Dominance returns the Definition 4 result of home i under the framework
+// detector over the main window (WeeksMain). Each Score carries all three
+// coefficients (Score.Detail), so measure variants re-derive from it. The
+// build computes it once for every weekly-cohort home — the homes Fig. 5,
+// the agreement, residents and ablation tables and the motif analysis ask
+// about; for any other home it is detected on each call.
 func (e *Env) Dominance(i int) dominance.Result {
-	return e.doms.get(i, func() dominance.Result {
-		gw, devs := e.DeviceSeries(i)
-		details := e.PairDetails(i)
-		det := e.Framework.Detector()
-		measure := det.Measure
-		det.Similarity = func(k int, _ dominance.DeviceSeries, _ *timeseries.Series) float64 {
-			return details[k].SimilarityUnder(measure)
-		}
-		return det.Detect(gw, devs)
-	})
+	gc := e.home(i)
+	if gc.weeklyCoverageMain {
+		return gc.dom
+	}
+	return e.detect(gc)
 }
 
 // WeeklyCohort returns the active series of homes with weekly coverage over

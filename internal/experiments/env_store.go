@@ -9,14 +9,14 @@ import (
 
 // WithStore attaches a homestore directory (see internal/store and
 // STORAGE.md) to the Env: homes whose gateway appears in the store load
-// their traffic from disk instead of re-synthesizing it (Env.storeView),
+// their traffic from disk (store.Home) instead of re-synthesizing it,
 // while homes the collector never persisted fall back to the
-// synthesizer. Every experiment that reads minute-level traffic reads it
-// through that one per-home view, so the whole suite analyses the
+// synthesizer. All 17 experiments read minute-level traffic through that
+// one per-home table (Env.viewOf), so the whole suite analyses the
 // collected campaign with the exact reconstruction pipeline the paper
-// applies to its measurement data; only Fig. 1's incoming-only anatomy
-// and the survey inventory still come from the synthesizer. The Env owns
-// the handle; call Env.Close when done.
+// applies to its measurement data; only the survey inventory (residents,
+// ground-truth device types) still comes from the synthesizer. The Env
+// owns the handle; call Env.Close when done.
 func WithStore(dir string) Option {
 	return func(c *envConfig) error {
 		if dir == "" {

@@ -206,25 +206,31 @@ func TestWarmCancelledPropagates(t *testing.T) {
 	}
 }
 
-// TestWarmFillsCaches: after Warm, the dominance memo holds every weekly-
-// cohort home, so experiment-time lookups are pure hits — no misses and
-// no build waits, which is the mechanism that drives the
-// homesight_cache_build_wait_seconds series to ~0 under the engine.
+// TestWarmFillsCaches: after Warm, the home-build memo holds every home
+// (and with each weekly-cohort home its dominance), so experiment-time
+// lookups are pure hits — no misses and no build waits, which is the
+// mechanism that drives the homesight_cache_build_wait_seconds series to
+// ~0 under the engine.
 func TestWarmFillsCaches(t *testing.T) {
 	e := smallEnv(t, 2)
 	if err := e.Warm(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	warm := e.CacheStats()["dominance"]
+	warm := e.CacheStats()["home-build"]
+	if warm.Misses != int64(e.Dep.NumHomes()) {
+		t.Fatalf("home-build misses after Warm = %d, want %d (one build per home)",
+			warm.Misses, e.Dep.NumHomes())
+	}
 	idxs := e.WeeklyCohortIndexes()
-	if warm.Misses != int64(len(idxs)) {
-		t.Fatalf("dominance misses after Warm = %d, want %d (one build per cohort home)",
-			warm.Misses, len(idxs))
+	if len(idxs) == 0 {
+		t.Fatal("empty weekly cohort: the test would look at nothing")
 	}
 	for _, i := range idxs {
-		e.Dominance(i)
+		if len(e.Dominance(i).All) == 0 {
+			t.Errorf("home %d: dominance saw no devices", i)
+		}
 	}
-	st := e.CacheStats()["dominance"]
+	st := e.CacheStats()["home-build"]
 	if st.Misses != warm.Misses {
 		t.Errorf("post-warm lookups caused %d extra builds, want 0", st.Misses-warm.Misses)
 	}

@@ -629,7 +629,7 @@ func mkMotif(support int) *motif.Motif {
 }
 
 // TestStationarityADFGoldens pins tests.ADF on real suite input: τ, p,
-// lags and N of the ten StationarityGateways of the benchmark's first
+// lags and N of the ten top observed gateways of the benchmark's first
 // pinned dataset (16 homes × 2 weeks, seed 20140317), recorded from the
 // dense-QR fit ADF ran before it solved the normal equations.
 func TestStationarityADFGoldens(t *testing.T) {
@@ -649,7 +649,7 @@ func TestStationarityADFGoldens(t *testing.T) {
 		3:  -17.406459180324418,
 		1:  -11.397284937635712,
 	}
-	top := e.StationarityGateways()
+	top := e.TopObservedGateways(10)
 	if len(top) != len(golden) {
 		t.Fatalf("%d stationarity gateways, goldens cover %d", len(top), len(golden))
 	}

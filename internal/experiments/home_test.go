@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"homesight/internal/background"
+	"homesight/internal/dataset"
 	"homesight/internal/devices"
 	"homesight/internal/gateway"
 	"homesight/internal/motif"
@@ -128,6 +129,15 @@ func TestStoreBackedExperimentsReadTheStore(t *testing.T) {
 	if p, f := plain.home(1).inOut, flat.home(1).inOut; p != f {
 		t.Errorf("untouched home 1 moved: in/out %+v vs %+v", p, f)
 	}
+	// Fig. 1's anatomy is of the top observed home, home 0 in this fixture.
+	if top := plain.TopObservedGateways(1)[0]; top != 0 {
+		t.Fatalf("top observed home is %d; the fixture silences a device of home 0", top)
+	}
+	pF1, _ := Fig01TypicalGateway(ctx, plain)
+	fF1, _ := Fig01TypicalGateway(ctx, flat)
+	if p, f := pF1.String(), fF1.String(); p == f {
+		t.Errorf("Fig01TypicalGateway ignores the store:\n%s", p)
+	}
 	pDC, _ := TabDeviceCountCorrelation(ctx, plain)
 	fDC, _ := TabDeviceCountCorrelation(ctx, flat)
 	if pDC == fDC {
@@ -192,10 +202,10 @@ func TestStoreBackedExperimentsReadTheStore(t *testing.T) {
 //  3. the gateway overall is the sum of the device series, so it is
 //     missing wherever no device has a delta — the synthesizer says 0 for
 //     a reporting gateway with no station associated.
-func reconstructedView(h *synth.Home) homeView {
+func reconstructedView(h *synth.Home) *dataset.Gateway {
 	traffic := append([]*synth.DeviceTraffic(nil), h.Traffic()...)
 	sort.Slice(traffic, func(a, b int) bool { return traffic[a].Spec.Device.MAC < traffic[b].Spec.Device.MAC })
-	var v homeView
+	g := &dataset.Gateway{ID: h.ID}
 	for _, dt := range traffic {
 		in, out := dt.In.Clone(), dt.Out.Clone()
 		reported := false
@@ -206,15 +216,15 @@ func reconstructedView(h *synth.Home) homeView {
 				in.Values[m], out.Values[m] = math.NaN(), math.NaN()
 			}
 		}
-		sum, _ := in.Add(out)
-		v.devs = append(v.devs, deviceView{dev: dt.Spec.Device, in: in, out: out, overall: sum})
-		if v.overall == nil {
-			v.overall = sum.Clone()
+		d := dataset.DeviceRecord{Device: dt.Spec.Device, In: in, Out: out}
+		g.Devices = append(g.Devices, d)
+		if g.Overall == nil {
+			g.Overall = d.Overall()
 		} else {
-			v.overall, _ = v.overall.Add(sum)
+			g.Overall, _ = g.Overall.Add(d.Overall())
 		}
 	}
-	return v
+	return g
 }
 
 // TestStoreBackedHomeEqualsReconstructedSynthHome: for a campaign
@@ -243,9 +253,18 @@ func TestStoreBackedHomeEqualsReconstructedSynthHome(t *testing.T) {
 				t.Errorf("home %d device %d: %+v, want %+v", i, k, got.devices[k].Device, want.devices[k].Device)
 			}
 			seriesEqual(t, "device overall", got.devices[k].Series, want.devices[k].Series)
-			seriesEqual(t, "device overall (main window)", got.mainDevices[k].Series, want.mainDevices[k].Series)
 		}
-		seriesEqual(t, "gateway (main window)", got.mainGateway, want.mainGateway)
+		if len(got.dom.All) == 0 || len(got.dom.All) != len(want.dom.All) || len(got.dom.Dominants) != len(want.dom.Dominants) {
+			t.Fatalf("home %d: dominance over %d devices (%d dominant), want %d (%d)", i,
+				len(got.dom.All), len(got.dom.Dominants), len(want.dom.All), len(want.dom.Dominants))
+		}
+		for k, w := range want.dom.All {
+			g := got.dom.All[k]
+			if g.Device != w.Device || math.Float64bits(g.Similarity) != math.Float64bits(w.Similarity) ||
+				g.Euclidean != w.Euclidean || g.Traffic != w.Traffic {
+				t.Errorf("home %d score %d: %+v, want %+v", i, k, g, w)
+			}
+		}
 		if got.inOut != want.inOut || got.devCount != want.devCount {
 			t.Errorf("home %d: in/out %+v devcount %+v, want %+v %+v", i, got.inOut, got.devCount, want.inOut, want.devCount)
 		}

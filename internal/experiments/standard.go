@@ -10,6 +10,7 @@ import (
 	"homesight/internal/cluster"
 	"homesight/internal/core"
 	"homesight/internal/corrsim"
+	"homesight/internal/dataset"
 	"homesight/internal/devices"
 	"homesight/internal/report"
 	"homesight/internal/stats"
@@ -43,14 +44,14 @@ func Fig01TypicalGateway(ctx context.Context, e *Env) (Fig01Result, error) {
 		return Fig01Result{}, err
 	}
 	top := e.TopObservedGateways(10)
-	idx := top[0]
-	h := e.Home(idx)
+	h := e.Home(top[0])
+	g := e.viewOf(h)
 	// Incoming gateway traffic for one week.
 	n := 7 * 24 * 60
 	in := make([]float64, n)
-	for _, dt := range h.Traffic() {
+	for _, d := range g.Devices {
 		for m := 0; m < n; m++ {
-			if v := dt.In.Values[m]; !math.IsNaN(v) {
+			if v := d.In.Values[m]; !math.IsNaN(v) {
 				in[m] += v
 			}
 		}
@@ -65,7 +66,7 @@ func Fig01TypicalGateway(ctx context.Context, e *Env) (Fig01Result, error) {
 		res.Boxplot = bp
 		res.OutlierShare = float64(len(bp.Outliers)) / float64(n)
 	}
-	hourly, _ := timeseries.New(h.Overall().Start, time.Minute, in).Aggregate(3 * time.Hour)
+	hourly, _ := timeseries.New(g.Overall.Start, time.Minute, in).Aggregate(3 * time.Hour)
 	res.SeriesSpark = report.Sparkline(hourly.Values)
 	return res, nil
 }
@@ -101,15 +102,15 @@ type homeCoeff struct {
 
 // inOutCorrelation is corr(in, out) of one home's summed device traffic
 // over week one.
-func inOutCorrelation(v homeView) homeCoeff {
+func inOutCorrelation(g *dataset.Gateway) homeCoeff {
 	const n = 7 * 24 * 60
 	in := make([]float64, n)
 	out := make([]float64, n)
-	for _, d := range v.devs {
+	for _, d := range g.Devices {
 		for m := 0; m < n; m++ {
-			if x := d.in.Values[m]; !math.IsNaN(x) {
+			if x := d.In.Values[m]; !math.IsNaN(x) {
 				in[m] += x
-				out[m] += d.out.Values[m]
+				out[m] += d.Out.Values[m]
 			}
 		}
 	}
@@ -289,19 +290,16 @@ type StationarityTestsResult struct {
 }
 
 // gatewayStationarity is one gateway's cached KPSS/ADF/KS outcome over
-// the 28-day minute-resolution window — the unit of work the engine
-// schedules when it shards the stationarity experiment per home.
+// the 28-day minute-resolution window.
 type gatewayStationarity struct {
 	kpss, adf          bool
 	ksPairs, ksRejects int
 }
 
-// Stationarity returns the memoized unit-root/stationarity outcome of
-// home i. It is the per-home sub-unit behind TabStationarityTests: the
-// engine warms it shard-by-shard on its worker pool, and the assembly
-// pass then reduces warm entries in index order, keeping the report
-// byte-identical to a sequential run.
-func (e *Env) Stationarity(i int) gatewayStationarity {
+// stationarity returns the memoized unit-root/stationarity outcome of
+// home i, the per-home unit TabStationarityTests fans out and then
+// reduces in index order.
+func (e *Env) stationarity(i int) gatewayStationarity {
 	return e.stat.get(i, func() gatewayStationarity {
 		// The paper tests the raw one-minute series ("time series with
 		// current one minute binning are highly irregular, there are no
@@ -341,16 +339,12 @@ func (e *Env) Stationarity(i int) gatewayStationarity {
 	})
 }
 
-// StationarityGateways returns the home indexes TabStationarityTests
-// covers — the shard axis the engine fans across its pool.
-func (e *Env) StationarityGateways() []int { return e.TopObservedGateways(10) }
-
 // TabStationarityTests runs KPSS/ADF/KS over the top observed gateways.
 func TabStationarityTests(ctx context.Context, e *Env) (StationarityTestsResult, error) {
-	top := e.StationarityGateways()
+	top := e.TopObservedGateways(10)
 	per := make([]gatewayStationarity, len(top))
 	if err := e.forEach(ctx, len(top), func(k int) {
-		per[k] = e.Stationarity(top[k])
+		per[k] = e.stationarity(top[k])
 	}); err != nil {
 		return StationarityTestsResult{}, err
 	}
@@ -392,18 +386,18 @@ type DeviceCountResult struct {
 // over week one: a device counts as connected in a minute it moved any
 // bytes, and minutes the gateway did not report count as no traffic from
 // no devices.
-func deviceCountCorrelation(v homeView) homeCoeff {
+func deviceCountCorrelation(g *dataset.Gateway) homeCoeff {
 	const n = 7 * 24 * 60
 	overall := make([]float64, n)
 	counts := make([]float64, n)
 	for m := range overall {
-		x := v.overall.Values[m]
+		x := g.Overall.Values[m]
 		if math.IsNaN(x) {
 			continue
 		}
 		overall[m] = x
-		for _, d := range v.devs {
-			if in := d.in.Values[m]; !math.IsNaN(in) && in+d.out.Values[m] > 0 {
+		for _, d := range g.Devices {
+			if in := d.In.Values[m]; !math.IsNaN(in) && in+d.Out.Values[m] > 0 {
 				counts[m]++
 			}
 		}

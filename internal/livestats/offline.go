@@ -2,13 +2,12 @@ package livestats
 
 import (
 	"context"
+	"time"
 
 	"homesight/internal/background"
 	"homesight/internal/corrsim"
-	"homesight/internal/devices"
 	"homesight/internal/dominance"
 	"homesight/internal/store"
-	"homesight/internal/timeseries"
 )
 
 // Rebuild warms the tracker from a store's durable history: every
@@ -42,7 +41,8 @@ type OfflineHome struct {
 	// series.
 	Dominance dominance.Result
 	// Details holds each device's Definition 1 coefficient detail,
-	// keyed by MAC.
+	// keyed by MAC: the Score.Detail of Dominance, all three
+	// coefficients with Similarity under the measure Offline was given.
 	Details map[string]corrsim.Detail
 	// Thresholds holds each device's Sec. 6.1 per-direction whisker
 	// estimates, keyed by MAC.
@@ -52,62 +52,30 @@ type OfflineHome struct {
 }
 
 // Offline recomputes one gateway's analysis from a store with the
-// batch pipeline: per-device series reconstruction, the NaN-skipping
-// aggregate sum, dominance.Detector and background.EstimateThreshold —
-// exactly the offline implementations the online operators mirror.
+// batch pipeline: the store's one read of the home (store.Home), one
+// dominance.Detector pass and background.EstimateThreshold — exactly the
+// offline implementations the online operators mirror.
 func Offline(ctx context.Context, st *store.Store, gw string, m corrsim.Measure, phi float64) (*OfflineHome, error) {
+	home, err := st.Home(ctx, gw, time.Time{})
+	if err != nil {
+		return nil, err
+	}
 	out := &OfflineHome{
 		Details:    make(map[string]corrsim.Detail),
 		Thresholds: make(map[string]background.Threshold),
 	}
-	var overall *timeseries.Series
-	var devSeries []dominance.DeviceSeries
-	for _, mac := range st.Devices(gw) {
-		var res [2]*store.Result
-		for dir := 0; dir < 2; dir++ {
-			var err error
-			res[dir], err = st.Query(ctx, store.QueryRequest{
-				Key:         store.Key{Gateway: gw, Device: mac, Dir: store.Direction(dir)},
-				Reconstruct: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if res[0].LastIndex < 0 && res[1].LastIndex < 0 {
-			continue // cataloged but no samples survived
-		}
-		devOverall, err := res[0].Series.Add(res[1].Series)
-		if err != nil {
-			return nil, err // unreachable: both series share the campaign grid
-		}
-		name := st.DeviceName(gw, mac)
-		devSeries = append(devSeries, dominance.DeviceSeries{
-			Device: devices.Device{MAC: mac, Name: name, Inferred: devices.Classify(mac, name)},
-			Series: devOverall,
-		})
-		out.Thresholds[mac] = background.EstimateThreshold(res[0].Series, res[1].Series)
-		if overall == nil {
-			overall = devOverall.Clone()
-		} else if overall, err = overall.Add(devOverall); err != nil {
-			return nil, err
-		}
-	}
-	if overall == nil {
+	if len(home.Devices) == 0 {
 		return out, nil
 	}
-	out.Minutes = overall.Len()
-	// One Detailed per device backs both the detail map and, through
-	// the Similarity hook, the detector — so the similarity the result
-	// ranks by is bit-identical to the detail reported. The overall is
-	// ranked once for every device.
-	ref := m.Against(overall.Values)
-	det := dominance.Detector{Measure: m, Phi: phi}
-	det.Similarity = func(_ int, ds dominance.DeviceSeries, _ *timeseries.Series) float64 {
-		d := ref.Detailed(ds.Series.Values)
-		out.Details[ds.Device.MAC] = d
-		return d.Similarity
+	devSeries := make([]dominance.DeviceSeries, len(home.Devices))
+	for k, d := range home.Devices {
+		devSeries[k] = dominance.DeviceSeries{Device: d.Device, Series: d.Overall()}
+		out.Thresholds[d.Device.MAC] = background.EstimateThreshold(d.In, d.Out)
 	}
-	out.Dominance = det.Detect(overall, devSeries)
+	out.Minutes = home.Overall.Len()
+	out.Dominance = dominance.Detector{Measure: m, Phi: phi}.Detect(home.Overall, devSeries)
+	for _, sc := range out.Dominance.All {
+		out.Details[sc.Device.MAC] = sc.Detail
+	}
 	return out, nil
 }

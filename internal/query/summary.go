@@ -7,10 +7,8 @@ import (
 	"sync"
 
 	"homesight/internal/aggregate"
-	"homesight/internal/devices"
 	"homesight/internal/dominance"
 	"homesight/internal/motif"
-	"homesight/internal/store"
 	"homesight/internal/timeseries"
 )
 
@@ -134,59 +132,25 @@ func (a *API) summaryBody(ctx context.Context, gw string) ([]byte, error) {
 	return encodeEnvelope(Wrap(sum))
 }
 
-// buildSummary reconstructs every device of gw over the campaign and
-// derives the summary: activity features per device, φ-dominance
+// buildSummary reads gw's minute table over the campaign (store.Home)
+// and derives the summary: activity features per device, φ-dominance
 // against the summed gateway overall, and daily/weekly motif counts.
 func (a *API) buildSummary(ctx context.Context, gw string) (*Summary, error) {
 	start, end := a.st.Campaign()
 	sum := &Summary{Gateway: gw, From: start.Unix(), To: end.Unix()}
-
-	var overall *timeseries.Series
-	var devSeries []dominance.DeviceSeries
-	for _, mac := range a.st.Devices(gw) {
-		var res [2]*store.Result
-		for dir := 0; dir < 2; dir++ {
-			var err error
-			res[dir], err = a.st.Query(ctx, store.QueryRequest{
-				Key:         store.Key{Gateway: gw, Device: mac, Dir: store.Direction(dir)},
-				Reconstruct: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if res[0].LastIndex < 0 && res[1].LastIndex < 0 {
-			continue // cataloged but no samples survived
-		}
-		devOverall, err := res[0].Series.Add(res[1].Series)
-		if err != nil {
-			return nil, err // unreachable: both series share the campaign grid
-		}
-		name := a.st.DeviceName(gw, mac)
-		duty, burst, traffic := activityFeatures(devOverall.Values)
-		sum.Devices = append(sum.Devices, SummaryDevice{
-			MAC:        mac,
-			Name:       name,
-			Type:       string(devices.Classify(mac, name)),
-			DutyCycle:  duty,
-			Burstiness: burst,
-			Traffic:    traffic,
-		})
-		devSeries = append(devSeries, dominance.DeviceSeries{
-			Device: devices.Device{MAC: mac, Name: name, Inferred: devices.Classify(mac, name)},
-			Series: devOverall,
-		})
-		if overall == nil {
-			overall = devOverall.Clone()
-		} else if overall, err = overall.Add(devOverall); err != nil {
-			return nil, err // unreachable: same grid by construction
-		}
+	home, err := a.st.Home(ctx, gw, end)
+	if err != nil {
+		return nil, err
 	}
-	if overall == nil {
+	if len(home.Devices) == 0 {
 		return sum, nil // gateway known but nothing stored yet
 	}
+	devSeries := make([]dominance.DeviceSeries, len(home.Devices))
+	for k, d := range home.Devices {
+		devSeries[k] = dominance.DeviceSeries{Device: d.Device, Series: d.Overall()}
+	}
 
-	dom := dominance.Default.Detect(overall, devSeries)
+	dom := dominance.Default.Detect(home.Overall, devSeries)
 	bySim := make(map[string]float64, len(dom.All))
 	for _, sc := range dom.All {
 		bySim[sc.Device.MAC] = sc.Similarity
@@ -196,17 +160,25 @@ func (a *API) buildSummary(ctx context.Context, gw string) (*Summary, error) {
 		isDom[sc.Device.MAC] = true
 		sum.Dominants = append(sum.Dominants, sc.Device.MAC)
 	}
-	for i := range sum.Devices {
-		d := &sum.Devices[i]
-		d.Similarity = bySim[d.MAC]
-		d.Dominant = isDom[d.MAC]
+	for _, ds := range devSeries {
+		duty, burst, traffic := activityFeatures(ds.Series.Values)
+		sum.Devices = append(sum.Devices, SummaryDevice{
+			MAC:        ds.Device.MAC,
+			Name:       ds.Device.Name,
+			Type:       string(ds.Device.Inferred),
+			DutyCycle:  duty,
+			Burstiness: burst,
+			Traffic:    traffic,
+			Dominant:   isDom[ds.Device.MAC],
+			Similarity: bySim[ds.Device.MAC],
+		})
 	}
 
-	daily, err := motifCount(gw, overall, aggregate.BestDaily)
+	daily, err := motifCount(gw, home.Overall, aggregate.BestDaily)
 	if err != nil {
 		return nil, err
 	}
-	weekly, err := motifCount(gw, overall, aggregate.BestWeekly)
+	weekly, err := motifCount(gw, home.Overall, aggregate.BestWeekly)
 	if err != nil {
 		return nil, err
 	}

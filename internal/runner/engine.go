@@ -61,67 +61,30 @@ type Report struct {
 	Duration time.Duration
 }
 
-// Run executes the experiments and returns their reports in input order —
-// workers write only their own indexed slot, so scheduling never reorders
-// or interleaves output. The returned error joins every per-experiment
-// failure (nil when all succeeded); reports are complete either way. env
-// may be nil for experiments that don't need one (tests); when set, its
-// cache counters are attached to the metrics.
+// Run executes the experiments on a pool of Parallelism workers and
+// returns their reports in input order — workers write only their own
+// indexed slot, so scheduling never reorders or interleaves output. The
+// returned error joins every per-experiment failure (nil when all
+// succeeded); reports are complete either way, and an experiment never
+// started because ctx ended reports ctx's error. env may be nil for
+// experiments that don't need one (tests); when set, its cache counters
+// are attached to the metrics.
 //
-// Unless SkipWarm is set, Run first warms the Env's shared caches
-// (Env.Warm) so no experiment pays another's first-touch build.
-// Experiments implementing Sharded are decomposed into per-home
-// sub-units scheduled on the same pool as whole experiments; a sharded
-// experiment's Report.Duration is the total compute time of its shards
-// plus assembly, not the wall time between first shard and last.
+// Unless SkipWarm is set, Run first warms the Env (Env.Warm): every home
+// is built, and with it every weekly-cohort home's dominance, fanned over
+// the Env's own budget, so no experiment pays another's first-touch build.
 func (g *Engine) Run(ctx context.Context, env *experiments.Env, exps []Experiment) ([]Report, telemetry.RunMetrics, error) {
 	start := g.now()
 	n := len(exps)
 	reports := make([]Report, n)
 
 	if env != nil && !g.SkipWarm {
-		// Warm fans across the Env's own worker budget. Its only error is
-		// the context's, and a cancelled context makes the dispatch loop
-		// below mark every experiment as skipped.
+		// Its only error is the context's, and a cancelled context makes
+		// every experiment below report as skipped.
 		_ = env.Warm(ctx)
 	}
 
-	// Decompose: sharded experiments contribute their sub-units to the
-	// work list up front; the assembling Run job is enqueued by whichever
-	// worker finishes an experiment's last shard.
-	type unit struct {
-		exp   int
-		shard int // -1 = assemble (the experiment's Run)
-	}
-	shardsLeft := make([]atomic.Int64, n)
-	shardErrs := make([][]error, n)
-	shardNanos := make([]atomic.Int64, n)
-	var pending []unit
-	awaiting := 0
-	for i, x := range exps {
-		k := 0
-		if sx, ok := x.(Sharded); ok && env != nil {
-			k = sx.Shards(env)
-		}
-		if k <= 0 {
-			pending = append(pending, unit{exp: i, shard: -1})
-			continue
-		}
-		shardsLeft[i].Store(int64(k))
-		shardErrs[i] = make([]error, k)
-		awaiting++
-		for s := 0; s < k; s++ {
-			pending = append(pending, unit{exp: i, shard: s})
-		}
-	}
-
-	p := g.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	if p > len(pending) {
-		p = len(pending)
-	}
+	p := min(max(g.Parallelism, 1), n)
 
 	// Sample the goroutine high-water mark while the pool runs. The sampler
 	// is joined before metrics are read, so the measurement is race-free.
@@ -147,82 +110,35 @@ func (g *Engine) Run(ctx context.Context, env *experiments.Env, exps []Experimen
 	}()
 
 	om := g.metrics()
-	jobs := make(chan unit)
-	// completions carries "experiment i finished its last shard" back to
-	// the dispatch loop; capacity n means workers never block on it.
-	completions := make(chan int, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for u := range jobs {
-				x := exps[u.exp]
-				om.BusyWorkers.Inc()
-				t0 := g.now()
-				if u.shard >= 0 {
-					err := g.runShard(ctx, env, x.(Sharded), u.shard)
-					d := g.now().Sub(t0)
-					om.BusyWorkers.Dec()
-					shardErrs[u.exp][u.shard] = err
-					shardNanos[u.exp].Add(int64(d))
-					if shardsLeft[u.exp].Add(-1) == 0 {
-						completions <- u.exp
-					}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				x := exps[i]
+				if err := ctx.Err(); err != nil {
+					reports[i] = Report{ID: x.ID(), Err: err}
 					continue
 				}
+				om.BusyWorkers.Inc()
+				t0 := g.now()
 				res, err := g.runOne(ctx, env, x)
-				d := g.now().Sub(t0) + time.Duration(shardNanos[u.exp].Load())
+				d := g.now().Sub(t0)
 				om.BusyWorkers.Dec()
-				// Shard errors join ahead of the assembly error, in shard
-				// order — slot-indexed so the joined text is deterministic.
-				if errs := shardErrs[u.exp]; errs != nil {
-					err = errors.Join(append(append([]error{}, errs...), err)...)
-				}
 				om.Durations.With(x.ID()).Observe(d.Seconds())
-				reports[u.exp] = Report{ID: x.ID(), Result: res, Err: err, Duration: d}
+				reports[i] = Report{ID: x.ID(), Result: res, Err: err, Duration: d}
 			}
 		}()
 	}
-	assembled := make([]bool, n) // assembly job dispatched
-dispatch:
-	for len(pending) > 0 || awaiting > 0 {
-		if ctx.Err() != nil {
-			break
-		}
-		// A nil send channel parks the send case while only completions
-		// remain outstanding.
-		var send chan unit
-		var u unit
-		if len(pending) > 0 {
-			send = jobs
-			u = pending[0]
-		}
-		select {
-		case send <- u:
-			pending = pending[1:]
-			if u.shard < 0 {
-				assembled[u.exp] = true
-			}
-		case i := <-completions:
-			pending = append(pending, unit{exp: i, shard: -1})
-			awaiting--
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	close(stop)
 	sampler.Wait()
-
-	// Experiments whose assembly was never dispatched (cancelled mid-run)
-	// still get a report, so callers can tell skipped from succeeded.
-	for i := 0; i < n; i++ {
-		if !assembled[i] {
-			reports[i] = Report{ID: exps[i].ID(), Err: ctx.Err()}
-		}
-	}
 
 	m := telemetry.RunMetrics{
 		Parallelism:        p,
@@ -264,28 +180,4 @@ func (g *Engine) runOne(ctx context.Context, env *experiments.Env, x Experiment)
 		}
 	}()
 	return x.Run(ctx, env)
-}
-
-// runShard executes one sub-unit of a sharded experiment with the same
-// deadline and panic containment as runOne: a panicking shard fails its
-// experiment's report, not the run — and because the Env memo layer
-// clears a panicked build, the experiment's remaining shards and
-// assembly still compute real values.
-func (g *Engine) runShard(ctx context.Context, env *experiments.Env, x Sharded, s int) (err error) {
-	if g.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.Timeout)
-		defer cancel()
-	}
-	om := g.metrics()
-	defer func() {
-		if p := recover(); p != nil {
-			om.Panics.Inc()
-			err = fmt.Errorf("runner: experiment %s shard %d panicked: %v", x.ID(), s, p)
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			om.Timeouts.Inc()
-		}
-	}()
-	return x.RunShard(ctx, env, s)
 }

@@ -1,10 +1,13 @@
-// Package runner is the parallel experiment engine. It executes registered
-// experiments concurrently under a context with per-experiment timeouts,
-// shares the heavy intermediates through the experiments.Env caches, and
-// emits a structured per-run metrics report (internal/telemetry). Result
-// ordering follows registration order regardless of parallelism, and each
-// experiment's computation is internally deterministic, so a parallel run's
-// output is byte-identical to the sequential one.
+// Package runner is the parallel experiment engine: a plain worker pool
+// over experiments. It executes registered experiments concurrently under
+// a context with per-experiment timeouts, shares the heavy intermediates
+// through the experiments.Env — whose per-home builds (Env.Warm) and
+// per-gateway fan-outs are where one experiment's work spreads over the
+// parallelism budget — and emits a structured per-run metrics report
+// (internal/telemetry). Result ordering follows registration order
+// regardless of parallelism, and each experiment's computation is
+// internally deterministic, so a parallel run's output is byte-identical
+// to the sequential one.
 //
 // The engine is also instrumented live: set Engine.Obs (RunnerMetrics,
 // built on internal/obs) to export per-experiment duration histograms,
@@ -37,25 +40,6 @@ type Experiment interface {
 	Run(ctx context.Context, e *experiments.Env) (Result, error)
 }
 
-// Sharded is the optional decomposition interface for experiments that
-// dominate a run's critical path. The engine splits such an experiment
-// into Shards(env) independent sub-units (typically one per home),
-// schedules every sub-unit on the worker pool alongside other
-// experiments, and calls Run only after the last shard returns. Shards
-// do their work into the Env's race-safe caches, so the assembling Run
-// reduces warm entries in index order — which is what keeps the report
-// byte-identical to a sequential run no matter how the pool interleaved
-// the shards.
-type Sharded interface {
-	Experiment
-	// Shards returns the number of independent sub-units for this env.
-	// Zero means "run unsharded".
-	Shards(e *experiments.Env) int
-	// RunShard executes sub-unit s. It runs concurrently with other
-	// shards and experiments; all shared state must go through the Env.
-	RunShard(ctx context.Context, e *experiments.Env, s int) error
-}
-
 // funcExperiment adapts a plain function to the Experiment interface.
 type funcExperiment struct {
 	id, doc string
@@ -71,31 +55,6 @@ func (f funcExperiment) Run(ctx context.Context, e *experiments.Env) (Result, er
 // New wraps a function as an Experiment.
 func New(id, doc string, run func(ctx context.Context, e *experiments.Env) (Result, error)) Experiment {
 	return funcExperiment{id: id, doc: doc, run: run}
-}
-
-// funcSharded adapts a shard axis plus a per-shard function to Sharded.
-type funcSharded struct {
-	funcExperiment
-	shards   func(e *experiments.Env) int
-	runShard func(ctx context.Context, e *experiments.Env, s int) error
-}
-
-func (f funcSharded) Shards(e *experiments.Env) int { return f.shards(e) }
-func (f funcSharded) RunShard(ctx context.Context, e *experiments.Env, s int) error {
-	return f.runShard(ctx, e, s)
-}
-
-// NewSharded wraps a function as an Experiment whose work the engine
-// decomposes into pool-scheduled sub-units (see Sharded).
-func NewSharded(id, doc string,
-	shards func(e *experiments.Env) int,
-	runShard func(ctx context.Context, e *experiments.Env, s int) error,
-	run func(ctx context.Context, e *experiments.Env) (Result, error)) Experiment {
-	return funcSharded{
-		funcExperiment: funcExperiment{id: id, doc: doc, run: run},
-		shards:         shards,
-		runShard:       runShard,
-	}
 }
 
 // Registry holds experiments in registration order — the order the engine

@@ -44,19 +44,7 @@ func StandardExperiments(res *experiments.Results) []Experiment {
 				res.Fig02 = r
 				return Result{Text: r.String()}, nil
 			}),
-		// The stationarity tests own most of the suite's runtime, so the
-		// engine schedules one shard per examined gateway; each shard
-		// fills the Env's stationarity memo and the assembly reduces the
-		// warm entries in gateway order.
-		NewSharded("unitroot", "KPSS/ADF/KS stationarity tests",
-			func(e *experiments.Env) int { return len(e.StationarityGateways()) },
-			func(ctx context.Context, e *experiments.Env, s int) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				e.Stationarity(e.StationarityGateways()[s])
-				return nil
-			},
+		New("unitroot", "KPSS/ADF/KS stationarity tests",
 			func(ctx context.Context, e *experiments.Env) (Result, error) {
 				r, err := experiments.TabStationarityTests(ctx, e)
 				if err != nil {
@@ -101,18 +89,7 @@ func StandardExperiments(res *experiments.Results) []Experiment {
 				res.Heuristic = r
 				return Result{Text: r.String()}, nil
 			}),
-		// Dominance detection is the other heavy experiment: one shard per
-		// cohort home warms the dominance memo (and, transitively, the
-		// pair-similarity memo and the home's build it reads through).
-		NewSharded("fig5", "dominant devices and types",
-			func(e *experiments.Env) int { return len(e.WeeklyCohortIndexes()) },
-			func(ctx context.Context, e *experiments.Env, s int) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				e.Dominance(e.WeeklyCohortIndexes()[s])
-				return nil
-			},
+		New("fig5", "dominant devices and types",
 			func(ctx context.Context, e *experiments.Env) (Result, error) {
 				r, err := experiments.Fig05DominantDevices(ctx, e)
 				if err != nil {

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
 
 	"homesight/internal/dataset"
 	"homesight/internal/devices"
+	"homesight/internal/timeseries"
 )
 
 // minutesPerWeek is the dataset campaign granularity.
@@ -26,9 +28,6 @@ func (s *Store) Export(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// "Whole campaign, rounded to whole weeks" is QueryRequest
-	// defaulting (zero To + WholeWeeks), so Export no longer computes
-	// minute counts itself.
 	start, end := s.Start(), s.campaignEnd(true)
 	n := int(end.Sub(start) / s.cfg.Step)
 	if n == 0 {
@@ -41,33 +40,9 @@ func (s *Store) Export(dir string) error {
 	man.Config.Weeks = n / minutesPerWeek
 
 	for _, gw := range gws {
-		g := &dataset.Gateway{ID: gw}
-		for _, mac := range s.Devices(gw) {
-			var res [2]*Result
-			for dir := 0; dir < 2; dir++ {
-				var err error
-				res[dir], err = s.Query(context.Background(), QueryRequest{
-					Key:         Key{Gateway: gw, Device: mac, Dir: Direction(dir)},
-					Reconstruct: true,
-					WholeWeeks:  true,
-				})
-				if err != nil {
-					return err
-				}
-			}
-			if res[0].LastIndex < 0 && res[1].LastIndex < 0 {
-				continue // cataloged but no samples survived
-			}
-			name := s.DeviceName(gw, mac)
-			g.Devices = append(g.Devices, dataset.DeviceRecord{
-				Device: devices.Device{
-					MAC:      mac,
-					Name:     name,
-					Inferred: devices.Classify(mac, name),
-				},
-				In:  res[0].Series,
-				Out: res[1].Series,
-			})
+		g, err := s.Home(context.Background(), gw, end)
+		if err != nil {
+			return err
 		}
 		man.Homes = append(man.Homes, dataset.ManifestHome{ID: gw, Devices: len(g.Devices)})
 		if err := writeGatewayCSV(filepath.Join(dir, gw+".csv"), g); err != nil {
@@ -80,6 +55,56 @@ func (s *Store) Export(dir string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, "deployment.json"), raw, 0o644)
+}
+
+// Home reads gateway gw's minute table over [campaign start, to) — a zero
+// to means the campaign end (Campaign). Every catalogued device with a
+// stored sample in range comes back, in MAC order, with both directions
+// reconstructed from its cumulative counters (QueryRequest.Reconstruct)
+// and its type re-inferred with devices.Classify, as the wire carries only
+// MAC and name. Overall is the sum of the device overalls
+// (DeviceRecord.Overall) in that order: NaN exactly where no device
+// reported, and a half-observed minute counts its observed direction.
+// This is the one read behind Export, the /summary endpoint,
+// livestats.Offline and the experiments' store-backed homes.
+func (s *Store) Home(ctx context.Context, gw string, to time.Time) (*dataset.Gateway, error) {
+	if to.IsZero() {
+		to = s.campaignEnd(false)
+	}
+	none := make([]float64, max(0, int(to.Sub(s.cfg.Start)/s.cfg.Step)))
+	for m := range none {
+		none[m] = math.NaN()
+	}
+	g := &dataset.Gateway{ID: gw, Overall: timeseries.New(s.cfg.Start, s.cfg.Step, none)}
+	for _, mac := range s.Devices(gw) {
+		var res [2]*Result
+		for dir := range res {
+			var err error
+			res[dir], err = s.Query(ctx, QueryRequest{
+				Key:         Key{Gateway: gw, Device: mac, Dir: Direction(dir)},
+				To:          to,
+				Reconstruct: true,
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		if res[0].LastIndex < 0 && res[1].LastIndex < 0 {
+			continue // catalogued, but no sample in range
+		}
+		name := s.DeviceName(gw, mac)
+		d := dataset.DeviceRecord{
+			Device: devices.Device{MAC: mac, Name: name, Inferred: devices.Classify(mac, name)},
+			In:     res[0].Series,
+			Out:    res[1].Series,
+		}
+		g.Devices = append(g.Devices, d)
+		var err error
+		if g.Overall, err = g.Overall.Add(d.Overall()); err != nil {
+			return nil, err // unreachable: every series spans [start, to) on the store grid
+		}
+	}
+	return g, nil
 }
 
 // campaignMinutes returns one past the highest stored minute index. The

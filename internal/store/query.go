@@ -159,10 +159,6 @@ type QueryRequest struct {
 	// sample — so the whole campaign is expressible without the caller
 	// computing minute counts.
 	From, To time.Time
-	// WholeWeeks rounds a defaulted To up to a whole number of weeks
-	// from the anchor (the dataset campaign granularity Export needs).
-	// It has no effect on an explicit To.
-	WholeWeeks bool
 	// Gran selects raw points or a rollup bin width. Binned queries are
 	// answered from the segments' precomputed rollup blocks and never
 	// decode raw minutes; the query range is widened outward to bin
@@ -225,7 +221,7 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 		from = s.cfg.Start
 	}
 	if to.IsZero() {
-		to = s.campaignEnd(req.WholeWeeks)
+		to = s.campaignEnd(false)
 		if to.Before(from) {
 			to = from
 		}
@@ -456,7 +452,7 @@ func (s *Store) Campaign() (start, end time.Time) {
 }
 
 // campaignEnd is the defaulted query end; wholeWeeks rounds up to the
-// dataset campaign granularity.
+// dataset campaign granularity, the end Export writes.
 func (s *Store) campaignEnd(wholeWeeks bool) time.Time {
 	minutes := s.campaignMinutes()
 	if wholeWeeks {

@@ -330,9 +330,9 @@ func TestQueryCampaignDefaults(t *testing.T) {
 	if !res.From.Equal(start) || !res.To.Equal(end) {
 		t.Fatalf("defaulted range [%v, %v), want [%v, %v)", res.From, res.To, start, end)
 	}
-	// WholeWeeks rounds the defaulted end up to the dataset campaign
-	// granularity — what Export relies on.
-	res, err = s.Query(ctx, QueryRequest{Key: k, WholeWeeks: true, Reconstruct: true})
+	// Export's end: the campaign end rounded up to the dataset campaign
+	// granularity.
+	res, err = s.Query(ctx, QueryRequest{Key: k, To: s.campaignEnd(true), Reconstruct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
