@@ -118,13 +118,15 @@ func badRequestf(format string, args ...any) error {
 // endpoint wraps a handler with instrumentation and the wire: the
 // handler returns a complete encoded body (encodeEnvelope, or a cached
 // one) or an error, and everything written — success, 4xx, 5xx — is an
-// Envelope, whole, with its Content-Length.
+// Envelope, whole, with its Content-Length. The route's series are bound
+// once, here, not looked up per request.
 func (a *API) endpoint(name string, h func(*API, *http.Request) ([]byte, error)) http.Handler {
+	latency, requests, bytes := a.m.latency.With(name), a.m.requests.With(name), a.m.bytes.With(name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := a.now()
 		body, err := h(a, r)
-		a.m.latency.With(name).Observe(a.now().Sub(t0).Seconds())
-		a.m.requests.With(name).Inc()
+		latency.Observe(a.now().Sub(t0).Seconds())
+		requests.Inc()
 		code := http.StatusOK
 		if err != nil {
 			code = http.StatusInternalServerError
@@ -137,6 +139,7 @@ func (a *API) endpoint(name string, h func(*API, *http.Request) ([]byte, error))
 			}
 			body, _ = encodeEnvelope(WrapError(code, err.Error())) // an int and a string always encode
 		}
+		bytes.Add(int64(len(body)))
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(code)
@@ -228,12 +231,7 @@ func (a *API) handleDevices(r *http.Request) ([]byte, error) {
 	return a.fill(key, out)
 }
 
-// SeriesPoint and SeriesBin are the two wire forms of series samples.
-type SeriesPoint struct {
-	Ts  int64  `json:"ts"` // unix seconds
-	Val uint64 `json:"val"`
-}
-
+// SeriesBin is the wire form of one binned sample.
 type SeriesBin struct {
 	Start int64   `json:"start"` // unix seconds, epoch-aligned bin start
 	Count uint64  `json:"count"` // raw samples inside the bin
@@ -242,17 +240,22 @@ type SeriesBin struct {
 
 // SeriesData is the /api/v1/series payload: the wire schema clients
 // decode into. The server writes it with encodeSeries.
+//
+// A raw answer is columnar: sample i was taken at From+T[i] unix
+// seconds and reads Val[i]. Store answers lie in [From, To), so every
+// offset is in [0, To-From).
 type SeriesData struct {
-	Gateway   string        `json:"gateway"`
-	Device    string        `json:"device"`
-	Dir       string        `json:"dir"`
-	Gran      string        `json:"gran"`
-	Agg       string        `json:"agg,omitempty"`
-	From      int64         `json:"from"` // effective range, unix seconds
-	To        int64         `json:"to"`
-	Points    []SeriesPoint `json:"points,omitempty"`
-	Bins      []SeriesBin   `json:"bins,omitempty"`
-	Truncated bool          `json:"truncated,omitempty"`
+	Gateway   string      `json:"gateway"`
+	Device    string      `json:"device"`
+	Dir       string      `json:"dir"`
+	Gran      string      `json:"gran"`
+	Agg       string      `json:"agg,omitempty"`
+	From      int64       `json:"from"` // effective range, unix seconds
+	To        int64       `json:"to"`
+	T         []int64     `json:"t,omitempty"` // seconds after From
+	Val       []uint64    `json:"val,omitempty"`
+	Bins      []SeriesBin `json:"bins,omitempty"`
+	Truncated bool        `json:"truncated,omitempty"`
 }
 
 // parseQueryTime accepts unix seconds or RFC 3339; "" is the zero time

@@ -143,8 +143,17 @@ func TestSeriesEndpointRaw(t *testing.T) {
 	if data.Gran != "raw" || data.Dir != "out" || len(data.Bins) != 0 {
 		t.Fatalf("raw series = %+v", data)
 	}
-	if len(data.Points) != 120 {
-		t.Fatalf("raw series has %d points, want 120", len(data.Points))
+	if len(data.T) != 120 || len(data.Val) != 120 {
+		t.Fatalf("raw series has %d offsets and %d values, want 120 of each", len(data.T), len(data.Val))
+	}
+	if data.From != testStart.Unix() {
+		t.Fatalf("raw series from %d, want the campaign start %d", data.From, testStart.Unix())
+	}
+	// One sample a minute from the campaign start: t counts seconds after from.
+	for i, off := range data.T {
+		if off != int64(60*i) || data.Val[i] == 0 {
+			t.Fatalf("sample %d: t=%d val=%d, want t=%d and a non-zero counter", i, off, data.Val[i], 60*i)
+		}
 	}
 }
 
@@ -156,7 +165,7 @@ func TestSeriesEndpointBinned(t *testing.T) {
 	if err := json.Unmarshal(env.Data, &data); err != nil {
 		t.Fatal(err)
 	}
-	if data.Gran != "3h" || data.Agg != "mean" || len(data.Points) != 0 {
+	if data.Gran != "3h" || data.Agg != "mean" || len(data.T) != 0 || len(data.Val) != 0 {
 		t.Fatalf("binned series = %+v", data)
 	}
 	if len(data.Bins) != 4 {
@@ -317,14 +326,29 @@ func TestEndpointMetrics(t *testing.T) {
 	s := newTestStore(t, 60)
 	a := newTestAPI(t, s)
 	h := a.Handler()
-	get(t, h, "/api/v1/homes", http.StatusOK)
-	get(t, h, "/api/v1/homes/gw001/devices", http.StatusOK)
-	get(t, h, "/api/v1/homes/nope/devices", http.StatusNotFound)
-	if n := a.m.requests.With("homes").Value(); n != 1 {
-		t.Fatalf("homes request count %d, want 1", n)
+	bodyBytes := map[string]int64{}
+	for _, c := range []struct{ endpoint, url string }{
+		{"homes", "/api/v1/homes"},
+		{"homes", "/api/v1/homes"}, // a cache hit
+		{"devices", "/api/v1/homes/gw001/devices"},
+		{"devices", "/api/v1/homes/nope/devices"}, // a 404 envelope
+		{"series", "/api/v1/series?gw=gw001&device=02:00:00:00:00:00"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", c.url, nil))
+		bodyBytes[c.endpoint] += int64(rec.Body.Len())
+	}
+	if n := a.m.requests.With("homes").Value(); n != 2 {
+		t.Fatalf("homes request count %d, want 2", n)
 	}
 	// Errors count too: the endpoint wrapper observes every request.
 	if n := a.m.requests.With("devices").Value(); n != 2 {
 		t.Fatalf("devices request count %d, want 2", n)
+	}
+	// Every body written is counted, hit or miss, success or error.
+	for endpoint, want := range bodyBytes {
+		if got := a.m.bytes.With(endpoint).Value(); got != want {
+			t.Fatalf("%s response bytes %d, want %d", endpoint, got, want)
+		}
 	}
 }

@@ -24,11 +24,11 @@ func encodeEnvelope(env Envelope) ([]byte, error) {
 
 // encodeSeries returns the response body of a /api/v1/series answer,
 // byte for byte what encodeEnvelope(Wrap(SeriesData{…})) yields, without
-// building the []SeriesPoint / []SeriesBin copy and without reflecting
-// over it: the scalar fields go through encoding/json (so string
-// escaping cannot drift), the samples through strconv appends.
-// SeriesData stays the schema; TestEncodeSeriesMatchesJSON and
-// FuzzEncodeSeries hold the two encodings equal.
+// building the T/Val or []SeriesBin copy and without reflecting over it:
+// the scalar fields go through encoding/json (so string escaping cannot
+// drift), the samples through strconv appends. SeriesData stays the
+// schema; TestEncodeSeriesMatchesJSON and FuzzEncodeSeries hold the two
+// encodings equal.
 func encodeSeries(res *store.Result) ([]byte, error) {
 	head := SeriesData{
 		Gateway: res.Key.Gateway,
@@ -47,20 +47,23 @@ func encodeSeries(res *store.Result) ([]byte, error) {
 	}
 	// hb ends "}}", closing data and the envelope. Samples and the
 	// truncated flag are SeriesData's last fields: they go in before it.
-	b := make([]byte, 0, len(hb)+48*len(res.Points)+72*len(res.Bins)+32)
+	b := make([]byte, 0, len(hb)+24*len(res.Points)+72*len(res.Bins)+32)
 	b = append(b, hb[:len(hb)-2]...)
 	switch {
 	case res.Gran == store.GranRaw && len(res.Points) > 0:
-		b = append(b, `,"points":[`...)
+		b = append(b, `,"t":[`...)
 		for i, p := range res.Points {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, `{"ts":`...)
-			b = strconv.AppendInt(b, p.Ts, 10)
-			b = append(b, `,"val":`...)
+			b = strconv.AppendInt(b, p.Ts-head.From, 10)
+		}
+		b = append(b, `],"val":[`...)
+		for i, p := range res.Points {
+			if i > 0 {
+				b = append(b, ',')
+			}
 			b = strconv.AppendUint(b, p.Val, 10)
-			b = append(b, '}')
 		}
 		b = append(b, ']')
 	case res.Gran != store.GranRaw && len(res.Bins) > 0:

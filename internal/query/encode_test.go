@@ -29,9 +29,9 @@ func referenceSeriesBody(res *store.Result) ([]byte, error) {
 		Truncated: res.Truncated,
 	}
 	if res.Gran == store.GranRaw {
-		data.Points = make([]SeriesPoint, 0, len(res.Points))
 		for _, p := range res.Points {
-			data.Points = append(data.Points, SeriesPoint{Ts: p.Ts, Val: p.Val})
+			data.T = append(data.T, p.Ts-data.From)
+			data.Val = append(data.Val, p.Val)
 		}
 	} else {
 		data.Agg = res.Agg.String()
@@ -69,11 +69,12 @@ func TestEncodeSeriesMatchesJSON(t *testing.T) {
 	awkward := []string{
 		"gw001", "", `quo"te`, `back\slash`, "<script>&amp;</script>", "line\u2028sep\u2029", "bad\xff\xfeutf8", "tab\tnul\x00", "héé☃",
 	}
+	// Inside [from, to) = [-1, 2^40), as store answers are.
 	points := [][]store.Point{
 		nil,
 		{},
 		{{Ts: 1395014400, Val: 0}},
-		{{Ts: -5, Val: big}, {Ts: 0, Val: math.MaxUint64}, {Ts: math.MaxInt64, Val: 1 << 53}},
+		{{Ts: -1, Val: big}, {Ts: 0, Val: math.MaxUint64}, {Ts: 1<<40 - 1, Val: 1 << 53}},
 	}
 	bins := [][]store.RollupBin{
 		nil,
@@ -156,9 +157,13 @@ func TestAppendFloatMatchesJSON(t *testing.T) {
 }
 
 // FuzzEncodeSeries drives encodeSeries with arbitrary headers and
-// samples against the encoding/json reference. shape picks direction
-// (bit 0), granularity (bits 1–2) and aggregation (bits 3–4); samples is
-// read as 16-byte points or 32-byte bins.
+// samples against the encoding/json reference, and decodes every body it
+// accepts: a raw answer must give the samples back as From+T[i], Val[i].
+// Timestamps outside [from, to) — which the store never answers — still
+// round-trip, because the offset and its inverse are both Go's wrapping
+// int64 arithmetic (the from = -1, Ts = MaxInt64 seed: T = MinInt64).
+// shape picks direction (bit 0), granularity (bits 1–2) and aggregation
+// (bits 3–4); samples is read as 16-byte points or 32-byte bins.
 func FuzzEncodeSeries(f *testing.F) {
 	le := binary.LittleEndian
 	words := func(ws ...uint64) []byte {
@@ -174,6 +179,8 @@ func FuzzEncodeSeries(f *testing.F) {
 	f.Add("gw", "d", uint8(4|1<<3), int64(0), int64(28800), true, words(0, 1, math.MaxUint64, math.MaxUint64))
 	f.Add("gw", "d", uint8(2|2<<3), int64(0), int64(10800), false, words(0, 0, 0, 0)) // empty bin under mean: NaN
 	f.Add("gw", "d", uint8(4), int64(0), int64(10800), false, words(0, 1, 2, 3, 4))   // ragged tail is dropped
+	f.Add("gw", "d", uint8(0), int64(-1), int64(math.MaxInt64), false, words(math.MaxInt64, 7, 1<<63, math.MaxUint64))
+	f.Add("gw", "d", uint8(1), int64(math.MinInt64), int64(math.MaxInt64), true, words(1<<63-1, 0, 0, 1))
 	f.Fuzz(func(t *testing.T, gw, mac string, shape uint8, from, to int64, truncated bool, samples []byte) {
 		res := &store.Result{
 			Key:  store.Key{Gateway: gw, Device: mac, Dir: store.Direction(shape & 1)},
@@ -206,10 +213,53 @@ func FuzzEncodeSeries(f *testing.F) {
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatalf("body does not decode into the schema: %v\n%q", err, body)
 		}
-		if env.Version != Version || len(env.Data.Points) != len(res.Points) || len(env.Data.Bins) != len(res.Bins) {
-			t.Fatalf("decoded %d points, %d bins, version %q from %d points, %d bins", len(env.Data.Points), len(env.Data.Bins), env.Version, len(res.Points), len(res.Bins))
+		d := env.Data
+		if env.Version != Version || len(d.T) != len(res.Points) || len(d.Val) != len(res.Points) || len(d.Bins) != len(res.Bins) {
+			t.Fatalf("decoded %d offsets, %d values, %d bins, version %q from %d points, %d bins",
+				len(d.T), len(d.Val), len(d.Bins), env.Version, len(res.Points), len(res.Bins))
+		}
+		for i, p := range res.Points {
+			if d.From+d.T[i] != p.Ts || d.Val[i] != p.Val {
+				t.Fatalf("sample %d decodes as (%d+%d, %d), stored (%d, %d)", i, d.From, d.T[i], d.Val[i], p.Ts, p.Val)
+			}
 		}
 	})
+}
+
+// TestSeriesWireShape pins the exact bytes of both /series forms: raw
+// samples as offset and value columns (a two-minute gap shows as a jump
+// in t), bins as objects.
+func TestSeriesWireShape(t *testing.T) {
+	const day0 = 1395014400 // 2014-03-17T00:00:00Z, 8h-aligned
+	key := store.Key{Gateway: "gw001", Device: "02:00:00:00:00:01"}
+	cases := []struct {
+		res  *store.Result
+		want string
+	}{{
+		&store.Result{
+			Key: key, From: time.Unix(day0, 0), To: time.Unix(day0+86400, 0),
+			Points: []store.Point{{Ts: day0, Val: 5000}, {Ts: day0 + 60, Val: 5120}, {Ts: day0 + 240, Val: 5600}},
+		},
+		`{"version":"v1","data":{"gateway":"gw001","device":"02:00:00:00:00:01","dir":"in","gran":"raw","from":1395014400,"to":1395100800,` +
+			`"t":[0,60,240],"val":[5000,5120,5600]}}` + "\n",
+	}, {
+		&store.Result{
+			Key: key, From: time.Unix(day0, 0), To: time.Unix(day0+16*3600, 0), Gran: store.Gran8h, Agg: store.AggMean,
+			Bins: []store.RollupBin{{Start: day0, Count: 480, Sum: 480_000, Max: 1500}, {Start: day0 + 8*3600, Count: 3, Sum: 10, Max: 4}},
+		},
+		`{"version":"v1","data":{"gateway":"gw001","device":"02:00:00:00:00:01","dir":"in","gran":"8h","agg":"mean","from":1395014400,"to":1395072000,` +
+			`"bins":[{"start":1395014400,"count":480,"value":1000},{"start":1395043200,"count":3,"value":3.3333333333333335}]}}` + "\n",
+	}}
+	for _, c := range cases {
+		got, err := encodeSeries(c.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Fatalf("gran %s body\n got %s\nwant %s", c.res.Gran, got, c.want)
+		}
+		checkSeriesEncoding(t, c.res)
+	}
 }
 
 // A payload that cannot be encoded must produce a 500 envelope with a

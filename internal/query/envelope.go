@@ -12,8 +12,11 @@
 //
 // Every response — success or error — is wrapped in the Envelope below,
 // the same wrapper cmd/homestore -json prints, so the CLI and the
-// server never drift. Binned series answers come from the store's
-// precomputed segment rollups and never decode raw minutes.
+// server never drift. Binned series answers ("bins") come from the
+// store's precomputed segment rollups and never decode raw minutes. A
+// raw series answer is two parallel arrays: "t", each sample's seconds
+// after the answer's "from", and "val", the stored counter samples —
+// no per-point object, no repeated absolute timestamp.
 //
 // A request is "find the bytes, write the bytes". What is cached is the
 // encoded envelope, newline included, so a hit is a Content-Length and

@@ -28,7 +28,7 @@ const (
 )
 
 // rollupSlots is the number of precomputed rollup granularities every
-// v2 segment carries; rollupGrans maps slot index to granularity.
+// segment carries; rollupGrans maps slot index to granularity.
 const rollupSlots = 2
 
 var rollupGrans = [rollupSlots]Granularity{Gran3h, Gran8h}
@@ -206,8 +206,7 @@ type Result struct {
 // Query is the unified read entry point: one series, a time range, a
 // granularity and an optional aggregation or reconstruction. It merges
 // segments (oldest first), the frozen memtable and the active memtable;
-// binned queries read only precomputed rollup blocks (falling back to
-// folding raw blocks for pre-rollup v1 segments). ctx is checked
+// binned queries read only precomputed rollup blocks. ctx is checked
 // between block reads, so a canceled request stops touching disk.
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 	if req.Limit < 0 {
@@ -257,9 +256,21 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 	return res, nil
 }
 
-// queryRaw streams the raw points of [From, To) into res.Points.
+// queryRaw streams the raw points of [From, To) into res.Points, sized
+// once: the overlapping blocks' point counts plus the memtable tail bound
+// the answer from above (edge blocks straddle the range).
 func (s *Store) queryRaw(ctx context.Context, res *Result, limit int) error {
 	it := s.iter(res.Key, res.From.Unix(), res.To.Unix())
+	n := len(it.tail)
+	for _, sb := range it.blocks {
+		n += sb.bm.count
+	}
+	if limit > 0 && n > limit {
+		n = limit
+	}
+	if n > 0 {
+		res.Points = make([]Point, 0, n)
+	}
 	for it.Next() {
 		if limit > 0 && len(res.Points) == limit {
 			res.Truncated = true
@@ -288,22 +299,11 @@ func (s *Store) queryBins(ctx context.Context, res *Result, limit int) error {
 
 	// Under mu: locate the block lists and copy the memtable ranges.
 	// Block payloads are read and decoded after mu is released.
-	type segWork struct {
-		seg     *segment
-		rollups []blockMeta
-		raws    []blockMeta // v1 fallback: no precomputed rollups
-	}
-	var work []segWork
+	var work []segBlock
 	s.mu.Lock()
 	for _, seg := range s.segs {
-		rb, ok := seg.rollupBlocksInRange(res.Key, slot, fromSec, toSec)
-		switch {
-		case !ok:
-			if raw := seg.blocksInRange(res.Key, fromSec, toSec); len(raw) > 0 {
-				work = append(work, segWork{seg: seg, raws: raw})
-			}
-		case len(rb) > 0:
-			work = append(work, segWork{seg: seg, rollups: rb})
+		for _, bm := range seg.rollupBlocksInRange(res.Key, slot, fromSec, toSec) {
+			work = append(work, segBlock{seg: seg, bm: bm})
 		}
 	}
 	var tail []Point
@@ -315,34 +315,20 @@ func (s *Store) queryBins(ctx context.Context, res *Result, limit int) error {
 	}
 	s.mu.Unlock()
 
-	var scratchB []RollupBin
-	var scratchP []Point
+	var scratch []RollupBin
 	var err error
 	for _, w := range work {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, bm := range w.rollups {
-			if scratchB, err = w.seg.readRollupBlock(bm, scratchB[:0]); err != nil {
-				return err
-			}
-			for _, b := range scratchB {
-				if b.Start < fromSec || b.Start >= toSec {
-					continue
-				}
-				res.Bins = mergeBin(res.Bins, b)
-			}
+		if scratch, err = w.seg.readRollupBlock(w.bm, scratch[:0]); err != nil {
+			return err
 		}
-		for _, bm := range w.raws {
-			if scratchP, err = w.seg.readBlock(bm, scratchP[:0]); err != nil {
-				return err
+		for _, b := range scratch {
+			if b.Start < fromSec || b.Start >= toSec {
+				continue
 			}
-			for _, p := range scratchP {
-				if p.Ts < fromSec || p.Ts >= toSec {
-					continue
-				}
-				res.Bins = mergeBin(res.Bins, binOf(p, binSec))
-			}
+			res.Bins = mergeBin(res.Bins, b)
 		}
 	}
 	for _, p := range tail {

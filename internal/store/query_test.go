@@ -3,8 +3,10 @@ package store
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -143,19 +145,17 @@ func TestQueryBinsReconcile(t *testing.T) {
 	reconcileBins(t, s2, want, "recovered")
 }
 
-// TestQueryV1SegmentFallback downgrades every segment to the v1 format
-// (no rollup blocks) and demands that binned queries still reconcile by
-// folding raw blocks — and that Compact upgrades the store back to
-// rollup-served reads, observable through the block-read counters.
-func TestQueryV1SegmentFallback(t *testing.T) {
+// TestOpenRefusesUnsupportedSegmentMagic: a segment that does not carry
+// the current magic — here the retired pre-rollup format's — fails Open
+// with an error naming the magic, instead of being read as if current.
+func TestOpenRefusesUnsupportedSegmentMagic(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Start: testStart, FlushPoints: 500, BlockPoints: 64}
+	cfg := Config{Dir: dir, Start: testStart}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := buildReports("gw001", 3, 1500)
-	for _, rep := range reps {
+	for _, rep := range buildReports("gw001", 1, 60) {
 		if err := s.Append(rep); err != nil {
 			t.Fatal(err)
 		}
@@ -166,66 +166,25 @@ func TestQueryV1SegmentFallback(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Rewrite each segment as v1, preserving its points.
 	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no segments to downgrade (err=%v)", err)
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one segment, found %v (err=%v)", paths, err)
 	}
-	for _, path := range paths {
-		seg, err := openSegment(path, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var series []keyedPoints
-		for _, ss := range seg.series {
-			kp := keyedPoints{key: ss.key}
-			for _, bm := range ss.blocks {
-				if kp.pts, err = seg.readBlock(bm, kp.pts); err != nil {
-					t.Fatal(err)
-				}
-			}
-			series = append(series, kp)
-		}
-		if err := seg.close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeSegmentFileVersion(path, series, 64, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s, err = Open(cfg)
+	data, err := os.ReadFile(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	want := expectedPoints(reps)
-	reconcileBins(t, s, want, "v1-fallback")
-	st := s.Stats()
-	if st.RollupBlockReads != 0 {
-		t.Fatalf("v1 segments decoded %d rollup blocks; they have none", st.RollupBlockReads)
-	}
-	if st.RawBlockReads == 0 {
-		t.Fatal("v1 fallback answered binned queries without decoding raw blocks")
-	}
-
-	// Compact rewrites through the current writer, rebuilding rollups.
-	if err := s.Compact(); err != nil {
+	copy(data, "HSEG0001")
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rawBefore := s.Stats().RawBlockReads
-	reconcileBins(t, s, want, "post-compact")
-	st = s.Stats()
-	if got := st.RawBlockReads - rawBefore; got != 0 {
-		t.Fatalf("binned queries after compact decoded %d raw blocks, want 0", got)
+	s, err = Open(cfg)
+	if err == nil {
+		s.Crash()
+		t.Fatal("Open accepted a segment with the HSEG0001 magic")
 	}
-	if st.RollupBlockReads == 0 {
-		t.Fatal("binned queries after compact read no rollup blocks")
+	if !strings.Contains(err.Error(), `unsupported segment magic "HSEG0001"`) {
+		t.Fatalf("Open error %q does not name the unsupported magic", err)
 	}
 }
 

@@ -28,20 +28,14 @@ import (
 //	[8]  magic "HSEGIDX1"
 //
 // The footer carries, per series, the block metadata (offset, length,
-// timestamp range, point count) for the data blocks and, in v2, the
-// rollup blocks of each granularity. Readers binary-search it, so a
-// range Select touches O(log blocks) index entries and only the data
-// blocks that overlap the range; an aggregate Query touches only the
-// rollup blocks and never decodes raw minutes.
-//
-// v1 segments ("HSEG0001", written before flush-time rollups existed)
-// stay readable: they simply carry no rollup blocks, and aggregate
-// queries over them fall back to folding the raw blocks. Compact
-// rewrites everything at the current version, so one compaction
-// upgrades a directory in place.
+// timestamp range, point count) for the data blocks and the rollup
+// blocks of each granularity. Readers binary-search it, so a range
+// Select touches O(log blocks) index entries and only the data blocks
+// that overlap the range; an aggregate Query touches only the rollup
+// blocks and never decodes raw minutes. A file with any other leading
+// magic is refused.
 const (
 	segMagic     = "HSEG0002"
-	segMagicV1   = "HSEG0001"
 	segIdxMagic  = "HSEGIDX1"
 	segTailSize  = 4 + 8 + 8
 	maxSegFooter = 1 << 30
@@ -103,7 +97,7 @@ type segSeries struct {
 	blocks []blockMeta
 	// rollups holds the precomputed aggregate blocks, one slice per
 	// rollup granularity (indexed by rollupSlot; minTs/maxTs carry bin
-	// starts, count the number of bins). Empty for v1 segments.
+	// starts, count the number of bins).
 	rollups [rollupSlots][]blockMeta
 }
 
@@ -142,14 +136,7 @@ type keyedPoints struct {
 // the raw blocks, every series gets one precomputed aggregate block per
 // rollup granularity (3h and 8h — the paper's Def. 3 bins), so
 // downsampled queries never decode raw minutes.
-func writeSegmentFile(path string, series []keyedPoints, blockPoints int) error {
-	return writeSegmentFileVersion(path, series, blockPoints, 2)
-}
-
-// writeSegmentFileVersion is the version-parameterized writer; version 1
-// (no rollup blocks, v1 footer) exists only so the compatibility tests
-// can fabricate pre-rollup segments.
-func writeSegmentFileVersion(path string, series []keyedPoints, blockPoints, version int) (err error) {
+func writeSegmentFile(path string, series []keyedPoints, blockPoints int) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -163,11 +150,7 @@ func writeSegmentFileVersion(path string, series []keyedPoints, blockPoints, ver
 	}()
 
 	buf := make([]byte, 0, 1<<16)
-	if version == 1 {
-		buf = append(buf, segMagicV1...)
-	} else {
-		buf = append(buf, segMagic...)
-	}
+	buf = append(buf, segMagic...)
 	metas := make([]segSeries, 0, len(series))
 	var crcHdr [4]byte
 	payload := make([]byte, 0, 1<<15)
@@ -194,21 +177,19 @@ func writeSegmentFileVersion(path string, series []keyedPoints, blockPoints, ver
 			bm.minTs, bm.maxTs, bm.count = chunk[0].Ts, chunk[len(chunk)-1].Ts, len(chunk)
 			ss.blocks = append(ss.blocks, bm)
 		}
-		if version >= 2 {
-			for slot, gran := range rollupGrans {
-				bins = computeRollups(bins[:0], kp.pts, gran.seconds())
-				if len(bins) == 0 {
-					continue
-				}
-				payload = encodeRollupBlock(payload[:0], bins)
-				bm := appendBlock()
-				bm.minTs, bm.maxTs, bm.count = bins[0].Start, bins[len(bins)-1].Start, len(bins)
-				ss.rollups[slot] = append(ss.rollups[slot], bm)
+		for slot, gran := range rollupGrans {
+			bins = computeRollups(bins[:0], kp.pts, gran.seconds())
+			if len(bins) == 0 {
+				continue
 			}
+			payload = encodeRollupBlock(payload[:0], bins)
+			bm := appendBlock()
+			bm.minTs, bm.maxTs, bm.count = bins[0].Start, bins[len(bins)-1].Start, len(bins)
+			ss.rollups[slot] = append(ss.rollups[slot], bm)
 		}
 		metas = append(metas, ss)
 	}
-	footer := encodeFooter(nil, metas, version)
+	footer := encodeFooter(nil, metas)
 	buf = append(buf, footer...)
 	var tail [segTailSize]byte
 	binary.LittleEndian.PutUint32(tail[0:4], crc32.Checksum(footer, crcTable))
@@ -253,20 +234,17 @@ func dirOf(path string) string {
 	return "."
 }
 
-// encodeFooter appends the index encoding to dst. Version 2 footers
-// append, per series, one block-meta list per rollup granularity after
-// the data-block list; version 1 footers stop at the data blocks.
-func encodeFooter(dst []byte, series []segSeries, version int) []byte {
+// encodeFooter appends the index encoding to dst: per series, the key,
+// the data-block list, then one block-meta list per rollup granularity.
+func encodeFooter(dst []byte, series []segSeries) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(series)))
 	for _, ss := range series {
 		dst = appendString(dst, ss.key.Gateway)
 		dst = appendString(dst, ss.key.Device)
 		dst = append(dst, byte(ss.key.Dir))
 		dst = appendBlockMetas(dst, ss.blocks)
-		if version >= 2 {
-			for slot := range ss.rollups {
-				dst = appendBlockMetas(dst, ss.rollups[slot])
-			}
+		for slot := range ss.rollups {
+			dst = appendBlockMetas(dst, ss.rollups[slot])
 		}
 	}
 	return dst
@@ -338,7 +316,7 @@ func readBlockMetas(data []byte, fileSize int64) ([]blockMeta, []byte, error) {
 
 // decodeFooter parses an index. Bounds are validated against the file
 // size so a corrupt footer cannot direct reads outside the file.
-func decodeFooter(data []byte, fileSize int64, version int) ([]segSeries, error) {
+func decodeFooter(data []byte, fileSize int64) ([]segSeries, error) {
 	nSeries, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, fmt.Errorf("bad series count")
@@ -368,11 +346,9 @@ func decodeFooter(data []byte, fileSize int64, version int) ([]segSeries, error)
 		if ss.blocks, data, err = readBlockMetas(data, fileSize); err != nil {
 			return nil, fmt.Errorf("series %d: %w", i, err)
 		}
-		if version >= 2 {
-			for slot := range ss.rollups {
-				if ss.rollups[slot], data, err = readBlockMetas(data, fileSize); err != nil {
-					return nil, fmt.Errorf("series %d rollup %s: %w", i, rollupGrans[slot], err)
-				}
+		for slot := range ss.rollups {
+			if ss.rollups[slot], data, err = readBlockMetas(data, fileSize); err != nil {
+				return nil, fmt.Errorf("series %d rollup %s: %w", i, rollupGrans[slot], err)
 			}
 		}
 		out = append(out, ss)
@@ -405,13 +381,8 @@ func openSegment(path string, seq uint64, rc *readCounters) (*segment, error) {
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return fail(err)
 	}
-	version := 2
-	switch string(magic[:]) {
-	case segMagic:
-	case segMagicV1:
-		version = 1
-	default:
-		return fail(fmt.Errorf("bad magic %q", magic))
+	if string(magic[:]) != segMagic {
+		return fail(fmt.Errorf("unsupported segment magic %q (want %q)", magic, segMagic))
 	}
 	var tail [segTailSize]byte
 	if _, err := f.ReadAt(tail[:], s.size-segTailSize); err != nil {
@@ -431,7 +402,7 @@ func openSegment(path string, seq uint64, rc *readCounters) (*segment, error) {
 	if crc32.Checksum(footer, crcTable) != binary.LittleEndian.Uint32(tail[0:4]) {
 		return fail(fmt.Errorf("footer checksum mismatch"))
 	}
-	if s.series, err = decodeFooter(footer, s.size, version); err != nil {
+	if s.series, err = decodeFooter(footer, s.size); err != nil {
 		return fail(err)
 	}
 	for i, ss := range s.series {
@@ -498,7 +469,25 @@ func (s *segment) blocksInRange(key Key, fromSec, toSec int64) []blockMeta {
 	if !ok {
 		return nil
 	}
-	blocks := s.series[i].blocks
+	return overlapping(s.series[i].blocks, fromSec, toSec)
+}
+
+// rollupBlocksInRange returns the rollup block metas of key (for the
+// granularity at slot) whose bins overlap [fromSec, toSec). Callers
+// align the range to bin boundaries first; meta minTs/maxTs carry bin
+// starts, so a block overlaps when maxTs >= alignedFrom && minTs <
+// alignedTo.
+func (s *segment) rollupBlocksInRange(key Key, slot int, fromSec, toSec int64) []blockMeta {
+	i, ok := s.byKey[key]
+	if !ok {
+		return nil
+	}
+	return overlapping(s.series[i].rollups[slot], fromSec, toSec)
+}
+
+// overlapping returns the run of ascending blocks whose [minTs, maxTs]
+// meets [fromSec, toSec).
+func overlapping(blocks []blockMeta, fromSec, toSec int64) []blockMeta {
 	// First block that could still contain fromSec.
 	lo := sort.Search(len(blocks), func(j int) bool { return blocks[j].maxTs >= fromSec })
 	hi := lo
@@ -506,30 +495,6 @@ func (s *segment) blocksInRange(key Key, fromSec, toSec int64) []blockMeta {
 		hi++
 	}
 	return blocks[lo:hi]
-}
-
-// rollupBlocksInRange returns the rollup block metas of key (for the
-// granularity at slot) whose bins overlap [fromSec, toSec). Callers
-// align the range to bin boundaries first; meta minTs/maxTs carry bin
-// starts, so a block overlaps when maxTs >= alignedFrom && minTs <
-// alignedTo. Returns ok=false for v1 segments (no rollup blocks), in
-// which case the caller falls back to folding raw blocks.
-func (s *segment) rollupBlocksInRange(key Key, slot int, fromSec, toSec int64) ([]blockMeta, bool) {
-	i, ok := s.byKey[key]
-	if !ok {
-		return nil, true
-	}
-	ss := s.series[i]
-	if len(ss.blocks) > 0 && len(ss.rollups[slot]) == 0 {
-		return nil, false
-	}
-	blocks := ss.rollups[slot]
-	lo := sort.Search(len(blocks), func(j int) bool { return blocks[j].maxTs >= fromSec })
-	hi := lo
-	for hi < len(blocks) && blocks[hi].minTs < toSec {
-		hi++
-	}
-	return blocks[lo:hi], true
 }
 
 // verify re-reads every block of the segment, checking CRCs, decode
@@ -571,9 +536,6 @@ func (s *segment) verify() error {
 			}
 		}
 		for slot, gran := range rollupGrans {
-			if len(ss.blocks) > 0 && len(ss.rollups[slot]) == 0 {
-				continue // v1 segment: nothing precomputed to check
-			}
 			want = computeRollups(want[:0], pts, gran.seconds())
 			got = got[:0]
 			for _, bm := range ss.rollups[slot] {

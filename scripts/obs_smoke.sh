@@ -7,13 +7,13 @@
 # one representative series from each instrumented layer (runner,
 # cache). Then boots cmd/collector as a 2-shard fleet to verify the
 # homesight_fleet_* families register the moment the shards start, then
-# `homestore serve` on the collector's first partition to verify the
-# homesight_store_* families and the query tier: one /api/v1/* endpoint
-# answering the versioned envelope and the homesight_query_* families on
-# /metrics (shard stores keep private registries, FLEET.md, so the store
-# families are scraped here). Finally runs a demo collector with -live
-# and curls /api/v1/homes/{gw}/live plus the homesight_live_* families —
-# the streaming analytics tier end to end.
+# runs a demo collector with -live and curls /api/v1/homes/{gw}/live plus
+# the homesight_live_* families — the streaming analytics tier end to
+# end. Finally `homestore serve` on that demo's partition verifies the
+# homesight_store_* families and the query tier: the /api/v1/* endpoints
+# answering the versioned envelope, a raw /series day in columnar form,
+# and the homesight_query_* families on /metrics (shard stores keep
+# private registries, FLEET.md, so the store families are scraped here).
 # Wired into `make check` via the obs-smoke target.
 #
 # Exits non-zero (and prints the captured log) on any missing endpoint
@@ -138,64 +138,12 @@ kill "$FPID" 2>/dev/null || true
 wait "$FPID" 2>/dev/null || true
 FPID=
 
-# Storage and query tiers: homestore serve on the collector's first
-# (empty but valid) partition registers the homesight_store_* families
-# as the store opens, must answer /api/v1/homes with the versioned
-# envelope and puts the homesight_query_* families on the same /metrics
-# surface.
-"$TMP/bin/homestore" serve -dir "$TMP/fleet/shard-0000" -addr 127.0.0.1:0 \
-    >"$TMP/q-stdout" 2>"$TMP/q-stderr" &
-QPID=$!
-
-QADDR=
-i=0
-while [ $i -lt 150 ]; do
-    QADDR=$(sed -n 's/.*msg="query server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/q-stderr" | head -n 1)
-    [ -n "$QADDR" ] && break
-    if ! kill -0 "$QPID" 2>/dev/null; then
-        echo "obs-smoke: homestore serve exited before serving" >&2
-        cat "$TMP/q-stderr" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$QADDR" ]; then
-    echo "obs-smoke: query server never announced an address" >&2
-    cat "$TMP/q-stderr" >&2
-    exit 1
-fi
-
-qfail() {
-    echo "obs-smoke: $1" >&2
-    cat "$TMP/q-stderr" >&2
-    exit 1
-}
-
-curl -fsS --max-time 10 "http://$QADDR/api/v1/homes" >"$TMP/q-homes" || qfail "/api/v1/homes unreachable"
-grep -q '"version":"v1"' "$TMP/q-homes" || qfail "/api/v1/homes not wrapped in the v1 envelope"
-
-curl -fsS --max-time 10 "http://$QADDR/metrics" >"$TMP/q-metrics" || qfail "query /metrics unreachable"
-for metric in \
-    homesight_store_appends_total \
-    homesight_store_points_total \
-    homesight_store_segments \
-    homesight_store_wal_fsync_seconds \
-    homesight_query_requests_total \
-    homesight_query_cache_misses_total; do
-    grep -q "^# TYPE $metric " "$TMP/q-metrics" || qfail "query /metrics misses $metric"
-done
-
-kill "$QPID" 2>/dev/null || true
-wait "$QPID" 2>/dev/null || true
-QPID=
-
 # Live tier: a demo collector with -live runs a livestats tracker on
 # every shard, exports the homesight_live_* families and serves
 # /api/v1/homes/{gw}/live on the debug server; -hold keeps it up after
 # the campaign so the snapshot can be scraped. Synth gateway IDs are
 # gw%03d, so gw000 always exists.
-"$TMP/bin/collector" -demo -homes 2 -weeks 1 -live \
+"$TMP/bin/collector" -demo -homes 2 -weeks 1 -live -data-dir "$TMP/live" \
     -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -hold 60s \
     >"$TMP/l-stdout" 2>"$TMP/l-stderr" &
 LPID=$!
@@ -255,4 +203,75 @@ done
 kill "$LPID" 2>/dev/null || true
 wait "$LPID" 2>/dev/null || true
 LPID=
+
+# Storage and query tiers: homestore serve on the live demo's partition
+# (the collector above drained and closed it on exit) registers the
+# homesight_store_* families as the store opens, must answer
+# /api/v1/homes with the versioned envelope, serves a raw day of the
+# first gateway's first device in the columnar form, and puts the
+# homesight_query_* families on the same /metrics surface.
+"$TMP/bin/homestore" serve -dir "$TMP/live/shard-0000" -addr 127.0.0.1:0 \
+    >"$TMP/q-stdout" 2>"$TMP/q-stderr" &
+QPID=$!
+
+QADDR=
+i=0
+while [ $i -lt 150 ]; do
+    QADDR=$(sed -n 's/.*msg="query server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/q-stderr" | head -n 1)
+    [ -n "$QADDR" ] && break
+    if ! kill -0 "$QPID" 2>/dev/null; then
+        echo "obs-smoke: homestore serve exited before serving" >&2
+        cat "$TMP/q-stderr" >&2
+        exit 1
+    fi
+    i=$((i + 1))
+    sleep 0.2
+done
+if [ -z "$QADDR" ]; then
+    echo "obs-smoke: query server never announced an address" >&2
+    cat "$TMP/q-stderr" >&2
+    exit 1
+fi
+
+qfail() {
+    echo "obs-smoke: $1" >&2
+    cat "$TMP/q-stderr" >&2
+    exit 1
+}
+
+curl -fsS --max-time 10 "http://$QADDR/api/v1/homes" >"$TMP/q-homes" || qfail "/api/v1/homes unreachable"
+grep -q '"version":"v1"' "$TMP/q-homes" || qfail "/api/v1/homes not wrapped in the v1 envelope"
+GW=$(sed -n 's/.*"data":\[{"id":"\([^"]*\)".*/\1/p' "$TMP/q-homes")
+[ -n "$GW" ] || qfail "/api/v1/homes lists no gateway"
+curl -fsS --max-time 10 "http://$QADDR/api/v1/homes/$GW/devices" >"$TMP/q-devices" || qfail "/api/v1/homes/$GW/devices unreachable"
+MAC=$(sed -n 's/.*"data":\[{"mac":"\([^"]*\)".*/\1/p' "$TMP/q-devices")
+[ -n "$MAC" ] || qfail "$GW lists no device"
+# A raw day (the synthetic campaign starts 2014-03-17): "t" offsets from
+# "from" and "val" samples, never the retired one-object-per-point form.
+curl -fsS --max-time 10 "http://$QADDR/api/v1/series?gw=$GW&device=$MAC&from=2014-03-17T00:00:00Z&to=2014-03-18T00:00:00Z" \
+    >"$TMP/q-series" || qfail "raw /api/v1/series unreachable"
+grep -q '"t":\[' "$TMP/q-series" || qfail "raw /series carries no \"t\" column"
+grep -q '"val":\[' "$TMP/q-series" || qfail "raw /series carries no \"val\" column"
+if grep -q '"point[s]"' "$TMP/q-series"; then
+    qfail "raw /series still writes one object per point"
+fi
+
+curl -fsS --max-time 10 "http://$QADDR/metrics" >"$TMP/q-metrics" || qfail "query /metrics unreachable"
+for metric in \
+    homesight_store_appends_total \
+    homesight_store_points_total \
+    homesight_store_segments \
+    homesight_store_wal_fsync_seconds \
+    homesight_query_requests_total \
+    homesight_query_response_bytes_total \
+    homesight_query_cache_misses_total; do
+    grep -q "^# TYPE $metric " "$TMP/q-metrics" || qfail "query /metrics misses $metric"
+done
+grep -q '^homesight_query_response_bytes_total{endpoint="series"} [1-9]' "$TMP/q-metrics" \
+    || qfail "query /metrics counted no /series response bytes"
+
+kill "$QPID" 2>/dev/null || true
+wait "$QPID" 2>/dev/null || true
+QPID=
+
 echo "obs-smoke: /healthz, /metrics (runner+cache+fleet+store+query+live), /api/v1 and pprof all served"
