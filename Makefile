@@ -1,10 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
-SARIF ?= homesight-vet.sarif
 BASE ?= HEAD
 N ?= 10
 
-.PHONY: build test race vet lint vet-fix-check vet-sarif bench bench-build bench-store bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check check-full
+.PHONY: build test race vet lint bench bench-build bench-store bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check check-full
 
 build: ## compile every package
 	$(GO) build ./...
@@ -18,15 +17,8 @@ race: ## full test suite under the race detector
 vet: ## stock go vet
 	$(GO) vet ./...
 
-lint: ## project-specific analyzers (13 rules, see ANALYSIS.md); fails on baseline drift
-	$(GO) run ./cmd/homesight-vet -baseline .homesight-vet-baseline ./...
-
-vet-fix-check: ## fail if homesight-vet -fix would rewrite any file (suggested fixes must be applied or annotated)
-	$(GO) run ./cmd/homesight-vet -fix-dry-run ./...
-
-vet-sarif: ## write the machine-readable report CI uploads as an artifact
-	$(GO) run ./cmd/homesight-vet -format=sarif ./... > $(SARIF) || true
-	@grep -q '"version": "2.1.0"' $(SARIF) && echo "vet-sarif: wrote $(SARIF)"
+lint: ## project-specific analyzers (11 rules, see ANALYSIS.md); fails on any finding
+	$(GO) run ./cmd/homesight-vet ./...
 
 test-faults: ## deterministic fault-injection suite for the ingest wire, fleet tier and live analytics, 20 times under -race
 	$(GO) test -race -run 'TestFault|TestCollectorPersistParity' -count=20 ./internal/telemetry/... ./internal/fleet/... ./internal/livestats/...
@@ -66,5 +58,5 @@ obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, 
 check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~40 s and ~2.6 GB peak RSS, so outside check
 	$(GO) run ./cmd/experiments -homes 196 -weeks 8 | diff - experiments_output.txt
 
-check: vet race lint vet-fix-check vet-sarif test-faults bench-build bench-store bench-fleet fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet (baseline) + fix drift + SARIF artifact + fault suite + bench smoke + store bench + fleet bench + fuzz smoke + obs smoke
+check: vet race lint test-faults bench-build bench-store bench-fleet fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet + fault suite + bench smoke + store bench + fleet bench + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

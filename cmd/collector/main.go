@@ -144,7 +144,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = f.Close() }() //homesight:ignore unchecked-close — drained shards are skipped; an error path's shards close best-effort
+	// Drained shards are skipped; an error path's shards close best-effort.
+	defer func() { _ = f.Close() }()
 	for _, sa := range f.Addrs() {
 		logger.Info("shard listening", "shard", sa.Name, "addr", sa.Addr)
 	}
@@ -227,7 +228,7 @@ func startDebug(logger *slogx.Logger, addr string, reg *obs.Registry, api http.H
 		return nil, fmt.Errorf("debug server on %s: %w", addr, err)
 	}
 	logger.Info("debug server listening", "addr", srv.Addr())
-	return func() { _ = srv.Close() }, nil //homesight:ignore unchecked-close — best-effort shutdown at exit
+	return func() { _ = srv.Close() }, nil
 }
 
 // liveStats sums the shard trackers' accounting; homes are counted once
@@ -311,14 +312,14 @@ func campaign(logger *slogx.Logger, w io.Writer, dep *synth.Deployment, rcfg fle
 				continue
 			}
 			if err := r.Send(ctx, rep); err != nil {
-				_ = r.Close() //homesight:ignore unchecked-close — send error wins
+				_ = r.Close()
 				return fmt.Errorf("minute %d gateway %s: %w", m, rep.GatewayID, err)
 			}
 			sent++
 		}
 	}
 	if err := r.Flush(ctx); err != nil {
-		_ = r.Close() //homesight:ignore unchecked-close — flush error wins
+		_ = r.Close()
 		return err
 	}
 	stats := r.Stats()
@@ -349,7 +350,7 @@ func report(w io.Writer, root string, cfg synth.Config) error {
 		if err != nil {
 			return err
 		}
-		defer func() { _ = st.Close() }() //homesight:ignore unchecked-close — read-only pass over a drained partition
+		defer func() { _ = st.Close() }()
 		for _, gw := range st.Gateways() {
 			if _, split := owner[gw]; split {
 				return fmt.Errorf("gateway %s is in more than one partition under %s", gw, root)

@@ -72,7 +72,7 @@ func main() {
 		if err != nil {
 			logger.Fatal("debug server failed", "addr", *debugAddr, "err", err)
 		}
-		defer func() { _ = srv.Close() }() //homesight:ignore unchecked-close — best-effort shutdown at exit
+		defer func() { _ = srv.Close() }()
 		logger.Info("debug server listening", "addr", srv.Addr())
 	}
 
@@ -188,7 +188,7 @@ func writeMetrics(path string, m telemetry.RunMetrics) error {
 		return err
 	}
 	if err := m.WriteJSON(f); err != nil {
-		_ = f.Close() //homesight:ignore unchecked-close — write error wins
+		_ = f.Close()
 		return err
 	}
 	return f.Close()

@@ -1,30 +1,28 @@
 // Command homesight-vet runs homesight's project-specific static analysis:
-// thirteen stdlib-only (go/ast + go/types) rules that mechanically enforce
-// the repo's statistical, concurrency, and observability invariants — the
+// eleven stdlib-only (go/ast + go/types) rules that mechanically enforce
+// the repo's statistical, determinism and observability invariants — the
 // Definition 1 significance gate, no exact float equality, no silently
 // dropped errors or contexts, joinable goroutine fan-out, named paper
-// thresholds, deterministic time and randomness, no blocking calls under
-// held locks, error wrapping with %w, and metrics↔catalog parity.
+// thresholds, deterministic time and randomness, error wrapping with %w,
+// and metrics↔catalog parity.
 //
 // Usage:
 //
-//	homesight-vet [flags] [./...]
-//	homesight-vet -fix ./...          # apply suggested fixes in place
-//	homesight-vet -format=sarif       # machine-readable report for CI upload
-//	homesight-vet -baseline FILE      # fail only on drift from accepted findings
-//	homesight-vet -ci                 # extended tier-1 gate: go vet, race tests, then itself
+//	homesight-vet [-rules r1,r2] [-C dir] [-catalog FILE] [./...]
+//	homesight-vet -list
 //
 // Findings print as "file:line: [rule] message"; the exit status is 0 when
-// clean, 1 on findings (or baseline drift), 2 on load or usage errors.
-// Per-line opt-outs: //homesight:ignore <rule> — <reason> (or
-// //homesight:rawcorr for sig-gate).
+// clean, 1 on findings, 2 on load or usage errors. Per-line opt-outs:
+// //homesight:ignore <rule> — <reason> (or //homesight:rawcorr for
+// sig-gate).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -32,89 +30,62 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	rules := flag.String("rules", "", "comma-separated rule subset (default: all)")
-	list := flag.Bool("list", false, "list rules and exit")
-	ci := flag.Bool("ci", false, "run the extended tier-1 gate: go vet ./..., go test -race ./..., then the analyzers")
-	dir := flag.String("C", ".", "change to directory before running")
-	format := flag.String("format", "text", "report format: text, json, or sarif")
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
-	fixDryRun := flag.Bool("fix-dry-run", false, "exit 1 if -fix would change any file, without writing")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings; fail only on drift")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file to accept every current finding")
-	timing := flag.Bool("timing", false, "print load and analysis phase timings to stderr")
-	catalog := flag.String("catalog", "", "observability catalog path for metrics-parity (default: <module>/OBSERVABILITY.md)")
-	flag.Parse()
+// run is the whole command behind main: it parses args, analyzes the
+// module and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("homesight-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rules := fs.String("rules", "", "comma-separated rule subset (default: all)")
+	list := fs.Bool("list", false, "list rules and exit")
+	dir := fs.String("C", ".", "change to directory before running")
+	catalog := fs.String("catalog", "", "observability catalog path for metrics-parity (default: <module>/OBSERVABILITY.md)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "homesight-vet:", err)
+		return 2
+	}
 
 	analyzers := analysis.All()
 	if *rules != "" {
 		var err error
 		if analyzers, err = analysis.ByName(*rules); err != nil {
-			fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-			return 2
+			return fail(err)
 		}
 	}
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "homesight-vet: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "homesight-vet: -write-baseline requires -baseline FILE")
-		return 2
-	}
-
-	if *ci {
-		for _, cmd := range [][]string{
-			{"go", "vet", "./..."},
-			{"go", "test", "-race", "./..."},
-		} {
-			fmt.Println("homesight-vet:", strings.Join(cmd, " "))
-			c := exec.Command(cmd[0], cmd[1:]...)
-			c.Dir = *dir
-			c.Stdout = os.Stdout
-			c.Stderr = os.Stderr
-			if err := c.Run(); err != nil {
-				fmt.Fprintf(os.Stderr, "homesight-vet: %s failed: %v\n", strings.Join(cmd, " "), err)
-				return 1
-			}
-		}
-		fmt.Println("homesight-vet: analyzers")
 	}
 
 	mod, err := analysis.NewModule(*dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-		return 2
+		return fail(err)
 	}
-	paths, err := selectPackages(mod, flag.Args())
+	paths, err := selectPackages(mod, fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-		return 2
+		return fail(err)
 	}
 
 	// Load and type-check the whole module in parallel even when the CLI
 	// restricts the reported packages: cross-package facts (determinism,
-	// lock-held, metrics-parity) must see every package to be sound.
+	// metrics-parity) must see every package to be sound.
 	pkgs, err := mod.LoadAll()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-		return 2
+		return fail(err)
 	}
 	typeErrs := 0
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "homesight-vet: %s: type error: %v\n", pkg.Path, terr)
+			fmt.Fprintf(stderr, "homesight-vet: %s: type error: %v\n", pkg.Path, terr)
 			typeErrs++
 		}
 	}
@@ -122,132 +93,20 @@ func run() int {
 		return 2
 	}
 
-	res, err := analysis.Run(mod, pkgs, analyzers, analysis.RunOptions{
+	findings, err := analysis.Run(mod, pkgs, analyzers, analysis.RunOptions{
 		Catalog:  *catalog,
 		Packages: paths,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-		return 2
+		return fail(err)
 	}
-	if *timing {
-		lt := mod.Timing
-		fmt.Fprintf(os.Stderr, "homesight-vet: timing walk=%s parse=%s check=%s facts=%s analyze=%s finish=%s\n",
-			lt.Walk, lt.Parse, lt.Check, res.Facts, res.Analyze, res.Finish)
+	if err := analysis.WriteText(stdout, mod.Root, findings); err != nil {
+		return fail(err)
 	}
-	findings := res.Findings
-
-	if *fix || *fixDryRun {
-		return applyFixes(mod, findings, *fixDryRun)
-	}
-
-	if *baselinePath != "" && *writeBaseline {
-		f, err := os.Create(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-			return 2
-		}
-		werr := analysis.WriteBaseline(f, mod.Root, findings)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "homesight-vet:", werr)
-			return 2
-		}
-		fmt.Printf("homesight-vet: wrote %s (%d findings accepted)\n", *baselinePath, len(findings))
-		return 0
-	}
-
-	var stale []string
-	if *baselinePath != "" {
-		base, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-			return 2
-		}
-		findings, stale = base.Reconcile(mod.Root, findings)
-	}
-
-	if err := report(mod, analyzers, findings, *format); err != nil {
-		fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-		return 2
-	}
-	for _, k := range stale {
-		fmt.Fprintf(os.Stderr, "homesight-vet: stale baseline entry (finding fixed — delete it or rerun -write-baseline): %s\n", k)
-	}
-
-	if len(findings) > 0 || len(stale) > 0 {
+	if len(findings) > 0 {
 		return 1
 	}
-	if *ci {
-		fmt.Println("homesight-vet: clean")
-	}
 	return 0
-}
-
-// report renders findings to stdout in the selected format. SARIF and
-// JSON render even an empty run (CI artifacts want a valid document);
-// text stays silent when clean.
-func report(mod *analysis.Module, analyzers []*analysis.Analyzer, findings []analysis.Finding, format string) error {
-	switch format {
-	case "json":
-		return analysis.WriteJSON(os.Stdout, mod.Root, findings)
-	case "sarif":
-		return analysis.WriteSARIF(os.Stdout, mod.Root, analyzers, findings)
-	default:
-		return analysis.WriteText(os.Stdout, mod.Root, findings)
-	}
-}
-
-// applyFixes computes every suggested fix and either writes the files in
-// place (-fix) or reports what would change (-fix-dry-run). Findings
-// without a fix are reported as usual; the exit status reflects them plus,
-// in dry-run mode, any file that would be rewritten.
-func applyFixes(mod *analysis.Module, findings []analysis.Finding, dryRun bool) int {
-	fixes, err := analysis.ApplyFixes(findings, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-		return 2
-	}
-	fixed := map[string]bool{}
-	for _, ff := range fixes {
-		for _, f := range ff.Applied {
-			fixed[f.String()] = true
-		}
-	}
-	var unfixed []analysis.Finding
-	for _, f := range findings {
-		if !fixed[f.String()] {
-			unfixed = append(unfixed, f)
-		}
-	}
-
-	status := 0
-	if dryRun {
-		for _, ff := range fixes {
-			fmt.Printf("homesight-vet: -fix would rewrite %s (%d fixes)\n",
-				analysis.Relativize(mod.Root, ff.Filename), len(ff.Applied))
-			status = 1
-		}
-	} else {
-		if err := analysis.WriteFixes(fixes); err != nil {
-			fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-			return 2
-		}
-		for _, ff := range fixes {
-			fmt.Printf("homesight-vet: fixed %s (%d fixes)\n",
-				analysis.Relativize(mod.Root, ff.Filename), len(ff.Applied))
-		}
-	}
-	if err := analysis.WriteText(os.Stdout, mod.Root, unfixed); err != nil {
-		fmt.Fprintln(os.Stderr, "homesight-vet:", err)
-		return 2
-	}
-	if len(unfixed) > 0 {
-		status = 1
-	}
-	return status
 }
 
 // selectPackages expands the command-line patterns ("./...", "./internal/x",

@@ -73,7 +73,7 @@ func main() {
 		if err != nil {
 			logger.Fatal("debug server failed", "addr", *debugAddr, "err", err)
 		}
-		defer func() { _ = srv.Close() }() //homesight:ignore unchecked-close — best-effort shutdown at exit
+		defer func() { _ = srv.Close() }()
 		logger.Info("debug server listening", "addr", srv.Addr())
 	}
 

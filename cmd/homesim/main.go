@@ -293,7 +293,7 @@ func reconcileLive(f *fleet.Fleet, dir string) error {
 		for _, gw := range st.Gateways() {
 			off, err := livestats.Offline(ctx, st, gw, corrsim.Measure{}, dominance.DefaultPhi)
 			if err != nil {
-				_ = st.Close() //homesight:ignore unchecked-close — recompute error wins
+				_ = st.Close()
 				return fmt.Errorf("offline recompute of %s: %w", gw, err)
 			}
 			offline[gw] = off
@@ -364,7 +364,7 @@ func writeGateway(path string, g *dataset.Gateway) error {
 		return err
 	}
 	if err := dataset.WriteCSV(f, g); err != nil {
-		_ = f.Close() //homesight:ignore unchecked-close — write error wins
+		_ = f.Close()
 		return err
 	}
 	return f.Close()

@@ -125,7 +125,7 @@ func serve(s *homestore.Store, reg *obs.Registry, addr string) {
 	if err != nil {
 		fatal("serve on %s: %v", addr, err)
 	}
-	defer func() { _ = srv.Close() }() //homesight:ignore unchecked-close — best-effort shutdown at exit
+	defer func() { _ = srv.Close() }()
 	logger.Info("query server listening", "addr", srv.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

@@ -9,20 +9,17 @@
 //
 //  1. Facts — analyzers with a Facts hook visit every package in
 //     dependency order and export cross-package facts about objects
-//     ("this function transitively reaches time.Now", "this function
-//     performs a blocking operation") or packages ("this package
-//     registers these metric families").
+//     ("this function transitively reaches time.Now") or packages
+//     ("this package registers these metric families").
 //  2. Run — every analyzer's Run hook visits every file of every
-//     package, reading facts and reporting findings (optionally with
-//     machine-applicable suggested fixes).
+//     package, reading facts and reporting findings.
 //  3. Finish — analyzers with a Finish hook run once over the whole
 //     module, for invariants that no single package can see (metrics
 //     catalog parity).
 //
 // The cmd/homesight-vet driver loads the module (type-checking packages
-// in parallel), runs every analyzer and renders findings as text, JSON
-// or SARIF; -fix applies suggested fixes, -baseline reconciles findings
-// against a checked-in baseline. Findings can be suppressed per line
+// in parallel), runs every analyzer and prints findings as
+// "file:line: [rule] message" lines. Findings can be suppressed per line
 // with a directive comment:
 //
 //	x := corr.Pearson(a, b) //homesight:ignore sig-gate — reporting raw r
@@ -48,29 +45,11 @@ type Finding struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	// Fix, when non-nil, is a machine-applicable suggested fix that
-	// resolves the finding (applied by homesight-vet -fix).
-	Fix *Fix
 }
 
 // String renders the driver's canonical "file:line: [rule] message" form.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Message)
-}
-
-// Fix is a suggested textual replacement resolving one finding.
-type Fix struct {
-	// Message describes the rewrite ("replace %v with %w").
-	Message string
-	// Edits are non-overlapping byte-range replacements.
-	Edits []Edit
-}
-
-// Edit replaces the byte range [Start, End) of Filename with NewText.
-type Edit struct {
-	Filename   string
-	Start, End int
-	NewText    string
 }
 
 // Pass carries everything a rule needs to analyze one file of a
@@ -92,28 +71,6 @@ type Pass struct {
 
 // Reportf records a finding at pos unless an ignore directive covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFix records a finding at node's position carrying a suggested
-// fix that replaces node's source range with newText. Like Reportf, an
-// ignore directive covering the line suppresses it.
-func (p *Pass) ReportFix(node ast.Node, newText, format string, args ...any) {
-	start := p.Fset.Position(node.Pos())
-	end := p.Fset.Position(node.End())
-	fix := &Fix{
-		Message: fmt.Sprintf("replace with %q", newText),
-		Edits: []Edit{{
-			Filename: start.Filename,
-			Start:    start.Offset,
-			End:      end.Offset,
-			NewText:  newText,
-		}},
-	}
-	p.report(node.Pos(), fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.ignores.covers(p.rule, position.Line) {
 		return
@@ -122,7 +79,6 @@ func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 		Pos:     position,
 		Rule:    p.rule,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	})
 }
 
@@ -165,10 +121,8 @@ func All() []*Analyzer {
 		BareAlpha,
 		ZeroSentinel,
 		PrintfLog,
-		UncheckedClose,
 		Determinism,
 		CtxFlow,
-		LockHeld,
 		MetricsParity,
 		ErrWrap,
 	}

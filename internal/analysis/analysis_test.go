@@ -31,7 +31,7 @@ func parseWants(t *testing.T, filename string) []*wantComment {
 	if err != nil {
 		t.Fatalf("open fixture: %v", err)
 	}
-	defer func() { _ = f.Close() }() //homesight:ignore unchecked-close — read-only handle
+	defer func() { _ = f.Close() }()
 	var wants []*wantComment
 	sc := bufio.NewScanner(f)
 	for line := 1; sc.Scan(); line++ {
@@ -52,7 +52,7 @@ func parseWants(t *testing.T, filename string) []*wantComment {
 }
 
 // fixtureWantFiles lists the files of a fixture dir that may carry want
-// comments: Go sources and markdown catalogs, but not .fixed goldens.
+// comments: Go sources and markdown catalogs.
 func fixtureWantFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -93,11 +93,11 @@ func runFixture(t *testing.T, mod *Module, rule string) (*Package, []Finding) {
 	if len(pkg.TypeErrors) > 0 {
 		t.Fatalf("fixture must type-check; got %v", pkg.TypeErrors)
 	}
-	res, err := Run(mod, []*Package{pkg}, analyzers, RunOptions{Catalog: fixtureCatalog(dir)})
+	findings, err := Run(mod, []*Package{pkg}, analyzers, RunOptions{Catalog: fixtureCatalog(dir)})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return pkg, res.Findings
+	return pkg, findings
 }
 
 // TestGolden runs each rule's full three-phase analysis over the fixture
@@ -163,85 +163,15 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestFixGoldens pins the -fix output byte-exactly: every fixture with
-// fixable findings carries a fixture.go.fixed golden, applying the fixes
-// reproduces it, and re-running the rule on the fixed source yields no
-// further fixable findings (idempotency).
-func TestFixGoldens(t *testing.T) {
-	mod, err := NewModule(".")
-	if err != nil {
-		t.Fatalf("NewModule: %v", err)
-	}
-	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatalf("read testdata/src: %v", err)
-	}
-	for _, entry := range entries {
-		rule := entry.Name()
-		t.Run(rule, func(t *testing.T) {
-			_, findings := runFixture(t, mod, rule)
-			fixable := 0
-			for _, f := range findings {
-				if f.Fix != nil {
-					fixable++
-				}
-			}
-			golden := filepath.Join("testdata", "src", rule, "fixture.go.fixed")
-			if fixable == 0 {
-				if _, err := os.Stat(golden); err == nil {
-					t.Fatalf("%s has a .fixed golden but no fixable findings", rule)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("rule %s reports %d fixable findings but has no fixture.go.fixed golden: %v",
-					rule, fixable, err)
-			}
-			fixes, err := ApplyFixes(findings, nil)
-			if err != nil {
-				t.Fatalf("ApplyFixes: %v", err)
-			}
-			if len(fixes) != 1 {
-				t.Fatalf("ApplyFixes touched %d files, want 1", len(fixes))
-			}
-			if string(fixes[0].New) != string(want) {
-				t.Errorf("fixed output differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-					golden, fixes[0].New, want)
-			}
-
-			// Idempotency: the fixed source, re-analyzed, has no fixes left.
-			tmp := t.TempDir()
-			if err := os.WriteFile(filepath.Join(tmp, "fixture.go"), fixes[0].New, 0o644); err != nil {
-				t.Fatalf("write fixed fixture: %v", err)
-			}
-			pkg2, err := mod.LoadDir(tmp, "fixture/"+rule)
-			if err != nil {
-				t.Fatalf("reload fixed fixture: %v", err)
-			}
-			analyzers, _ := ByName(rule)
-			res2, err := Run(mod, []*Package{pkg2}, analyzers, RunOptions{})
-			if err != nil {
-				t.Fatalf("rerun: %v", err)
-			}
-			for _, f := range res2.Findings {
-				if f.Fix != nil {
-					t.Errorf("fix is not idempotent: fixed source still yields fixable %s", f)
-				}
-			}
-		})
-	}
-}
-
 // repoRun loads and analyzes the whole module exactly once and shares the
 // result across tests (the load is the expensive part).
 var repoRun struct {
-	once     sync.Once
-	mod      *Module
-	pkgs     []*Package
-	res      RunResult
-	loadTime time.Duration
-	err      error
+	once    sync.Once
+	mod     *Module
+	pkgs    []*Package
+	res     []Finding
+	elapsed time.Duration // load plus the three-phase run
+	err     error
 }
 
 func loadRepoRun(t *testing.T) {
@@ -263,12 +193,12 @@ func loadRepoRun(t *testing.T) {
 			repoRun.err = err
 			return
 		}
-		repoRun.loadTime = time.Since(t0)
 		res, err := Run(mod, pkgs, All(), RunOptions{})
 		if err != nil {
 			repoRun.err = err
 			return
 		}
+		repoRun.elapsed = time.Since(t0)
 		repoRun.mod, repoRun.pkgs, repoRun.res = mod, pkgs, res
 	})
 	if repoRun.err != nil {
@@ -293,7 +223,7 @@ func TestSelfCheck(t *testing.T) {
 			t.Errorf("%s: type error: %v", pkg.Path, te)
 		}
 	}
-	for _, f := range repoRun.res.Findings {
+	for _, f := range repoRun.res {
 		t.Errorf("repo is not vet-clean: %s", f)
 	}
 }
@@ -309,10 +239,8 @@ func TestFullRunUnderCeiling(t *testing.T) {
 	}
 	loadRepoRun(t)
 	const ceiling = 60 * time.Second
-	total := repoRun.loadTime + repoRun.res.Facts + repoRun.res.Analyze + repoRun.res.Finish
-	if total > ceiling {
-		t.Errorf("full-repo load+analysis took %v, ceiling %v (load %v, facts %v, analyze %v, finish %v)",
-			total, ceiling, repoRun.loadTime, repoRun.res.Facts, repoRun.res.Analyze, repoRun.res.Finish)
+	if repoRun.elapsed > ceiling {
+		t.Errorf("full-repo load+analysis took %v, ceiling %v", repoRun.elapsed, ceiling)
 	}
 }
 

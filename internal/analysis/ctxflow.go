@@ -12,8 +12,7 @@ import (
 //   - A function that accepts a context.Context parameter but passes
 //     context.Background() or context.TODO() to a ctx-accepting callee —
 //     the accepted ctx is silently dropped, and cancelling the caller
-//     leaves the callee running. This carries a suggested fix (replace
-//     the Background()/TODO() argument with the parameter).
+//     leaves the callee running.
 //   - An unexported function with no ctx parameter that conjures
 //     context.Background()/TODO() for a ctx-accepting callee: internal
 //     plumbing must thread ctx from above. Exported functions and main
@@ -125,7 +124,7 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, ctxName string, entryShaped bo
 	callee := calleeName(call)
 	switch {
 	case ctxName != "":
-		pass.ReportFix(arg, ctxName,
+		pass.Reportf(arg.Pos(),
 			"ctx parameter %s is dropped: %s receives context.%s(); pass %s through so cancellation reaches the callee",
 			ctxName, callee, mint, ctxName)
 	case !entryShaped:

@@ -21,7 +21,7 @@ import (
 func FuzzDirectiveParser(f *testing.F) {
 	seeds := []string{
 		// Well-formed directives.
-		"//homesight:ignore lock-held — mu held across delivery by design",
+		"//homesight:ignore float-eq — exact tie detection by design",
 		"//homesight:ignore determinism, ctx-flow -- two rules, dash-dash rationale",
 		"//homesight:ignore",
 		"//homesight:rawcorr — raw Pearson wanted here",
@@ -30,21 +30,21 @@ func FuzzDirectiveParser(f *testing.F) {
 		"//homesight:ignore , , ,",
 		"//homesight:ignore —",
 		"//homesight:ignore no-such-rule!!! $%^",
-		"//homesight:ignorelock-held",
-		"//homesight: ignore lock-held",
-		"//homesight:IGNORE lock-held",
-		"// homesight:ignore lock-held",
+		"//homesight:ignorefloat-eq",
+		"//homesight: ignore float-eq",
+		"//homesight:IGNORE float-eq",
+		"// homesight:ignore float-eq",
 		// Missing reasons and dangling separators.
-		"//homesight:ignore lock-held --",
-		"//homesight:ignore lock-held —  ",
+		"//homesight:ignore float-eq --",
+		"//homesight:ignore float-eq —  ",
 		"//homesight:rawcorr--",
 		// CRLF and other line-ending debris.
-		"//homesight:ignore lock-held\r",
-		"//homesight:ignore lock-held — reason\r",
+		"//homesight:ignore float-eq\r",
+		"//homesight:ignore float-eq — reason\r",
 		"//homesight:stats\r",
 		// Unicode: wide dashes, homoglyphs, combining marks, invalid UTF-8.
 		"//homesight:ignore détérminisme — règle inconnue",
-		"//homesight:ignore lock‐held",
+		"//homesight:ignore float‐eq",
 		"//homesight:ignore — rationale only",
 		"//homesight:ignore ルール — 日本語",
 		"//homesight:ignore á — combining accent",

@@ -12,11 +12,9 @@ import (
 // string: errors.Is/As stop working across the boundary, so callers
 // cannot distinguish a WAL corruption from a full disk, and the
 // telemetry retry loop cannot match sentinel errors through the wrapper.
-// The finding carries a suggested fix rewriting the verb to %w in the
-// format literal, which -fix applies byte-exactly.
 //
 // Only plain %v/%s verbs (no flags or width) bound to an error-typed
-// argument are rewritten; %+v and friends are left alone — a verb with
+// argument are flagged; %+v and friends are left alone — a verb with
 // flags usually means the caller wanted the formatted representation.
 var ErrWrap = &Analyzer{
 	Name: "errwrap",
@@ -46,37 +44,22 @@ func runErrWrap(pass *Pass) {
 		if err != nil {
 			return true
 		}
-		verbs := plainVerbOffsets(format)
-		rewrote := false
-		for vi, off := range verbs {
-			argIdx := 1 + vi
-			if argIdx >= len(call.Args) {
+		for _, arg := range plainVerbArgs(format) {
+			if 1+arg < len(call.Args) && isErrorType(pass.TypeOf(call.Args[1+arg])) {
+				pass.Reportf(lit.Pos(),
+					"fmt.Errorf formats an error with %%v/%%s, severing errors.Is/As; wrap it with %%w")
 				break
 			}
-			if !isErrorType(pass.TypeOf(call.Args[argIdx])) {
-				continue
-			}
-			format = format[:off] + "w" + format[off+1:]
-			rewrote = true
 		}
-		if !rewrote {
-			return true
-		}
-		// Re-quote with the original literal's quoting style so the fix
-		// is byte-minimal (raw strings keep their backquotes).
-		newLit := requote(lit.Value, format)
-		pass.ReportFix(lit, newLit,
-			"fmt.Errorf formats an error with %%v/%%s, severing errors.Is/As; wrap it with %%w")
 		return true
 	})
 }
 
-// plainVerbOffsets returns, for each verb in format (in order), the
-// offset of its verb character when the verb is a plain %v or %s (no
-// flags, width, or precision); other verbs occupy their argument slot
-// with offset -1. %% consumes no argument.
-func plainVerbOffsets(format string) map[int]int {
-	verbs := map[int]int{}
+// plainVerbArgs returns, in order, the argument index of every verb in
+// format that is a plain %v or %s (no flags, width, or precision). Other
+// verbs still occupy their argument slot; %% consumes none.
+func plainVerbArgs(format string) []int {
+	var args []int
 	arg := 0
 	for i := 0; i < len(format); i++ {
 		if format[i] != '%' || i+1 >= len(format) {
@@ -104,20 +87,12 @@ func plainVerbOffsets(format string) map[int]int {
 			break
 		}
 		if plain && (format[j] == 'v' || format[j] == 's') {
-			verbs[arg] = j
-		} else {
-			verbs[arg] = -1
+			args = append(args, arg)
 		}
 		arg++
 		i = j
 	}
-	// Drop the non-rewritable slots so callers range only over real hits.
-	for k, v := range verbs {
-		if v < 0 {
-			delete(verbs, k)
-		}
-	}
-	return verbs
+	return args
 }
 
 // isErrorType reports whether t implements the error interface.
@@ -130,14 +105,3 @@ func isErrorType(t types.Type) bool {
 }
 
 var errorInterface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// requote renders format back using old's quoting style.
-func requote(old, format string) string {
-	if len(old) > 0 && old[0] == '`' {
-		// A raw literal can hold the new text verbatim unless the rewrite
-		// introduced characters a raw string cannot (it cannot — we only
-		// changed a verb letter).
-		return "`" + format + "`"
-	}
-	return strconv.Quote(format)
-}

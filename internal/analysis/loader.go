@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Package is one loaded, type-checked package of the module (or a
@@ -34,18 +33,6 @@ type Package struct {
 	// TypeErrors collects type-checker diagnostics. Analysis still runs on
 	// a package with type errors, but the driver reports them separately.
 	TypeErrors []error
-	// CheckTime is how long this package's type-check took (its share of
-	// the -timing breakdown; stdlib dependencies charged to first use).
-	CheckTime time.Duration
-}
-
-// LoadTiming is the loader's phase breakdown for -timing. Parse and
-// check phases run in parallel across packages, so the durations are
-// wall-clock per phase, not CPU sums.
-type LoadTiming struct {
-	Walk  time.Duration // module walk enumerating package dirs
-	Parse time.Duration // parsing every file (parallel)
-	Check time.Duration // type-checking every package (parallel waves)
 }
 
 // Module is a loaded Go module: every non-test, non-testdata package,
@@ -57,8 +44,6 @@ type Module struct {
 	// Root is the directory containing go.mod; Path is the module path.
 	Root, Path string
 	Fset       *token.FileSet
-	// Timing is the most recent LoadAll's phase breakdown.
-	Timing LoadTiming
 
 	mu   sync.Mutex
 	pkgs map[string]*Package
@@ -176,16 +161,13 @@ func (m *Module) PackageDirs() ([]string, error) {
 // module-internal import it has is done, with independent packages
 // checked in parallel across NumCPU workers.
 func (m *Module) LoadAll() ([]*Package, error) {
-	t0 := time.Now()
 	paths, err := m.PackageDirs()
 	if err != nil {
 		return nil, err
 	}
-	m.Timing.Walk = time.Since(t0)
 
 	// Parse every package's files concurrently. token.FileSet is safe
 	// for concurrent AddFile.
-	t0 = time.Now()
 	type parsed struct {
 		path, dir string
 		files     []*ast.File
@@ -229,11 +211,9 @@ func (m *Module) LoadAll() ([]*Package, error) {
 			return nil, fmt.Errorf("%s: %w", p.path, p.err)
 		}
 	}
-	m.Timing.Parse = time.Since(t0)
 
 	// Type-check in dependency waves. deps counts unresolved
 	// module-internal imports; a package is ready at zero.
-	t0 = time.Now()
 	inModule := map[string]int{}
 	for i, p := range parsedPkgs {
 		inModule[p.path] = i
@@ -307,7 +287,6 @@ func (m *Module) LoadAll() ([]*Package, error) {
 	}
 	close(ready)
 	checkWG.Wait()
-	m.Timing.Check = time.Since(t0)
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -321,7 +300,6 @@ func (m *Module) LoadAll() ([]*Package, error) {
 			// A dependency cycle (or an unready import) left this package
 			// unchecked; the serial loader reports the cycle precisely.
 			m.mu.Unlock()
-			//homesight:ignore lock-held — mu is released on the line above and reacquired after; the region analysis cannot see the handoff
 			p, err := m.Load(path)
 			m.mu.Lock()
 			if err != nil {
@@ -429,9 +407,7 @@ func (m *Module) checkParsed(path, dir string, files []*ast.File) (*Package, err
 	}
 	// Check returns an error on any type problem; the collected TypeErrors
 	// carry the detail, and a partially-checked package is still analyzable.
-	t0 := time.Now()
 	pkg.Types, _ = conf.Check(path, m.Fset, pkg.Files, pkg.Info)
-	pkg.CheckTime = time.Since(t0)
 	return pkg, nil
 }
 

@@ -1,16 +1,15 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
 )
 
-// Relativize shortens a finding path to be root-relative when possible,
+// relativize shortens a finding path to be root-relative when possible,
 // so reports are stable across checkouts.
-func Relativize(root, filename string) string {
+func relativize(root, filename string) string {
 	if rel, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
 	}
@@ -22,39 +21,10 @@ func Relativize(root, filename string) string {
 func WriteText(w io.Writer, root string, findings []Finding) error {
 	for _, f := range findings {
 		_, err := fmt.Fprintf(w, "%s:%d: [%s] %s\n",
-			Relativize(root, f.Pos.Filename), f.Pos.Line, f.Rule, f.Message)
+			relativize(root, f.Pos.Filename), f.Pos.Line, f.Rule, f.Message)
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// jsonFinding is the stable JSON shape of one finding.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column,omitempty"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-	Fixable bool   `json:"fixable,omitempty"`
-}
-
-// WriteJSON renders findings as an indented JSON array (an empty slice
-// renders as [], never null), paths root-relative.
-func WriteJSON(w io.Writer, root string, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:    Relativize(root, f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Rule:    f.Rule,
-			Message: f.Message,
-			Fixable: f.Fix != nil,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // FactStore holds the cross-package facts exported during the facts
@@ -125,8 +124,8 @@ func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportDocf records a finding against a non-Go artifact (e.g. a line of
-// OBSERVABILITY.md). Such findings cannot carry ignore directives; the
-// baseline file is the suppression mechanism.
+// OBSERVABILITY.md). Such findings cannot carry ignore directives: the
+// fix is to the document.
 func (mp *ModulePass) ReportDocf(filename string, line int, format string, args ...any) {
 	*mp.findings = append(*mp.findings, Finding{
 		Pos:     token.Position{Filename: filename, Line: line},
@@ -146,30 +145,21 @@ type RunOptions struct {
 	Packages []string
 }
 
-// RunResult carries the findings of a module run plus its phase timings.
-type RunResult struct {
-	Findings []Finding
-	Facts    time.Duration
-	Analyze  time.Duration
-	Finish   time.Duration
-}
-
 // Run executes the three analysis phases (facts in dependency order,
 // per-file runs in parallel, module-level finish) over the loaded
 // packages and returns position-sorted findings.
-func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (RunResult, error) {
-	var res RunResult
+func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Finding, error) {
+	var findings []Finding
 	catalog := opts.Catalog
-	if catalog == "" && m != nil {
+	if catalog == "" {
 		catalog = m.Root + "/OBSERVABILITY.md"
 	}
 	store := newFactStore()
 
 	// Phase 1: facts, packages in dependency order (imports first).
-	t0 := time.Now()
 	ordered, err := dependencyOrder(pkgs)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	for _, pkg := range ordered {
 		for _, a := range analyzers {
@@ -178,10 +168,8 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Ru
 			}
 		}
 	}
-	res.Facts = time.Since(t0)
 
 	// Phase 2: per-file runs, packages analyzed in parallel.
-	t0 = time.Now()
 	selected := pkgs
 	if len(opts.Packages) > 0 {
 		want := map[string]bool{}
@@ -206,7 +194,7 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Ru
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			var findings []Finding
+			var own []Finding
 			for _, f := range pkg.Files {
 				ig := collectIgnores(pkg.Fset, f)
 				mu.Lock()
@@ -222,19 +210,19 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Ru
 						Pkg:      pkg.Types,
 						Info:     pkg.Info,
 						Path:     pkg.Path,
-						findings: &findings,
+						findings: &own,
 						rule:     a.Name,
 						ignores:  ig,
 						facts:    store,
 					})
 				}
 			}
-			perPkg[i] = findings
+			perPkg[i] = own
 		}(i, pkg)
 	}
 	wg.Wait()
 	for _, fs := range perPkg {
-		res.Findings = append(res.Findings, fs...)
+		findings = append(findings, fs...)
 	}
 	// Ignore sets for files outside the selection still matter to Finish
 	// (module-level findings may land anywhere).
@@ -245,38 +233,25 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (Ru
 			}
 		}
 	}
-	res.Analyze = time.Since(t0)
 
 	// Phase 3: module-level finish.
-	t0 = time.Now()
 	for _, a := range analyzers {
 		if a.Finish == nil {
 			continue
 		}
 		a.Finish(&ModulePass{
 			Pkgs:     pkgs,
-			Fset:     fsetOf(m, pkgs),
+			Fset:     m.Fset,
 			Catalog:  catalog,
 			rule:     a.Name,
 			store:    store,
-			findings: &res.Findings,
+			findings: &findings,
 			ignores:  ignores,
 		})
 	}
-	res.Finish = time.Since(t0)
 
-	sortFindings(res.Findings)
-	return res, nil
-}
-
-func fsetOf(m *Module, pkgs []*Package) *token.FileSet {
-	if m != nil {
-		return m.Fset
-	}
-	if len(pkgs) > 0 {
-		return pkgs[0].Fset
-	}
-	return token.NewFileSet()
+	sortFindings(findings)
+	return findings, nil
 }
 
 // dependencyOrder sorts pkgs so that every package follows the packages
@@ -333,55 +308,5 @@ func moduleImports(p *Package) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// RunFile applies the analyzers' Run hooks to one file of pkg and
-// returns findings sorted by position. Facts and Finish hooks do not
-// run; use Run for the full three-phase analysis.
-func RunFile(pkg *Package, file *ast.File, analyzers []*Analyzer) []Finding {
-	var findings []Finding
-	ignores := collectIgnores(pkg.Fset, file)
-	store := newFactStore()
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Fset:     pkg.Fset,
-			File:     file,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Path:     pkg.Path,
-			findings: &findings,
-			rule:     a.Name,
-			ignores:  ignores,
-			facts:    store,
-		}
-		a.Run(pass)
-	}
-	sortFindings(findings)
-	return findings
-}
-
-// RunPackage applies the analyzers to every file of pkg: facts for this
-// one package first, then the per-file runs. Finish hooks do not run.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	res, _ := Run(nil, []*Package{pkg}, withoutFinish(analyzers), RunOptions{})
-	return res.Findings
-}
-
-// withoutFinish strips Finish hooks for single-package convenience runs.
-func withoutFinish(analyzers []*Analyzer) []*Analyzer {
-	out := make([]*Analyzer, 0, len(analyzers))
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			out = append(out, a)
-			continue
-		}
-		cp := *a
-		cp.Finish = nil
-		out = append(out, &cp)
-	}
 	return out
 }

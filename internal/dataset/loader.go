@@ -78,7 +78,7 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = f.Close() }() //homesight:ignore unchecked-close — read-only
+	defer func() { _ = f.Close() }()
 	var man Manifest
 	if err := json.NewDecoder(f).Decode(&man); err != nil {
 		return nil, fmt.Errorf("dataset: parsing manifest: %w", err)
@@ -98,7 +98,7 @@ func LoadGatewayCSV(path, id string, start time.Time, minutes int) (*Gateway, er
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = f.Close() }() //homesight:ignore unchecked-close — read-only
+	defer func() { _ = f.Close() }()
 	return ReadCSV(f, id, start, minutes)
 }
 

@@ -134,15 +134,15 @@ func TestAgreement(t *testing.T) {
 		},
 	}
 	res.Dominants = []Score{res.All[0], res.All[1]}
-	// Baseline agrees on both positions.
+	// The baseline ranking agrees on both positions.
 	if got := Agreement(res, []int{0, 1, 2}); got != 2 {
 		t.Errorf("agreement = %d, want 2", got)
 	}
-	// Baseline swaps the top two: zero positional matches.
+	// The baseline ranking swaps the top two: zero positional matches.
 	if got := Agreement(res, []int{1, 0, 2}); got != 0 {
 		t.Errorf("agreement = %d, want 0", got)
 	}
-	// Baseline agrees on first only.
+	// The baseline ranking agrees on the first only.
 	if got := Agreement(res, []int{0, 2, 1}); got != 1 {
 		t.Errorf("agreement = %d, want 1", got)
 	}

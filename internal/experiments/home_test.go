@@ -292,6 +292,9 @@ func TestHomeBuildKeepsNoDirectionSeries(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	gc := e.home(0)
+	// Two collections: sync.Pool scratch of the rank and whisker kernels
+	// survives one GC in the pool's victim cache.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 
@@ -300,7 +303,10 @@ func TestHomeBuildKeepsNoDirectionSeries(t *testing.T) {
 	}
 	documented := int64(2+len(gc.devices)) * int64(len(gc.raw.Values)) * 8
 	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if slack := documented / 5; grew > documented+slack {
+	// With the pools drained the heap grows ~1.01x the documented size, run
+	// to run and under -race alike; 5% slack still fails a retained view
+	// (~2.7x).
+	if slack := documented / 20; grew > documented+slack {
 		t.Errorf("building home 0 left %d KiB reachable; raw + active + %d device overalls are %d KiB",
 			grew>>10, len(gc.devices), documented>>10)
 	}

@@ -222,6 +222,6 @@ func (f *Fleet) Close() error {
 
 func (f *Fleet) closeAll() {
 	for _, s := range f.shards {
-		_ = s.Close() //homesight:ignore unchecked-close — constructor failure path; partial fleet torn down best-effort
+		_ = s.Close() // constructor failure path: the partial fleet is torn down best-effort
 	}
 }

@@ -134,7 +134,7 @@ func TestStartCollectsStartupGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet.Start: %v", err)
 	}
-	defer f.Close() //homesight:ignore unchecked-close — test teardown
+	defer f.Close()
 	runtime.ReadMemStats(&after)
 	if after.NumForcedGC == before.NumForcedGC {
 		t.Errorf("fleet.Start forced no collection (NumForcedGC stayed %d)", before.NumForcedGC)

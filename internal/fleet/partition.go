@@ -72,7 +72,7 @@ func ReplayPartition(dir string, send func(gateway.Report) error) (int, error) {
 		return 0, fmt.Errorf("fleet: reopening dead partition %s: %w", dir, err)
 	}
 	defer func() {
-		_ = st.Close() //homesight:ignore unchecked-close — read-only replay; nothing new to flush
+		_ = st.Close() // read-only replay; nothing new to flush
 	}()
 	sent := 0
 	ctx := context.Background()

@@ -152,7 +152,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		repCfg.Dial = func() (net.Conn, error) { return cfg.DialShard(addr) }
 		rep, err := telemetry.DialBatch(addr, repCfg)
 		if err != nil {
-			_ = r.closeLocked() //homesight:ignore unchecked-close — constructor failure; already-dialed shards are torn down best-effort
+			_ = r.closeLocked()
 			return nil, fmt.Errorf("fleet: dialing shard %s at %s: %w", sa.Name, addr, err)
 		}
 		r.shards[sa.Name] = &routerShard{name: sa.Name, addr: addr, rep: rep}
@@ -194,7 +194,8 @@ func (r *Router) Send(ctx context.Context, rep gateway.Report) error {
 	if r.closed {
 		return telemetry.ErrClosed
 	}
-	//homesight:ignore lock-held — mu held across delivery by design: routing, batching and rebalance must be atomic with respect to concurrent Sends
+	// mu held across delivery: routing, batching and rebalance must be
+	// atomic with respect to concurrent Sends.
 	return r.sendLocked(ctx, rep)
 }
 
@@ -211,7 +212,7 @@ func (r *Router) Flush(ctx context.Context) error {
 	if r.closed {
 		return telemetry.ErrClosed
 	}
-	//homesight:ignore lock-held — mu held across the full flush by design; Sends racing a Flush must not interleave frames
+	// mu held across the full flush: Sends racing a Flush must not interleave frames.
 	return r.flushAllLocked(ctx)
 }
 
@@ -316,7 +317,7 @@ func (r *Router) rebalanceLocked(ctx context.Context, sh *routerShard, undeliver
 	delete(r.shards, sh.name)
 	orphans := sh.rep.DrainTail()
 	orphans = append(orphans, undelivered...)
-	_ = sh.rep.Close() //homesight:ignore unchecked-close — the transport already failed; nothing left to flush
+	_ = sh.rep.Close() // the transport already failed; nothing left to flush
 	if len(r.shards) == 0 {
 		return fmt.Errorf("fleet: last shard %s lost: %w", sh.name, cause)
 	}
@@ -353,7 +354,7 @@ func (r *Router) Close() error {
 		return telemetry.ErrClosed
 	}
 	r.closed = true
-	//homesight:ignore lock-held — final close under mu: closed=true is already set, so no Send can queue behind this
+	// Final close under mu: closed is already set, so no Send can queue behind it.
 	return r.closeLocked()
 }
 

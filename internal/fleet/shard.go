@@ -162,13 +162,13 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 		// per-device watermarks end up mirroring the store's, so live
 		// redelivery after the rebuild dedups exactly as the WAL does.
 		if _, err := tracker.Rebuild(context.Background(), st); err != nil {
-			_ = st.Close() //homesight:ignore unchecked-close — rebuild failed; the store holds nothing new
+			_ = st.Close() // the store holds nothing new
 			return nil, fmt.Errorf("fleet: rebuilding live state for %s: %w", cfg.Name, err)
 		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		_ = st.Close() //homesight:ignore unchecked-close — listen failed; the store holds nothing new
+		_ = st.Close() // the store holds nothing new
 		return nil, err
 	}
 	s := &Shard{
@@ -226,7 +226,7 @@ func (s *Shard) acceptLoop() {
 		}
 		s.mu.Unlock()
 		if closed {
-			_ = conn.Close() //homesight:ignore unchecked-close — shard is shutting down; conn is unwanted
+			_ = conn.Close()
 			return
 		}
 		s.wg.Add(1)
@@ -243,7 +243,7 @@ func (s *Shard) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	s.counters.connsOpened.Add(1)
 	defer func() {
-		_ = conn.Close() //homesight:ignore unchecked-close — ingest side; the protocol has per-frame acks but no shutdown handshake
+		_ = conn.Close() // the protocol has per-frame acks but no shutdown handshake
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -388,9 +388,9 @@ func (s *Shard) shutdown(force bool) bool {
 		}
 	}
 	s.mu.Unlock()
-	_ = s.ln.Close() //homesight:ignore unchecked-close — shutdown; accept loop exits on the close
+	_ = s.ln.Close() // the accept loop exits on this close
 	for _, conn := range conns {
-		_ = conn.Close() //homesight:ignore unchecked-close — forced shutdown races the serve loop's own close
+		_ = conn.Close() // forced shutdown races the serve loop's own close
 	}
 	s.wg.Wait()
 	return true

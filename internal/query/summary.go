@@ -115,7 +115,9 @@ func (a *API) handleSummary(r *http.Request) ([]byte, error) {
 		return sl.body, nil
 	}
 	a.m.misses.Inc()
-	//homesight:ignore lock-held — single flight: sl.mu guards this one home's slot, and holding it across the build is what makes concurrent misses wait for one build instead of running sixteen
+	// Single flight: sl.mu guards this one home's slot, and holding it
+	// across the build is what makes concurrent misses wait for one build
+	// instead of running sixteen.
 	body, err := a.summaryBody(r.Context(), gw)
 	if err != nil {
 		return nil, err

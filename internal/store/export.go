@@ -138,7 +138,7 @@ func writeGatewayCSV(path string, g *dataset.Gateway) error {
 		return err
 	}
 	if err := dataset.WriteCSV(f, g); err != nil {
-		_ = f.Close() //homesight:ignore unchecked-close — write error wins; file is partial anyway
+		_ = f.Close()
 		return err
 	}
 	return f.Close()

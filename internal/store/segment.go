@@ -144,8 +144,8 @@ func writeSegmentFile(path string, series []keyedPoints, blockPoints int) (err e
 	}
 	defer func() {
 		if err != nil {
-			_ = f.Close()      //homesight:ignore unchecked-close — first error wins; temp file is discarded
-			_ = os.Remove(tmp) //homesight:ignore unchecked-close — best-effort cleanup of the temp file
+			_ = f.Close()
+			_ = os.Remove(tmp)
 		}
 	}()
 
@@ -219,7 +219,7 @@ func syncDir(path string) error {
 		return err
 	}
 	if err := d.Sync(); err != nil {
-		_ = d.Close() //homesight:ignore unchecked-close — sync error wins; handle is read-only
+		_ = d.Close()
 		return err
 	}
 	return d.Close()
@@ -366,7 +366,7 @@ func openSegment(path string, seq uint64, rc *readCounters) (*segment, error) {
 	}
 	s := &segment{path: path, seq: seq, f: f, byKey: make(map[Key]int), reads: rc}
 	fail := func(err error) (*segment, error) {
-		_ = f.Close() //homesight:ignore unchecked-close — open failed; handle is read-only
+		_ = f.Close()
 		return nil, fmt.Errorf("store: segment %s: %w", path, err)
 	}
 	fi, err := f.Stat()

@@ -441,7 +441,7 @@ func (s *Store) openSegments() error {
 
 func (s *Store) closeSegments() {
 	for _, seg := range s.segs {
-		_ = seg.close() //homesight:ignore unchecked-close — read-only handles on an abort path
+		_ = seg.close()
 	}
 	s.segs = nil
 }
@@ -544,7 +544,8 @@ func (s *Store) Append(rep gateway.Report) error {
 	}
 	if s.cfg.Sync == SyncAlways {
 		t0 := s.cfg.Now()
-		//homesight:ignore lock-held — WAL fsync under mu IS the durability contract: Append may not return before its record is on disk, and mu orders the WAL
+		// WAL fsync under mu is the durability contract: Append may not return
+		// before its record is on disk, and mu orders the WAL.
 		if err := s.wal.sync(); err != nil {
 			s.mu.Unlock()
 			return err
@@ -556,7 +557,8 @@ func (s *Store) Append(rep gateway.Report) error {
 	var rotated bool
 	var err error
 	if s.memPoints >= s.cfg.FlushPoints && s.frozen == nil {
-		//homesight:ignore lock-held — rotation syncs+swaps the WAL and must be atomic with the memtable freeze mu guards
+		// Rotation syncs and swaps the WAL and must be atomic with the memtable
+		// freeze mu guards.
 		rotated, err = s.rotateLocked()
 	}
 	s.mu.Unlock()
@@ -640,7 +642,8 @@ func (s *Store) syncer() {
 				return
 			}
 			t0 := s.cfg.Now()
-			//homesight:ignore lock-held — group-commit fsync under mu by design: appends batched behind this sync are exactly the group being committed
+			// Group-commit fsync under mu: the appends batched behind this sync are
+			// exactly the group being committed.
 			err := s.wal.sync()
 			if err == nil {
 				s.cfg.Metrics.FsyncSeconds.Observe(s.cfg.Now().Sub(t0).Seconds())
@@ -674,11 +677,10 @@ func (s *Store) doFlush() error {
 	sort.Slice(series, func(i, j int) bool { return keyLess(series[i].key, series[j].key) })
 
 	path := s.segPath(seq)
-	//homesight:ignore lock-held — flushMu exists to serialize segment production I/O; s.mu (the hot lock) is NOT held here
+	// flushMu serializes segment production I/O; s.mu, the hot lock, is not held here.
 	if err := writeSegmentFile(path, series, s.cfg.BlockPoints); err != nil {
 		return err
 	}
-	//homesight:ignore lock-held — flushMu exists to serialize segment production I/O; s.mu (the hot lock) is NOT held here
 	seg, err := openSegment(path, seq, s.reads)
 	if err != nil {
 		return err
@@ -693,14 +695,12 @@ func (s *Store) doFlush() error {
 	s.cfg.Metrics.Flushes.Inc()
 	s.mu.Unlock()
 
-	//homesight:ignore lock-held — flushMu exists to serialize segment production I/O; s.mu (the hot lock) is NOT held here
 	if err := s.saveNames(); err != nil {
 		return err
 	}
 	// The segment is durable; its WAL files are now redundant. A crash
 	// before this point replays them into watermark-dropped duplicates.
 	for _, wseq := range frozenWAL {
-		//homesight:ignore lock-held — flushMu exists to serialize segment production I/O; s.mu (the hot lock) is NOT held here
 		if err := os.Remove(s.walPath(wseq)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
@@ -741,7 +741,7 @@ func (s *Store) Flush() error {
 				s.mu.Unlock()
 				return nil
 			}
-			//homesight:ignore lock-held — rotation syncs+swaps the WAL and must be atomic with the memtable freeze mu guards
+			// Rotation must be atomic with the memtable freeze mu guards.
 			if _, err := s.rotateLocked(); err != nil {
 				s.mu.Unlock()
 				return err
@@ -809,7 +809,7 @@ func (s *Store) Crash() {
 	s.wg.Wait()
 	s.wal.abandon()
 	for _, seg := range s.segs {
-		_ = seg.close() //homesight:ignore unchecked-close — crash simulation; handles are read-only
+		_ = seg.close()
 	}
 }
 
@@ -1121,7 +1121,7 @@ func (s *Store) Compact() error {
 			}
 			for _, bm := range seg.series[i].blocks {
 				var err error
-				//homesight:ignore lock-held — compaction reads under flushMu by design; readers use s.mu and stay unblocked
+				// Compaction reads under flushMu; readers use s.mu and stay unblocked.
 				if pts, err = seg.readBlock(bm, pts); err != nil {
 					return err
 				}
@@ -1138,11 +1138,10 @@ func (s *Store) Compact() error {
 	}
 
 	path := s.segPath(seq)
-	//homesight:ignore lock-held — flushMu exists to serialize segment production I/O; s.mu (the hot lock) is NOT held here
+	// flushMu serializes segment production I/O; s.mu, the hot lock, is not held here.
 	if err := writeSegmentFile(path, series, s.cfg.BlockPoints); err != nil {
 		return err
 	}
-	//homesight:ignore lock-held — flushMu exists to serialize segment production I/O; s.mu (the hot lock) is NOT held here
 	seg, err := openSegment(path, seq, s.reads)
 	if err != nil {
 		return err
@@ -1153,9 +1152,8 @@ func (s *Store) Compact() error {
 	s.refreshGauges()
 	s.mu.Unlock()
 	for _, o := range old {
-		//homesight:ignore lock-held — replaced segments are retired under flushMu by design; s.mu is not held
-		_ = o.close() //homesight:ignore unchecked-close — read-only handles of replaced segments
-		//homesight:ignore lock-held — replaced segments are retired under flushMu by design; s.mu is not held
+		// Replaced segments are retired under flushMu; s.mu is not held.
+		_ = o.close()
 		if err := os.Remove(o.path); err != nil {
 			return err
 		}

@@ -84,7 +84,7 @@ func (w *walWriter) sync() error {
 // close flushes, syncs and closes the file.
 func (w *walWriter) close() error {
 	if err := w.sync(); err != nil {
-		_ = w.f.Close() //homesight:ignore unchecked-close — sync error wins; file is abandoned
+		_ = w.f.Close()
 		return err
 	}
 	return w.f.Close()
@@ -94,7 +94,7 @@ func (w *walWriter) close() error {
 // path: everything still in the buffer is lost, exactly as a killed
 // process would lose it.
 func (w *walWriter) abandon() {
-	_ = w.f.Close() //homesight:ignore unchecked-close — deliberate crash simulation discards state
+	_ = w.f.Close()
 }
 
 // walReplayResult accounts for one file's replay.
@@ -120,7 +120,7 @@ func replayWAL(path string, fn func(payload []byte) error) (walReplayResult, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		_ = f.Close() //homesight:ignore unchecked-close — read-only; stat error wins
+		_ = f.Close()
 		return res, err
 	}
 	remaining := fi.Size()
@@ -156,7 +156,7 @@ func replayWAL(path string, fn func(payload []byte) error) (walReplayResult, err
 			break
 		}
 		if err := fn(payload); err != nil {
-			_ = f.Close() //homesight:ignore unchecked-close — read-only; fn error wins
+			_ = f.Close()
 			return res, err
 		}
 		res.records++

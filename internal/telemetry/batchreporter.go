@@ -162,7 +162,8 @@ func (b *BatchReporter) Send(ctx context.Context, reps []gateway.Report) error {
 	if b.closed {
 		return ErrClosed
 	}
-	//homesight:ignore lock-held — mu held across delivery by design: one in-flight frame serializes the wire protocol; concurrent Sends queue behind it
+	// mu held across delivery: one in-flight frame serializes the wire
+	// protocol; concurrent Sends queue behind it.
 	return b.deliver(ctx, reps)
 }
 
@@ -179,12 +180,12 @@ func (b *BatchReporter) Flush(ctx context.Context) error {
 	}
 	attempt := 0
 	for len(b.window) > 0 {
-		//homesight:ignore lock-held — mu held across the ack drain by design; Sends must not interleave with the barrier
+		// mu held across the ack drain: Sends must not interleave with the barrier.
 		if err := b.ensureConn(ctx, &attempt); err != nil {
 			return fmt.Errorf("telemetry: flush with %d unacked batches: %w", len(b.window), err)
 		}
 		if err := b.readAck(); err != nil {
-			b.teardown() //homesight:ignore lock-held — failed conn closed under mu; the barrier must not release the window mid-drain
+			b.teardown() // the barrier must not release the window mid-drain
 		}
 	}
 	return nil
@@ -300,7 +301,7 @@ func (b *BatchReporter) reconnect() error {
 // connection.
 func (b *BatchReporter) teardown() {
 	if b.conn != nil {
-		_ = b.conn.Close() //homesight:ignore unchecked-close — conn is already failed; reconnect resends the window
+		_ = b.conn.Close() // conn already failed; reconnect resends the window
 		b.conn = nil
 		b.bw = nil
 		b.br = nil
@@ -361,7 +362,7 @@ func (b *BatchReporter) Close() error {
 	b.closed = true
 	var err error
 	if b.conn != nil {
-		//homesight:ignore lock-held — final close under mu: closed=true is already set, so no Send can queue behind this
+		// Final close under mu: closed is already set, so no Send can queue behind it.
 		err = b.conn.Close()
 		b.conn = nil
 		b.bw = nil
