@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BASE ?= HEAD
 N ?= 10
 
-.PHONY: build test race vet lint bench bench-build bench-store bench-fleet bench-pairs test-faults fuzz-smoke obs-smoke check check-full
+.PHONY: build test race vet lint bench bench-build bench-pairs test-faults fuzz-smoke obs-smoke check check-full
 
 build: ## compile every package
 	$(GO) build ./...
@@ -30,12 +30,6 @@ bench: ## runner engine benchmarks; writes BENCH_runner.json (ns/op, cache hit r
 bench-build: ## compile the benchmark harness without running it (check smoke)
 	$(GO) test -c -o /dev/null .
 
-bench-store: ## store append/select/compression benchmarks; writes BENCH_store.json
-	HOMESIGHT_BENCH_STORE_JSON=$(abspath BENCH_store.json) $(GO) test -run TestBenchStoreJSON -count=1 ./internal/store
-
-bench-fleet: ## sharded-ingest throughput at 1/2/4 shards; writes BENCH_fleet.json
-	HOMESIGHT_BENCH_FLEET_JSON=$(abspath BENCH_fleet.json) $(GO) test -run TestBenchFleetJSON -count=1 -v ./internal/fleet
-
 bench-pairs: ## end-to-end benchmark of this tree against commit BASE over N alternating pairs (WORKLOADS: default all four); prints medians, quartiles, wins and a verdict per metric
 	bash scripts/bench_pairs.sh $(BASE) $(N) $(WORKLOADS)
 
@@ -58,5 +52,5 @@ obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, 
 check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~40 s and ~2.6 GB peak RSS, so outside check
 	$(GO) run ./cmd/experiments -homes 196 -weeks 8 | diff - experiments_output.txt
 
-check: vet race lint test-faults bench-build bench-store bench-fleet fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet + fault suite + bench smoke + store bench + fleet bench + fuzz smoke + obs smoke
+check: vet race lint test-faults bench-build fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet + fault suite + bench smoke + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

@@ -201,6 +201,77 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFleetIngestsEveryReportAtAnyShardCount drives 1, 2 and 4 shards
+// from four concurrent routers over disjoint gateways: every report is
+// appended exactly once and every point lands in the partitions.
+func TestFleetIngestsEveryReportAtAnyShardCount(t *testing.T) {
+	const routers, gatewaysPerRouter, minutes = 4, 2, 120
+	for _, shards := range []int{1, 2, 4} {
+		root := t.TempDir()
+		f, err := Start(Config{Dir: root, Shards: shards, Start: anchor, Step: time.Minute})
+		if err != nil {
+			t.Fatalf("%d shards: fleet.Start: %v", shards, err)
+		}
+		var all []gateway.Report
+		var wg sync.WaitGroup
+		errs := make(chan error, routers)
+		for d := 0; d < routers; d++ {
+			gws := make([]string, gatewaysPerRouter)
+			for g := range gws {
+				gws[g] = fmt.Sprintf("home-%03d", d*gatewaysPerRouter+g)
+			}
+			reps := buildCampaign(gws, minutes)
+			all = append(all, reps...)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- sendAll(f.Addrs(), reps)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("%d shards: %v", shards, err)
+			}
+		}
+		if err := f.Drain(); err != nil {
+			t.Fatalf("%d shards: fleet Drain: %v", shards, err)
+		}
+		var appended, appendErrs int64
+		for i := 0; i < shards; i++ {
+			st := f.Shard(i).Stats()
+			appended += st.ReportsAppended
+			appendErrs += st.AppendErrors
+		}
+		if appended != int64(len(all)) || appendErrs != 0 {
+			t.Errorf("%d shards: %d reports appended, %d append errors; want %d and 0", shards, appended, appendErrs, len(all))
+		}
+		got, _ := mergePartitions(t, root)
+		assertSeriesEqual(t, got, expectedPoints(all))
+	}
+}
+
+// sendAll routes reps through a router of its own and waits for every ack.
+func sendAll(shards []ShardAddr, reps []gateway.Report) error {
+	r, err := NewRouter(RouterConfig{Shards: shards, BatchSize: 64})
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	for _, rep := range reps {
+		if err := r.Send(ctx, rep); err != nil {
+			_ = r.Close()
+			return err
+		}
+	}
+	if err := r.Flush(ctx); err != nil {
+		_ = r.Close()
+		return err
+	}
+	return r.Close()
+}
+
 // TestFleetLiveMetricsSum pins the live family in fleet mode: shard
 // trackers sharing one livestats.Metrics add up, so the exported series
 // equal the sums over the shards' trackers.

@@ -34,8 +34,7 @@ type FleetMetrics struct {
 	// history took to reach its new owners.
 	ReplayLag *obs.Gauge
 	// IngestSeconds is the shard-side append duration per frame in
-	// seconds (homesight_fleet_ingest_seconds) — the p99 ingest latency
-	// BENCH_fleet.json records.
+	// seconds (homesight_fleet_ingest_seconds).
 	IngestSeconds *obs.Histogram
 }
 

@@ -65,11 +65,6 @@ type ShardConfig struct {
 	// gauges raised when a home or device is first seen), so trackers
 	// sharing one Metrics add up across shards; nil keeps them private.
 	Live *livestats.Config
-
-	// onFrame, when set, observes every decoded frame's report count
-	// and append duration. Test-only: the fleet benchmark measures
-	// exact per-frame ingest latency through it.
-	onFrame func(reports int, d time.Duration)
 }
 
 func (cfg ShardConfig) withDefaults() ShardConfig {
@@ -249,23 +244,19 @@ func (s *Shard) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
+	dec := telemetry.NewFrameDecoder()
 	ack := [1]byte{telemetry.BatchAck}
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))
 		}
-		payload, err := telemetry.ReadBatchFrame(br, s.cfg.MaxFrameBytes)
+		reps, err := dec.Next(br, s.cfg.MaxFrameBytes)
 		if err != nil {
 			// Corrupt frames are counted; EOF/deadline/reset are the
 			// reporter's reconnect path, not an accounting event.
 			if errors.Is(err, telemetry.ErrFrameCorrupt) {
 				s.counters.framesRejected.Add(1)
 			}
-			return
-		}
-		reps, derr := telemetry.DecodeBatchFrame(payload)
-		if derr != nil {
-			s.counters.framesRejected.Add(1)
 			return
 		}
 		// Acknowledge only after the whole frame is appended: the ack is
@@ -285,40 +276,31 @@ func (s *Shard) serveConn(conn net.Conn) {
 // ingestBatch appends one frame's reports and advances the live state.
 // A report the store rejects for its content (no gateway id) is counted
 // and skipped — the frame is still acked, so a poison report cannot wedge
-// its sender. Any other Append error means the store itself is failing
-// (closed, a sticky flush error, a WAL write error): the rest of the
-// frame is dropped and the error returned, and the frame must not be
-// acked.
+// its sender. Any other AppendBatch error means the store itself is
+// failing (closed, a sticky flush error, a WAL write error): the frame is
+// dropped and the error returned, and the frame must not be acked.
 func (s *Shard) ingestBatch(reps []gateway.Report) error {
 	start := s.cfg.Now()
-	var appended int64
-	var failed error
-	for _, rep := range reps {
-		if err := s.store.Append(rep); err != nil {
-			s.counters.appendErrors.Add(1)
-			if errors.Is(err, store.ErrNoGateway) {
-				continue
+	skipped, err := s.store.AppendBatch(reps)
+	s.counters.appendErrors.Add(int64(skipped))
+	if err != nil {
+		s.counters.appendErrors.Add(1)
+	} else {
+		// Only appended reports advance the live state, so the tracker
+		// never gets ahead of the partition it rebuilds from.
+		for i := range reps {
+			if s.tracker != nil && reps[i].GatewayID != "" {
+				s.tracker.OnReport(reps[i])
 			}
-			failed = err
-			break
 		}
-		if s.tracker != nil {
-			// Only appended reports advance the live state, so the
-			// tracker never gets ahead of the partition it rebuilds from.
-			s.tracker.OnReport(rep)
-		}
-		appended++
+		appended := int64(len(reps) - skipped)
+		s.counters.reportsAppended.Add(appended)
+		s.reports.Add(appended)
 	}
-	s.counters.reportsAppended.Add(appended)
-	s.reports.Add(appended)
-	d := s.cfg.Now().Sub(start)
 	s.counters.framesDecoded.Add(1)
 	s.batches.Inc()
-	s.cfg.Metrics.IngestSeconds.Observe(d.Seconds())
-	if s.cfg.onFrame != nil {
-		s.cfg.onFrame(len(reps), d)
-	}
-	return failed
+	s.cfg.Metrics.IngestSeconds.Observe(s.cfg.Now().Sub(start).Seconds())
+	return err
 }
 
 // Watermarks exposes the partition's per-series high-water timestamps —

@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
 	"time"
 
 	"homesight/internal/gateway"
+	"homesight/internal/livestats"
 	"homesight/internal/telemetry"
 )
 
@@ -60,5 +64,67 @@ func TestShardWithholdsAckWhenStoreRefuses(t *testing.T) {
 	}
 	if st := s.Stats(); st.ReportsAppended != 2 || st.AppendErrors != 2 {
 		t.Errorf("after the refused frame: %+v, want 2 appended, 2 append errors", st)
+	}
+}
+
+// TestShardFrameSteadyStateAllocs bounds what a shard allocates per frame
+// once warm: decoding a 48-report × 10-device frame, appending it to the
+// partition and advancing the live tracker. The frames carry consecutive
+// minutes of one home, so every point is new; what is left is the
+// memtable's amortised slice growth. (DecodeBatchFrame, which allocates
+// every report's devices and strings, puts the same loop above 1 000.)
+func TestShardFrameSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const reportsPerFrame, devices, warm, runs = 48, 10, 50, 100
+	s, err := StartShard(ShardConfig{
+		Name: ShardName(0), Addr: "127.0.0.1:0", Dir: t.TempDir(),
+		Start: anchor, Step: time.Minute, Live: &livestats.Config{},
+	})
+	if err != nil {
+		t.Fatalf("StartShard: %v", err)
+	}
+	defer s.Kill()
+
+	em := gateway.NewEmitter("home-000")
+	traffic := make([]gateway.DeviceMinute, devices)
+	var wire []byte
+	frame := make([]gateway.Report, 0, reportsPerFrame)
+	for m := 0; m < (warm+runs+1)*reportsPerFrame; m++ {
+		for d := range traffic {
+			traffic[d] = gateway.DeviceMinute{
+				MAC:     fmt.Sprintf("aa:bb:cc:dd:ee:%02x", d),
+				Name:    fmt.Sprintf("device-%d", d),
+				InBytes: float64(100 + 37*d + m%61), OutBytes: float64(10 + m%7),
+			}
+		}
+		frame = append(frame, em.Emit(anchor.Add(time.Duration(m)*time.Minute), traffic))
+		if len(frame) == reportsPerFrame {
+			wire = telemetry.AppendBatchFrame(wire, frame)
+			frame = frame[:0]
+		}
+	}
+	br := bufio.NewReader(bytes.NewReader(wire))
+	dec := telemetry.NewFrameDecoder()
+	ingestFrame := func() {
+		reps, err := dec.Next(br, 0)
+		if err != nil {
+			t.Fatalf("reading frame: %v", err)
+		}
+		if err := s.ingestBatch(reps); err != nil {
+			t.Fatalf("ingesting frame: %v", err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		ingestFrame()
+	}
+	allocs := testing.AllocsPerRun(runs, ingestFrame)
+	t.Logf("%.0f allocations per %d-report frame", allocs, reportsPerFrame)
+	if allocs > 2 {
+		t.Errorf("%.0f allocations per frame, want at most 2", allocs)
+	}
+	if st := s.Stats(); st.ReportsAppended != (warm+runs+1)*reportsPerFrame || st.AppendErrors != 0 {
+		t.Errorf("shard stats %+v, want every report appended", st)
 	}
 }

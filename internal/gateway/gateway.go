@@ -143,12 +143,24 @@ func NewRecorder(start time.Time, step time.Duration) *Recorder {
 	return &Recorder{start: start.UTC(), step: step, devices: make(map[string]*deviceRecord)}
 }
 
+// GridIndex returns the slot of ts on the grid of step-wide slots
+// anchored at start: ⌊(ts − start) / step⌋, floored rather than truncated,
+// so a time in (start − step, start) is slot −1, before the grid.
+func GridIndex(ts, start time.Time, step time.Duration) int {
+	d := ts.Sub(start)
+	i := d / step
+	if d%step < 0 {
+		i--
+	}
+	return int(i)
+}
+
 // Ingest consumes one report. Reports may arrive out of order across
 // gateways but must be non-decreasing in time per device; a regression is
 // rejected. Reporting gaps reset the device meters: bytes that accumulated
 // while unobserved cannot be attributed to minutes.
 func (r *Recorder) Ingest(rep Report) error {
-	idx := int(rep.Timestamp.UTC().Sub(r.start) / r.step)
+	idx := GridIndex(rep.Timestamp, r.start, r.step)
 	if idx < 0 {
 		return fmt.Errorf("gateway: report at %v precedes recorder start %v", rep.Timestamp, r.start)
 	}

@@ -362,3 +362,35 @@ func TestMeterDeltaRoundtripQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGridIndexFloors: the slot index floors toward −∞, so a time in
+// (start − step, start) is before the grid rather than its first slot.
+func TestGridIndexFloors(t *testing.T) {
+	for _, tc := range []struct {
+		off  time.Duration
+		want int
+	}{
+		{-61 * time.Second, -2}, {-60 * time.Second, -1}, {-30 * time.Second, -1}, {-time.Nanosecond, -1},
+		{0, 0}, {30 * time.Second, 0}, {59 * time.Second, 0}, {60 * time.Second, 1}, {90 * time.Minute, 90},
+	} {
+		if got := GridIndex(mon.Add(tc.off), mon, time.Minute); got != tc.want {
+			t.Errorf("GridIndex(start%+v) = %d, want %d", tc.off, got, tc.want)
+		}
+	}
+}
+
+// TestRecorderRejectsReportsBeforeStart: a report stamped anywhere before
+// the recorder's start is refused, including one less than a step early.
+func TestRecorderRejectsReportsBeforeStart(t *testing.T) {
+	devs := []DeviceCounters{{MAC: "aa", RxBytes: 10, TxBytes: 1}}
+	for _, tc := range []struct {
+		off     time.Duration
+		wantErr bool
+	}{{-30 * time.Second, true}, {-60 * time.Second, true}, {0, false}} {
+		r := NewRecorder(mon, time.Minute)
+		err := r.Ingest(Report{GatewayID: "gw", Timestamp: mon.Add(tc.off), Devices: devs})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("report at start%+v: err %v, want error %v", tc.off, err, tc.wantErr)
+		}
+	}
+}

@@ -59,7 +59,9 @@ func fuzzBytes(u uint16) uint64 {
 // stream, monotone in p, and the quartiles lie within 2^-7 below the raw
 // ones (up to the interpolation's rounding). The batch whisker is a data
 // point inside the fence and can sit below the interpolated Q3, so there
-// is no Q3 clamp to check. The input is a stream of 2-byte value codes.
+// is no Q3 clamp to check. Every prefix reads bit for bit as a sketch
+// counting each value at once. The input is a stream of 2-byte value
+// codes.
 func FuzzQuantileSketch(f *testing.F) {
 	f.Add([]byte{})
 	// A ramp through the unit-bucket range.
@@ -90,6 +92,7 @@ func FuzzQuantileSketch(f *testing.F) {
 			q.Observe(v)
 			vals = append(vals, v)
 		}
+		checkFoldMatchesDirect(t, vals)
 		if q.N() != int64(len(vals)) {
 			t.Fatalf("N = %d, want %d", q.N(), len(vals))
 		}

@@ -169,7 +169,7 @@ func (t *Tracker) deviceSeed(gw, mac string) int64 {
 // independent of stream length.
 func (t *Tracker) OnReport(rep gateway.Report) {
 	start := t.cfg.Now()
-	idx := int(rep.Timestamp.UTC().Sub(t.cfg.Start) / t.cfg.Step)
+	idx := gateway.GridIndex(rep.Timestamp, t.cfg.Start, t.cfg.Step)
 	if idx < 0 {
 		t.counters.stale.Add(int64(len(rep.Devices)))
 		t.cfg.Metrics.Stale.Add(int64(len(rep.Devices)))

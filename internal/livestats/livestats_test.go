@@ -399,3 +399,24 @@ func TestOnReportSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("the stream was meant to be clean: %+v after %d reports", st, minute)
 	}
 }
+
+// TestTrackerSkipsReportsBeforeStart: a report stamped before the grid's
+// start — even less than a step early — is stale, not the campaign's
+// first minute, and the report at the start opens the home.
+func TestTrackerSkipsReportsBeforeStart(t *testing.T) {
+	start := time.Date(2014, 3, 17, 0, 0, 0, 0, time.UTC)
+	for _, early := range []time.Duration{30 * time.Second, time.Minute} {
+		tr := NewTracker(Config{Start: start})
+		rep := gateway.Report{GatewayID: "gw", Timestamp: start.Add(-early),
+			Devices: []gateway.DeviceCounters{{MAC: "aa", RxBytes: 10, TxBytes: 1}, {MAC: "bb", RxBytes: 5, TxBytes: 5}}}
+		tr.OnReport(rep)
+		if st := tr.Stats(); st.StaleRows != 2 || st.ReportsProcessed != 0 || len(tr.Homes()) != 0 {
+			t.Errorf("report at start−%v: %+v, homes %v; want 2 stale rows and no home", early, st, tr.Homes())
+		}
+		rep.Timestamp = start
+		tr.OnReport(rep)
+		if st := tr.Stats(); st.StaleRows != 2 || st.ReportsProcessed != 1 || st.Devices != 2 {
+			t.Errorf("report at start after one at start−%v: %+v; want it processed", early, st)
+		}
+	}
+}

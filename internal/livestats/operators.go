@@ -3,7 +3,7 @@ package livestats
 import (
 	"math"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 
 	"homesight/internal/stats"
 	"homesight/internal/stats/corr"
@@ -75,14 +75,15 @@ const minRankCap = 8
 // (n ≤ cap) the sample is complete and both coefficients equal the
 // batch answers exactly; beyond the cap the reservoir is a uniform
 // sample of the stream and the coefficients are estimates with the
-// statistical tolerance documented in STREAMING.md. The RNG is seeded
-// per sketch, so a given stream always produces the same snapshot.
+// statistical tolerance documented in STREAMING.md. The draws come from
+// a PCG generator (16 bytes of state) seeded per sketch, so a given
+// stream always produces the same snapshot.
 type RankSketch struct {
 	cap    int
 	xs, ys []float64
 	n      int64
 	gen    uint64
-	rng    *rand.Rand
+	rng    rand.PCG
 }
 
 // NewRankSketch returns a reservoir of the given capacity (clamped to a
@@ -91,7 +92,10 @@ func NewRankSketch(capacity int, seed int64) *RankSketch {
 	if capacity < minRankCap {
 		capacity = minRankCap
 	}
-	return &RankSketch{cap: capacity, rng: rand.New(rand.NewSource(seed))}
+	r := &RankSketch{cap: capacity}
+	// An odd multiplier spreads nearby seeds over the second state word.
+	r.rng.Seed(uint64(seed), uint64(seed)*0x9e3779b97f4a7c15)
+	return r
 }
 
 // Observe consumes one (x, y) pair in O(1).
@@ -103,7 +107,9 @@ func (r *RankSketch) Observe(x, y float64) {
 		r.gen++
 		return
 	}
-	if j := r.rng.Int63n(r.n); j < int64(r.cap) {
+	// A slot drawn from [0, n) by multiply-shift (bias below n/2^64);
+	// Algorithm R keeps the pair when the slot is below the cap.
+	if j, _ := bits.Mul64(r.rng.Uint64(), uint64(r.n)); j < uint64(r.cap) {
 		r.xs[j] = x
 		r.ys[j] = y
 		r.gen++
@@ -174,6 +180,9 @@ const (
 // years of one-per-minute observations.
 type sketchPage [sketchPageSize]uint32
 
+// sketchFold is the size of a QuantileSketch's observation buffer.
+const sketchFold = 32
+
 // QuantileSketch is the online operator behind the Sec. 6.1 background
 // threshold: a counting histogram over byte deltas from which the Tukey
 // boxplot upper whisker is read at any stream depth. Observe is a counter
@@ -188,9 +197,16 @@ type sketchPage [sketchPageSize]uint32
 // statistics of the raw stream wherever the order statistics involved are
 // below 8 192, and built from order statistics at most 2^-7 below the raw
 // ones otherwise.
+//
+// Observe buffers its value, and the buffer is folded into the histogram
+// when full and before any read. Counts do not depend on order, so every
+// read is bit-identical to counting each value at once; the folded
+// increments are independent, so their cache misses overlap.
 type QuantileSketch struct {
 	n     int64
 	max   uint64
+	nbuf  int
+	buf   [sketchFold]uint64
 	pages [sketchPages]*sketchPage
 }
 
@@ -225,13 +241,24 @@ func (q *QuantileSketch) Observe(v uint64) {
 	if v > q.max {
 		q.max = v
 	}
-	page, slot := sketchBucket(v)
-	p := q.pages[page]
-	if p == nil {
-		p = new(sketchPage)
-		q.pages[page] = p
+	q.buf[q.nbuf] = v
+	if q.nbuf++; q.nbuf == sketchFold {
+		q.fold()
 	}
-	p[slot]++
+}
+
+// fold counts the buffered observations into the histogram.
+func (q *QuantileSketch) fold() {
+	for _, v := range q.buf[:q.nbuf] {
+		page, slot := sketchBucket(v)
+		p := q.pages[page]
+		if p == nil {
+			p = new(sketchPage)
+			q.pages[page] = p
+		}
+		p[slot]++
+	}
+	q.nbuf = 0
 }
 
 // orderPair returns the remembered values at ascending 0-based ranks k and
@@ -266,6 +293,12 @@ func (q *QuantileSketch) Quantile(p float64) float64 {
 	if q.n == 0 {
 		return math.NaN()
 	}
+	q.fold()
+	return q.quantile(p)
+}
+
+// quantile is Quantile of a folded, non-empty sketch.
+func (q *QuantileSketch) quantile(p float64) float64 {
 	h := math.Min(math.Max(p, 0), 1) * float64(q.n-1)
 	k := math.Floor(h)
 	lo, hi := q.orderPair(int64(k))
@@ -280,8 +313,9 @@ func (q *QuantileSketch) Whisker() float64 {
 	if q.n == 0 {
 		return 0
 	}
-	q1 := q.Quantile(probQ1)
-	q3 := q.Quantile(probQ3)
+	q.fold()
+	q1 := q.quantile(probQ1)
+	q3 := q.quantile(probQ3)
 	iqr := q3 - q1
 	fence := q3 + stats.DefaultWhiskerK*iqr
 	if max := float64(q.max); fence >= max {

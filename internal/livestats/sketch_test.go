@@ -364,3 +364,110 @@ func TestQuantileSketchMonotoneQuantiles(t *testing.T) {
 		prev = v
 	}
 }
+
+// TestRankSketchDrawIsUniform: past the cap, Algorithm R keeps every
+// stream position with probability cap/n. Over 2 048 seeds of a cap-64
+// reservoir fed n = 8·cap pairs, each position's inclusion count is
+// Binomial(seeds, cap/n); the standardised squared deviations summed over
+// the n positions are held under the 99.9th percentile of χ² with n − 1
+// degrees of freedom (the counts sum to seeds·cap). A draw over [0, cap)
+// instead of [0, n) keeps only the last cap positions and fails by orders
+// of magnitude.
+func TestRankSketchDrawIsUniform(t *testing.T) {
+	const seeds, capacity, n = 2048, 64, 8 * 64
+	var counts [n]int
+	for seed := int64(0); seed < seeds; seed++ {
+		rs := NewRankSketch(capacity, seed)
+		for i := 0; i < n; i++ {
+			rs.Observe(float64(i), 0)
+		}
+		for _, x := range rs.xs {
+			counts[int(x)]++
+		}
+	}
+	p := float64(capacity) / n
+	mean, variance := seeds*p, seeds*p*(1-p)
+	chi2 := 0.0
+	for _, c := range counts {
+		d := float64(c) - mean
+		chi2 += d * d / variance
+	}
+	// Wilson–Hilferty: χ²_k at upper quantile z is k·(1 − 2/9k + z·√(2/9k))³.
+	k := float64(n - 1)
+	bound := k * math.Pow(1-2/(9*k)+3.09*math.Sqrt(2/(9*k)), 3)
+	if chi2 > bound {
+		t.Errorf("inclusion χ² = %.1f over %d positions, above the 99.9%% bound %.1f", chi2, n, bound)
+	}
+	t.Logf("inclusion χ² = %.1f (df %d, 99.9%% bound %.1f)", chi2, n-1, bound)
+}
+
+// observeDirect is Observe counting v at once, without the fold buffer:
+// the reference the buffered sketch is held to.
+func observeDirect(q *QuantileSketch, v uint64) {
+	q.n++
+	if v > q.max {
+		q.max = v
+	}
+	page, slot := sketchBucket(v)
+	p := q.pages[page]
+	if p == nil {
+		p = new(sketchPage)
+		q.pages[page] = p
+	}
+	p[slot]++
+}
+
+// checkFoldMatchesDirect holds a buffered sketch over every prefix of
+// vals up to 3·sketchFold+1 values, and over all of vals, to the
+// direct-increment reference, bit for bit: Whisker first, so a read that
+// skips the fold shows, then the quartiles and extremes, N and Max.
+func checkFoldMatchesDirect(t testing.TB, vals []uint64) {
+	t.Helper()
+	for l := 0; l <= len(vals); l++ {
+		if l > 3*sketchFold+1 && l < len(vals) {
+			l = len(vals)
+		}
+		got, want := new(QuantileSketch), new(QuantileSketch)
+		for _, v := range vals[:l] {
+			got.Observe(v)
+			observeDirect(want, v)
+		}
+		if got.N() != want.N() || got.Max() != want.Max() {
+			t.Fatalf("prefix %d: N %d, Max %d; direct %d, %d", l, got.N(), got.Max(), want.N(), want.Max())
+		}
+		if g, w := got.Whisker(), want.Whisker(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("prefix %d: Whisker %v, direct %v", l, g, w)
+		}
+		for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			if g, w := got.Quantile(p), want.Quantile(p); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("prefix %d: Quantile(%v) %v, direct %v", l, p, g, w)
+			}
+		}
+	}
+}
+
+// TestQuantileSketchFoldMatchesDirect: buffering observations and folding
+// them in bursts reads exactly as counting each one at once, at every
+// fill of the buffer.
+func TestQuantileSketchFoldMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	constant := make([]uint64, 3*sketchFold+5)
+	for i := range constant {
+		constant[i] = 4096
+	}
+	mixed := make([]uint64, 200)
+	for i := range mixed {
+		mixed[i] = uint64(rng.ExpFloat64() * 6000)
+		if i%17 == 0 {
+			mixed[i] <<= 20
+		}
+	}
+	for name, vals := range map[string][]uint64{
+		"ascending":  {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765, 10946, 17711, 28657, 46368},
+		"constant":   constant,
+		"background": mixed[:3*sketchFold+1],
+		"mixed":      mixed,
+	} {
+		t.Run(name, func(t *testing.T) { checkFoldMatchesDirect(t, vals) })
+	}
+}

@@ -1,9 +1,6 @@
 package store
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"testing"
 	"time"
 
@@ -97,119 +94,4 @@ func BenchmarkStoreSelect(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(points)/float64(b.N), "points/op")
-}
-
-// TestBenchStoreJSON writes BENCH_store.json — append throughput,
-// select latency and compression ratio vs raw 16-byte points on the
-// synthetic corpus — when HOMESIGHT_BENCH_STORE_JSON is set. It is the
-// `make bench-store` artifact and records the acceptance numbers.
-func TestBenchStoreJSON(t *testing.T) {
-	path := os.Getenv("HOMESIGHT_BENCH_STORE_JSON")
-	if path == "" {
-		t.Skip("set HOMESIGHT_BENCH_STORE_JSON=BENCH_store.json to write the bench artifact")
-	}
-
-	// Append throughput: single-device reports on the default policy.
-	s, err := Open(Config{Dir: t.TempDir(), Start: testStart})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const appendN = 500_000
-	rep := benchReport(1)
-	start := time.Now()
-	for i := 0; i < appendN; i++ {
-		advance(&rep)
-		if err := s.Append(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	appendSecs := time.Since(start).Seconds()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Select latency and compression on the synthetic corpus.
-	s, err = Open(Config{Dir: t.TempDir(), Start: testStart})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	storeSynthCorpus(t, s, 3, 1)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-
-	var selKey Key
-	var most int64
-	s.mu.Lock()
-	for _, seg := range s.segs {
-		for _, ss := range seg.series {
-			var n int64
-			for _, bm := range ss.blocks {
-				n += int64(bm.count)
-			}
-			if n > most {
-				most, selKey = n, ss.key
-			}
-		}
-	}
-	s.mu.Unlock()
-	const selectN = 2000
-	day := testStart.Add(3 * 24 * time.Hour)
-	var selected int
-	start = time.Now()
-	for i := 0; i < selectN; i++ {
-		it := s.iter(selKey, day.Unix(), day.Add(24*time.Hour).Unix())
-		for it.Next() {
-			selected++
-		}
-		if err := it.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	selectSecs := time.Since(start).Seconds()
-
-	entries := []map[string]any{
-		{
-			"name":            "StoreAppend",
-			"reports":         appendN,
-			"ns_per_op":       int64(math.Round(appendSecs / appendN * 1e9)),
-			"reports_per_sec": float64(appendN) / appendSecs,
-		},
-		{
-			"name":          "StoreSelect",
-			"window":        "24h",
-			"ns_per_op":     int64(math.Round(selectSecs / selectN * 1e9)),
-			"points_per_op": float64(selected) / selectN,
-		},
-		{
-			"name":              "StoreCompression",
-			"corpus":            "synth 3 homes x 1 week",
-			"points":            st.SegmentPoints,
-			"segment_bytes":     st.SegmentBytes,
-			"raw_bytes":         st.SegmentPoints * 16,
-			"compression_ratio": st.Compression,
-		},
-	}
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("append %.2fM reports/s, select %.1fµs/24h-window, compression %.2fx",
-		float64(appendN)/appendSecs/1e6, selectSecs/selectN*1e6, st.Compression)
-	if float64(appendN)/appendSecs < 1e6 {
-		t.Errorf("append throughput %.0f reports/s below the 1M/s acceptance bar",
-			float64(appendN)/appendSecs)
-	}
-	if st.Compression < 5 {
-		t.Errorf("compression %.2fx below the 5x acceptance bar", st.Compression)
-	}
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"homesight/internal/gateway"
 )
 
 // FuzzBlockCodec pins the decoder's safety and the codec's round-trip
@@ -70,11 +72,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	var wal []byte
 	for m := 0; m < 3; m++ {
-		rec := appendReportRecord(nil, testReport("gw001", m, 2))
-		hdr := make([]byte, walHeaderSize)
-		putWALHeader(hdr, rec)
-		wal = append(wal, hdr...)
-		wal = append(wal, rec...)
+		rep := testReport("gw001", m, 2)
+		wal = appendRecord(wal, &rep)
 	}
 	f.Add(wal)
 	f.Add(wal[:len(wal)-4])
@@ -86,9 +85,11 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		records := 0
+		dec := gateway.NewReportDecoder()
 		res, err := replayWAL(path, func(payload []byte) error {
 			// The record decoder must tolerate any framed payload.
-			_, _ = decodeReportRecord(payload)
+			dec.Reset()
+			_, _ = decodeRecord(dec, payload)
 			records++
 			return nil
 		})

@@ -559,3 +559,20 @@ func (s *segment) verify() error {
 	}
 	return nil
 }
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func readString(data []byte) (string, []byte, error) {
+	l, n := binary.Uvarint(data)
+	if n <= 0 {
+		return "", nil, fmt.Errorf("bad length varint")
+	}
+	data = data[n:]
+	if l > uint64(len(data)) {
+		return "", nil, fmt.Errorf("length %d past end (%d bytes left)", l, len(data))
+	}
+	return string(data[:l]), data[l:], nil
+}

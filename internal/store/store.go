@@ -454,13 +454,15 @@ func (s *Store) replayWALs() error {
 	if err != nil {
 		return err
 	}
+	dec := gateway.NewReportDecoder()
 	for _, seq := range seqs {
 		res, err := replayWAL(s.walPath(seq), func(payload []byte) error {
-			rep, err := decodeReportRecord(payload)
+			dec.Reset()
+			rep, err := decodeRecord(dec, payload)
 			if err != nil {
 				return err
 			}
-			s.ingest(rep)
+			s.ingest(&rep)
 			return nil
 		})
 		if err != nil {
@@ -473,6 +475,9 @@ func (s *Store) replayWALs() error {
 		}
 	}
 	s.walSeqs = seqs
+	s.cfg.Metrics.Appends.Add(s.reports)
+	s.cfg.Metrics.Points.Add(s.points)
+	s.cfg.Metrics.DupPoints.Add(s.dups)
 	return nil
 }
 
@@ -480,9 +485,9 @@ func (s *Store) replayWALs() error {
 // appends and WAL replay. The gateway is resolved once per report and
 // each device once, to the catalog entry that carries both directions'
 // cursors, so the steady state is 1 + devices map lookups; only a series'
-// first point after a rotation touches the keyed memtable map. Caller
-// holds mu (or owns the store, at Open).
-func (s *Store) ingest(rep gateway.Report) {
+// first point after a rotation touches the keyed memtable map. Its callers
+// move the metrics. Caller holds mu (or owns the store, at Open).
+func (s *Store) ingest(rep *gateway.Report) {
 	ts := rep.Timestamp.Unix()
 	var devs deviceSet
 	if len(rep.Devices) > 0 { // a report without devices does not register its gateway
@@ -514,9 +519,6 @@ func (s *Store) ingest(rep gateway.Report) {
 	s.points += points
 	s.dups += dups
 	s.reports++
-	s.cfg.Metrics.Points.Add(points)
-	s.cfg.Metrics.DupPoints.Add(dups)
-	s.cfg.Metrics.Appends.Inc()
 }
 
 // Append durably records one report. Points at or before a series'
@@ -528,34 +530,61 @@ func (s *Store) Append(rep gateway.Report) error {
 	if rep.GatewayID == "" {
 		return ErrNoGateway
 	}
+	one := [1]gateway.Report{rep}
+	_, err := s.AppendBatch(one[:])
+	return err
+}
+
+// AppendBatch records a frame of reports as Append records each, in
+// order, under one lock: one WAL write of one record per report, and
+// under SyncAlways one fsync, before any of them reaches the memtable.
+// Reports without a gateway id are skipped and counted in skipped. An
+// error means the store itself failed — closed, a sticky flush error, a
+// WAL write or fsync — and no report of the frame reached the memtable.
+func (s *Store) AppendBatch(reps []gateway.Report) (skipped int, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if err := s.flushErr; err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("store: background flush failed: %w", err)
+		return 0, fmt.Errorf("store: background flush failed: %w", err)
 	}
-	s.scratch = appendReportRecord(s.scratch[:0], rep)
-	if err := s.wal.append(s.scratch); err != nil {
+	buf := s.scratch[:0]
+	for i := range reps {
+		if reps[i].GatewayID == "" {
+			skipped++
+			continue
+		}
+		buf = appendRecord(buf, &reps[i])
+	}
+	s.scratch = buf
+	if err := s.wal.write(buf); err != nil {
 		s.mu.Unlock()
-		return err
+		return skipped, err
 	}
 	if s.cfg.Sync == SyncAlways {
 		t0 := s.cfg.Now()
-		// WAL fsync under mu is the durability contract: Append may not return
-		// before its record is on disk, and mu orders the WAL.
+		// WAL fsync under mu is the durability contract: AppendBatch may not
+		// return before its records are on disk, and mu orders the WAL.
 		if err := s.wal.sync(); err != nil {
 			s.mu.Unlock()
-			return err
+			return skipped, err
 		}
 		s.cfg.Metrics.FsyncSeconds.Observe(s.cfg.Now().Sub(t0).Seconds())
 	}
-	s.ingest(rep)
+	points, dups := s.points, s.dups
+	for i := range reps {
+		if reps[i].GatewayID != "" {
+			s.ingest(&reps[i])
+		}
+	}
+	s.cfg.Metrics.Appends.Add(int64(len(reps) - skipped))
+	s.cfg.Metrics.Points.Add(s.points - points)
+	s.cfg.Metrics.DupPoints.Add(s.dups - dups)
 	s.cfg.Metrics.MemPoints.Set(float64(s.memPoints))
 	var rotated bool
-	var err error
 	if s.memPoints >= s.cfg.FlushPoints && s.frozen == nil {
 		// Rotation syncs and swaps the WAL and must be atomic with the memtable
 		// freeze mu guards.
@@ -563,7 +592,7 @@ func (s *Store) Append(rep gateway.Report) error {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return err
+		return skipped, err
 	}
 	if rotated {
 		select {
@@ -571,7 +600,7 @@ func (s *Store) Append(rep gateway.Report) error {
 		default:
 		}
 	}
-	return nil
+	return skipped, nil
 }
 
 // rotateLocked freezes the active memtable and opens a fresh WAL; the

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"time"
 
 	"homesight/internal/gateway"
 )
@@ -44,28 +43,28 @@ func newWALWriter(path string) (*walWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &walWriter{path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16)}, nil
+	return &walWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16)}, nil
 }
 
-// putWALHeader writes the framing header for payload into hdr (which
-// must be walHeaderSize bytes).
-func putWALHeader(hdr, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+// appendRecord appends one framed record carrying rep to dst: the
+// header, then the report payload of gateway.AppendReport.
+func appendRecord(dst []byte, rep *gateway.Report) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header, patched below
+	dst = gateway.AppendReport(dst, rep)
+	payload := dst[start+walHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst
 }
 
-// append frames one payload. The payload is copied into the buffer
-// before append returns, so callers may reuse it.
-func (w *walWriter) append(payload []byte) error {
-	var hdr [walHeaderSize]byte
-	putWALHeader(hdr[:], payload)
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+// write appends framed records. They are copied into the buffer before
+// write returns, so callers may reuse them.
+func (w *walWriter) write(records []byte) error {
+	if _, err := w.bw.Write(records); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
-	}
-	w.bytes += int64(walHeaderSize + len(payload))
+	w.bytes += int64(len(records))
 	return nil
 }
 
@@ -173,88 +172,16 @@ func replayWAL(path string, fn func(payload []byte) error) (walReplayResult, err
 	return res, nil
 }
 
-// Report record payload: the full gateway report in a compact binary
-// form (field-by-field varints, length-prefixed strings), so recovery
-// restores device names along with the counters. JSON here would cost
-// ~10x the bytes and ~20x the CPU on the 1M-report/s append path.
-
-// appendReportRecord appends the binary encoding of rep to dst.
-func appendReportRecord(dst []byte, rep gateway.Report) []byte {
-	dst = appendString(dst, rep.GatewayID)
-	dst = binary.AppendVarint(dst, rep.Timestamp.Unix())
-	dst = binary.AppendUvarint(dst, uint64(len(rep.Devices)))
-	for _, dc := range rep.Devices {
-		dst = appendString(dst, dc.MAC)
-		dst = appendString(dst, dc.Name)
-		dst = binary.AppendUvarint(dst, dc.RxBytes)
-		dst = binary.AppendUvarint(dst, dc.TxBytes)
+// decodeRecord parses one record payload; the report's devices stay valid
+// until dec's next Reset. Arbitrary bytes must not panic it: the CRC
+// catches WAL corruption, but FuzzWALReplay feeds it directly too.
+func decodeRecord(dec *gateway.ReportDecoder, payload []byte) (gateway.Report, error) {
+	rep, rest, err := dec.Decode(payload)
+	if err != nil {
+		return rep, fmt.Errorf("store: report record: %w", err)
 	}
-	return dst
-}
-
-// decodeReportRecord parses a report payload. Like decodeBlock it must
-// survive arbitrary bytes without panicking: WAL corruption is caught by
-// the CRC, but FuzzWALReplay feeds this decoder directly too.
-func decodeReportRecord(data []byte) (gateway.Report, error) {
-	var rep gateway.Report
-	var err error
-	if rep.GatewayID, data, err = readString(data); err != nil {
-		return rep, fmt.Errorf("store: report record: gateway: %w", err)
-	}
-	sec, n := binary.Varint(data)
-	if n <= 0 {
-		return rep, fmt.Errorf("store: report record: bad timestamp")
-	}
-	data = data[n:]
-	rep.Timestamp = time.Unix(sec, 0).UTC()
-	ndev, n := binary.Uvarint(data)
-	if n <= 0 {
-		return rep, fmt.Errorf("store: report record: bad device count")
-	}
-	data = data[n:]
-	// Each device costs at least 4 bytes (two empty strings + two
-	// single-byte counters); reject implausible counts before allocating.
-	if ndev > uint64(len(data))/4+1 {
-		return rep, fmt.Errorf("store: report record declares %d devices in %d bytes", ndev, len(data))
-	}
-	rep.Devices = make([]gateway.DeviceCounters, 0, ndev)
-	for i := uint64(0); i < ndev; i++ {
-		var dc gateway.DeviceCounters
-		if dc.MAC, data, err = readString(data); err != nil {
-			return rep, fmt.Errorf("store: report record: device %d mac: %w", i, err)
-		}
-		if dc.Name, data, err = readString(data); err != nil {
-			return rep, fmt.Errorf("store: report record: device %d name: %w", i, err)
-		}
-		if dc.RxBytes, n = binary.Uvarint(data); n <= 0 {
-			return rep, fmt.Errorf("store: report record: device %d rx", i)
-		}
-		data = data[n:]
-		if dc.TxBytes, n = binary.Uvarint(data); n <= 0 {
-			return rep, fmt.Errorf("store: report record: device %d tx", i)
-		}
-		data = data[n:]
-		rep.Devices = append(rep.Devices, dc)
-	}
-	if len(data) != 0 {
-		return rep, fmt.Errorf("store: report record carries %d trailing bytes", len(data))
+	if len(rest) != 0 {
+		return rep, fmt.Errorf("store: report record carries %d trailing bytes", len(rest))
 	}
 	return rep, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func readString(data []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 {
-		return "", nil, fmt.Errorf("bad length varint")
-	}
-	data = data[n:]
-	if l > uint64(len(data)) {
-		return "", nil, fmt.Errorf("length %d past end (%d bytes left)", l, len(data))
-	}
-	return string(data[:l]), data[l:], nil
 }

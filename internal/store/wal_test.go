@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,7 +41,7 @@ func TestReportRecordRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, rep := range reps {
-		dec, err := decodeReportRecord(appendReportRecord(nil, rep))
+		dec, err := decodeRecord(new(gateway.ReportDecoder), appendRecord(nil, &rep)[walHeaderSize:])
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
@@ -62,7 +64,8 @@ func writeTestWAL(t *testing.T, path string, records int) {
 		t.Fatal(err)
 	}
 	for m := 0; m < records; m++ {
-		if err := w.append(appendReportRecord(nil, testReport("gw001", m, 2))); err != nil {
+		rep := testReport("gw001", m, 2)
+		if err := w.write(appendRecord(nil, &rep)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +77,7 @@ func writeTestWAL(t *testing.T, path string, records int) {
 func replayCount(t *testing.T, path string) walReplayResult {
 	t.Helper()
 	res, err := replayWAL(path, func(payload []byte) error {
-		_, err := decodeReportRecord(payload)
+		_, err := decodeRecord(new(gateway.ReportDecoder), payload)
 		return err
 	})
 	if err != nil {
@@ -142,7 +145,8 @@ func TestWALAbandonLosesOnlyUnflushed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m := 0; m < 5; m++ {
-		if err := w.append(appendReportRecord(nil, testReport("gw001", m, 1))); err != nil {
+		rep := testReport("gw001", m, 1)
+		if err := w.write(appendRecord(nil, &rep)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,12 +154,79 @@ func TestWALAbandonLosesOnlyUnflushed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Buffered but never flushed: must be lost, cleanly.
-	if err := w.append(appendReportRecord(nil, testReport("gw001", 5, 1))); err != nil {
+	rep := testReport("gw001", 5, 1)
+	if err := w.write(appendRecord(nil, &rep)); err != nil {
 		t.Fatal(err)
 	}
 	w.abandon()
 	res := replayCount(t, path)
 	if res.records != 5 || res.truncated {
 		t.Fatalf("after abandon: %+v, want 5 clean records", res)
+	}
+}
+
+// TestAppendBatchWritesTheWALOfAppends: a frame appended in one call
+// leaves the WAL byte for byte as its reports appended one by one — one
+// record per report, duplicates included — and the same counters. Reports
+// without a gateway id are skipped by both.
+func TestAppendBatchWritesTheWALOfAppends(t *testing.T) {
+	reps := buildReports("gw001", 4, 60)
+	reps = append(reps, reps[10:20]...) // redelivered: duplicate points
+	reps = append(reps[:30:30], append([]gateway.Report{{Timestamp: testStart}}, reps[30:]...)...)
+	one, batch := t.TempDir(), t.TempDir()
+	for _, dir := range []string{one, batch} {
+		s, err := Open(Config{Dir: dir, Start: testStart, Sync: SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped := 0
+		if dir == one {
+			for _, rep := range reps {
+				if err := s.Append(rep); errors.Is(err, ErrNoGateway) {
+					skipped++
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			for i := 0; i < len(reps); i += 7 {
+				n, err := s.AppendBatch(reps[i:min(i+7, len(reps))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				skipped += n
+			}
+		}
+		if skipped != 1 {
+			t.Errorf("%s: %d reports skipped, want 1", dir, skipped)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := os.ReadFile(filepath.Join(one, "wal-00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(batch, "wal-00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) || len(a) == 0 {
+		t.Fatalf("WAL of AppendBatch (%d bytes) differs from the WAL of Append (%d bytes)", len(b), len(a))
+	}
+	var stats [2]Stats
+	for i, dir := range []string{one, batch} {
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = s.Stats()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stats[0] != stats[1] || stats[0].WALRecords != len(reps)-1 || stats[0].DupPoints == 0 {
+		t.Errorf("reopened stats: Append %+v, AppendBatch %+v; want equal, %d records and some duplicates", stats[0], stats[1], len(reps)-1)
 	}
 }

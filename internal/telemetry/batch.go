@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"time"
+	"slices"
 
 	"homesight/internal/gateway"
 )
@@ -24,15 +24,8 @@ import (
 // corrupted frame is detected before decoding. The payload is
 //
 //	uvarint  report count
-//	per report:
-//	  uvarint len | bytes   gateway ID
-//	  varint                timestamp, unix seconds (zigzag)
-//	  uvarint               device count
-//	  per device:
-//	    uvarint len | bytes   MAC
-//	    uvarint len | bytes   name
-//	    uvarint               rx counter
-//	    uvarint               tx counter
+//	per report: the report payload of gateway.AppendReport, the same
+//	bytes a store WAL record carries
 //
 // A decoder that sees a bad CRC or malformed payload cannot resync on a
 // binary stream, so frame corruption is terminal for the connection:
@@ -73,26 +66,13 @@ func AppendBatchFrame(dst []byte, reps []gateway.Report) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header, patched below
 	dst = binary.AppendUvarint(dst, uint64(len(reps)))
-	for _, rep := range reps {
-		dst = appendBatchString(dst, rep.GatewayID)
-		dst = binary.AppendVarint(dst, rep.Timestamp.Unix())
-		dst = binary.AppendUvarint(dst, uint64(len(rep.Devices)))
-		for _, dc := range rep.Devices {
-			dst = appendBatchString(dst, dc.MAC)
-			dst = appendBatchString(dst, dc.Name)
-			dst = binary.AppendUvarint(dst, dc.RxBytes)
-			dst = binary.AppendUvarint(dst, dc.TxBytes)
-		}
+	for i := range reps {
+		dst = gateway.AppendReport(dst, &reps[i])
 	}
 	payload := dst[start+batchFrameHeader:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, batchCRC))
 	return dst
-}
-
-func appendBatchString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // ReadBatchFrame reads one frame from br and returns its verified
@@ -101,31 +81,38 @@ func appendBatchString(dst []byte, s string) []byte {
 // stream that ends mid-frame is io.ErrUnexpectedEOF, and a CRC mismatch
 // is ErrFrameCorrupt.
 func ReadBatchFrame(br *bufio.Reader, maxBytes int) ([]byte, error) {
+	return readBatchFrame(br, maxBytes, nil)
+}
+
+// readBatchFrame is ReadBatchFrame reading into buf's storage when it has
+// the room.
+func readBatchFrame(br *bufio.Reader, maxBytes int, buf []byte) ([]byte, error) {
 	if maxBytes <= 0 {
 		maxBytes = MaxBatchBytes
 	}
-	var hdr [batchFrameHeader]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return nil, err // clean EOF between frames stays io.EOF
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		if err == io.EOF {
+	// Peek reads the header in place, where a local array would escape
+	// through io.ReadFull.
+	hdr, err := br.Peek(batchFrameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return nil, err // clean EOF between frames stays io.EOF
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
+	want := binary.LittleEndian.Uint32(hdr[4:])
+	_, _ = br.Discard(batchFrameHeader) // the bytes are buffered: cannot fail
 	if n > uint32(maxBytes) {
 		return nil, fmt.Errorf("%w: declared payload %d bytes exceeds limit %d", ErrFrameCorrupt, n, maxBytes)
 	}
-	payload := make([]byte, n)
+	payload := slices.Grow(buf[:0], int(n))[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	if got, want := crc32.Checksum(payload, batchCRC), binary.LittleEndian.Uint32(hdr[4:]); got != want {
+	if got := crc32.Checksum(payload, batchCRC); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", ErrFrameCorrupt, got, want)
 	}
 	return payload, nil
@@ -136,89 +123,59 @@ func ReadBatchFrame(br *bufio.Reader, maxBytes int) ([]byte, error) {
 // arbitrary input (the fuzz target's diet) cannot cause a panic or an
 // oversized allocation — only an ErrFrameCorrupt.
 func DecodeBatchFrame(payload []byte) ([]gateway.Report, error) {
-	d := batchDecoder{buf: payload}
-	count := d.uvarint()
-	if count > uint64(len(payload)) { // each report costs ≥ 1 byte
-		return nil, fmt.Errorf("%w: report count %d exceeds payload", ErrFrameCorrupt, count)
+	var d FrameDecoder
+	return d.decode(payload)
+}
+
+// FrameDecoder reads one connection's frames into storage it reuses —
+// payload, reports, device rows and (NewFrameDecoder's bounded string
+// table) gateway IDs, MACs and names — so a warm frame allocates nothing.
+// The zero value allocates every string.
+type FrameDecoder struct {
+	payload []byte
+	reps    []gateway.Report
+	dec     gateway.ReportDecoder
+}
+
+// NewFrameDecoder returns a decoder with a string table.
+func NewFrameDecoder() *FrameDecoder {
+	return &FrameDecoder{dec: *gateway.NewReportDecoder()}
+}
+
+// Next reads and decodes the next frame from br, with ReadBatchFrame's
+// errors and bound; a payload that does not decode is ErrFrameCorrupt.
+// The reports, and their devices, stay valid until the next call.
+func (d *FrameDecoder) Next(br *bufio.Reader, maxBytes int) ([]gateway.Report, error) {
+	payload, err := readBatchFrame(br, maxBytes, d.payload)
+	if err != nil {
+		return nil, err
 	}
-	reps := make([]gateway.Report, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var rep gateway.Report
-		rep.GatewayID = d.string()
-		rep.Timestamp = time.Unix(d.varint(), 0).UTC()
-		devs := d.uvarint()
-		if devs > uint64(len(d.buf)) { // each device costs ≥ 1 byte
-			return nil, fmt.Errorf("%w: device count %d exceeds payload", ErrFrameCorrupt, devs)
-		}
-		if devs > 0 {
-			rep.Devices = make([]gateway.DeviceCounters, 0, devs)
-		}
-		for j := uint64(0); j < devs; j++ {
-			rep.Devices = append(rep.Devices, gateway.DeviceCounters{
-				MAC:     d.string(),
-				Name:    d.string(),
-				RxBytes: d.uvarint(),
-				TxBytes: d.uvarint(),
-			})
-		}
-		reps = append(reps, rep)
-		if d.err != nil {
-			return nil, fmt.Errorf("%w: truncated report %d", ErrFrameCorrupt, i)
-		}
-	}
-	if d.err != nil {
+	d.payload = payload
+	return d.decode(payload)
+}
+
+func (d *FrameDecoder) decode(payload []byte) ([]gateway.Report, error) {
+	count, n := binary.Uvarint(payload)
+	if n <= 0 {
 		return nil, fmt.Errorf("%w: truncated header", ErrFrameCorrupt)
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrameCorrupt, len(d.buf))
+	rest := payload[n:]
+	if count > uint64(len(rest))/3 { // each report costs ≥ 3 bytes
+		return nil, fmt.Errorf("%w: report count %d exceeds payload", ErrFrameCorrupt, count)
+	}
+	d.dec.Reset()
+	reps := slices.Grow(d.reps[:0], int(count))
+	for i := uint64(0); i < count; i++ {
+		var rep gateway.Report
+		var err error
+		if rep, rest, err = d.dec.Decode(rest); err != nil {
+			return nil, fmt.Errorf("%w: report %d: %w", ErrFrameCorrupt, i, err)
+		}
+		reps = append(reps, rep)
+	}
+	d.reps = reps
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrameCorrupt, len(rest))
 	}
 	return reps, nil
-}
-
-// batchDecoder is a cursor over a frame payload with sticky error
-// handling: after the first malformed field every read returns zero
-// values, and the caller checks err once per report.
-type batchDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *batchDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = ErrFrameCorrupt
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *batchDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.err = ErrFrameCorrupt
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *batchDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = ErrFrameCorrupt
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
 }

@@ -14,7 +14,8 @@ import (
 // decoder (the bytes a hostile or corrupted peer could put after a
 // valid CRC) and, when the input happens to decode, pins the round-trip
 // property: re-encoding the decoded reports and decoding again is a
-// fixed point.
+// fixed point. A FrameDecoder decodes every input as DecodeBatchFrame
+// does.
 func FuzzBatchFrame(f *testing.F) {
 	seed := func(reps []gateway.Report) []byte {
 		frame := AppendBatchFrame(nil, reps)
@@ -32,8 +33,16 @@ func FuzzBatchFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		reps, err := DecodeBatchFrame(payload)
+		// A connection's decoder, string table included, agrees with it.
+		tabled, terr := NewFrameDecoder().decode(payload)
+		if (err == nil) != (terr == nil) {
+			t.Fatalf("DecodeBatchFrame err %v, FrameDecoder err %v", err, terr)
+		}
 		if err != nil {
 			return // malformed input must only error, never panic
+		}
+		if !reflect.DeepEqual(tabled, reps) {
+			t.Fatalf("FrameDecoder decoded %+v, DecodeBatchFrame %+v", tabled, reps)
 		}
 		frame := AppendBatchFrame(nil, reps)
 		got, err := ReadBatchFrame(bufio.NewReader(bytes.NewReader(frame)), 0)

@@ -136,6 +136,41 @@ func TestBatchFrameCorruption(t *testing.T) {
 	}
 }
 
+// TestFrameDecoderReusesItsStorage: a connection's decoder reads a
+// stream of frames of varying size back to the reports sent, and once
+// warm it allocates nothing per frame.
+func TestFrameDecoderReusesItsStorage(t *testing.T) {
+	sizes := []int{3, 128, 1, 64}
+	var stream []byte
+	for _, n := range sizes {
+		stream = AppendBatchFrame(stream, batchReports(n))
+	}
+	br := bufio.NewReader(bytes.NewReader(stream))
+	dec := NewFrameDecoder()
+	for i, n := range sizes {
+		if got, err := dec.Next(br, 0); err != nil || !reflect.DeepEqual(got, batchReports(n)) {
+			t.Fatalf("frame %d of %d reports: decoded %d reports, err %v", i, n, len(got), err)
+		}
+	}
+	if _, err := dec.Next(br, 0); err != io.EOF {
+		t.Fatalf("after the last frame: err %v, want io.EOF", err)
+	}
+
+	frame := AppendBatchFrame(nil, batchReports(48))
+	r := bytes.NewReader(frame)
+	next := func() {
+		r.Reset(frame)
+		br.Reset(r)
+		if _, err := dec.Next(br, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next()
+	if a := testing.AllocsPerRun(100, next); a != 0 {
+		t.Errorf("warm FrameDecoder allocates %v times per frame, want 0", a)
+	}
+}
+
 // batchSink is a minimal shard stand-in: it reads frames off real TCP
 // connections, records every decoded report in arrival order, and acks
 // each frame per the protocol — once release is closed, when it has one.
