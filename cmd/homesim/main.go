@@ -177,15 +177,15 @@ func runFleetCampaign(dep *synth.Deployment, n int, dir string, kill, live bool)
 		h := dep.Home(i)
 		traffic := h.Traffic()
 		em := gateway.NewEmitter(h.ID)
+		// One minute buffer per home, refilled every minute: Emit copies
+		// what it keeps.
+		dms := make([]gateway.DeviceMinute, len(traffic))
+		for d, dt := range traffic {
+			dms[d].MAC, dms[d].Name = dt.Spec.Device.MAC, dt.Spec.Device.Name
+		}
 		emits[i] = func(m int) gateway.Report {
-			var dms []gateway.DeviceMinute
-			for _, dt := range traffic {
-				dms = append(dms, gateway.DeviceMinute{
-					MAC:      dt.Spec.Device.MAC,
-					Name:     dt.Spec.Device.Name,
-					InBytes:  dt.In.Values[m],
-					OutBytes: dt.Out.Values[m],
-				})
+			for d, dt := range traffic {
+				dms[d].InBytes, dms[d].OutBytes = dt.In.Values[m], dt.Out.Values[m]
 			}
 			return em.Emit(cfg.Start.Add(time.Duration(m)*time.Minute), dms)
 		}

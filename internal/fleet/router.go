@@ -286,6 +286,9 @@ func (r *Router) flushShardLocked(ctx context.Context, sh *routerShard) error {
 		}
 		return r.rebalanceLocked(ctx, sh, batch, err)
 	}
+	// The reporter keeps the batch until it is acked, so the next one gets
+	// fresh storage, sized once to this one.
+	sh.pending = make([]gateway.Report, 0, len(batch))
 	r.stats.BatchesFlushed++
 	return nil
 }

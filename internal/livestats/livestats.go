@@ -124,6 +124,10 @@ type home struct {
 	minutes int64          // minutes with at least one valid delta
 	reports int64
 
+	// last resolves a report's rows by their slot in the home's previous
+	// report; only a device that joined or moved goes to devs.
+	last gateway.Slots[*deviceState]
+
 	// scratch carries the per-report valid deltas between the two
 	// passes of update without a per-report allocation.
 	scratch []pendingDelta
@@ -204,6 +208,25 @@ func (t *Tracker) home(gw string) *home {
 	return h
 }
 
+// device returns (creating if needed) the state of a report row's device.
+// Caller holds h.mu.
+func (t *Tracker) device(h *home, dc gateway.DeviceCounters) *deviceState {
+	if ds := h.devs[dc.MAC]; ds != nil {
+		return ds
+	}
+	ds := &deviceState{
+		dev:     devices.Device{MAC: dc.MAC, Name: dc.Name, Inferred: devices.Classify(dc.MAC, dc.Name)},
+		lastIdx: -1,
+		ranks:   NewRankSketch(t.cfg.RankCap, t.deviceSeed(h.id, dc.MAC)),
+	}
+	h.devs[dc.MAC] = ds
+	at := sort.Search(len(h.byMAC), func(i int) bool { return h.byMAC[i].dev.MAC > dc.MAC })
+	h.byMAC = slices.Insert(h.byMAC, at, ds)
+	t.counters.devices.Add(1)
+	t.cfg.Metrics.Devices.Inc()
+	return ds
+}
+
 // update applies one report to a home under its lock and returns the
 // number of stale (watermark-skipped) device rows.
 func (t *Tracker) update(h *home, idx int, rep gateway.Report) int64 {
@@ -213,19 +236,11 @@ func (t *Tracker) update(h *home, idx int, rep gateway.Report) int64 {
 	var staleRows int64
 	pending := h.scratch[:0]
 	g := 0.0
-	for _, dc := range rep.Devices {
-		ds := h.devs[dc.MAC]
-		if ds == nil {
-			ds = &deviceState{
-				dev:     devices.Device{MAC: dc.MAC, Name: dc.Name, Inferred: devices.Classify(dc.MAC, dc.Name)},
-				lastIdx: -1,
-				ranks:   NewRankSketch(t.cfg.RankCap, t.deviceSeed(h.id, dc.MAC)),
-			}
-			h.devs[dc.MAC] = ds
-			at := sort.Search(len(h.byMAC), func(i int) bool { return h.byMAC[i].dev.MAC > dc.MAC })
-			h.byMAC = slices.Insert(h.byMAC, at, ds)
-			t.counters.devices.Add(1)
-			t.cfg.Metrics.Devices.Inc()
+	for i, dc := range rep.Devices {
+		ds, ok := h.last.Get(i, dc.MAC)
+		if !ok {
+			ds = t.device(h, dc)
+			h.last.Set(i, dc.MAC, ds)
 		}
 		if ds.dev.Name == "" && dc.Name != "" {
 			ds.dev.Name = dc.Name

@@ -148,8 +148,13 @@ type device struct {
 	dirs [2]series
 }
 
-// deviceSet is one gateway's devices by MAC.
-type deviceSet map[string]*device
+// deviceSet is one gateway's part of the catalog: its devices by MAC,
+// and last, which resolves a report's rows by their slot in the
+// gateway's previous report before falling back on byMAC.
+type deviceSet struct {
+	byMAC map[string]*device
+	last  gateway.Slots[*device]
+}
 
 // storeMeta is the meta.json payload.
 type storeMeta struct {
@@ -197,7 +202,7 @@ type Store struct {
 	frozenWAL []uint64           // WAL files the frozen memtable covers
 	// catalog is gateway → MAC → device: every known device's name and
 	// per-direction cursors. numSeries counts the cursors with a watermark.
-	catalog   map[string]deviceSet
+	catalog   map[string]*deviceSet
 	numSeries int
 	segs      []*segment
 	nextSeg   uint64
@@ -236,7 +241,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:     cfg,
 		mem:     make(map[Key]*memSeries),
-		catalog: make(map[string]deviceSet),
+		catalog: make(map[string]*deviceSet),
 		flushCh: make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
 		nextSeg: 1,
@@ -337,30 +342,39 @@ func (s *Store) loadNames() error {
 
 // devicesOf returns (creating if needed) one gateway's part of the
 // catalog. Caller holds mu (or owns the store, at Open).
-func (s *Store) devicesOf(gatewayID string) deviceSet {
+func (s *Store) devicesOf(gatewayID string) *deviceSet {
 	devs := s.catalog[gatewayID]
 	if devs == nil {
-		devs = make(deviceSet)
+		devs = &deviceSet{byMAC: make(map[string]*device)}
 		s.catalog[gatewayID] = devs
 	}
 	return devs
 }
 
 // get returns (creating if needed) a device's catalog entry.
-func (ds deviceSet) get(mac string) *device {
-	dev := ds[mac]
+func (ds *deviceSet) get(mac string) *device {
+	dev := ds.byMAC[mac]
 	if dev == nil {
 		dev = &device{}
-		ds[mac] = dev
+		ds.byMAC[mac] = dev
 	}
 	return dev
+}
+
+// device returns a device's catalog entry, nil if it has none. Caller
+// holds mu.
+func (s *Store) device(gatewayID, mac string) *device {
+	if devs := s.catalog[gatewayID]; devs != nil {
+		return devs.byMAC[mac]
+	}
+	return nil
 }
 
 // eachWatermark calls fn for every series that has a watermark. Caller
 // holds mu.
 func (s *Store) eachWatermark(fn func(k Key, ts int64)) {
 	for gw, devs := range s.catalog {
-		for mac, dev := range devs {
+		for mac, dev := range devs.byMAC {
 			for dir := range dev.dirs {
 				if sr := &dev.dirs[dir]; sr.seen {
 					fn(Key{Gateway: gw, Device: mac, Dir: Direction(dir)}, sr.wm)
@@ -385,8 +399,8 @@ func (s *Store) saveNames() error {
 	s.mu.Lock()
 	names := make(map[string]map[string]string, len(s.catalog))
 	for gw, devs := range s.catalog {
-		names[gw] = make(map[string]string, len(devs))
-		for mac, dev := range devs {
+		names[gw] = make(map[string]string, len(devs.byMAC))
+		for mac, dev := range devs.byMAC {
 			names[gw][mac] = dev.name
 		}
 	}
@@ -483,20 +497,26 @@ func (s *Store) replayWALs() error {
 
 // ingest applies one report to the memtable: the shared path of live
 // appends and WAL replay. The gateway is resolved once per report and
-// each device once, to the catalog entry that carries both directions'
-// cursors, so the steady state is 1 + devices map lookups; only a series'
-// first point after a rotation touches the keyed memtable map. Its callers
-// move the metrics. Caller holds mu (or owns the store, at Open).
+// each device to the catalog entry that carries both directions' cursors,
+// through its slot in the gateway's previous report, so the steady state
+// is one map lookup per report; only a device that joined or moved goes
+// to the MAC map, and only a series' first point after a rotation touches
+// the keyed memtable map. Its callers move the metrics. Caller holds mu
+// (or owns the store, at Open).
 func (s *Store) ingest(rep *gateway.Report) {
 	ts := rep.Timestamp.Unix()
-	var devs deviceSet
+	var devs *deviceSet
 	if len(rep.Devices) > 0 { // a report without devices does not register its gateway
 		devs = s.devicesOf(rep.GatewayID)
 	}
 	var points, dups int64
 	for i := range rep.Devices {
 		dc := &rep.Devices[i]
-		dev := devs.get(dc.MAC)
+		dev, ok := devs.last.Get(i, dc.MAC)
+		if !ok {
+			dev = devs.get(dc.MAC)
+			devs.last.Set(i, dc.MAC, dev)
+		}
 		if dc.Name != "" && dc.Name != dev.name {
 			dev.name = dc.Name
 		}
@@ -625,7 +645,7 @@ func (s *Store) rotateLocked() (bool, error) {
 	s.frozenWAL = s.walSeqs
 	s.mem = make(map[Key]*memSeries)
 	for _, devs := range s.catalog {
-		for _, dev := range devs {
+		for _, dev := range devs.byMAC {
 			dev.dirs[0].mem, dev.dirs[1].mem = nil, nil
 		}
 	}
@@ -948,8 +968,12 @@ func (s *Store) Gateways() []string {
 func (s *Store) Devices(gatewayID string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.catalog[gatewayID]))
-	for mac := range s.catalog[gatewayID] {
+	var byMAC map[string]*device
+	if devs := s.catalog[gatewayID]; devs != nil {
+		byMAC = devs.byMAC
+	}
+	out := make([]string, 0, len(byMAC))
+	for mac := range byMAC {
 		out = append(out, mac)
 	}
 	sort.Strings(out)
@@ -960,7 +984,7 @@ func (s *Store) Devices(gatewayID string) []string {
 func (s *Store) HasDevice(gatewayID, mac string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.catalog[gatewayID][mac] != nil
+	return s.device(gatewayID, mac) != nil
 }
 
 // HomeVersion returns a value that advances every time the store accepts
@@ -977,7 +1001,10 @@ func (s *Store) HomeVersion(gatewayID string) (v int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	devs, ok := s.catalog[gatewayID]
-	for _, dev := range devs {
+	if !ok {
+		return 0, false
+	}
+	for _, dev := range devs.byMAC {
 		for dir := range dev.dirs {
 			if sr := &dev.dirs[dir]; sr.seen {
 				v += sr.wm + 1
@@ -991,7 +1018,7 @@ func (s *Store) HomeVersion(gatewayID string) (v int64, ok bool) {
 func (s *Store) DeviceName(gatewayID, mac string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if dev := s.catalog[gatewayID][mac]; dev != nil {
+	if dev := s.device(gatewayID, mac); dev != nil {
 		return dev.name
 	}
 	return ""
