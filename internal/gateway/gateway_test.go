@@ -1,7 +1,10 @@
 package gateway
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -392,5 +395,113 @@ func TestRecorderRejectsReportsBeforeStart(t *testing.T) {
 		if (err != nil) != tc.wantErr {
 			t.Errorf("report at start%+v: err %v, want error %v", tc.off, err, tc.wantErr)
 		}
+	}
+}
+
+// refEmitter is the map-per-direction emitter Emitter is held to.
+type refEmitter struct {
+	id     string
+	rx, tx map[string]uint64
+}
+
+func (e *refEmitter) emit(ts time.Time, minutes []DeviceMinute) Report {
+	rep := Report{GatewayID: e.id, Timestamp: ts}
+	for _, dm := range minutes {
+		if math.IsNaN(dm.InBytes) || math.IsNaN(dm.OutBytes) {
+			continue
+		}
+		e.rx[dm.MAC] = (e.rx[dm.MAC] + uint64(dm.InBytes)) % counterModulus
+		e.tx[dm.MAC] = (e.tx[dm.MAC] + uint64(dm.OutBytes)) % counterModulus
+		rep.Devices = append(rep.Devices, DeviceCounters{
+			MAC: dm.MAC, Name: dm.Name, RxBytes: e.rx[dm.MAC], TxBytes: e.tx[dm.MAC],
+		})
+	}
+	return rep
+}
+
+// TestEmitterMatchesMapReference: whatever the device list does between
+// minutes — devices joining, leaving, moving, going dark (NaN), repeating
+// or wrapping their counters — Emit's reports equal the map-based
+// reference's, minute by minute.
+func TestEmitterMatchesMapReference(t *testing.T) {
+	nan := math.NaN()
+	dm := func(mac string, in, out float64) DeviceMinute {
+		return DeviceMinute{MAC: mac, Name: "n-" + mac, InBytes: in, OutBytes: out}
+	}
+	steady := []DeviceMinute{dm("a", 1, 2), dm("b", 3, 4), dm("c", 5, 6)}
+	cases := []struct {
+		name    string
+		minutes [][]DeviceMinute
+	}{
+		{"steady", [][]DeviceMinute{steady, steady, steady}},
+		{"join", [][]DeviceMinute{steady, {dm("a", 1, 1), dm("x", 9, 9), dm("b", 1, 1), dm("c", 1, 1)}, steady}},
+		{"leave", [][]DeviceMinute{steady, {dm("a", 1, 1), dm("c", 1, 1)}, steady}},
+		{"reorder", [][]DeviceMinute{steady, {dm("c", 1, 1), dm("a", 1, 1), dm("b", 1, 1)}, steady}},
+		{"nan", [][]DeviceMinute{steady, {dm("a", nan, 1), dm("b", 1, nan), dm("c", 7, 7)}, steady}},
+		{"all dark", [][]DeviceMinute{steady, {dm("a", nan, nan)}, steady}},
+		{"empty", [][]DeviceMinute{nil, steady, nil, steady}},
+		{"repeat", [][]DeviceMinute{steady, {dm("a", 1, 1), dm("a", 2, 2), dm("b", 1, 1)}, steady}},
+		{"wrap", [][]DeviceMinute{steady, {dm("a", 1<<32-1, 1<<33), dm("b", 3, 4), dm("c", 5, 6)}, steady}},
+		{"shrink and grow", [][]DeviceMinute{steady, {dm("b", 1, 1)}, {dm("b", 1, 1), dm("d", 2, 2), dm("a", 3, 3), dm("c", 4, 4)}, steady}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEmitter("gw")
+			ref := &refEmitter{id: "gw", rx: map[string]uint64{}, tx: map[string]uint64{}}
+			for m, minute := range tc.minutes {
+				ts := mon.Add(time.Duration(m) * time.Minute)
+				got, want := e.Emit(ts, minute), ref.emit(ts, minute)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("minute %d:\n got %+v\nwant %+v", m, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEmitterSteadyStateAllocs: once an emitter has seen its devices, an
+// Emit allocates only the report's device rows.
+func TestEmitterSteadyStateAllocs(t *testing.T) {
+	minute := make([]DeviceMinute, 10)
+	for d := range minute {
+		minute[d] = DeviceMinute{MAC: fmt.Sprintf("aa:bb:cc:dd:ee:%02x", d), Name: fmt.Sprintf("device-%d", d), InBytes: 100, OutBytes: 10}
+	}
+	e := NewEmitter("gw")
+	e.Emit(mon, minute)
+	if a := testing.AllocsPerRun(100, func() { e.Emit(mon, minute) }); a > 1 {
+		t.Errorf("warm Emit allocates %v times, want at most 1", a)
+	}
+}
+
+var sinkReport Report
+
+// BenchmarkEmitOrder emits a 10-device minute whose rows come in the
+// same order every minute (fixed) or in one of 16 shuffled orders
+// (shuffled), so the second pays for a device list that moves.
+func BenchmarkEmitOrder(b *testing.B) {
+	for _, shuffled := range []bool{false, true} {
+		name := "fixed"
+		if shuffled {
+			name = "shuffled"
+		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			orders := make([][]DeviceMinute, 16)
+			for i := range orders {
+				orders[i] = make([]DeviceMinute, 10)
+				for d := range orders[i] {
+					orders[i][d] = DeviceMinute{MAC: fmt.Sprintf("aa:bb:cc:dd:ee:%02x", d), Name: fmt.Sprintf("device-%d", d), InBytes: 100, OutBytes: 10}
+				}
+				if shuffled {
+					rng.Shuffle(10, func(x, y int) { orders[i][x], orders[i][y] = orders[i][y], orders[i][x] })
+				}
+			}
+			e := NewEmitter("gw")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkReport = e.Emit(mon, orders[i%len(orders)])
+			}
+		})
 	}
 }

@@ -134,3 +134,32 @@ func TestOnReportCostFlatAcrossMinute4096(t *testing.T) {
 	}
 	t.Logf("per-report: early %v, across minute 4 096 %v (ratio %.2f)", bestEarly, bestLate, best)
 }
+
+// BenchmarkOnReportOrder is BenchmarkOnReport with 10 devices whose rows
+// come in the same order every minute (fixed) or in one of 16 shuffled
+// orders (shuffled), so the second pays for a device list that moves.
+func BenchmarkOnReportOrder(b *testing.B) {
+	for _, shuffled := range []bool{false, true} {
+		name := "fixed"
+		if shuffled {
+			name = "shuffled"
+		}
+		b.Run(name, func(b *testing.B) {
+			bs := newBenchStream(10)
+			tr := bs.tracker()
+			order := rand.New(rand.NewSource(2)) // apart from bs.rng: both see the same traffic
+			reps := make([]gateway.Report, b.N)
+			for i := range reps {
+				reps[i] = bs.next()
+				if shuffled {
+					devs := reps[i].Devices
+					order.Shuffle(len(devs), func(x, y int) { devs[x], devs[y] = devs[y], devs[x] })
+				}
+			}
+			b.ResetTimer()
+			for i := range reps {
+				tr.OnReport(reps[i])
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -94,4 +95,48 @@ func BenchmarkStoreSelect(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(points)/float64(b.N), "points/op")
+}
+
+// BenchmarkStoreAppendOrder appends 10-device reports whose rows come in
+// the same order every minute (fixed) or in one of 16 shuffled orders
+// (shuffled), so the second pays for a device list that moves.
+func BenchmarkStoreAppendOrder(b *testing.B) {
+	for _, shuffled := range []bool{false, true} {
+		name := "fixed"
+		if shuffled {
+			name = "shuffled"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, err := Open(Config{Dir: b.TempDir(), Start: testStart})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			orders := make([][]int, 16)
+			for i := range orders {
+				orders[i] = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+				if shuffled {
+					rng.Shuffle(10, func(x, y int) { orders[i][x], orders[i][y] = orders[i][y], orders[i][x] })
+				}
+			}
+			canon := benchReport(10)
+			rep := gateway.Report{GatewayID: canon.GatewayID, Devices: make([]gateway.DeviceCounters, 10)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				advance(&canon)
+				rep.Timestamp = canon.Timestamp
+				for row, d := range orders[i%len(orders)] {
+					rep.Devices[row] = canon.Devices[d]
+				}
+				if err := s.Append(rep); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }
