@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,9 +11,9 @@ import (
 	"homesight/internal/obs"
 )
 
-// Segment file layout. Segments are immutable once written: a flush
-// writes the whole file to a temp name, fsyncs, then renames it into
-// place, so a segment either exists completely or not at all.
+// Segment file layout. Segments are immutable once written: a flush or
+// a compaction streams the file to a temp name, fsyncs, then renames it
+// into place, so a segment either exists completely or not at all.
 //
 //	[8]  magic "HSEG0002"
 //	per series (sorted by key, points sorted by timestamp):
@@ -39,6 +40,9 @@ const (
 	segIdxMagic  = "HSEGIDX1"
 	segTailSize  = 4 + 8 + 8
 	maxSegFooter = 1 << 30
+	// tmpSuffix marks a file writeFileAtomic has not yet renamed into
+	// place; Open deletes any it finds.
+	tmpSuffix = ".tmp"
 )
 
 // Direction distinguishes the two series of a device.
@@ -123,21 +127,146 @@ type segment struct {
 	reads     *readCounters // nil: reads are not accounted
 }
 
-// keyedPoints is the flush input: one series and its sorted points.
-type keyedPoints struct {
-	key Key
-	pts []Point
+// segmentWriter encodes one segment as a stream of series in key order:
+// each series' raw and rollup blocks go to the writer as soon as they
+// are encoded, and only their block metas stay behind, for the footer.
+// Memory is one series' encode buffers plus O(series) metas, whatever
+// the segment's size.
+type segmentWriter struct {
+	w           *bufio.Writer
+	blockPoints int
+	off         int64
+	metas       []segSeries
+	payload     []byte
+	bins        []RollupBin
 }
 
-// writeSegmentFile encodes series (already sorted by key, points sorted
-// by timestamp) into a new segment file at path, fsyncing before
-// returning. It writes through a temp file + rename so a crash mid-
-// flush leaves no partial segment behind. Flush-time rollups: alongside
-// the raw blocks, every series gets one precomputed aggregate block per
-// rollup granularity (3h and 8h — the paper's Def. 3 bins), so
-// downsampled queries never decode raw minutes.
-func writeSegmentFile(path string, series []keyedPoints, blockPoints int) (err error) {
-	tmp := path + ".tmp"
+// put encodes one series: its points split into blocks of blockPoints,
+// then one rollup block per granularity (3h and 8h — the paper's Def. 3
+// bins), so downsampled queries never decode raw minutes. Keys must
+// arrive in ascending order and pts sorted by timestamp.
+func (sw *segmentWriter) put(key Key, pts []Point) error {
+	ss := segSeries{key: key}
+	for start := 0; start < len(pts); start += sw.blockPoints {
+		chunk := pts[start:min(start+sw.blockPoints, len(pts))]
+		sw.payload = encodeBlock(sw.payload[:0], chunk)
+		bm, err := sw.writeBlock()
+		if err != nil {
+			return err
+		}
+		bm.minTs, bm.maxTs, bm.count = chunk[0].Ts, chunk[len(chunk)-1].Ts, len(chunk)
+		ss.blocks = append(ss.blocks, bm)
+	}
+	for slot, gran := range rollupGrans {
+		sw.bins = computeRollups(sw.bins[:0], pts, gran.seconds())
+		if len(sw.bins) == 0 {
+			continue
+		}
+		sw.payload = encodeRollupBlock(sw.payload[:0], sw.bins)
+		bm, err := sw.writeBlock()
+		if err != nil {
+			return err
+		}
+		bm.minTs, bm.maxTs, bm.count = sw.bins[0].Start, sw.bins[len(sw.bins)-1].Start, len(sw.bins)
+		ss.rollups[slot] = append(ss.rollups[slot], bm)
+	}
+	sw.metas = append(sw.metas, ss)
+	return nil
+}
+
+// writeBlock writes the CRC-framed payload at the current offset.
+func (sw *segmentWriter) writeBlock() (blockMeta, error) {
+	var crcHdr [4]byte
+	binary.LittleEndian.PutUint32(crcHdr[:], crc32.Checksum(sw.payload, crcTable))
+	if _, err := sw.w.Write(crcHdr[:]); err != nil {
+		return blockMeta{}, err
+	}
+	if _, err := sw.w.Write(sw.payload); err != nil {
+		return blockMeta{}, err
+	}
+	bm := blockMeta{off: sw.off, length: len(sw.payload)}
+	sw.off += int64(4 + len(sw.payload))
+	return bm, nil
+}
+
+// writeSegmentFile writes a new segment at path from the series produce
+// hands to put, in ascending key order with points sorted by timestamp.
+// It goes through writeFileAtomic, so a failure anywhere — in produce
+// included — leaves no partial segment behind.
+func writeSegmentFile(path string, blockPoints int, produce func(put func(Key, []Point) error) error) error {
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		if _, err := w.WriteString(segMagic); err != nil {
+			return err
+		}
+		sw := &segmentWriter{w: w, blockPoints: blockPoints, off: int64(len(segMagic))}
+		if err := produce(sw.put); err != nil {
+			return err
+		}
+		footer := encodeFooter(nil, sw.metas)
+		var tail [segTailSize]byte
+		binary.LittleEndian.PutUint32(tail[0:4], crc32.Checksum(footer, crcTable))
+		binary.LittleEndian.PutUint64(tail[4:12], uint64(len(footer)))
+		copy(tail[12:], segIdxMagic)
+		if _, err := w.Write(footer); err != nil {
+			return err
+		}
+		_, err := w.Write(tail[:])
+		return err
+	})
+}
+
+// mergeSegments streams the union of old's series to put, in key order.
+// Each segment's series are sorted by key, so a merge over their footers
+// meets every key once; a key's blocks are decoded from the segments in
+// order into one reused buffer, so only one series is held at a time.
+// Segments are time-disjoint per series; the merge verifies it cheaply.
+func mergeSegments(old []*segment, put func(Key, []Point) error) error {
+	next := make([]int, len(old)) // per segment, the first series not yet merged
+	var pts []Point
+	var buf []byte
+	for {
+		var key Key
+		found := false
+		for i, seg := range old {
+			if next[i] < len(seg.series) && (!found || keyLess(seg.series[next[i]].key, key)) {
+				key, found = seg.series[next[i]].key, true
+			}
+		}
+		if !found {
+			return nil
+		}
+		pts = pts[:0]
+		for i, seg := range old {
+			if next[i] == len(seg.series) || seg.series[next[i]].key != key {
+				continue
+			}
+			for _, bm := range seg.series[next[i]].blocks {
+				var err error
+				if pts, buf, err = seg.readBlock(bm, pts, buf); err != nil {
+					return err
+				}
+			}
+			next[i]++
+		}
+		for j := 1; j < len(pts); j++ {
+			if pts[j].Ts <= pts[j-1].Ts {
+				return fmt.Errorf("store: compact: %v not time-ordered across segments", key)
+			}
+		}
+		if err := put(key, pts); err != nil {
+			return err
+		}
+	}
+}
+
+// writeFileAtomic replaces path with what write produces: write runs
+// against a buffered writer over path+".tmp", which is then flushed,
+// fsynced, closed and renamed into place, and the directory fsynced. A
+// failure at any step removes the temp file, so path keeps either its
+// old content or the new content complete; a temp file a crash leaves
+// behind is removed by Open.
+func writeFileAtomic(path string, write func(w *bufio.Writer) error) (err error) {
+	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -148,56 +277,11 @@ func writeSegmentFile(path string, series []keyedPoints, blockPoints int) (err e
 			_ = os.Remove(tmp)
 		}
 	}()
-
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, segMagic...)
-	metas := make([]segSeries, 0, len(series))
-	var crcHdr [4]byte
-	payload := make([]byte, 0, 1<<15)
-	var bins []RollupBin
-	off := int64(len(buf))
-	appendBlock := func() blockMeta {
-		binary.LittleEndian.PutUint32(crcHdr[:], crc32.Checksum(payload, crcTable))
-		buf = append(buf, crcHdr[:]...)
-		buf = append(buf, payload...)
-		bm := blockMeta{off: off, length: len(payload)}
-		off += int64(4 + len(payload))
-		return bm
+	w := bufio.NewWriterSize(f, 1<<16)
+	if err = write(w); err != nil {
+		return err
 	}
-	for _, kp := range series {
-		ss := segSeries{key: kp.key}
-		for start := 0; start < len(kp.pts); start += blockPoints {
-			end := start + blockPoints
-			if end > len(kp.pts) {
-				end = len(kp.pts)
-			}
-			chunk := kp.pts[start:end]
-			payload = encodeBlock(payload[:0], chunk)
-			bm := appendBlock()
-			bm.minTs, bm.maxTs, bm.count = chunk[0].Ts, chunk[len(chunk)-1].Ts, len(chunk)
-			ss.blocks = append(ss.blocks, bm)
-		}
-		for slot, gran := range rollupGrans {
-			bins = computeRollups(bins[:0], kp.pts, gran.seconds())
-			if len(bins) == 0 {
-				continue
-			}
-			payload = encodeRollupBlock(payload[:0], bins)
-			bm := appendBlock()
-			bm.minTs, bm.maxTs, bm.count = bins[0].Start, bins[len(bins)-1].Start, len(bins)
-			ss.rollups[slot] = append(ss.rollups[slot], bm)
-		}
-		metas = append(metas, ss)
-	}
-	footer := encodeFooter(nil, metas)
-	buf = append(buf, footer...)
-	var tail [segTailSize]byte
-	binary.LittleEndian.PutUint32(tail[0:4], crc32.Checksum(footer, crcTable))
-	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(footer)))
-	copy(tail[12:], segIdxMagic)
-	buf = append(buf, tail[:]...)
-
-	if _, err = f.Write(buf); err != nil {
+	if err = w.Flush(); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {
@@ -417,33 +501,39 @@ func openSegment(path string, seq uint64, rc *readCounters) (*segment, error) {
 
 func (s *segment) close() error { return s.f.Close() }
 
-// readPayload fetches one CRC-framed payload, verifying the checksum.
-func (s *segment) readPayload(bm blockMeta) ([]byte, error) {
-	raw := make([]byte, 4+bm.length)
-	if _, err := s.f.ReadAt(raw, bm.off); err != nil {
-		return nil, fmt.Errorf("store: segment %s: block at %d: %w", s.path, bm.off, err)
+// readPayload fetches one CRC-framed payload into buf (reused when
+// large enough, nil allocates), verifying the checksum. It returns the
+// payload and the whole frame buffer, for the caller to reuse.
+func (s *segment) readPayload(bm blockMeta, buf []byte) (payload, frame []byte, err error) {
+	if cap(buf) < 4+bm.length {
+		buf = make([]byte, 4+bm.length)
 	}
-	payload := raw[4:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(raw[0:4]) {
-		return nil, fmt.Errorf("store: segment %s: block at %d: checksum mismatch", s.path, bm.off)
+	frame = buf[:4+bm.length]
+	if _, err := s.f.ReadAt(frame, bm.off); err != nil {
+		return nil, buf, fmt.Errorf("store: segment %s: block at %d: %w", s.path, bm.off, err)
 	}
-	return payload, nil
+	payload = frame[4:]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[0:4]) {
+		return nil, buf, fmt.Errorf("store: segment %s: block at %d: checksum mismatch", s.path, bm.off)
+	}
+	return payload, frame, nil
 }
 
-// readBlock fetches and decodes one raw data block.
-func (s *segment) readBlock(bm blockMeta, dst []Point) ([]Point, error) {
+// readBlock fetches and decodes one raw data block, appending its points
+// to dst. buf is the frame scratch of readPayload, returned for reuse.
+func (s *segment) readBlock(bm blockMeta, dst []Point, buf []byte) ([]Point, []byte, error) {
 	if s.reads != nil {
 		s.reads.raw.Inc()
 	}
-	payload, err := s.readPayload(bm)
+	payload, buf, err := s.readPayload(bm, buf)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	pts, err := decodeBlock(dst, payload)
 	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: block at %d: %w", s.path, bm.off, err)
+		return nil, buf, fmt.Errorf("store: segment %s: block at %d: %w", s.path, bm.off, err)
 	}
-	return pts, nil
+	return pts, buf, nil
 }
 
 // readRollupBlock fetches and decodes one precomputed rollup block.
@@ -451,7 +541,7 @@ func (s *segment) readRollupBlock(bm blockMeta, dst []RollupBin) ([]RollupBin, e
 	if s.reads != nil {
 		s.reads.rollup.Inc()
 	}
-	payload, err := s.readPayload(bm)
+	payload, _, err := s.readPayload(bm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -504,6 +594,7 @@ func overlapping(blocks []blockMeta, fromSec, toSec int64) []blockMeta {
 // half of `homestore verify`.
 func (s *segment) verify() error {
 	var pts []Point
+	var buf []byte
 	var want, got []RollupBin
 	for _, ss := range s.series {
 		prev := int64(-1 << 62)
@@ -511,7 +602,7 @@ func (s *segment) verify() error {
 		for bi, bm := range ss.blocks {
 			lenBefore := len(pts)
 			var err error
-			pts, err = s.readBlock(bm, pts)
+			pts, buf, err = s.readBlock(bm, pts, buf)
 			if err != nil {
 				return err
 			}

@@ -31,13 +31,15 @@
 package store
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -228,8 +230,9 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store directory and recovers its
-// state: segments are indexed, WAL files replayed in order through the
-// watermark-dedup path, torn tails truncated.
+// state: temp files of interrupted writes are deleted, segments are
+// indexed, WAL files replayed in order through the watermark-dedup path,
+// torn tails truncated.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -249,6 +252,9 @@ func Open(cfg Config) (*Store, error) {
 			raw:    cfg.Metrics.BlockReads.With("raw"),
 			rollup: cfg.Metrics.BlockReads.With("rollup"),
 		},
+	}
+	if err := s.removeTemps(); err != nil {
+		return nil, err
 	}
 	if err := s.loadMeta(); err != nil {
 		return nil, err
@@ -303,7 +309,10 @@ func (s *Store) loadMeta() error {
 		if err != nil {
 			return err
 		}
-		return os.WriteFile(path, raw, 0o644)
+		return writeFileAtomic(path, func(w *bufio.Writer) error {
+			_, err := w.Write(raw)
+			return err
+		})
 	}
 	if err != nil {
 		return err
@@ -409,11 +418,35 @@ func (s *Store) saveNames() error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(s.cfg.Dir, "names.json"), raw, 0o644)
+	// Replaced, never rewritten in place: a crash mid-write must leave
+	// the previous catalog readable.
+	return writeFileAtomic(filepath.Join(s.cfg.Dir, "names.json"), func(w *bufio.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 }
 
-// scanSeq lists the ascending sequence numbers of files matching
-// prefix+"%08d"+suffix in the store directory.
+// removeTemps deletes the temp files of atomic writes a crash cut short.
+// Their targets were never renamed into place, so the store does not
+// need them, and a temp segment could be as large as the store.
+func (s *Store) removeTemps() error {
+	entries, err := os.ReadDir(s.cfg.Dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), tmpSuffix) {
+			if err := os.Remove(filepath.Join(s.cfg.Dir, e.Name())); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scanSeq lists the ascending sequence numbers of the files named
+// exactly prefix+"%08d"+suffix in the store directory: a temp file
+// such as seg-00000099.seg.tmp is not a segment.
 func (s *Store) scanSeq(prefix, suffix string) ([]uint64, error) {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -421,8 +454,13 @@ func (s *Store) scanSeq(prefix, suffix string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		var seq uint64
-		if n, err := fmt.Sscanf(e.Name(), prefix+"%08d"+suffix, &seq); n == 1 && err == nil {
+		rest, hasPrefix := strings.CutPrefix(e.Name(), prefix)
+		digits, hasSuffix := strings.CutSuffix(rest, suffix)
+		if !hasPrefix || !hasSuffix {
+			continue
+		}
+		seq, err := strconv.ParseUint(digits, 10, 64)
+		if err == nil && fmt.Sprintf("%08d", seq) == digits {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -717,17 +755,23 @@ func (s *Store) doFlush() error {
 		return nil
 	}
 
-	series := make([]keyedPoints, 0, len(frozen))
-	var pts int
-	for k, ser := range frozen {
-		series = append(series, keyedPoints{key: k, pts: ser.pts})
-		pts += len(ser.pts)
+	keys := make([]Key, 0, len(frozen))
+	for k := range frozen {
+		keys = append(keys, k)
 	}
-	sort.Slice(series, func(i, j int) bool { return keyLess(series[i].key, series[j].key) })
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 
 	path := s.segPath(seq)
 	// flushMu serializes segment production I/O; s.mu, the hot lock, is not held here.
-	if err := writeSegmentFile(path, series, s.cfg.BlockPoints); err != nil {
+	err := writeSegmentFile(path, s.cfg.BlockPoints, func(put func(Key, []Point) error) error {
+		for _, k := range keys {
+			if err := put(k, frozen[k].pts); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	seg, err := openSegment(path, seq, s.reads)
@@ -1074,7 +1118,7 @@ func (it *iterator) Next() bool {
 		case len(it.blocks) > 0:
 			sb := it.blocks[0]
 			it.blocks = it.blocks[1:]
-			pts, err := sb.seg.readBlock(sb.bm, it.buf[:0])
+			pts, _, err := sb.seg.readBlock(sb.bm, it.buf[:0], nil)
 			if err != nil {
 				it.err = err
 				return false
@@ -1131,9 +1175,10 @@ func rangeOf(pts []Point, fromSec, toSec int64) []Point {
 }
 
 // Compact flushes the memtable and rewrites all segments into one,
-// reclaiming per-segment overhead and re-blocking short runs. The store
-// stays readable throughout; writes are blocked only for the final
-// swap.
+// reclaiming per-segment overhead and re-blocking short runs. It streams
+// one series at a time, so its memory is one series plus the block
+// metas, not the store. The store stays readable throughout; writes are
+// blocked only for the final swap.
 func (s *Store) Compact() error {
 	if err := s.Flush(); err != nil {
 		return err
@@ -1153,49 +1198,13 @@ func (s *Store) Compact() error {
 		return nil
 	}
 
-	// Collect every key across the old segments, in order.
-	keySet := make(map[Key]bool)
-	var keys []Key
-	for _, seg := range old {
-		for _, ss := range seg.series {
-			if !keySet[ss.key] {
-				keySet[ss.key] = true
-				keys = append(keys, ss.key)
-			}
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-
-	series := make([]keyedPoints, 0, len(keys))
-	for _, k := range keys {
-		var pts []Point
-		lastTs := int64(math.MinInt64)
-		for _, seg := range old {
-			i, ok := seg.byKey[k]
-			if !ok {
-				continue
-			}
-			for _, bm := range seg.series[i].blocks {
-				var err error
-				// Compaction reads under flushMu; readers use s.mu and stay unblocked.
-				if pts, err = seg.readBlock(bm, pts); err != nil {
-					return err
-				}
-			}
-		}
-		// Segments are time-disjoint per series, but verify cheaply.
-		for _, p := range pts {
-			if p.Ts <= lastTs {
-				return fmt.Errorf("store: compact: %v not time-ordered across segments", k)
-			}
-			lastTs = p.Ts
-		}
-		series = append(series, keyedPoints{key: k, pts: pts})
-	}
-
 	path := s.segPath(seq)
-	// flushMu serializes segment production I/O; s.mu, the hot lock, is not held here.
-	if err := writeSegmentFile(path, series, s.cfg.BlockPoints); err != nil {
+	// Compaction reads and writes under flushMu; readers use s.mu and
+	// stay unblocked. A failure leaves the old segments installed.
+	err := writeSegmentFile(path, s.cfg.BlockPoints, func(put func(Key, []Point) error) error {
+		return mergeSegments(old, put)
+	})
+	if err != nil {
 		return err
 	}
 	seg, err := openSegment(path, seq, s.reads)

@@ -9,7 +9,8 @@
 # homesight_fleet_* families register the moment the shards start, then
 # runs a demo collector with -live and curls /api/v1/homes/{gw}/live plus
 # the homesight_live_* families — the streaming analytics tier end to
-# end. Finally `homestore serve` on that demo's partition verifies the
+# end. Then `homestore compact` and `homestore verify` run on that demo's
+# partition, and finally `homestore serve` on it verifies the
 # homesight_store_* families and the query tier: the /api/v1/* endpoints
 # answering the versioned envelope, a raw /series day in columnar form,
 # and the homesight_query_* families on /metrics (shard stores keep
@@ -203,6 +204,18 @@ done
 kill "$LPID" 2>/dev/null || true
 wait "$LPID" 2>/dev/null || true
 LPID=
+
+# Compaction CLI: `homestore compact` rewrites the live demo's partition
+# (flushing its WAL tail) through the streaming segment writer, and
+# `homestore verify` re-reads every block of the result; the query tier
+# below then serves the compacted store. A non-zero exit of either fails.
+for sub in compact verify; do
+    "$TMP/bin/homestore" $sub -dir "$TMP/live/shard-0000" >"$TMP/c-out" 2>&1 || {
+        cat "$TMP/c-out" >&2
+        echo "obs-smoke: homestore $sub failed" >&2
+        exit 1
+    }
+done
 
 # Storage and query tiers: homestore serve on the live demo's partition
 # (the collector above drained and closed it on exit) registers the
