@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BASE ?= HEAD
 N ?= 10
 
-.PHONY: build test race vet lint bench bench-build bench-pairs test-faults fuzz-smoke obs-smoke check check-full
+.PHONY: build test race vet fmt lint bench bench-build bench-pairs test-faults fuzz-smoke obs-smoke check check-full
 
 build: ## compile every package
 	$(GO) build ./...
@@ -16,6 +16,9 @@ race: ## full test suite under the race detector
 
 vet: ## stock go vet
 	$(GO) vet ./...
+
+fmt: ## fails if any Go file is not gofmt-formatted
+	test -z "$$(gofmt -l .)"
 
 lint: ## project-specific analyzers (11 rules, see ANALYSIS.md); fails on any finding
 	$(GO) run ./cmd/homesight-vet ./...
@@ -52,5 +55,5 @@ obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, 
 check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~40 s and ~2.6 GB peak RSS, so outside check
 	$(GO) run ./cmd/experiments -homes 196 -weeks 8 | diff - experiments_output.txt
 
-check: vet race lint test-faults bench-build fuzz-smoke obs-smoke ## the full CI gate: vet + race tests + homesight-vet + fault suite + bench smoke + fuzz smoke + obs smoke
+check: vet fmt race lint test-faults bench-build fuzz-smoke obs-smoke ## the full CI gate: vet + gofmt + race tests + homesight-vet + fault suite + bench smoke + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

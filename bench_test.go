@@ -21,12 +21,10 @@ import (
 	"homesight/internal/baselines"
 	"homesight/internal/corrsim"
 	"homesight/internal/experiments"
-	"homesight/internal/gateway"
 	"homesight/internal/motif"
 	"homesight/internal/stats/corr"
 	"homesight/internal/stats/tests"
 	"homesight/internal/synth"
-	"homesight/internal/telemetry"
 )
 
 // benchEnv is the shared reduced deployment: 16 homes, 6 weeks.
@@ -511,25 +509,5 @@ func BenchmarkWeeklyWindowing(b *testing.B) {
 		if _, err := aggregate.BestWeekly.Windows(s); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStreamingMotifFeed measures the streaming stage's per-report
-// cost, including day-boundary aggregation and online motif matching.
-func BenchmarkStreamingMotifFeed(b *testing.B) {
-	cfg := synth.DefaultConfig()
-	start := cfg.Start
-	em := gateway.NewEmitter("gwS")
-	sm := &telemetry.StreamingMotifs{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		traffic := 100.0
-		if (i/60)%24 >= 20 {
-			traffic = 1e6
-		}
-		rep := em.Emit(start.Add(time.Duration(i)*time.Minute), []gateway.DeviceMinute{
-			{MAC: "m1", InBytes: traffic, OutBytes: traffic / 10},
-		})
-		sm.Feed(rep)
 	}
 }

@@ -11,11 +11,10 @@
 //
 // In demo mode the command simulates the given homes, routes their
 // campaign through a consistent-hash router over real TCP at full speed
-// and drains the fleet. It then reconstructs every gateway's report
-// stream from the partitions, in gateway order, and prints the
-// per-gateway totals and the daily motifs the streaming stage finds in
-// that stream — output that depends on neither the shard count nor
-// goroutine scheduling.
+// and drains the fleet. It then reads every gateway back from the
+// partitions, in gateway order, and prints the per-gateway totals and
+// the daily motifs (Def. 5) mined over all of them — output that depends
+// on neither the shard count nor goroutine scheduling.
 //
 // -data-dir is the fleet root; empty means a temporary root removed at
 // exit. -fsync selects the WAL policy (interval, always, never). Inspect
@@ -51,15 +50,18 @@ import (
 	"syscall"
 	"time"
 
+	"homesight/internal/aggregate"
+	"homesight/internal/background"
+	"homesight/internal/core"
 	"homesight/internal/fleet"
 	"homesight/internal/gateway"
 	"homesight/internal/livestats"
+	"homesight/internal/motif"
 	"homesight/internal/obs"
 	"homesight/internal/obs/slogx"
 	"homesight/internal/query"
 	homestore "homesight/internal/store"
 	"homesight/internal/synth"
-	"homesight/internal/telemetry"
 )
 
 func main() {
@@ -335,10 +337,11 @@ func campaign(logger *slogx.Logger, w io.Writer, dep *synth.Deployment, rcfg fle
 	return nil
 }
 
-// report reconstructs every gateway's report stream from the fleet's
-// live partitions, in gateway order, and prints the per-gateway totals a
-// gateway.Recorder rebuilds from it and the daily motifs the streaming
-// stage finds in it. Both depend only on what the partitions hold.
+// report reads every gateway back from the fleet's live partitions, in
+// gateway order, over the synth campaign's grid, and prints its totals
+// and the daily motifs (Def. 5) mined over all gateways' observed
+// windows, background removed at the paper's cap. Both depend only on
+// what the partitions hold.
 func report(w io.Writer, root string, cfg synth.Config) error {
 	dirs, err := fleet.LivePartitions(root)
 	if err != nil {
@@ -364,29 +367,26 @@ func report(w io.Writer, root string, cfg synth.Config) error {
 	}
 	sort.Strings(gws)
 
-	sm := &telemetry.StreamingMotifs{}
+	// One grid for every partition: each store's own campaign end would
+	// differ by shard.
+	to := cfg.Start.Add(time.Duration(cfg.Minutes()) * time.Minute)
+	var instances []motif.Instance
 	fmt.Fprintln(w, "gateway totals (reconstructed from counter reports):")
 	for _, gw := range gws {
-		reps, err := owner[gw].ReconstructReports(context.Background(), gw)
+		g, err := owner[gw].Home(context.Background(), gw, to)
 		if err != nil {
 			return err
 		}
-		rec := gateway.NewRecorder(cfg.Start, time.Minute)
-		for _, rep := range reps {
-			if err := rec.Ingest(rep); err != nil {
-				return err
-			}
-			sm.Feed(rep)
+		fmt.Fprintf(w, "  %s  devices=%d  total=%.3g bytes\n", gw, len(g.Devices), g.Overall.Total())
+		insts, err := motif.Instances(gw, g.Overall.Threshold(background.CapBytes), aggregate.BestDaily)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "  %s  devices=%d  total=%.3g bytes\n", gw, len(rec.MACs()), rec.Overall(cfg.Minutes()).Total())
+		instances = append(instances, insts...)
 	}
-	sm.Flush()
-	motifs := sm.Motifs()
-	fmt.Fprintf(w, "streaming stage discovered %d daily motifs:\n", len(motifs))
+	motifs := core.Default.Miner().Mine(instances)
+	fmt.Fprintf(w, "discovered %d daily motifs in %d windows:\n", len(motifs), len(instances))
 	for _, m := range motifs {
-		if m.Support() < 2 {
-			continue
-		}
 		fmt.Fprintf(w, "  motif %d: support %d across %d gateways\n", m.ID, m.Support(), len(m.Gateways()))
 	}
 	return nil

@@ -144,7 +144,7 @@ func runFleetCampaign(dep *synth.Deployment, n int, dir string, kill, live bool)
 	fcfg := fleet.Config{
 		Dir: dir, Shards: n,
 		Start: cfg.Start, Step: time.Minute,
-		Sync: store.SyncAlways, // acked ⇒ durable, the kill drill's premise
+		Sync:    store.SyncAlways, // acked ⇒ durable, the kill drill's premise
 		Metrics: metrics,
 	}
 	if live {

@@ -11,12 +11,12 @@ import (
 // struct field: the pattern behind "zero value selects a default"
 // configuration. For float parameters zero is usually a legitimate
 // domain value (a threshold of 0, a disabled cutoff), so overloading it
-// as the unset sentinel makes that value inexpressible — exactly the
-// StreamingMotifs.Tau bug, where Tau = 0 was silently rewritten to the
-// paper's 5000-byte cap and "no threshold" could not be requested at
-// all. The fix is an explicit named sentinel (NoThreshold = -1), a
-// pointer field, or a documented //homesight:ignore zero-sentinel
-// stating why zero can never be meant literally.
+// as the unset sentinel makes that value inexpressible: a caller asking
+// for a threshold of 0 silently gets the default instead. The fix is a
+// pointer field (nil selects the default), a named non-zero sentinel, or
+// a documented //homesight:ignore zero-sentinel stating why zero can
+// never be meant literally, as at motif.Miner.phi (a φ of 0 would admit
+// every pair).
 //
 // Integer fields are exempt: for counts and sizes, zero genuinely means
 // "unset" (a zero-sized queue or zero dial attempts is never a real
@@ -25,8 +25,8 @@ import (
 var ZeroSentinel = &Analyzer{
 	Name: "zero-sentinel",
 	Doc: "comparing a float struct field against 0 to substitute a default " +
-		"makes a literal 0 inexpressible; use an explicit sentinel " +
-		"(e.g. NoThreshold) or a pointer field",
+		"makes a literal 0 inexpressible; use a pointer field, or document " +
+		"why 0 is never meant with //homesight:ignore zero-sentinel",
 	Run: runZeroSentinel,
 }
 
@@ -47,7 +47,7 @@ func runZeroSentinel(pass *Pass) {
 		}
 		pass.Reportf(bin.OpPos,
 			"zero-value sentinel on float field %s: a caller cannot express 0 itself; "+
-				"use an explicit sentinel (e.g. NoThreshold) or a pointer field",
+				"use a pointer field, or document why 0 is never meant with //homesight:ignore zero-sentinel",
 			sel.Sel.Name)
 		return true
 	})

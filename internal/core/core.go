@@ -140,25 +140,10 @@ func (f Framework) ActiveTraffic(s *timeseries.Series, tau float64) *timeseries.
 // WeeklyInstances applies the paper's best weekly mapping (8h bins at 2am)
 // to a gateway series and wraps the windows as motif instances.
 func (f Framework) WeeklyInstances(gatewayID string, s *timeseries.Series) ([]motif.Instance, error) {
-	return instances(gatewayID, s, aggregate.BestWeekly)
+	return motif.Instances(gatewayID, s, aggregate.BestWeekly)
 }
 
 // DailyInstances applies the paper's best daily mapping (3h bins).
 func (f Framework) DailyInstances(gatewayID string, s *timeseries.Series) ([]motif.Instance, error) {
-	return instances(gatewayID, s, aggregate.BestDaily)
-}
-
-func instances(gatewayID string, s *timeseries.Series, spec timeseries.WindowSpec) ([]motif.Instance, error) {
-	wins, err := spec.Windows(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]motif.Instance, 0, len(wins))
-	for _, w := range wins {
-		if !w.Observed() {
-			continue
-		}
-		out = append(out, motif.Instance{GatewayID: gatewayID, Window: w})
-	}
-	return out, nil
+	return motif.Instances(gatewayID, s, aggregate.BestDaily)
 }

@@ -51,17 +51,7 @@ func mineMotifs(ctx context.Context, e *Env, kind string, ids []string, cohort [
 	perMember := make([][]motif.Instance, len(cohort))
 	errs := make([]error, len(cohort))
 	if err := e.forEach(ctx, len(cohort), func(i int) {
-		wins, err := spec.Windows(cohort[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		for _, w := range wins {
-			if !w.Observed() {
-				continue
-			}
-			perMember[i] = append(perMember[i], motif.Instance{GatewayID: ids[i], Window: w})
-		}
+		perMember[i], errs[i] = motif.Instances(ids[i], cohort[i], spec)
 	}); err != nil {
 		return res, err
 	}

@@ -33,6 +33,23 @@ type Instance struct {
 	Window timeseries.Window
 }
 
+// Instances maps a gateway's series through the window mapping W and
+// wraps every observed window as an instance, in calendar order. A window
+// with no observation has no shape to compare and is dropped.
+func Instances(gatewayID string, s *timeseries.Series, spec timeseries.WindowSpec) ([]Instance, error) {
+	wins, err := spec.Windows(s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Instance, 0, len(wins))
+	for _, w := range wins {
+		if w.Observed() {
+			out = append(out, Instance{GatewayID: gatewayID, Window: w})
+		}
+	}
+	return out, nil
+}
+
 // Motif is a discovered motif: a set of mutually similar instances.
 type Motif struct {
 	// ID is a stable index assigned by the miner (by discovery order).

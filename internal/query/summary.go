@@ -225,16 +225,9 @@ func activityFeatures(vals []float64) (duty, burst, traffic float64) {
 // returns the motif count; windows with no observations are dropped, as
 // in the experiments pipeline.
 func motifCount(gw string, overall *timeseries.Series, spec timeseries.WindowSpec) (int, error) {
-	windows, err := spec.Windows(overall)
+	instances, err := motif.Instances(gw, overall, spec)
 	if err != nil {
 		return 0, err
-	}
-	var instances []motif.Instance
-	for _, w := range windows {
-		if !w.Observed() {
-			continue
-		}
-		instances = append(instances, motif.Instance{GatewayID: gw, Window: w})
 	}
 	return len(motif.Default.Mine(instances)), nil
 }

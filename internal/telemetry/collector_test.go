@@ -395,42 +395,3 @@ func TestCollectorPersistParity(t *testing.T) {
 		rec.Crash()
 	}
 }
-
-// TestStreamingViaCollector runs the cmd/collector -demo path: reports
-// over TCP → router → 1-shard fleet → partition, then the stream the
-// partition reconstructs → streaming stage.
-func TestStreamingViaCollector(t *testing.T) {
-	f := startCollector(t, fleet.Config{})
-	r, err := fleet.NewRouter(fleet.RouterConfig{Shards: f.Addrs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	reps := campaign("gwB", 3*24*60)
-	for _, rep := range reps {
-		if err := r.Send(ctx, rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	sm := &telemetry.StreamingMotifs{}
-	for _, rep := range partitionReports(t, f.Shard(0).Dir(), "gwB") {
-		sm.Feed(rep)
-	}
-	sm.Flush()
-	if st := sm.Stats(); st.ReportsAccepted != int64(len(reps)) || st.DaysEmitted != 3 {
-		t.Fatalf("streaming stats = %+v, want %d reports over 3 days", st, len(reps))
-	}
-	motifs := sm.Motifs()
-	if len(motifs) != 1 || motifs[0].Support() != 3 {
-		t.Fatalf("motifs over TCP = %+v", motifs)
-	}
-}

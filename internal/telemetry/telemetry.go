@@ -18,9 +18,6 @@
 //     the shard's read deadline;
 //   - the faultnet subpackage injects deterministic connection faults to
 //     test both ends.
-//
-// StreamingMotifs, the paper's streaming motif stage, consumes reports
-// from any source through Feed.
 package telemetry
 
 import "errors"
