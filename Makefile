@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BASE ?= HEAD
 N ?= 10
 
-.PHONY: build test race vet fmt lint bench bench-build bench-pairs test-faults fuzz-smoke obs-smoke check check-full
+.PHONY: build test race vet fmt lint bench-build bench-pairs test-faults fuzz-smoke obs-smoke check check-full
 
 build: ## compile every package
 	$(GO) build ./...
@@ -26,10 +26,6 @@ lint: ## project-specific analyzers (11 rules, see ANALYSIS.md); fails on any fi
 test-faults: ## deterministic fault-injection suite for the ingest wire, fleet tier and live analytics, 20 times under -race
 	$(GO) test -race -run 'TestFault|TestCollectorPersistParity' -count=20 ./internal/telemetry/... ./internal/fleet/... ./internal/livestats/...
 
-bench: ## runner engine benchmarks; writes BENCH_runner.json (ns/op, cache hit rate)
-	HOMESIGHT_BENCH_JSON=BENCH_runner.json $(GO) test -run TestBenchRunnerJSON -count=1 .
-	$(GO) test -run NONE -bench BenchmarkRunner -benchtime 1x .
-
 bench-build: ## compile the benchmark harness without running it (check smoke)
 	$(GO) test -c -o /dev/null .
 
@@ -49,11 +45,11 @@ fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL r
 	$(GO) test -run NONE -fuzz '^FuzzUpperWhisker$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run NONE -fuzz '^FuzzQuantileSketch$$' -fuzztime $(FUZZTIME) ./internal/livestats
 
-obs-smoke: ## start cmd/experiments with -debug-addr, curl /metrics + /healthz, grep required series
+obs-smoke: ## run the homesight binary's experiments, collector and store serve with their servers up, curl /metrics, /healthz and /api/v1, grep required series
 	GO="$(GO)" sh scripts/obs_smoke.sh
 
 check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~40 s and ~2.6 GB peak RSS, so outside check
-	$(GO) run ./cmd/experiments -homes 196 -weeks 8 | diff - experiments_output.txt
+	$(GO) run ./cmd/homesight experiments -homes 196 -weeks 8 | diff - experiments_output.txt
 
 check: vet fmt race lint test-faults bench-build fuzz-smoke obs-smoke ## the full CI gate: vet + gofmt + race tests + homesight-vet + fault suite + bench smoke + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

@@ -6,8 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // The full-scale numbers live in EXPERIMENTS.md (produced by
-// cmd/experiments); these benchmarks exist to regenerate each artifact and
-// to track the cost of the analyses.
+// `homesight experiments`); these benchmarks exist to regenerate each
+// artifact and to track the cost of the analyses.
 package homesight
 
 import (

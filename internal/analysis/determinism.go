@@ -49,13 +49,12 @@ var Determinism = &Analyzer{
 }
 
 // determinismExempt subtrees may touch the wall clock freely: the
-// observability layer measures real time by design, and binaries /
-// examples sit at the process edge where wall time is the interface.
+// observability layer measures real time by design, and binaries sit
+// at the process edge where wall time is the interface.
 var determinismExempt = []string{
 	"homesight/internal/obs",
 	"homesight/internal/analysis",
 	"homesight/cmd",
-	"homesight/examples",
 }
 
 // detFact marks a function through which a wall-clock or unseeded-rand

@@ -167,8 +167,8 @@ type Row struct {
 //
 // Rows with an empty type column — the homestore `export` format, whose
 // wire reports carry only MAC and name — get their type re-inferred
-// with devices.Classify, so both cmd/homesim and cmd/homestore exports
-// parse into identical records.
+// with devices.Classify, so the exports of both `homesight simulate` and
+// `homesight store export` parse into identical records.
 func ScanCSV(r io.Reader, n int, fn func(Row) error) error {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true

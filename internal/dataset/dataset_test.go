@@ -221,7 +221,7 @@ func TestDeviceRecordOverall(t *testing.T) {
 }
 
 func TestLoadDirRoundTrip(t *testing.T) {
-	// Export a small deployment the way cmd/homesim does, then load it back.
+	// Export a small deployment the way `homesight simulate` does, then load it back.
 	dir := t.TempDir()
 	cfg := synth.DefaultConfig()
 	cfg.Homes = 3

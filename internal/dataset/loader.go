@@ -10,8 +10,9 @@ import (
 	"time"
 )
 
-// Manifest is the deployment-level metadata written by cmd/homesim next to
-// the per-gateway CSVs.
+// Manifest is the deployment-level metadata written by `homesight
+// simulate` next to the per-gateway CSVs: the configuration and per-home
+// ground truth.
 type Manifest struct {
 	Config struct {
 		Seed  int64     `json:"Seed"`
@@ -32,10 +33,10 @@ type ManifestHome struct {
 	Devices     int    `json:"devices"`
 }
 
-// LoadDir reads a deployment exported by cmd/homesim or `homestore
-// export`: deployment.json plus one <id>.csv per gateway. It returns
-// the gateways in manifest order. For deployments too large to hold in
-// memory at once, use ForEachGateway instead.
+// LoadDir reads a deployment exported by `homesight simulate` or
+// `homesight store export`: deployment.json plus one <id>.csv per
+// gateway. It returns the gateways in manifest order. For deployments
+// too large to hold in memory at once, use ForEachGateway instead.
 func LoadDir(dir string) (*Manifest, []*Gateway, error) {
 	var gateways []*Gateway
 	man, err := ForEachGateway(dir, func(_ ManifestHome, g *Gateway) error {

@@ -133,8 +133,8 @@ func WithParallelism(n int) Option {
 }
 
 // WithRegistry exports the Env's cache counters on reg as
-// homesight_cache_{hits,misses,evictions}_total{cache="..."} instead of
-// a private registry — how cmd/experiments surfaces cache behaviour on
+// homesight_cache_{hits,misses}_total{cache="..."} instead of a private
+// registry — how `homesight experiments` surfaces cache behaviour on
 // /metrics. reg must be non-nil.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(c *envConfig) error {
@@ -224,12 +224,10 @@ func (e *Env) CacheStats() map[string]telemetry.CacheSnapshot {
 	return out
 }
 
-// cacheMetrics is one cache's registry-backed counters. The memo caches
-// are build-once and never evict, so evictions is registered (the series
-// exists for dashboards) but only a future bounded cache would move it.
+// cacheMetrics is one cache's registry-backed counters.
 type cacheMetrics struct {
-	hits, misses, evictions, waits *obs.Counter
-	waitSeconds                    *obs.Histogram
+	hits, misses, waits *obs.Counter
+	waitSeconds         *obs.Histogram
 }
 
 // newCache registers the per-cache series under the shared cache
@@ -240,8 +238,6 @@ func (e *Env) newCache(name string) *cacheMetrics {
 			"Cache lookups served from the cache.", "cache").With(name),
 		misses: e.reg.CounterVec("homesight_cache_misses_total",
 			"Cache lookups that had to build their value.", "cache").With(name),
-		evictions: e.reg.CounterVec("homesight_cache_evictions_total",
-			"Cache entries evicted (always 0 today: the memo caches never evict).", "cache").With(name),
 		waits: e.reg.CounterVec("homesight_cache_build_waits_total",
 			"Cache lookups that blocked on another caller's in-flight build.", "cache").With(name),
 		waitSeconds: e.reg.HistogramVec("homesight_cache_build_wait_seconds",
@@ -429,7 +425,7 @@ func (e *Env) gatewayCaches() []*gatewayCache {
 // blocks on an in-flight one, which is what drives the
 // homesight_cache_build_wait_seconds series to ~0 under the parallel
 // engine. The engine calls Warm automatically unless Engine.SkipWarm is
-// set (cmd/experiments sets it when -run selects a subset, which then
+// set (`homesight experiments` sets it when -run selects a subset, which then
 // builds on first touch). Its only error is ctx's at entry: once started,
 // the builds run to completion.
 func (e *Env) Warm(ctx context.Context) error {

@@ -24,8 +24,8 @@ import (
 // survey truth. A table lives for the duration of one build: nothing
 // keeps the per-direction series afterwards. Store read errors are disk
 // corruption, not analysis conditions, so they panic like the other
-// unreachable grid mismatches in this package — run `homestore verify` on
-// a suspect dir.
+// unreachable grid mismatches in this package — run `homesight store
+// verify` on a suspect dir.
 func (e *Env) viewOf(h *synth.Home) *dataset.Gateway {
 	if !e.storeBacked(h.ID) {
 		g := &dataset.Gateway{ID: h.ID, Overall: h.Overall()}

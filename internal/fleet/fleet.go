@@ -27,7 +27,7 @@ import (
 )
 
 // Config configures an in-process Fleet: N shards under one root
-// directory, the deployment shape cmd/collector runs.
+// directory, the deployment shape `homesight collector` runs.
 type Config struct {
 	// Dir is the fleet root; shard i's partition lives at
 	// Dir/shard-NNNN/.

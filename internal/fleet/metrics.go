@@ -6,7 +6,7 @@ import (
 
 // FleetMetrics is the fleet tier's bundle of registry-backed
 // instruments, shared by the router and every shard wired to the same
-// registry (cmd/collector registers one bundle on the debug server's
+// registry (`homesight collector` registers one bundle on the debug server's
 // registry). It mirrors RouterStats and ShardStats: the snapshot
 // structs stay the programmatic API, these are the live exported
 // series.

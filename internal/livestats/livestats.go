@@ -3,8 +3,8 @@
 // similarity, Definition 4 φ-dominance and the Sec. 6.1 background
 // thresholds are servable at any moment without re-scanning the store.
 //
-// A Tracker consumes gateway reports (the same single OnReport callback
-// the persistence and streaming-motif stages share) and keeps, per home
+// A Tracker consumes gateway reports through OnReport, which a fleet
+// shard calls for every report it has made durable, and keeps, per home
 // and per device:
 //
 //   - a CoMoment accumulator — exact running Pearson r against the
@@ -27,7 +27,8 @@
 // durable history (Rebuild) converges with one that saw the live
 // stream. STREAMING.md documents the operator catalog and the
 // tolerance contracts; Offline is the batch recomputation the
-// reconciliation tests (and cmd/homesim -live) compare against.
+// reconciliation tests (and `homesight collector -demo -live`) compare
+// against.
 package livestats
 
 import (

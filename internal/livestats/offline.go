@@ -34,8 +34,8 @@ func (t *Tracker) Rebuild(ctx context.Context, st *store.Store) (int, error) {
 }
 
 // OfflineHome is the batch recomputation of one home's live answers —
-// the ground truth the reconciliation tests (and cmd/homesim -live)
-// hold snapshots against.
+// the ground truth the reconciliation tests (and `homesight collector
+// -demo -live`) hold snapshots against.
 type OfflineHome struct {
 	// Dominance is the Definition 4 result over the reconstructed
 	// series.

@@ -11,7 +11,7 @@
 //	GET /api/v1/series                 raw or downsampled range reads
 //
 // Every response — success or error — is wrapped in the Envelope below,
-// the same wrapper cmd/homestore -json prints, so the CLI and the
+// the same wrapper `homesight store inspect -json` prints, so the CLI and the
 // server never drift. Binned series answers ("bins") come from the
 // store's precomputed segment rollups and never decode raw minutes. A
 // raw series answer is two parallel arrays: "t", each sample's seconds
@@ -38,7 +38,7 @@ package query
 const Version = "v1"
 
 // Envelope is the versioned JSON wrapper shared by the HTTP API and the
-// cmd/homestore -json output. Exactly one of Data and Error is set.
+// `homesight store inspect -json` output. Exactly one of Data and Error is set.
 type Envelope struct {
 	Version string `json:"version"`
 	Data    any    `json:"data,omitempty"`

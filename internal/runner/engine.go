@@ -31,7 +31,7 @@ type Engine struct {
 	Now func() time.Time
 	// SkipWarm disables the Env.Warm pre-pass that fills the shared
 	// caches before dispatch. Set it when running a subset of the suite
-	// (cmd/experiments -run), where warming every cache would cost more
+	// (`homesight experiments -run`), where warming every cache would cost more
 	// than the selected experiments save.
 	SkipWarm bool
 }

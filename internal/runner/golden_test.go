@@ -14,7 +14,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/suite_*.golden from this tree's output")
 
-// renderSuite executes the standard suite the way cmd/experiments does
+// renderSuite executes the standard suite the way `homesight experiments` does
 // (NewEnv, warm, engine run, shape checks) and returns everything it
 // would print that depends on the analyses.
 func renderSuite(t *testing.T, seed int64, parallelism int) string {

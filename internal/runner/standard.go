@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"strings"
 
 	"homesight/internal/experiments"
@@ -17,155 +18,40 @@ func StandardExperiments(res *experiments.Results) []Experiment {
 		res = &experiments.Results{}
 	}
 	return []Experiment{
-		New("fig1", "typical gateway distribution anatomy",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig01TypicalGateway(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig01 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("inout", "incoming/outgoing correlation",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabInOutCorrelation(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.InOut = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("fig2", "autocorrelation and cross-correlation",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig02ACFCCF(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig02 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("unitroot", "KPSS/ADF/KS stationarity tests",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabStationarityTests(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.UnitRoot = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("devcount", "traffic vs connected-device count",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabDeviceCountCorrelation(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.DevCount = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("fig3", "correlation-distance clustering",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig03Clustering(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig03 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("fig4", "background threshold distribution",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig04BackgroundTau(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig04 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("heuristic", "device-type heuristic vs survey truth",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabHeuristicValidation(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Heuristic = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("fig5", "dominant devices and types",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig05DominantDevices(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig05 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("agreement", "dominance notion agreement",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabDominanceAgreement(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Agreement = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("residents", "dominants vs residents survey",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabResidentsCorrelation(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Residents = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("ablation", "similarity measure variant ablation",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabSimilarityAblation(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Ablation = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("fig6", "weekly aggregation curves",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig06WeeklyAggregation(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig06 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("fig7", "stationary gateways per granularity",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig07StationaryGateways(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig07 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("fig8", "daily aggregation curves",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.Fig08DailyAggregation(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Fig08 = r
-				return Result{Text: r.String()}, nil
-			}),
-		New("stationary", "stationary share with/without background",
-			func(ctx context.Context, e *experiments.Env) (Result, error) {
-				r, err := experiments.TabStationaryShare(ctx, e)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Share = r
-				return Result{Text: r.String()}, nil
-			}),
+		step("fig1", "typical gateway distribution anatomy", experiments.Fig01TypicalGateway, &res.Fig01),
+		step("inout", "incoming/outgoing correlation", experiments.TabInOutCorrelation, &res.InOut),
+		step("fig2", "autocorrelation and cross-correlation", experiments.Fig02ACFCCF, &res.Fig02),
+		step("unitroot", "KPSS/ADF/KS stationarity tests", experiments.TabStationarityTests, &res.UnitRoot),
+		step("devcount", "traffic vs connected-device count", experiments.TabDeviceCountCorrelation, &res.DevCount),
+		step("fig3", "correlation-distance clustering", experiments.Fig03Clustering, &res.Fig03),
+		step("fig4", "background threshold distribution", experiments.Fig04BackgroundTau, &res.Fig04),
+		step("heuristic", "device-type heuristic vs survey truth", experiments.TabHeuristicValidation, &res.Heuristic),
+		step("fig5", "dominant devices and types", experiments.Fig05DominantDevices, &res.Fig05),
+		step("agreement", "dominance notion agreement", experiments.TabDominanceAgreement, &res.Agreement),
+		step("residents", "dominants vs residents survey", experiments.TabResidentsCorrelation, &res.Residents),
+		step("ablation", "similarity measure variant ablation", experiments.TabSimilarityAblation, &res.Ablation),
+		step("fig6", "weekly aggregation curves", experiments.Fig06WeeklyAggregation, &res.Fig06),
+		step("fig7", "stationary gateways per granularity", experiments.Fig07StationaryGateways, &res.Fig07),
+		step("fig8", "daily aggregation curves", experiments.Fig08DailyAggregation, &res.Fig08),
+		step("stationary", "stationary share with/without background", experiments.TabStationaryShare, &res.Share),
 		New("motifs", "weekly and daily motifs (figs 9-16)",
 			func(ctx context.Context, e *experiments.Env) (Result, error) {
 				return runMotifChain(ctx, e, res)
 			}),
 	}
+}
+
+// step is an experiment that runs one experiments function, keeps its
+// result in *dst and renders it.
+func step[T fmt.Stringer](id, doc string, run func(context.Context, *experiments.Env) (T, error), dst *T) Experiment {
+	return New(id, doc, func(ctx context.Context, e *experiments.Env) (Result, error) {
+		r, err := run(ctx, e)
+		if err != nil {
+			return Result{}, err
+		}
+		*dst = r
+		return Result{Text: r.String()}, nil
+	})
 }
 
 // runMotifChain chains Figs. 9-16: mining, motifs of interest and per-motif

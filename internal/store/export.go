@@ -18,8 +18,8 @@ import (
 const minutesPerWeek = 7 * 24 * 60
 
 // Export writes the store's contents as a dataset directory —
-// deployment.json plus one <gateway>.csv per gateway, the cmd/homesim
-// format — so stored traces round-trip into the analysis pipeline via
+// deployment.json plus one <gateway>.csv per gateway, the `homesight
+// simulate` format — so stored traces round-trip into the analysis pipeline via
 // dataset.LoadDir. Device types are not stored (the wire reports carry
 // only MAC and name), so they are re-inferred with devices.Classify,
 // exactly as the ingest-side analyses do. The campaign length is the

@@ -8,7 +8,7 @@ import (
 	"homesight/internal/dataset"
 )
 
-// TestExportRoundTrip pins the store→dataset bridge: `homestore export`
+// TestExportRoundTrip pins the store→dataset bridge: `homesight store export`
 // output loads through dataset.LoadDir and reproduces, device for
 // device and minute for minute, exactly what the store itself
 // reconstructs — so a persisted campaign and its CSV export feed the

@@ -591,7 +591,7 @@ func overlapping(blocks []blockMeta, fromSec, toSec int64) []blockMeta {
 // round-trips, meta consistency and strict timestamp ordering, then
 // recomputes each series' rollups from its raw points and compares them
 // bin-for-bin against the precomputed rollup blocks. It is the heavy
-// half of `homestore verify`.
+// half of `homesight store verify`.
 func (s *segment) verify() error {
 	var pts []Point
 	var buf []byte

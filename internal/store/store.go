@@ -956,7 +956,7 @@ func (s *Store) Stats() Stats {
 }
 
 // SegmentInfo describes one immutable segment — the inspection view
-// cmd/homestore renders.
+// `homesight store inspect` renders.
 type SegmentInfo struct {
 	Path   string `json:"path"`
 	Seq    uint64 `json:"seq"`

@@ -1,7 +1,7 @@
 package telemetry_test
 
 // The wire protocol end to end, against its one receiver: a single-node
-// collector is a 1-shard fleet (cmd/collector), so these tests start
+// collector is a 1-shard fleet (`homesight collector`), so these tests start
 // exactly that and talk to its shard over real TCP.
 
 import (
@@ -44,7 +44,7 @@ func campaign(gw string, minutes int) []gateway.Report {
 	return reps
 }
 
-// startCollector starts what cmd/collector runs: a 1-shard fleet over a
+// startCollector starts what `homesight collector` runs: a 1-shard fleet over a
 // fresh root, anchored at mon.
 func startCollector(t *testing.T, cfg fleet.Config) *fleet.Fleet {
 	t.Helper()

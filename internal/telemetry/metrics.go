@@ -1,6 +1,6 @@
 // Run metrics for the parallel experiment engine: the structured per-run
 // report (wall time, per-experiment durations, goroutine high-water
-// mark, cache snapshots) that cmd/experiments emits via the -metrics
+// mark, cache snapshots) that `homesight experiments` emits via the -metrics
 // flag. The live counters behind the cache snapshots are registry-backed
 // obs instruments owned by the experiments Env; this package keeps only
 // the snapshot shapes so the JSON report stays a plain value. The report
@@ -11,7 +11,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // CacheSnapshot is a point-in-time view of one cache's counters. A hit
@@ -82,15 +81,4 @@ func (m RunMetrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// CacheNames returns the sorted names of the report's caches; handy for
-// stable human-readable summaries.
-func (m RunMetrics) CacheNames() []string {
-	names := make([]string, 0, len(m.Caches))
-	for name := range m.Caches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

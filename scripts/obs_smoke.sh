@@ -1,16 +1,16 @@
 #!/bin/sh
 # obs_smoke.sh — end-to-end smoke test of the observability surface.
 #
-# Starts cmd/experiments on a scaled-down deployment with -debug-addr on
-# a kernel-assigned port, waits for the debug server to announce itself
+# Builds the homesight binary once, then starts `homesight experiments`
+# on a scaled-down deployment with -debug-addr on a kernel-assigned port, waits for the debug server to announce itself
 # on stderr, curls /healthz and /metrics, and greps the exposition for
 # one representative series from each instrumented layer (runner,
-# cache). Then boots cmd/collector as a 2-shard fleet to verify the
+# cache). Then boots `homesight collector` as a 2-shard fleet to verify the
 # homesight_fleet_* families register the moment the shards start, then
 # runs a demo collector with -live and curls /api/v1/homes/{gw}/live plus
 # the homesight_live_* families — the streaming analytics tier end to
-# end. Then `homestore compact` and `homestore verify` run on that demo's
-# partition, and finally `homestore serve` on it verifies the
+# end. Then `homesight store compact` and `store verify` run on that
+# demo's partition, and finally `homesight store serve` on it verifies the
 # homesight_store_* families and the query tier: the /api/v1/* endpoints
 # answering the versioned envelope, a raw /series day in columnar form,
 # and the homesight_query_* families on /metrics (shard stores keep
@@ -28,11 +28,11 @@ trap 'kill "$PID" "$QPID" "$FPID" "$LPID" 2>/dev/null || true; wait "$PID" "$QPI
 
 # Built once and run directly, so every kill below reaches the program
 # itself (a killed `go run` leaves its child running).
-$GO build -o "$TMP/bin/" ./cmd/experiments ./cmd/collector ./cmd/homestore
+$GO build -o "$TMP/homesight" ./cmd/homesight
 
 # A tiny run (-run fig5 keeps it to one experiment) held open long
 # enough to scrape; -hold is the window, generous for slow CI machines.
-"$TMP/bin/experiments" -homes 4 -weeks 2 -run fig5 \
+"$TMP/homesight" experiments -homes 4 -weeks 2 -run fig5 \
     -debug-addr 127.0.0.1:0 -hold 60s \
     >"$TMP/stdout" 2>"$TMP/stderr" &
 PID=$!
@@ -88,7 +88,7 @@ PID=
 # Fleet tier: a collector registers the homesight_fleet_* families (and
 # binds each shard's labelled series) as the shards start, before any
 # report arrives; its partitions live under -data-dir.
-"$TMP/bin/collector" -shards 2 -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
+"$TMP/homesight" collector -shards 2 -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
     -data-dir "$TMP/fleet" \
     >"$TMP/f-stdout" 2>"$TMP/f-stderr" &
 FPID=$!
@@ -144,7 +144,7 @@ FPID=
 # /api/v1/homes/{gw}/live on the debug server; -hold keeps it up after
 # the campaign so the snapshot can be scraped. Synth gateway IDs are
 # gw%03d, so gw000 always exists.
-"$TMP/bin/collector" -demo -homes 2 -weeks 1 -live -data-dir "$TMP/live" \
+"$TMP/homesight" collector -demo -homes 2 -weeks 1 -live -data-dir "$TMP/live" \
     -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -hold 60s \
     >"$TMP/l-stdout" 2>"$TMP/l-stderr" &
 LPID=$!
@@ -205,25 +205,25 @@ kill "$LPID" 2>/dev/null || true
 wait "$LPID" 2>/dev/null || true
 LPID=
 
-# Compaction CLI: `homestore compact` rewrites the live demo's partition
-# (flushing its WAL tail) through the streaming segment writer, and
-# `homestore verify` re-reads every block of the result; the query tier
+# Compaction CLI: `homesight store compact` rewrites the live demo's
+# partition (flushing its WAL tail) through the streaming segment writer,
+# and `store verify` re-reads every block of the result; the query tier
 # below then serves the compacted store. A non-zero exit of either fails.
 for sub in compact verify; do
-    "$TMP/bin/homestore" $sub -dir "$TMP/live/shard-0000" >"$TMP/c-out" 2>&1 || {
+    "$TMP/homesight" store $sub -dir "$TMP/live/shard-0000" >"$TMP/c-out" 2>&1 || {
         cat "$TMP/c-out" >&2
-        echo "obs-smoke: homestore $sub failed" >&2
+        echo "obs-smoke: homesight store $sub failed" >&2
         exit 1
     }
 done
 
-# Storage and query tiers: homestore serve on the live demo's partition
+# Storage and query tiers: store serve on the live demo's partition
 # (the collector above drained and closed it on exit) registers the
 # homesight_store_* families as the store opens, must answer
 # /api/v1/homes with the versioned envelope, serves a raw day of the
 # first gateway's first device in the columnar form, and puts the
 # homesight_query_* families on the same /metrics surface.
-"$TMP/bin/homestore" serve -dir "$TMP/live/shard-0000" -addr 127.0.0.1:0 \
+"$TMP/homesight" store serve -dir "$TMP/live/shard-0000" -addr 127.0.0.1:0 \
     >"$TMP/q-stdout" 2>"$TMP/q-stderr" &
 QPID=$!
 
@@ -233,7 +233,7 @@ while [ $i -lt 150 ]; do
     QADDR=$(sed -n 's/.*msg="query server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/q-stderr" | head -n 1)
     [ -n "$QADDR" ] && break
     if ! kill -0 "$QPID" 2>/dev/null; then
-        echo "obs-smoke: homestore serve exited before serving" >&2
+        echo "obs-smoke: store serve exited before serving" >&2
         cat "$TMP/q-stderr" >&2
         exit 1
     fi
