@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 BASE ?= HEAD
 N ?= 10
 
-.PHONY: build test race vet fmt lint bench-build bench-pairs test-faults fuzz-smoke obs-smoke check check-full
+.PHONY: build test race vet fmt lint bench-build bench-correct bench-pairs test-faults fuzz-smoke obs-smoke check check-full
 
 build: ## compile every package
 	$(GO) build ./...
@@ -29,6 +29,9 @@ test-faults: ## deterministic fault-injection suite for the ingest wire, fleet t
 bench-build: ## compile the benchmark harness without running it (check smoke)
 	$(GO) test -c -o /dev/null .
 
+bench-correct: ## correctness-only pass of the end-to-end benchmark: each workload for 1 s; fails when a run reports correct: false (e.g. an analysis_suite digest moved)
+	for w in ingest_fleet live_mixed series_read analysis_suite; do bash bench/run.sh -workload $$w -seconds 1 || exit 1; done
+
 bench-pairs: ## end-to-end benchmark of this tree against commit BASE over N alternating pairs (WORKLOADS: default all four); prints medians, quartiles, wins and a verdict per metric
 	bash scripts/bench_pairs.sh $(BASE) $(N) $(WORKLOADS)
 
@@ -51,5 +54,5 @@ obs-smoke: ## run the homesight binary's experiments, collector and store serve 
 check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~40 s and ~2.6 GB peak RSS, so outside check
 	$(GO) run ./cmd/homesight experiments -homes 196 -weeks 8 | diff - experiments_output.txt
 
-check: vet fmt race lint test-faults bench-build fuzz-smoke obs-smoke ## the full CI gate: vet + gofmt + race tests + homesight-vet + fault suite + bench smoke + fuzz smoke + obs smoke
+check: vet fmt race lint test-faults bench-build bench-correct fuzz-smoke obs-smoke ## the full CI gate: vet + gofmt + race tests + homesight-vet + fault suite + bench smoke + benchmark correctness + fuzz smoke + obs smoke
 	@echo "check: all gates passed"

@@ -412,7 +412,7 @@ func phiName(phi float64) string {
 func BenchmarkAblationWindowPhase(b *testing.B) {
 	e := env(b)
 	_, cohort := e.WeeklyCohort(e.WeeksMain)
-	an := e.Framework.Analyzer()
+	an := aggregate.Default
 	b.Run("midnight", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := an.WeeklyPoint(cohort, 8*time.Hour, 0); err != nil {

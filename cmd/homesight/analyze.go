@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"homesight/internal/background"
-	"homesight/internal/core"
+	"homesight/internal/corrsim"
 	"homesight/internal/dataset"
 	"homesight/internal/dominance"
 	"homesight/internal/obs/slogx"
@@ -24,7 +24,7 @@ func runDominants(_ context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	det := core.Default.Detector()
+	det := dominance.Default
 	t := table.NewTable("Dominant devices (φ=0.6)", "gateway", "rank", "device", "type", "similarity")
 	for _, g := range gateways {
 		var devs []dominance.DeviceSeries
@@ -118,7 +118,7 @@ func runSimilarity(_ context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("gateway %s not found", id)
 		}
 	}
-	sim := core.Default.Similarity(series[0], series[1])
+	sim := corrsim.Cor(series[0], series[1])
 	fmt.Fprintf(stdout, "cor(%s, %s) = %.3f  (distance %.3f)\n", ids[0], ids[1], sim, 1-sim)
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 
 	"homesight/internal/aggregate"
 	"homesight/internal/background"
-	"homesight/internal/core"
 	"homesight/internal/corrsim"
 	"homesight/internal/dominance"
 	"homesight/internal/fleet"
@@ -397,7 +396,7 @@ func report(w io.Writer, root string, cfg synth.Config, live *fleet.Fleet) error
 		}
 		instances = append(instances, insts...)
 	}
-	motifs := core.Default.Miner().Mine(instances)
+	motifs := motif.Default.Mine(instances)
 	fmt.Fprintf(w, "discovered %d daily motifs in %d windows:\n", len(motifs), len(instances))
 	for _, m := range motifs {
 		fmt.Fprintf(w, "  motif %d: support %d across %d gateways\n", m.ID, m.Support(), len(m.Gateways()))

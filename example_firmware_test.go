@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"homesight/internal/aggregate"
-	"homesight/internal/core"
+	"homesight/internal/stationarity"
 	"homesight/internal/synth"
 )
 
@@ -21,13 +21,12 @@ var slotNames = [3]string{"morning (2am-10am)", "working hours (10am-6pm)", "eve
 // confidence level.
 func Example_firmware() {
 	dep := synth.NewDeployment(synth.Config{Homes: 15, Weeks: 4})
-	fw := core.Default
 
 	fmt.Println("home    update window            quietest-slot share  regular  confidence")
 	fmt.Println("------  -----------------------  -------------------  -------  ----------")
 	for i := 0; i < dep.NumHomes(); i++ {
 		h := dep.Home(i)
-		slot, share, regular, ok := bestUpdateSlot(fw, h)
+		slot, share, regular, ok := bestUpdateSlot(h)
 		if !ok {
 			fmt.Printf("%-6s  %s\n", h.ID, "insufficient data")
 			continue
@@ -65,7 +64,7 @@ func Example_firmware() {
 // returns the daily slot (0..2) carrying the least traffic, that slot's
 // share of daily traffic, and whether the home is strongly stationary
 // (i.e. the recommendation generalizes to future weeks).
-func bestUpdateSlot(fw core.Framework, h *synth.Home) (slot int, share float64, regular, ok bool) {
+func bestUpdateSlot(h *synth.Home) (slot int, share float64, regular, ok bool) {
 	s := h.Overall().FillMissing(0)
 	wins, err := aggregate.BestWeekly.Windows(s)
 	if err != nil || len(wins) == 0 {
@@ -95,6 +94,6 @@ func bestUpdateSlot(fw core.Framework, h *synth.Home) (slot int, share float64, 
 	for _, w := range wins {
 		windows = append(windows, w.Values)
 	}
-	regular = fw.StronglyStationary(windows).Stationary
+	regular = stationarity.Default.Check(windows).Stationary
 	return slot, share, regular, true
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"homesight/internal/core"
 	"homesight/internal/dominance"
 	"homesight/internal/synth"
 	"homesight/internal/timeseries"
@@ -19,7 +18,6 @@ import (
 // against the generator's ground truth.
 func Example_guests() {
 	dep := synth.NewDeployment(synth.Config{Homes: 20, Weeks: 4})
-	fw := core.Default
 
 	var tp, fp, fn, tn int
 	fmt.Println("examples of flagged devices:")
@@ -30,7 +28,7 @@ func Example_guests() {
 			devs = append(devs, dominance.DeviceSeries{Device: dt.Spec.Device, Series: dt.Overall()})
 		}
 		dominant := map[string]bool{}
-		for _, sc := range fw.Dominants(h.Overall(), devs).Dominants {
+		for _, sc := range dominance.Default.Detect(h.Overall(), devs).Dominants {
 			dominant[sc.Device.MAC] = true
 		}
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"homesight/internal/core"
+	"homesight/internal/aggregate"
 	"homesight/internal/motif"
 	"homesight/internal/report"
 	"homesight/internal/synth"
@@ -16,13 +16,12 @@ import (
 // participation of Fig. 10.
 func Example_motifs() {
 	dep := synth.NewDeployment(synth.Config{Homes: 16, Weeks: 4})
-	fw := core.Default
 
-	daily := mine(dep, fw, false)
+	daily := mine(dep, false)
 	fmt.Printf("── daily motifs (3h bins, %d found) ─────────────────────\n", len(daily))
 	printMotifs(daily, func(p []float64) string { return string(motif.ClassifyDaily(p)) })
 
-	weekly := mine(dep, fw, true)
+	weekly := mine(dep, true)
 	fmt.Printf("\n── weekly motifs (8h bins at 2am, %d found) ─────────────\n", len(weekly))
 	printMotifs(weekly, func(p []float64) string { return string(motif.ClassifyWeekly(p)) })
 
@@ -78,22 +77,21 @@ func Example_motifs() {
 
 // mine collects every home's daily (3h bins) or weekly (8h bins at 2am)
 // windows and runs the Definition 5 miner over all of them.
-func mine(dep *synth.Deployment, fw core.Framework, weekly bool) []*motif.Motif {
+func mine(dep *synth.Deployment, weekly bool) []*motif.Motif {
+	spec := aggregate.BestDaily
+	if weekly {
+		spec = aggregate.BestWeekly
+	}
 	var insts []motif.Instance
 	for i := 0; i < dep.NumHomes(); i++ {
 		h := dep.Home(i)
-		s := h.Overall().FillMissing(0)
-		instances := fw.DailyInstances
-		if weekly {
-			instances = fw.WeeklyInstances
-		}
-		got, err := instances(h.ID, s)
+		got, err := motif.Instances(h.ID, h.Overall().FillMissing(0), spec)
 		if err != nil {
 			panic(err)
 		}
 		insts = append(insts, got...)
 	}
-	return fw.Miner().Mine(insts)
+	return motif.Default.Mine(insts)
 }
 
 func printMotifs(motifs []*motif.Motif, classify func([]float64) string) {

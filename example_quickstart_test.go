@@ -6,8 +6,9 @@ import (
 
 	"homesight/internal/aggregate"
 	"homesight/internal/background"
-	"homesight/internal/core"
+	"homesight/internal/corrsim"
 	"homesight/internal/dominance"
+	"homesight/internal/stationarity"
 	"homesight/internal/synth"
 )
 
@@ -16,17 +17,16 @@ import (
 func Example_quickstart() {
 	// A deterministic 12-home, 4-week deployment.
 	dep := synth.NewDeployment(synth.Config{Homes: 12, Weeks: 4})
-	fw := core.Default
 
 	// ── Definition 1: correlation similarity ────────────────────────────
 	h0, h1 := dep.Home(0), dep.Home(1)
 	a, _ := h0.Overall().FillMissing(0).Aggregate(3 * time.Hour)
 	b, _ := h1.Overall().FillMissing(0).Aggregate(3 * time.Hour)
-	fmt.Printf("Def 1  cor(%s, %s) at 3h bins: %.3f\n", h0.ID, h1.ID, fw.Similarity(a.Values, b.Values))
+	fmt.Printf("Def 1  cor(%s, %s) at 3h bins: %.3f\n", h0.ID, h1.ID, corrsim.Default.Similarity(a.Values, b.Values))
 
 	// ── Sec 6.1: background removal ─────────────────────────────────────
 	dt := h0.Traffic()[0]
-	tau := fw.BackgroundTau(dt.In, dt.Out)
+	tau := background.EstimateThreshold(dt.In, dt.Out).Tau()
 	fmt.Printf("Sec6.1 device %q: τ=%.0f B/min, %.1f%% of observed minutes are active\n",
 		dt.Spec.Device.Name, tau, 100*background.ActiveFraction(dt.Overall(), tau))
 
@@ -35,7 +35,7 @@ func Example_quickstart() {
 	for _, d := range h0.Traffic() {
 		devs = append(devs, dominance.DeviceSeries{Device: d.Spec.Device, Series: d.Overall()})
 	}
-	dom := fw.Dominants(h0.Overall(), devs)
+	dom := dominance.Default.Detect(h0.Overall(), devs)
 	fmt.Printf("Def 4  %s has %d dominant device(s):\n", h0.ID, len(dom.Dominants))
 	for rank, sc := range dom.Dominants {
 		fmt.Printf("       #%d %-22s %-10s cor=%.2f\n",
@@ -51,12 +51,12 @@ func Example_quickstart() {
 	for _, w := range wins {
 		windows = append(windows, w.Values)
 	}
-	st := fw.StronglyStationary(windows)
+	st := stationarity.Default.Check(windows)
 	fmt.Printf("Def 2  %s weekly (8h@2am): stationary=%v, min pairwise cor=%.2f\n",
 		h0.ID, st.Stationary, st.MinSimilarity)
 
 	// ── Definition 5: daily motifs (3h bins) across all homes ───────────
-	motifs := mine(dep, fw, false)
+	motifs := mine(dep, false)
 	fmt.Printf("Def 5  %d daily motifs across %d homes; top supports:", len(motifs), dep.NumHomes())
 	for i, m := range motifs {
 		if i == 5 {

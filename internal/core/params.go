@@ -1,3 +1,9 @@
+// Package core holds the paper's parameters: α = 0.05, stationarity bound
+// 0.6, dominance φ = 0.6 (0.8 strict), motif φ = 0.8 with group fraction ¾
+// and merge threshold 0.6, background cap 5000 B/min. The mechanisms live
+// in their own packages, whose Default values (corrsim.Default,
+// stationarity.Default, aggregate.Default, dominance.Default,
+// motif.Default) already run at these parameters.
 package core
 
 import (

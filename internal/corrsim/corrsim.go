@@ -1,7 +1,7 @@
 // Package corrsim implements Definition 1 of the paper: the correlation
 // similarity measure cor(X, Y), the maximum statistically significant
 // coefficient among Pearson's r, Spearman's ρ and Kendall's τ, and the
-// induced correlation distance 1 − cor used for clustering.
+// window graph that scores every pair of a set of windows once.
 package corrsim
 
 import (
@@ -12,38 +12,6 @@ import (
 
 // DefaultAlpha is the significance level used throughout the paper.
 const DefaultAlpha = 0.05
-
-// StrongThreshold is the paper's interpretation boundary for a strong
-// correlation ([0.5, 1] → strong; the similarity clusters of Fig. 3 use the
-// slightly stricter 0.6).
-const StrongThreshold = 0.5
-
-// Interpretation is the paper's verbal strength scale for correlation
-// values (Sec. 4.2).
-type Interpretation string
-
-// Correlation strength bands, per Corder & Foreman and the paper's Sec. 4.2.
-const (
-	NoCorrelation     Interpretation = "none"   // [0.0, 0.1)
-	LowCorrelation    Interpretation = "low"    // [0.1, 0.3)
-	MediumCorrelation Interpretation = "medium" // [0.3, 0.5)
-	StrongCorrelation Interpretation = "strong" // [0.5, 1.0]
-)
-
-// Interpret classifies the absolute value of a correlation coefficient.
-func Interpret(c float64) Interpretation {
-	a := math.Abs(c)
-	switch {
-	case a < 0.1:
-		return NoCorrelation
-	case a < 0.3:
-		return LowCorrelation
-	case a < 0.5:
-		return MediumCorrelation
-	default:
-		return StrongCorrelation
-	}
-}
 
 // Coefficients selects which correlation coefficients participate in the
 // max of Definition 1. The zero value means all three — the paper's
@@ -198,12 +166,4 @@ func (d Detail) SimilarityUnder(m Measure) float64 {
 		}
 	}
 	return best
-}
-
-// Distance returns the correlation distance 1 − cor(X, Y) used by the
-// hierarchical clustering of Fig. 3. It ranges over [0, 1] because
-// Definition 1 never returns a negative similarity (an insignificant or
-// negative correlation contributes 0, i.e. distance 1).
-func (m Measure) Distance(x, y []float64) float64 {
-	return 1 - m.Similarity(x, y)
 }

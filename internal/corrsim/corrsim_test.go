@@ -9,23 +9,6 @@ import (
 	"homesight/internal/stats/corr"
 )
 
-func TestInterpret(t *testing.T) {
-	cases := []struct {
-		c    float64
-		want Interpretation
-	}{
-		{0, NoCorrelation}, {0.09, NoCorrelation},
-		{0.1, LowCorrelation}, {-0.2, LowCorrelation},
-		{0.3, MediumCorrelation}, {0.49, MediumCorrelation},
-		{0.5, StrongCorrelation}, {-1, StrongCorrelation},
-	}
-	for _, tc := range cases {
-		if got := Interpret(tc.c); got != tc.want {
-			t.Errorf("Interpret(%g) = %q, want %q", tc.c, got, tc.want)
-		}
-	}
-}
-
 func TestSimilarityPerfectTrend(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	y := []float64{10, 20, 30, 40, 50, 60, 70, 80}
@@ -121,25 +104,6 @@ func TestSimilarityMissingValues(t *testing.T) {
 	allNaN := []float64{nan, nan, nan, nan}
 	if got := Default.Similarity(allNaN, []float64{1, 2, 3, 4}); got != 0 {
 		t.Errorf("similarity = %g, want 0", got)
-	}
-}
-
-func TestDistanceComplementsSimilarity(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(40)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.ExpFloat64() * 1000
-			y[i] = x[i]*0.5 + rng.NormFloat64()*100
-		}
-		s := Default.Similarity(x, y)
-		d := Default.Distance(x, y)
-		return s >= 0 && s <= 1 && math.Abs(s+d-1) < 1e-12
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Error(err)
 	}
 }
 

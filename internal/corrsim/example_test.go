@@ -19,14 +19,3 @@ func ExampleMeasure_Similarity() {
 	// same rhythm:  1.00
 	// vs flatline:  0.00
 }
-
-func ExampleInterpret() {
-	for _, c := range []float64{0.05, 0.2, 0.4, 0.8} {
-		fmt.Println(c, "→", corrsim.Interpret(c))
-	}
-	// Output:
-	// 0.05 → none
-	// 0.2 → low
-	// 0.4 → medium
-	// 0.8 → strong
-}

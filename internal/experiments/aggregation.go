@@ -28,7 +28,7 @@ type Fig06Result struct {
 func Fig06WeeklyAggregation(ctx context.Context, e *Env) (Fig06Result, error) {
 	_, cohort := e.WeeklyCohort(e.WeeksMain)
 	res := Fig06Result{Cohort: len(cohort)}
-	an := e.Framework.Analyzer()
+	an := aggregate.Default
 	type job struct {
 		bin   time.Duration
 		phase time.Duration
@@ -101,7 +101,7 @@ var fig07Bins = []time.Duration{
 func Fig07StationaryGateways(ctx context.Context, e *Env) (Fig07Result, error) {
 	_, cohort := e.DailyCohort()
 	res := Fig07Result{Cohort: len(cohort)}
-	an := e.Framework.Analyzer()
+	an := aggregate.Default
 	points := make([]aggregate.CurvePoint, len(fig07Bins))
 	errs := make([]error, len(fig07Bins))
 	if err := e.forEach(ctx, len(fig07Bins), func(k int) {
@@ -147,7 +147,7 @@ type Fig08Result struct {
 func Fig08DailyAggregation(ctx context.Context, e *Env) (Fig08Result, error) {
 	_, cohort := e.DailyCohort()
 	res := Fig08Result{Cohort: len(cohort)}
-	an := e.Framework.Analyzer()
+	an := aggregate.Default
 	points := make([]aggregate.CurvePoint, len(aggregate.DailyBins))
 	errs := make([]error, len(aggregate.DailyBins))
 	if err := e.forEach(ctx, len(aggregate.DailyBins), func(k int) {
@@ -204,7 +204,7 @@ func (r StationaryShareResult) ActiveShare() float64 {
 // TabStationaryShare evaluates weekly strong stationarity at 3h bins.
 func TabStationaryShare(ctx context.Context, e *Env) (StationaryShareResult, error) {
 	res := StationaryShareResult{}
-	an := e.Framework.Analyzer()
+	an := aggregate.Default
 	days := e.WeeksMain * 7
 	idxs := e.WeeklyCohortIndexes()
 	type perHome struct {

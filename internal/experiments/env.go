@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"homesight/internal/core"
 	"homesight/internal/dataset"
 	"homesight/internal/dominance"
 	"homesight/internal/obs"
@@ -43,8 +42,6 @@ import (
 // top.
 type Env struct {
 	Dep *synth.Deployment
-	// Framework carries the paper's analysis parameters.
-	Framework core.Framework
 
 	// WeeksMain is the analysis window of most experiments (paper: 4).
 	WeeksMain int

@@ -181,7 +181,7 @@ func (e *Env) detect(gc *gatewayCache) dominance.Result {
 	for k, ds := range gc.devices {
 		devs[k] = dominance.DeviceSeries{Device: ds.Device, Series: prefix(ds.Series, days)}
 	}
-	return e.Framework.Detector().Detect(prefix(gc.raw, days), devs)
+	return dominance.Default.Detect(prefix(gc.raw, days), devs)
 }
 
 // prefix returns the first `days` days of a minute series as a view

@@ -7,6 +7,7 @@ import (
 
 	"homesight/internal/aggregate"
 	"homesight/internal/core"
+	"homesight/internal/corrsim"
 	"homesight/internal/devices"
 	"homesight/internal/motif"
 	"homesight/internal/report"
@@ -63,7 +64,7 @@ func mineMotifs(ctx context.Context, e *Env, kind string, ids []string, cohort [
 		instances = append(instances, wins...)
 	}
 	res.Windows = len(instances)
-	res.Motifs = e.Framework.Miner().Mine(instances)
+	res.Motifs = motif.Default.Mine(instances)
 	for _, m := range res.Motifs {
 		if m.Support() >= 10 {
 			res.HighSupport++
@@ -200,7 +201,6 @@ type MotifDominance struct {
 // matter which worker finished first.
 func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profiles []MotifProfile) ([]MotifDominance, error) {
 	gws := e.gatewayCaches()
-	det := e.Framework.Detector()
 
 	byID := map[int]*motif.Motif{}
 	for _, m := range r.Motifs {
@@ -278,7 +278,7 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 			}
 			// Window-local dominance at minute resolution; the gateway's
 			// window is ranked once for all the home's devices.
-			gwWin := det.Measure.Against(gc.raw.Between(w.Start, wEnd).Values)
+			gwWin := corrsim.Default.Against(gc.raw.Between(w.Start, wEnd).Values)
 			winDom := 0
 			intersect := 0
 			for _, ds := range gc.devices {

@@ -489,9 +489,8 @@ func Fig03Clustering(ctx context.Context, e *Env) (Fig03Result, error) {
 		series = append(series, p.vals)
 		res.Gateways = append(res.Gateways, p.id)
 	}
-	m := cluster.DistanceMatrix(len(series), func(i, j int) float64 {
-		return e.Framework.Distance(series[i], series[j])
-	})
+	g := corrsim.Default.Graph(series)
+	m := cluster.DistanceMatrix(len(series), func(i, j int) float64 { return 1 - g.At(i, j) })
 	dendro, err := cluster.Agglomerate(m, cluster.Average)
 	if err != nil {
 		return res, nil

@@ -52,7 +52,8 @@ func Instances(gatewayID string, s *timeseries.Series, spec timeseries.WindowSpe
 
 // Motif is a discovered motif: a set of mutually similar instances.
 type Motif struct {
-	// ID is a stable index assigned by the miner (by discovery order).
+	// ID is the motif's rank in the miner's output: by support, largest
+	// first, ties in the order the motifs were discovered.
 	ID int
 	// Members are the instances, in insertion order.
 	Members []Instance
@@ -127,17 +128,12 @@ func (m *Motif) MeanProfile() []float64 {
 	return prof
 }
 
-// Miner discovers motifs per Definition 5.
+// Miner discovers motifs per Definition 5 under the paper's measure
+// (corrsim.Default), group fraction (¾) and merge threshold (0.6).
 type Miner struct {
-	// Measure is the similarity measure (zero value = α 0.05).
-	Measure corrsim.Measure
-	// Phi is the individual-similarity threshold (0 → 0.8).
+	// Phi is the individual-similarity threshold (0 → 0.8); the group
+	// threshold is ¾ of it.
 	Phi float64
-	// GroupFraction scales Phi into the group threshold (0 → 3/4).
-	GroupFraction float64
-	// MergeThreshold combines motifs whose cross-pairs all exceed it
-	// (0 → 0.6).
-	MergeThreshold float64
 	// MinSupport drops motifs with fewer members from the result (0 → 2:
 	// an unrepeated window is not a recurring pattern).
 	MinSupport int
@@ -153,21 +149,6 @@ func (mn Miner) phi() float64 {
 	return mn.Phi
 }
 
-func (mn Miner) groupThreshold() float64 {
-	f := mn.GroupFraction
-	if f == 0 {
-		f = DefaultGroupFraction
-	}
-	return f * mn.phi()
-}
-
-func (mn Miner) mergeThreshold() float64 {
-	if mn.MergeThreshold == 0 { //homesight:ignore zero-sentinel — a merge bound of 0 would collapse all motifs; zero safely means "default"
-		return DefaultMergeThreshold
-	}
-	return mn.MergeThreshold
-}
-
 func (mn Miner) minSupport() int {
 	if mn.MinSupport == 0 {
 		return 2
@@ -180,35 +161,46 @@ func (mn Miner) minSupport() int {
 // Definition 5 against (individual similarity with at least one member,
 // group similarity with all), otherwise it seeds a new candidate. A final
 // pass merges motifs whose members are all mutually similar above the merge
-// threshold, then drops candidates below MinSupport.
+// threshold, then drops candidates below MinSupport. Every similarity is
+// read off one window graph of the instances, each pair scored once.
 func (mn Miner) Mine(instances []Instance) []*Motif {
+	windows := make([][]float64, len(instances))
+	for i, inst := range instances {
+		windows[i] = inst.Window.Values
+	}
+	g := corrsim.Default.Graph(windows)
 	phi := mn.phi()
-	group := mn.groupThreshold()
+	group := DefaultGroupFraction * phi
 
-	var motifs []*Motif
-	for _, inst := range instances {
+	// Candidates hold instance indices, in insertion order.
+	var sets [][]int
+	for i := range instances {
 		bestIdx := -1
 		bestSim := 0.0
-		for mi, m := range motifs {
-			maxSim, minSim := mn.similarityRange(inst, m)
+		for si, set := range sets {
+			maxSim, minSim := similarityRange(g, i, set)
 			if maxSim >= phi && minSim >= group && maxSim > bestSim {
-				bestIdx, bestSim = mi, maxSim
+				bestIdx, bestSim = si, maxSim
 			}
 		}
 		if bestIdx >= 0 {
-			motifs[bestIdx].Members = append(motifs[bestIdx].Members, inst)
+			sets[bestIdx] = append(sets[bestIdx], i)
 		} else {
-			motifs = append(motifs, &Motif{Members: []Instance{inst}})
+			sets = append(sets, []int{i})
 		}
 	}
 
-	motifs = mn.merge(motifs)
-
-	out := motifs[:0]
-	for _, m := range motifs {
-		if m.Support() >= mn.minSupport() {
-			out = append(out, m)
+	sets = merge(g, sets)
+	out := make([]*Motif, 0, len(sets))
+	for _, set := range sets {
+		if len(set) < mn.minSupport() {
+			continue
 		}
+		m := &Motif{Members: make([]Instance, len(set))}
+		for k, i := range set {
+			m.Members[k] = instances[i]
+		}
+		out = append(out, m)
 	}
 	// Largest support first, stable; then assign IDs.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Support() > out[j].Support() })
@@ -218,12 +210,12 @@ func (mn Miner) Mine(instances []Instance) []*Motif {
 	return out
 }
 
-// similarityRange returns the max and min similarity between the instance
-// and the motif's members.
-func (mn Miner) similarityRange(inst Instance, m *Motif) (maxSim, minSim float64) {
+// similarityRange returns the max and min similarity between instance i
+// and the members of a candidate.
+func similarityRange(g corrsim.Graph, i int, set []int) (maxSim, minSim float64) {
 	minSim = 1
-	for _, mem := range m.Members {
-		s := mn.Measure.Similarity(inst.Window.Values, mem.Window.Values)
+	for _, mem := range set {
+		s := g.At(i, mem)
 		if s > maxSim {
 			maxSim = s
 		}
@@ -234,56 +226,43 @@ func (mn Miner) similarityRange(inst Instance, m *Motif) (maxSim, minSim float64
 	return maxSim, minSim
 }
 
-// merge combines motifs whose cross-member similarities all exceed the
+// merge combines candidates whose cross-member similarities all exceed the
 // merge threshold, repeating until a fixed point.
-func (mn Miner) merge(motifs []*Motif) []*Motif {
-	thr := mn.mergeThreshold()
+func merge(g corrsim.Graph, sets [][]int) [][]int {
 	for {
 		merged := false
 	outer:
-		for i := 0; i < len(motifs); i++ {
-			for j := i + 1; j < len(motifs); j++ {
-				if mn.allCrossAbove(motifs[i], motifs[j], thr) {
-					motifs[i].Members = append(motifs[i].Members, motifs[j].Members...)
-					motifs = append(motifs[:j], motifs[j+1:]...)
+		for i := 0; i < len(sets); i++ {
+			for j := i + 1; j < len(sets); j++ {
+				if allCrossAbove(g, sets[i], sets[j]) {
+					sets[i] = append(sets[i], sets[j]...)
+					sets = append(sets[:j], sets[j+1:]...)
 					merged = true
 					break outer
 				}
 			}
 		}
 		if !merged {
-			return motifs
+			return sets
 		}
 	}
 }
 
-// allCrossAbove reports whether every cross pair of the two motifs clears
-// the threshold. Single-member "motifs" (unassigned windows) are not worth
-// merging — they already failed to join during construction.
-func (mn Miner) allCrossAbove(a, b *Motif, thr float64) bool {
-	if a.Support() < 2 || b.Support() < 2 {
+// allCrossAbove reports whether every cross pair of the two candidates
+// clears the merge threshold. Single-member candidates (unassigned windows)
+// are not worth merging — they already failed to join during construction.
+func allCrossAbove(g corrsim.Graph, a, b []int) bool {
+	if len(a) < 2 || len(b) < 2 {
 		return false
 	}
-	for _, x := range a.Members {
-		for _, y := range b.Members {
-			if mn.Measure.Similarity(x.Window.Values, y.Window.Values) < thr {
+	for _, x := range a {
+		for _, y := range b {
+			if g.At(x, y) < DefaultMergeThreshold {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// OfInterest filters motifs by minimum support — the paper's "motifs of
-// interest with high support values".
-func OfInterest(motifs []*Motif, minSupport int) []*Motif {
-	var out []*Motif
-	for _, m := range motifs {
-		if m.Support() >= minSupport {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // PerGateway returns, for each gateway, the number of distinct motifs it

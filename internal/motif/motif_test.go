@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"homesight/internal/corrsim"
 	"homesight/internal/timeseries"
 )
 
@@ -96,8 +98,8 @@ func TestMineDefinitionProperties(t *testing.T) {
 		insts = append(insts, inst("gw01", d, morningShape(rng, 0.15)))
 	}
 	motifs := Default.Mine(insts)
-	phi := Default.phi()
-	group := Default.groupThreshold()
+	phi := DefaultPhi
+	group := DefaultGroupFraction * DefaultPhi
 	for _, m := range motifs {
 		for i, a := range m.Members {
 			hasPeer := false
@@ -105,7 +107,7 @@ func TestMineDefinitionProperties(t *testing.T) {
 				if i == j {
 					continue
 				}
-				s := Default.Measure.Similarity(a.Window.Values, b.Window.Values)
+				s := corrsim.Default.Similarity(a.Window.Values, b.Window.Values)
 				if s >= phi {
 					hasPeer = true
 				}
@@ -200,8 +202,8 @@ func TestOfInterestAndPerGatewayAndHistogram(t *testing.T) {
 		insts = append(insts, inst("gw02", d, morningShape(rng, 0.05)))
 	}
 	motifs := Default.Mine(insts)
-	if len(OfInterest(motifs, 5)) != 1 {
-		t.Errorf("motifs of interest = %d, want 1", len(OfInterest(motifs, 5)))
+	if got := (Miner{MinSupport: 5}).Mine(insts); len(got) != 1 {
+		t.Errorf("motifs of interest = %d, want 1", len(got))
 	}
 	per := PerGateway(motifs)
 	if per["gw00"] != 1 || per["gw02"] != 1 {
@@ -277,4 +279,236 @@ func TestClassifyDaily(t *testing.T) {
 	if ClassifyDaily([]float64{1}) != DailyOther {
 		t.Error("bad length should be other")
 	}
+}
+
+// TestMineMatchesPairwiseReference holds the graph-backed Mine to the
+// pairwise miner it replaced: identical motifs, IDs and member order on
+// seeded random instance sets — two to four shapes under noise, missing
+// bins, quantised and all-zero windows — at φ = 0.8 and 0.9 and with
+// singletons kept, some of whose merge passes fire.
+func TestMineMatchesPairwiseReference(t *testing.T) {
+	shapes := [][]float64{
+		{100, 50, 200, 400, 600, 900, 60000, 45000},
+		{100, 50, 55000, 48000, 800, 500, 300, 150},
+		{9000, 8000, 50, 20, 10, 5, 0, 0},
+		{300, 200, 2000, 2500, 2200, 2600, 3000, 800},
+	}
+	merges, motifs := 0, 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := 2 + rng.Intn(3)
+		noise := 0.1 + 0.5*rng.Float64()
+		insts := make([]Instance, 10+rng.Intn(50))
+		for i := range insts {
+			base := shapes[rng.Intn(k)]
+			vals := make([]float64, len(base))
+			for b, v := range base {
+				vals[b] = v * math.Exp(noise*rng.NormFloat64())
+				switch r := rng.Float64(); {
+				case r < 0.05:
+					vals[b] = math.NaN()
+				case r < 0.15:
+					vals[b] = math.Round(vals[b] / 1000)
+				}
+			}
+			if rng.Float64() < 0.03 {
+				clear(vals)
+			}
+			insts[i] = inst(fmt.Sprintf("gw%02d", rng.Intn(6)), i, vals)
+		}
+		for _, mn := range []Miner{Default, {Phi: 0.9}, {MinSupport: 1}} {
+			ref := pairwiseMiner{Phi: mn.Phi, MinSupport: mn.MinSupport, merges: &merges}
+			want, got := ref.Mine(insts), mn.Mine(insts)
+			motifs += len(want)
+			if !sameMotifs(got, want) {
+				t.Fatalf("seed %d, %+v: graph Mine = %s, pairwise = %s", seed, mn, motifString(got), motifString(want))
+			}
+		}
+	}
+	if merges == 0 || motifs == 0 {
+		t.Fatalf("%d merges over %d motifs: the sets do not exercise the merge pass", merges, motifs)
+	}
+}
+
+func sameMotifs(a, b []*Motif) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].ID != b[k].ID || a[k].Support() != b[k].Support() {
+			return false
+		}
+		for i, m := range a[k].Members {
+			if o := b[k].Members[i]; m.GatewayID != o.GatewayID || m.Window.Ordinal != o.Window.Ordinal {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// motifString lists each motif's ID and its members' ordinals.
+func motifString(ms []*Motif) string {
+	out := ""
+	for _, m := range ms {
+		out += fmt.Sprintf("%d:[", m.ID)
+		for i, inst := range m.Members {
+			if i > 0 {
+				out += " "
+			}
+			out += fmt.Sprint(inst.Window.Ordinal)
+		}
+		out += "] "
+	}
+	return out
+}
+
+// pairwiseMiner is the miner as it was before the window graph: every
+// similarity is a fresh Measure call, and the merge pass rescores the cross
+// pairs on every round. It is kept verbatim, bar its name and the merge
+// counter, as the reference the graph-backed Mine must reproduce exactly.
+type pairwiseMiner struct {
+	// Measure is the similarity measure (zero value = α 0.05).
+	Measure corrsim.Measure
+	// Phi is the individual-similarity threshold (0 → 0.8).
+	Phi float64
+	// GroupFraction scales Phi into the group threshold (0 → 3/4).
+	GroupFraction float64
+	// MergeThreshold combines motifs whose cross-pairs all exceed it
+	// (0 → 0.6).
+	MergeThreshold float64
+	// MinSupport drops motifs with fewer members from the result (0 → 2:
+	// an unrepeated window is not a recurring pattern).
+	MinSupport int
+
+	merges *int // counts the merge pass's merges (added for the test)
+}
+
+func (mn pairwiseMiner) phi() float64 {
+	if mn.Phi == 0 { //homesight:ignore zero-sentinel — a φ of exactly 0 would admit every pair; zero safely means "default"
+		return DefaultPhi
+	}
+	return mn.Phi
+}
+
+func (mn pairwiseMiner) groupThreshold() float64 {
+	f := mn.GroupFraction
+	if f == 0 {
+		f = DefaultGroupFraction
+	}
+	return f * mn.phi()
+}
+
+func (mn pairwiseMiner) mergeThreshold() float64 {
+	if mn.MergeThreshold == 0 { //homesight:ignore zero-sentinel — a merge bound of 0 would collapse all motifs; zero safely means "default"
+		return DefaultMergeThreshold
+	}
+	return mn.MergeThreshold
+}
+
+func (mn pairwiseMiner) minSupport() int {
+	if mn.MinSupport == 0 {
+		return 2
+	}
+	return mn.MinSupport
+}
+
+// Mine discovers motifs among the instances. The construction is greedy in
+// input order: each window joins the best existing motif it satisfies
+// Definition 5 against (individual similarity with at least one member,
+// group similarity with all), otherwise it seeds a new candidate. A final
+// pass merges motifs whose members are all mutually similar above the merge
+// threshold, then drops candidates below MinSupport.
+func (mn pairwiseMiner) Mine(instances []Instance) []*Motif {
+	phi := mn.phi()
+	group := mn.groupThreshold()
+
+	var motifs []*Motif
+	for _, inst := range instances {
+		bestIdx := -1
+		bestSim := 0.0
+		for mi, m := range motifs {
+			maxSim, minSim := mn.similarityRange(inst, m)
+			if maxSim >= phi && minSim >= group && maxSim > bestSim {
+				bestIdx, bestSim = mi, maxSim
+			}
+		}
+		if bestIdx >= 0 {
+			motifs[bestIdx].Members = append(motifs[bestIdx].Members, inst)
+		} else {
+			motifs = append(motifs, &Motif{Members: []Instance{inst}})
+		}
+	}
+
+	motifs = mn.merge(motifs)
+
+	out := motifs[:0]
+	for _, m := range motifs {
+		if m.Support() >= mn.minSupport() {
+			out = append(out, m)
+		}
+	}
+	// Largest support first, stable; then assign IDs.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Support() > out[j].Support() })
+	for i, m := range out {
+		m.ID = i
+	}
+	return out
+}
+
+// similarityRange returns the max and min similarity between the instance
+// and the motif's members.
+func (mn pairwiseMiner) similarityRange(inst Instance, m *Motif) (maxSim, minSim float64) {
+	minSim = 1
+	for _, mem := range m.Members {
+		s := mn.Measure.Similarity(inst.Window.Values, mem.Window.Values)
+		if s > maxSim {
+			maxSim = s
+		}
+		if s < minSim {
+			minSim = s
+		}
+	}
+	return maxSim, minSim
+}
+
+// merge combines motifs whose cross-member similarities all exceed the
+// merge threshold, repeating until a fixed point.
+func (mn pairwiseMiner) merge(motifs []*Motif) []*Motif {
+	thr := mn.mergeThreshold()
+	for {
+		merged := false
+	outer:
+		for i := 0; i < len(motifs); i++ {
+			for j := i + 1; j < len(motifs); j++ {
+				if mn.allCrossAbove(motifs[i], motifs[j], thr) {
+					motifs[i].Members = append(motifs[i].Members, motifs[j].Members...)
+					motifs = append(motifs[:j], motifs[j+1:]...)
+					merged = true
+					*mn.merges++
+					break outer
+				}
+			}
+		}
+		if !merged {
+			return motifs
+		}
+	}
+}
+
+// allCrossAbove reports whether every cross pair of the two motifs clears
+// the threshold. Single-member "motifs" (unassigned windows) are not worth
+// merging — they already failed to join during construction.
+func (mn pairwiseMiner) allCrossAbove(a, b *Motif, thr float64) bool {
+	if a.Support() < 2 || b.Support() < 2 {
+		return false
+	}
+	for _, x := range a.Members {
+		for _, y := range b.Members {
+			if mn.Measure.Similarity(x.Window.Values, y.Window.Values) < thr {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -21,32 +21,15 @@ import (
 // stationarity (cor > 0.6 among all window pairs).
 const DefaultCorrThreshold = 0.6
 
-// Checker evaluates strong stationarity.
+// Checker evaluates strong stationarity at the paper's bounds: cor > 0.6
+// for every window pair, and no KS rejection at α = 0.05.
 type Checker struct {
 	// Measure is the Definition 1 similarity (zero value = α 0.05).
 	Measure corrsim.Measure
-	// CorrThreshold is the pairwise similarity bound (0 → 0.6).
-	CorrThreshold float64
-	// Alpha is the KS significance level (0 → 0.05).
-	Alpha float64
 }
 
 // Default is the paper's checker: cor > 0.6, KS at α = 0.05.
 var Default = Checker{}
-
-func (c Checker) corrThreshold() float64 {
-	if c.CorrThreshold == 0 { //homesight:ignore zero-sentinel — a similarity bound of 0 accepts any pair; zero safely means "default"
-		return DefaultCorrThreshold
-	}
-	return c.CorrThreshold
-}
-
-func (c Checker) alpha() float64 {
-	if c.Alpha == 0 { //homesight:ignore zero-sentinel — α = 0 rejects nothing and is never a real level; zero safely means "default"
-		return corrsim.DefaultAlpha
-	}
-	return c.Alpha
-}
 
 // Result describes one strong-stationarity evaluation.
 type Result struct {
@@ -76,8 +59,7 @@ func (c Checker) Check(windows [][]float64) Result {
 		res.MinSimilarity = 0
 		return res
 	}
-	thr := c.corrThreshold()
-	alpha := c.alpha()
+	g := c.Measure.Graph(windows)
 	// Each window's observed values are sorted once, by radix, for every
 	// KS test it takes part in.
 	sorted := make([][]float64, len(windows))
@@ -88,16 +70,16 @@ func (c Checker) Check(windows [][]float64) Result {
 	for i := 0; i < len(windows); i++ {
 		for j := i + 1; j < len(windows); j++ {
 			res.Pairs++
-			sim := c.Measure.Similarity(windows[i], windows[j])
+			sim := g.At(i, j)
 			res.SumSimilarity += sim
 			if sim < res.MinSimilarity {
 				res.MinSimilarity = sim
 			}
-			if !(sim > thr) {
+			if !(sim > DefaultCorrThreshold) {
 				res.CorrFailures++
 			}
 			ks, err := tests.KolmogorovSmirnovSorted(sorted[i], sorted[j])
-			if err != nil || ks.Rejected(alpha) {
+			if err != nil || ks.Rejected(corrsim.DefaultAlpha) {
 				res.KSFailures++
 			}
 		}
@@ -125,10 +107,6 @@ type WeekdayResult struct {
 	// StationaryDays is the number of weekdays whose group is stationary.
 	StationaryDays int
 }
-
-// AnyStationary reports whether at least one weekday group is stationary —
-// the paper's criterion for counting a gateway as stationary in Fig. 7.
-func (r WeekdayResult) AnyStationary() bool { return r.StationaryDays > 0 }
 
 // CheckByWeekday groups daily windows by day of week and evaluates each
 // group separately.

@@ -133,9 +133,6 @@ func TestCheckByWeekday(t *testing.T) {
 	if !ok || !monRes.Stationary {
 		t.Fatalf("Mondays should be stationary: %+v", res.ByWeekday)
 	}
-	if !res.AnyStationary() {
-		t.Error("AnyStationary should be true")
-	}
 	if res.StationaryDays < 1 || res.StationaryDays > 3 {
 		t.Errorf("stationary days = %d, want ~1 (only Mondays engineered)", res.StationaryDays)
 	}
@@ -153,14 +150,18 @@ func TestCheckByWeekdaySkipsUnobserved(t *testing.T) {
 	}
 }
 
+// TestCustomThresholds sets the one knob a Checker has, its Definition 1
+// measure: at a significance level no 21-point correlation reaches, every
+// pair scores 0 and fails the 0.6 bound.
 func TestCustomThresholds(t *testing.T) {
-	wins := repeatingWindows(3, 21, 0.25, 7)
-	loose := Checker{CorrThreshold: 0.1, Alpha: 1e-9}.Check(wins)
-	strict := Checker{CorrThreshold: 0.999}.Check(wins)
-	if strict.Stationary {
-		t.Error("strict threshold should fail noisy windows")
+	wins := repeatingWindows(4, 21, 0.05, 1)
+	if !Default.Check(wins).Stationary {
+		t.Fatal("repeating windows should be stationary at the paper's α")
 	}
-	_ = loose // looseness is data-dependent; the point is it must not panic
+	strict := Checker{Measure: corrsim.Measure{Alpha: 1e-300}}.Check(wins)
+	if strict.Stationary || strict.CorrFailures != strict.Pairs || strict.MinSimilarity != 0 {
+		t.Errorf("α = 1e-300: %+v, want every pair insignificant", strict)
+	}
 }
 
 // TestCheckSumSimilarity holds SumSimilarity to the (i<j)-ordered sum of

@@ -9,10 +9,12 @@ import (
 )
 
 // Spearman returns Spearman's rank correlation ρ with a two-sided p-value
-// from the t-approximation on the ranks (the method used by R's cor.test
-// for n > 1290 and a sound approximation for the window lengths homesight
-// works at). A NaN in either sample gives a NaN coefficient with p-value 1,
-// like a constant side; -0 and +0 tie.
+// from the t-approximation on the ranks (the method R's cor.test uses for
+// n > 1290). The p-value is approximate: at the 8-point daily windows the
+// test rejects 5.76 % of the null at α = 0.05, against 4.58 % for the exact
+// permutation test; ROADMAP's "Hold Def. 1's significance gate to its α"
+// item tracks it. A NaN in either sample gives a NaN coefficient with
+// p-value 1, like a constant side; -0 and +0 tie.
 func Spearman(x, y []float64) (Result, error) {
 	rho, _, err := rankPair(x, y, true, false)
 	return rho, err

@@ -169,6 +169,19 @@ func checkRankedEntry(t *testing.T, r *Ranked, x, y []float64) {
 	}
 }
 
+// checkSwapSymmetric holds Complete(x, y) bit-equal to Complete(y, x):
+// the first metamorphic relation of Definition 1, and what lets a window
+// graph store one triangle while its callers score pairs in either order.
+func checkSwapSymmetric(t *testing.T, x, y []float64) {
+	t.Helper()
+	p, rho, tau, n := Complete(x, y)
+	sp, srho, stau, sn := Complete(y, x)
+	if n != sn || !sameBits(p, sp) || !sameBits(rho, srho) || !sameBits(tau, stau) {
+		t.Errorf("Complete(x, y) = (%d, %+v, %+v, %+v), Complete(y, x) = (%d, %+v, %+v, %+v)\nx=%v\ny=%v",
+			n, p, rho, tau, sn, sp, srho, stau, x, y)
+	}
+}
+
 func TestRankKernelMatchesOracle(t *testing.T) {
 	var k rankKernel // one kernel across every size, growing and shrinking
 	seed := int64(1000)
@@ -269,8 +282,9 @@ func TestRankEdgeCases(t *testing.T) {
 
 // FuzzRankKernel decodes the input as little-endian (x, y) float pairs —
 // quantised half of the time, so ties, joint ties and signed zeros are
-// common — and checks the kernel against the O(n²) oracle, and the
-// ranked-y entry bit for bit against the plain one on the complete pairs.
+// common — and checks the kernel against the O(n²) oracle, the ranked-y
+// entry bit for bit against the plain one on the complete pairs, and
+// Complete for symmetry bit for bit.
 // One kernel and one Ranked serve every input a worker sees, so their
 // buffers are reused across calls of different n.
 func FuzzRankKernel(f *testing.F) {
@@ -302,6 +316,7 @@ func FuzzRankKernel(f *testing.F) {
 			}
 		}
 		checkRankedEntry(t, &r, x, y)
+		checkSwapSymmetric(t, x, y)
 		hasNaN := false
 		for i := range x {
 			hasNaN = hasNaN || math.IsNaN(x[i]) || math.IsNaN(y[i])
