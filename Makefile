@@ -20,7 +20,7 @@ vet: ## stock go vet
 fmt: ## fails if any Go file is not gofmt-formatted
 	test -z "$$(gofmt -l .)"
 
-lint: ## project-specific analyzers (11 rules, see ANALYSIS.md); fails on any finding
+lint: ## project-specific analyzers (12 rules, see ANALYSIS.md); fails on any finding
 	$(GO) run ./cmd/homesight-vet ./...
 
 test-faults: ## deterministic fault-injection suite for the ingest wire, fleet tier and live analytics, 20 times under -race

@@ -1,10 +1,10 @@
 // Command homesight-vet runs homesight's project-specific static analysis:
-// eleven stdlib-only (go/ast + go/types) rules that mechanically enforce
+// twelve stdlib-only (go/ast + go/types) rules that mechanically enforce
 // the repo's statistical, determinism and observability invariants — the
 // Definition 1 significance gate, no exact float equality, no silently
 // dropped errors or contexts, joinable goroutine fan-out, named paper
 // thresholds, deterministic time and randomness, error wrapping with %w,
-// and metrics↔catalog parity.
+// metrics↔catalog parity, and no production code that only tests reach.
 //
 // Usage:
 //

@@ -161,7 +161,7 @@ func TestBestUsesRequestedCurve(t *testing.T) {
 }
 
 func TestCandidateBinsAreValid(t *testing.T) {
-	s := timeseries.Zeros(mon, time.Minute, 7*24*60)
+	s := timeseries.New(mon, time.Minute, make([]float64, 7*24*60))
 	for _, bin := range WeeklyBins {
 		if _, err := timeseries.WeeklySpec(bin, 0).Windows(s); err != nil {
 			t.Errorf("weekly bin %v invalid: %v", bin, err)

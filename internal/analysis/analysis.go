@@ -125,6 +125,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		MetricsParity,
 		ErrWrap,
+		Unreachable,
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].Name < rules[j].Name })
 	return rules

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -75,6 +76,16 @@ func fixtureCatalog(dir string) string {
 		return p
 	}
 	return ""
+}
+
+// LoadDir type-checks a standalone directory (a test fixture) under a
+// caller-chosen import path, resolving its imports through the module.
+func (m *Module) LoadDir(dir, asPath string) (*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	return m.check(asPath, abs, nonTestGoFiles(abs))
 }
 
 // runFixture runs one rule's full three-phase analysis over its fixture
@@ -286,5 +297,53 @@ func TestParseDirective(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestUnreachablePackages covers what a one-package fixture cannot: a
+// package no program imports is reported once, at its package clause,
+// and a directive there keeps it and everything it imports.
+func TestUnreachablePackages(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module unreach\n\ngo 1.22\n",
+		"main.go":          "package main\n\nfunc main() {}\n",
+		"orphan/orphan.go": "package orphan\n\nfunc Dead() {}\n",
+		"kept/kept.go": "// Package kept is test support.\n//\n//homesight:ignore unreachable — (c) a fixture\n" +
+			"package kept\n\nimport \"unreach/dep\"\n\nfunc Helper() int { return dep.Value() }\n",
+		"dep/dep.go": "package dep\n\nfunc Value() int { return 1 }\n\nfunc Unused() {}\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := NewModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := mod.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := Run(mod, pkgs, []*Analyzer{Unreachable}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		rel, _ := filepath.Rel(dir, f.Pos.Filename)
+		got = append(got, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), f.Pos.Line, f.Message))
+	}
+	want := []string{
+		"dep/dep.go:5: func Unused is reached from no main, init or package var initialiser; delete it, or move it into a _test.go file",
+		"orphan/orphan.go:1: package unreach/orphan is imported by no program; delete it, or keep it with a reason",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -19,20 +19,19 @@ const (
 
 // bareAlphaNames maps each magic value to the named constant that owns it.
 var bareAlphaNames = map[float64]string{
-	alphaVal:     "core.Alpha (= corrsim.DefaultAlpha)",
-	phiVal:       "core.DominancePhi / core.StationarityCorr / motif.DefaultMergeThreshold",
-	groupFracVal: "core.MotifGroupFraction (= motif.DefaultGroupFraction)",
-	strictPhiVal: "core.MotifPhi / core.StrictDominancePhi",
-	capBytesVal:  "core.BackgroundCapBytes (= background.CapBytes)",
+	alphaVal:     "corrsim.DefaultAlpha",
+	phiVal:       "dominance.DefaultPhi / stationarity.DefaultCorrThreshold / motif.DefaultMergeThreshold",
+	groupFracVal: "motif.DefaultGroupFraction",
+	strictPhiVal: "motif.DefaultPhi / dominance.StrictPhi",
+	capBytesVal:  "background.CapBytes",
 }
 
 // bareAlphaAllowed are packages where the bare values may appear outside
-// const declarations: core re-exports the canonical constants, the stats
-// tree's significance tables legitimately enumerate α levels, and synth's
-// traffic-generator distribution tables use weights and sigmas that
-// coincide with the thresholds numerically but not semantically.
+// const declarations: the stats tree's significance tables legitimately
+// enumerate α levels, and synth's traffic-generator distribution tables
+// use weights and sigmas that coincide with the thresholds numerically but
+// not semantically.
 var bareAlphaAllowed = []string{
-	"homesight/internal/core",
 	"homesight/internal/stats",
 	"homesight/internal/synth",
 }
@@ -40,13 +39,13 @@ var bareAlphaAllowed = []string{
 // BareAlpha flags the paper's magic numbers — α = 0.05, φ = 0.6/0.8, the ¾
 // group fraction and the 5000 B/min background cap — appearing as bare
 // literals in executable code. Naming the threshold is the fix: reference
-// the canonical constants on internal/core (or the owning leaf package),
-// or introduce a local named constant when the value is a coincidence with
-// different semantics.
+// the constant of the package that owns the mechanism, or introduce a
+// local named constant when the value is a coincidence with different
+// semantics.
 var BareAlpha = &Analyzer{
 	Name: "bare-alpha",
 	Doc: "paper thresholds (0.05, 0.6, 0.75, 0.8, 5000) must reference named " +
-		"constants (core.Alpha, core.DominancePhi, ...), not bare literals",
+		"constants (corrsim.DefaultAlpha, dominance.DefaultPhi, ...), not bare literals",
 	Run: runBareAlpha,
 }
 

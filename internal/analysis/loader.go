@@ -346,16 +346,6 @@ func (m *Module) Load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// LoadDir type-checks a standalone directory (e.g. a test fixture) under a
-// caller-chosen import path, resolving its imports through the module.
-func (m *Module) LoadDir(dir, asPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return m.check(asPath, abs, nonTestGoFiles(abs))
-}
-
 // dirOf maps a module-internal import path to its directory.
 func (m *Module) dirOf(path string) (string, bool) {
 	if path == m.Path {

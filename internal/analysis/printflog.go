@@ -51,7 +51,7 @@ func runPrintfLog(pass *Pass) {
 		}
 		pass.Reportf(call.Pos(),
 			"log.%s in production code: use obs/slogx for leveled key=value events "+
-				"(slogx.Info(msg, k, v, ...))", sel.Sel.Name)
+				"(logger.Info(msg, k, v, ...) on a *slogx.Logger)", sel.Sel.Name)
 		return true
 	})
 }

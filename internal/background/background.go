@@ -81,14 +81,10 @@ func (t Threshold) Tau() float64 {
 	return CapTau(math.Max(t.TauIn, t.TauOut))
 }
 
-// ActiveSeries returns the series with background removed: every value
-// strictly below tau becomes zero (missing observations stay missing).
-func ActiveSeries(s *timeseries.Series, tau float64) *timeseries.Series {
-	return s.Threshold(tau)
-}
-
 // ActiveFraction returns the share of observed minutes that carry active
 // (above-threshold) traffic — a quick burstiness diagnostic.
+//
+//homesight:ignore unreachable — (c) Example_background and Example_quickstart print it
 func ActiveFraction(s *timeseries.Series, tau float64) float64 {
 	active, observed := 0, 0
 	for _, v := range s.Values {

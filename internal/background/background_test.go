@@ -83,7 +83,7 @@ func TestThresholdTau(t *testing.T) {
 func TestActiveSeries(t *testing.T) {
 	nan := math.NaN()
 	s := timeseries.New(start, time.Minute, []float64{100, 6000, nan, 4999})
-	a := ActiveSeries(s, 5000)
+	a := s.Threshold(5000) // background removal: below τ is zero
 	if a.Values[0] != 0 || a.Values[1] != 6000 || a.Values[3] != 0 {
 		t.Errorf("active = %v", a.Values)
 	}

@@ -26,7 +26,7 @@ func ExampleEstimateTau() {
 	s := timeseries.New(mon, time.Minute, vals)
 
 	tau := background.CapTau(background.EstimateTau(s.Values))
-	active := background.ActiveSeries(s, tau)
+	active := s.Threshold(tau)
 	fmt.Printf("tau group: %s\n", background.GroupOf(tau))
 	fmt.Printf("active minutes: %.1f%%\n", 100*background.ActiveFraction(s, tau))
 	fmt.Printf("background removed: %v\n", active.Total() < s.Total())

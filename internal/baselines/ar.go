@@ -15,6 +15,8 @@ var ErrOrder = errors.New("baselines: invalid AR order for sample size")
 // equations. It stands in for the paper's ARIMA discussion: on bursty,
 // background-dominated traffic its forecasts collapse to the mean and miss
 // the rare active bursts (Sec. 4.2a).
+//
+//homesight:ignore unreachable — (d) the ARIMA-style rival; TestARMissesBursts reproduces its burst-blindness (EXPERIMENTS.md, reproduction verdict)
 type ARModel struct {
 	// Coeffs are phi_1..phi_p.
 	Coeffs []float64
@@ -26,6 +28,8 @@ type ARModel struct {
 
 // FitAR fits an AR(p) model by solving the Yule–Walker system with
 // Levinson–Durbin recursion.
+//
+//homesight:ignore unreachable — (d) fits the ARModel rival for TestFitARRecoversCoefficient and TestARMissesBursts
 func FitAR(xs []float64, p int) (*ARModel, error) {
 	if p < 1 || len(xs) <= p+1 {
 		return nil, ErrOrder

@@ -38,6 +38,8 @@ func Euclidean(x, y []float64) (float64, error) {
 // The paper rejects DTW because it matches time-shifted activity, which is
 // exactly what ISP-facing behavioural patterns must not do; the
 // implementation exists to demonstrate that on data.
+//
+//homesight:ignore unreachable — (d) the rival the paper rejects in Sec. 5; TestDTW shows it matching time-shifted activity
 func DTW(x, y []float64, radius int) float64 {
 	n, m := len(x), len(y)
 	if n == 0 || m == 0 {

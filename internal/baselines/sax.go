@@ -73,6 +73,8 @@ func symbolIndex(v float64, breaks []float64) int {
 // SymbolHistogram counts how often each SAX symbol appears in a word — the
 // diagnostic used to demonstrate the paper's critique: on Zipfian data the
 // distribution of symbols is wildly non-uniform even after z-normalization.
+//
+//homesight:ignore unreachable — (d) TestSAXOnZipfianDataIsDegenerate reproduces the SAX symbol collapse with it (EXPERIMENTS.md, reproduction verdict)
 func SymbolHistogram(word string, alphabet int) []int {
 	counts := make([]int, alphabet)
 	for i := 0; i < len(word); i++ {
@@ -88,6 +90,8 @@ func SymbolHistogram(word string, alphabet int) []int {
 // are identical are grouped into candidate motifs. It mirrors what
 // GrammarViz-style tooling does at fixed window length, and serves as the
 // baseline the correlation-based motif discovery is compared against.
+//
+//homesight:ignore unreachable — (d) the GrammarViz-style rival; TestSAXMotifsGroupIdenticalShapes (EXPERIMENTS.md, reproduction verdict)
 func SAXMotifs(windows [][]float64, segments, alphabet int) (map[string][]int, error) {
 	out := make(map[string][]int)
 	for i, w := range windows {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -101,23 +99,4 @@ func LoadGatewayCSV(path, id string, start time.Time, minutes int) (*Gateway, er
 	}
 	defer func() { _ = f.Close() }()
 	return ReadCSV(f, id, start, minutes)
-}
-
-// ListGatewayIDs returns the gateway IDs present in a directory (by .csv
-// files), sorted, without loading any traffic. Useful for partial loads.
-func ListGatewayIDs(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".csv") {
-			continue
-		}
-		ids = append(ids, strings.TrimSuffix(name, ".csv"))
-	}
-	sort.Strings(ids)
-	return ids, nil
 }

@@ -133,15 +133,6 @@ func Classify(mac, name string) Type {
 	return Unlabeled
 }
 
-// Manufacturer returns the manufacturer for a MAC, or "" when the OUI is
-// unknown.
-func Manufacturer(mac string) string {
-	if e, ok := ouiRegistry[ouiPrefix(mac)]; ok {
-		return e.manufacturer
-	}
-	return ""
-}
-
 // KnownOUIs returns the registered OUI prefixes for the given type, sorted,
 // used by the synthetic generator to mint plausible MACs. The order is
 // deterministic so that seeded generation is reproducible across calls.

@@ -136,3 +136,12 @@ func TestKnownOUIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Manufacturer returns the manufacturer for a MAC, or "" when the OUI is
+// unknown.
+func Manufacturer(mac string) string {
+	if e, ok := ouiRegistry[ouiPrefix(mac)]; ok {
+		return e.manufacturer
+	}
+	return ""
+}

@@ -143,16 +143,6 @@ func WithRegistry(reg *obs.Registry) Option {
 	}
 }
 
-// WithConfig replaces the whole synth configuration at once (zero fields
-// keep their defaults). Later WithHomes/WithWeeks/WithSeed options still
-// apply on top.
-func WithConfig(cfg synth.Config) Option {
-	return func(c *envConfig) error {
-		c.synth = cfg
-		return nil
-	}
-}
-
 // NewEnv builds an environment. Without options it mirrors the paper's
 // deployment (196 homes, 8 weeks, the fixed master seed); tests and
 // benchmarks scale down via WithHomes/WithWeeks. Invalid combinations are
@@ -197,13 +187,6 @@ func NewEnv(opts ...Option) (*Env, error) {
 	}
 	return e, nil
 }
-
-// Parallelism returns the worker budget of per-gateway fan-out.
-func (e *Env) Parallelism() int { return e.parallelism }
-
-// Registry returns the registry carrying the Env's cache counters — the
-// one WithRegistry supplied, or the Env's private default.
-func (e *Env) Registry() *obs.Registry { return e.reg }
 
 // CacheStats snapshots the hit/miss/build-wait counters of every shared
 // cache. The map shape feeds telemetry.RunMetrics.Caches unchanged, so

@@ -86,7 +86,7 @@ func TestEnvWithStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env, err := NewEnv(WithConfig(cfg), WithStore(dir))
+	env, err := NewEnv(WithHomes(cfg.Homes), WithWeeks(cfg.Weeks), WithSeed(cfg.Seed), WithStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEnvWithStore(t *testing.T) {
 	}
 
 	// Home 2 is identical to a fully synthetic Env.
-	synthEnv, err := NewEnv(WithConfig(cfg))
+	synthEnv, err := NewEnv(WithHomes(cfg.Homes), WithWeeks(cfg.Weeks), WithSeed(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -49,8 +50,8 @@ func TestNewEnvValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
-	if e.Parallelism() != 4 {
-		t.Errorf("parallelism = %d", e.Parallelism())
+	if e.parallelism != 4 {
+		t.Errorf("parallelism = %d", e.parallelism)
 	}
 	if n := e.Dep.NumHomes(); n != 3 {
 		t.Errorf("homes = %d", n)
@@ -669,4 +670,18 @@ func TestStationarityADFGoldens(t *testing.T) {
 			t.Errorf("gateway %d: p/lags/N = %g/%d/%d, golden 0.01/45/20114", i, got.PValue, got.Lags, got.N)
 		}
 	}
+}
+
+// SupportQuantiles summarizes a support distribution; EXPERIMENTS.md
+// quotes such summaries, no program prints one.
+func SupportQuantiles(supports []int) (p50, p90, max float64) {
+	if len(supports) == 0 {
+		return 0, 0, 0
+	}
+	fs := make([]float64, len(supports))
+	for i, s := range supports {
+		fs[i] = float64(s)
+	}
+	sort.Float64s(fs)
+	return stats.Quantile(fs, 0.5), stats.Quantile(fs, 0.9), fs[len(fs)-1]
 }

@@ -43,7 +43,7 @@ func storeEnv(t *testing.T, flat map[int]string) (*Env, []*gateway.Recorder) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(WithConfig(cfg), WithStore(dir))
+	env, err := NewEnv(WithHomes(cfg.Homes), WithWeeks(cfg.Weeks), WithSeed(cfg.Seed), WithStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func reconstructedView(h *synth.Home) *dataset.Gateway {
 // enumerates are applied.
 func TestStoreBackedHomeEqualsReconstructedSynthHome(t *testing.T) {
 	stored, _ := storeEnv(t, nil)
-	mem, err := NewEnv(WithConfig(storeFixture))
+	mem, err := NewEnv(WithHomes(storeFixture.Homes), WithWeeks(storeFixture.Weeks), WithSeed(storeFixture.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"homesight/internal/aggregate"
-	"homesight/internal/core"
 	"homesight/internal/corrsim"
 	"homesight/internal/devices"
+	"homesight/internal/dominance"
 	"homesight/internal/motif"
 	"homesight/internal/report"
-	"homesight/internal/stats"
 	"homesight/internal/timeseries"
 )
 
@@ -283,7 +281,7 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 			intersect := 0
 			for _, ds := range gc.devices {
 				sim := gwWin.Similarity(ds.Series.Between(w.Start, wEnd).Values)
-				if sim > core.DominancePhi {
+				if sim > dominance.DefaultPhi {
 					winDom++
 					if p.types == nil {
 						p.types = make(map[devices.Type]int)
@@ -390,16 +388,3 @@ func RenderMotifDominance(title string, doms []MotifDominance, daily bool) strin
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
-
-// SupportQuantiles summarizes a support distribution for EXPERIMENTS.md.
-func SupportQuantiles(supports []int) (p50, p90, max float64) {
-	if len(supports) == 0 {
-		return 0, 0, 0
-	}
-	fs := make([]float64, len(supports))
-	for i, s := range supports {
-		fs[i] = float64(s)
-	}
-	sort.Float64s(fs)
-	return stats.Quantile(fs, 0.5), stats.Quantile(fs, 0.9), fs[len(fs)-1]
-}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -48,75 +47,6 @@ type Results struct {
 	Daily            MotifSetResult
 	DailyOfInterest  []MotifProfile
 	DailyDominance   []MotifDominance
-}
-
-// RunAll executes every experiment in order.
-func RunAll(ctx context.Context, e *Env) (Results, error) {
-	var r Results
-	var err error
-	if r.Fig01, err = Fig01TypicalGateway(ctx, e); err != nil {
-		return r, err
-	}
-	if r.InOut, err = TabInOutCorrelation(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Fig02, err = Fig02ACFCCF(ctx, e); err != nil {
-		return r, err
-	}
-	if r.UnitRoot, err = TabStationarityTests(ctx, e); err != nil {
-		return r, err
-	}
-	if r.DevCount, err = TabDeviceCountCorrelation(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Fig03, err = Fig03Clustering(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Fig04, err = Fig04BackgroundTau(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Heuristic, err = TabHeuristicValidation(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Fig05, err = Fig05DominantDevices(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Agreement, err = TabDominanceAgreement(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Residents, err = TabResidentsCorrelation(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Ablation, err = TabSimilarityAblation(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Fig06, err = Fig06WeeklyAggregation(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Fig07, err = Fig07StationaryGateways(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Fig08, err = Fig08DailyAggregation(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Share, err = TabStationaryShare(ctx, e); err != nil {
-		return r, err
-	}
-	if r.Weekly, err = MineWeeklyMotifs(ctx, e); err != nil {
-		return r, err
-	}
-	r.WeeklyOfInterest = WeeklyMotifsOfInterest(r.Weekly)
-	if r.WeeklyDominance, err = AnalyzeMotifDominance(ctx, e, r.Weekly, r.WeeklyOfInterest); err != nil {
-		return r, err
-	}
-	if r.Daily, err = MineDailyMotifs(ctx, e); err != nil {
-		return r, err
-	}
-	r.DailyOfInterest = DailyMotifsOfInterest(r.Daily)
-	if r.DailyDominance, err = AnalyzeMotifDominance(ctx, e, r.Daily, r.DailyOfInterest); err != nil {
-		return r, err
-	}
-	return r, nil
 }
 
 // ShapeCheck is one of the paper's qualitative claims evaluated against the

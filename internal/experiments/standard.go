@@ -8,7 +8,6 @@ import (
 
 	"homesight/internal/background"
 	"homesight/internal/cluster"
-	"homesight/internal/core"
 	"homesight/internal/corrsim"
 	"homesight/internal/dataset"
 	"homesight/internal/devices"
@@ -93,7 +92,7 @@ type InOutResult struct {
 }
 
 // homeCoeff is one home's contribution to a per-gateway correlation
-// table: the coefficient, whether it is significant at core.Alpha (where
+// table: the coefficient, whether it is significant at corrsim.DefaultAlpha (where
 // the table reports that), and whether the home has one at all.
 type homeCoeff struct {
 	coeff   float64
@@ -306,10 +305,10 @@ func (e *Env) stationarity(i int) gatewayStationarity {
 		// stationary gateways").
 		s := e.RawOverall(i, 28).FillMissing(0)
 		var p gatewayStationarity
-		if kp, err := tests.KPSS(s.Values, -1); err == nil && kp.PValue < core.Alpha {
+		if kp, err := tests.KPSS(s.Values, -1); err == nil && kp.PValue < corrsim.DefaultAlpha {
 			p.kpss = true
 		}
-		if a, err := tests.ADF(s.Values, -1); err == nil && a.PValue > core.Alpha {
+		if a, err := tests.ADF(s.Values, -1); err == nil && a.PValue > corrsim.DefaultAlpha {
 			p.adf = true
 		}
 		// Pairwise KS across the four weeks of minute values. Each week
@@ -330,7 +329,7 @@ func (e *Env) stationarity(i int) gatewayStationarity {
 					continue
 				}
 				p.ksPairs++
-				if ks.Rejected(core.Alpha) {
+				if ks.Rejected(corrsim.DefaultAlpha) {
 					p.ksRejects++
 				}
 			}
@@ -409,7 +408,7 @@ func deviceCountCorrelation(g *dataset.Gateway) homeCoeff {
 	if d.N < 3 || math.IsNaN(r.Coeff) {
 		return homeCoeff{}
 	}
-	return homeCoeff{coeff: r.Coeff, sig: r.Significant(core.Alpha), ok: true}
+	return homeCoeff{coeff: r.Coeff, sig: r.Significant(corrsim.DefaultAlpha), ok: true}
 }
 
 // TabDeviceCountCorrelation reduces the per-gateway corr(traffic,

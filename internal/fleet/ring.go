@@ -13,7 +13,7 @@ import (
 const DefaultVNodes = 64
 
 // Ring is a deterministic consistent-hash ring: each shard contributes
-// VNodes points (FNV-1a of "name#i"), keys hash the same way and land
+// vnodes points (FNV-1a of "name#i"), keys hash the same way and land
 // on the first point clockwise. Determinism is load-bearing — every
 // router instance, on every host, must agree where a gateway lives, so
 // there is no seed and no randomness, and equal hash points are broken

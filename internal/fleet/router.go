@@ -42,9 +42,6 @@ type RouterConfig struct {
 	// NewRouter so configuration errors surface immediately, as
 	// DialBatch does.
 	Shards []ShardAddr
-	// VNodes is the ring's virtual-node count per shard. 0 →
-	// DefaultVNodes.
-	VNodes int
 	// BatchSize is the per-shard flush threshold in reports. 0 →
 	// DefaultBatchSize.
 	BatchSize int
@@ -139,7 +136,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("fleet: RouterConfig.Shards is required")
 	}
-	r := &Router{cfg: cfg, ring: NewRing(cfg.VNodes), shards: make(map[string]*routerShard)}
+	r := &Router{cfg: cfg, ring: NewRing(DefaultVNodes), shards: make(map[string]*routerShard)}
 	for _, sa := range cfg.Shards {
 		if sa.Name == "" || sa.Addr == "" {
 			return nil, fmt.Errorf("fleet: shard needs both name and addr, got %+v", sa)

@@ -43,9 +43,6 @@ type ShardConfig struct {
 	// ReadTimeout closes a connection silent this long; 0 →
 	// DefaultReadTimeout, negative → no deadline.
 	ReadTimeout time.Duration
-	// MaxFrameBytes bounds a frame's declared payload; 0 →
-	// telemetry.MaxBatchBytes.
-	MaxFrameBytes int
 	// Metrics receives the fleet instruments. nil → a private registry,
 	// so the counting path is always on. The shard's embedded store
 	// always uses a private registry: several partitions on one shared
@@ -70,9 +67,6 @@ type ShardConfig struct {
 func (cfg ShardConfig) withDefaults() ShardConfig {
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = DefaultReadTimeout
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = telemetry.MaxBatchBytes
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewFleetMetrics(obs.NewRegistry())
@@ -250,7 +244,7 @@ func (s *Shard) serveConn(conn net.Conn) {
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))
 		}
-		reps, err := dec.Next(br, s.cfg.MaxFrameBytes)
+		reps, err := dec.Next(br, telemetry.MaxBatchBytes)
 		if err != nil {
 			// Corrupt frames are counted; EOF/deadline/reset are the
 			// reporter's reconnect path, not an accounting event.
@@ -305,6 +299,8 @@ func (s *Shard) ingestBatch(reps []gateway.Report) error {
 
 // Watermarks exposes the partition's per-series high-water timestamps —
 // the cursors that make handoff replay idempotent.
+//
+//homesight:ignore unreachable — (c) telemetry's TestFaultReconnectOvertake compares the partition's cursors through it
 func (s *Shard) Watermarks() map[store.Key]int64 { return s.store.Watermarks() }
 
 // LiveTracker returns the shard's live analytics tracker, nil when

@@ -140,6 +140,8 @@ func (e *Emitter) Emit(ts time.Time, minutes []DeviceMinute) Report {
 }
 
 // Recorder reconstructs per-minute series from a stream of reports.
+//
+//homesight:ignore unreachable — (c) the report-by-report reference store.Home is held to (store's TestDeviceSeriesMatchesRecorder, experiments' env_store_test)
 type Recorder struct {
 	start time.Time
 	step  time.Duration
@@ -156,6 +158,8 @@ type deviceRecord struct {
 
 // NewRecorder returns a recorder anchored at start with the given step
 // (one minute for RGW reports).
+//
+//homesight:ignore unreachable — (c) builds that reference for store's TestDeviceSeriesMatchesRecorder and the query and experiments tests
 func NewRecorder(start time.Time, step time.Duration) *Recorder {
 	if step <= 0 {
 		panic("gateway: non-positive step")

@@ -420,3 +420,23 @@ func TestTrackerSkipsReportsBeforeStart(t *testing.T) {
 		}
 	}
 }
+
+// Dominance converts the snapshot into the batch dominance.Result
+// shape: All in descending similarity order, Dominants filtered at φ.
+func (s *HomeSnapshot) Dominance() dominance.Result {
+	res := dominance.Result{All: make([]dominance.Score, 0, len(s.Devices))}
+	for _, d := range s.Devices {
+		res.All = append(res.All, dominance.Score{
+			Device:     d.Device,
+			Similarity: d.Similarity,
+			Euclidean:  d.Euclidean,
+			Traffic:    d.Traffic,
+		})
+	}
+	for _, sc := range res.All {
+		if sc.Similarity > s.Phi {
+			res.Dominants = append(res.Dominants, sc)
+		}
+	}
+	return res
+}

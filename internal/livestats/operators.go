@@ -116,9 +116,6 @@ func (r *RankSketch) Observe(x, y float64) {
 	}
 }
 
-// N returns the number of pairs offered to the reservoir.
-func (r *RankSketch) N() int64 { return r.n }
-
 // Generation counts the changes to the reservoir's contents: it moves on
 // an append or a replacement, and not on a rejected Algorithm R draw —
 // past the cap that is all but cap/n of the stream. Equal generations
@@ -229,12 +226,6 @@ func sketchValue(page, slot int) uint64 {
 	return uint64(sketchPageSize|slot) << (e - sketchPageBits)
 }
 
-// N returns the number of observations consumed.
-func (q *QuantileSketch) N() int64 { return q.n }
-
-// Max returns the largest observation so far, exactly (0 before any).
-func (q *QuantileSketch) Max() uint64 { return q.max }
-
 // Observe consumes one value in O(1).
 func (q *QuantileSketch) Observe(v uint64) {
 	q.n++
@@ -286,18 +277,8 @@ func (q *QuantileSketch) orderPair(k int64) (lo, hi float64) {
 	return lo, lo
 }
 
-// Quantile returns the p-th type-7 sample quantile of the remembered
-// values, read through stats.Interpolate like stats.Quantile. It returns
-// NaN before any observation.
-func (q *QuantileSketch) Quantile(p float64) float64 {
-	if q.n == 0 {
-		return math.NaN()
-	}
-	q.fold()
-	return q.quantile(p)
-}
-
-// quantile is Quantile of a folded, non-empty sketch.
+// quantile is the p-th type-7 sample quantile of a folded, non-empty
+// sketch, read through stats.Interpolate like stats.Quantile.
 func (q *QuantileSketch) quantile(p float64) float64 {
 	h := math.Min(math.Max(p, 0), 1) * float64(q.n-1)
 	k := math.Floor(h)

@@ -471,3 +471,25 @@ func TestQuantileSketchFoldMatchesDirect(t *testing.T) {
 		t.Run(name, func(t *testing.T) { checkFoldMatchesDirect(t, vals) })
 	}
 }
+
+// The sketch accessors below read what only the tests check: the
+// production paths read Whisker and the reservoir's coefficients.
+
+// N returns the number of pairs offered to the reservoir.
+func (r *RankSketch) N() int64 { return r.n }
+
+// N returns the number of observations consumed.
+func (q *QuantileSketch) N() int64 { return q.n }
+
+// Max returns the largest observation so far, exactly (0 before any).
+func (q *QuantileSketch) Max() uint64 { return q.max }
+
+// Quantile returns the p-th type-7 sample quantile of the remembered
+// values. It returns NaN before any observation.
+func (q *QuantileSketch) Quantile(p float64) float64 {
+	if q.n == 0 {
+		return math.NaN()
+	}
+	q.fold()
+	return q.quantile(p)
+}

@@ -53,9 +53,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 

@@ -26,10 +26,9 @@
 // bound counts in that bucket, which is also the Prometheus `le`
 // (less-or-equal) contract.
 //
-// Failure semantics: instruments never block and never fail; a Gauge
-// registered over a callback (GaugeFunc) is read only at render time.
-// The registry renders a point-in-time view — counters read between a
-// hit and its paired accounting line may be transiently ahead of sibling
+// Failure semantics: instruments never block and never fail. The
+// registry renders a point-in-time view — counters read between a hit
+// and its paired accounting line may be transiently ahead of sibling
 // counters, but every increment is eventually visible and nothing is
 // ever lost.
 package obs

@@ -25,7 +25,6 @@ func TestRegistryRenderGolden(t *testing.T) {
 	h.Observe(0.1) // boundary: lands in le="0.1"
 	h.Observe(0.7)
 	h.Observe(5) // overflow: +Inf only
-	reg.GaugeFunc("test_workers", "Busy workers.", func() float64 { return 2 })
 
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
@@ -48,9 +47,6 @@ test_latency_seconds_count 4
 # HELP test_queue_depth Queue depth.
 # TYPE test_queue_depth gauge
 test_queue_depth 3
-# HELP test_workers Busy workers.
-# TYPE test_workers gauge
-test_workers 2
 `
 	if got := b.String(); got != want {
 		t.Errorf("render mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -156,3 +152,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 		t.Errorf("vec = %d, want %d", vec.With("a").Value(), workers*per)
 	}
 }
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() int64 { return h.count.Load() }

@@ -29,7 +29,7 @@ type family struct {
 	label  string // "" for unlabeled families
 	bounds []float64
 
-	series map[string]any // label value -> *Counter | *Gauge | *Histogram | func() float64
+	series map[string]any // label value -> *Counter | *Gauge | *Histogram
 }
 
 // Registry holds metric families and renders them in the Prometheus
@@ -91,17 +91,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		f.series[""] = g
 	}
 	return g
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at render
-// time — for quantities the owner already tracks (queue lengths, map
-// sizes) where mirroring every update into a Gauge would be redundant.
-// Re-registering replaces the callback.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindGauge, "")
-	f.series[""] = fn
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -201,8 +190,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	sort.Strings(names)
 	// Snapshot the family pointers, then render outside the lock:
-	// instruments are atomic, and GaugeFunc callbacks must be free to
-	// take their own locks without deadlocking against registration.
+	// instruments are atomic.
 	fams := make([]*family, len(names))
 	for i, name := range names {
 		fams[i] = r.families[name]
@@ -249,12 +237,6 @@ func (f *family) render(b *strings.Builder) {
 			writeLabels(b, f.label, lv, "", 0)
 			b.WriteByte(' ')
 			b.WriteString(formatFloat(m.Value()))
-			b.WriteByte('\n')
-		case func() float64:
-			b.WriteString(f.name)
-			writeLabels(b, f.label, lv, "", 0)
-			b.WriteByte(' ')
-			b.WriteString(formatFloat(m()))
 			b.WriteByte('\n')
 		case *Histogram:
 			renderHistogram(b, f, lv, m)

@@ -110,9 +110,6 @@ func (l *Logger) With(kv ...any) *Logger {
 	return &child
 }
 
-// Debug emits a debug event.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
 // Info emits an info event.
 func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
 
@@ -221,26 +218,6 @@ func hasControl(s string) bool {
 		}
 	}
 	return false
-}
-
-// Package-level convenience funcs on Default, mirroring the methods.
-
-// Debug emits a debug event on the Default logger.
-func Debug(msg string, kv ...any) { Default.log(LevelDebug, msg, kv) }
-
-// Info emits an info event on the Default logger.
-func Info(msg string, kv ...any) { Default.log(LevelInfo, msg, kv) }
-
-// Warn emits a warning event on the Default logger.
-func Warn(msg string, kv ...any) { Default.log(LevelWarn, msg, kv) }
-
-// Error emits an error event on the Default logger.
-func Error(msg string, kv ...any) { Default.log(LevelError, msg, kv) }
-
-// Fatal emits an error event on the Default logger and exits 1.
-func Fatal(msg string, kv ...any) {
-	Default.log(LevelError, msg, kv)
-	osExit(1)
 }
 
 // With derives from the Default logger.

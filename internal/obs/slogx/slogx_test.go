@@ -8,6 +8,10 @@ import (
 	"time"
 )
 
+// Debug emits a debug event. No program logs below Info, so the method
+// lives with the tests that pin the level filter.
+func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
+
 // fixed installs a deterministic clock for golden-line tests.
 func fixed(l *Logger) *Logger {
 	l.clock = func() time.Time {

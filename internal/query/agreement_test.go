@@ -49,7 +49,8 @@ func TestSummaryOfflineBatchAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env, err := experiments.NewEnv(experiments.WithConfig(cfg), experiments.WithStore(dir))
+	env, err := experiments.NewEnv(experiments.WithHomes(cfg.Homes), experiments.WithWeeks(cfg.Weeks),
+		experiments.WithSeed(cfg.Seed), experiments.WithStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

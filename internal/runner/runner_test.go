@@ -168,7 +168,11 @@ func TestEngineObsMetrics(t *testing.T) {
 		t.Errorf("timeouts = %d, want 1", n)
 	}
 	for _, id := range []string{"ok", "boom", "slow"} {
-		if n := eng.Obs.Durations.With(id).Count(); n != 1 {
+		var n int64
+		for _, c := range eng.Obs.Durations.With(id).BucketCounts() {
+			n += c
+		}
+		if n != 1 {
 			t.Errorf("duration observations for %s = %d, want 1", id, n)
 		}
 	}

@@ -63,19 +63,3 @@ func NewBoxplot(xs []float64, k float64) (Boxplot, error) {
 	}
 	return b, nil
 }
-
-// WithoutOutliers returns the subset of xs that lies within the whiskers of
-// its own boxplot — the paper's "boxplot without outliers" view (Fig. 1d).
-func WithoutOutliers(xs []float64, k float64) []float64 {
-	b, err := NewBoxplot(xs, k)
-	if err != nil {
-		return nil
-	}
-	kept := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if x >= b.LowerWhisker && x <= b.UpperWhisker {
-			kept = append(kept, x)
-		}
-	}
-	return kept
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"homesight/internal/stats"
-	"homesight/internal/stats/dist"
 )
 
 // ACF returns the sample autocorrelation function of x at lags 0..maxLag
@@ -84,22 +83,4 @@ func WhiteNoiseBound(n int) float64 {
 		return math.Inf(1)
 	}
 	return 1.959963985 / math.Sqrt(float64(n))
-}
-
-// LjungBox performs the Ljung–Box portmanteau test that the first `lags`
-// autocorrelations of x are jointly zero. It returns the Q statistic and
-// its p-value from the chi-squared distribution with `lags` degrees of
-// freedom.
-func LjungBox(x []float64, lags int) (q, pValue float64, err error) {
-	n := len(x)
-	if n <= lags || lags < 1 {
-		return 0, 0, ErrTooShort
-	}
-	acf := ACF(x, lags)
-	for k := 1; k <= lags; k++ {
-		q += acf[k] * acf[k] / float64(n-k)
-	}
-	q *= float64(n) * float64(n+2)
-	pValue = dist.ChiSquared{DF: float64(lags)}.Survival(q)
-	return q, pValue, nil
 }

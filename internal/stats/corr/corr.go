@@ -1,8 +1,7 @@
 // Package corr implements the three correlation coefficients the paper's
 // similarity measure is built on — Pearson's r, Spearman's ρ and Kendall's
-// τ-b — together with their significance tests, plus autocorrelation,
-// cross-correlation and the Ljung–Box portmanteau test used in the
-// preliminary analysis (Sec. 4.2).
+// τ-b — together with their significance tests, plus the autocorrelation
+// and cross-correlation used in the preliminary analysis (Sec. 4.2).
 package corr
 
 import (

@@ -260,75 +260,3 @@ func TestWhiteNoiseBound(t *testing.T) {
 		t.Error("bound for n=0 should be +Inf")
 	}
 }
-
-func TestLjungBox(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// White noise: should not reject.
-	wn := make([]float64, 400)
-	for i := range wn {
-		wn[i] = rng.NormFloat64()
-	}
-	_, p, err := LjungBox(wn, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.01 {
-		t.Errorf("white noise rejected with p=%g", p)
-	}
-	// Strongly autocorrelated series: should reject decisively.
-	ar := make([]float64, 400)
-	for i := 1; i < len(ar); i++ {
-		ar[i] = 0.95*ar[i-1] + 0.05*rng.NormFloat64()
-	}
-	_, p2, err := LjungBox(ar, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 > 1e-6 {
-		t.Errorf("AR series not rejected, p=%g", p2)
-	}
-	if _, _, err := LjungBox([]float64{1, 2}, 5); err != ErrTooShort {
-		t.Errorf("want ErrTooShort, got %v", err)
-	}
-}
-
-func TestPACFOfARProcess(t *testing.T) {
-	// AR(1) with phi=0.8: PACF(1) ~ 0.8, PACF(k>1) ~ 0 — the classic
-	// cut-off signature.
-	rng := rand.New(rand.NewSource(8))
-	n := 20000
-	x := make([]float64, n)
-	for i := 1; i < n; i++ {
-		x[i] = 0.8*x[i-1] + rng.NormFloat64()
-	}
-	pacf := PACF(x, 5)
-	approx(t, "pacf(1)", pacf[0], 0.8, 0.05)
-	for k := 1; k < 5; k++ {
-		if math.Abs(pacf[k]) > 0.05 {
-			t.Errorf("pacf(%d) = %g, want ~0 (AR(1) cut-off)", k+1, pacf[k])
-		}
-	}
-}
-
-func TestPACFFirstLagEqualsACF(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := make([]float64, 500)
-	for i := 1; i < len(x); i++ {
-		x[i] = 0.5*x[i-1] + rng.NormFloat64()
-	}
-	acf := ACF(x, 1)
-	pacf := PACF(x, 1)
-	approx(t, "pacf(1)=acf(1)", pacf[0], acf[1], 1e-12)
-	if PACF(x, 0) != nil {
-		t.Error("maxLag < 1 should return nil")
-	}
-}
-
-func TestPACFDegenerateSeries(t *testing.T) {
-	// A constant series must not panic or emit NaNs.
-	for _, v := range PACF([]float64{7, 7, 7, 7, 7}, 3) {
-		if math.IsNaN(v) {
-			t.Error("NaN in degenerate PACF")
-		}
-	}
-}

@@ -59,34 +59,6 @@ func PopVariance(xs []float64) float64 {
 	return ss / float64(n)
 }
 
-// Min returns the smallest value in xs, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value in xs, or NaN for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0
@@ -148,35 +120,6 @@ func quantileRank(n int, p float64) (lo int, frac float64) {
 // rounding, so it does not change shape without them.
 func Interpolate(lo, hi, frac float64) float64 { return min(hi, lo+frac*(hi-lo)) }
 
-// Summary bundles the five-number summary plus moments of a sample.
-type Summary struct {
-	N               int
-	Mean, StdDev    float64
-	Min, Q1, Median float64
-	Q3, Max         float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    sorted[0],
-		Q1:     quantileSorted(sorted, 0.25),
-		Median: quantileSorted(sorted, 0.5),
-		Q3:     quantileSorted(sorted, 0.75),
-		Max:    sorted[len(sorted)-1],
-	}, nil
-}
-
 // ZScores returns the z-normalized copy of xs: (x - mean) / stddev.
 // If the standard deviation is zero (constant series) it returns a slice of
 // zeros, which keeps downstream correlation code well-defined.
@@ -194,38 +137,4 @@ func ZScores(xs []float64) []float64 {
 		out[i] = (x - m) / sd
 	}
 	return out
-}
-
-// Ranks returns the fractional ranks of xs (1-based, ties receive the
-// average rank), the form required by Spearman's correlation. -0 and +0
-// tie. A NaN has no rank and leaves none well-defined for the rest: if xs
-// holds one, every rank is NaN.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	ranks := make([]float64, n)
-	perm := make([]uint32, n)
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	var o Order
-	if !o.Argsort(xs, perm) {
-		for i := range ranks {
-			ranks[i] = math.NaN()
-		}
-		return ranks
-	}
-	keys := o.Keys()
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && keys[j+1] == keys[i] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[perm[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -188,13 +189,6 @@ func TestHistogram(t *testing.T) {
 	if h.Total != 5 {
 		t.Errorf("total = %d, want 5", h.Total)
 	}
-	// Density integrates to 1 over in-range data.
-	sum := 0.0
-	for i := range h.Counts {
-		sum += h.Density(i) * h.Width
-	}
-	approx(t, "density integral", sum, 1, 1e-12)
-	approx(t, "bin center", h.BinCenter(0), 0.25, 1e-12)
 }
 
 func TestAutoHistogram(t *testing.T) {
@@ -233,10 +227,12 @@ func TestKDE(t *testing.T) {
 		t.Error("density should decay away from the mode")
 	}
 	// Integral over a wide grid should be ~1.
-	gx, gy := k.Evaluate(-6, 6, 601)
+	const lo, hi, n = -6.0, 6.0, 601
+	step := (hi - lo) / (n - 1)
 	sum := 0.0
-	for i := 1; i < len(gx); i++ {
-		sum += (gy[i] + gy[i-1]) / 2 * (gx[i] - gx[i-1])
+	for i := 1; i < n; i++ {
+		x0, x1 := lo+float64(i-1)*step, lo+float64(i)*step
+		sum += (k.PDF(x0) + k.PDF(x1)) / 2 * step
 	}
 	approx(t, "integral", sum, 1, 0.01)
 	if NewKDE(nil, 0) != nil {
@@ -269,4 +265,109 @@ func TestFitZipf(t *testing.T) {
 	if got := FitZipf([]float64{-1, 0}); got.N != 0 {
 		t.Errorf("non-positive values should be ignored, got N=%d", got.N)
 	}
+}
+
+// The helpers below have no caller in any program; only these tests use
+// them.
+
+// Min returns the smallest value in xs, or NaN for an empty slice.
+func Min(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Max returns the largest value in xs, or NaN for an empty slice.
+func Max(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// WithoutOutliers returns the subset of xs that lies within the whiskers of
+// its own boxplot — the paper's "boxplot without outliers" view (Fig. 1d).
+func WithoutOutliers(xs []float64, k float64) []float64 {
+	b, err := NewBoxplot(xs, k)
+	if err != nil {
+		return nil
+	}
+	kept := make([]float64, 0, len(xs))
+	for _, x := range xs {
+		if x >= b.LowerWhisker && x <= b.UpperWhisker {
+			kept = append(kept, x)
+		}
+	}
+	return kept
+}
+
+// Summary bundles the five-number summary plus moments of a sample.
+type Summary struct {
+	N               int
+	Mean, StdDev    float64
+	Min, Q1, Median float64
+	Q3, Max         float64
+}
+
+// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
+// sample.
+func Summarize(xs []float64) (Summary, error) {
+	if len(xs) == 0 {
+		return Summary{}, ErrEmpty
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return Summary{
+		N:      len(xs),
+		Mean:   Mean(xs),
+		StdDev: StdDev(xs),
+		Min:    sorted[0],
+		Q1:     quantileSorted(sorted, 0.25),
+		Median: quantileSorted(sorted, 0.5),
+		Q3:     quantileSorted(sorted, 0.75),
+		Max:    sorted[len(sorted)-1],
+	}, nil
+}
+
+// AutoHistogram bins xs using the Freedman–Diaconis rule for the bin width,
+// falling back to Sturges' rule when the IQR is degenerate. It returns nil
+// for an empty sample.
+func AutoHistogram(xs []float64) *Histogram {
+	if len(xs) == 0 {
+		return nil
+	}
+	lo, hi := Min(xs), Max(xs)
+	if lo == hi { //homesight:ignore float-eq — degenerate-range sentinel is exact
+		hi = lo + 1
+	}
+	b, _ := NewBoxplot(xs, DefaultWhiskerK)
+	n := float64(len(xs))
+	width := 2 * b.IQR / math.Cbrt(n)
+	var bins int
+	if width > 0 {
+		bins = int(math.Ceil((hi - lo) / width))
+	} else {
+		bins = int(math.Ceil(math.Log2(n))) + 1
+	}
+	if bins < 1 {
+		bins = 1
+	}
+	if bins > 10000 {
+		bins = 10000
+	}
+	return NewHistogram(xs, lo, hi, bins)
 }

@@ -1,11 +1,12 @@
-// Package dist provides the probability distributions needed by the
-// homesight hypothesis tests: Normal, Student's t, Chi-squared, F,
-// Kolmogorov, and Zipf. Each distribution exposes CDF and survival
-// functions; the continuous ones also expose densities and quantiles.
+// Package dist provides the probability distributions the homesight
+// hypothesis tests read: the Normal (survival and quantile), Student's t
+// (the two-sided p-value of a correlation coefficient) and the asymptotic
+// Kolmogorov distribution of the KS statistic.
 //
 // The implementations are exact transcriptions of the classical identities
-// in terms of the regularized incomplete beta and gamma functions (package
-// specfn) and are validated against published reference values in the tests.
+// in terms of the error function and the regularized incomplete beta
+// function (package specfn) and are validated against published reference
+// values in the tests.
 package dist
 
 import (
@@ -24,17 +25,6 @@ type Normal struct {
 // StdNormal is the standard normal distribution N(0, 1).
 var StdNormal = Normal{Mu: 0, Sigma: 1}
 
-// PDF returns the density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-z*z/2) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF returns P(X <= x).
-func (n Normal) CDF(x float64) float64 {
-	return 0.5 * specfn.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
 // Survival returns P(X > x) with full precision in the upper tail.
 func (n Normal) Survival(x float64) float64 {
 	return 0.5 * specfn.Erfc((x-n.Mu)/(n.Sigma*math.Sqrt2))
@@ -50,104 +40,11 @@ type StudentsT struct {
 	DF float64
 }
 
-// PDF returns the density at x.
-func (t StudentsT) PDF(x float64) float64 {
-	v := t.DF
-	return math.Exp(-(v+1)/2*math.Log(1+x*x/v) - 0.5*math.Log(v) - specfn.LogBeta(0.5, v/2))
-}
-
-// CDF returns P(T <= x) via the incomplete beta identity.
-func (t StudentsT) CDF(x float64) float64 {
-	if x == 0 {
-		return 0.5
-	}
-	v := t.DF
-	ib := specfn.RegIncBeta(v/2, 0.5, v/(v+x*x))
-	if x > 0 {
-		return 1 - ib/2
-	}
-	return ib / 2
-}
-
-// Survival returns P(T > x).
-func (t StudentsT) Survival(x float64) float64 { return t.CDF(-x) }
-
 // TwoSidedP returns P(|T| >= |x|), the two-sided p-value for statistic x.
 func (t StudentsT) TwoSidedP(x float64) float64 {
 	v := t.DF
 	return specfn.RegIncBeta(v/2, 0.5, v/(v+x*x))
 }
-
-// Quantile returns the value q such that CDF(q) = p.
-func (t StudentsT) Quantile(p float64) float64 {
-	if p == 0.5 { //homesight:ignore float-eq — exact median short-circuit
-		return 0
-	}
-	v := t.DF
-	// Invert the incomplete beta identity used in CDF.
-	var tail float64
-	if p > 0.5 {
-		tail = 2 * (1 - p)
-	} else {
-		tail = 2 * p
-	}
-	x := specfn.InvRegIncBeta(v/2, 0.5, tail)
-	q := math.Sqrt(v*(1-x)/x + 0)
-	if x == 0 {
-		q = math.Inf(1)
-	}
-	if p < 0.5 {
-		return -q
-	}
-	return q
-}
-
-// ChiSquared is the chi-squared distribution with DF degrees of freedom.
-type ChiSquared struct {
-	DF float64
-}
-
-// PDF returns the density at x.
-func (c ChiSquared) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	k := c.DF / 2
-	lg, _ := math.Lgamma(k)
-	return math.Exp((k-1)*math.Log(x) - x/2 - k*math.Ln2 - lg)
-}
-
-// CDF returns P(X <= x).
-func (c ChiSquared) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return specfn.RegLowerIncGamma(c.DF/2, x/2)
-}
-
-// Survival returns P(X > x).
-func (c ChiSquared) Survival(x float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return specfn.RegUpperIncGamma(c.DF/2, x/2)
-}
-
-// F is the F distribution with D1 and D2 degrees of freedom.
-type F struct {
-	D1, D2 float64
-}
-
-// CDF returns P(X <= x).
-func (f F) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return specfn.RegIncBeta(f.D1/2, f.D2/2, f.D1*x/(f.D1*x+f.D2))
-}
-
-// Survival returns P(X > x).
-func (f F) Survival(x float64) float64 { return 1 - f.CDF(x) }
 
 // Kolmogorov is the asymptotic Kolmogorov distribution of the scaled
 // Kolmogorov–Smirnov statistic sqrt(n) * D_n.
@@ -186,51 +83,3 @@ func (Kolmogorov) CDF(x float64) float64 {
 
 // Survival returns P(K > x).
 func (k Kolmogorov) Survival(x float64) float64 { return 1 - k.CDF(x) }
-
-// Zipf is the Zipf distribution over ranks {1, ..., N} with exponent S:
-// P(X = k) proportional to k^(-S). It models the heavy concentration of
-// low traffic values observed in the wireless traces (Sec. 4.1 of the
-// paper).
-type Zipf struct {
-	S float64
-	N int
-
-	// norm caches the normalization constant H_{N,S}.
-	norm float64
-}
-
-// NewZipf returns a Zipf distribution with exponent s over n ranks.
-// It panics if s <= 0 or n < 1.
-func NewZipf(s float64, n int) *Zipf {
-	if s <= 0 || n < 1 {
-		panic("dist: NewZipf requires s > 0 and n >= 1")
-	}
-	z := &Zipf{S: s, N: n}
-	for k := 1; k <= n; k++ {
-		z.norm += math.Pow(float64(k), -s)
-	}
-	return z
-}
-
-// PMF returns P(X = k); zero outside {1, ..., N}.
-func (z *Zipf) PMF(k int) float64 {
-	if k < 1 || k > z.N {
-		return 0
-	}
-	return math.Pow(float64(k), -z.S) / z.norm
-}
-
-// CDF returns P(X <= k).
-func (z *Zipf) CDF(k int) float64 {
-	if k < 1 {
-		return 0
-	}
-	if k > z.N {
-		k = z.N
-	}
-	sum := 0.0
-	for i := 1; i <= k; i++ {
-		sum += math.Pow(float64(i), -z.S)
-	}
-	return sum / z.norm
-}

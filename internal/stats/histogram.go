@@ -34,46 +34,3 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
 	}
 	return h
 }
-
-// AutoHistogram bins xs using the Freedman–Diaconis rule for the bin width,
-// falling back to Sturges' rule when the IQR is degenerate. It returns nil
-// for an empty sample.
-func AutoHistogram(xs []float64) *Histogram {
-	if len(xs) == 0 {
-		return nil
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi { //homesight:ignore float-eq — degenerate-range sentinel is exact
-		hi = lo + 1
-	}
-	b, _ := NewBoxplot(xs, DefaultWhiskerK)
-	n := float64(len(xs))
-	width := 2 * b.IQR / math.Cbrt(n)
-	var bins int
-	if width > 0 {
-		bins = int(math.Ceil((hi - lo) / width))
-	} else {
-		bins = int(math.Ceil(math.Log2(n))) + 1
-	}
-	if bins < 1 {
-		bins = 1
-	}
-	if bins > 10000 {
-		bins = 10000
-	}
-	return NewHistogram(xs, lo, hi, bins)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
-// Density returns the normalized density of bin i, so that the histogram
-// integrates to 1 over observations inside the range.
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(h.Total) * h.Width)
-}

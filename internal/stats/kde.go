@@ -45,9 +45,6 @@ func SilvermanBandwidth(xs []float64) float64 {
 	return 0.9 * spread * math.Pow(float64(len(xs)), -0.2)
 }
 
-// Bandwidth returns the bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // PDF returns the estimated density at x.
 func (k *KDE) PDF(x float64) float64 {
 	const invSqrt2Pi = 0.3989422804014327
@@ -57,20 +54,4 @@ func (k *KDE) PDF(x float64) float64 {
 		sum += math.Exp(-z * z / 2)
 	}
 	return sum * invSqrt2Pi / (float64(len(k.sample)) * k.bandwidth)
-}
-
-// Evaluate returns the density on a regular grid of n points over [lo, hi].
-// It panics if n < 2.
-func (k *KDE) Evaluate(lo, hi float64, n int) (xs, ys []float64) {
-	if n < 2 {
-		panic("stats: KDE.Evaluate requires n >= 2")
-	}
-	xs = make([]float64, n)
-	ys = make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range xs {
-		xs[i] = lo + float64(i)*step
-		ys[i] = k.PDF(xs[i])
-	}
-	return xs, ys
 }

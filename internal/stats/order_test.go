@@ -180,3 +180,40 @@ func TestSortMatchesSortFloat64s(t *testing.T) {
 		}
 	}
 }
+
+// Ranks is the fractional-rank reference the Order kernel is tested
+// through; corr ranks its own windows (corr.Ranked).
+//
+// Ranks returns the fractional ranks of xs (1-based, ties receive the
+// average rank), the form required by Spearman's correlation. -0 and +0
+// tie. A NaN has no rank and leaves none well-defined for the rest: if xs
+// holds one, every rank is NaN.
+func Ranks(xs []float64) []float64 {
+	n := len(xs)
+	ranks := make([]float64, n)
+	perm := make([]uint32, n)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	var o Order
+	if !o.Argsort(xs, perm) {
+		for i := range ranks {
+			ranks[i] = math.NaN()
+		}
+		return ranks
+	}
+	keys := o.Keys()
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && keys[j+1] == keys[i] {
+			j++
+		}
+		// Average rank for the tie group [i, j].
+		avg := float64(i+j)/2 + 1
+		for k := i; k <= j; k++ {
+			ranks[perm[k]] = avg
+		}
+		i = j + 1
+	}
+	return ranks
+}

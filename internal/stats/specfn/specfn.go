@@ -1,7 +1,7 @@
 // Package specfn implements the special functions that underpin the
 // statistical distributions used throughout homesight: the regularized
-// incomplete beta and gamma functions, the log-beta function, and inverse
-// helpers. The implementations follow the classical continued-fraction and
+// incomplete beta function, the log-beta function and the inverse error
+// function. The implementations follow the classical continued-fraction and
 // series expansions (Abramowitz & Stegun; Numerical Recipes) and use only
 // the standard library.
 package specfn
@@ -103,124 +103,6 @@ func betaCF(a, b, x float64) float64 {
 	// probability so a tiny convergence residue is harmless.
 	return h
 }
-
-// InvRegIncBeta returns x such that RegIncBeta(a, b, x) = p, computed by
-// bisection refined with Newton steps. p must lie in [0, 1].
-func InvRegIncBeta(a, b, p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return 1
-	}
-	lo, hi := 0.0, 1.0
-	x := 0.5
-	for i := 0; i < 200; i++ {
-		v := RegIncBeta(a, b, x)
-		if math.Abs(v-p) < 1e-12 {
-			return x
-		}
-		if v < p {
-			lo = x
-		} else {
-			hi = x
-		}
-		// Newton step using the beta density as the derivative.
-		dens := math.Exp((a-1)*math.Log(x) + (b-1)*math.Log(1-x) - LogBeta(a, b))
-		next := x
-		if dens > 0 {
-			next = x - (v-p)/dens
-		}
-		if next <= lo || next >= hi || math.IsNaN(next) {
-			next = (lo + hi) / 2
-		}
-		x = next
-	}
-	return x
-}
-
-// RegLowerIncGamma returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x)/Γ(a), the CDF of the Gamma(a, 1) distribution.
-func RegLowerIncGamma(a, x float64) float64 {
-	switch {
-	case a <= 0:
-		panic("specfn: RegLowerIncGamma requires a > 0")
-	case math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
-// RegUpperIncGamma returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func RegUpperIncGamma(a, x float64) float64 {
-	switch {
-	case a <= 0:
-		panic("specfn: RegUpperIncGamma requires a > 0")
-	case math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaCF(a, x)
-}
-
-// gammaSeries evaluates P(a, x) by its power series, valid for x < a+1.
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < maxIterations; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*epsilon {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// gammaCF evaluates Q(a, x) by continued fraction, valid for x >= a+1.
-func gammaCF(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / fpMin
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIterations; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpMin {
-			d = fpMin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpMin {
-			c = fpMin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < epsilon {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// Erf is the error function. It simply forwards to math.Erf and exists so
-// that the dist package depends on a single special-function provider.
-func Erf(x float64) float64 { return math.Erf(x) }
 
 // Erfc is the complementary error function.
 func Erfc(x float64) float64 { return math.Erfc(x) }

@@ -2,14 +2,12 @@
 // framework relies on: the two-sample Kolmogorov–Smirnov test (the
 // distribution-similarity half of strong stationarity, Def. 2), the
 // Augmented Dickey–Fuller and KPSS unit-root tests used in the preliminary
-// analysis (Sec. 4.2), and a Jarque–Bera normality test (used to document
-// why SAX's normality assumption fails on traffic data, Sec. 2).
+// analysis (Sec. 4.2).
 package tests
 
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"homesight/internal/stats/dist"
 )
@@ -31,16 +29,11 @@ type KSResult struct {
 // rejected at level alpha.
 func (r KSResult) Rejected(alpha float64) bool { return r.PValue < alpha }
 
-// KolmogorovSmirnov performs the two-sample KS test of H0: x and y are drawn
-// from the same distribution. The p-value uses the asymptotic Kolmogorov
+// KolmogorovSmirnovSorted performs the two-sample KS test of H0: xs and
+// ys are drawn from the same distribution. Both samples must be in
+// ascending order; a caller comparing k samples pairwise sorts each once
+// instead of k-1 times. The p-value uses the asymptotic Kolmogorov
 // distribution with the Numerical-Recipes finite-sample correction.
-func KolmogorovSmirnov(x, y []float64) (KSResult, error) {
-	return KolmogorovSmirnovSorted(sortedCopy(x), sortedCopy(y))
-}
-
-// KolmogorovSmirnovSorted is KolmogorovSmirnov for samples already in
-// ascending order; a caller comparing k samples pairwise sorts each
-// once instead of k-1 times.
 func KolmogorovSmirnovSorted(xs, ys []float64) (KSResult, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		return KSResult{}, ErrTooShort
@@ -70,11 +63,4 @@ func KolmogorovSmirnovSorted(xs, ys []float64) (KSResult, error) {
 	stat := (sq + 0.12 + 0.11/sq) * d
 	p := dist.Kolmogorov{}.Survival(stat)
 	return KSResult{D: d, PValue: p, N1: n1, N2: n2}, nil
-}
-
-func sortedCopy(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }

@@ -3,6 +3,7 @@ package tests
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -203,68 +204,15 @@ func TestKPSSConstantSeries(t *testing.T) {
 	}
 }
 
-func TestJarqueBeraNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	r, err := JarqueBera(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Rejected(0.01) {
-		t.Errorf("normal sample rejected: %+v", r)
-	}
-	if math.Abs(r.Skew) > 0.2 || math.Abs(r.Kurtosis) > 0.4 {
-		t.Errorf("moments off for normal sample: %+v", r)
-	}
+// KolmogorovSmirnov is KolmogorovSmirnovSorted on unsorted samples, the
+// entry the tests drive.
+func KolmogorovSmirnov(x, y []float64) (KSResult, error) {
+	return KolmogorovSmirnovSorted(sortedCopy(x), sortedCopy(y))
 }
 
-func TestJarqueBeraHeavyTail(t *testing.T) {
-	// Zipf-like heavy-tailed data must be decisively non-normal — the
-	// paper's argument against SAX.
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = math.Pow(rng.Float64(), -1.3) // Pareto tail
-	}
-	r, err := JarqueBera(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Rejected(1e-6) {
-		t.Errorf("heavy-tailed sample not rejected: %+v", r)
-	}
-	// z-normalization does not rescue normality (paper, Sec. 2).
-	mean, sd := 0.0, 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		sd += (x - mean) * (x - mean)
-	}
-	sd = math.Sqrt(sd / float64(len(xs)))
-	zs := make([]float64, len(xs))
-	for i, x := range xs {
-		zs[i] = (x - mean) / sd
-	}
-	rz, _ := JarqueBera(zs)
-	if !rz.Rejected(1e-6) {
-		t.Error("z-normalized heavy-tailed sample should still be non-normal")
-	}
-}
-
-func TestJarqueBeraDegenerate(t *testing.T) {
-	r, err := JarqueBera([]float64{2, 2, 2, 2, 2, 2, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.PValue != 0 {
-		t.Errorf("constant sample p = %g, want 0", r.PValue)
-	}
-	if _, err := JarqueBera([]float64{1, 2}); err != ErrTooShort {
-		t.Errorf("want ErrTooShort, got %v", err)
-	}
+func sortedCopy(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	copy(out, xs)
+	sort.Float64s(out)
+	return out
 }

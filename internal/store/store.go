@@ -23,7 +23,7 @@
 //
 // Durability contract: a report is recoverable once Append returns and
 // the WAL has been fsynced (immediately under SyncAlways, within
-// SyncEvery under SyncInterval, at Close under SyncNever). Recovery
+// 100 ms under SyncInterval, at Close under SyncNever). Recovery
 // replays every intact WAL record through the same watermark-dedup
 // path as live appends, so replaying a WAL whose segment already
 // landed — the crash window between flush and WAL deletion — yields
@@ -58,8 +58,8 @@ var ErrNoGateway = errors.New("store: report without gateway id")
 type SyncPolicy int
 
 const (
-	// SyncInterval (the default) fsyncs at most once per
-	// Config.SyncEvery from a background ticker: group commit. A power
+	// SyncInterval (the default) fsyncs at most once per syncEvery
+	// from a background ticker: group commit. A power
 	// cut loses at most the last interval; a process kill loses nothing
 	// past the last buffer flush.
 	SyncInterval SyncPolicy = iota
@@ -80,10 +80,8 @@ type Config struct {
 	// existing anchor wins over the config.
 	Start time.Time
 	Step  time.Duration
-	// Sync is the WAL fsync policy; SyncEvery is the group-commit
-	// interval under SyncInterval (default 100ms).
-	Sync      SyncPolicy
-	SyncEvery time.Duration
+	// Sync is the WAL fsync policy.
+	Sync SyncPolicy
 	// FlushPoints triggers a background flush once the active memtable
 	// holds this many points (default 1<<19). BlockPoints is the
 	// segment block size (default 1024).
@@ -105,9 +103,6 @@ func (c Config) withDefaults() Config {
 	c.Start = c.Start.UTC()
 	if c.Step <= 0 {
 		c.Step = time.Minute
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 100 * time.Millisecond
 	}
 	if c.FlushPoints <= 0 {
 		c.FlushPoints = 1 << 19
@@ -713,10 +708,13 @@ func (s *Store) flusher() {
 	}
 }
 
+// syncEvery is the group-commit interval under SyncInterval.
+const syncEvery = 100 * time.Millisecond
+
 // syncer is the SyncInterval group-commit loop.
 func (s *Store) syncer() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -68,10 +68,6 @@ func (w *walWriter) write(records []byte) error {
 	return nil
 }
 
-// flush pushes the buffer to the kernel (survives a process kill, not a
-// power cut).
-func (w *walWriter) flush() error { return w.bw.Flush() }
-
 // sync flushes and fsyncs (survives a power cut).
 func (w *walWriter) sync() error {
 	if err := w.bw.Flush(); err != nil {

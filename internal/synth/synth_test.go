@@ -214,7 +214,12 @@ func TestZipfianValueDistribution(t *testing.T) {
 	// values (active traffic looks like outliers).
 	d := NewDeployment(smallCfg())
 	h := d.Home(1)
-	obs := h.Overall().Observed()
+	var obs []float64
+	for _, v := range h.Overall().Values {
+		if !math.IsNaN(v) {
+			obs = append(obs, v)
+		}
+	}
 	fit := stats.FitZipf(obs)
 	if fit.R2 < 0.75 {
 		t.Errorf("rank-value power-law fit R2 = %.3f, want > 0.75", fit.R2)

@@ -60,30 +60,6 @@ func (h *Home) Overall() *timeseries.Series {
 	return h.overall
 }
 
-// ConnectedCount returns the number of devices with non-zero traffic per
-// minute — the "number of connected devices" series whose correlation with
-// overall traffic the paper finds to be low but significant (Sec. 4.2c).
-func (h *Home) ConnectedCount() *timeseries.Series {
-	n := h.cfg.Minutes()
-	vals := make([]float64, n)
-	for m := range vals {
-		if h.offline[m] {
-			vals[m] = math.NaN()
-		}
-	}
-	for _, dt := range h.Traffic() {
-		for m := 0; m < n; m++ {
-			if h.offline[m] {
-				continue
-			}
-			if v := dt.In.Values[m]; !math.IsNaN(v) && v+dt.Out.Values[m] > 0 {
-				vals[m]++
-			}
-		}
-	}
-	return timeseries.New(h.cfg.Start, timeseries.Minute, vals)
-}
-
 // generateDevice synthesizes one device's minute-level in/out traffic.
 //
 // The model is an on/off session process modulated by the home archetype's

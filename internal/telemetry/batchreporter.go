@@ -140,13 +140,6 @@ func (b *BatchReporter) attach(conn net.Conn) {
 	b.br = bufio.NewReaderSize(conn, 64)
 }
 
-// Stats returns a snapshot of the reporter's delivery accounting.
-func (b *BatchReporter) Stats() BatchReporterStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
-
 // Send delivers one batch of reports as a single frame, retrying over
 // reconnects within the dial-attempt budget. On success the frame has
 // been flushed to the socket and joined the unacked window — it cannot

@@ -8,6 +8,8 @@
 // exercises the full stack on both ends: the reporter's reconnect and
 // replay paths, and the shard's frame rejection, accounting and
 // deadline paths.
+//
+//homesight:ignore unreachable — (c) telemetry's TestFault* suite and fleet's TestFaultShardKill inject their faults through it
 package faultnet
 
 import (

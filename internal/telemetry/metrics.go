@@ -33,16 +33,6 @@ type CacheSnapshot struct {
 // Lookups is the total number of lookups observed.
 func (s CacheSnapshot) Lookups() int64 { return s.Hits + s.Misses + s.BuildWaits }
 
-// HitRate is the fraction of lookups served from the cache without
-// blocking (0 when the cache was never consulted).
-func (s CacheSnapshot) HitRate() float64 {
-	n := s.Lookups()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(n)
-}
-
 // ExperimentMetrics is the per-experiment slice of a run report.
 type ExperimentMetrics struct {
 	ID      string  `json:"id"`

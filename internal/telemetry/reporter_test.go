@@ -192,3 +192,10 @@ func TestReporterDialAttemptBudget(t *testing.T) {
 		t.Errorf("stats %+v: want write errors and no batch sent", st)
 	}
 }
+
+// Stats returns a snapshot of the reporter's delivery accounting.
+func (b *BatchReporter) Stats() BatchReporterStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stats
+}

@@ -17,7 +17,6 @@ import (
 // patterns are framed on.
 const (
 	Minute = time.Minute
-	Hour   = time.Hour
 	Day    = 24 * time.Hour
 	Week   = 7 * Day
 )
@@ -44,11 +43,6 @@ func New(start time.Time, step time.Duration, values []float64) *Series {
 		panic("timeseries: non-positive step")
 	}
 	return &Series{Start: start.UTC(), Step: step, Values: values}
-}
-
-// Zeros returns a Series of n zeros.
-func Zeros(start time.Time, step time.Duration, n int) *Series {
-	return New(start, step, make([]float64, n))
 }
 
 // Len returns the number of observations.
@@ -115,17 +109,6 @@ func (s *Series) ObservedCount() int {
 		}
 	}
 	return n
-}
-
-// Observed returns the non-missing values, preserving order.
-func (s *Series) Observed() []float64 {
-	out := make([]float64, 0, len(s.Values))
-	for _, v := range s.Values {
-		if !math.IsNaN(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // FillMissing returns a copy with NaNs replaced by fill. Gateway counters

@@ -19,16 +19,16 @@ func minuteSeries(start time.Time, days int) *Series {
 }
 
 func TestWindowSpecValidate(t *testing.T) {
-	ok := WeeklySpec(8*Hour, 2*Hour)
+	ok := WeeklySpec(8*time.Hour, 2*time.Hour)
 	if err := ok.Validate(Minute); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	bad := []WindowSpec{
 		{Period: Day, Bin: 0},
-		{Period: Day, Bin: 90 * time.Second},             // not multiple of minute step
-		{Period: Day, Bin: 7 * Hour},                     // does not divide period
-		{Period: Day, Bin: Hour, PhaseOffset: -Hour},     // negative phase
-		{Period: Day, Bin: Hour, PhaseOffset: 25 * Hour}, // phase >= period
+		{Period: Day, Bin: 90 * time.Second},                       // not multiple of minute step
+		{Period: Day, Bin: 7 * time.Hour},                          // does not divide period
+		{Period: Day, Bin: time.Hour, PhaseOffset: -time.Hour},     // negative phase
+		{Period: Day, Bin: time.Hour, PhaseOffset: 25 * time.Hour}, // phase >= period
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(Minute); !errors.Is(err, ErrStep) {
@@ -39,7 +39,7 @@ func TestWindowSpecValidate(t *testing.T) {
 
 func TestDailyWindows(t *testing.T) {
 	s := minuteSeries(mon, 3)
-	ws := DailySpec(3 * Hour)
+	ws := DailySpec(3 * time.Hour)
 	wins, err := ws.Windows(s)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestWeeklyWindowsMondayAlignment(t *testing.T) {
 	// begins the following Monday.
 	wed := mon.AddDate(0, 0, 2)
 	s := minuteSeries(wed, 16)
-	ws := WeeklySpec(8*Hour, 0)
+	ws := WeeklySpec(8*time.Hour, 0)
 	wins, err := ws.Windows(s)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestWeeklyWindowsMondayAlignment(t *testing.T) {
 func TestWeeklyWindowsPhaseOffset(t *testing.T) {
 	// The paper's winning weekly aggregation: 8h bins starting at 2am.
 	s := minuteSeries(mon, 15)
-	ws := WeeklySpec(8*Hour, 2*Hour)
+	ws := WeeklySpec(8*time.Hour, 2*time.Hour)
 	wins, err := ws.Windows(s)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestWeeklyWindowsPhaseOffset(t *testing.T) {
 	}
 	// Since the series itself starts at Monday 00:00, the first 2h-shifted
 	// window starts the same Monday at 02:00.
-	if !w0.Start.Equal(mon.Add(2 * Hour)) {
+	if !w0.Start.Equal(mon.Add(2 * time.Hour)) {
 		t.Errorf("start = %v", w0.Start)
 	}
 }
@@ -118,7 +118,7 @@ func TestWindowsObservedAndWeekend(t *testing.T) {
 	// Saturday 2014-03-22.
 	sat := mon.AddDate(0, 0, 5)
 	s := New(sat, Minute, nanVals)
-	wins, err := DailySpec(3 * Hour).Windows(s)
+	wins, err := DailySpec(3 * time.Hour).Windows(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestWindowsObservedAndWeekend(t *testing.T) {
 		t.Errorf("weekday = %v", wins[0].Weekday())
 	}
 	workday := minuteSeries(mon, 1)
-	dw, _ := DailySpec(3 * Hour).Windows(workday)
+	dw, _ := DailySpec(3 * time.Hour).Windows(workday)
 	if dw[0].IsWeekend() {
 		t.Error("Monday is not a weekend")
 	}
@@ -144,7 +144,7 @@ func TestWindowsObservedAndWeekend(t *testing.T) {
 func TestWindowsConserveTraffic(t *testing.T) {
 	// Sum over windows of a full-coverage series equals the series total.
 	s := minuteSeries(mon, 7)
-	wins, err := WeeklySpec(Hour, 0).Windows(s)
+	wins, err := WeeklySpec(time.Hour, 0).Windows(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func TestWindowsQuickInvariants(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	err := quick.Check(func(days, binIdx, phaseIdx uint8) bool {
 		nDays := 1 + int(days%20)
-		bins := []time.Duration{Hour, 2 * Hour, 3 * Hour, 4 * Hour, 6 * Hour, 8 * Hour, 12 * Hour}
-		phases := []time.Duration{0, 2 * Hour, 3 * Hour}
+		bins := []time.Duration{time.Hour, 2 * time.Hour, 3 * time.Hour, 4 * time.Hour, 6 * time.Hour, 8 * time.Hour, 12 * time.Hour}
+		phases := []time.Duration{0, 2 * time.Hour, 3 * time.Hour}
 		spec := WindowSpec{Period: Day, Bin: bins[int(binIdx)%len(bins)], PhaseOffset: phases[int(phaseIdx)%len(phases)]}
 		if spec.PhaseOffset%spec.Bin != 0 {
 			spec.PhaseOffset = 0
