@@ -93,6 +93,21 @@ func TestExperimentsHoldEndsOnCancel(t *testing.T) {
 	}
 }
 
+// TestExperimentsTimeoutEndsTheRun: -timeout is a deadline on the whole
+// run, so a run that outlives it fails with the deadline and prints no
+// shape checks.
+func TestExperimentsTimeoutEndsTheRun(t *testing.T) {
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"experiments", "-homes", "2", "-weeks", "1",
+		"-timeout", "1ns", "-log-level", "error"}, &out)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run error = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if strings.Contains(out.String(), "=== shapes") {
+		t.Errorf("a run past its deadline printed the shape checks:\n%s", out.String())
+	}
+}
+
 // demoPartition runs a 2-home demo campaign into a fresh fleet root and
 // returns its one partition.
 func demoPartition(t *testing.T) string {

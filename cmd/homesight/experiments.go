@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"homesight/internal/experiments"
@@ -23,12 +24,13 @@ import (
 //
 //	homesight experiments | tee experiments_output.txt
 //
-// The experiments execute on the parallel runner engine; -parallel sets
-// the worker count (output is byte-identical at any setting), -timeout
-// bounds each experiment, and -metrics writes the per-run timing and
-// cache-counter report as JSON. -homes and -weeks scale the run down for
-// quick looks, and -run selects a subset of experiments (comma-separated
-// ids like fig5,fig9).
+// The run builds every home once, then executes the experiments on the
+// runner engine. -parallel is the one worker budget the experiments and
+// their per-gateway fan-outs share (output is byte-identical at any
+// setting), -timeout is a deadline on the whole run, and -metrics writes
+// the per-run timing report as JSON. -homes and -weeks scale the run down
+// for quick looks, and -run selects a subset of experiments
+// (comma-separated ids like fig5,fig9).
 //
 // -debug-addr serves live observability (Prometheus /metrics, /healthz,
 // /debug/pprof) while the run executes; -hold keeps that server up after
@@ -44,8 +46,8 @@ func runExperiments(ctx context.Context, args []string, stdout io.Writer) error 
 	sh := sharedFlags(fs, 196, 8, true)
 	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	parallel := fs.Int("parallel", runtime.NumCPU(),
-		"worker count for the engine and per-gateway fan-out (1 = sequential)")
-	timeout := fs.Duration("timeout", 0, "per-experiment timeout (0 = none)")
+		"worker budget shared by the experiments and their per-gateway fan-out (1 = sequential)")
+	timeout := fs.Duration("timeout", 0, "deadline on the whole run (0 = none)")
 	metricsPath := fs.String("metrics", "", `write run metrics JSON to this path ("-" = stderr)`)
 	dataDir := fs.String("data-dir", "",
 		"load persisted gateway series from this homestore directory (empty = fully synthetic)")
@@ -54,8 +56,6 @@ func runExperiments(ctx context.Context, args []string, stdout io.Writer) error 
 	}
 	logger := slogx.With("component", "experiments")
 
-	// One registry carries both layers: runner timings and Env cache
-	// counters.
 	reg := obs.NewRegistry()
 	stop, err := sh.debugServer(logger, reg, nil)
 	if err != nil {
@@ -67,7 +67,6 @@ func runExperiments(ctx context.Context, args []string, stdout io.Writer) error 
 		experiments.WithHomes(sh.homes),
 		experiments.WithWeeks(sh.weeks),
 		experiments.WithParallelism(*parallel),
-		experiments.WithRegistry(reg),
 	}
 	if sh.seed != 0 {
 		opts = append(opts, experiments.WithSeed(sh.seed))
@@ -96,44 +95,36 @@ func runExperiments(ctx context.Context, args []string, stdout io.Writer) error 
 	}
 
 	var results experiments.Results
-	registry := runner.NewRegistry()
-	for _, x := range runner.StandardExperiments(&results) {
-		if err := registry.Register(x); err != nil {
-			return fmt.Errorf("experiment registration: %w", err)
-		}
-	}
-
+	all := runner.StandardExperiments(&results)
 	selected := map[string]bool{}
 	for _, id := range strings.Split(*runList, ",") {
 		if id = strings.TrimSpace(id); id != "" {
-			if _, known := registry.Get(id); !known {
+			if !slices.ContainsFunc(all, func(x runner.Experiment) bool { return x.ID() == id }) {
 				return usagef("-run: unknown experiment id %q", id)
 			}
 			selected[id] = true
 		}
 	}
 	var exps []runner.Experiment
-	for _, x := range registry.Experiments() {
-		if len(selected) > 0 && !selected[x.ID()] {
-			continue
+	for _, x := range all {
+		if len(selected) == 0 || selected[x.ID()] {
+			exps = append(exps, x)
 		}
-		exps = append(exps, x)
 	}
 
 	fmt.Fprintf(stdout, "homesight experiments — %d gateways, %d weeks, seed %d\n\n",
 		env.Dep.Config().Homes, env.Dep.Config().Weeks, env.Dep.Config().Seed)
 
-	// Warming every shared cache only pays off when the full suite runs;
-	// a -run subset skips the pre-pass and fills caches on demand.
-	eng := runner.Engine{
-		Parallelism: *parallel,
-		Timeout:     *timeout,
-		Obs:         runner.NewRunnerMetrics(reg),
-		SkipWarm:    len(selected) > 0,
+	runCtx := ctx
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
-	reports, metrics, runErr := eng.Run(ctx, env, exps)
+	eng := runner.Engine{Obs: runner.NewRunnerMetrics(reg)}
+	reports, metrics, runErr := eng.Run(runCtx, env, exps)
 
-	// Reports come back in registration order whatever the parallelism, so
+	// Reports come back in publication order whatever the parallelism, so
 	// stdout is byte-identical between -parallel=1 and -parallel=N. Timings
 	// live in the metrics report, not here, for the same reason.
 	for i, rep := range reports {

@@ -47,7 +47,7 @@ func TabSimilarityAblation(ctx context.Context, e *Env) (AblationResult, error) 
 	idxs := e.WeeklyCohortIndexes()
 	type perHome [4]int // dominants per variant, ablationVariants order
 	per := make([]perHome, len(idxs))
-	if err := e.forEach(ctx, len(idxs), func(j int) {
+	if err := e.ForEach(ctx, len(idxs), func(j int) {
 		scores := e.Dominance(idxs[j]).All
 		for vi, v := range ablationVariants {
 			m := corrsim.Measure{Use: v.use}

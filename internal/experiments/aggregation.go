@@ -42,7 +42,7 @@ func Fig06WeeklyAggregation(ctx context.Context, e *Env) (Fig06Result, error) {
 	}
 	points := make([]aggregate.CurvePoint, len(jobs))
 	errs := make([]error, len(jobs))
-	if err := e.forEach(ctx, len(jobs), func(k int) {
+	if err := e.ForEach(ctx, len(jobs), func(k int) {
 		points[k], errs[k] = an.WeeklyPoint(cohort, jobs[k].bin, jobs[k].phase)
 	}); err != nil {
 		return res, err
@@ -104,7 +104,7 @@ func Fig07StationaryGateways(ctx context.Context, e *Env) (Fig07Result, error) {
 	an := aggregate.Default
 	points := make([]aggregate.CurvePoint, len(fig07Bins))
 	errs := make([]error, len(fig07Bins))
-	if err := e.forEach(ctx, len(fig07Bins), func(k int) {
+	if err := e.ForEach(ctx, len(fig07Bins), func(k int) {
 		points[k], errs[k] = an.DailyPoint(cohort, fig07Bins[k])
 	}); err != nil {
 		return res, err
@@ -150,7 +150,7 @@ func Fig08DailyAggregation(ctx context.Context, e *Env) (Fig08Result, error) {
 	an := aggregate.Default
 	points := make([]aggregate.CurvePoint, len(aggregate.DailyBins))
 	errs := make([]error, len(aggregate.DailyBins))
-	if err := e.forEach(ctx, len(aggregate.DailyBins), func(k int) {
+	if err := e.ForEach(ctx, len(aggregate.DailyBins), func(k int) {
 		points[k], errs[k] = an.DailyPoint(cohort, aggregate.DailyBins[k])
 	}); err != nil {
 		return res, err
@@ -213,7 +213,7 @@ func TabStationaryShare(ctx context.Context, e *Env) (StationaryShareResult, err
 	}
 	per := make([]perHome, len(idxs))
 	gws := e.gatewayCaches()
-	if err := e.forEach(ctx, len(idxs), func(j int) {
+	if err := e.ForEach(ctx, len(idxs), func(j int) {
 		gc := gws[idxs[j]]
 		p := &per[j]
 		raw, err := an.WeeklyGateway(truncate(gc.raw, days), 3*time.Hour, 0)

@@ -38,7 +38,7 @@ func Fig05DominantDevices(ctx context.Context, e *Env) (Fig05Result, error) {
 	}
 	idxs := e.WeeklyCohortIndexes()
 	outs := make([]dominance.Result, len(idxs))
-	if err := e.forEach(ctx, len(idxs), func(j int) {
+	if err := e.ForEach(ctx, len(idxs), func(j int) {
 		outs[j] = e.Dominance(idxs[j])
 	}); err != nil {
 		return Fig05Result{}, err
@@ -120,7 +120,7 @@ func TabDominanceAgreement(ctx context.Context, e *Env) (AgreementResult, error)
 	}
 	idxs := e.WeeklyCohortIndexes()
 	per := make([]perHome, len(idxs))
-	if err := e.forEach(ctx, len(idxs), func(j int) {
+	if err := e.ForEach(ctx, len(idxs), func(j int) {
 		out := e.Dominance(idxs[j])
 		p := &per[j]
 		p.dominants = len(out.Dominants)
@@ -198,7 +198,7 @@ func TabResidentsCorrelation(ctx context.Context, e *Env) (ResidentsResult, erro
 		}
 	}
 	counts := make([]int, len(surveyed))
-	if err := e.forEach(ctx, len(surveyed), func(j int) {
+	if err := e.ForEach(ctx, len(surveyed), func(j int) {
 		counts[j] = len(e.Dominance(surveyed[j].index).Dominants)
 	}); err != nil {
 		return ResidentsResult{}, err

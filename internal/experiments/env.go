@@ -1,10 +1,9 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation. Each runner takes a context plus an Env (a synthetic
-// deployment, race-safe shared-computation caches, and a parallelism
-// budget) and returns a structured result that the experiments binary, the
-// runner engine and the root benchmarks consume. DESIGN.md maps every
-// runner to its paper counterpart; EXPERIMENTS.md records paper-vs-measured
-// values.
+// deployment, every home's build, and a parallelism budget) and returns a
+// structured result that the experiments binary, the runner engine and the
+// root benchmarks consume. DESIGN.md maps every runner to its paper
+// counterpart; EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (
@@ -16,16 +15,14 @@ import (
 
 	"homesight/internal/dataset"
 	"homesight/internal/dominance"
-	"homesight/internal/obs"
 	"homesight/internal/store"
 	"homesight/internal/synth"
-	"homesight/internal/telemetry"
 	"homesight/internal/timeseries"
 )
 
-// Env is the shared experiment environment: a deployment handle, lazily
-// built race-safe caches of the heavy intermediates every experiment
-// re-derives, and the parallelism budget for per-gateway fan-out.
+// Env is the shared experiment environment: a deployment handle, every
+// home's build, made once on first use, and the one worker budget that
+// the engine's experiments and their per-gateway fan-outs share (ForEach).
 //
 // What is kept per home, for the length of the run: the gateway's raw and
 // active overall series over the campaign, every device's overall series
@@ -38,8 +35,7 @@ import (
 // series stay because the cohort selections and the motif-window
 // dominance read them again and again at minute resolution; the
 // per-direction series, two more per device, are read only by the build
-// and die with its table. Stationarity outcomes are memoized per home on
-// top.
+// and die with its table.
 type Env struct {
 	Dep *synth.Deployment
 
@@ -51,21 +47,15 @@ type Env struct {
 	SurveyHomes int
 
 	parallelism int
-	reg         *obs.Registry
-	caches      map[string]*cacheMetrics
-	// now is the clock behind the cache build-wait timings; injected as a
-	// field so the deterministic analysis packages stay free of direct
-	// time.Now calls.
-	now func() time.Time
-	// sem is the shared helper budget of forEach: parallelism-1 slots,
+	// sem is the shared helper budget of ForEach: parallelism-1 slots,
 	// drawn on by every concurrent fan-out in the Env. Sharing one budget
 	// is what lets a lone dominant experiment borrow the whole budget
 	// while concurrent experiments split it fairly.
 	sem chan struct{}
 
-	homes *memo[int, *gatewayCache]
-	gws   *memo[int, []*gatewayCache]
-	stat  *memo[int, gatewayStationarity]
+	// built guards gws, every home's build in home order (gatewayCaches).
+	built sync.Once
+	gws   []*gatewayCache
 
 	// Store backing (WithStore): homes whose gateway the store holds read
 	// their traffic from disk; the rest stay synthetic. See env_store.go.
@@ -80,7 +70,6 @@ type Option func(*envConfig) error
 type envConfig struct {
 	synth       synth.Config
 	parallelism int
-	registry    *obs.Registry
 	storeDir    string
 }
 
@@ -117,28 +106,15 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithParallelism bounds the worker fan-out of per-gateway inner loops;
-// n must be >= 1. 1 (the default) means strictly sequential.
+// WithParallelism sets the worker budget of ForEach — the experiments the
+// engine runs at once and their per-gateway inner loops; n must be >= 1.
+// 1 (the default) means strictly sequential.
 func WithParallelism(n int) Option {
 	return func(c *envConfig) error {
 		if n < 1 {
 			return fmt.Errorf("experiments: WithParallelism(%d): want >= 1", n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// WithRegistry exports the Env's cache counters on reg as
-// homesight_cache_{hits,misses}_total{cache="..."} instead of a private
-// registry — how `homesight experiments` surfaces cache behaviour on
-// /metrics. reg must be non-nil.
-func WithRegistry(reg *obs.Registry) Option {
-	return func(c *envConfig) error {
-		if reg == nil {
-			return fmt.Errorf("experiments: WithRegistry(nil)")
-		}
-		c.registry = reg
 		return nil
 	}
 }
@@ -157,18 +133,12 @@ func NewEnv(opts ...Option) (*Env, error) {
 	if err := cfg.synth.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.registry == nil {
-		cfg.registry = obs.NewRegistry()
-	}
 	e := &Env{
 		Dep:              synth.NewDeployment(cfg.synth),
 		WeeksMain:        4,
 		WeeksWeeklyMotif: 6,
 		SurveyHomes:      49,
 		parallelism:      cfg.parallelism,
-		reg:              cfg.registry,
-		caches:           make(map[string]*cacheMetrics),
-		now:              time.Now,
 		sem:              make(chan struct{}, cfg.parallelism-1),
 	}
 	if e.WeeksWeeklyMotif > e.Dep.Config().Weeks {
@@ -177,9 +147,6 @@ func NewEnv(opts ...Option) (*Env, error) {
 	if e.WeeksMain > e.Dep.Config().Weeks {
 		e.WeeksMain = e.Dep.Config().Weeks
 	}
-	e.homes = newMemo[int, *gatewayCache](e.newCache("home-build"), e.now)
-	e.gws = newMemo[int, []*gatewayCache](e.newCache("gateway-aggregates"), e.now)
-	e.stat = newMemo[int, gatewayStationarity](e.newCache("stationarity"), e.now)
 	if cfg.storeDir != "" {
 		if err := e.openStore(cfg.storeDir); err != nil {
 			return nil, err
@@ -188,149 +155,29 @@ func NewEnv(opts ...Option) (*Env, error) {
 	return e, nil
 }
 
-// CacheStats snapshots the hit/miss/build-wait counters of every shared
-// cache. The map shape feeds telemetry.RunMetrics.Caches unchanged, so
-// the -metrics JSON report extends the pre-registry plumbing.
-func (e *Env) CacheStats() map[string]telemetry.CacheSnapshot {
-	out := make(map[string]telemetry.CacheSnapshot, len(e.caches))
-	for name, c := range e.caches {
-		out[name] = telemetry.CacheSnapshot{
-			Hits:             c.hits.Value(),
-			Misses:           c.misses.Value(),
-			BuildWaits:       c.waits.Value(),
-			BuildWaitSeconds: c.waitSeconds.Sum(),
-		}
-	}
-	return out
-}
-
-// cacheMetrics is one cache's registry-backed counters.
-type cacheMetrics struct {
-	hits, misses, waits *obs.Counter
-	waitSeconds         *obs.Histogram
-}
-
-// newCache registers the per-cache series under the shared cache
-// families, labelled cache=<name>.
-func (e *Env) newCache(name string) *cacheMetrics {
-	c := &cacheMetrics{
-		hits: e.reg.CounterVec("homesight_cache_hits_total",
-			"Cache lookups served from the cache.", "cache").With(name),
-		misses: e.reg.CounterVec("homesight_cache_misses_total",
-			"Cache lookups that had to build their value.", "cache").With(name),
-		waits: e.reg.CounterVec("homesight_cache_build_waits_total",
-			"Cache lookups that blocked on another caller's in-flight build.", "cache").With(name),
-		waitSeconds: e.reg.HistogramVec("homesight_cache_build_wait_seconds",
-			"Seconds a lookup spent blocked on another caller's in-flight cache build.",
-			"cache", nil).With(name),
-	}
-	e.caches[name] = c
-	return c
-}
+// Parallelism returns the worker budget of ForEach.
+func (e *Env) Parallelism() int { return e.parallelism }
 
 // Home returns home i's inventory and reporting plan; its traffic is only
 // generated if the caller asks the returned Home for it.
 func (e *Env) Home(i int) *synth.Home { return e.Dep.Home(i) }
 
-// memo is a race-safe lazy cache: concurrent callers of get share one
-// build per key. The first caller builds; later callers either hit a
-// completed entry or block on the in-flight build — and that blocking is
-// counted separately from hits (build waits, with the blocked time on a
-// histogram), because a caller that stalls for the whole build is
-// contention, not cache warmth. A build that panics clears its entry
-// before the panic propagates, so the next caller rebuilds instead of
-// reading a poisoned zero value forever.
-type memo[K comparable, V any] struct {
-	counter *cacheMetrics
-	now     func() time.Time
-	mu      sync.Mutex
-	entries map[K]*memoEntry[V]
-}
-
-// memoEntry is one key's build state. done is closed when the build
-// finishes, successfully or not; failed entries are deleted from the map
-// before done closes, so an entry that is both in the map and done is
-// always a completed value.
-type memoEntry[V any] struct {
-	done   chan struct{}
-	v      V
-	failed bool
-}
-
-func newMemo[K comparable, V any](c *cacheMetrics, now func() time.Time) *memo[K, V] {
-	return &memo[K, V]{counter: c, now: now, entries: make(map[K]*memoEntry[V])}
-}
-
-func (m *memo[K, V]) get(k K, build func() V) V {
-	for {
-		m.mu.Lock()
-		e := m.entries[k]
-		if e == nil {
-			e = &memoEntry[V]{done: make(chan struct{})}
-			m.entries[k] = e
-			m.counter.misses.Inc()
-			m.mu.Unlock()
-			return m.build(k, e, build)
-		}
-		select {
-		case <-e.done:
-			// In the map and done ⇒ built successfully (failed builds are
-			// deleted before their done closes).
-			m.counter.hits.Inc()
-			m.mu.Unlock()
-			return e.v
-		default:
-		}
-		m.counter.waits.Inc()
-		m.mu.Unlock()
-		t0 := m.now()
-		<-e.done
-		m.counter.waitSeconds.Observe(m.now().Sub(t0).Seconds())
-		if !e.failed {
-			return e.v
-		}
-		// The build we blocked on panicked in its goroutine; retry — the
-		// entry is gone from the map, so some caller rebuilds it.
-	}
-}
-
-// build runs one entry's build outside the memo lock. On panic the
-// entry is removed (the next get retries) and the panic propagates to
-// this caller — the engine's per-experiment containment reports it.
-func (m *memo[K, V]) build(k K, e *memoEntry[V], build func() V) V {
-	ok := false
-	defer func() {
-		if !ok {
-			m.mu.Lock()
-			delete(m.entries, k)
-			m.mu.Unlock()
-			e.failed = true
-		}
-		close(e.done)
-	}()
-	e.v = build()
-	ok = true
-	return e.v
-}
-
-// forEach runs fn(i) for every i in [0, n), fanned out across the Env's
-// shared helper budget. fn must confine its writes to per-index slots;
+// ForEach runs fn(i) for every i in [0, n), fanned out across the Env's
+// shared worker budget. fn must confine its writes to per-index slots;
 // callers reduce those slots in index order afterwards, which is what
 // keeps parallel output byte-identical to the sequential path.
 // Cancellation is checked between items — a deadline stops scheduling
-// new items but never interrupts one mid-flight, and caches are never
-// left half-built. On cancellation the returned error is non-nil and
-// some slots are unwritten: callers must propagate it and never reduce
-// over the slots.
+// new items but never interrupts one mid-flight. On cancellation the
+// returned error is non-nil and some slots are unwritten: callers must
+// propagate it and never reduce over the slots.
 //
-// Scheduling is two-level: the engine's pool decides which experiments
-// run, while every forEach in the Env draws
-// helpers from one semaphore of parallelism-1 slots. The calling
-// goroutine always works, so fan-out never deadlocks when the budget is
-// exhausted (including nested fan-outs during cache builds), and a
-// dominant experiment running alone borrows the whole budget the moment
-// its neighbours finish.
-func (e *Env) forEach(ctx context.Context, n int, fn func(i int)) error {
+// Every ForEach in the Env — the engine's over experiments and the
+// experiments' own over gateways, nested inside it — draws helpers from
+// one semaphore of parallelism-1 slots. The calling goroutine always
+// works, so a nested fan-out never deadlocks when the budget is
+// exhausted, and a dominant experiment running alone borrows the whole
+// budget the moment its neighbours finish.
+func (e *Env) ForEach(ctx context.Context, n int, fn func(i int)) error {
 	if e.parallelism <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -380,34 +227,31 @@ func (e *Env) forEach(ctx context.Context, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// gatewayCaches returns every home's build, in home order, building the
-// missing ones on first use. Both levels go through the memo layer like
-// every other shared intermediate, so concurrent first callers share one
-// build per home (counted as build waits, not hits) and a panicking build
-// is retried by the next caller instead of leaving a poisoned nil cache —
-// under the parallel engine many experiments race to be first here.
+// gatewayCaches returns every home's build, in home order. The first
+// caller builds them all, fanned over the budget; concurrent callers wait
+// for that one build.
 func (e *Env) gatewayCaches() []*gatewayCache {
-	return e.gws.get(0, func() []*gatewayCache {
-		gws := make([]*gatewayCache, e.Dep.NumHomes())
-		// The builds fan out: each slot i is written by exactly one worker,
-		// and nothing reads gws until the build returns.
-		//homesight:ignore ctx-flow — memoized cache build: later callers share the result, so the first caller's cancellation must not poison the cache
-		_ = e.forEach(context.Background(), len(gws), func(i int) {
-			gws[i] = e.home(i)
+	e.built.Do(func() {
+		e.gws = make([]*gatewayCache, e.Dep.NumHomes())
+		// Each slot i is written by exactly one worker, and nothing reads
+		// gws until the build returns.
+		//homesight:ignore ctx-flow — the one build of every home: later callers share it, so the first caller's cancellation must not cut it short
+		_ = e.ForEach(context.Background(), len(e.gws), func(i int) {
+			h := e.Home(i)
+			e.gws[i] = e.buildHome(h, e.viewOf(h))
 		})
-		return gws
 	})
+	return e.gws
 }
 
-// Warm pre-builds every home — and with each weekly-cohort home its
-// dominance — fanned across the Env's parallelism before any experiment
-// runs. With a warm Env no experiment pays another's first-touch build or
-// blocks on an in-flight one, which is what drives the
-// homesight_cache_build_wait_seconds series to ~0 under the parallel
-// engine. The engine calls Warm automatically unless Engine.SkipWarm is
-// set (`homesight experiments` sets it when -run selects a subset, which then
-// builds on first touch). Its only error is ctx's at entry: once started,
-// the builds run to completion.
+// home returns home i's build (gatewayCaches).
+func (e *Env) home(i int) *gatewayCache { return e.gatewayCaches()[i] }
+
+// Warm builds every home — and with each weekly-cohort home its
+// dominance — fanned across the Env's budget before any experiment runs,
+// so no experiment waits on the build while it holds budget slots. The
+// engine calls Warm unless Engine.SkipWarm is set. Its only error is
+// ctx's at entry: once started, the builds run to completion.
 func (e *Env) Warm(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -490,16 +489,6 @@ func TestMotifPipelines(t *testing.T) {
 	_ = weekly.String() + daily.String()
 }
 
-func TestSupportQuantiles(t *testing.T) {
-	p50, p90, max := SupportQuantiles([]int{1, 2, 3, 4, 100})
-	if max != 100 || p50 != 3 {
-		t.Errorf("quantiles = %g/%g/%g", p50, p90, max)
-	}
-	if a, b, c := SupportQuantiles(nil); a != 0 || b != 0 || c != 0 {
-		t.Error("empty quantiles should be zero")
-	}
-}
-
 func TestHeuristicValidation(t *testing.T) {
 	e := getEnv(t)
 	r, err := TabHeuristicValidation(context.Background(), e)
@@ -670,18 +659,4 @@ func TestStationarityADFGoldens(t *testing.T) {
 			t.Errorf("gateway %d: p/lags/N = %g/%d/%d, golden 0.01/45/20114", i, got.PValue, got.Lags, got.N)
 		}
 	}
-}
-
-// SupportQuantiles summarizes a support distribution; EXPERIMENTS.md
-// quotes such summaries, no program prints one.
-func SupportQuantiles(supports []int) (p50, p90, max float64) {
-	if len(supports) == 0 {
-		return 0, 0, 0
-	}
-	fs := make([]float64, len(supports))
-	for i, s := range supports {
-		fs[i] = float64(s)
-	}
-	sort.Float64s(fs)
-	return stats.Quantile(fs, 0.5), stats.Quantile(fs, 0.9), fs[len(fs)-1]
 }

@@ -48,7 +48,7 @@ func TabHeuristicValidation(ctx context.Context, e *Env) (HeuristicResult, error
 		n = nh
 	}
 	inventories := make([][]*devices.Device, n)
-	if err := e.forEach(ctx, n, func(i int) {
+	if err := e.ForEach(ctx, n, func(i int) {
 		h := e.Home(i)
 		devs := make([]*devices.Device, 0, len(h.Devices))
 		for _, spec := range h.Devices {

@@ -35,7 +35,7 @@ func (e *Env) viewOf(h *synth.Home) *dataset.Gateway {
 		return g
 	}
 	to := e.store.Start().Add(time.Duration(e.Dep.Config().Minutes()) * e.store.Step())
-	//homesight:ignore ctx-flow — cache fill runs to completion by design: a half-read home must never be memoized
+	//homesight:ignore ctx-flow — a home's build runs to completion by design: a half-read home must never be kept
 	g, err := e.store.Home(context.Background(), h.ID, to)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: reading %s from store: %v", h.ID, err))
@@ -86,15 +86,6 @@ type gatewayCache struct {
 type deviceTau struct {
 	dev devices.Device
 	th  background.Threshold
-}
-
-// home returns the memoized per-home build of home i, generating or
-// reading the home on first use.
-func (e *Env) home(i int) *gatewayCache {
-	return e.homes.get(i, func() *gatewayCache {
-		h := e.Home(i)
-		return e.buildHome(h, e.viewOf(h))
-	})
 }
 
 // buildHome derives every minute-resolution artifact of home h from one

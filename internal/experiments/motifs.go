@@ -49,7 +49,7 @@ func mineMotifs(ctx context.Context, e *Env, kind string, ids []string, cohort [
 	// stays serial because the miner's output depends on instance order.
 	perMember := make([][]motif.Instance, len(cohort))
 	errs := make([]error, len(cohort))
-	if err := e.forEach(ctx, len(cohort), func(i int) {
+	if err := e.ForEach(ctx, len(cohort), func(i int) {
 		perMember[i], errs[i] = motif.Instances(ids[i], cohort[i], spec)
 	}); err != nil {
 		return res, err
@@ -252,7 +252,7 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 		types             map[devices.Type]int
 	}
 	partials := make([][]profPartial, len(groups))
-	if err := e.forEach(ctx, len(groups), func(g int) {
+	if err := e.ForEach(ctx, len(groups), func(g int) {
 		part := make([]profPartial, len(profiles))
 		partials[g] = part
 		idx, ok := idToIndex[groups[g].id]

@@ -179,7 +179,7 @@ func Fig02ACFCCF(ctx context.Context, e *Env) (Fig02Result, error) {
 	}
 	per := make([]prepped, len(top))
 	gws := e.gatewayCaches()
-	if err := e.forEach(ctx, len(top), func(k int) {
+	if err := e.ForEach(ctx, len(top), func(k int) {
 		idx := top[k]
 		s := e.RawOverall(idx, 14).FillMissing(0)
 		agg, err := s.Aggregate(30 * time.Minute)
@@ -202,7 +202,7 @@ func Fig02ACFCCF(ctx context.Context, e *Env) (Fig02Result, error) {
 	res.SignificanceBound = corr.WhiteNoiseBound(len(ser[0].vals))
 
 	acfs := make([][]float64, len(ser))
-	if err := e.forEach(ctx, len(ser), func(k int) {
+	if err := e.ForEach(ctx, len(ser), func(k int) {
 		acfs[k] = corr.ACF(ser[k].vals, maxLag)
 	}); err != nil {
 		return Fig02Result{}, err
@@ -288,61 +288,59 @@ type StationarityTestsResult struct {
 	KSWeekPairsRejected, KSWeekPairs int
 }
 
-// gatewayStationarity is one gateway's cached KPSS/ADF/KS outcome over
+// gatewayStationarity is one gateway's KPSS/ADF/KS outcome over
 // the 28-day minute-resolution window.
 type gatewayStationarity struct {
 	kpss, adf          bool
 	ksPairs, ksRejects int
 }
 
-// stationarity returns the memoized unit-root/stationarity outcome of
-// home i, the per-home unit TabStationarityTests fans out and then
-// reduces in index order.
+// stationarity returns the unit-root/stationarity outcome of home i,
+// the per-home unit TabStationarityTests fans out and then reduces in
+// index order.
 func (e *Env) stationarity(i int) gatewayStationarity {
-	return e.stat.get(i, func() gatewayStationarity {
-		// The paper tests the raw one-minute series ("time series with
-		// current one minute binning are highly irregular, there are no
-		// stationary gateways").
-		s := e.RawOverall(i, 28).FillMissing(0)
-		var p gatewayStationarity
-		if kp, err := tests.KPSS(s.Values, -1); err == nil && kp.PValue < corrsim.DefaultAlpha {
-			p.kpss = true
-		}
-		if a, err := tests.ADF(s.Values, -1); err == nil && a.PValue > corrsim.DefaultAlpha {
-			p.adf = true
-		}
-		// Pairwise KS across the four weeks of minute values. Each week
-		// is sorted once, by radix, for its three comparisons, in place: s
-		// is this call's own copy and the order-dependent tests are done
-		// with it.
-		const perWeek = 7 * 24 * 60
-		var weeks [][]float64
-		for w := 0; w < 4 && (w+1)*perWeek <= len(s.Values); w++ {
-			week := s.Values[w*perWeek : (w+1)*perWeek]
-			stats.Sort(week)
-			weeks = append(weeks, week)
-		}
-		for i := 0; i < len(weeks); i++ {
-			for j := i + 1; j < len(weeks); j++ {
-				ks, err := tests.KolmogorovSmirnovSorted(weeks[i], weeks[j])
-				if err != nil {
-					continue
-				}
-				p.ksPairs++
-				if ks.Rejected(corrsim.DefaultAlpha) {
-					p.ksRejects++
-				}
+	// The paper tests the raw one-minute series ("time series with
+	// current one minute binning are highly irregular, there are no
+	// stationary gateways").
+	s := e.RawOverall(i, 28).FillMissing(0)
+	var p gatewayStationarity
+	if kp, err := tests.KPSS(s.Values, -1); err == nil && kp.PValue < corrsim.DefaultAlpha {
+		p.kpss = true
+	}
+	if a, err := tests.ADF(s.Values, -1); err == nil && a.PValue > corrsim.DefaultAlpha {
+		p.adf = true
+	}
+	// Pairwise KS across the four weeks of minute values. Each week
+	// is sorted once, by radix, for its three comparisons, in place: s
+	// is this call's own copy and the order-dependent tests are done
+	// with it.
+	const perWeek = 7 * 24 * 60
+	var weeks [][]float64
+	for w := 0; w < 4 && (w+1)*perWeek <= len(s.Values); w++ {
+		week := s.Values[w*perWeek : (w+1)*perWeek]
+		stats.Sort(week)
+		weeks = append(weeks, week)
+	}
+	for i := 0; i < len(weeks); i++ {
+		for j := i + 1; j < len(weeks); j++ {
+			ks, err := tests.KolmogorovSmirnovSorted(weeks[i], weeks[j])
+			if err != nil {
+				continue
+			}
+			p.ksPairs++
+			if ks.Rejected(corrsim.DefaultAlpha) {
+				p.ksRejects++
 			}
 		}
-		return p
-	})
+	}
+	return p
 }
 
 // TabStationarityTests runs KPSS/ADF/KS over the top observed gateways.
 func TabStationarityTests(ctx context.Context, e *Env) (StationarityTestsResult, error) {
 	top := e.TopObservedGateways(10)
 	per := make([]gatewayStationarity, len(top))
-	if err := e.forEach(ctx, len(top), func(k int) {
+	if err := e.ForEach(ctx, len(top), func(k int) {
 		per[k] = e.stationarity(top[k])
 	}); err != nil {
 		return StationarityTestsResult{}, err
@@ -469,7 +467,7 @@ func Fig03Clustering(ctx context.Context, e *Env) (Fig03Result, error) {
 	}
 	per := make([]prepped, len(top))
 	gws := e.gatewayCaches()
-	if err := e.forEach(ctx, len(top), func(k int) {
+	if err := e.ForEach(ctx, len(top), func(k int) {
 		idx := top[k]
 		s := e.RawOverall(idx, 7).FillMissing(0)
 		agg, err := s.Aggregate(3 * time.Hour)

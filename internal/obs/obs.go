@@ -80,8 +80,5 @@ func (g *Gauge) Add(delta float64) {
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -27,7 +27,7 @@ func renderSuite(t *testing.T, seed int64, parallelism int) string {
 	}
 	var res experiments.Results
 	exps := StandardExperiments(&res)
-	eng := Engine{Parallelism: parallelism}
+	var eng Engine
 	reports, _, err := eng.Run(context.Background(), e, exps)
 	if err != nil {
 		t.Fatal(err)

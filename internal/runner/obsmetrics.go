@@ -1,29 +1,14 @@
 package runner
 
-import (
-	"sync"
+import "homesight/internal/obs"
 
-	"homesight/internal/obs"
-)
-
-// RunnerMetrics is the engine's bundle of registry-backed instruments:
-// the live view of a run that RunMetrics (the -metrics JSON report)
-// snapshots after the fact. Hand one to Engine.Obs to export a run on a
-// shared registry; a nil Engine.Obs falls back to a process-private
-// bundle so the counting code path is always on.
+// RunnerMetrics is the engine's registry-backed instrument: the live view
+// of a run that RunMetrics (the -metrics JSON report) snapshots after the
+// fact. Hand one to Engine.Obs to export a run on a shared registry.
 type RunnerMetrics struct {
 	// Durations carries one homesight_runner_experiment_seconds series
 	// per experiment ID.
 	Durations *obs.HistogramVec
-	// Panics counts experiments that panicked and were contained
-	// (homesight_runner_panics_total).
-	Panics *obs.Counter
-	// Timeouts counts experiments that hit the per-experiment deadline
-	// (homesight_runner_timeouts_total).
-	Timeouts *obs.Counter
-	// BusyWorkers is the number of workers currently inside Experiment.Run
-	// (homesight_runner_busy_workers) — occupancy, not pool size.
-	BusyWorkers *obs.Gauge
 }
 
 // NewRunnerMetrics registers (or re-binds, idempotently) the runner
@@ -32,22 +17,5 @@ func NewRunnerMetrics(reg *obs.Registry) *RunnerMetrics {
 	return &RunnerMetrics{
 		Durations: reg.HistogramVec("homesight_runner_experiment_seconds",
 			"Wall time of one experiment run, seconds.", "experiment", nil),
-		Panics: reg.Counter("homesight_runner_panics_total",
-			"Experiments that panicked and were contained by the engine."),
-		Timeouts: reg.Counter("homesight_runner_timeouts_total",
-			"Experiments that exceeded the per-experiment deadline."),
-		BusyWorkers: reg.Gauge("homesight_runner_busy_workers",
-			"Workers currently executing an experiment."),
 	}
-}
-
-// fallback is the private always-on bundle behind a nil Engine.Obs.
-var (
-	fallbackOnce sync.Once
-	fallback     *RunnerMetrics
-)
-
-func fallbackMetrics() *RunnerMetrics {
-	fallbackOnce.Do(func() { fallback = NewRunnerMetrics(obs.NewRegistry()) })
-	return fallback
 }

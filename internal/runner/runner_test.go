@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,24 +22,16 @@ func fake(id string, run func(ctx context.Context) (string, error)) Experiment {
 	})
 }
 
-func TestRegistryDuplicateID(t *testing.T) {
-	reg := NewRegistry()
-	ok := fake("a", func(context.Context) (string, error) { return "a", nil })
-	if err := reg.Register(ok); err != nil {
-		t.Fatalf("first register: %v", err)
+// oneHomeEnv is the smallest Env: the engine needs one for its budget,
+// and SkipWarm keeps the fake experiments from building its home.
+func oneHomeEnv(t *testing.T, parallelism int) *experiments.Env {
+	t.Helper()
+	e, err := experiments.NewEnv(
+		experiments.WithHomes(1), experiments.WithWeeks(1), experiments.WithParallelism(parallelism))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := reg.Register(ok); err == nil {
-		t.Fatal("duplicate id accepted")
-	}
-	if err := reg.Register(fake("", nil)); err == nil {
-		t.Fatal("empty id accepted")
-	}
-	if got := reg.Experiments(); len(got) != 1 || got[0].ID() != "a" {
-		t.Fatalf("registry order = %v", got)
-	}
-	if _, found := reg.Get("a"); !found {
-		t.Fatal("Get(a) missed")
-	}
+	return e
 }
 
 func TestEngineOrderUnderParallelism(t *testing.T) {
@@ -68,8 +61,8 @@ func TestEngineOrderUnderParallelism(t *testing.T) {
 			return "out:" + id, nil
 		}))
 	}
-	eng := Engine{Parallelism: 4}
-	reports, m, err := eng.Run(context.Background(), nil, exps)
+	eng := Engine{SkipWarm: true}
+	reports, m, err := eng.Run(context.Background(), oneHomeEnv(t, 4), exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,89 +78,26 @@ func TestEngineOrderUnderParallelism(t *testing.T) {
 	gotPeak := peak
 	mu.Unlock()
 	if gotPeak < 2 {
-		t.Errorf("peak concurrency = %d, want >= 2 with 4 workers", gotPeak)
+		t.Errorf("peak concurrency = %d, want >= 2 on a budget of 4", gotPeak)
 	}
 	if m.Parallelism != 4 || len(m.Experiments) != len(ids) || m.WallSeconds <= 0 {
 		t.Errorf("metrics = %+v", m)
 	}
-	if m.GoroutineHighWater < 1 {
-		t.Errorf("goroutine high water = %d", m.GoroutineHighWater)
-	}
 }
 
-func TestEngineTimeout(t *testing.T) {
-	exps := []Experiment{
-		fake("slow", func(ctx context.Context) (string, error) {
-			select {
-			case <-ctx.Done():
-				return "", ctx.Err()
-			case <-time.After(5 * time.Second):
-				return "never", nil
-			}
-		}),
-		fake("fast", func(ctx context.Context) (string, error) { return "ok", nil }),
-	}
-	eng := Engine{Parallelism: 2, Timeout: 20 * time.Millisecond}
-	reports, _, err := eng.Run(context.Background(), nil, exps)
-	if err == nil {
-		t.Fatal("timeout not reported")
-	}
-	if !errors.Is(reports[0].Err, context.DeadlineExceeded) {
-		t.Errorf("slow err = %v, want deadline exceeded", reports[0].Err)
-	}
-	if reports[1].Err != nil || reports[1].Result.Text != "ok" {
-		t.Errorf("fast report = %+v", reports[1])
-	}
-	if !strings.Contains(err.Error(), "slow") {
-		t.Errorf("joined error %q should name the failing experiment", err)
-	}
-}
-
-func TestEnginePanicContained(t *testing.T) {
-	exps := []Experiment{
-		fake("boom", func(ctx context.Context) (string, error) { panic("kaput") }),
-		fake("fine", func(ctx context.Context) (string, error) { return "ok", nil }),
-	}
-	eng := Engine{Parallelism: 2}
-	reports, _, err := eng.Run(context.Background(), nil, exps)
-	if err == nil {
-		t.Fatal("panic not reported")
-	}
-	if reports[0].Err == nil || !strings.Contains(reports[0].Err.Error(), "panicked") {
-		t.Errorf("boom err = %v", reports[0].Err)
-	}
-	if reports[1].Err != nil || reports[1].Result.Text != "ok" {
-		t.Errorf("fine report = %+v", reports[1])
-	}
-}
-
-// TestEngineObsMetrics pins the registry-backed instruments against a
-// run with one success, one contained panic and one deadline overrun.
+// TestEngineObsMetrics pins the registry-backed instrument: one
+// duration observation per experiment, failed ones included.
 func TestEngineObsMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	exps := []Experiment{
 		fake("ok", func(ctx context.Context) (string, error) { return "ok", nil }),
-		fake("boom", func(ctx context.Context) (string, error) { panic("kaput") }),
-		fake("slow", func(ctx context.Context) (string, error) {
-			select {
-			case <-ctx.Done():
-				return "", ctx.Err()
-			case <-time.After(5 * time.Second):
-				return "never", nil
-			}
-		}),
+		fake("bad", func(ctx context.Context) (string, error) { return "", errors.New("bad input") }),
 	}
-	eng := Engine{Parallelism: 2, Timeout: 20 * time.Millisecond, Obs: NewRunnerMetrics(reg)}
-	if _, _, err := eng.Run(context.Background(), nil, exps); err == nil {
-		t.Fatal("run with a panic and a timeout should error")
+	eng := Engine{SkipWarm: true, Obs: NewRunnerMetrics(reg)}
+	if _, _, err := eng.Run(context.Background(), oneHomeEnv(t, 2), exps); err == nil || !strings.Contains(err.Error(), "bad") {
+		t.Fatalf("run error = %v, want one naming the failing experiment", err)
 	}
-	if n := eng.Obs.Panics.Value(); n != 1 {
-		t.Errorf("panics = %d, want 1", n)
-	}
-	if n := eng.Obs.Timeouts.Value(); n != 1 {
-		t.Errorf("timeouts = %d, want 1", n)
-	}
-	for _, id := range []string{"ok", "boom", "slow"} {
+	for _, id := range []string{"ok", "bad"} {
 		var n int64
 		for _, c := range eng.Obs.Durations.With(id).BucketCounts() {
 			n += c
@@ -175,9 +105,6 @@ func TestEngineObsMetrics(t *testing.T) {
 		if n != 1 {
 			t.Errorf("duration observations for %s = %d, want 1", id, n)
 		}
-	}
-	if v := eng.Obs.BusyWorkers.Value(); v != 0 {
-		t.Errorf("busy workers after run = %g, want 0", v)
 	}
 }
 
@@ -189,8 +116,8 @@ func TestEngineCancelledContext(t *testing.T) {
 		fake("a", func(ctx context.Context) (string, error) { ran.Add(1); return "a", nil }),
 		fake("b", func(ctx context.Context) (string, error) { ran.Add(1); return "b", nil }),
 	}
-	eng := Engine{Parallelism: 2}
-	reports, _, err := eng.Run(ctx, nil, exps)
+	eng := Engine{SkipWarm: true}
+	reports, _, err := eng.Run(ctx, oneHomeEnv(t, 2), exps)
 	if err == nil {
 		t.Fatal("cancelled run should error")
 	}
@@ -204,25 +131,51 @@ func TestEngineCancelledContext(t *testing.T) {
 	}
 }
 
-func TestStandardExperimentsRegistry(t *testing.T) {
-	var res experiments.Results
-	reg := NewRegistry()
-	for _, x := range StandardExperiments(&res) {
-		if err := reg.Register(x); err != nil {
-			t.Fatal(err)
+// TestEngineNestedForEachUnderFullBudget: experiments that fan out
+// through the Env draw on the budget the engine already fills with them,
+// so every nested item must run exactly once and the run must return.
+func TestEngineNestedForEachUnderFullBudget(t *testing.T) {
+	const parallelism, items = 4, 1000
+	env := oneHomeEnv(t, parallelism)
+	var counts [parallelism][items]atomic.Int32
+	var exps []Experiment
+	for k := 0; k < parallelism; k++ {
+		exps = append(exps, New(fmt.Sprintf("nested%d", k), "nested fan-out",
+			func(ctx context.Context, e *experiments.Env) (Result, error) {
+				err := e.ForEach(ctx, items, func(i int) { counts[k][i].Add(1) })
+				return Result{}, err
+			}))
+	}
+	eng := Engine{SkipWarm: true}
+	if _, _, err := eng.Run(context.Background(), env, exps); err != nil {
+		t.Fatal(err)
+	}
+	for k := range counts {
+		for i := range counts[k] {
+			if n := counts[k][i].Load(); n != 1 {
+				t.Fatalf("experiment %d item %d ran %d times, want 1", k, i, n)
+			}
 		}
 	}
+}
+
+func TestStandardExperimentsRegistry(t *testing.T) {
 	want := []string{"fig1", "inout", "fig2", "unitroot", "devcount", "fig3", "fig4",
 		"heuristic", "fig5", "agreement", "residents", "ablation",
 		"fig6", "fig7", "fig8", "stationary", "motifs"}
-	got := reg.Experiments()
+	got := StandardExperiments(nil)
 	if len(got) != len(want) {
 		t.Fatalf("%d experiments, want %d", len(got), len(want))
 	}
+	seen := map[string]bool{}
 	for k, x := range got {
 		if x.ID() != want[k] {
 			t.Errorf("experiment %d = %s, want %s", k, x.ID(), want[k])
 		}
+		if seen[x.ID()] {
+			t.Errorf("duplicate experiment id %q: -run would be ambiguous", x.ID())
+		}
+		seen[x.ID()] = true
 		if x.Doc() == "" {
 			t.Errorf("experiment %s has no doc", x.ID())
 		}
@@ -245,7 +198,7 @@ func TestStandardSubsetAgainstEnv(t *testing.T) {
 			subset = append(subset, x)
 		}
 	}
-	eng := Engine{Parallelism: 2}
+	var eng Engine
 	reports, m, err := eng.Run(context.Background(), e, subset)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +212,7 @@ func TestStandardSubsetAgainstEnv(t *testing.T) {
 	if reports[0].Result.Text == "" || reports[1].Result.Text == "" {
 		t.Error("empty rendered output")
 	}
-	if len(m.Caches) == 0 {
-		t.Error("cache metrics missing despite a live Env")
+	if m.Parallelism != 2 || len(m.Experiments) != 2 {
+		t.Errorf("metrics = %+v, want the Env's budget of 2 and 2 experiments", m)
 	}
 }

@@ -1,11 +1,8 @@
-// Run metrics for the parallel experiment engine: the structured per-run
-// report (wall time, per-experiment durations, goroutine high-water
-// mark, cache snapshots) that `homesight experiments` emits via the -metrics
-// flag. The live counters behind the cache snapshots are registry-backed
-// obs instruments owned by the experiments Env; this package keeps only
-// the snapshot shapes so the JSON report stays a plain value. The report
-// deliberately lives next to the collection pipeline: both describe
-// "what did this deployment cost", one on the wire, one in the process.
+// Run metrics for the experiment engine: the structured per-run report
+// (wall time, per-experiment durations) that `homesight experiments` emits
+// via the -metrics flag. The report deliberately lives next to the
+// collection pipeline: both describe "what did this deployment cost", one
+// on the wire, one in the process.
 package telemetry
 
 import (
@@ -16,11 +13,8 @@ import (
 // CacheSnapshot is a point-in-time view of one cache's counters. A hit
 // is a lookup served from a completed entry; a lookup that blocked on
 // another caller's in-flight build is a build wait, counted separately
-// with its blocked time — folding waits into hits is what let the old
-// hit rate overstate cache warmth while the first builds serialized the
-// whole parallel suite.
-//
-//homesight:stats
+// with its blocked time. The experiments Env keeps no cache, so no run
+// fills one; the shape stays because the benchmark reads it.
 type CacheSnapshot struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
@@ -44,11 +38,11 @@ type ExperimentMetrics struct {
 // here rather than in the experiment output so that stdout stays
 // byte-identical across parallelism levels.
 type RunMetrics struct {
-	Parallelism        int                      `json:"parallelism"`
-	WallSeconds        float64                  `json:"wall_seconds"`
-	GoroutineHighWater int                      `json:"goroutine_high_water"`
-	Experiments        []ExperimentMetrics      `json:"experiments"`
-	Caches             map[string]CacheSnapshot `json:"caches,omitempty"`
+	Parallelism int                 `json:"parallelism"`
+	WallSeconds float64             `json:"wall_seconds"`
+	Experiments []ExperimentMetrics `json:"experiments"`
+	// Caches is always empty: nothing fills it (see CacheSnapshot).
+	Caches map[string]CacheSnapshot `json:"caches,omitempty"`
 }
 
 // CacheHitRate is the aggregate hit rate across every cache in the run

@@ -23,9 +23,8 @@ func TestCacheSnapshotEmpty(t *testing.T) {
 
 func TestRunMetricsWriteJSON(t *testing.T) {
 	m := RunMetrics{
-		Parallelism:        4,
-		WallSeconds:        1.5,
-		GoroutineHighWater: 9,
+		Parallelism: 4,
+		WallSeconds: 1.5,
 		Experiments: []ExperimentMetrics{
 			{ID: "fig1", Seconds: 0.25},
 			{ID: "fig2", Seconds: 0.5, Err: "boom"},
@@ -42,7 +41,7 @@ func TestRunMetricsWriteJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("round-trip unmarshal: %v", err)
 	}
-	if back.Parallelism != 4 || back.GoroutineHighWater != 9 {
+	if back.Parallelism != 4 || back.WallSeconds != 1.5 {
 		t.Fatalf("round-trip = %+v", back)
 	}
 	if len(back.Experiments) != 2 || back.Experiments[1].Err != "boom" {
