@@ -359,7 +359,7 @@ func BenchmarkAblationMaxOfThreeVsPearson(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for x := 0; x < len(wins); x++ {
 				for y := x + 1; y < len(wins); y++ {
-					corrsim.Default.Similarity(wins[x], wins[y])
+					_ = corrsim.Default.Detailed(wins[x], wins[y]).Similarity
 				}
 			}
 		}

@@ -73,7 +73,7 @@ import (
 // already-running fleet's shard listeners instead of starting one.
 func runCollector(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("collector", flag.ContinueOnError)
-	sh := sharedFlags(fs, 5, 1, true)
+	sh := sharedFlags(fs, 5, 1)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address of every shard")
 	demo := fs.Bool("demo", false, "replay a synthetic deployment through the fleet")
 	dataDir := fs.String("data-dir", "",

@@ -29,11 +29,7 @@ const usage = `usage: homesight <subcommand> [flags]
 subcommands:
   experiments  every table and figure of the paper's evaluation
   collector    the ingest fleet; -demo replays a synthetic campaign through it
-  store        inspect, verify, compact, export or serve one homestore partition
-  simulate     write a synthetic deployment as per-gateway CSV files
-  dominants    dominant devices per gateway of a CSV export (Definition 4)
-  background   background thresholds per device of a CSV export (Sec 6.1)
-  similarity   correlation similarity of two synthetic gateways (Definition 1)
+  store        inspect, verify, compact or serve one homestore partition
 
 homesight <subcommand> -h lists its flags`
 
@@ -41,10 +37,6 @@ var commands = map[string]func(context.Context, []string, io.Writer) error{
 	"experiments": runExperiments,
 	"collector":   runCollector,
 	"store":       runStore,
-	"simulate":    runSimulate,
-	"dominants":   runDominants,
-	"background":  runBackground,
-	"similarity":  runSimilarity,
 }
 
 // run dispatches args[0] to its subcommand, which writes its report to
@@ -103,7 +95,7 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// shared is the flags several subcommands declare alike.
+// shared is the flags experiments and collector declare alike.
 type shared struct {
 	homes, weeks int
 	seed         int64
@@ -112,20 +104,17 @@ type shared struct {
 }
 
 // sharedFlags declares -homes, -weeks and -seed on fs with the
-// subcommand's own defaults and, when serves is set, -debug-addr,
-// -log-level and -hold.
-func sharedFlags(fs *flag.FlagSet, homes, weeks int, serves bool) *shared {
+// subcommand's own defaults, and -debug-addr, -log-level and -hold.
+func sharedFlags(fs *flag.FlagSet, homes, weeks int) *shared {
 	s := &shared{}
 	fs.IntVar(&s.homes, "homes", homes, "number of gateways")
 	fs.IntVar(&s.weeks, "weeks", weeks, "campaign length in weeks")
 	fs.Int64Var(&s.seed, "seed", 0, "master seed (0 = 20140317)")
-	if serves {
-		fs.StringVar(&s.debugAddr, "debug-addr", "",
-			"serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-		fs.String("log-level", "info", "log level: debug, info, warn, error")
-		fs.DurationVar(&s.hold, "hold", 0,
-			"keep the process, and -debug-addr, up this long after the run (0 = exit at once)")
-	}
+	fs.StringVar(&s.debugAddr, "debug-addr", "",
+		"serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
+	fs.String("log-level", "info", "log level: debug, info, warn, error")
+	fs.DurationVar(&s.hold, "hold", 0,
+		"keep the process, and -debug-addr, up this long after the run (0 = exit at once)")
 	return s
 }
 

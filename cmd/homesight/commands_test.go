@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -14,8 +15,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"homesight/internal/dataset"
 )
 
 // runOK runs one command line and returns its stdout.
@@ -117,8 +116,8 @@ func demoPartition(t *testing.T) string {
 	return filepath.Join(root, "shard-0000")
 }
 
-// TestStoreCommandsOnDemoPartition drives inspect, verify, compact and
-// export over a collector partition, then analyses the export.
+// TestStoreCommandsOnDemoPartition drives inspect, verify and compact
+// over a collector partition.
 func TestStoreCommandsOnDemoPartition(t *testing.T) {
 	dir := demoPartition(t)
 	for _, c := range []struct {
@@ -136,17 +135,20 @@ func TestStoreCommandsOnDemoPartition(t *testing.T) {
 			t.Errorf("homesight %s printed\n%s\nwant it to contain %q", strings.Join(args, " "), got, c.want)
 		}
 	}
-	csv := filepath.Join(t.TempDir(), "csv")
-	if got := runOK(t, "store", "export", "-dir", dir, "-out", csv); !strings.Contains(got, "exported 2 gateways") {
-		t.Errorf("export printed %q", got)
-	}
-	got := runOK(t, "dominants", "-data", csv)
-	if !strings.Contains(got, "Dominant devices") || !strings.Contains(got, "\ngw000 ") {
-		t.Errorf("dominants -data on the export printed\n%s", got)
+}
+
+// TestExperimentsOnDemoPartition: the paper's figures run on a stored
+// campaign, the partition being the one dataset format on disk.
+func TestExperimentsOnDemoPartition(t *testing.T) {
+	dir := demoPartition(t)
+	got := runOK(t, "experiments", "-homes", "2", "-weeks", "1", "-data-dir", dir, "-run", "fig4,fig5", "-log-level", "error")
+	for _, id := range []string{"fig4", "fig5"} {
+		section(t, got, id)
 	}
 }
 
-// TestStoreServeEndsOnCancel: serve shuts down, closing the store, when
+// TestStoreServeEndsOnCancel: serve answers a stored home's summary,
+// its Def. 4 dominants included, and shuts down, closing the store, when
 // its context ends — how SIGTERM reaches it.
 func TestStoreServeEndsOnCancel(t *testing.T) {
 	dir := demoPartition(t)
@@ -162,13 +164,9 @@ func TestStoreServeEndsOnCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, []string{"store", "serve", "-dir", dir, "-addr", addr}, io.Discard) }()
+	var resp *http.Response
 	for {
-		resp, err := http.Get("http://" + addr + "/api/v1/homes")
-		if err == nil {
-			_ = resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/api/v1/homes: %s", resp.Status)
-			}
+		if resp, err = http.Get("http://" + addr + "/api/v1/homes/gw000/summary"); err == nil {
 			break
 		}
 		select {
@@ -177,23 +175,22 @@ func TestStoreServeEndsOnCancel(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
+	var sum struct {
+		Data struct {
+			Dominants []string `json:"dominants"`
+		} `json:"data"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sum)
+	_ = resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/api/v1/homes/gw000/summary: %s, %v", resp.Status, err)
+	}
+	if len(sum.Data.Dominants) == 0 {
+		t.Error("gw000's summary lists no dominant device")
+	}
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("cancelled serve returned %v, want nil", err)
-	}
-}
-
-// TestSimulateExportLoads: the CSV bundle and manifest read back as a
-// dataset.
-func TestSimulateExportLoads(t *testing.T) {
-	dir := t.TempDir()
-	runOK(t, "simulate", "-homes", "3", "-weeks", "1", "-out", dir, "-q")
-	man, gws, err := dataset.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gws) != 3 || man.Config.Weeks != 1 || gws[0].ID != "gw000" {
-		t.Fatalf("loaded %d gateways, %d weeks, first %q; want 3, 1, gw000", len(gws), man.Config.Weeks, gws[0].ID)
 	}
 }
 
@@ -232,8 +229,6 @@ func TestUsageErrors(t *testing.T) {
 		{"store"},
 		{"store", "inspect"},
 		{"store", "export", "-dir", "x"},
-		{"dominants"},
-		{"similarity", "gw000"},
 	} {
 		err := run(context.Background(), args, io.Discard)
 		if !errors.As(err, new(usageError)) || exitCode(err) != 2 {
@@ -242,5 +237,28 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if exitCode(flag.ErrHelp) != 2 || exitCode(errors.New("boom")) != 1 || exitCode(nil) != 0 {
 		t.Error("exit codes: -h and usage errors are 2, other failures 1, success 0")
+	}
+}
+
+// TestUsageListsEveryCommand: the usage text names each subcommand of
+// the dispatch table once, and nothing else.
+func TestUsageListsEveryCommand(t *testing.T) {
+	_, list, _ := strings.Cut(usage, "subcommands:\n")
+	list, _, _ = strings.Cut(list, "\n\n")
+	listed := map[string]int{}
+	for _, line := range strings.Split(list, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]]++
+		}
+	}
+	for name, n := range listed {
+		if _, ok := commands[name]; !ok || n != 1 {
+			t.Errorf("usage lists %q %d times; in commands: %v", name, n, ok)
+		}
+	}
+	for name := range commands {
+		if listed[name] == 0 {
+			t.Errorf("usage does not list %q", name)
+		}
 	}
 }

@@ -43,7 +43,7 @@ import (
 // See STORAGE.md.
 func runExperiments(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	sh := sharedFlags(fs, 196, 8, true)
+	sh := sharedFlags(fs, 196, 8)
 	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	parallel := fs.Int("parallel", runtime.NumCPU(),
 		"worker budget shared by the experiments and their per-gateway fan-out (1 = sequential)")

@@ -21,7 +21,6 @@ commands:
   inspect   print campaign meta, store stats, gateways and segments (-json)
   verify    re-read and checksum every block; non-zero exit on corruption
   compact   merge all segments into a single segment
-  export    write the store as a dataset CSV bundle (-out required)
   serve     serve the HTTP query API plus /metrics and pprof (-addr)`
 
 // runStore is the operator tool for one homestore partition
@@ -40,18 +39,15 @@ func runStore(ctx context.Context, args []string, stdout io.Writer) (err error) 
 	fs := flag.NewFlagSet("store "+cmd, flag.ContinueOnError)
 	dir := fs.String("dir", "", "store data directory")
 	asJSON := fs.Bool("json", false, "inspect: emit machine-readable JSON")
-	out := fs.String("out", "", "export: destination directory for the CSV bundle")
 	addr := fs.String("addr", "127.0.0.1:0", "serve: listen address for the query/metrics server")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	switch {
-	case cmd != "inspect" && cmd != "verify" && cmd != "compact" && cmd != "export" && cmd != "serve":
+	case cmd != "inspect" && cmd != "verify" && cmd != "compact" && cmd != "serve":
 		return usagef("unknown store command %q\n%s", cmd, storeUsage)
 	case *dir == "":
 		return usagef("store %s: -dir is required", cmd)
-	case cmd == "export" && *out == "":
-		return usagef("store export: -out is required")
 	}
 
 	// serve shares one registry between the store and the query tier, so
@@ -91,11 +87,6 @@ func runStore(ctx context.Context, args []string, stdout io.Writer) (err error) 
 		fmt.Fprintf(stdout, "compacted %d segments (%d bytes) into %d (%d bytes), %d points, %.2fx compression\n",
 			before.Segments, before.SegmentBytes, after.Segments, after.SegmentBytes,
 			after.SegmentPoints, after.Compression)
-	case "export":
-		if err := s.Export(*out); err != nil {
-			return fmt.Errorf("export to %s: %w", *out, err)
-		}
-		fmt.Fprintf(stdout, "exported %d gateways to %s\n", len(s.Gateways()), *out)
 	case "serve":
 		logger := slogx.With("component", "homestore")
 		api := query.New(query.Config{Store: s, Registry: reg})

@@ -22,7 +22,7 @@ func Example_quickstart() {
 	h0, h1 := dep.Home(0), dep.Home(1)
 	a, _ := h0.Overall().FillMissing(0).Aggregate(3 * time.Hour)
 	b, _ := h1.Overall().FillMissing(0).Aggregate(3 * time.Hour)
-	fmt.Printf("Def 1  cor(%s, %s) at 3h bins: %.3f\n", h0.ID, h1.ID, corrsim.Default.Similarity(a.Values, b.Values))
+	fmt.Printf("Def 1  cor(%s, %s) at 3h bins: %.3f\n", h0.ID, h1.ID, corrsim.Default.Detailed(a.Values, b.Values).Similarity)
 
 	// ── Sec 6.1: background removal ─────────────────────────────────────
 	dt := h0.Traffic()[0]

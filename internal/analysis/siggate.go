@@ -22,8 +22,8 @@ var sigGateAllowed = []string{
 // coefficient is statistically significant (p < α). Calling
 // corr.{Pearson,Spearman,Kendall,SpearmanKendall,Complete} (and the
 // Ranked.Complete method) directly bypasses the
-// gate, so every use outside the allowlist must go through corrsim (Cor,
-// Measure.Similarity or Measure.Detailed) — or carry an explicit
+// gate, so every use outside the allowlist must go through corrsim
+// (Measure.Detailed or Reference.Similarity) — or carry an explicit
 // //homesight:rawcorr opt-out where the raw coefficient is deliberately
 // reported.
 var SigGate = &Analyzer{
@@ -55,7 +55,7 @@ func runSigGate(pass *Pass) {
 		switch fn.Name() {
 		case "Pearson", "Spearman", "Kendall", "SpearmanKendall", "Complete":
 			pass.Reportf(call.Pos(),
-				"raw corr.%s bypasses the Definition 1 significance gate; use corrsim.Cor / corrsim.Measure, or annotate //homesight:rawcorr if the ungated coefficient is the point",
+				"raw corr.%s bypasses the Definition 1 significance gate; use corrsim.Measure, or annotate //homesight:rawcorr if the ungated coefficient is the point",
 				fn.Name())
 		}
 		return true

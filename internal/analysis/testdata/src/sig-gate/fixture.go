@@ -25,7 +25,7 @@ func complete(x, y []float64) float64 {
 
 func gated(x, y []float64) float64 {
 	// Routed through Definition 1: no finding.
-	return corrsim.Cor(x, y) + corrsim.Default.Similarity(x, y)
+	return corrsim.Default.Detailed(x, y).Similarity + corrsim.Measure{}.Against(y).Similarity(x)
 }
 
 func optedOutInline(x, y []float64) float64 {

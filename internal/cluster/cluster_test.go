@@ -127,7 +127,7 @@ func TestWithCorrelationDistance(t *testing.T) {
 		scale(trendB, 1), scale(trendB, 10),
 	}
 	m := DistanceMatrix(len(series), func(i, j int) float64 {
-		return 1 - corrsim.Default.Similarity(series[i], series[j])
+		return 1 - corrsim.Default.Detailed(series[i], series[j]).Similarity
 	})
 	d, err := Agglomerate(m, Average)
 	if err != nil {

@@ -48,13 +48,6 @@ type Measure struct {
 // Default is the paper's measure at α = 0.05.
 var Default = Measure{Alpha: DefaultAlpha}
 
-// Cor is cor(X, Y) per Definition 1 at the paper's α — the
-// significance-gated entry point the sig-gate rule of internal/analysis
-// steers every caller of the raw coefficients to.
-func Cor(x, y []float64) float64 {
-	return Default.Similarity(x, y)
-}
-
 // alpha returns the effective significance level.
 func (m Measure) alpha() float64 {
 	if m.Alpha <= 0 {
@@ -73,17 +66,14 @@ type Detail struct {
 	N int
 }
 
-// Similarity returns cor(X, Y) per Definition 1: the largest statistically
-// significant coefficient, or 0 when none is significant. Pairs where
-// either series is NaN (missing observation) are dropped first; fewer than
-// 3 complete pairs yield 0.
-func (m Measure) Similarity(x, y []float64) float64 {
-	return m.Detailed(x, y).Similarity
-}
-
-// Detailed returns the similarity along with each underlying coefficient.
-// The complete pairs are compacted into the rank kernel's pooled scratch,
-// so a warm call allocates nothing.
+// Detailed returns cor(X, Y) per Definition 1 — the largest statistically
+// significant coefficient, or 0 when none is significant — along with
+// each underlying coefficient. Pairs where either series is NaN (missing
+// observation) are dropped first; fewer than 3 complete pairs yield 0.
+// This is the significance-gated entry point the sig-gate rule of
+// internal/analysis steers every caller of the raw coefficients to. The
+// complete pairs are compacted into the rank kernel's pooled scratch, so
+// a warm call allocates nothing.
 func (m Measure) Detailed(x, y []float64) Detail {
 	return m.detail(corr.Complete(x, y))
 }
@@ -133,7 +123,7 @@ func (r *Reference) Detailed(x []float64) Detail {
 	return r.m.detail(r.ranked.Complete(x))
 }
 
-// Similarity is m.Similarity(x, y) for the reference y.
+// Similarity is m.Detailed(x, y).Similarity for the reference y.
 func (r *Reference) Similarity(x []float64) float64 {
 	return r.Detailed(x).Similarity
 }

@@ -12,7 +12,7 @@ import (
 func TestSimilarityPerfectTrend(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	y := []float64{10, 20, 30, 40, 50, 60, 70, 80}
-	if got := Default.Similarity(x, y); got != 1 {
+	if got := Default.Detailed(x, y).Similarity; got != 1 {
 		t.Errorf("similarity = %g, want 1", got)
 	}
 	// Scale invariance: Definition 1 uses evolution, not absolute values.
@@ -20,7 +20,7 @@ func TestSimilarityPerfectTrend(t *testing.T) {
 	for i, v := range x {
 		y2[i] = v*1e6 + 42
 	}
-	if got := Default.Similarity(x, y2); got != 1 {
+	if got := Default.Detailed(x, y2).Similarity; got != 1 {
 		t.Errorf("scaled similarity = %g, want 1", got)
 	}
 }
@@ -29,7 +29,7 @@ func TestSimilarityInsignificantIsZero(t *testing.T) {
 	// Too few points for significance at alpha = .05.
 	x := []float64{1, 2, 3}
 	y := []float64{2, 1, 3}
-	if got := Default.Similarity(x, y); got != 0 {
+	if got := Default.Detailed(x, y).Similarity; got != 0 {
 		t.Errorf("similarity = %g, want 0 (insignificant)", got)
 	}
 	// Independent noise: usually 0.
@@ -42,7 +42,7 @@ func TestSimilarityInsignificantIsZero(t *testing.T) {
 			a[i] = rng.NormFloat64()
 			b[i] = rng.NormFloat64()
 		}
-		if Default.Similarity(a, b) == 0 {
+		if Default.Detailed(a, b).Similarity == 0 {
 			zeros++
 		}
 	}
@@ -56,7 +56,7 @@ func TestSimilarityNegativeCorrelationIsZero(t *testing.T) {
 	// all three coefficients negative, so the similarity must be 0.
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	y := []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	if got := Default.Similarity(x, y); got != 0 {
+	if got := Default.Detailed(x, y).Similarity; got != 0 {
 		t.Errorf("similarity = %g, want 0 for anti-correlated series", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestSimilarityConstantSeries(t *testing.T) {
 	// Silent traffic (all zeros) must never be "similar" to anything.
 	x := []float64{0, 0, 0, 0, 0, 0}
 	y := []float64{1, 5, 2, 8, 3, 9}
-	if got := Default.Similarity(x, y); got != 0 {
+	if got := Default.Detailed(x, y).Similarity; got != 0 {
 		t.Errorf("similarity with constant series = %g, want 0", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestSimilarityMissingValues(t *testing.T) {
 	x := []float64{1, nan, 2, 3, 4, 5, 6, 7, 8}
 	y := []float64{2, 99, 4, 6, 8, nan, 12, 14, 16}
 	// Complete pairs are perfectly correlated.
-	if got := Default.Similarity(x, y); got != 1 {
+	if got := Default.Detailed(x, y).Similarity; got != 1 {
 		t.Errorf("similarity = %g, want 1 on complete pairs", got)
 	}
 	d := Default.Detailed(x, y)
@@ -102,7 +102,7 @@ func TestSimilarityMissingValues(t *testing.T) {
 	}
 	// Everything missing → 0.
 	allNaN := []float64{nan, nan, nan, nan}
-	if got := Default.Similarity(allNaN, []float64{1, 2, 3, 4}); got != 0 {
+	if got := Default.Detailed(allNaN, []float64{1, 2, 3, 4}).Similarity; got != 0 {
 		t.Errorf("similarity = %g, want 0", got)
 	}
 }
@@ -126,8 +126,8 @@ func TestMeasureAlphaSensitivity(t *testing.T) {
 			break
 		}
 	}
-	loose := Measure{Alpha: 0.05}.Similarity(x, y)
-	strict := Measure{Alpha: 1e-6}.Similarity(x, y)
+	loose := Measure{Alpha: 0.05}.Detailed(x, y).Similarity
+	strict := Measure{Alpha: 1e-6}.Detailed(x, y).Similarity
 	if loose == 0 {
 		t.Error("loose alpha should accept the borderline correlation")
 	}
@@ -139,7 +139,7 @@ func TestMeasureAlphaSensitivity(t *testing.T) {
 func TestZeroValueMeasureUsesDefaultAlpha(t *testing.T) {
 	var m Measure
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	if m.Similarity(x, x) != 1 {
+	if m.Detailed(x, x).Similarity != 1 {
 		t.Error("zero-value Measure should behave like Default")
 	}
 }
@@ -151,9 +151,9 @@ func TestCoefficientSelection(t *testing.T) {
 	for i, v := range x {
 		y[i] = math.Exp(v / 2)
 	}
-	all := Measure{Use: UseAll}.Similarity(x, y)
-	pearsonOnly := Measure{Use: UsePearson}.Similarity(x, y)
-	spearmanOnly := Measure{Use: UseSpearman}.Similarity(x, y)
+	all := Measure{Use: UseAll}.Detailed(x, y).Similarity
+	pearsonOnly := Measure{Use: UsePearson}.Detailed(x, y).Similarity
+	spearmanOnly := Measure{Use: UseSpearman}.Detailed(x, y).Similarity
 	if all != 1 || spearmanOnly != 1 {
 		t.Errorf("all=%g spearman=%g, want 1", all, spearmanOnly)
 	}
@@ -181,12 +181,12 @@ func TestSimilarityScaleInvarianceQuick(t *testing.T) {
 			x[i] = rng.ExpFloat64() * 1e5
 			y[i] = x[i]*0.8 + rng.ExpFloat64()*2e4
 		}
-		base := Default.Similarity(x, y)
+		base := Default.Detailed(x, y).Similarity
 		scaled := make([]float64, n)
 		for i, v := range y {
 			scaled[i] = v*1000 + 7 // affine positive rescaling
 		}
-		return math.Abs(Default.Similarity(x, scaled)-base) < 1e-9
+		return math.Abs(Default.Detailed(x, scaled).Similarity-base) < 1e-9
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Error(err)
@@ -220,7 +220,7 @@ func TestSimilarityUnderMatchesDirectMeasure(t *testing.T) {
 		{Alpha: 0.2, Use: UseSpearman},
 	}
 	for _, m := range variants {
-		want := m.Similarity(x, y)
+		want := m.Detailed(x, y).Similarity
 		got := full.SimilarityUnder(m)
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("SimilarityUnder(%+v) = %g, direct = %g", m, got, want)

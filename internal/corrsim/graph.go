@@ -11,8 +11,8 @@ type Graph struct {
 
 // Graph scores every pair of windows once. Row j ranks w_j once, as the
 // reference of its comparisons with w_0 … w_{j−1}, so At(i, j) for i < j
-// equals m.Similarity(w_i, w_j) bit for bit. One corr.Ranked serves every
-// row. The windows must not change while the graph is built.
+// equals m.Detailed(w_i, w_j).Similarity bit for bit. One corr.Ranked
+// serves every row. The windows must not change while the graph is built.
 func (m Measure) Graph(windows [][]float64) Graph {
 	n := len(windows)
 	g := Graph{n: n, tri: make([]float64, n*(n-1)/2)}

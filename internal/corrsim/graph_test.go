@@ -49,7 +49,7 @@ func TestGraphMatchesSimilarity(t *testing.T) {
 			g := m.Graph(ws)
 			for j := range ws {
 				for i := 0; i < j; i++ {
-					want := math.Float64bits(m.Similarity(ws[i], ws[j]))
+					want := math.Float64bits(m.Detailed(ws[i], ws[j]).Similarity)
 					if got := math.Float64bits(g.At(i, j)); got != want {
 						t.Errorf("%+v k=%d: At(%d, %d) = %v, Similarity = %v", m, k, i, j,
 							math.Float64frombits(got), math.Float64frombits(want))

@@ -264,12 +264,12 @@ func TestDetectKeepsEveryCoefficient(t *testing.T) {
 		if d := sc.Detail; math.IsNaN(d.Pearson.Coeff) || math.IsNaN(d.Kendall.Coeff) || d.N == 0 {
 			t.Fatalf("%s: detail %+v does not carry every coefficient", sc.Device.MAC, d)
 		}
-		if want := spearman.Similarity(x, gw); sc.Similarity != want || sc.Detail.Similarity != want {
+		if want := spearman.Detailed(x, gw).Similarity; sc.Similarity != want || sc.Detail.Similarity != want {
 			t.Errorf("%s: similarity %v (detail %v), spearman-only scores %v", sc.Device.MAC, sc.Similarity, sc.Detail.Similarity, want)
 		}
 		for _, use := range []corrsim.Coefficients{corrsim.UseAll, corrsim.UsePearson, corrsim.UseKendall} {
 			m := corrsim.Measure{Use: use}
-			if got, want := sc.Detail.SimilarityUnder(m), m.Similarity(x, gw); got != want {
+			if got, want := sc.Detail.SimilarityUnder(m), m.Detailed(x, gw).Similarity; got != want {
 				t.Errorf("%s under %v: %v from the detail, %v directly", sc.Device.MAC, use, got, want)
 			}
 		}

@@ -107,7 +107,7 @@ func TestMineDefinitionProperties(t *testing.T) {
 				if i == j {
 					continue
 				}
-				s := corrsim.Default.Similarity(a.Window.Values, b.Window.Values)
+				s := corrsim.Default.Detailed(a.Window.Values, b.Window.Values).Similarity
 				if s >= phi {
 					hasPeer = true
 				}
@@ -461,7 +461,7 @@ func (mn pairwiseMiner) Mine(instances []Instance) []*Motif {
 func (mn pairwiseMiner) similarityRange(inst Instance, m *Motif) (maxSim, minSim float64) {
 	minSim = 1
 	for _, mem := range m.Members {
-		s := mn.Measure.Similarity(inst.Window.Values, mem.Window.Values)
+		s := mn.Measure.Detailed(inst.Window.Values, mem.Window.Values).Similarity
 		if s > maxSim {
 			maxSim = s
 		}
@@ -505,7 +505,7 @@ func (mn pairwiseMiner) allCrossAbove(a, b *Motif, thr float64) bool {
 	}
 	for _, x := range a.Members {
 		for _, y := range b.Members {
-			if mn.Measure.Similarity(x.Window.Values, y.Window.Values) < thr {
+			if mn.Measure.Detailed(x.Window.Values, y.Window.Values).Similarity < thr {
 				return false
 			}
 		}

@@ -175,7 +175,7 @@ func TestCheckSumSimilarity(t *testing.T) {
 			want := 0.0
 			for i := range wins {
 				for j := i + 1; j < len(wins); j++ {
-					want += c.Measure.Similarity(wins[i], wins[j])
+					want += c.Measure.Detailed(wins[i], wins[j]).Similarity
 				}
 			}
 			if got := c.Check(wins).SumSimilarity; math.Float64bits(got) != math.Float64bits(want) {

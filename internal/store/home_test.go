@@ -152,23 +152,4 @@ func TestStoreHome(t *testing.T) {
 	if len(cut.Devices) != 2 || cut.Devices[0].Device.MAC != macA || cut.Devices[1].Device.MAC != macB || cut.Overall.Len() != 15 {
 		t.Fatalf("home to minute 15: %d devices, %d minutes; want A and B over 15", len(cut.Devices), cut.Overall.Len())
 	}
-
-	// Export then dataset.ReadCSV (whose rebuildOverall sums the rows
-	// itself) gives back the same home over the exported whole weeks.
-	dir := t.TempDir()
-	if err := s.Export(dir); err != nil {
-		t.Fatal(err)
-	}
-	_, loaded, err := dataset.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weeks, err := s.Home(ctx, gw, s.campaignEnd(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 1 || weeks.Overall.Len() != minutesPerWeek {
-		t.Fatalf("export holds %d homes; home over whole weeks has %d minutes", len(loaded), weeks.Overall.Len())
-	}
-	sameHome(t, "Home vs Export+ReadCSV", loaded[0], weeks)
 }

@@ -220,7 +220,7 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 		from = s.cfg.Start
 	}
 	if to.IsZero() {
-		to = s.campaignEnd(false)
+		to = s.campaignEnd()
 		if to.Before(from) {
 			to = from
 		}
@@ -434,17 +434,13 @@ func (s *Store) queryReconstruct(ctx context.Context, res *Result, limit int) er
 // one step past the highest stored sample (equal times for an empty
 // store) — what a zero QueryRequest.From/To defaults to.
 func (s *Store) Campaign() (start, end time.Time) {
-	return s.cfg.Start, s.campaignEnd(false)
+	return s.cfg.Start, s.campaignEnd()
 }
 
-// campaignEnd is the defaulted query end; wholeWeeks rounds up to the
-// dataset campaign granularity, the end Export writes.
-func (s *Store) campaignEnd(wholeWeeks bool) time.Time {
-	minutes := s.campaignMinutes()
-	if wholeWeeks {
-		minutes = (minutes + minutesPerWeek - 1) / minutesPerWeek * minutesPerWeek
-	}
-	return s.cfg.Start.Add(time.Duration(minutes) * s.cfg.Step)
+// campaignEnd is the defaulted query end: one step past the highest
+// stored sample.
+func (s *Store) campaignEnd() time.Time {
+	return s.cfg.Start.Add(time.Duration(s.campaignMinutes()) * s.cfg.Step)
 }
 
 // Generation returns a value that advances every time the store accepts

@@ -74,7 +74,7 @@ func reconcileBins(t *testing.T, s *Store, want map[Key][]Point, stage string) {
 			// Unaligned window: 100 minutes in, 70 minutes short of the
 			// end — the query must widen outward to bin boundaries.
 			from := s.Start().Add(100 * time.Minute)
-			to := s.campaignEnd(false).Add(-70 * time.Minute)
+			to := s.campaignEnd().Add(-70 * time.Minute)
 			if !to.After(from) {
 				continue
 			}
@@ -289,17 +289,17 @@ func TestQueryCampaignDefaults(t *testing.T) {
 	if !res.From.Equal(start) || !res.To.Equal(end) {
 		t.Fatalf("defaulted range [%v, %v), want [%v, %v)", res.From, res.To, start, end)
 	}
-	// Export's end: the campaign end rounded up to the dataset campaign
-	// granularity.
-	res, err = s.Query(ctx, QueryRequest{Key: k, To: s.campaignEnd(true), Reconstruct: true})
+	// An end past the campaign pads the reconstruction with NaN to it.
+	const week = 7 * 24 * 60
+	res, err = s.Query(ctx, QueryRequest{Key: k, To: testStart.Add(week * time.Minute), Reconstruct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := testStart.Add(minutesPerWeek * time.Minute); !res.To.Equal(want) {
+	if want := testStart.Add(week * time.Minute); !res.To.Equal(want) {
 		t.Fatalf("whole-week end %v, want %v", res.To, want)
 	}
-	if got := len(res.Series.Values); got != minutesPerWeek {
-		t.Fatalf("reconstructed series has %d values, want %d", got, minutesPerWeek)
+	if got := len(res.Series.Values); got != week {
+		t.Fatalf("reconstructed series has %d values, want %d", got, week)
 	}
 	if res.LastIndex != minutes-1 {
 		t.Fatalf("LastIndex %d, want %d", res.LastIndex, minutes-1)

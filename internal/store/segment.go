@@ -55,7 +55,7 @@ const (
 	DirOut
 )
 
-// String implements fmt.Stringer ("in"/"out", the export vocabulary).
+// String implements fmt.Stringer ("in"/"out", the query API's dir).
 func (d Direction) String() string {
 	if d == DirIn {
 		return "in"

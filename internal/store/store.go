@@ -126,7 +126,7 @@ type memSeries struct {
 
 // series is the append cursor of one (gateway, device, direction) key:
 // its high-water timestamp — the only copy; Watermarks, Stats and the
-// export read it here — and its slot in the active memtable.
+// campaign end read it here — and its slot in the active memtable.
 type series struct {
 	// wm is the high-water timestamp, meaningful once seen is set (zero
 	// is a valid timestamp).

@@ -16,7 +16,7 @@ const (
 	Workday         Archetype = "workday"          // weekday working-hours usage
 	MorningEvening  Archetype = "morning_evening"  // split morning + evening bumps
 	AllDay          Archetype = "all_day"          // continuous day-long usage
-	Irregular       Archetype = "irregular"        // no steady rhythm
+	Irregular       Archetype = "irregular"        // morning, afternoon and evening bumps, the same every day
 )
 
 // archetypeWeights is the population mixture. Irregular homes dilute motif
