@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"time"
@@ -86,8 +87,8 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 		return usageError{err}
 	}
 	if f := fs.Lookup("log-level"); f != nil {
-		lvl, err := slogx.ParseLevel(f.Value.String())
-		if err != nil {
+		var lvl slog.Level
+		if err := lvl.UnmarshalText([]byte(f.Value.String())); err != nil {
 			return usagef("-log-level: %w", err)
 		}
 		slogx.SetLevel(lvl)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -15,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"homesight/internal/obs/slogx"
 )
 
 // runOK runs one command line and returns its stdout.
@@ -222,6 +225,8 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{"nope"},
 		{"experiments", "-bogus"},
+		{"experiments", "-log-level", "loud"},
+		{"experiments", "-log-level", "warning"},
 		{"experiments", "-homes", "2", "-weeks", "1", "-run", "nope"},
 		{"collector", "-demo", "-kill"},
 		{"collector", "-demo", "-kill", "-shards", "2", "-fsync", "interval"},
@@ -237,6 +242,25 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if exitCode(flag.ErrHelp) != 2 || exitCode(errors.New("boom")) != 1 || exitCode(nil) != 0 {
 		t.Error("exit codes: -h and usage errors are 2, other failures 1, success 0")
+	}
+}
+
+// TestLogLevelFlag: -log-level takes slog's level names and sets the
+// level every logger filters at (TestUsageErrors has the rejected names).
+func TestLogLevelFlag(t *testing.T) {
+	defer slogx.SetLevel(slog.LevelInfo)
+	for name, lvl := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "WARN": slog.LevelWarn, "error": slog.LevelError,
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		sharedFlags(fs, 1, 1)
+		if err := parseFlags(fs, []string{"-log-level", name}); err != nil {
+			t.Errorf("-log-level %s: %v", name, err)
+		}
+		l := slogx.With()
+		if !l.Enabled(context.Background(), lvl) || l.Enabled(context.Background(), lvl-1) {
+			t.Errorf("-log-level %s: loggers do not filter at %v", name, lvl)
+		}
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 )
 
 // PrintfLog flags stdlib log.Print/Printf/Println calls in production
-// code: homesight's operational events must go through obs/slogx so
-// every line is leveled key=value and carries the same field names as
-// the metric counting the same event (OBSERVABILITY.md documents the
-// vocabulary). Prose-formatted log.Printf lines cannot be grepped by
-// field and silently diverge from the exported counters.
+// code: homesight's operational events must go through obs/slogx, whose
+// log/slog text handler makes every line leveled key=value with the same
+// field names as the metric counting the same event (OBSERVABILITY.md
+// documents the vocabulary). Prose-formatted log.Printf lines cannot be
+// grepped by field and silently diverge from the exported counters.
 //
 // log.Fatal/Fatalf/Panic and the log.Logger type are exempt — the rule
 // targets the event stream, not process-exit helpers — and test files
@@ -20,7 +20,7 @@ import (
 // //homesight:ignore printf-log with a rationale.
 var PrintfLog = &Analyzer{
 	Name: "printf-log",
-	Doc: "production code must log through obs/slogx (leveled key=value), " +
+	Doc: "production code must log through obs/slogx (log/slog key=value lines), " +
 		"not stdlib log.Print/Printf/Println",
 	Run: runPrintfLog,
 }
@@ -50,7 +50,7 @@ func runPrintfLog(pass *Pass) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"log.%s in production code: use obs/slogx for leveled key=value events "+
+			"log.%s in production code: use obs/slogx for log/slog key=value events "+
 				"(logger.Info(msg, k, v, ...) on a *slogx.Logger)", sel.Sel.Name)
 		return true
 	})

@@ -57,7 +57,6 @@ type Config struct {
 // full pipeline; Fleet.ReplayFunc wires the router's catch-up replay to
 // the on-disk partitions.
 type Fleet struct {
-	cfg    Config
 	shards []*Shard
 }
 
@@ -75,7 +74,7 @@ func Start(cfg Config) (*Fleet, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewFleetMetrics(obs.NewRegistry())
 	}
-	f := &Fleet{cfg: cfg}
+	f := &Fleet{}
 	for i := 0; i < cfg.Shards; i++ {
 		s, err := StartShard(ShardConfig{
 			Name:    ShardName(i),

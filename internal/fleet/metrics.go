@@ -7,9 +7,9 @@ import (
 // FleetMetrics is the fleet tier's bundle of registry-backed
 // instruments, shared by the router and every shard wired to the same
 // registry (`homesight collector` registers one bundle on the debug server's
-// registry). It mirrors RouterStats and ShardStats: the snapshot
-// structs stay the programmatic API, these are the live exported
-// series.
+// registry). It mirrors RouterStats, and ShardStats reads its reports
+// and frames from the per-shard series: the snapshot structs stay the
+// programmatic API, these are the live exported series.
 //
 // Per-shard stores run with private store metrics (several stores on
 // one registry would fight over the shared gauges), so the fleet

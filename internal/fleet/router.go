@@ -125,7 +125,6 @@ type Router struct {
 
 type routerShard struct {
 	name    string
-	addr    string
 	rep     *telemetry.BatchReporter
 	pending []gateway.Report
 }
@@ -152,7 +151,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			_ = r.closeLocked()
 			return nil, fmt.Errorf("fleet: dialing shard %s at %s: %w", sa.Name, addr, err)
 		}
-		r.shards[sa.Name] = &routerShard{name: sa.Name, addr: addr, rep: rep}
+		r.shards[sa.Name] = &routerShard{name: sa.Name, rep: rep}
 		r.ring.Add(sa.Name)
 	}
 	return r, nil

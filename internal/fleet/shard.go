@@ -96,12 +96,12 @@ type ShardStats struct {
 	ConnsOpened int64 `json:"conns_opened"`
 }
 
+// shardCounters holds the events with no per-shard registry series;
+// reports appended and frames decoded are read from the bound ones.
 type shardCounters struct {
-	reportsAppended atomic.Int64
-	appendErrors    atomic.Int64
-	framesDecoded   atomic.Int64
-	framesRejected  atomic.Int64
-	connsOpened     atomic.Int64
+	appendErrors   atomic.Int64
+	framesRejected atomic.Int64
+	connsOpened    atomic.Int64
 }
 
 // Shard is one member of the fleet ingest tier: a TCP server that
@@ -115,7 +115,7 @@ type Shard struct {
 	tracker *livestats.Tracker // nil when live analytics are off
 	ln      net.Listener
 	reports *obs.Counter // metrics.ShardReports.With(name), bound once
-	batches *obs.Counter
+	batches *obs.Counter // metrics.ShardBatches.With(name)
 
 	mu     sync.Mutex
 	closed bool
@@ -188,9 +188,9 @@ func (s *Shard) Dir() string { return s.cfg.Dir }
 // Stats returns a snapshot of the shard's ingest accounting.
 func (s *Shard) Stats() ShardStats {
 	return ShardStats{
-		ReportsAppended: s.counters.reportsAppended.Load(),
+		ReportsAppended: s.reports.Value(),
 		AppendErrors:    s.counters.appendErrors.Load(),
-		FramesDecoded:   s.counters.framesDecoded.Load(),
+		FramesDecoded:   s.batches.Value(),
 		FramesRejected:  s.counters.framesRejected.Load(),
 		ConnsOpened:     s.counters.connsOpened.Load(),
 	}
@@ -287,11 +287,8 @@ func (s *Shard) ingestBatch(reps []gateway.Report) error {
 				s.tracker.OnReport(reps[i])
 			}
 		}
-		appended := int64(len(reps) - skipped)
-		s.counters.reportsAppended.Add(appended)
-		s.reports.Add(appended)
+		s.reports.Add(int64(len(reps) - skipped))
 	}
-	s.counters.framesDecoded.Add(1)
 	s.batches.Inc()
 	s.cfg.Metrics.IngestSeconds.Observe(s.cfg.Now().Sub(start).Seconds())
 	return err

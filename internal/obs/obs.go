@@ -3,9 +3,9 @@
 // that renders the Prometheus text exposition format. A companion HTTP
 // Server (see server.go) exposes the registry at /metrics next to
 // /healthz and the net/http/pprof profiling endpoints, behind the
-// binaries' -debug-addr flag; the obs/slogx subpackage is the matching
-// structured logger, so log events carry the same key=value fields the
-// metrics use.
+// binaries' -debug-addr flag; the obs/slogx subpackage logs through
+// log/slog's text handler, so log events carry the same key=value fields
+// the metrics use.
 //
 // Design constraints, in order:
 //

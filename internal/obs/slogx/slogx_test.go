@@ -1,162 +1,107 @@
 package slogx
 
 import (
-	"errors"
+	"context"
+	"log/slog"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-// Debug emits a debug event. No program logs below Info, so the method
-// lives with the tests that pin the level filter.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// fixed installs a deterministic clock for golden-line tests.
-func fixed(l *Logger) *Logger {
-	l.clock = func() time.Time {
-		return time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	}
-	return l
-}
-
-func TestLineFormat(t *testing.T) {
+// capture points root at a buffer for the test, at the shared level.
+func capture(t *testing.T) *strings.Builder {
+	t.Helper()
 	var b strings.Builder
-	l := fixed(New(&b, LevelDebug))
-
-	l.Info("listening", "addr", "127.0.0.1:7800")
-	l.Warn("report dropped", "reason", "malformed", "bytes", 512)
-	l.Error("dial failed", "err", errors.New("connection refused"), "backoff", 50*time.Millisecond)
-	l.Debug("odd pair", "only-key")
-
-	want := `ts=2026-08-05T12:00:00.000Z level=info msg=listening addr=127.0.0.1:7800
-ts=2026-08-05T12:00:00.000Z level=warn msg="report dropped" reason=malformed bytes=512
-ts=2026-08-05T12:00:00.000Z level=error msg="dial failed" err="connection refused" backoff=50ms
-ts=2026-08-05T12:00:00.000Z level=debug msg="odd pair" only-key=(missing)
-`
-	if got := b.String(); got != want {
-		t.Errorf("lines mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	old := root
+	root = slog.NewTextHandler(&b, &slog.HandlerOptions{Level: &level})
+	t.Cleanup(func() { root = old; level.Set(slog.LevelInfo) })
+	return &b
 }
 
-func TestLevelFiltering(t *testing.T) {
-	var b strings.Builder
-	l := fixed(New(&b, LevelWarn))
-	l.Debug("no")
-	l.Info("no")
-	l.Warn("yes")
-	l.Error("yes")
-	if n := strings.Count(b.String(), "\n"); n != 2 {
-		t.Errorf("emitted %d lines below/at LevelWarn, want 2:\n%s", n, b.String())
-	}
-	if !l.Enabled(LevelError) || l.Enabled(LevelInfo) {
-		t.Error("Enabled disagrees with filtering")
-	}
-}
-
+// TestWithBindsFields: a derived logger stamps its fields on every
+// event, and SetLevel reaches it though it was derived before the call.
 func TestWithBindsFields(t *testing.T) {
-	var b strings.Builder
-	l := fixed(New(&b, LevelInfo))
-	col := l.With("component", "collector")
-	col.Info("resync", "gw", "gw042")
-	want := "ts=2026-08-05T12:00:00.000Z level=info msg=resync component=collector gw=gw042\n"
-	if b.String() != want {
-		t.Errorf("got %q, want %q", b.String(), want)
-	}
-
-	// SetLevel reaches derived loggers (shared level).
-	b.Reset()
-	l.SetLevel(LevelError)
-	col.Info("suppressed")
-	if b.String() != "" {
-		t.Errorf("derived logger ignored parent SetLevel: %q", b.String())
+	b := capture(t)
+	l := With("component", "x")
+	SetLevel(slog.LevelWarn)
+	l.Info("suppressed")
+	l.Warn("kept", "gw", "gw042")
+	if got := b.String(); strings.Contains(got, "suppressed") || !strings.Contains(got, "level=WARN msg=kept component=x gw=gw042\n") {
+		t.Errorf("after SetLevel(WARN) a logger derived before it wrote %q", got)
 	}
 }
 
-func TestQuotingAndKeys(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"plain", "plain"},
-		{"", `""`},
-		{"two words", `"two words"`},
-		{`has"quote`, `"has\"quote"`},
-		{"a=b", `"a=b"`},
-		{"line\nbreak", `"line\nbreak"`},
+// TestLevelFiltering holds the stderr handler itself, not a test
+// double, to the shared level: INFO by default, then whatever SetLevel says.
+func TestLevelFiltering(t *testing.T) {
+	defer SetLevel(slog.LevelInfo)
+	ctx := context.Background()
+	l := With("component", "x")
+	if l.Enabled(ctx, slog.LevelDebug) || !l.Enabled(ctx, slog.LevelInfo) {
+		t.Error("the default level is not INFO")
 	}
-	for _, tc := range cases {
-		if got := quote(tc.in); got != tc.want {
-			t.Errorf("quote(%q) = %s, want %s", tc.in, got, tc.want)
-		}
-	}
-	if got := sanitizeKey("bad key="); got != "bad_key_" {
-		t.Errorf("sanitizeKey = %q", got)
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "WARN": LevelWarn,
-		"warning": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel(loud) succeeded")
+	SetLevel(slog.LevelError)
+	if l.Enabled(ctx, slog.LevelWarn) || !l.Enabled(ctx, slog.LevelError) {
+		t.Error("SetLevel(ERROR) did not reach the stderr handler")
 	}
 }
 
 func TestFatalExits(t *testing.T) {
+	b := capture(t)
 	var code int
-	exited := false
 	old := osExit
-	osExit = func(c int) { code, exited = c, true }
+	osExit = func(c int) { code = c }
 	defer func() { osExit = old }()
 
-	var b strings.Builder
-	fixed(New(&b, LevelInfo)).Fatal("boom", "err", "x")
-	if !exited || code != 1 {
-		t.Errorf("Fatal exited=%v code=%d, want exit 1", exited, code)
+	With("component", "x").Fatal("boom", "err", "disk full")
+	if code != 1 {
+		t.Errorf("Fatal exited %d, want 1", code)
 	}
-	if !strings.Contains(b.String(), "level=error msg=boom") {
-		t.Errorf("Fatal line = %q", b.String())
+	if got := b.String(); !strings.Contains(got, `level=ERROR msg=boom component=x err="disk full"`) {
+		t.Errorf("Fatal line = %q", got)
 	}
 }
 
-// TestConcurrentNoInterleave pins the single-Write contract: lines from
-// concurrent goroutines never interleave mid-line.
+// TestLineFormat runs scripts/obs_smoke.sh's sed expression over a real
+// line: the smoke finds each server's address this way.
+func TestLineFormat(t *testing.T) {
+	b := capture(t)
+	With("component", "x").Info("debug server listening", "addr", "127.0.0.1:1")
+	cmd := exec.Command("sed", "-n", `s/.*msg="debug server listening".* addr=\([0-9.:]*\).*/\1/p`)
+	cmd.Stdin = strings.NewReader(b.String())
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("sed: %v", err)
+	}
+	if got := strings.TrimSpace(string(out)); got != "127.0.0.1:1" {
+		t.Errorf("obs_smoke's sed read %q from %q, want 127.0.0.1:1", got, b.String())
+	}
+}
+
+// TestConcurrentNoInterleave: loggers derived apart share one handler,
+// so events from concurrent goroutines never tear mid-line.
 func TestConcurrentNoInterleave(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		lines = append(lines, string(p))
-		mu.Unlock()
-		return len(p), nil
-	})
-	l := fixed(New(w, LevelInfo))
+	b := capture(t)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			l := With("component", "x")
 			for j := 0; j < 100; j++ {
 				l.Info("tick", "worker", j)
 			}
 		}()
 	}
 	wg.Wait()
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
 	if len(lines) != 800 {
-		t.Fatalf("got %d writes, want 800 (one per event)", len(lines))
+		t.Fatalf("got %d lines, want 800 (one per event)", len(lines))
 	}
 	for _, line := range lines {
-		if !strings.HasPrefix(line, "ts=") || !strings.HasSuffix(line, "\n") {
+		if !strings.HasPrefix(line, "time=") || !strings.Contains(line, " msg=tick component=x worker=") {
 			t.Fatalf("torn line: %q", line)
 		}
 	}
 }
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -87,8 +87,9 @@ type Config struct {
 	// segment block size (default 1024).
 	FlushPoints int
 	BlockPoints int
-	// Metrics receives the store's instruments; nil gets a private
-	// registry (counting stays on, nothing is exported).
+	// Metrics receives the store's instruments, and Stats reads its
+	// counts from them; nil gets a private registry (counting stays on,
+	// nothing is exported).
 	Metrics *Metrics
 	// Now is the clock behind fsync-duration metrics; nil → time.Now.
 	// Injectable so the store's encoded bytes and tests never depend on
@@ -206,8 +207,7 @@ type Store struct {
 	scratch   []byte        // WAL record encode buffer, reused under mu
 	reads     *readCounters // raw-vs-rollup block decode accounting, shared by all segments
 
-	reports, points, dups int64
-	walRecords, walTrunc  int
+	walRecords int
 
 	// campaign memoises campaignMinutes on the Generation it was computed
 	// at: watermarks only move when Generation does.
@@ -502,6 +502,7 @@ func (s *Store) replayWALs() error {
 		return err
 	}
 	dec := gateway.NewReportDecoder()
+	var points, dups int64
 	for _, seq := range seqs {
 		res, err := replayWAL(s.walPath(seq), func(payload []byte) error {
 			dec.Reset()
@@ -509,7 +510,8 @@ func (s *Store) replayWALs() error {
 			if err != nil {
 				return err
 			}
-			s.ingest(&rep)
+			p, d := s.ingest(&rep)
+			points, dups = points+p, dups+d
 			return nil
 		})
 		if err != nil {
@@ -517,14 +519,13 @@ func (s *Store) replayWALs() error {
 		}
 		s.walRecords += res.records
 		if res.truncated {
-			s.walTrunc++
 			s.cfg.Metrics.WALTruncations.Inc()
 		}
 	}
 	s.walSeqs = seqs
-	s.cfg.Metrics.Appends.Add(s.reports)
-	s.cfg.Metrics.Points.Add(s.points)
-	s.cfg.Metrics.DupPoints.Add(s.dups)
+	s.cfg.Metrics.Appends.Add(int64(s.walRecords))
+	s.cfg.Metrics.Points.Add(points)
+	s.cfg.Metrics.DupPoints.Add(dups)
 	return nil
 }
 
@@ -534,15 +535,15 @@ func (s *Store) replayWALs() error {
 // through its slot in the gateway's previous report, so the steady state
 // is one map lookup per report; only a device that joined or moved goes
 // to the MAC map, and only a series' first point after a rotation touches
-// the keyed memtable map. Its callers move the metrics. Caller holds mu
-// (or owns the store, at Open).
-func (s *Store) ingest(rep *gateway.Report) {
+// the keyed memtable map. It returns the points written and dropped;
+// its callers move the metrics. Caller holds mu (or owns the store, at
+// Open).
+func (s *Store) ingest(rep *gateway.Report) (points, dups int64) {
 	ts := rep.Timestamp.Unix()
 	var devs *deviceSet
 	if len(rep.Devices) > 0 { // a report without devices does not register its gateway
 		devs = s.devicesOf(rep.GatewayID)
 	}
-	var points, dups int64
 	for i := range rep.Devices {
 		dc := &rep.Devices[i]
 		dev, ok := devs.last.Get(i, dc.MAC)
@@ -569,9 +570,7 @@ func (s *Store) ingest(rep *gateway.Report) {
 		}
 	}
 	s.memPoints += int(points)
-	s.points += points
-	s.dups += dups
-	s.reports++
+	return points, dups
 }
 
 // Append durably records one report. Points at or before a series'
@@ -627,15 +626,16 @@ func (s *Store) AppendBatch(reps []gateway.Report) (skipped int, err error) {
 		}
 		s.cfg.Metrics.FsyncSeconds.Observe(s.cfg.Now().Sub(t0).Seconds())
 	}
-	points, dups := s.points, s.dups
+	var points, dups int64
 	for i := range reps {
 		if reps[i].GatewayID != "" {
-			s.ingest(&reps[i])
+			p, d := s.ingest(&reps[i])
+			points, dups = points+p, dups+d
 		}
 	}
 	s.cfg.Metrics.Appends.Add(int64(len(reps) - skipped))
-	s.cfg.Metrics.Points.Add(s.points - points)
-	s.cfg.Metrics.DupPoints.Add(s.dups - dups)
+	s.cfg.Metrics.Points.Add(points)
+	s.cfg.Metrics.DupPoints.Add(dups)
 	s.cfg.Metrics.MemPoints.Set(float64(s.memPoints))
 	var rotated bool
 	if s.memPoints >= s.cfg.FlushPoints && s.frozen == nil {
@@ -924,14 +924,14 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Reports:          s.reports,
-		Points:           s.points,
-		DupPoints:        s.dups,
+		Reports:          s.cfg.Metrics.Appends.Value(),
+		Points:           s.cfg.Metrics.Points.Value(),
+		DupPoints:        s.cfg.Metrics.DupPoints.Value(),
 		Series:           s.numSeries,
 		Segments:         len(s.segs),
 		MemPoints:        s.memPoints,
 		WALRecords:       s.walRecords,
-		WALTruncations:   s.walTrunc,
+		WALTruncations:   int(s.cfg.Metrics.WALTruncations.Value()),
 		RawBlockReads:    s.reads.raw.Value(),
 		RollupBlockReads: s.reads.rollup.Value(),
 	}

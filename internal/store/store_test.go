@@ -494,7 +494,8 @@ func TestStoreMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range buildReports("gw001", 2, 30) {
+	reps := buildReports("gw001", 2, 30)
+	for _, rep := range reps {
 		if err := s.Append(rep); err != nil {
 			t.Fatal(err)
 		}
@@ -512,6 +513,13 @@ func TestStoreMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
+	var points int64
+	for _, pts := range expectedPoints(reps) {
+		points += int64(len(pts))
+	}
+	if st := s.Stats(); st.Reports != 30 || st.Points != points {
+		t.Errorf("Stats counts %d reports and %d points, want 30 and %d", st.Reports, st.Points, points)
+	}
 	for _, want := range []string{
 		"homesight_store_appends_total 30",
 		"homesight_store_flushes_total 1",

@@ -32,7 +32,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // policy; the writer only distinguishes flush (buffer → kernel) from
 // sync (kernel → disk).
 type walWriter struct {
-	path  string
 	f     *os.File
 	bw    *bufio.Writer
 	bytes int64 // bytes handed to the buffered writer

@@ -226,7 +226,7 @@ func TestAppendBatchWritesTheWALOfAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if stats[0] != stats[1] || stats[0].WALRecords != len(reps)-1 || stats[0].DupPoints == 0 {
-		t.Errorf("reopened stats: Append %+v, AppendBatch %+v; want equal, %d records and some duplicates", stats[0], stats[1], len(reps)-1)
+	if stats[0] != stats[1] || stats[0].WALRecords != len(reps)-1 || stats[0].Reports != int64(len(reps)-1) || stats[0].DupPoints == 0 {
+		t.Errorf("reopened stats: Append %+v, AppendBatch %+v; want equal, %d records and reports, and some duplicates", stats[0], stats[1], len(reps)-1)
 	}
 }

@@ -26,6 +26,29 @@ TMP=$(mktemp -d)
 PID= QPID= FPID= LPID=
 trap 'kill "$PID" "$QPID" "$FPID" "$LPID" 2>/dev/null || true; wait "$PID" "$QPID" "$FPID" "$LPID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
+# await_addr PID LOG MSG WHAT SERVER polls LOG until the program logs
+# `msg="MSG" ... addr=<host:port>` and sets ADDR to that address. It
+# fails, dumping LOG, if WHAT (PID) exits first or SERVER never
+# announces within 150 polls 0.2 s apart.
+await_addr() {
+    ADDR=
+    i=0
+    while [ $i -lt 150 ]; do
+        ADDR=$(sed -n "s/.*msg=\"$3\".* addr=\([0-9.:]*\).*/\1/p" "$2" | head -n 1)
+        [ -n "$ADDR" ] && return 0
+        if ! kill -0 "$1" 2>/dev/null; then
+            echo "obs-smoke: $4 exited before serving" >&2
+            cat "$2" >&2
+            exit 1
+        fi
+        i=$((i + 1))
+        sleep 0.2
+    done
+    echo "obs-smoke: $5 never announced an address" >&2
+    cat "$2" >&2
+    exit 1
+}
+
 # Built once and run directly, so every kill below reaches the program
 # itself (a killed `go run` leaves its child running).
 $GO build -o "$TMP/homesight" ./cmd/homesight
@@ -37,26 +60,8 @@ $GO build -o "$TMP/homesight" ./cmd/homesight
     >"$TMP/stdout" 2>"$TMP/stderr" &
 PID=$!
 
-# The server logs `msg="debug server listening" ... addr=<host:port>`;
-# poll stderr until the line appears (or the binary died).
-ADDR=
-i=0
-while [ $i -lt 150 ]; do
-    ADDR=$(sed -n 's/.*msg="debug server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/stderr" | head -n 1)
-    [ -n "$ADDR" ] && break
-    if ! kill -0 "$PID" 2>/dev/null; then
-        echo "obs-smoke: experiments exited before serving" >&2
-        cat "$TMP/stderr" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-    echo "obs-smoke: debug server never announced an address" >&2
-    cat "$TMP/stderr" >&2
-    exit 1
-fi
+# The server logs `msg="debug server listening" ... addr=<host:port>`.
+await_addr "$PID" "$TMP/stderr" "debug server listening" experiments "debug server"
 
 fail() {
     echo "obs-smoke: $1" >&2
@@ -96,24 +101,8 @@ PID=
     >"$TMP/f-stdout" 2>"$TMP/f-stderr" &
 FPID=$!
 
-FADDR=
-i=0
-while [ $i -lt 150 ]; do
-    FADDR=$(sed -n 's/.*msg="debug server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/f-stderr" | head -n 1)
-    [ -n "$FADDR" ] && break
-    if ! kill -0 "$FPID" 2>/dev/null; then
-        echo "obs-smoke: fleet collector exited before serving" >&2
-        cat "$TMP/f-stderr" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$FADDR" ]; then
-    echo "obs-smoke: fleet collector debug server never announced an address" >&2
-    cat "$TMP/f-stderr" >&2
-    exit 1
-fi
+await_addr "$FPID" "$TMP/f-stderr" "debug server listening" "fleet collector" "fleet collector debug server"
+FADDR=$ADDR
 
 ffail() {
     echo "obs-smoke: $1" >&2
@@ -152,24 +141,8 @@ FPID=
     >"$TMP/l-stdout" 2>"$TMP/l-stderr" &
 LPID=$!
 
-LADDR=
-i=0
-while [ $i -lt 150 ]; do
-    LADDR=$(sed -n 's/.*msg="debug server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/l-stderr" | head -n 1)
-    [ -n "$LADDR" ] && break
-    if ! kill -0 "$LPID" 2>/dev/null; then
-        echo "obs-smoke: live collector exited before serving" >&2
-        cat "$TMP/l-stderr" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$LADDR" ]; then
-    echo "obs-smoke: live collector debug server never announced an address" >&2
-    cat "$TMP/l-stderr" >&2
-    exit 1
-fi
+await_addr "$LPID" "$TMP/l-stderr" "debug server listening" "live collector" "live collector debug server"
+LADDR=$ADDR
 
 lfail() {
     echo "obs-smoke: $1" >&2
@@ -230,24 +203,8 @@ done
     >"$TMP/q-stdout" 2>"$TMP/q-stderr" &
 QPID=$!
 
-QADDR=
-i=0
-while [ $i -lt 150 ]; do
-    QADDR=$(sed -n 's/.*msg="query server listening".* addr=\([0-9.:]*\).*/\1/p' "$TMP/q-stderr" | head -n 1)
-    [ -n "$QADDR" ] && break
-    if ! kill -0 "$QPID" 2>/dev/null; then
-        echo "obs-smoke: store serve exited before serving" >&2
-        cat "$TMP/q-stderr" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ -z "$QADDR" ]; then
-    echo "obs-smoke: query server never announced an address" >&2
-    cat "$TMP/q-stderr" >&2
-    exit 1
-fi
+await_addr "$QPID" "$TMP/q-stderr" "query server listening" "store serve" "query server"
+QADDR=$ADDR
 
 qfail() {
     echo "obs-smoke: $1" >&2
