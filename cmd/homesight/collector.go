@@ -106,7 +106,12 @@ func runCollector(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		defer stop()
-		return campaign(ctx, logger, stdout, dep, fleet.RouterConfig{Shards: addrs}, nil)
+		rcfg := fleet.RouterConfig{Shards: addrs, Metrics: fleet.NewFleetMetrics(reg)}
+		if err := campaign(ctx, logger, stdout, dep, rcfg, nil); err != nil {
+			return err
+		}
+		sh.holdOn(ctx, logger)
+		return nil
 	}
 
 	policy, err := parseSyncPolicy(*fsync)
@@ -135,8 +140,10 @@ func runCollector(ctx context.Context, args []string, stdout io.Writer) error {
 		Dir: root, Shards: *shards, Addr: *addr,
 		Start: cfg.Start, Step: time.Minute, Sync: policy, Metrics: metrics,
 	}
+	var liveMetrics *livestats.Metrics
 	if *live {
-		fcfg.Live = &livestats.Config{Seed: sh.seed, Metrics: livestats.NewMetrics(reg)}
+		liveMetrics = livestats.NewMetrics(reg)
+		fcfg.Live = &livestats.Config{Seed: sh.seed, Metrics: liveMetrics}
 	}
 	f, err := fleet.Start(fcfg)
 	if err != nil {
@@ -149,8 +156,8 @@ func runCollector(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	var api http.Handler
 	if *live {
-		if st := liveStats(f, *shards); st.ReportsProcessed > 0 {
-			logger.Info("live state rebuilt", "reports", st.ReportsProcessed, "homes", st.Homes)
+		if n := liveMetrics.Reports.Value(); n > 0 {
+			logger.Info("live state rebuilt", "reports", n, "homes", len(f.LiveHomes()))
 		}
 		api = query.New(query.Config{Live: f, Registry: reg}).Handler()
 	}
@@ -194,9 +201,11 @@ func runCollector(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	if *live {
-		st := liveStats(f, *shards)
-		fmt.Fprintf(stdout, "live analytics: %d homes, %d devices, %d reports processed, %d stale rows\n",
-			st.Homes, st.Devices, st.ReportsProcessed, st.StaleRows)
+		// The shard trackers share liveMetrics, so its series are fleet
+		// sums; a home tracked by two shards (the dead one and its
+		// survivor after -kill) is counted once here.
+		fmt.Fprintf(stdout, "live analytics: %d homes, %.0f devices, %d reports processed, %d stale rows\n",
+			len(f.LiveHomes()), liveMetrics.Devices.Value(), liveMetrics.Reports.Value(), liveMetrics.Stale.Value())
 	}
 	sh.holdOn(ctx, logger)
 	return nil
@@ -220,20 +229,6 @@ func parseSyncPolicy(s string) (homestore.SyncPolicy, error) {
 		return homestore.SyncNever, nil
 	}
 	return 0, fmt.Errorf("unknown fsync policy %q (want interval, always or never)", s)
-}
-
-// liveStats sums the shard trackers' accounting; homes are counted once
-// across the fleet.
-func liveStats(f *fleet.Fleet, shards int) livestats.TrackerStats {
-	var sum livestats.TrackerStats
-	for i := 0; i < shards; i++ {
-		st := f.Shard(i).LiveTracker().Stats()
-		sum.ReportsProcessed += st.ReportsProcessed
-		sum.StaleRows += st.StaleRows
-		sum.Devices += st.Devices
-	}
-	sum.Homes = int64(len(f.LiveHomes()))
-	return sum
 }
 
 func printShardStats(w io.Writer, f *fleet.Fleet, shards int) {

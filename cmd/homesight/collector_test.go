@@ -3,11 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"homesight/internal/fleet"
 	"homesight/internal/gateway"
 	homestore "homesight/internal/store"
 	"homesight/internal/synth"
@@ -95,5 +102,88 @@ func TestReportMinesRecurringEvenings(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// accountingWriter keeps what it is given, closing done on the write
+// that carries the campaign's accounting line.
+type accountingWriter struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	once sync.Once
+	done chan struct{}
+}
+
+func (w *accountingWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if bytes.HasPrefix(p, []byte("accounting: ")) {
+		w.once.Do(func() { close(w.done) })
+	}
+	return w.buf.Write(p)
+}
+
+func (w *accountingWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestCollectorRouterServesItsMetrics: -router counts into the
+// -debug-addr registry, so the routed-reports series equals what the
+// command printed, and -hold keeps that server up until the context
+// ends.
+func TestCollectorRouterServesItsMetrics(t *testing.T) {
+	cfg := synth.NewDeployment(synth.Config{Homes: 1, Weeks: 1}).Config()
+	f, err := fleet.Start(fleet.Config{Dir: t.TempDir(), Shards: 1, Start: cfg.Start, Step: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	debugAddr := ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &accountingWriter{done: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"collector", "-router", "shard-0000=" + f.Addrs()[0].Addr,
+			"-homes", "1", "-weeks", "1", "-debug-addr", debugAddr, "-hold", "1h", "-log-level", "error"}, out)
+	}()
+	select {
+	case <-out.done:
+	case err := <-done:
+		t.Fatalf("run returned before its campaign was accounted: %v\n%s", err, out.String())
+	}
+	m := regexp.MustCompile(`routed ([1-9]\d*) reports`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no nonzero routed count printed:\n%s", out.String())
+	}
+	resp, err := http.Get("http://" + debugAddr + "/metrics")
+	if err != nil {
+		t.Fatalf("scraping the held debug server: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nhomesight_fleet_routed_reports_total %s\n", m[1]); !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q:\n%s", strings.TrimSpace(want), body)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("run returned before its context ended, ignoring -hold: %v", err)
+	default:
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("cancelled hold returned %v, want nil", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 //	//homesight:ignore <rule>[, <rule>...] [— rationale]
 //	//homesight:ignore                      (wildcard: every rule)
 //	//homesight:rawcorr [— rationale]       (alias for ignore sig-gate)
-//	//homesight:stats                       (marks a metrics-mirror struct)
 //
 // An ignore directive suppresses findings on its own line, or — when it
 // stands alone on a comment line — on the line directly below. Rationale
@@ -89,9 +88,8 @@ func isCommentOnlyLine(fset *token.FileSet, file *ast.File, pos token.Position) 
 	return only
 }
 
-// parseDirective parses one comment line into the rules it suppresses.
-// Non-suppression directives (//homesight:stats) return ok=false: they
-// are not ignores and are interpreted by the rules that define them.
+// parseDirective parses one comment line into the rules it suppresses;
+// any other comment returns ok=false.
 func parseDirective(text string) ([]string, bool) {
 	text = strings.TrimPrefix(text, "//")
 	text = strings.TrimSpace(text)
@@ -116,11 +114,4 @@ func parseDirective(text string) ([]string, bool) {
 		return rules, true
 	}
 	return nil, false
-}
-
-// isStatsDirective reports whether one comment line is the
-// //homesight:stats marker placing a struct under metrics-parity.
-func isStatsDirective(text string) bool {
-	text = strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	return text == "homesight:stats" || strings.HasPrefix(text, "homesight:stats ")
 }

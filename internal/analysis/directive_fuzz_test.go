@@ -15,7 +15,6 @@ import (
 //     then a non-empty rule list whose entries contain no separators or
 //     rationale text;
 //   - rawcorr is exactly the sig-gate alias;
-//   - isStatsDirective and parseDirective never both claim one comment;
 //   - parsing is insensitive to trailing CR (CRLF sources reach the
 //     parser with the \r still attached to the comment text).
 func FuzzDirectiveParser(f *testing.F) {
@@ -25,7 +24,6 @@ func FuzzDirectiveParser(f *testing.F) {
 		"//homesight:ignore determinism, ctx-flow -- two rules, dash-dash rationale",
 		"//homesight:ignore",
 		"//homesight:rawcorr — raw Pearson wanted here",
-		"//homesight:stats",
 		// Malformed rule names and shapes.
 		"//homesight:ignore , , ,",
 		"//homesight:ignore —",
@@ -41,7 +39,6 @@ func FuzzDirectiveParser(f *testing.F) {
 		// CRLF and other line-ending debris.
 		"//homesight:ignore float-eq\r",
 		"//homesight:ignore float-eq — reason\r",
-		"//homesight:stats\r",
 		// Unicode: wide dashes, homoglyphs, combining marks, invalid UTF-8.
 		"//homesight:ignore détérminisme — règle inconnue",
 		"//homesight:ignore float‐eq",
@@ -50,6 +47,8 @@ func FuzzDirectiveParser(f *testing.F) {
 		"//homesight:ignore á — combining accent",
 		"//homesight:ignore \xff\xfe",
 		// Non-directives that must parse as nothing.
+		"//homesight:stats",
+		"//homesight:stats\r",
 		"// plain comment",
 		"//go:generate stringer",
 		"/* block */",
@@ -61,13 +60,9 @@ func FuzzDirectiveParser(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, text string) {
 		rules, ok := parseDirective(text)
-		stats := isStatsDirective(text)
 
 		if !ok && rules != nil {
 			t.Fatalf("parseDirective(%q) = %v, ok=false: rules must be nil when not a directive", text, rules)
-		}
-		if ok && stats {
-			t.Fatalf("parseDirective and isStatsDirective both claimed %q", text)
 		}
 		if ok {
 			if len(rules) == 0 {

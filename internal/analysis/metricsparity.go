@@ -11,15 +11,15 @@ import (
 	"strings"
 )
 
-// MetricsParity cross-checks the three places a metric lives — the
-// registered homesight_* family, the snapshot-struct field mirroring it,
-// and the OBSERVABILITY.md catalog row documenting it — and fails on any
-// drift between them. The exported series are how a deployment proves
-// the collection pipeline did not silently change; an unregistered or
-// undocumented counter is exactly the "activity indicators drifted under
-// the analysis" failure mode the paper's conclusions cannot survive.
+// MetricsParity cross-checks the two places a metric lives — the
+// registered homesight_* family and the OBSERVABILITY.md catalog row
+// documenting it — and fails on any drift between them. The exported
+// series are how a deployment proves the collection pipeline did not
+// silently change; an unregistered or undocumented counter is exactly
+// the "activity indicators drifted under the analysis" failure mode the
+// paper's conclusions cannot survive.
 //
-// Three invariants:
+// Two invariants:
 //
 //   - Every family registered in code (a string literal passed to an
 //     obs.Registry Counter/Gauge/Histogram/CounterVec/HistogramVec call)
@@ -27,17 +27,13 @@ import (
 //     "| `homesight_...`").
 //   - Every catalog row names a family registered somewhere in code
 //     (stale rows fail — the doc is a contract, not a wishlist).
-//   - Every field of a snapshot struct marked //homesight:stats is
-//     mentioned by name somewhere in OBSERVABILITY.md, tying the
-//     programmatic stats API to the exported series it mirrors.
 //
 // The per-file pass additionally requires registry family names to be
 // string literals — a computed name cannot be parity-checked (or
 // grepped by an operator) and is flagged at the call site.
 var MetricsParity = &Analyzer{
-	Name: "metrics-parity",
-	Doc: "every registered homesight_* family needs an OBSERVABILITY.md catalog " +
-		"row and vice versa; //homesight:stats struct fields must be documented",
+	Name:   "metrics-parity",
+	Doc:    "every registered homesight_* family needs an OBSERVABILITY.md catalog row and vice versa",
 	Facts:  factsMetricsParity,
 	Run:    runMetricsParity,
 	Finish: finishMetricsParity,
@@ -58,16 +54,9 @@ type famReg struct {
 	Pos  token.Pos
 }
 
-// fieldRef is one field of a //homesight:stats struct.
-type fieldRef struct {
-	Struct, Field string
-	Pos           token.Pos
-}
-
 // parityFact is the per-package metrics inventory.
 type parityFact struct {
 	Families []famReg
-	Fields   []fieldRef
 }
 
 // registryFamilyArg returns the family-name argument of an obs.Registry
@@ -100,38 +89,6 @@ func registryFamilyArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 	return call.Args[0]
 }
 
-// statsStructs yields the type specs in file marked //homesight:stats.
-func statsStructs(file *ast.File) []*ast.TypeSpec {
-	var out []*ast.TypeSpec
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.TYPE {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			marked := false
-			for _, cg := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
-				if cg == nil {
-					continue
-				}
-				for _, c := range cg.List {
-					if isStatsDirective(c.Text) {
-						marked = true
-					}
-				}
-			}
-			if marked {
-				out = append(out, ts)
-			}
-		}
-	}
-	return out
-}
-
 func factsMetricsParity(fp *FactPass) {
 	var fact parityFact
 	for _, file := range fp.Pkg.Files {
@@ -151,24 +108,8 @@ func factsMetricsParity(fp *FactPass) {
 			}
 			return true
 		})
-		for _, ts := range statsStructs(file) {
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				continue
-			}
-			for _, field := range st.Fields.List {
-				for _, name := range field.Names {
-					if !name.IsExported() {
-						continue
-					}
-					fact.Fields = append(fact.Fields, fieldRef{
-						Struct: ts.Name.Name, Field: name.Name, Pos: name.Pos(),
-					})
-				}
-			}
-		}
 	}
-	if len(fact.Families) > 0 || len(fact.Fields) > 0 {
+	if len(fact.Families) > 0 {
 		fp.ExportPackageFact(fact)
 	}
 }
@@ -196,21 +137,15 @@ func runMetricsParity(pass *Pass) {
 // catalogRowRe matches one catalog table row: | `homesight_x` | ...
 var catalogRowRe = regexp.MustCompile("^\\s*\\|\\s*`(homesight_[a-z0-9_]+)`")
 
-// wordRe tokenizes the catalog for field-mention lookup.
-var wordRe = regexp.MustCompile(`[A-Za-z0-9_]+`)
-
 func finishMetricsParity(mp *ModulePass) {
 	data, err := os.ReadFile(mp.Catalog)
 	if err != nil {
-		// A module with no registered families and no stats structs has
-		// nothing to document; only complain when there is drift to find.
+		// A module with no registered families has nothing to document;
+		// only complain when there is drift to find.
 		for _, pkg := range mp.Pkgs {
-			if f, ok := mp.PackageFact(pkg.Path); ok {
-				fact := f.(parityFact)
-				if len(fact.Families) > 0 || len(fact.Fields) > 0 {
-					mp.ReportDocf(mp.Catalog, 1, "metrics catalog unreadable: %v", err)
-					return
-				}
+			if _, ok := mp.PackageFact(pkg.Path); ok {
+				mp.ReportDocf(mp.Catalog, 1, "metrics catalog unreadable: %v", err)
+				return
 			}
 		}
 		return
@@ -224,11 +159,6 @@ func finishMetricsParity(mp *ModulePass) {
 			}
 		}
 	}
-	docWords := map[string]bool{}
-	for _, w := range wordRe.FindAllString(string(data), -1) {
-		docWords[w] = true
-	}
-
 	registered := map[string]bool{}
 	for _, pkg := range mp.Pkgs {
 		f, ok := mp.PackageFact(pkg.Path)
@@ -256,13 +186,6 @@ func finishMetricsParity(mp *ModulePass) {
 				mp.Reportf(fam.Pos,
 					"metric family %s is registered but has no catalog row in %s; document it (| `%s` | ... |)",
 					fam.Name, relBase(mp.Catalog), fam.Name)
-			}
-		}
-		for _, field := range fact.Fields {
-			if !docWords[field.Field] {
-				mp.Reportf(field.Pos,
-					"stats field %s.%s is not mentioned in %s; name it in the catalog row of the family mirroring it",
-					field.Struct, field.Field, relBase(mp.Catalog))
 			}
 		}
 	}

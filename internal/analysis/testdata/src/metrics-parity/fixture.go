@@ -1,19 +1,9 @@
 // Package fixture exercises the metrics-parity rule against the
 // CATALOG.md checked in beside it: registered families need catalog
-// rows, catalog rows need registrations, and //homesight:stats struct
-// fields need catalog mentions.
+// rows, and catalog rows need registrations.
 package fixture
 
 import "homesight/internal/obs"
-
-// Snapshot mirrors the fixture's exported families.
-//
-//homesight:stats
-type Snapshot struct {
-	Documented   int64
-	Undocumented int64 // want `stats field Snapshot\.Undocumented is not mentioned`
-	hidden       int64 // unexported fields are not part of the mirror contract
-}
 
 func register(reg *obs.Registry) {
 	reg.Counter("homesight_fix_documented_total", "has a catalog row")

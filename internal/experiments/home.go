@@ -57,7 +57,6 @@ type gatewayCache struct {
 	index     int
 	residents int
 	surveyed  bool
-	archetype synth.Archetype
 
 	// raw is the full-campaign overall traffic.
 	raw *timeseries.Series
@@ -102,7 +101,6 @@ func (e *Env) buildHome(h *synth.Home, g *dataset.Gateway) *gatewayCache {
 		index:     h.Index,
 		residents: h.Residents,
 		surveyed:  h.Index < e.SurveyHomes,
-		archetype: h.Archetype,
 		raw:       g.Overall,
 		inOut:     inOutCorrelation(g),
 		devCount:  deviceCountCorrelation(g),

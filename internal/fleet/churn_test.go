@@ -106,7 +106,7 @@ func TestShardChurnMatchesFixedOrder(t *testing.T) {
 		}
 		var out outcome
 		out.live = make(map[string]string)
-		tr := f.Shard(0).LiveTracker()
+		tr := f.Shard(0).tracker
 		for _, gw := range gateways {
 			snap, ok := tr.Snapshot(gw)
 			if !ok {

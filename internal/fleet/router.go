@@ -57,7 +57,8 @@ type RouterConfig struct {
 	// re-routed. nil disables catch-up replay: the dead partition keeps
 	// its history and the fleet read must merge it (degraded mode).
 	Replay ReplayFunc
-	// Metrics receives the fleet instruments. nil → a private registry.
+	// Metrics receives the fleet instruments and is what Stats reads;
+	// give each router its own bundle. nil → a private registry.
 	Metrics *FleetMetrics
 	// Now is the clock behind the replay-lag measurement; nil → time.Now.
 	Now func() time.Time
@@ -85,9 +86,8 @@ func (cfg RouterConfig) withDefaults() RouterConfig {
 //	ReportsRouted = caller Sends + ReplayedReports + ReassignedReports
 //
 // — every report enters the ring exactly once per routing decision, so
-// the fleet's exact-accounting tests reconcile field by field.
-//
-//homesight:stats
+// the fleet's exact-accounting tests reconcile field by field. Each
+// field reads the FleetMetrics series of the same name.
 type RouterStats struct {
 	// ReportsRouted counts every report bucketed onto the ring,
 	// including replayed and reassigned ones.
@@ -119,7 +119,6 @@ type Router struct {
 
 	mu     sync.Mutex
 	shards map[string]*routerShard
-	stats  RouterStats
 	closed bool
 }
 
@@ -172,11 +171,20 @@ func (r *Router) Live() []string {
 	return r.ring.Shards()
 }
 
-// Stats returns a snapshot of the router's delivery accounting.
+// Stats returns a snapshot of the router's delivery accounting, read
+// from its FleetMetrics. Every increment happens under mu, so holding
+// it here makes one snapshot satisfy the routing identity.
 func (r *Router) Stats() RouterStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	m := r.cfg.Metrics
+	return RouterStats{
+		ReportsRouted:     m.ReportsRouted.Value(),
+		BatchesFlushed:    m.BatchesFlushed.Value(),
+		Rebalances:        m.Rebalances.Value(),
+		ReplayedReports:   m.ReplayedReports.Value(),
+		ReassignedReports: m.ReassignedReports.Value(),
+	}
 }
 
 // Send routes one report: it joins its shard's batch and the batch is
@@ -257,7 +265,7 @@ func (r *Router) sendLocked(ctx context.Context, rep gateway.Report) error {
 	}
 	sh := r.shards[name]
 	sh.pending = append(sh.pending, rep)
-	r.stats.ReportsRouted++
+	r.cfg.Metrics.ReportsRouted.Inc()
 	if len(sh.pending) >= r.cfg.BatchSize {
 		return r.flushShardLocked(ctx, sh)
 	}
@@ -285,7 +293,7 @@ func (r *Router) flushShardLocked(ctx context.Context, sh *routerShard) error {
 	// The reporter keeps the batch until it is acked, so the next one gets
 	// fresh storage, sized once to this one.
 	sh.pending = make([]gateway.Report, 0, len(batch))
-	r.stats.BatchesFlushed++
+	r.cfg.Metrics.BatchesFlushed.Inc()
 	return nil
 }
 
@@ -310,7 +318,6 @@ func (r *Router) flushShardLocked(ctx context.Context, sh *routerShard) error {
 // is bounded by the shard count, and an empty ring is the terminal
 // error.
 func (r *Router) rebalanceLocked(ctx context.Context, sh *routerShard, undelivered []gateway.Report, cause error) error {
-	r.stats.Rebalances++
 	r.cfg.Metrics.Rebalances.Inc()
 	r.ring.Remove(sh.name)
 	delete(r.shards, sh.name)
@@ -327,7 +334,6 @@ func (r *Router) rebalanceLocked(ctx context.Context, sh *routerShard, undeliver
 			replayed++
 			return r.sendLocked(ctx, rep)
 		})
-		r.stats.ReplayedReports += int64(replayed)
 		r.cfg.Metrics.ReplayedReports.Add(int64(replayed))
 		r.cfg.Metrics.ReplayLag.Set(r.cfg.Now().Sub(start).Seconds())
 		if err != nil {
@@ -335,7 +341,7 @@ func (r *Router) rebalanceLocked(ctx context.Context, sh *routerShard, undeliver
 		}
 	}
 	for _, rep := range orphans {
-		r.stats.ReassignedReports++
+		r.cfg.Metrics.ReassignedReports.Inc()
 		if err := r.sendLocked(ctx, rep); err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"homesight/internal/gateway"
@@ -78,9 +77,8 @@ func (cfg ShardConfig) withDefaults() ShardConfig {
 }
 
 // ShardStats is a point-in-time snapshot of one shard's ingest
-// accounting.
-//
-//homesight:stats
+// accounting. Each field reads the shard's own child of the
+// FleetMetrics series of the same name.
 type ShardStats struct {
 	// ReportsAppended counts reports accepted into the partition.
 	ReportsAppended int64 `json:"reports_appended"`
@@ -96,14 +94,6 @@ type ShardStats struct {
 	ConnsOpened int64 `json:"conns_opened"`
 }
 
-// shardCounters holds the events with no per-shard registry series;
-// reports appended and frames decoded are read from the bound ones.
-type shardCounters struct {
-	appendErrors   atomic.Int64
-	framesRejected atomic.Int64
-	connsOpened    atomic.Int64
-}
-
 // Shard is one member of the fleet ingest tier: a TCP server that
 // decodes batch frames into its own homestore partition. Reports from
 // different gateways interleave freely; per-connection frame order is
@@ -114,15 +104,13 @@ type Shard struct {
 	store   *store.Store
 	tracker *livestats.Tracker // nil when live analytics are off
 	ln      net.Listener
-	reports *obs.Counter // metrics.ShardReports.With(name), bound once
-	batches *obs.Counter // metrics.ShardBatches.With(name)
+	// The shard's children of the FleetMetrics families, bound once.
+	reports, batches, appendErrors, framesRejected, connsOpened *obs.Counter
 
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]bool
 	wg     sync.WaitGroup
-
-	counters shardCounters
 }
 
 // StartShard opens (or recovers) the shard's partition and starts
@@ -168,8 +156,11 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 		conns:   make(map[net.Conn]bool),
 		// Bind the per-shard series now so they render at 0 from the
 		// first scrape, before any report arrives.
-		reports: cfg.Metrics.ShardReports.With(cfg.Name),
-		batches: cfg.Metrics.ShardBatches.With(cfg.Name),
+		reports:        cfg.Metrics.ShardReports.With(cfg.Name),
+		batches:        cfg.Metrics.ShardBatches.With(cfg.Name),
+		appendErrors:   cfg.Metrics.AppendErrors.With(cfg.Name),
+		framesRejected: cfg.Metrics.FramesRejected.With(cfg.Name),
+		connsOpened:    cfg.Metrics.ConnsOpened.With(cfg.Name),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -189,10 +180,10 @@ func (s *Shard) Dir() string { return s.cfg.Dir }
 func (s *Shard) Stats() ShardStats {
 	return ShardStats{
 		ReportsAppended: s.reports.Value(),
-		AppendErrors:    s.counters.appendErrors.Load(),
+		AppendErrors:    s.appendErrors.Value(),
 		FramesDecoded:   s.batches.Value(),
-		FramesRejected:  s.counters.framesRejected.Load(),
-		ConnsOpened:     s.counters.connsOpened.Load(),
+		FramesRejected:  s.framesRejected.Value(),
+		ConnsOpened:     s.connsOpened.Value(),
 	}
 }
 
@@ -230,7 +221,7 @@ func (s *Shard) acceptLoop() {
 // already landed).
 func (s *Shard) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	s.counters.connsOpened.Add(1)
+	s.connsOpened.Inc()
 	defer func() {
 		_ = conn.Close() // the protocol has per-frame acks but no shutdown handshake
 		s.mu.Lock()
@@ -249,7 +240,7 @@ func (s *Shard) serveConn(conn net.Conn) {
 			// Corrupt frames are counted; EOF/deadline/reset are the
 			// reporter's reconnect path, not an accounting event.
 			if errors.Is(err, telemetry.ErrFrameCorrupt) {
-				s.counters.framesRejected.Add(1)
+				s.framesRejected.Inc()
 			}
 			return
 		}
@@ -272,14 +263,15 @@ func (s *Shard) serveConn(conn net.Conn) {
 // and skipped — the frame is still acked, so a poison report cannot wedge
 // its sender. Any other AppendBatch error means the store itself is
 // failing (closed, a sticky flush error, a WAL write error): the frame is
-// dropped and the error returned, and the frame must not be acked.
+// dropped, every one of its reports counted as refused, and the error
+// returned; the frame must not be acked.
 func (s *Shard) ingestBatch(reps []gateway.Report) error {
 	start := s.cfg.Now()
 	skipped, err := s.store.AppendBatch(reps)
-	s.counters.appendErrors.Add(int64(skipped))
 	if err != nil {
-		s.counters.appendErrors.Add(1)
+		s.appendErrors.Add(int64(len(reps)))
 	} else {
+		s.appendErrors.Add(int64(skipped))
 		// Only appended reports advance the live state, so the tracker
 		// never gets ahead of the partition it rebuilds from.
 		for i := range reps {
@@ -299,11 +291,6 @@ func (s *Shard) ingestBatch(reps []gateway.Report) error {
 //
 //homesight:ignore unreachable — (c) telemetry's TestFaultReconnectOvertake compares the partition's cursors through it
 func (s *Shard) Watermarks() map[store.Key]int64 { return s.store.Watermarks() }
-
-// LiveTracker returns the shard's live analytics tracker, nil when
-// ShardConfig.Live was not set. The tracker stays readable after the
-// shard closes (snapshots are memory, not sockets).
-func (s *Shard) LiveTracker() *livestats.Tracker { return s.tracker }
 
 // open reports whether the shard is still accepting connections.
 func (s *Shard) open() bool {

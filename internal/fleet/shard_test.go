@@ -21,7 +21,8 @@ import (
 // counted in AppendErrors, so it cannot wedge its sender; a frame that
 // arrives after the partition store has crashed gets no ack byte — the
 // connection closes, which is what leaves the frame in the sender's
-// unacked window for the router's shard-loss path.
+// unacked window for the router's shard-loss path — and each of its
+// reports is counted in AppendErrors.
 func TestShardWithholdsAckWhenStoreRefuses(t *testing.T) {
 	s, err := StartShard(ShardConfig{
 		Name: ShardName(0), Addr: "127.0.0.1:0", Dir: t.TempDir(),
@@ -39,7 +40,7 @@ func TestShardWithholdsAckWhenStoreRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reps := buildCampaign([]string{"home-000"}, 3)
+	reps := buildCampaign([]string{"home-000"}, 4)
 	poison := gateway.Report{Timestamp: anchor, Devices: reps[0].Devices}
 	// sendFrame writes one frame and reads the shard's one-byte answer.
 	sendFrame := func(frame ...gateway.Report) (byte, error) {
@@ -59,11 +60,11 @@ func TestShardWithholdsAckWhenStoreRefuses(t *testing.T) {
 	}
 
 	s.store.Crash()
-	if b, err := sendFrame(reps[2]); !errors.Is(err, io.EOF) {
+	if b, err := sendFrame(reps[2], reps[3]); !errors.Is(err, io.EOF) {
 		t.Fatalf("frame after the store crashed: read %#x, err %v; want no ack and a closed connection", b, err)
 	}
-	if st := s.Stats(); st.ReportsAppended != 2 || st.AppendErrors != 2 {
-		t.Errorf("after the refused frame: %+v, want 2 appended, 2 append errors", st)
+	if st := s.Stats(); st.ReportsAppended != 2 || st.AppendErrors != 3 {
+		t.Errorf("after the refused 2-report frame: %+v, want 2 appended, 3 append errors", st)
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"homesight/internal/background"
@@ -145,8 +144,6 @@ type Tracker struct {
 	cfg   Config
 	mu    sync.RWMutex
 	homes map[string]*home
-
-	counters trackerCounters
 }
 
 // NewTracker returns a tracker for the given grid.
@@ -176,17 +173,14 @@ func (t *Tracker) OnReport(rep gateway.Report) {
 	start := t.cfg.Now()
 	idx := gateway.GridIndex(rep.Timestamp, t.cfg.Start, t.cfg.Step)
 	if idx < 0 {
-		t.counters.stale.Add(int64(len(rep.Devices)))
 		t.cfg.Metrics.Stale.Add(int64(len(rep.Devices)))
 		return
 	}
 	h := t.home(rep.GatewayID)
 	stale := t.update(h, idx, rep)
 	if stale > 0 {
-		t.counters.stale.Add(stale)
 		t.cfg.Metrics.Stale.Add(stale)
 	}
-	t.counters.reports.Add(1)
 	t.cfg.Metrics.Reports.Inc()
 	t.cfg.Metrics.UpdateSeconds.Observe(t.cfg.Now().Sub(start).Seconds())
 }
@@ -223,7 +217,6 @@ func (t *Tracker) device(h *home, dc gateway.DeviceCounters) *deviceState {
 	h.devs[dc.MAC] = ds
 	at := sort.Search(len(h.byMAC), func(i int) bool { return h.byMAC[i].dev.MAC > dc.MAC })
 	h.byMAC = slices.Insert(h.byMAC, at, ds)
-	t.counters.devices.Add(1)
 	t.cfg.Metrics.Devices.Inc()
 	return ds
 }
@@ -413,37 +406,3 @@ func (t *Tracker) LiveHomes() []string { return t.Homes() }
 
 // LiveSnapshot is Snapshot under the LiveSource name.
 func (t *Tracker) LiveSnapshot(gw string) (*HomeSnapshot, bool) { return t.Snapshot(gw) }
-
-// TrackerStats is a point-in-time snapshot of the tracker's
-// accounting; the homesight_live_* families mirror it.
-//
-//homesight:stats
-type TrackerStats struct {
-	// ReportsProcessed counts reports consumed by OnReport.
-	ReportsProcessed int64 `json:"reports_processed"`
-	// StaleRows counts device rows dropped at the watermark
-	// (duplicates, reordered or pre-campaign delivery).
-	StaleRows int64 `json:"stale_rows"`
-	// Homes and Devices count the tracked population.
-	Homes   int64 `json:"homes"`
-	Devices int64 `json:"devices"`
-}
-
-type trackerCounters struct {
-	reports atomic.Int64
-	stale   atomic.Int64
-	devices atomic.Int64
-}
-
-// Stats returns the tracker's accounting.
-func (t *Tracker) Stats() TrackerStats {
-	t.mu.RLock()
-	homes := int64(len(t.homes))
-	t.mu.RUnlock()
-	return TrackerStats{
-		ReportsProcessed: t.counters.reports.Load(),
-		StaleRows:        t.counters.stale.Load(),
-		Homes:            homes,
-		Devices:          t.counters.devices.Load(),
-	}
-}

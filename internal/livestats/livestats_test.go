@@ -204,8 +204,8 @@ func TestTrackerReconcilesCleanStream(t *testing.T) {
 			t.Errorf("%s: empty accounting %+v", gw, snap)
 		}
 	}
-	if st := tr.Stats(); st.Homes != int64(dep.NumHomes()) || st.StaleRows != 0 {
-		t.Errorf("tracker stats %+v", st)
+	if m := tr.cfg.Metrics; m.Homes.Value() != float64(dep.NumHomes()) || m.Stale.Value() != 0 {
+		t.Errorf("tracker counts %v homes and %d stale rows, want %d and 0", m.Homes.Value(), m.Stale.Value(), dep.NumHomes())
 	}
 }
 
@@ -235,7 +235,7 @@ func TestFaultTrackerIdempotent(t *testing.T) {
 		}
 	}
 	faultySnap, _ := faulty.Snapshot(gw)
-	if faulty.Stats().StaleRows == 0 {
+	if faulty.cfg.Metrics.Stale.Value() == 0 {
 		t.Fatal("fault injection produced no stale rows")
 	}
 
@@ -316,8 +316,8 @@ func TestTrackerPreCampaignReport(t *testing.T) {
 	tr := NewTracker(Config{Start: start})
 	tr.OnReport(gateway.Report{GatewayID: "gw", Timestamp: start.Add(-time.Hour),
 		Devices: []gateway.DeviceCounters{{MAC: "aa:aa:aa:aa:aa:01"}}})
-	if st := tr.Stats(); st.StaleRows != 1 || st.Homes != 0 {
-		t.Errorf("stats after pre-campaign report: %+v", st)
+	if m := tr.cfg.Metrics; m.Stale.Value() != 1 || m.Homes.Value() != 0 {
+		t.Errorf("after a pre-campaign report: %d stale rows, %v homes; want 1 and 0", m.Stale.Value(), m.Homes.Value())
 	}
 }
 
@@ -395,8 +395,9 @@ func TestOnReportSteadyStateAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(200, send); a != 0 {
 		t.Errorf("steady-state OnReport allocates %v times per report, want 0", a)
 	}
-	if st := tr.Stats(); st.StaleRows != 0 || st.ReportsProcessed != int64(minute) {
-		t.Errorf("the stream was meant to be clean: %+v after %d reports", st, minute)
+	if m := tr.cfg.Metrics; m.Stale.Value() != 0 || m.Reports.Value() != int64(minute) {
+		t.Errorf("the stream was meant to be clean: %d stale rows, %d reports processed after %d reports",
+			m.Stale.Value(), m.Reports.Value(), minute)
 	}
 }
 
@@ -410,13 +411,16 @@ func TestTrackerSkipsReportsBeforeStart(t *testing.T) {
 		rep := gateway.Report{GatewayID: "gw", Timestamp: start.Add(-early),
 			Devices: []gateway.DeviceCounters{{MAC: "aa", RxBytes: 10, TxBytes: 1}, {MAC: "bb", RxBytes: 5, TxBytes: 5}}}
 		tr.OnReport(rep)
-		if st := tr.Stats(); st.StaleRows != 2 || st.ReportsProcessed != 0 || len(tr.Homes()) != 0 {
-			t.Errorf("report at start−%v: %+v, homes %v; want 2 stale rows and no home", early, st, tr.Homes())
+		m := tr.cfg.Metrics
+		if m.Stale.Value() != 2 || m.Reports.Value() != 0 || len(tr.Homes()) != 0 {
+			t.Errorf("report at start−%v: %d stale rows, %d reports processed, homes %v; want 2 stale rows and no home",
+				early, m.Stale.Value(), m.Reports.Value(), tr.Homes())
 		}
 		rep.Timestamp = start
 		tr.OnReport(rep)
-		if st := tr.Stats(); st.StaleRows != 2 || st.ReportsProcessed != 1 || st.Devices != 2 {
-			t.Errorf("report at start after one at start−%v: %+v; want it processed", early, st)
+		if m.Stale.Value() != 2 || m.Reports.Value() != 1 || m.Devices.Value() != 2 {
+			t.Errorf("report at start after one at start−%v: %d stale rows, %d reports processed, %v devices; want it processed",
+				early, m.Stale.Value(), m.Reports.Value(), m.Devices.Value())
 		}
 	}
 }

@@ -139,11 +139,11 @@ func TestStaleRowsLeaveGenerationAlone(t *testing.T) {
 		return out
 	}
 	before := generations()
-	staleBefore := tr.Stats().StaleRows
+	staleBefore := tr.cfg.Metrics.Stale.Value()
 	for _, i := range []int{299, 0, 150, 298, 299} {
 		tr.OnReport(reps[i])
 	}
-	if tr.Stats().StaleRows == staleBefore {
+	if tr.cfg.Metrics.Stale.Value() == staleBefore {
 		t.Fatal("redelivery produced no stale rows")
 	}
 	for mac, gen := range generations() {

@@ -3,7 +3,9 @@ package livestats
 import "homesight/internal/obs"
 
 // Metrics is the homesight_live_* instrument bundle (see the catalog
-// in OBSERVABILITY.md). The counters mirror TrackerStats.
+// in OBSERVABILITY.md) and the only place a Tracker counts its
+// accounting: reports, stale rows, homes and devices are read from it.
+// Trackers sharing one Metrics (a fleet's shards) add up into it.
 type Metrics struct {
 	// Reports counts reports consumed (homesight_live_reports_total).
 	Reports *obs.Counter

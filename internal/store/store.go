@@ -160,9 +160,8 @@ type storeMeta struct {
 	Step  int64     `json:"step_seconds"`
 }
 
-// Stats is a point-in-time snapshot of the store.
-//
-//homesight:stats
+// Stats is a point-in-time snapshot of the store. Reports, Points,
+// DupPoints and WALTruncations read the homesight_store_* counters.
 type Stats struct {
 	Reports        int64   // reports accepted by Append
 	Points         int64   // points written to the memtable

@@ -161,7 +161,7 @@ func TestFaultInjectionPipeline(t *testing.T) {
 	}
 
 	assertSameReports(t, partitionReports(t, shard.Dir(), gw), reps)
-	gotSnap, ok := shard.LiveTracker().LiveSnapshot(gw)
+	gotSnap, ok := f.LiveSnapshot(gw)
 	if !ok {
 		t.Fatal("no live state for the campaign gateway")
 	}
@@ -206,7 +206,7 @@ func TestFaultLiveTrackerPipeline(t *testing.T) {
 		t.Errorf("stats %+v: the garbage was not rejected as a corrupt frame", st)
 	}
 
-	gotSnap, ok := shard.LiveTracker().LiveSnapshot(gw)
+	gotSnap, ok := f.LiveSnapshot(gw)
 	if !ok {
 		t.Fatal("no live state for the campaign gateway")
 	}

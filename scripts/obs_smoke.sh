@@ -113,9 +113,15 @@ ffail() {
 curl -fsS --max-time 10 "http://$FADDR/metrics" >"$TMP/f-metrics" || ffail "fleet /metrics unreachable"
 for metric in \
     homesight_fleet_shard_reports_total \
+    homesight_fleet_shard_append_errors_total \
     homesight_fleet_shard_batches_total \
+    homesight_fleet_shard_frames_rejected_total \
+    homesight_fleet_shard_conns_opened_total \
+    homesight_fleet_routed_reports_total \
+    homesight_fleet_batches_flushed_total \
     homesight_fleet_rebalances_total \
     homesight_fleet_replayed_reports_total \
+    homesight_fleet_reassigned_reports_total \
     homesight_fleet_replay_lag_seconds \
     homesight_fleet_ingest_seconds; do
     grep -q "^# TYPE $metric " "$TMP/f-metrics" || ffail "fleet /metrics misses $metric"
@@ -123,8 +129,14 @@ done
 # The per-shard series are bound at startup, so the shard label must
 # already be present.
 for shard in shard-0000 shard-0001; do
-    grep -q "homesight_fleet_shard_reports_total{shard=\"$shard\"}" "$TMP/f-metrics" \
-        || ffail "fleet /metrics misses the $shard labelled series"
+    for metric in \
+        homesight_fleet_shard_reports_total \
+        homesight_fleet_shard_append_errors_total \
+        homesight_fleet_shard_frames_rejected_total \
+        homesight_fleet_shard_conns_opened_total; do
+        grep -q "$metric{shard=\"$shard\"}" "$TMP/f-metrics" \
+            || ffail "fleet /metrics misses the $shard labelled series of $metric"
+    done
 done
 
 kill "$FPID" 2>/dev/null || true
