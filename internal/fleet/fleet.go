@@ -1,7 +1,9 @@
 // Package fleet is the ingest tier: a consistent-hash router (keyed by
 // gateway ID) in front of N shards, each owning its own homestore
 // partition under <root>/shard-NNNN/. A single-node collector is a
-// 1-shard fleet. Reports travel as CRC'd batch frames (the batch
+// 1-shard fleet. One Config describes every shard: shard i is
+// ShardName(i) over PartitionDir(Dir, i), and Start is the only way to
+// run one. Reports travel as CRC'd batch frames (the batch
 // protocol of internal/telemetry) under the BatchReporter's backoff and
 // unacked-window discipline; on shard loss the router shrinks the ring,
 // replays the dead partition's durable history to the surviving shards,
@@ -14,6 +16,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -27,28 +30,46 @@ import (
 )
 
 // Config configures an in-process Fleet: N shards under one root
-// directory, the deployment shape `homesight collector` runs.
+// directory, the deployment shape `homesight collector` runs. Shard i is
+// a TCP server speaking the batch frame protocol into its own homestore
+// partition, Dir/shard-NNNN/, under the ring identity ShardName(i):
+// placement is keyed by name, not address, so a shard can restart on a
+// new port without moving gateways.
 type Config struct {
 	// Dir is the fleet root; shard i's partition lives at
-	// Dir/shard-NNNN/.
+	// PartitionDir(Dir, i).
 	Dir string
 	// Shards is the shard count (≥ 1).
 	Shards int
 	// Addr is the listen address template, one ephemeral port per shard
 	// ("" → "127.0.0.1:0").
 	Addr string
-	// Start, Step and Sync pass through to every shard's store.Config.
+	// Start and Step anchor a new partition's minute grid; Sync is its
+	// WAL fsync policy. They pass straight through to store.Config, and a
+	// reopened partition keeps the anchor in its meta.json.
 	Start time.Time
 	Step  time.Duration
 	Sync  store.SyncPolicy
+	// ReadTimeout closes a shard connection silent this long; 0 →
+	// DefaultReadTimeout, negative → no deadline.
+	ReadTimeout time.Duration
 	// Metrics receives the fleet instruments, shared by every shard.
-	// nil → a private registry.
+	// nil → a private registry. Each shard's embedded store always uses
+	// a private registry: several partitions on one shared registry
+	// would fight over the store's gauges, so per-shard visibility comes
+	// from the homesight_fleet_* families instead.
 	Metrics *FleetMetrics
-	// Now is the clock handed to every shard; nil → time.Now.
-	Now func() time.Time
-	// Live, when set, runs a livestats.Tracker on every shard (see
-	// ShardConfig.Live); the Fleet then satisfies the query tier's
-	// LiveSource, fanning lookups out across the shards.
+	// Live, when set, runs a livestats.Tracker behind every shard's
+	// ingest path: every appended report also advances the tracker, and
+	// on start the tracker rebuilds from the partition's durable
+	// history, so snapshots survive a shard restart (and, via catch-up
+	// replay into a survivor, a shard kill). The grid (Start, Step) is
+	// the partition's, not Live's. Live.Metrics is honoured: every
+	// homesight_live_* instrument only accumulates (counters,
+	// histograms, gauges raised when a home or device is first seen), so
+	// trackers sharing one Metrics add up across shards; nil keeps them
+	// private. The Fleet then satisfies the query tier's LiveSource,
+	// fanning lookups out across the shards.
 	Live *livestats.Config
 }
 
@@ -71,22 +92,15 @@ func Start(cfg Config) (*Fleet, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
+	if cfg.ReadTimeout == 0 {
+		cfg.ReadTimeout = DefaultReadTimeout
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewFleetMetrics(obs.NewRegistry())
 	}
 	f := &Fleet{}
 	for i := 0; i < cfg.Shards; i++ {
-		s, err := StartShard(ShardConfig{
-			Name:    ShardName(i),
-			Addr:    cfg.Addr,
-			Dir:     PartitionDir(cfg.Dir, i),
-			Start:   cfg.Start,
-			Step:    cfg.Step,
-			Sync:    cfg.Sync,
-			Metrics: cfg.Metrics,
-			Now:     cfg.Now,
-			Live:    cfg.Live,
-		})
+		s, err := startShard(context.Background(), cfg, i)
 		if err != nil {
 			f.closeAll()
 			return nil, fmt.Errorf("fleet: starting %s: %w", ShardName(i), err)

@@ -319,6 +319,39 @@ func TestFleetLiveMetricsSum(t *testing.T) {
 	}
 }
 
+// TestLiveGridIsThePartitions: a partition reopened under a later
+// configured Start keeps the anchor in its meta.json, and so does its
+// tracker — the rebuild counts every stored report, none as stale.
+func TestLiveGridIsThePartitions(t *testing.T) {
+	root := t.TempDir()
+	st, err := store.Open(store.Config{Dir: PartitionDir(root, 0), Start: anchor, Step: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := buildCampaign([]string{"home-000"}, 2*24*60)
+	if _, err := st.AppendBatch(reps); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Start(Config{
+		Dir: root, Shards: 1, Start: anchor.Add(24 * time.Hour), Step: time.Minute,
+		Live: &livestats.Config{},
+	})
+	if err != nil {
+		t.Fatalf("fleet.Start: %v", err)
+	}
+	defer f.Close()
+	snap, ok := f.LiveSnapshot("home-000")
+	if !ok {
+		t.Fatal("no live state for home-000 after the rebuild")
+	}
+	if snap.Reports != int64(len(reps)) {
+		t.Errorf("live snapshot counts %d reports, the partition stores %d", snap.Reports, len(reps))
+	}
+}
+
 func shardIndex(t *testing.T, name string) int {
 	t.Helper()
 	var i int

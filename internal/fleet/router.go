@@ -60,8 +60,6 @@ type RouterConfig struct {
 	// Metrics receives the fleet instruments and is what Stats reads;
 	// give each router its own bundle. nil → a private registry.
 	Metrics *FleetMetrics
-	// Now is the clock behind the replay-lag measurement; nil → time.Now.
-	Now func() time.Time
 }
 
 func (cfg RouterConfig) withDefaults() RouterConfig {
@@ -73,9 +71,6 @@ func (cfg RouterConfig) withDefaults() RouterConfig {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewFleetMetrics(obs.NewRegistry())
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	return cfg
 }
@@ -116,6 +111,8 @@ type RouterStats struct {
 type Router struct {
 	cfg  RouterConfig
 	ring *Ring
+	// now is the clock behind the replay-lag measurement.
+	now func() time.Time
 
 	mu     sync.Mutex
 	shards map[string]*routerShard
@@ -134,7 +131,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("fleet: RouterConfig.Shards is required")
 	}
-	r := &Router{cfg: cfg, ring: NewRing(DefaultVNodes), shards: make(map[string]*routerShard)}
+	r := &Router{cfg: cfg, ring: NewRing(DefaultVNodes), now: time.Now, shards: make(map[string]*routerShard)}
 	for _, sa := range cfg.Shards {
 		if sa.Name == "" || sa.Addr == "" {
 			return nil, fmt.Errorf("fleet: shard needs both name and addr, got %+v", sa)
@@ -328,14 +325,14 @@ func (r *Router) rebalanceLocked(ctx context.Context, sh *routerShard, undeliver
 		return fmt.Errorf("fleet: last shard %s lost: %w", sh.name, cause)
 	}
 	if r.cfg.Replay != nil {
-		start := r.cfg.Now()
+		start := r.now()
 		replayed := 0
 		err := r.cfg.Replay(sh.name, func(rep gateway.Report) error {
 			replayed++
 			return r.sendLocked(ctx, rep)
 		})
 		r.cfg.Metrics.ReplayedReports.Add(int64(replayed))
-		r.cfg.Metrics.ReplayLag.Set(r.cfg.Now().Sub(start).Seconds())
+		r.cfg.Metrics.ReplayLag.Set(r.now().Sub(start).Seconds())
 		if err != nil {
 			return fmt.Errorf("fleet: catch-up replay of %s failed after %d reports: %w", sh.name, replayed, err)
 		}

@@ -22,60 +22,6 @@ import (
 // take over.
 const DefaultReadTimeout = 5 * time.Minute
 
-// ShardConfig configures one fleet shard: a TCP server speaking the
-// batch frame protocol into its own homestore partition.
-type ShardConfig struct {
-	// Name is the shard's stable identity on the hash ring (e.g.
-	// "shard-0003"). Required: placement is keyed by name, not address,
-	// so a shard can restart on a new port without moving gateways.
-	Name string
-	// Addr is the listen address (e.g. "127.0.0.1:0").
-	Addr string
-	// Dir is the shard's partition directory (PartitionDir names the
-	// conventional layout under one fleet root).
-	Dir string
-	// Start and Step anchor the partition's minute grid; Sync is its
-	// WAL fsync policy. They pass straight through to store.Config.
-	Start time.Time
-	Step  time.Duration
-	Sync  store.SyncPolicy
-	// ReadTimeout closes a connection silent this long; 0 →
-	// DefaultReadTimeout, negative → no deadline.
-	ReadTimeout time.Duration
-	// Metrics receives the fleet instruments. nil → a private registry,
-	// so the counting path is always on. The shard's embedded store
-	// always uses a private registry: several partitions on one shared
-	// registry would fight over the store's gauges, so per-shard
-	// visibility comes from the homesight_fleet_* families instead.
-	Metrics *FleetMetrics
-	// Now is the clock behind read deadlines and ingest latency; nil →
-	// time.Now.
-	Now func() time.Time
-	// Live, when set, runs a livestats.Tracker behind the shard's ingest
-	// path: every appended report also advances the tracker, and on
-	// start the tracker rebuilds from the partition's durable history,
-	// so snapshots survive a shard restart (and, via catch-up replay
-	// into a survivor, a shard kill). Start and Step are taken from the
-	// shard, not from Live. Live.Metrics is honoured: every
-	// homesight_live_* instrument only accumulates (counters, histograms,
-	// gauges raised when a home or device is first seen), so trackers
-	// sharing one Metrics add up across shards; nil keeps them private.
-	Live *livestats.Config
-}
-
-func (cfg ShardConfig) withDefaults() ShardConfig {
-	if cfg.ReadTimeout == 0 {
-		cfg.ReadTimeout = DefaultReadTimeout
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = NewFleetMetrics(obs.NewRegistry())
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return cfg
-}
-
 // ShardStats is a point-in-time snapshot of one shard's ingest
 // accounting. Each field reads the shard's own child of the
 // FleetMetrics series of the same name.
@@ -100,12 +46,17 @@ type ShardStats struct {
 // preserved, and the partition's WAL watermarks drop replayed
 // duplicates, giving the tier its exactly-once-in-partition semantics.
 type Shard struct {
-	cfg     ShardConfig
+	name, dir   string
+	readTimeout time.Duration
+	// now is the clock behind read deadlines and ingest latency.
+	now     func() time.Time
 	store   *store.Store
 	tracker *livestats.Tracker // nil when live analytics are off
 	ln      net.Listener
-	// The shard's children of the FleetMetrics families, bound once.
+	// The shard's children of the FleetMetrics families, bound once, and
+	// the fleet-wide ingest histogram.
 	reports, batches, appendErrors, framesRejected, connsOpened *obs.Counter
+	ingestSeconds                                               *obs.Histogram
 
 	mu     sync.Mutex
 	closed bool
@@ -113,34 +64,33 @@ type Shard struct {
 	wg     sync.WaitGroup
 }
 
-// StartShard opens (or recovers) the shard's partition and starts
-// serving batch frames on cfg.Addr.
-func StartShard(cfg ShardConfig) (*Shard, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Name == "" {
-		return nil, fmt.Errorf("fleet: ShardConfig.Name is required")
-	}
+// startShard opens (or recovers) shard i's partition and starts
+// serving batch frames on cfg.Addr; cfg carries Start's defaults, and
+// ctx bounds the live-state rebuild.
+func startShard(ctx context.Context, cfg Config, i int) (*Shard, error) {
+	name, dir := ShardName(i), PartitionDir(cfg.Dir, i)
 	st, err := store.Open(store.Config{
-		Dir:   cfg.Dir,
+		Dir:   dir,
 		Start: cfg.Start,
 		Step:  cfg.Step,
 		Sync:  cfg.Sync,
-		Now:   cfg.Now,
 	})
 	if err != nil {
 		return nil, err
 	}
 	var tracker *livestats.Tracker
 	if cfg.Live != nil {
+		// The tracker's grid is the partition's: a reopened partition
+		// keeps the anchor in its meta.json, whatever cfg.Start says now.
 		lc := *cfg.Live
-		lc.Start, lc.Step = cfg.Start, cfg.Step
+		lc.Start, lc.Step = st.Start(), st.Step()
 		tracker = livestats.NewTracker(lc)
 		// Warm the tracker from the partition's recovered history: its
 		// per-device watermarks end up mirroring the store's, so live
 		// redelivery after the rebuild dedups exactly as the WAL does.
-		if _, err := tracker.Rebuild(context.Background(), st); err != nil {
+		if _, err := tracker.Rebuild(ctx, st); err != nil {
 			_ = st.Close() // the store holds nothing new
-			return nil, fmt.Errorf("fleet: rebuilding live state for %s: %w", cfg.Name, err)
+			return nil, fmt.Errorf("fleet: rebuilding live state for %s: %w", name, err)
 		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -149,18 +99,22 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 		return nil, err
 	}
 	s := &Shard{
-		cfg:     cfg,
-		store:   st,
-		tracker: tracker,
-		ln:      ln,
-		conns:   make(map[net.Conn]bool),
+		name:        name,
+		dir:         dir,
+		readTimeout: cfg.ReadTimeout,
+		now:         time.Now,
+		store:       st,
+		tracker:     tracker,
+		ln:          ln,
+		conns:       make(map[net.Conn]bool),
 		// Bind the per-shard series now so they render at 0 from the
 		// first scrape, before any report arrives.
-		reports:        cfg.Metrics.ShardReports.With(cfg.Name),
-		batches:        cfg.Metrics.ShardBatches.With(cfg.Name),
-		appendErrors:   cfg.Metrics.AppendErrors.With(cfg.Name),
-		framesRejected: cfg.Metrics.FramesRejected.With(cfg.Name),
-		connsOpened:    cfg.Metrics.ConnsOpened.With(cfg.Name),
+		reports:        cfg.Metrics.ShardReports.With(name),
+		batches:        cfg.Metrics.ShardBatches.With(name),
+		appendErrors:   cfg.Metrics.AppendErrors.With(name),
+		framesRejected: cfg.Metrics.FramesRejected.With(name),
+		connsOpened:    cfg.Metrics.ConnsOpened.With(name),
+		ingestSeconds:  cfg.Metrics.IngestSeconds,
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -168,13 +122,13 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 }
 
 // Name returns the shard's ring identity.
-func (s *Shard) Name() string { return s.cfg.Name }
+func (s *Shard) Name() string { return s.name }
 
 // Addr returns the listening address.
 func (s *Shard) Addr() string { return s.ln.Addr().String() }
 
 // Dir returns the partition directory.
-func (s *Shard) Dir() string { return s.cfg.Dir }
+func (s *Shard) Dir() string { return s.dir }
 
 // Stats returns a snapshot of the shard's ingest accounting.
 func (s *Shard) Stats() ShardStats {
@@ -232,8 +186,8 @@ func (s *Shard) serveConn(conn net.Conn) {
 	dec := telemetry.NewFrameDecoder()
 	ack := [1]byte{telemetry.BatchAck}
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))
+		if s.readTimeout > 0 {
+			_ = conn.SetReadDeadline(s.now().Add(s.readTimeout))
 		}
 		reps, err := dec.Next(br, telemetry.MaxBatchBytes)
 		if err != nil {
@@ -266,7 +220,7 @@ func (s *Shard) serveConn(conn net.Conn) {
 // dropped, every one of its reports counted as refused, and the error
 // returned; the frame must not be acked.
 func (s *Shard) ingestBatch(reps []gateway.Report) error {
-	start := s.cfg.Now()
+	start := s.now()
 	skipped, err := s.store.AppendBatch(reps)
 	if err != nil {
 		s.appendErrors.Add(int64(len(reps)))
@@ -282,7 +236,7 @@ func (s *Shard) ingestBatch(reps []gateway.Report) error {
 		s.reports.Add(int64(len(reps) - skipped))
 	}
 	s.batches.Inc()
-	s.cfg.Metrics.IngestSeconds.Observe(s.cfg.Now().Sub(start).Seconds())
+	s.ingestSeconds.Observe(s.now().Sub(start).Seconds())
 	return err
 }
 

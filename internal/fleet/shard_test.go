@@ -24,13 +24,11 @@ import (
 // unacked window for the router's shard-loss path — and each of its
 // reports is counted in AppendErrors.
 func TestShardWithholdsAckWhenStoreRefuses(t *testing.T) {
-	s, err := StartShard(ShardConfig{
-		Name: ShardName(0), Addr: "127.0.0.1:0", Dir: t.TempDir(),
-		Start: anchor, Step: time.Minute,
-	})
+	f, err := Start(Config{Dir: t.TempDir(), Shards: 1, Start: anchor, Step: time.Minute})
 	if err != nil {
-		t.Fatalf("StartShard: %v", err)
+		t.Fatalf("Start: %v", err)
 	}
+	s := f.Shard(0)
 	defer s.Kill()
 	client, server := net.Pipe()
 	defer client.Close()
@@ -79,13 +77,11 @@ func TestShardFrameSteadyStateAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const reportsPerFrame, devices, warm, runs = 48, 10, 50, 100
-	s, err := StartShard(ShardConfig{
-		Name: ShardName(0), Addr: "127.0.0.1:0", Dir: t.TempDir(),
-		Start: anchor, Step: time.Minute, Live: &livestats.Config{},
-	})
+	f, err := Start(Config{Dir: t.TempDir(), Shards: 1, Start: anchor, Step: time.Minute, Live: &livestats.Config{}})
 	if err != nil {
-		t.Fatalf("StartShard: %v", err)
+		t.Fatalf("Start: %v", err)
 	}
+	s := f.Shard(0)
 	defer s.Kill()
 
 	em := gateway.NewEmitter("home-000")

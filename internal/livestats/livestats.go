@@ -21,14 +21,15 @@
 // Snapshot assembles these into the batch result types (corr.Result,
 // dominance.Result, background.Threshold), gated through
 // corrsim.Detail.SimilarityUnder exactly as the offline pipeline gates
-// them. Per-device watermark indices make the tracker idempotent under
-// duplicate and out-of-order delivery — the same discipline as the
-// store's WAL watermarks, so a tracker rebuilt from a partition's
-// durable history (Rebuild) converges with one that saw the live
-// stream. STREAMING.md documents the operator catalog and the
-// tolerance contracts; Offline is the batch recomputation the
-// reconciliation tests (and `homesight collector -demo -live`) compare
-// against.
+// them, at the paper's parameters: corrsim.Measure{} (α 0.05) and
+// φ = dominance.DefaultPhi, neither of them a setting. Per-device
+// watermark indices make the tracker idempotent under duplicate and
+// out-of-order delivery — the same discipline as the store's WAL
+// watermarks, so a tracker rebuilt from a partition's durable history
+// (Rebuild) converges with one that saw the live stream. STREAMING.md
+// documents the operator catalog and the tolerance contracts; Offline is
+// the batch recomputation the reconciliation tests (and `homesight
+// collector -demo -live`) compare against.
 package livestats
 
 import (
@@ -58,11 +59,6 @@ type Config struct {
 	// gateway.NewRecorder and store.Config. Step 0 → one minute.
 	Start time.Time
 	Step  time.Duration
-	// Measure is the Definition 1 similarity measure (zero value = all
-	// three coefficients at α 0.05).
-	Measure corrsim.Measure
-	// Phi is the Definition 4 dominance threshold (0 → DefaultPhi).
-	Phi float64
 	// RankCap sizes the rank reservoir per device (0 → DefaultRankCap).
 	RankCap int
 	// Seed derives the per-device reservoir RNGs (mixed with a hash of
@@ -71,25 +67,17 @@ type Config struct {
 	// Metrics receives the homesight_live_* instruments; nil keeps
 	// counting on a private registry.
 	Metrics *Metrics
-	// Now is the operator-latency clock; nil → time.Now.
-	Now func() time.Time
 }
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Step <= 0 {
 		cfg.Step = time.Minute
 	}
-	if cfg.Phi == 0 { //homesight:ignore zero-sentinel — a dominance share of 0 is vacuous; zero safely means "default", as in dominance.Detector
-		cfg.Phi = dominance.DefaultPhi
-	}
 	if cfg.RankCap <= 0 {
 		cfg.RankCap = DefaultRankCap
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	return cfg
 }
@@ -141,7 +129,9 @@ type pendingDelta struct {
 // Tracker maintains live state for every home on one ingest path.
 // OnReport is safe for concurrent use across homes.
 type Tracker struct {
-	cfg   Config
+	cfg Config
+	// now is the operator-latency clock.
+	now   func() time.Time
 	mu    sync.RWMutex
 	homes map[string]*home
 }
@@ -149,7 +139,7 @@ type Tracker struct {
 // NewTracker returns a tracker for the given grid.
 func NewTracker(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
-	return &Tracker{cfg: cfg, homes: make(map[string]*home)}
+	return &Tracker{cfg: cfg, now: time.Now, homes: make(map[string]*home)}
 }
 
 // deviceSeed derives a stable per-device RNG seed from the config seed
@@ -170,7 +160,7 @@ func (t *Tracker) deviceSeed(gw, mac string) int64 {
 // makes redelivery and replay idempotent. O(devices) per report,
 // independent of stream length.
 func (t *Tracker) OnReport(rep gateway.Report) {
-	start := t.cfg.Now()
+	start := t.now()
 	idx := gateway.GridIndex(rep.Timestamp, t.cfg.Start, t.cfg.Step)
 	if idx < 0 {
 		t.cfg.Metrics.Stale.Add(int64(len(rep.Devices)))
@@ -182,7 +172,7 @@ func (t *Tracker) OnReport(rep gateway.Report) {
 		t.cfg.Metrics.Stale.Add(stale)
 	}
 	t.cfg.Metrics.Reports.Inc()
-	t.cfg.Metrics.UpdateSeconds.Observe(t.cfg.Now().Sub(start).Seconds())
+	t.cfg.Metrics.UpdateSeconds.Observe(t.now().Sub(start).Seconds())
 }
 
 // home returns (creating if needed) the state for one gateway.
@@ -291,8 +281,9 @@ type DeviceLive struct {
 	// Pearson, Spearman and Kendall are the online coefficients; the
 	// rank pair is reservoir-sampled once the stream exceeds RankCap.
 	Pearson, Spearman, Kendall corr.Result
-	// Similarity is the Definition 1 gated maximum; Dominant is the
-	// Definition 4 verdict at the tracker's φ.
+	// Similarity is the Definition 1 gated maximum (all three
+	// coefficients at α 0.05, corrsim.Measure{}); Dominant is the
+	// Definition 4 verdict at φ = dominance.DefaultPhi.
 	Similarity float64
 	Dominant   bool
 	// Euclidean and Traffic are the Sec. 6.2 baseline scores, exact.
@@ -317,7 +308,8 @@ type HomeSnapshot struct {
 	// minutes with at least one valid delta.
 	Reports int64
 	Minutes int64
-	// Phi is the dominance threshold the verdicts used.
+	// Phi is the dominance threshold the verdicts used
+	// (dominance.DefaultPhi).
 	Phi     float64
 	Devices []DeviceLive
 }
@@ -344,7 +336,7 @@ func (t *Tracker) Homes() []string {
 // the histogram pages a device has touched, with no sort. The second
 // return is false for an untracked gateway.
 func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
-	start := t.cfg.Now()
+	start := t.now()
 	t.mu.RLock()
 	h := t.homes[gw]
 	t.mu.RUnlock()
@@ -357,7 +349,7 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 		Gateway: gw,
 		Reports: h.reports,
 		Minutes: h.minutes,
-		Phi:     t.cfg.Phi,
+		Phi:     dominance.DefaultPhi,
 		Devices: make([]DeviceLive, 0, len(h.byMAC)),
 	}
 	for _, ds := range h.byMAC {
@@ -368,7 +360,7 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 			Kendall:  tau,
 			N:        int(ds.pearson.N()),
 		}
-		detail.Similarity = detail.SimilarityUnder(t.cfg.Measure)
+		detail.Similarity = detail.SimilarityUnder(corrsim.Measure{})
 		// Σ(x−G)² over observed minutes plus Σ G² over the home's other
 		// observed minutes (where the device's missing value counts as
 		// zero) is exactly the batch FillMissing(0) Euclidean distance;
@@ -383,7 +375,7 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 			Spearman:    detail.Spearman,
 			Kendall:     detail.Kendall,
 			Similarity:  detail.Similarity,
-			Dominant:    detail.Similarity > t.cfg.Phi,
+			Dominant:    detail.Similarity > dominance.DefaultPhi,
 			Euclidean:   euc,
 			Traffic:     ds.traffic,
 			Threshold:   th,
@@ -395,7 +387,7 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 	slices.SortStableFunc(snap.Devices, func(a, b DeviceLive) int {
 		return cmp.Compare(b.Similarity, a.Similarity)
 	})
-	t.cfg.Metrics.SnapshotSeconds.Observe(t.cfg.Now().Sub(start).Seconds())
+	t.cfg.Metrics.SnapshotSeconds.Observe(t.now().Sub(start).Seconds())
 	return snap, true
 }
 

@@ -34,9 +34,6 @@ type Config struct {
 	// negative disables caching — the LRU and the per-home summary memo
 	// (every lookup is a miss).
 	CacheEntries int
-	// Now is the latency clock; nil → time.Now. Injectable so tests and
-	// benchmarks control the only wall-clock read in this package.
-	Now func() time.Time
 }
 
 // API is the homequery serving tier. Mount Handler on an obs.Server via
@@ -48,7 +45,8 @@ type API struct {
 	cache *cache
 	// summaries memoises /summary per home; nil when caching is disabled.
 	summaries *summaryMemo
-	now       func() time.Time
+	// now is the latency clock, the only wall-clock read in this package.
+	now func() time.Time
 }
 
 // New builds the API. It panics when both Store and Live are nil:
@@ -61,9 +59,6 @@ func New(cfg Config) *API {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	entries := cfg.CacheEntries
 	if entries == 0 {
 		entries = defaultCacheEntries
@@ -73,7 +68,7 @@ func New(cfg Config) *API {
 		live:  cfg.Live,
 		m:     newMetrics(cfg.Registry),
 		cache: newCache(entries),
-		now:   cfg.Now,
+		now:   time.Now,
 	}
 	if entries > 0 {
 		a.summaries = newSummaryMemo()

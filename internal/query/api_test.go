@@ -57,7 +57,7 @@ func newTestStore(t *testing.T, minutes int) *store.Store {
 
 func newTestAPI(t *testing.T, s *store.Store) *API {
 	t.Helper()
-	return New(Config{Store: s, Now: func() time.Time { return testStart }})
+	return New(Config{Store: s})
 }
 
 // wireEnvelope is the decode-side view of Envelope, with the payload
@@ -283,7 +283,7 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	s := newTestStore(t, 60)
-	a := New(Config{Store: s, CacheEntries: -1, Now: func() time.Time { return testStart }})
+	a := New(Config{Store: s, CacheEntries: -1})
 	h := a.Handler()
 	get(t, h, "/api/v1/homes", http.StatusOK)
 	get(t, h, "/api/v1/homes", http.StatusOK)

@@ -124,7 +124,7 @@ func TestSummaryOfflineGolden(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	h := New(Config{Store: s, Now: func() time.Time { return testStart }}).Handler()
+	h := New(Config{Store: s}).Handler()
 	var b strings.Builder
 	for _, gw := range s.Gateways() {
 		fmt.Fprintf(&b, "=== %s\nsummary %s\n", gw, fetch(t, h, "/api/v1/homes/"+gw+"/summary"))

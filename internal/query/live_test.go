@@ -32,7 +32,7 @@ func newTestTracker(t *testing.T, minutes int) *livestats.Tracker {
 // store-backed routes unregistered.
 func TestLiveEndpoint(t *testing.T) {
 	tr := newTestTracker(t, 240)
-	api := New(Config{Live: tr, Now: func() time.Time { return testStart }})
+	api := New(Config{Live: tr})
 	h := api.Handler()
 
 	env := get(t, h, "/api/v1/homes/gw-live/live", http.StatusOK)
@@ -116,7 +116,7 @@ func TestLiveCoeffNaN(t *testing.T) {
 func TestLiveWithStore(t *testing.T) {
 	s := newTestStore(t, 60)
 	tr := newTestTracker(t, 60)
-	api := New(Config{Store: s, Live: tr, Now: func() time.Time { return testStart }})
+	api := New(Config{Store: s, Live: tr})
 	h := api.Handler()
 	get(t, h, "/api/v1/homes", http.StatusOK)
 	get(t, h, "/api/v1/homes/gw-live/live", http.StatusOK)

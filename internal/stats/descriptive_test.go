@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -26,13 +25,10 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
+func TestSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Errorf("Min/Max/Sum = %g/%g/%g", Min(xs), Max(xs), Sum(xs))
-	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Error("empty Min/Max should be NaN")
+	if Sum(xs) != 9 {
+		t.Errorf("Sum = %g, want 9", Sum(xs))
 	}
 }
 
@@ -51,19 +47,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Error("Quantile must not reorder its input")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("unexpected summary %+v", s)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("want ErrEmpty, got %v", err)
 	}
 }
 
@@ -167,17 +150,6 @@ func TestBoxplotWhiskersAreObservations(t *testing.T) {
 	}
 }
 
-func TestWithoutOutliers(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 1000}
-	kept := WithoutOutliers(xs, DefaultWhiskerK)
-	if len(kept) != 5 {
-		t.Errorf("kept %d values, want 5 (%v)", len(kept), kept)
-	}
-	if WithoutOutliers(nil, 1.5) != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram([]float64{0, 0.5, 1, 1.5, 2, 5}, 0, 2, 4)
 	wantCounts := []int{1, 1, 1, 2} // 5 is out of range; 2 lands in last bin
@@ -188,26 +160,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Total != 5 {
 		t.Errorf("total = %d, want 5", h.Total)
-	}
-}
-
-func TestAutoHistogram(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	h := AutoHistogram(xs)
-	if h == nil || len(h.Counts) < 5 {
-		t.Fatalf("expected a real histogram, got %+v", h)
-	}
-	if AutoHistogram(nil) != nil {
-		t.Error("empty input should return nil")
-	}
-	// Constant input must not panic and must produce one usable bin range.
-	hc := AutoHistogram([]float64{3, 3, 3})
-	if hc.Total != 3 {
-		t.Errorf("constant histogram total = %d, want 3", hc.Total)
 	}
 }
 
@@ -265,109 +217,4 @@ func TestFitZipf(t *testing.T) {
 	if got := FitZipf([]float64{-1, 0}); got.N != 0 {
 		t.Errorf("non-positive values should be ignored, got N=%d", got.N)
 	}
-}
-
-// The helpers below have no caller in any program; only these tests use
-// them.
-
-// Min returns the smallest value in xs, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value in xs, or NaN for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// WithoutOutliers returns the subset of xs that lies within the whiskers of
-// its own boxplot — the paper's "boxplot without outliers" view (Fig. 1d).
-func WithoutOutliers(xs []float64, k float64) []float64 {
-	b, err := NewBoxplot(xs, k)
-	if err != nil {
-		return nil
-	}
-	kept := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if x >= b.LowerWhisker && x <= b.UpperWhisker {
-			kept = append(kept, x)
-		}
-	}
-	return kept
-}
-
-// Summary bundles the five-number summary plus moments of a sample.
-type Summary struct {
-	N               int
-	Mean, StdDev    float64
-	Min, Q1, Median float64
-	Q3, Max         float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    sorted[0],
-		Q1:     quantileSorted(sorted, 0.25),
-		Median: quantileSorted(sorted, 0.5),
-		Q3:     quantileSorted(sorted, 0.75),
-		Max:    sorted[len(sorted)-1],
-	}, nil
-}
-
-// AutoHistogram bins xs using the Freedman–Diaconis rule for the bin width,
-// falling back to Sturges' rule when the IQR is degenerate. It returns nil
-// for an empty sample.
-func AutoHistogram(xs []float64) *Histogram {
-	if len(xs) == 0 {
-		return nil
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi { //homesight:ignore float-eq — degenerate-range sentinel is exact
-		hi = lo + 1
-	}
-	b, _ := NewBoxplot(xs, DefaultWhiskerK)
-	n := float64(len(xs))
-	width := 2 * b.IQR / math.Cbrt(n)
-	var bins int
-	if width > 0 {
-		bins = int(math.Ceil((hi - lo) / width))
-	} else {
-		bins = int(math.Ceil(math.Log2(n))) + 1
-	}
-	if bins < 1 {
-		bins = 1
-	}
-	if bins > 10000 {
-		bins = 10000
-	}
-	return NewHistogram(xs, lo, hi, bins)
 }

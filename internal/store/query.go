@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"homesight/internal/gateway"
-	"homesight/internal/timeseries"
 )
 
 // ErrBadRequest marks a malformed QueryRequest (unknown granularity,
@@ -166,19 +163,13 @@ type QueryRequest struct {
 	Gran Granularity
 	// Agg reduces each bin (binned queries only; defaults to AggSum).
 	Agg Aggregation
-	// Reconstruct replays the raw counters through gateway.Meter into a
-	// per-minute delta series on the store's minute grid — the old
-	// DeviceSeries semantics: wrap-aware differencing, meter reset
-	// across reporting gaps, NaN for unobserved minutes. Raw
-	// granularity only.
-	Reconstruct bool
 	// Limit caps the number of returned points/bins/samples (0 means
 	// unlimited); Result.Truncated reports whether it bit.
 	Limit int
 }
 
-// Result is a query answer. Exactly one of Points (raw), Bins (binned)
-// or Series (reconstructed) is populated, per the request shape.
+// Result is a query answer. Exactly one of Points (raw) or Bins
+// (binned) is populated, per the request shape.
 type Result struct {
 	Key      Key
 	From, To time.Time // effective range after defaulting
@@ -190,21 +181,12 @@ type Result struct {
 	// Start, covering the bin-aligned widening of [From, To). Bins with
 	// no observations are absent, not zero.
 	Bins []RollupBin
-	// Series is the reconstructed per-minute delta series of a
-	// Reconstruct query, always covering [From, To) exactly, with NaN
-	// padding — all-NaN when the range holds no stored points (check
-	// LastIndex).
-	Series *timeseries.Series
-	// LastIndex is the grid index (relative to From) of the last stored
-	// point a Reconstruct query saw, -1 when none — the "natural
-	// length" DeviceSeries callers relied on, minus the padding.
-	LastIndex int
 	// Truncated reports that Limit cut the answer short.
 	Truncated bool
 }
 
 // Query is the unified read entry point: one series, a time range, a
-// granularity and an optional aggregation or reconstruction. It merges
+// granularity and an optional aggregation. It merges
 // segments (oldest first), the frozen memtable and the active memtable;
 // binned queries read only precomputed rollup blocks. ctx is checked
 // between block reads, so a canceled request stops touching disk.
@@ -229,15 +211,8 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 		return nil, fmt.Errorf("%w: range end %s before start %s",
 			ErrBadRequest, to.Format(time.RFC3339), from.Format(time.RFC3339))
 	}
-	res := &Result{Key: req.Key, From: from, To: to, Gran: req.Gran, Agg: req.Agg, LastIndex: -1}
+	res := &Result{Key: req.Key, From: from, To: to, Gran: req.Gran, Agg: req.Agg}
 	switch {
-	case req.Reconstruct:
-		if req.Gran != GranRaw || req.Agg != AggNone {
-			return nil, fmt.Errorf("%w: reconstruction is raw-granularity, no-aggregation only", ErrBadRequest)
-		}
-		if err := s.queryReconstruct(ctx, res, req.Limit); err != nil {
-			return nil, err
-		}
 	case req.Gran == GranRaw:
 		if req.Agg != AggNone {
 			return nil, fmt.Errorf("%w: aggregation %s needs a bin granularity (3h or 8h)", ErrBadRequest, req.Agg)
@@ -383,51 +358,6 @@ func alignUp(ts, binSec int64) int64 {
 		return m + binSec
 	}
 	return ts
-}
-
-// queryReconstruct replays the raw counters of [From, To) through
-// gateway.Meter into a per-minute delta series on the store grid —
-// byte-for-byte the reconstruction gateway.Recorder performs live.
-func (s *Store) queryReconstruct(ctx context.Context, res *Result, limit int) error {
-	stepSec := int64(s.cfg.Step / time.Second)
-	fromSec := res.From.Unix()
-	steps := int((res.To.Unix() - fromSec) / stepSec)
-	var m gateway.Meter
-	var vals []float64
-	seen := 0
-	it := s.iter(res.Key, fromSec, res.To.Unix())
-	for it.Next() {
-		p := it.At()
-		if seen%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		seen++
-		idx := int((p.Ts - fromSec) / stepSec)
-		if res.LastIndex >= 0 && idx != res.LastIndex+1 {
-			m.Reset()
-		}
-		for len(vals) <= idx {
-			vals = append(vals, math.NaN())
-		}
-		if d, ok := m.Delta(p.Val); ok {
-			vals[idx] = float64(d)
-		}
-		res.LastIndex = idx
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	for len(vals) < steps {
-		vals = append(vals, math.NaN())
-	}
-	if limit > 0 && len(vals) > limit {
-		vals = vals[:limit]
-		res.Truncated = true
-	}
-	res.Series = timeseries.New(res.From, s.cfg.Step, vals)
-	return nil
 }
 
 // Campaign returns the store's campaign window: the series anchor and

@@ -206,8 +206,6 @@ func TestQueryBadRequests(t *testing.T) {
 		{Key: k, From: testStart.Add(time.Hour), To: testStart},
 		{Key: k, Gran: Granularity(99)},
 		{Key: k, Gran: GranRaw, Agg: AggSum},
-		{Key: k, Reconstruct: true, Gran: Gran3h},
-		{Key: k, Reconstruct: true, Agg: AggMean},
 	}
 	for i, req := range bad {
 		if _, err := s.Query(ctx, req); !errors.Is(err, ErrBadRequest) {
@@ -291,17 +289,14 @@ func TestQueryCampaignDefaults(t *testing.T) {
 	}
 	// An end past the campaign pads the reconstruction with NaN to it.
 	const week = 7 * 24 * 60
-	res, err = s.Query(ctx, QueryRequest{Key: k, To: testStart.Add(week * time.Minute), Reconstruct: true})
+	ser, last, err := s.reconstruct(ctx, k, testStart.Add(week*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := testStart.Add(week * time.Minute); !res.To.Equal(want) {
-		t.Fatalf("whole-week end %v, want %v", res.To, want)
-	}
-	if got := len(res.Series.Values); got != week {
+	if got := len(ser.Values); got != week {
 		t.Fatalf("reconstructed series has %d values, want %d", got, week)
 	}
-	if res.LastIndex != minutes-1 {
-		t.Fatalf("LastIndex %d, want %d", res.LastIndex, minutes-1)
+	if last != minutes-1 {
+		t.Fatalf("last stored index %d, want %d", last, minutes-1)
 	}
 }

@@ -11,7 +11,9 @@
 //     block encoding and a checksummed footer index for O(log n)
 //     range seeks (codec.go, segment.go);
 //   - an Append/Query API that merges memtable, WAL tail and segments
-//     into one ordered, deduplicated stream;
+//     into one ordered, deduplicated stream of raw points or rollup
+//     bins, and Home, which reconstructs a home's per-minute delta
+//     series from its counters (home.go);
 //   - registry-backed homesight_store_* metrics (metrics.go).
 //
 // Layout of a store directory (see STORAGE.md for the full diagram):
@@ -74,8 +76,8 @@ const (
 type Config struct {
 	// Dir is the store directory, created if missing.
 	Dir string
-	// Start and Step anchor the minute grid for Reconstruct queries
-	// (defaults: 2014-03-17 UTC, one minute — the synth deployment
+	// Start and Step anchor the minute grid that Home and
+	// ReconstructReports read on (defaults: 2014-03-17 UTC, one minute — the synth deployment
 	// anchor). A store directory remembers its anchor in meta.json; an
 	// existing anchor wins over the config.
 	Start time.Time
@@ -91,10 +93,6 @@ type Config struct {
 	// counts from them; nil gets a private registry (counting stays on,
 	// nothing is exported).
 	Metrics *Metrics
-	// Now is the clock behind fsync-duration metrics; nil → time.Now.
-	// Injectable so the store's encoded bytes and tests never depend on
-	// the wall clock.
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -113,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = NewMetrics(obs.NewRegistry())
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -187,6 +182,9 @@ type Stats struct {
 // concurrent use.
 type Store struct {
 	cfg Config
+	// now is the clock behind the fsync-duration metric, the store's
+	// only wall-clock read; no encoded byte depends on it.
+	now func() time.Time
 
 	mu        sync.Mutex
 	closed    bool
@@ -237,6 +235,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:     cfg,
+		now:     time.Now,
 		mem:     make(map[Key]*memSeries),
 		catalog: make(map[string]*deviceSet),
 		flushCh: make(chan struct{}, 1),
@@ -616,14 +615,14 @@ func (s *Store) AppendBatch(reps []gateway.Report) (skipped int, err error) {
 		return skipped, err
 	}
 	if s.cfg.Sync == SyncAlways {
-		t0 := s.cfg.Now()
+		t0 := s.now()
 		// WAL fsync under mu is the durability contract: AppendBatch may not
 		// return before its records are on disk, and mu orders the WAL.
 		if err := s.wal.sync(); err != nil {
 			s.mu.Unlock()
 			return skipped, err
 		}
-		s.cfg.Metrics.FsyncSeconds.Observe(s.cfg.Now().Sub(t0).Seconds())
+		s.cfg.Metrics.FsyncSeconds.Observe(s.now().Sub(t0).Seconds())
 	}
 	var points, dups int64
 	for i := range reps {
@@ -725,12 +724,12 @@ func (s *Store) syncer() {
 				s.mu.Unlock()
 				return
 			}
-			t0 := s.cfg.Now()
+			t0 := s.now()
 			// Group-commit fsync under mu: the appends batched behind this sync are
 			// exactly the group being committed.
 			err := s.wal.sync()
 			if err == nil {
-				s.cfg.Metrics.FsyncSeconds.Observe(s.cfg.Now().Sub(t0).Seconds())
+				s.cfg.Metrics.FsyncSeconds.Observe(s.now().Sub(t0).Seconds())
 			}
 			s.mu.Unlock()
 		}

@@ -66,24 +66,21 @@ func expectedPoints(reps []gateway.Report) map[Key][]Point {
 }
 
 // reconstructSeries rebuilds a device's per-minute in/out delta series
-// with one Reconstruct query per direction, padded to n samples with
-// NaN. Nil results mean the device is unknown to the store.
+// over the campaign, one reconstruction per direction, padded to n
+// samples with NaN. Nil results mean the device is unknown to the store.
 func reconstructSeries(t *testing.T, s *Store, gw, mac string, n int) (in, out *timeseries.Series) {
 	t.Helper()
 	var ser [2]*timeseries.Series
 	known := false
 	for dir := 0; dir < 2; dir++ {
-		res, err := s.Query(context.Background(), QueryRequest{
-			Key:         Key{Gateway: gw, Device: mac, Dir: Direction(dir)},
-			Reconstruct: true,
-		})
+		res, last, err := s.reconstruct(context.Background(), Key{Gateway: gw, Device: mac, Dir: Direction(dir)}, s.campaignEnd())
 		if err != nil {
 			t.Fatalf("reconstruct %s/%s dir %d: %v", gw, mac, dir, err)
 		}
-		if res.LastIndex >= 0 {
+		if last >= 0 {
 			known = true
 		}
-		vals := append([]float64(nil), res.Series.Values...)
+		vals := append([]float64(nil), res.Values...)
 		for len(vals) < n {
 			vals = append(vals, math.NaN())
 		}

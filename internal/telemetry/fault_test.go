@@ -322,13 +322,14 @@ func TestFaultReconnectOvertake(t *testing.T) {
 // whose flushes stall past the shard's read deadline is disconnected,
 // and the reporter's reconnect replays its window.
 func TestFaultDelayedFlushReadTimeout(t *testing.T) {
-	shard, err := fleet.StartShard(fleet.ShardConfig{
-		Name: fleet.ShardName(0), Addr: "127.0.0.1:0", Dir: t.TempDir(),
+	f, err := fleet.Start(fleet.Config{
+		Dir: t.TempDir(), Shards: 1,
 		Start: mon, Step: time.Minute, ReadTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shard := f.Shard(0)
 	defer func() { _ = shard.Close() }() // second close after Drain is expected to ErrClosed
 
 	slow := true // only the first connection stalls

@@ -12,8 +12,9 @@
 # end. Then `homesight store compact` and `store verify` run on that
 # demo's partition, and finally `homesight store serve` on it verifies the
 # homesight_store_* families and the query tier: the /api/v1/* endpoints
-# answering the versioned envelope, a raw /series day in columnar form,
-# and the homesight_query_* families on /metrics (shard stores keep
+# answering the versioned envelope, a raw /series day in columnar form, a
+# 3h-binned /series, a home's /summary served twice (the second from the
+# memo), and the homesight_query_* families on /metrics (shard stores keep
 # private registries, FLEET.md, so the store families are scraped here).
 # Wired into `make check` via the obs-smoke target.
 #
@@ -208,9 +209,10 @@ done
 # Storage and query tiers: store serve on the live demo's partition
 # (the collector above drained and closed it on exit) registers the
 # homesight_store_* families as the store opens, must answer
-# /api/v1/homes with the versioned envelope, serves a raw day of the
-# first gateway's first device in the columnar form, and puts the
-# homesight_query_* families on the same /metrics surface.
+# /api/v1/homes with the versioned envelope, serves a raw day and the
+# 3h bins of the first gateway's first device and that gateway's
+# /summary, and puts the homesight_query_* families on the same /metrics
+# surface.
 "$TMP/homesight" store serve -dir "$TMP/live/shard-0000" -addr 127.0.0.1:0 \
     >"$TMP/q-stdout" 2>"$TMP/q-stderr" &
 QPID=$!
@@ -240,6 +242,17 @@ grep -q '"val":\[' "$TMP/q-series" || qfail "raw /series carries no \"val\" colu
 if grep -q '"point[s]"' "$TMP/q-series"; then
     qfail "raw /series still writes one object per point"
 fi
+# A 3h-binned series answers from the segments' rollup blocks.
+curl -fsS --max-time 10 "http://$QADDR/api/v1/series?gw=$GW&device=$MAC&gran=3h" \
+    >"$TMP/q-bins" || qfail "binned /api/v1/series unreachable"
+grep -q '"bins":\[' "$TMP/q-bins" || qfail "3h /series carries no \"bins\" array"
+# The home's Def. 4 summary, twice: the first GET builds it, the second
+# must be a memo hit (checked on /metrics below).
+for n in 1 2; do
+    curl -fsS --max-time 30 "http://$QADDR/api/v1/homes/$GW/summary" \
+        >"$TMP/q-summary" || qfail "/api/v1/homes/$GW/summary unreachable (GET $n)"
+done
+grep -q '"dominants"' "$TMP/q-summary" || qfail "/summary carries no \"dominants\" key"
 
 curl -fsS --max-time 10 "http://$QADDR/metrics" >"$TMP/q-metrics" || qfail "query /metrics unreachable"
 for metric in \
@@ -254,6 +267,8 @@ for metric in \
 done
 grep -q '^homesight_query_response_bytes_total{endpoint="series"} [1-9]' "$TMP/q-metrics" \
     || qfail "query /metrics counted no /series response bytes"
+grep -q '^homesight_query_cache_hits_total [1-9]' "$TMP/q-metrics" \
+    || qfail "query /metrics counted no cache hit after the repeated /summary"
 
 kill "$QPID" 2>/dev/null || true
 wait "$QPID" 2>/dev/null || true
