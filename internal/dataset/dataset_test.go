@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -37,6 +38,51 @@ func TestCoverageFilters(t *testing.T) {
 	// Requesting more periods than the series holds fails.
 	if HasWeeklyCoverage(s, 3) {
 		t.Error("coverage beyond the series extent must fail")
+	}
+}
+
+// TestCoverageNests: over random observation patterns, daily coverage of
+// 7w days implies weekly coverage of w weeks, and weekly coverage of a
+// weeks implies it for every b <= a. This nesting is what puts the daily
+// and weekly-motif cohorts inside the weekly cohort of the main window.
+func TestCoverageNests(t *testing.T) {
+	const day = 24 * 60
+	rng := rand.New(rand.NewSource(1))
+	dailyHeld, weeklyOnly := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		// Up to nine weeks, so some series fall short of the tested spans.
+		days := 1 + rng.Intn(63)
+		observed := []float64{0.5, 0.9, 0.98, 1}[rng.Intn(4)]
+		vals := make([]float64, days*day)
+		for m := range vals {
+			vals[m] = math.NaN()
+		}
+		for d := 0; d < days; d++ {
+			if rng.Float64() < observed {
+				vals[d*day+rng.Intn(day)] = 1
+			}
+		}
+		s := timeseries.New(mon, time.Minute, vals)
+		for w := 1; w <= 8; w++ {
+			daily, weekly := HasDailyCoverage(s, 7*w), HasWeeklyCoverage(s, w)
+			if daily && !weekly {
+				t.Fatalf("trial %d: daily coverage of %d days without weekly coverage of %d weeks", trial, 7*w, w)
+			}
+			if daily && w >= 2 {
+				dailyHeld++
+			}
+			if weekly && !daily {
+				weeklyOnly++
+			}
+			for b := 1; weekly && b < w; b++ {
+				if !HasWeeklyCoverage(s, b) {
+					t.Fatalf("trial %d: weekly coverage of %d weeks but not of %d", trial, w, b)
+				}
+			}
+		}
+	}
+	if dailyHeld == 0 || weeklyOnly == 0 {
+		t.Fatalf("vacuous patterns: daily coverage held %d times, weekly without daily %d times", dailyHeld, weeklyOnly)
 	}
 }
 

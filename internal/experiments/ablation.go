@@ -40,16 +40,17 @@ var ablationVariants = []struct {
 // a home's three correlation coefficients are computed once instead of
 // once per variant.
 func TabSimilarityAblation(ctx context.Context, e *Env) (AblationResult, error) {
+	if err := ctx.Err(); err != nil {
+		return AblationResult{}, err
+	}
 	res := AblationResult{
 		Dominants:    make(map[string]int),
 		GatewaysWith: make(map[string]int),
 	}
-	idxs := e.WeeklyCohortIndexes()
-	type perHome [4]int // dominants per variant, ablationVariants order
-	per := make([]perHome, len(idxs))
-	if err := e.ForEach(ctx, len(idxs), func(j int) {
-		scores := e.Dominance(idxs[j]).All
-		for vi, v := range ablationVariants {
+	for _, i := range e.WeeklyCohortIndexes() {
+		scores := e.Dominance(i).All
+		res.Gateways++
+		for _, v := range ablationVariants {
 			m := corrsim.Measure{Use: v.use}
 			count := 0
 			for _, sc := range scores {
@@ -58,16 +59,8 @@ func TabSimilarityAblation(ctx context.Context, e *Env) (AblationResult, error) 
 					count++
 				}
 			}
-			per[j][vi] = count
-		}
-	}); err != nil {
-		return AblationResult{}, err
-	}
-	for _, p := range per {
-		res.Gateways++
-		for vi, v := range ablationVariants {
-			res.Dominants[v.name] += p[vi]
-			if p[vi] > 0 {
+			res.Dominants[v.name] += count
+			if count > 0 {
 				res.GatewaysWith[v.name]++
 			}
 		}

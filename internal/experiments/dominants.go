@@ -28,28 +28,22 @@ type Fig05Result struct {
 	TotalDominants int
 }
 
-// Fig05DominantDevices runs Definition 4 over the weekly-coverage cohort.
-// The per-home detection goes through the Env's dominance cache, so the
-// agreement, residents and motif analyses reuse the same results.
+// Fig05DominantDevices counts the Definition 4 dominants of the weekly-
+// coverage cohort. It reads each home's result from the build
+// (Env.Dominance), the one the agreement, residents, ablation and motif
+// analyses read too.
 func Fig05DominantDevices(ctx context.Context, e *Env) (Fig05Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Fig05Result{}, err
+	}
 	res := Fig05Result{TotalByType: make(map[devices.Type]int)}
 	for r := range res.TypeByRank {
 		res.TypeByRank[r] = make(map[devices.Type]int)
 	}
-	idxs := e.WeeklyCohortIndexes()
-	outs := make([]dominance.Result, len(idxs))
-	if err := e.ForEach(ctx, len(idxs), func(j int) {
-		outs[j] = e.Dominance(idxs[j])
-	}); err != nil {
-		return Fig05Result{}, err
-	}
-	for _, out := range outs {
+	for _, i := range e.WeeklyCohortIndexes() {
+		out := e.Dominance(i)
 		res.Gateways++
-		k := len(out.Dominants)
-		if k > 3 {
-			k = 3
-		}
-		res.ByCount[k]++
+		res.ByCount[cap3(len(out.Dominants))]++
 		for rank, sc := range out.Dominants {
 			res.TotalByType[sc.Device.Inferred]++
 			res.TotalDominants++
@@ -114,43 +108,32 @@ func (r AgreementResult) TrafficAgreement() float64 {
 
 // TabDominanceAgreement compares dominance notions over the cohort.
 func TabDominanceAgreement(ctx context.Context, e *Env) (AgreementResult, error) {
-	type perHome struct {
-		dominants, eucMatched, trafMatched int
-		strictCount, strictFixed           int
-	}
-	idxs := e.WeeklyCohortIndexes()
-	per := make([]perHome, len(idxs))
-	if err := e.ForEach(ctx, len(idxs), func(j int) {
-		out := e.Dominance(idxs[j])
-		p := &per[j]
-		p.dominants = len(out.Dominants)
-		p.eucMatched = dominance.Agreement(out, dominance.EuclideanRanking(out.All))
-		p.trafMatched = dominance.Agreement(out, dominance.TrafficRanking(out.All))
-
-		// φ = 0.8 ablation reuses the scored set: dominants are scores
-		// above the stricter threshold.
-		for _, sc := range out.All {
-			if sc.Similarity > dominance.StrictPhi {
-				p.strictCount++
-				if sc.Device.Inferred == devices.Fixed {
-					p.strictFixed++
-				}
-			}
-		}
-	}); err != nil {
+	if err := ctx.Err(); err != nil {
 		return AgreementResult{}, err
 	}
 	res := AgreementResult{}
 	strictWith := 0
 	strictFixed, strictTotal := 0, 0
-	for _, p := range per {
+	for _, i := range e.WeeklyCohortIndexes() {
+		out := e.Dominance(i)
 		res.Gateways++
-		res.TotalDominants += p.dominants
-		res.EuclideanMatched += p.eucMatched
-		res.TrafficMatched += p.trafMatched
-		strictTotal += p.strictCount
-		strictFixed += p.strictFixed
-		if p.strictCount > 0 {
+		res.TotalDominants += len(out.Dominants)
+		res.EuclideanMatched += dominance.Agreement(out, dominance.EuclideanRanking(out.All))
+		res.TrafficMatched += dominance.Agreement(out, dominance.TrafficRanking(out.All))
+
+		// φ = 0.8 ablation reuses the scored set: dominants are scores
+		// above the stricter threshold.
+		strict := 0
+		for _, sc := range out.All {
+			if sc.Similarity > dominance.StrictPhi {
+				strict++
+				if sc.Device.Inferred == devices.Fixed {
+					strictFixed++
+				}
+			}
+		}
+		strictTotal += strict
+		if strict > 0 {
 			strictWith++
 		}
 	}
@@ -191,25 +174,20 @@ type ResidentsResult struct {
 // TabResidentsCorrelation correlates dominant counts with resident counts
 // over the survey subset.
 func TabResidentsCorrelation(ctx context.Context, e *Env) (ResidentsResult, error) {
-	var surveyed []*gatewayCache
-	for _, gc := range e.gatewayCaches() {
-		if gc.surveyed && gc.weeklyCoverageMain {
-			surveyed = append(surveyed, gc)
-		}
-	}
-	counts := make([]int, len(surveyed))
-	if err := e.ForEach(ctx, len(surveyed), func(j int) {
-		counts[j] = len(e.Dominance(surveyed[j].index).Dominants)
-	}); err != nil {
+	if err := ctx.Err(); err != nil {
 		return ResidentsResult{}, err
 	}
 	var residents, dominants []float64
 	var resSmall, domSmall []float64
 	oneUser, oneUserOneDom := 0, 0
 	res := ResidentsResult{}
-	for j, gc := range surveyed {
+	for _, gc := range e.gatewayCaches() {
+		if !gc.surveyed || !gc.weeklyCoverageMain {
+			continue
+		}
 		res.SurveyHomes++
-		nd := float64(counts[j])
+		count := len(gc.dom.Dominants)
+		nd := float64(count)
 		nr := float64(gc.residents)
 		residents = append(residents, nr)
 		dominants = append(dominants, nd)
@@ -219,7 +197,7 @@ func TabResidentsCorrelation(ctx context.Context, e *Env) (ResidentsResult, erro
 		}
 		if gc.residents == 1 {
 			oneUser++
-			if counts[j] == 1 {
+			if count == 1 {
 				oneUserOneDom++
 			}
 		}

@@ -22,7 +22,8 @@ import (
 
 // Env is the shared experiment environment: a deployment handle, every
 // home's build, made once on first use, and the one worker budget that
-// the engine's experiments and their per-gateway fan-outs share (ForEach).
+// the engine's experiments and their inner fan-outs (over gateways, bins
+// or motif members) share (ForEach).
 //
 // What is kept per home, for the length of the run: the gateway's raw and
 // active overall series over the campaign, every device's overall series
@@ -31,11 +32,13 @@ import (
 // minute resolution), and a handful of scalars (coverage
 // flags, the Sec. 4.1b/4.2c coefficients, the Fig. 4 thresholds, the
 // Def. 4 result of a weekly-cohort home) — all produced by one buildHome
-// from one generation or store read of the home (home.go). The overall
-// series stay because the cohort selections and the motif-window
-// dominance read them again and again at minute resolution; the
-// per-direction series, two more per device, are read only by the build
-// and die with its table.
+// from one generation or store read of the home (home.go). That Def. 4
+// result is the only one the suite reads: Fig. 5, the Sec. 6.2 tables,
+// the ablation and the motif dominance all take it from the build
+// (Dominance). The overall series stay because the cohort selections and
+// the motif-window dominance read them again and again at minute
+// resolution; the per-direction series, two more per device, are read
+// only by the build and die with its table.
 type Env struct {
 	Dep *synth.Deployment
 
@@ -107,7 +110,7 @@ func WithSeed(seed int64) Option {
 }
 
 // WithParallelism sets the worker budget of ForEach — the experiments the
-// engine runs at once and their per-gateway inner loops; n must be >= 1.
+// engine runs at once and their inner fan-outs; n must be >= 1.
 // 1 (the default) means strictly sequential.
 func WithParallelism(n int) Option {
 	return func(c *envConfig) error {
@@ -172,11 +175,11 @@ func (e *Env) Home(i int) *synth.Home { return e.Dep.Home(i) }
 // propagate it and never reduce over the slots.
 //
 // Every ForEach in the Env — the engine's over experiments and the
-// experiments' own over gateways, nested inside it — draws helpers from
-// one semaphore of parallelism-1 slots. The calling goroutine always
-// works, so a nested fan-out never deadlocks when the budget is
-// exhausted, and a dominant experiment running alone borrows the whole
-// budget the moment its neighbours finish.
+// experiments' own over gateways, bins or members, nested inside it —
+// draws helpers from one semaphore of parallelism-1 slots. The calling
+// goroutine always works, so a nested fan-out never deadlocks when the
+// budget is exhausted, and a dominant experiment running alone borrows
+// the whole budget the moment its neighbours finish.
 func (e *Env) ForEach(ctx context.Context, n int, fn func(i int)) error {
 	if e.parallelism <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -261,18 +264,13 @@ func (e *Env) Warm(ctx context.Context) error {
 }
 
 // Dominance returns the Definition 4 result of home i under the framework
-// detector over the main window (WeeksMain). Each Score carries all three
-// coefficients (Score.Detail), so measure variants re-derive from it. The
-// build computes it once for every weekly-cohort home — the homes Fig. 5,
-// the agreement, residents and ablation tables and the motif analysis ask
-// about; for any other home it is detected on each call.
-func (e *Env) Dominance(i int) dominance.Result {
-	gc := e.home(i)
-	if gc.weeklyCoverageMain {
-		return gc.dom
-	}
-	return e.detect(gc)
-}
+// detector over the main window (WeeksMain), as the build made it. Each
+// Score carries all three coefficients (Score.Detail), so measure variants
+// re-derive from it. i must be in WeeklyCohortIndexes: only those homes
+// have one, and any other home gets the zero Result. Every home the
+// dominance experiments ask about is in it — the daily and weekly-motif
+// cohorts nest inside the weekly-main one.
+func (e *Env) Dominance(i int) dominance.Result { return e.home(i).dom }
 
 // WeeklyCohort returns the active series of homes with weekly coverage over
 // the first `weeks` weeks, truncated to that span.

@@ -91,3 +91,32 @@ func TestWarmFillsCaches(t *testing.T) {
 		}
 	}
 }
+
+// TestCohortsNestInWeeklyMain: every home of the daily cohort and of the
+// weekly-motif cohort is in the weekly cohort of the main window, the
+// only homes the build gives a Definition 4 result. Dominance and the
+// motif-window dominance read that result for exactly those cohorts.
+func TestCohortsNestInWeeklyMain(t *testing.T) {
+	for _, weeks := range []int{2, 8} {
+		for _, seed := range []int64{20140317, 20140318} {
+			e, err := NewEnv(WithHomes(16), WithWeeks(weeks), WithSeed(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inMain := map[string]bool{}
+			for _, i := range e.WeeklyCohortIndexes() {
+				inMain[e.Home(i).ID] = true
+			}
+			daily, _ := e.DailyCohort()
+			weekly, _ := e.WeeklyCohort(e.WeeksWeeklyMotif)
+			if len(daily) == 0 || len(weekly) == 0 {
+				t.Fatalf("16×%d seed %d: %d daily and %d weekly-motif homes: the test would look at nothing", weeks, seed, len(daily), len(weekly))
+			}
+			for _, id := range slices.Concat(daily, weekly) {
+				if !inMain[id] {
+					t.Errorf("16×%d seed %d: %s is in a motif cohort but not in the weekly-main one", weeks, seed, id)
+				}
+			}
+		}
+	}
+}

@@ -72,7 +72,8 @@ type gatewayCache struct {
 	// windows fall in.
 	devices []dominance.DeviceSeries
 	// dom is the Definition 4 result over WeeksMain, computed by the build
-	// for the homes of the weekly cohort (weeklyCoverageMain).
+	// for the homes of the weekly cohort (weeklyCoverageMain) and zero for
+	// the rest. It is the only Definition 4 result the suite reads.
 	dom dominance.Result
 
 	// The per-home facts three experiments reduce over.
@@ -157,20 +158,15 @@ func (e *Env) buildHome(h *synth.Home, g *dataset.Gateway) *gatewayCache {
 		gc.active = sum
 	}
 	if gc.weeklyCoverageMain {
-		gc.dom = e.detect(gc)
+		// The framework detector over the main window: the raw overall and
+		// every device's overall over WeeksMain, as views.
+		devs := make([]dominance.DeviceSeries, len(gc.devices))
+		for k, ds := range gc.devices {
+			devs[k] = dominance.DeviceSeries{Device: ds.Device, Series: prefix(ds.Series, mainDays)}
+		}
+		gc.dom = dominance.Default.Detect(prefix(gc.raw, mainDays), devs)
 	}
 	return gc
-}
-
-// detect runs the framework detector over home gc's main window: the raw
-// overall and every device's overall over WeeksMain, as views.
-func (e *Env) detect(gc *gatewayCache) dominance.Result {
-	days := e.WeeksMain * 7
-	devs := make([]dominance.DeviceSeries, len(gc.devices))
-	for k, ds := range gc.devices {
-		devs[k] = dominance.DeviceSeries{Device: ds.Device, Series: prefix(ds.Series, days)}
-	}
-	return dominance.Default.Detect(prefix(gc.raw, days), devs)
 }
 
 // prefix returns the first `days` days of a minute series as a view

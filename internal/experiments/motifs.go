@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"homesight/internal/aggregate"
 	"homesight/internal/corrsim"
@@ -116,43 +117,30 @@ type MotifProfile struct {
 // WeeklyMotifsOfInterest picks the highest-support weekly motif of each
 // behavioural class (Fig. 11's motif1/motif2/motif3).
 func WeeklyMotifsOfInterest(r MotifSetResult) []MotifProfile {
-	best := map[motif.WeeklyClass]*motif.Motif{}
-	for _, m := range r.Motifs {
-		cl := motif.ClassifyWeekly(m.MeanProfile())
-		if cl == motif.WeeklyOther {
-			continue
-		}
-		if cur := best[cl]; cur == nil || m.Support() > cur.Support() {
-			best[cl] = m
-		}
-	}
-	var out []MotifProfile
-	for _, cl := range []motif.WeeklyClass{motif.WeeklyHeavyWeekend, motif.WeeklyEveryday, motif.WeeklyWorkdays} {
-		if m := best[cl]; m != nil {
-			out = append(out, MotifProfile{
-				MotifID: m.ID, Class: string(cl), Support: m.Support(),
-				RepeatShare: m.RepeatShare(), Profile: m.MeanProfile(),
-			})
-		}
-	}
-	return out
+	return motifsOfInterest(r, motif.ClassifyWeekly,
+		motif.WeeklyHeavyWeekend, motif.WeeklyEveryday, motif.WeeklyWorkdays)
 }
 
 // DailyMotifsOfInterest picks the highest-support daily motif of each
 // behavioural class (Fig. 14's motifs A-D).
 func DailyMotifsOfInterest(r MotifSetResult) []MotifProfile {
-	best := map[motif.DailyClass]*motif.Motif{}
+	return motifsOfInterest(r, motif.ClassifyDaily,
+		motif.DailyAfternoon, motif.DailyLateEvening, motif.DailyMorningEvening, motif.DailyAllDay)
+}
+
+// motifsOfInterest picks, for each class of order, the highest-support
+// motif classify puts in it (the first one mined on a tie). A class not in
+// order, such as the "other" class, is never picked.
+func motifsOfInterest[C ~string](r MotifSetResult, classify func([]float64) C, order ...C) []MotifProfile {
+	best := map[C]*motif.Motif{}
 	for _, m := range r.Motifs {
-		cl := motif.ClassifyDaily(m.MeanProfile())
-		if cl == motif.DailyOther {
-			continue
-		}
+		cl := classify(m.MeanProfile())
 		if cur := best[cl]; cur == nil || m.Support() > cur.Support() {
 			best[cl] = m
 		}
 	}
 	var out []MotifProfile
-	for _, cl := range []motif.DailyClass{motif.DailyAfternoon, motif.DailyLateEvening, motif.DailyMorningEvening, motif.DailyAllDay} {
+	for _, cl := range order {
 		if m := best[cl]; m != nil {
 			out = append(out, MotifProfile{
 				MotifID: m.ID, Class: string(cl), Support: m.Support(),
@@ -194,152 +182,103 @@ type MotifDominance struct {
 
 // AnalyzeMotifDominance evaluates the selected motifs member-by-member:
 // dominance inside the member's own time window versus the gateway's
-// overall dominants. Gateways fan out in parallel; every per-member
-// statistic is an integer count, so the final shares are identical no
-// matter which worker finished first.
+// overall dominants (the build's Definition 4 result). r must be mined
+// from e. Members fan out in parallel, each writing its own slot, and one
+// in-order pass reduces the slots; every share is an integer count over an
+// integer total, so the output does not depend on which worker finished
+// first.
 func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profiles []MotifProfile) ([]MotifDominance, error) {
-	gws := e.gatewayCaches()
-
 	byID := map[int]*motif.Motif{}
 	for _, m := range r.Motifs {
 		byID[m.ID] = m
 	}
-
-	// Group all members of the selected motifs by gateway so each home's
-	// overall dominants are looked up once. The group list is ordered by first
-	// appearance (profiles, then member order) — deterministic, unlike a
-	// map iteration.
-	type memberRef struct {
-		motifIdx int
-		inst     motif.Instance
+	// Every member of the selected motifs, profiles then member order.
+	type member struct {
+		profile int
+		inst    motif.Instance
 	}
-	type gatewayRefs struct {
-		id   string
-		refs []memberRef
-	}
-	gwSlot := map[string]int{}
-	var groups []gatewayRefs
+	var members []member
 	out := make([]MotifDominance, len(profiles))
 	for pi, p := range profiles {
 		out[pi] = MotifDominance{
 			MotifID: p.MotifID, Class: p.Class, Support: p.Support,
 			TypeDist: make(map[devices.Type]float64),
 		}
-		m := byID[p.MotifID]
-		if m == nil {
-			continue
-		}
-		for _, inst := range m.Members {
-			slot, ok := gwSlot[inst.GatewayID]
-			if !ok {
-				slot = len(groups)
-				gwSlot[inst.GatewayID] = slot
-				groups = append(groups, gatewayRefs{id: inst.GatewayID})
+		if m := byID[p.MotifID]; m != nil {
+			for _, inst := range m.Members {
+				members = append(members, member{pi, inst})
 			}
-			groups[slot].refs = append(groups[slot].refs, memberRef{pi, inst})
 		}
 	}
-
-	idToIndex := map[string]int{}
-	for _, gc := range gws {
-		idToIndex[gc.id] = gc.index
+	homes := map[string]*gatewayCache{}
+	for _, gc := range e.gatewayCaches() {
+		homes[gc.id] = gc
+	}
+	span := timeseries.Day
+	if r.Kind == "weekly" {
+		span = timeseries.Week
 	}
 
-	// profPartial accumulates one gateway's contribution to one profile.
-	type profPartial struct {
-		members, workdays int
-		count, intersect  [4]int
-		types             map[devices.Type]int
+	// windowDom is one member's window dominants: their inferred types, and
+	// how many of them are among the gateway's overall dominants.
+	type windowDom struct {
+		types     []devices.Type
+		intersect int
 	}
-	partials := make([][]profPartial, len(groups))
-	if err := e.ForEach(ctx, len(groups), func(g int) {
-		part := make([]profPartial, len(profiles))
-		partials[g] = part
-		idx, ok := idToIndex[groups[g].id]
-		if !ok {
-			return
-		}
-		overall := e.Dominance(idx)
-		overallMACs := map[string]bool{}
-		for _, sc := range overall.Dominants {
-			overallMACs[sc.Device.MAC] = true
-		}
-
-		gc := gws[idx]
-		for _, ref := range groups[g].refs {
-			p := &part[ref.motifIdx]
-			p.members++
-			w := ref.inst.Window
-			wEnd := w.Start.Add(timeseries.Day)
-			if r.Kind == "weekly" {
-				wEnd = w.Start.Add(timeseries.Week)
+	doms := make([]windowDom, len(members))
+	if err := e.ForEach(ctx, len(members), func(j int) {
+		gc, w := homes[members[j].inst.GatewayID], members[j].inst.Window
+		wEnd := w.Start.Add(span)
+		// Window-local dominance at minute resolution; the gateway's
+		// window is ranked once for all the home's devices.
+		gwWin := corrsim.Default.Against(gc.raw.Between(w.Start, wEnd).Values)
+		for _, ds := range gc.devices {
+			if gwWin.Similarity(ds.Series.Between(w.Start, wEnd).Values) <= dominance.DefaultPhi {
+				continue
 			}
-			// Window-local dominance at minute resolution; the gateway's
-			// window is ranked once for all the home's devices.
-			gwWin := corrsim.Default.Against(gc.raw.Between(w.Start, wEnd).Values)
-			winDom := 0
-			intersect := 0
-			for _, ds := range gc.devices {
-				sim := gwWin.Similarity(ds.Series.Between(w.Start, wEnd).Values)
-				if sim > dominance.DefaultPhi {
-					winDom++
-					if p.types == nil {
-						p.types = make(map[devices.Type]int)
-					}
-					p.types[ds.Device.Inferred]++
-					if overallMACs[ds.Device.MAC] {
-						intersect++
-					}
-				}
-			}
-			p.count[cap3(winDom)]++
-			p.intersect[cap3(intersect)]++
-			if r.Kind == "daily" && !w.IsWeekend() {
-				p.workdays++
+			doms[j].types = append(doms[j].types, ds.Device.Inferred)
+			if slices.ContainsFunc(gc.dom.Dominants, func(sc dominance.Score) bool { return sc.Device.MAC == ds.Device.MAC }) {
+				doms[j].intersect++
 			}
 		}
 	}); err != nil {
 		return nil, err
 	}
 
-	members := make([]int, len(profiles))
+	n := make([]int, len(profiles))
 	workdays := make([]int, len(profiles))
-	counts := make([][4]int, len(profiles))
-	intersects := make([][4]int, len(profiles))
 	totalTypes := make([]int, len(profiles))
-	for _, part := range partials {
-		for pi := range part {
-			p := &part[pi]
-			members[pi] += p.members
-			workdays[pi] += p.workdays
-			for k := 0; k < 4; k++ {
-				counts[pi][k] += p.count[k]
-				intersects[pi][k] += p.intersect[k]
-			}
-			for typ, n := range p.types {
-				out[pi].TypeDist[typ] += float64(n)
-				totalTypes[pi] += n
-			}
+	for j, mb := range members {
+		pi := mb.profile
+		d := &out[pi]
+		n[pi]++
+		d.CountDist[cap3(len(doms[j].types))]++
+		d.IntersectDist[cap3(doms[j].intersect)]++
+		for _, typ := range doms[j].types {
+			d.TypeDist[typ]++
+		}
+		totalTypes[pi] += len(doms[j].types)
+		if r.Kind == "daily" && !mb.inst.Window.IsWeekend() {
+			workdays[pi]++
 		}
 	}
-
 	for pi := range out {
-		n := float64(members[pi])
-		if n == 0 {
+		d := &out[pi]
+		if n[pi] == 0 {
 			continue
 		}
-		for k := range out[pi].CountDist {
-			out[pi].CountDist[k] = float64(counts[pi][k]) / n
-			out[pi].IntersectDist[k] = float64(intersects[pi][k]) / n
+		for k := range d.CountDist {
+			d.CountDist[k] /= float64(n[pi])
+			d.IntersectDist[k] /= float64(n[pi])
 		}
 		// The total is an integer, so the shares cannot depend on the
 		// order the map yields the types in.
-		for typ := range out[pi].TypeDist {
-			out[pi].TypeDist[typ] /= float64(totalTypes[pi])
+		for typ := range d.TypeDist {
+			d.TypeDist[typ] /= float64(totalTypes[pi])
 		}
 		if r.Kind == "daily" {
-			out[pi].WorkdayShare = float64(workdays[pi]) / n
-			out[pi].WeekendShare = 1 - out[pi].WorkdayShare
+			d.WorkdayShare = float64(workdays[pi]) / float64(n[pi])
+			d.WeekendShare = 1 - d.WorkdayShare
 		}
 	}
 	return out, nil

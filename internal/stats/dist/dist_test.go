@@ -68,17 +68,6 @@ func TestStudentsTTwoSided(t *testing.T) {
 	}
 }
 
-func TestFDistribution(t *testing.T) {
-	// F(1, d) equals t(d)^2: P(F <= x) = P(|T| <= sqrt(x)).
-	td := StudentsT{DF: 8}
-	for _, x := range []float64{0.3, 1, 4} {
-		want := 1 - td.TwoSidedP(math.Sqrt(x))
-		approx(t, "F=t^2", F{D1: 1, D2: 8}.CDF(x), want, 1e-10)
-	}
-	// qf(0.95, 3, 10) = 3.708265 → CDF there is 0.95.
-	approx(t, "F crit", F{D1: 3, D2: 10}.CDF(3.708265), 0.95, 1e-6)
-}
-
 func TestKolmogorov(t *testing.T) {
 	k := Kolmogorov{}
 	// Classic critical value: K(1.3581) ~ 0.95, K(1.2238) ~ 0.90,
@@ -106,30 +95,6 @@ func TestKolmogorovMonotoneQuick(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
-}
-
-func TestZipf(t *testing.T) {
-	z := NewZipf(1.0, 4)
-	// H = 1 + 1/2 + 1/3 + 1/4 = 25/12.
-	approx(t, "pmf(1)", z.PMF(1), 12.0/25.0, 1e-12)
-	approx(t, "pmf(2)", z.PMF(2), 6.0/25.0, 1e-12)
-	approx(t, "cdf(N)", z.CDF(4), 1, 1e-12)
-	if z.PMF(0) != 0 || z.PMF(5) != 0 {
-		t.Error("PMF outside support should be 0")
-	}
-	// Heavier exponent concentrates more mass at rank 1.
-	if NewZipf(2, 100).PMF(1) <= NewZipf(1, 100).PMF(1) {
-		t.Error("larger exponent should concentrate mass at rank 1")
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewZipf(0, 10)
 }
 
 // The distribution functions below have no caller in any program; the
@@ -169,67 +134,3 @@ func (t StudentsT) CDF(x float64) float64 {
 
 // Survival returns P(T > x).
 func (t StudentsT) Survival(x float64) float64 { return t.CDF(-x) }
-
-// F is the F distribution with D1 and D2 degrees of freedom.
-type F struct {
-	D1, D2 float64
-}
-
-// CDF returns P(X <= x).
-func (f F) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return specfn.RegIncBeta(f.D1/2, f.D2/2, f.D1*x/(f.D1*x+f.D2))
-}
-
-// Survival returns P(X > x).
-func (f F) Survival(x float64) float64 { return 1 - f.CDF(x) }
-
-// Zipf is the Zipf distribution over ranks {1, ..., N} with exponent S:
-// P(X = k) proportional to k^(-S). It models the heavy concentration of
-// low traffic values observed in the wireless traces (Sec. 4.1 of the
-// paper).
-type Zipf struct {
-	S float64
-	N int
-
-	// norm caches the normalization constant H_{N,S}.
-	norm float64
-}
-
-// NewZipf returns a Zipf distribution with exponent s over n ranks.
-// It panics if s <= 0 or n < 1.
-func NewZipf(s float64, n int) *Zipf {
-	if s <= 0 || n < 1 {
-		panic("dist: NewZipf requires s > 0 and n >= 1")
-	}
-	z := &Zipf{S: s, N: n}
-	for k := 1; k <= n; k++ {
-		z.norm += math.Pow(float64(k), -s)
-	}
-	return z
-}
-
-// PMF returns P(X = k); zero outside {1, ..., N}.
-func (z *Zipf) PMF(k int) float64 {
-	if k < 1 || k > z.N {
-		return 0
-	}
-	return math.Pow(float64(k), -z.S) / z.norm
-}
-
-// CDF returns P(X <= k).
-func (z *Zipf) CDF(k int) float64 {
-	if k < 1 {
-		return 0
-	}
-	if k > z.N {
-		k = z.N
-	}
-	sum := 0.0
-	for i := 1; i <= k; i++ {
-		sum += math.Pow(float64(i), -z.S)
-	}
-	return sum / z.norm
-}

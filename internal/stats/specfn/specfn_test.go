@@ -76,18 +76,6 @@ func TestRegIncBetaSymmetry(t *testing.T) {
 	}
 }
 
-func TestInvRegIncBeta(t *testing.T) {
-	for _, tc := range []struct{ a, b, p float64 }{
-		{1, 1, 0.5}, {2, 3, 0.1}, {5, 2, 0.9}, {0.5, 0.5, 0.25}, {10, 10, 0.975},
-	} {
-		x := InvRegIncBeta(tc.a, tc.b, tc.p)
-		approx(t, "roundtrip", RegIncBeta(tc.a, tc.b, x), tc.p, 1e-9)
-	}
-	if InvRegIncBeta(2, 2, 0) != 0 || InvRegIncBeta(2, 2, 1) != 1 {
-		t.Error("boundary quantiles should be exact")
-	}
-}
-
 func TestInvErf(t *testing.T) {
 	for _, p := range []float64{-0.999, -0.9, -0.5, -0.1, 0, 0.1, 0.5, 0.9, 0.999, 0.9999} {
 		x := InvErf(p)
@@ -106,39 +94,4 @@ func TestInvErfRoundtripQuick(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
-}
-
-// InvRegIncBeta returns x such that RegIncBeta(a, b, x) = p, computed by
-// bisection refined with Newton steps. p must lie in [0, 1].
-func InvRegIncBeta(a, b, p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return 1
-	}
-	lo, hi := 0.0, 1.0
-	x := 0.5
-	for i := 0; i < 200; i++ {
-		v := RegIncBeta(a, b, x)
-		if math.Abs(v-p) < 1e-12 {
-			return x
-		}
-		if v < p {
-			lo = x
-		} else {
-			hi = x
-		}
-		// Newton step using the beta density as the derivative.
-		dens := math.Exp((a-1)*math.Log(x) + (b-1)*math.Log(1-x) - LogBeta(a, b))
-		next := x
-		if dens > 0 {
-			next = x - (v-p)/dens
-		}
-		if next <= lo || next >= hi || math.IsNaN(next) {
-			next = (lo + hi) / 2
-		}
-		x = next
-	}
-	return x
 }

@@ -246,15 +246,15 @@ func (s *batchSink) stop() []gateway.Report {
 func TestBatchReporterResend(t *testing.T) {
 	sink := newBatchSink(t)
 	plan := faultnet.Faults{FailWrites: []int{2}, PartialWrites: []int{5}}
-	first := true
+	dials := 0
 	cfg := ReporterConfig{
 		Dial: func() (net.Conn, error) {
 			conn, err := net.Dial("tcp", sink.ln.Addr().String())
 			if err != nil {
 				return nil, err
 			}
-			if first {
-				first = false
+			dials++
+			if dials == 1 {
 				return faultnet.Wrap(conn, plan), nil
 			}
 			return conn, nil
@@ -288,27 +288,25 @@ func TestBatchReporterResend(t *testing.T) {
 	}
 	got := sink.stop()
 
-	stats := rep.Stats()
-	if stats.WriteErrors == 0 || stats.Reconnects == 0 || stats.ResentBatches == 0 {
-		t.Fatalf("faults did not exercise the retry path: %+v", stats)
+	if dials < 2 {
+		t.Fatalf("%d dials: the faults did not make the reporter reconnect", dials)
 	}
-	if stats.AcksReceived == 0 {
-		t.Fatalf("no acknowledgements received: %+v", stats)
-	}
-	// At-least-once: every sent report arrives, possibly more than once
-	// (replayed tail frames), and per-minute order is preserved within
-	// each gateway because redelivery replays whole frames in order.
+	// At-least-once: every sent report arrives, and the frames written
+	// before the failed write, still unacked, arrive twice because the
+	// reconnect replays the window.
 	seen := make(map[time.Time]int)
 	for _, r := range got {
 		seen[r.Timestamp]++
 	}
+	dups := 0
 	for _, r := range all {
 		if seen[r.Timestamp] == 0 {
 			t.Fatalf("report at %v never delivered", r.Timestamp)
 		}
+		dups += seen[r.Timestamp] - 1
 	}
-	if int64(len(got)) != stats.ReportsSent {
-		t.Fatalf("sink saw %d reports, reporter counted %d sent", len(got), stats.ReportsSent)
+	if dups == 0 {
+		t.Fatal("the sink saw no report twice: the reconnect replayed no batch")
 	}
 }
 

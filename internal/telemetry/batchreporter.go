@@ -75,24 +75,6 @@ func (cfg ReporterConfig) withDefaults(addr string) ReporterConfig {
 	return cfg
 }
 
-// BatchReporterStats is a snapshot of a batch reporter's delivery
-// accounting.
-type BatchReporterStats struct {
-	// BatchesSent counts successful frame writes, including replays.
-	BatchesSent int64 `json:"batches_sent"`
-	// ReportsSent counts the reports those frames carried.
-	ReportsSent int64 `json:"reports_sent"`
-	// AcksReceived counts shard acknowledgements; each retires the
-	// oldest unacked frame.
-	AcksReceived int64 `json:"acks_received"`
-	// Reconnects counts successful re-dials after a failure.
-	Reconnects int64 `json:"reconnects"`
-	// WriteErrors counts failed frame writes (each triggers a reconnect).
-	WriteErrors int64 `json:"write_errors"`
-	// ResentBatches counts unacked batches replayed after reconnects.
-	ResentBatches int64 `json:"resent_batches"`
-}
-
 // BatchReporter is the fleet router's per-shard client: it ships
 // batches of reports as CRC'd frames (AppendBatchFrame) over one TCP
 // connection, with exponential backoff with jitter and a bounded
@@ -114,7 +96,6 @@ type BatchReporter struct {
 	br      *bufio.Reader
 	window  [][]gateway.Report // written but unacked, oldest first
 	scratch []byte             // frame encode buffer, reused under mu
-	stats   BatchReporterStats
 	closed  bool
 }
 
@@ -203,12 +184,9 @@ func (b *BatchReporter) deliver(ctx context.Context, reps []gateway.Report) erro
 			continue
 		}
 		if err := b.writeBatch(reps); err != nil {
-			b.stats.WriteErrors++
 			b.teardown()
 			continue
 		}
-		b.stats.BatchesSent++
-		b.stats.ReportsSent += int64(len(reps))
 		// The batch slice is retained, not copied: callers hand over
 		// ownership on successful Send (the fleet router allocates a
 		// fresh batch per flush).
@@ -257,7 +235,6 @@ func (b *BatchReporter) readAck() error {
 	if buf[0] != BatchAck {
 		return fmt.Errorf("telemetry: bad ack byte %#02x from %s", buf[0], b.addr)
 	}
-	b.stats.AcksReceived++
 	b.window = b.window[1:]
 	return nil
 }
@@ -275,16 +252,11 @@ func (b *BatchReporter) reconnect() error {
 		return err
 	}
 	b.attach(conn)
-	b.stats.Reconnects++
 	for _, reps := range b.window {
 		if err := b.writeBatch(reps); err != nil {
-			b.stats.WriteErrors++
 			b.teardown()
 			return err
 		}
-		b.stats.BatchesSent++
-		b.stats.ResentBatches++
-		b.stats.ReportsSent += int64(len(reps))
 	}
 	return nil
 }

@@ -192,7 +192,7 @@ func TestFaultLiveTrackerPipeline(t *testing.T) {
 
 	f := startCollector(t, fleet.Config{Live: &livestats.Config{Seed: 3}})
 	shard := f.Shard(0)
-	_, inj := streamFaulted(t, shard.Addr(), reps,
+	inj := streamFaulted(t, shard.Addr(), reps,
 		faultnet.Faults{GarbageEvery: 13},
 		faultnet.Faults{PartialWrites: []int{11}},
 	)
@@ -204,6 +204,9 @@ func TestFaultLiveTrackerPipeline(t *testing.T) {
 	}
 	if st := shard.Stats(); st.FramesRejected == 0 {
 		t.Errorf("stats %+v: the garbage was not rejected as a corrupt frame", st)
+	}
+	if shard.StoreStats().DupPoints == 0 {
+		t.Error("no replayed point reached the partition: the tracker saw no redelivered report")
 	}
 
 	gotSnap, ok := f.LiveSnapshot(gw)
@@ -247,15 +250,17 @@ func TestFaultCleanBreaks(t *testing.T) {
 	if err := rep.Flush(ctx); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	rst := rep.Stats()
 	if err := rep.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if rst.Reconnects < 2 || rst.ResentBatches == 0 {
-		t.Errorf("reporter stats %+v: want repeated reconnects that replayed the window", rst)
+	if dials < 3 {
+		t.Errorf("%d dials: want repeated reconnects", dials)
+	}
+	if shard.StoreStats().DupPoints == 0 {
+		t.Error("no replayed point reached the partition: the reconnects replayed no window")
 	}
 	if st := shard.Stats(); st.FramesRejected != 0 || st.ConnsOpened != int64(dials) {
 		t.Errorf("stats %+v: want no rejected frame over %d connections", st, dials)
@@ -332,7 +337,10 @@ func TestFaultDelayedFlushReadTimeout(t *testing.T) {
 	shard := f.Shard(0)
 	defer func() { _ = shard.Close() }() // second close after Drain is expected to ErrClosed
 
-	slow := true // only the first connection stalls
+	// Only the first connection stalls. The second counts its writes, and
+	// sending records which batch was in flight when it was dialed.
+	var redial *faultnet.Conn
+	dials, sending, sendingAtRedial := 0, 0, 0
 	rep, err := telemetry.DialBatch(shard.Addr(), telemetry.ReporterConfig{
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  10 * time.Millisecond,
@@ -341,9 +349,13 @@ func TestFaultDelayedFlushReadTimeout(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			if slow {
-				slow = false
+			dials++
+			switch dials {
+			case 1:
 				return faultnet.Wrap(raw, faultnet.Faults{WriteDelay: 200 * time.Millisecond}), nil
+			case 2:
+				redial, sendingAtRedial = faultnet.Wrap(raw, faultnet.Faults{}), sending
+				return redial, nil
 			}
 			return raw, nil
 		},
@@ -355,22 +367,28 @@ func TestFaultDelayedFlushReadTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := range reps {
+		sending = i
 		if err := rep.Send(ctx, reps[i:i+1]); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
+	sending = len(reps)
 	if err := rep.Flush(ctx); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	rst := rep.Stats()
 	if err := rep.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := shard.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if rst.Reconnects == 0 || rst.ResentBatches == 0 {
-		t.Errorf("reporter stats %+v: want a reconnect that replayed the window", rst)
+	// Without a replay the redialed connection would carry one frame per
+	// batch from the one in flight on: any more is the window resent.
+	if redial == nil {
+		t.Error("the reporter never reconnected")
+	} else if w := redial.Injected().Writes; w <= len(reps)-sendingAtRedial {
+		t.Errorf("the reconnect carried %d frames for the %d batches from send %d on: it replayed no window",
+			w, len(reps)-sendingAtRedial, sendingAtRedial)
 	}
 	if st := shard.Stats(); st.ConnsOpened < 2 {
 		t.Errorf("ConnsOpened = %d, want >= 2 (the read deadline should have dropped the stalled conn)", st.ConnsOpened)

@@ -35,8 +35,11 @@ await_addr() {
     ADDR=
     i=0
     while [ $i -lt 150 ]; do
-        ADDR=$(sed -n "s/.*msg=\"$3\".* addr=\([0-9.:]*\).*/\1/p" "$2" | head -n 1)
-        [ -n "$ADDR" ] && return 0
+        # The background redirect may not have created LOG yet.
+        if [ -f "$2" ]; then
+            ADDR=$(sed -n "s/.*msg=\"$3\".* addr=\([0-9.:]*\).*/\1/p" "$2" | head -n 1)
+            [ -n "$ADDR" ] && return 0
+        fi
         if ! kill -0 "$1" 2>/dev/null; then
             echo "obs-smoke: $4 exited before serving" >&2
             cat "$2" >&2
