@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"homesight/internal/background"
 	"homesight/internal/corrsim"
 	"homesight/internal/dominance"
 	"homesight/internal/livestats"
@@ -94,7 +95,7 @@ func TestFaultLiveShardKillReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline := make(map[string]*livestats.OfflineHome)
+	offline := make(map[string]*livestats.HomeProfile)
 	for _, dir := range dirs {
 		st, err := store.Open(store.Config{Dir: dir})
 		if err != nil {
@@ -127,6 +128,10 @@ func TestFaultLiveShardKillReplay(t *testing.T) {
 			t.Errorf("%s: %d live devices, %d offline", gw, len(snap.Devices), len(off.Details))
 			continue
 		}
+		thresholds := make(map[string]background.Threshold, len(off.Devices))
+		for _, row := range off.Devices {
+			thresholds[row.Device.MAC] = row.Threshold
+		}
 		for _, d := range snap.Devices {
 			mac := d.Device.MAC
 			det, found := off.Details[mac]
@@ -144,7 +149,7 @@ func TestFaultLiveShardKillReplay(t *testing.T) {
 			if math.Abs(d.Similarity-det.Similarity) > 1e-9 {
 				t.Errorf("%s/%s: similarity %v vs offline %v", gw, mac, d.Similarity, det.Similarity)
 			}
-			if th := off.Thresholds[mac]; d.Threshold != th {
+			if th := thresholds[mac]; d.Threshold != th {
 				t.Errorf("%s/%s: threshold %+v vs offline %+v", gw, mac, d.Threshold, th)
 			}
 		}

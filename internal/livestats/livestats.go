@@ -27,8 +27,8 @@
 // out-of-order delivery — the same discipline as the store's WAL
 // watermarks, so a tracker rebuilt from a partition's durable history
 // (Rebuild) converges with one that saw the live stream. STREAMING.md
-// documents the operator catalog and the tolerance contracts; Offline is
-// the batch recomputation the reconciliation tests (and `homesight
+// documents the operator catalog and the tolerance contracts; Profile's
+// HomeProfile is the batch twin the reconciliation tests (and `homesight
 // collector -demo -live`) compare against.
 package livestats
 
@@ -299,8 +299,8 @@ type DeviceLive struct {
 	RankSampled bool
 }
 
-// HomeSnapshot is one home's live analysis — the online mirror of the
-// batch summary: every device scored against the aggregate, descending
+// HomeSnapshot is one home's live analysis — the online mirror of a
+// HomeProfile: every device scored against the aggregate, descending
 // by similarity.
 type HomeSnapshot struct {
 	Gateway string

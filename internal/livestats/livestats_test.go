@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"homesight/internal/background"
 	"homesight/internal/corrsim"
 	"homesight/internal/dominance"
 	"homesight/internal/gateway"
@@ -67,10 +68,14 @@ func exactConfig(dep *synth.Deployment) Config {
 
 // reconcile asserts one snapshot against the batch answers within the
 // documented exact-mode tolerances.
-func reconcile(t *testing.T, snap *HomeSnapshot, off *OfflineHome) {
+func reconcile(t *testing.T, snap *HomeSnapshot, off *HomeProfile) {
 	t.Helper()
 	if len(snap.Devices) != len(off.Dominance.All) {
 		t.Fatalf("device count: online %d, batch %d", len(snap.Devices), len(off.Dominance.All))
+	}
+	thresholds := make(map[string]background.Threshold, len(off.Devices))
+	for _, row := range off.Devices {
+		thresholds[row.Device.MAC] = row.Threshold
 	}
 	for i, d := range snap.Devices {
 		mac := d.Device.MAC
@@ -95,7 +100,7 @@ func reconcile(t *testing.T, snap *HomeSnapshot, off *OfflineHome) {
 		if math.Abs(d.Similarity-want.Similarity) > 1e-9 {
 			t.Errorf("%s: similarity online %v, batch %v", mac, d.Similarity, want.Similarity)
 		}
-		th := off.Thresholds[mac]
+		th := thresholds[mac]
 		if d.Threshold != th {
 			t.Errorf("%s: threshold online %+v, batch %+v", mac, d.Threshold, th)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,7 +214,29 @@ func TestSeriesEndpointErrors(t *testing.T) {
 }
 
 func TestSummaryEndpoint(t *testing.T) {
-	h := newTestAPI(t, newTestStore(t, 2*24*60)).Handler() // two days: daily windows exist
+	const minutes = 2 * 24 * 60 // two days: daily windows exist
+	s := newTestStore(t, minutes)
+	// gw003: two devices sending the same bytes every minute. Constant
+	// series correlate with nothing, so neither is dominant.
+	em := gateway.NewEmitter("gw003")
+	for m := 0; m < minutes; m++ {
+		dm := []gateway.DeviceMinute{
+			{MAC: "02:00:00:00:03:00", InBytes: 700, OutBytes: 80},
+			{MAC: "02:00:00:00:03:01", InBytes: 300, OutBytes: 40},
+		}
+		if err := s.Append(em.Emit(testStart.Add(time.Duration(m)*time.Minute), dm)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// gw004: one report an hour before the campaign starts catalogues the
+	// home and its device, with no sample in range.
+	early := gateway.NewEmitter("gw004").Emit(testStart.Add(-time.Hour),
+		[]gateway.DeviceMinute{{MAC: "02:00:00:00:04:00", InBytes: 1, OutBytes: 1}})
+	if err := s.Append(early); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestAPI(t, s).Handler()
+
 	env := get(t, h, "/api/v1/homes/gw001/summary", http.StatusOK)
 	var sum Summary
 	if err := json.Unmarshal(env.Data, &sum); err != nil {
@@ -238,6 +261,31 @@ func TestSummaryEndpoint(t *testing.T) {
 		t.Fatal("no dominant devices in a fully-active home")
 	}
 	get(t, h, "/api/v1/homes/missing/summary", http.StatusNotFound)
+
+	// Empty lists are [], never null, as on /live.
+	cases := []struct {
+		gw      string
+		devices int
+		want    []string // substrings of the data object
+	}{
+		{"gw003", 2, []string{`"dominants":[]`, `"devices":[{`}},
+		{"gw004", 0, []string{`"dominants":[]`, `"devices":[]`}},
+	}
+	for _, c := range cases {
+		data := get(t, h, "/api/v1/homes/"+c.gw+"/summary", http.StatusOK).Data
+		for _, w := range c.want {
+			if !strings.Contains(string(data), w) {
+				t.Errorf("%s: summary %s lacks %s", c.gw, data, w)
+			}
+		}
+		var sum Summary
+		if err := json.Unmarshal(data, &sum); err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Devices) != c.devices || len(sum.Dominants) != 0 {
+			t.Errorf("%s: %d devices, dominants %v; want %d devices, none dominant", c.gw, len(sum.Devices), sum.Dominants, c.devices)
+		}
+	}
 }
 
 func TestCacheHitsAndInvalidation(t *testing.T) {

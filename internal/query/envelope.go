@@ -11,9 +11,10 @@
 //	GET /api/v1/series                 raw or downsampled range reads
 //	GET /api/v1/homes/{gw}/live        livestats snapshot (with Config.Live)
 //
-// /summary and /live score a home with the same Def. 1 measure
-// (corrsim.Measure{}) at the same φ (dominance.DefaultPhi); neither is a
-// setting.
+// /summary renders the livestats.Profile of the stored home, the batch
+// twin of the livestats.HomeSnapshot /live renders: both score a home
+// with the same Def. 1 measure (corrsim.Measure{}) at the same φ
+// (dominance.DefaultPhi), and neither is a setting.
 //
 // Every response — success or error — is wrapped in the Envelope below,
 // the same wrapper `homesight store inspect -json` prints, so the CLI and the

@@ -74,8 +74,11 @@ func scoreLine(kind string, sc dominance.Score) string {
 		sc.Device.Inferred, bits(sc.Similarity), bits(sc.Euclidean), bits(sc.Traffic))
 }
 
-// renderOffline prints every field of an OfflineHome, maps in MAC order.
-func renderOffline(off *livestats.OfflineHome) string {
+// renderOffline prints a HomeProfile's Def. 1/Def. 4 fields and
+// thresholds, floats by bit pattern (the summary line printed beside it
+// carries the activity indicators and motif counts): Details in MAC
+// order, thresholds in table (MAC) order.
+func renderOffline(off *livestats.HomeProfile) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "minutes %d\n", off.Minutes)
 	for _, sc := range off.Dominance.Dominants {
@@ -94,24 +97,20 @@ func renderOffline(off *livestats.OfflineHome) string {
 		fmt.Fprintf(&b, "detail %s pearson=%s spearman=%s kendall=%s sim=%s n=%d\n", mac,
 			corrBits(d.Pearson), corrBits(d.Spearman), corrBits(d.Kendall), bits(d.Similarity), d.N)
 	}
-	macs = macs[:0]
-	for mac := range off.Thresholds {
-		macs = append(macs, mac)
-	}
-	sort.Strings(macs)
-	for _, mac := range macs {
-		th := off.Thresholds[mac]
-		fmt.Fprintf(&b, "threshold %s in=%s out=%s\n", mac, bits(th.TauIn), bits(th.TauOut))
+	for _, row := range off.Devices {
+		fmt.Fprintf(&b, "threshold %s in=%s out=%s\n", row.Device.MAC, bits(row.Threshold.TauIn), bits(row.Threshold.TauOut))
 	}
 	return b.String()
 }
 
-// TestSummaryOfflineGolden holds the two store-side consumers of a home's
-// minute table — the /summary body and livestats.Offline — to a checked-in
-// file, floats by bit pattern, over a stored 4-home × 2-week synthetic
-// campaign. Any change to how a home is read back from the store or to
-// the Def. 1/Def. 4 pass over it that moves one bit fails here. `go test
-// ./internal/query -run TestSummaryOfflineGolden -update` rewrites it.
+// TestSummaryOfflineGolden holds the one profile of a stored home
+// (livestats.Profile), as the /summary body renders it and as
+// livestats.Offline returns it, to a checked-in file over a stored
+// 4-home × 2-week synthetic campaign. Any change to how a home is read
+// back from the store, or to the Def. 1/Def. 4 pass, thresholds, activity
+// indicators or motif counts over it, that moves one bit fails here. `go
+// test ./internal/query -run TestSummaryOfflineGolden -update` rewrites
+// it.
 func TestSummaryOfflineGolden(t *testing.T) {
 	dir := t.TempDir()
 	persistCampaign(t, dir, synth.Config{Homes: 4, Weeks: 2, Seed: 20140317})

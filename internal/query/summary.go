@@ -2,35 +2,23 @@ package query
 
 import (
 	"context"
-	"math"
 	"net/http"
 	"sync"
 
-	"homesight/internal/aggregate"
-	"homesight/internal/dominance"
-	"homesight/internal/motif"
-	"homesight/internal/timeseries"
+	"homesight/internal/livestats"
 )
 
-// SummaryDevice is one device's activity profile in a home summary:
-// the low-level activity indicators (duty cycle, burstiness — the
-// features the related category-inference work builds on) plus its
-// Def. 4 dominance standing.
+// SummaryDevice is a livestats.DeviceProfile on the wire: the low-level
+// activity indicators (duty cycle, burstiness — the features the related
+// category-inference work builds on), the total observed traffic (bytes,
+// both directions), and the Def. 4 verdict and Def. 1 similarity.
 type SummaryDevice struct {
-	MAC  string `json:"mac"`
-	Name string `json:"name,omitempty"`
-	Type string `json:"type"`
-	// DutyCycle is the fraction of observed minutes with nonzero
-	// traffic.
-	DutyCycle float64 `json:"duty_cycle"`
-	// Burstiness is (σ−μ)/(σ+μ) over the observed per-minute traffic:
-	// -1 periodic, 0 Poissonian, →1 extremely bursty.
+	MAC        string  `json:"mac"`
+	Name       string  `json:"name,omitempty"`
+	Type       string  `json:"type"`
+	DutyCycle  float64 `json:"duty_cycle"`
 	Burstiness float64 `json:"burstiness"`
-	// Traffic is the device's total observed traffic (bytes, both
-	// directions).
-	Traffic float64 `json:"traffic"`
-	// Dominant reports φ-dominance (Def. 4); Similarity is the Def. 1
-	// correlation similarity to the gateway overall.
+	Traffic    float64 `json:"traffic"`
 	Dominant   bool    `json:"dominant"`
 	Similarity float64 `json:"similarity"`
 }
@@ -50,7 +38,7 @@ type Summary struct {
 	To      int64           `json:"to"`
 	Devices []SummaryDevice `json:"devices"`
 	// Dominants lists the φ-dominant device MACs in descending
-	// similarity order ("first dominant" first).
+	// similarity order ("first dominant" first). Empty lists are [].
 	Dominants []string      `json:"dominants"`
 	Motifs    SummaryMotifs `json:"motifs"`
 }
@@ -126,108 +114,41 @@ func (a *API) handleSummary(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
+// summaryBody reads gw's minute table over the campaign (store.Home),
+// profiles it (livestats.Profile) and encodes the profile as the
+// summary envelope.
 func (a *API) summaryBody(ctx context.Context, gw string) ([]byte, error) {
-	sum, err := a.buildSummary(ctx, gw)
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(Wrap(sum))
-}
-
-// buildSummary reads gw's minute table over the campaign (store.Home)
-// and derives the summary: activity features per device, φ-dominance
-// against the summed gateway overall, and daily/weekly motif counts.
-func (a *API) buildSummary(ctx context.Context, gw string) (*Summary, error) {
 	start, end := a.st.Campaign()
-	sum := &Summary{Gateway: gw, From: start.Unix(), To: end.Unix()}
 	home, err := a.st.Home(ctx, gw, end)
 	if err != nil {
 		return nil, err
 	}
-	if len(home.Devices) == 0 {
-		return sum, nil // gateway known but nothing stored yet
+	p, err := livestats.Profile(home)
+	if err != nil {
+		return nil, err
 	}
-	devSeries := make([]dominance.DeviceSeries, len(home.Devices))
-	for k, d := range home.Devices {
-		devSeries[k] = dominance.DeviceSeries{Device: d.Device, Series: d.Overall()}
+	sum := Summary{
+		Gateway:   gw,
+		From:      start.Unix(),
+		To:        end.Unix(),
+		Devices:   make([]SummaryDevice, 0, len(p.Devices)),
+		Dominants: make([]string, 0, len(p.Dominance.Dominants)),
+		Motifs:    SummaryMotifs{Daily: p.DailyMotifs, Weekly: p.WeeklyMotifs},
 	}
-
-	dom := dominance.Default.Detect(home.Overall, devSeries)
-	bySim := make(map[string]float64, len(dom.All))
-	for _, sc := range dom.All {
-		bySim[sc.Device.MAC] = sc.Similarity
-	}
-	isDom := make(map[string]bool, len(dom.Dominants))
-	for _, sc := range dom.Dominants {
-		isDom[sc.Device.MAC] = true
-		sum.Dominants = append(sum.Dominants, sc.Device.MAC)
-	}
-	for _, ds := range devSeries {
-		duty, burst, traffic := activityFeatures(ds.Series.Values)
+	for _, d := range p.Devices {
 		sum.Devices = append(sum.Devices, SummaryDevice{
-			MAC:        ds.Device.MAC,
-			Name:       ds.Device.Name,
-			Type:       string(ds.Device.Inferred),
-			DutyCycle:  duty,
-			Burstiness: burst,
-			Traffic:    traffic,
-			Dominant:   isDom[ds.Device.MAC],
-			Similarity: bySim[ds.Device.MAC],
+			MAC:        d.Device.MAC,
+			Name:       d.Device.Name,
+			Type:       string(d.Device.Inferred),
+			DutyCycle:  d.DutyCycle,
+			Burstiness: d.Burstiness,
+			Traffic:    d.Traffic,
+			Dominant:   d.Dominant,
+			Similarity: d.Similarity,
 		})
 	}
-
-	daily, err := motifCount(gw, home.Overall, aggregate.BestDaily)
-	if err != nil {
-		return nil, err
+	for _, sc := range p.Dominance.Dominants {
+		sum.Dominants = append(sum.Dominants, sc.Device.MAC)
 	}
-	weekly, err := motifCount(gw, home.Overall, aggregate.BestWeekly)
-	if err != nil {
-		return nil, err
-	}
-	sum.Motifs = SummaryMotifs{Daily: daily, Weekly: weekly}
-	return sum, nil
-}
-
-// activityFeatures derives (duty cycle, burstiness, total traffic) from
-// a per-minute delta series; NaN minutes are unobserved and excluded.
-func activityFeatures(vals []float64) (duty, burst, traffic float64) {
-	var n, active int
-	var sum float64
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			continue
-		}
-		n++
-		sum += v
-		if v > 0 {
-			active++
-		}
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	mean := sum / float64(n)
-	var sq float64
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			continue
-		}
-		sq += (v - mean) * (v - mean)
-	}
-	sigma := math.Sqrt(sq / float64(n))
-	if denom := sigma + mean; denom > 0 {
-		burst = (sigma - mean) / denom
-	}
-	return float64(active) / float64(n), burst, sum
-}
-
-// motifCount mines the home's overall series at one window spec and
-// returns the motif count; windows with no observations are dropped, as
-// in the experiments pipeline.
-func motifCount(gw string, overall *timeseries.Series, spec timeseries.WindowSpec) (int, error) {
-	instances, err := motif.Instances(gw, overall, spec)
-	if err != nil {
-		return 0, err
-	}
-	return len(motif.Default.Mine(instances)), nil
+	return encodeEnvelope(Wrap(sum))
 }

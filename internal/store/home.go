@@ -19,8 +19,9 @@ import (
 // name. Overall is the sum of the device overalls
 // (DeviceRecord.Overall) in that order: NaN exactly where no device
 // reported, and a half-observed minute counts its observed direction.
-// This is the one read behind the /summary endpoint, livestats.Offline
-// and the experiments' store-backed homes.
+// This is the one read behind the /summary endpoint and livestats.Offline
+// — each one read and one livestats.Profile pass — and the experiments'
+// store-backed homes.
 func (s *Store) Home(ctx context.Context, gw string, to time.Time) (*dataset.Gateway, error) {
 	if to.IsZero() {
 		to = s.campaignEnd()

@@ -255,7 +255,9 @@ for n in 1 2; do
     curl -fsS --max-time 30 "http://$QADDR/api/v1/homes/$GW/summary" \
         >"$TMP/q-summary" || qfail "/api/v1/homes/$GW/summary unreachable (GET $n)"
 done
-grep -q '"dominants"' "$TMP/q-summary" || qfail "/summary carries no \"dominants\" key"
+# Both lists are arrays, never null, empty or not.
+grep -q '"dominants":\[' "$TMP/q-summary" || qfail "/summary carries no \"dominants\" array"
+grep -q '"devices":\[' "$TMP/q-summary" || qfail "/summary carries no \"devices\" array"
 
 curl -fsS --max-time 10 "http://$QADDR/metrics" >"$TMP/q-metrics" || qfail "query /metrics unreachable"
 for metric in \
