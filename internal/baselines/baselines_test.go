@@ -14,11 +14,14 @@ func TestEuclidean(t *testing.T) {
 	if d != 4 {
 		t.Errorf("d = %g, want 4", d)
 	}
-	// NaN pairs are skipped.
+	// A missing value counts as zero traffic, on either side.
 	nan := math.NaN()
 	d2, _ := Euclidean([]float64{1, nan, 3}, []float64{1, 99, 3})
-	if d2 != 0 {
-		t.Errorf("NaN-skipped distance = %g, want 0", d2)
+	if d2 != 99 {
+		t.Errorf("distance with a missing minute = %g, want 99", d2)
+	}
+	if d3, _ := Euclidean([]float64{1, 99, nan}, []float64{1, nan, nan}); d3 != 99 {
+		t.Errorf("distance with missing minutes on both sides = %g, want 99", d3)
 	}
 	if _, err := Euclidean([]float64{1}, []float64{1, 2}); err != ErrLength {
 		t.Errorf("want ErrLength, got %v", err)

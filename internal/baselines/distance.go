@@ -16,21 +16,26 @@ import (
 var ErrLength = errors.New("baselines: series must have equal length")
 
 // Euclidean returns the Euclidean distance between two equal-length series,
-// the formula of Sec. 6.2: sqrt(Σ (x_i - y_i)²). NaN pairs are skipped so
-// the metric is usable on series with missing observations.
+// the formula of Sec. 6.2: sqrt(Σ (x_i - y_i)²). A missing (NaN) value is
+// zero traffic, the gateway counters' convention, so a sparse device is
+// not handed an artificially tiny distance by skipping its gaps.
 func Euclidean(x, y []float64) (float64, error) {
 	if len(x) != len(y) {
 		return 0, ErrLength
 	}
 	sum := 0.0
 	for i := range x {
-		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
-			continue
-		}
-		d := x[i] - y[i]
+		d := zeroIfMissing(x[i]) - zeroIfMissing(y[i])
 		sum += d * d
 	}
 	return math.Sqrt(sum), nil
+}
+
+func zeroIfMissing(v float64) float64 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return v
 }
 
 // DTW returns the Dynamic Time Warping distance between x and y under a

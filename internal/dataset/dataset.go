@@ -16,15 +16,18 @@ import (
 type DeviceRecord struct {
 	Device  devices.Device
 	In, Out *timeseries.Series
+	// Overall is In + Out, built once by NewDeviceRecord.
+	Overall *timeseries.Series
 }
 
-// Overall returns the device's total (in + out) series.
-func (d DeviceRecord) Overall() *timeseries.Series {
-	sum, err := d.In.Add(d.Out)
-	if err != nil {
+// NewDeviceRecord returns dev's record over in and out, which must share
+// one grid; Overall is their sum in a series of its own.
+func NewDeviceRecord(dev devices.Device, in, out *timeseries.Series) DeviceRecord {
+	overall := in.Clone()
+	if err := overall.Add(out); err != nil {
 		panic(err) // same grid by construction
 	}
-	return sum
+	return DeviceRecord{Device: dev, In: in, Out: out, Overall: overall}
 }
 
 // Gateway is the analysis view of one home.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"homesight/internal/devices"
 	"homesight/internal/timeseries"
 )
 
@@ -89,9 +90,11 @@ func TestCoverageNests(t *testing.T) {
 func TestDeviceRecordOverall(t *testing.T) {
 	in := timeseries.New(mon, time.Minute, []float64{1, 2})
 	out := timeseries.New(mon, time.Minute, []float64{10, 20})
-	dr := DeviceRecord{In: in, Out: out}
-	o := dr.Overall()
-	if o.Values[0] != 11 || o.Values[1] != 22 {
+	dr := NewDeviceRecord(devices.Device{}, in, out)
+	if o := dr.Overall; o.Values[0] != 11 || o.Values[1] != 22 {
 		t.Errorf("overall = %v", o.Values)
+	}
+	if in.Values[0] != 1 || in.Values[1] != 2 {
+		t.Errorf("building the overall changed In: %v", in.Values)
 	}
 }

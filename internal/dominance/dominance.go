@@ -82,10 +82,6 @@ func (d Detector) phi() float64 {
 func (d Detector) Detect(gateway *timeseries.Series, devs []DeviceSeries) Result {
 	res := Result{All: make([]Score, 0, len(devs))}
 	phi := d.phi()
-	// For the Euclidean baseline a missing device observation means zero
-	// traffic, not "skip the minute": skipping would hand sparse guest
-	// devices an artificially tiny distance.
-	zgw := gateway.FillMissing(0)
 	all := d.Measure
 	all.Use = corrsim.UseAll
 	ref := all.Against(gateway.Values)
@@ -98,10 +94,11 @@ func (d Detector) Detect(gateway *timeseries.Series, devs []DeviceSeries) Result
 			Detail:     detail,
 			Traffic:    ds.Series.Total(),
 		}
-		// Equal lengths by construction; an error would be a caller bug and
-		// surfaces as a zero distance, never silently ranking the device up
-		// — but be explicit and rank it last instead.
-		if eu, err := baselines.Euclidean(ds.Series.FillMissing(0).Values, zgw.Values); err == nil {
+		// For the Euclidean baseline a missing observation means zero
+		// traffic, not "skip the minute", which is how baselines.Euclidean
+		// reads NaN. Equal lengths by construction; an error would be a
+		// caller bug — rank the device last rather than silently up.
+		if eu, err := baselines.Euclidean(ds.Series.Values, gateway.Values); err == nil {
 			sc.Euclidean = eu
 		} else {
 			sc.Euclidean = math.MaxFloat64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -224,6 +225,88 @@ func TestDetectSkipsAllNaNDevice(t *testing.T) {
 	}
 	if res.All[0].Similarity != 0 {
 		t.Errorf("ghost similarity = %g", res.All[0].Similarity)
+	}
+}
+
+// TestDetectEuclideanMissingIsZero holds Score.Euclidean bit for bit to
+// the reference below, the distance over zero-filled copies of both
+// series, on NaN-gapped series: a device never observed, minutes missing
+// from the gateway only, from the device only, and from both. Detect
+// must not fill its inputs in place.
+func TestDetectEuclideanMissingIsZero(t *testing.T) {
+	nan := math.NaN()
+	zeroFilled := func(s *timeseries.Series) []float64 {
+		z := slices.Clone(s.Values)
+		for i, v := range z {
+			if math.IsNaN(v) {
+				z[i] = 0
+			}
+		}
+		return z
+	}
+	reference := func(x, y *timeseries.Series) float64 {
+		zx, zy := zeroFilled(x), zeroFilled(y)
+		sum := 0.0
+		for i := range zx {
+			d := zx[i] - zy[i]
+			sum += d * d
+		}
+		return math.Sqrt(sum)
+	}
+	rng := rand.New(rand.NewSource(4))
+	n := 1440
+	gw := make([]float64, n)
+	gapped, dense, ghost := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range gw {
+		ghost[i] = nan
+		dense[i] = 50 * rng.ExpFloat64()
+		gapped[i] = 3000 * rng.ExpFloat64()
+		switch r := rng.Float64(); {
+		case r < 0.1: // missing from the gateway only
+			gw[i] = nan
+		case r < 0.2: // missing from both
+			gw[i], gapped[i], dense[i] = nan, nan, nan
+		case r < 0.4: // missing from one device only
+			gapped[i] = nan
+			gw[i] = dense[i] + 1e-3*rng.Float64()
+		default:
+			gw[i] = gapped[i] + dense[i]
+		}
+	}
+	devs := []DeviceSeries{
+		mkDevice("aa:aa:aa:00:00:01", gapped),
+		mkDevice("aa:aa:aa:00:00:02", dense),
+		mkDevice("aa:aa:aa:00:00:03", ghost),
+	}
+	inputs := [][]float64{gw, gapped, dense, ghost}
+	var before [][]float64
+	for _, in := range inputs {
+		before = append(before, slices.Clone(in))
+	}
+	res := Default.Detect(mkSeries(gw), devs)
+	if len(res.All) != len(devs) {
+		t.Fatalf("%d scores for %d devices", len(res.All), len(devs))
+	}
+	for k, in := range inputs {
+		for i := range in {
+			if math.Float64bits(in[i]) != math.Float64bits(before[k][i]) {
+				t.Fatalf("input %d minute %d: Detect changed %v to %v", k, i, before[k][i], in[i])
+			}
+		}
+	}
+	for _, sc := range res.All {
+		for _, ds := range devs {
+			if ds.Device.MAC != sc.Device.MAC {
+				continue
+			}
+			want := reference(ds.Series, mkSeries(gw))
+			if math.Float64bits(sc.Euclidean) != math.Float64bits(want) {
+				t.Errorf("%s: Euclidean %v (%#x), want %v (%#x)", sc.Device.MAC, sc.Euclidean, math.Float64bits(sc.Euclidean), want, math.Float64bits(want))
+			}
+			if want == 0 {
+				t.Errorf("%s: zero distance, the case is vacuous", sc.Device.MAC)
+			}
+		}
 	}
 }
 

@@ -121,15 +121,14 @@ func TestEnvWithStore(t *testing.T) {
 			if devs[k].Device.Name != rec.DeviceName(mac) {
 				t.Fatalf("home %d device %s: name %q, want %q", i, mac, devs[k].Device.Name, rec.DeviceName(mac))
 			}
-			in, out := rec.Series(mac, n)
-			sum, err := in.Add(out)
-			if err != nil {
+			sum, out := rec.Series(mac, n) // fresh copies: sum adds out in place
+			if err := sum.Add(out); err != nil {
 				t.Fatal(err)
 			}
 			seriesEqual(t, "device overall", devs[k].Series, sum)
 			if wantGW == nil {
-				wantGW = sum
-			} else if wantGW, err = wantGW.Add(sum); err != nil {
+				wantGW = sum.Clone()
+			} else if err := wantGW.Add(sum); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // viewOf loads home h's minute table — the gateway overall and every
-// device's incoming and outgoing series over the whole campaign — as one
+// device's in, out and overall series over the whole campaign — as one
 // store read (store.Home over the synthesizer's campaign grid) when the
 // store holds its gateway, and as one generation otherwise. It is the
 // only thing buildHome reads, so every per-home artifact of the suite sees
@@ -30,7 +30,7 @@ func (e *Env) viewOf(h *synth.Home) *dataset.Gateway {
 	if !e.storeBacked(h.ID) {
 		g := &dataset.Gateway{ID: h.ID, Overall: h.Overall()}
 		for _, dt := range h.Traffic() {
-			g.Devices = append(g.Devices, dataset.DeviceRecord{Device: dt.Spec.Device, In: dt.In, Out: dt.Out})
+			g.Devices = append(g.Devices, dataset.NewDeviceRecord(dt.Spec.Device, dt.In, dt.Out))
 		}
 		return g
 	}
@@ -115,7 +115,7 @@ func (e *Env) buildHome(h *synth.Home, g *dataset.Gateway) *gatewayCache {
 	keepDays := max(e.WeeksMain, e.WeeksWeeklyMotif) * 7
 	var sum *timeseries.Series
 	for _, d := range g.Devices {
-		overall := d.Overall()
+		overall := d.Overall
 		// The active aggregate thresholds each device at its τ_back over
 		// the whole campaign (Sec. 6.1) before summing, so background
 		// chatter does not pollute the aggregate patterns.
@@ -123,12 +123,8 @@ func (e *Env) buildHome(h *synth.Home, g *dataset.Gateway) *gatewayCache {
 		act := overall.Threshold(campaign.Tau())
 		if sum == nil {
 			sum = act
-		} else {
-			s, err := sum.Add(act)
-			if err != nil {
-				panic(err) // same grid by construction
-			}
-			sum = s
+		} else if err := sum.Add(act); err != nil {
+			panic(err) // same grid by construction
 		}
 
 		// Fig. 4 estimates τ over WeeksMain; barely-seen devices have no

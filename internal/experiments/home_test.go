@@ -216,12 +216,12 @@ func reconstructedView(h *synth.Home) *dataset.Gateway {
 				in.Values[m], out.Values[m] = math.NaN(), math.NaN()
 			}
 		}
-		d := dataset.DeviceRecord{Device: dt.Spec.Device, In: in, Out: out}
+		d := dataset.NewDeviceRecord(dt.Spec.Device, in, out)
 		g.Devices = append(g.Devices, d)
 		if g.Overall == nil {
-			g.Overall = d.Overall()
-		} else {
-			g.Overall, _ = g.Overall.Add(d.Overall())
+			g.Overall = d.Overall.Clone()
+		} else if err := g.Overall.Add(d.Overall); err != nil {
+			panic(err) // same grid by construction
 		}
 	}
 	return g

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,6 +474,116 @@ func TestFaultShardKill(t *testing.T) {
 	// Zero acknowledged-report loss, exactly once: the surviving
 	// partitions together hold every emitted point, each exactly once,
 	// and no gateway is split.
+	got, owner := mergePartitions(t, root)
+	assertSeriesEqual(t, got, expectedPoints(reps))
+	if len(owner) != len(gateways) {
+		t.Errorf("%d gateways stored, want %d", len(owner), len(gateways))
+	}
+}
+
+// failingConn fails every write once *fail is set, before any byte
+// reaches the wire.
+type failingConn struct {
+	net.Conn
+	fail *atomic.Bool
+}
+
+func (c failingConn) Write(p []byte) (int, error) {
+	if c.fail.Load() {
+		return 0, faultnet.ErrInjected
+	}
+	return c.Conn.Write(p)
+}
+
+// TestFaultShardLossDuringFlush: the last shard in name order is found
+// dead while the final Flush ships its pending batch, so the rebalance
+// puts its replayed history and its reassigned batch on survivors the
+// pass has already shipped. Flush must still be the durability
+// barrier: nil only once every report is appended by a live shard, and
+// Close then finds nothing unbatched. The batch size never fills, so
+// every report waits in a pending batch until a Flush.
+func TestFaultShardLossDuringFlush(t *testing.T) {
+	root := t.TempDir()
+	metrics := NewFleetMetrics(obs.NewRegistry())
+	f, err := Start(Config{
+		Dir: root, Shards: 3, Start: anchor, Step: time.Minute,
+		Sync: store.SyncAlways, Metrics: metrics,
+	})
+	if err != nil {
+		t.Fatalf("fleet.Start: %v", err)
+	}
+	const victimIdx = 2 // last in name order: shipped after both survivors
+	victimAddr := f.Addrs()[victimIdx].Addr
+	var fail atomic.Bool
+	r, err := NewRouter(RouterConfig{
+		Shards:    f.Addrs(),
+		BatchSize: 1 << 20,
+		Replay:    f.ReplayFunc(),
+		Metrics:   metrics,
+		Reporter: telemetry.ReporterConfig{
+			BaseBackoff:  time.Millisecond,
+			MaxBackoff:   2 * time.Millisecond,
+			DialAttempts: 2,
+		},
+		DialShard: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil || addr != victimAddr {
+				return conn, err
+			}
+			return failingConn{Conn: conn, fail: &fail}, nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	gateways := make([]string, 8)
+	for i := range gateways {
+		gateways[i] = fmt.Sprintf("home-%03d", i)
+	}
+	reps := buildCampaign(gateways, 120)
+	owned := map[string]bool{}
+	for _, gw := range gateways {
+		owned[r.ShardFor(gw)] = true
+	}
+	if len(owned) != 3 {
+		t.Fatalf("gateways land on %d shards, want all 3: the scenario needs a loaded victim and two survivors", len(owned))
+	}
+
+	ctx := context.Background()
+	half := len(reps) / 2
+	for _, rep := range reps[:half] {
+		if err := r.Send(ctx, rep); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	if err := r.Flush(ctx); err != nil {
+		t.Fatalf("first Flush: %v", err)
+	}
+	for _, rep := range reps[half:] {
+		if err := r.Send(ctx, rep); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	fail.Store(true)
+	f.Kill(victimIdx)
+	if err := r.Flush(ctx); err != nil {
+		t.Fatalf("final Flush: %v", err)
+	}
+	rs := r.Stats()
+	if err := r.Close(); err != nil {
+		t.Fatalf("router Close after a nil Flush: %v", err)
+	}
+	if err := f.Drain(); err != nil {
+		t.Fatalf("fleet Drain: %v", err)
+	}
+
+	if rs.Rebalances != 1 || rs.ReplayedReports == 0 || rs.ReassignedReports == 0 {
+		t.Fatalf("want one rebalance that both replays and reassigns, got %+v", rs)
+	}
+	if want := int64(len(reps)) + rs.ReplayedReports + rs.ReassignedReports; rs.ReportsRouted != want {
+		t.Errorf("ReportsRouted = %d, want %d (= %d sent + %d replayed + %d reassigned)",
+			rs.ReportsRouted, want, len(reps), rs.ReplayedReports, rs.ReassignedReports)
+	}
 	got, owner := mergePartitions(t, root)
 	assertSeriesEqual(t, got, expectedPoints(reps))
 	if len(owner) != len(gateways) {

@@ -218,11 +218,16 @@ func (r *Router) Flush(ctx context.Context) error {
 }
 
 func (r *Router) flushAllLocked(ctx context.Context) error {
-	// A rebalance mid-barrier re-routes the dead shard's reports onto
-	// survivors, leaving them new pending batches and unacked frames, so
-	// start the barrier over until a full pass completes cleanly. Each
-	// restart removed a shard; the loop is bounded by the shard count.
+	// One pass ships every pending batch, then waits for every ack. A
+	// shard lost anywhere in the pass is rebalanced, and the rebalance
+	// re-routes the dead shard's history and in-flight reports onto the
+	// survivors — as new pending batches, possibly on a shard this pass
+	// already shipped or drained. So repeat the pass until one loses no
+	// shard: only a rebalance queues reports while mu is held, so after
+	// such a pass nothing is pending and nothing is unacked. Each repeat
+	// removed a shard; the loop is bounded by the shard count.
 	for {
+		live := len(r.shards)
 		for _, name := range r.ring.Shards() {
 			sh := r.shards[name]
 			if sh == nil {
@@ -232,7 +237,6 @@ func (r *Router) flushAllLocked(ctx context.Context) error {
 				return err
 			}
 		}
-		rebalanced := false
 		for _, name := range r.ring.Shards() {
 			sh := r.shards[name]
 			if sh == nil {
@@ -245,11 +249,9 @@ func (r *Router) flushAllLocked(ctx context.Context) error {
 				if err := r.rebalanceLocked(ctx, sh, nil, err); err != nil {
 					return err
 				}
-				rebalanced = true
-				break
 			}
 		}
-		if !rebalanced {
+		if len(r.shards) == live {
 			return nil
 		}
 	}

@@ -363,9 +363,9 @@ func (t *Tracker) Snapshot(gw string) (*HomeSnapshot, bool) {
 		detail.Similarity = detail.SimilarityUnder(corrsim.Measure{})
 		// Σ(x−G)² over observed minutes plus Σ G² over the home's other
 		// observed minutes (where the device's missing value counts as
-		// zero) is exactly the batch FillMissing(0) Euclidean distance;
-		// unobserved home minutes contribute (0−0)². Rounding can push
-		// the difference a hair negative — clamp.
+		// zero) is exactly the batch Euclidean distance, which reads any
+		// missing minute as zero; unobserved home minutes contribute
+		// (0−0)². Rounding can push the difference a hair negative — clamp.
 		euc := math.Sqrt(math.Max(0, ds.eucA+(h.sg2-ds.eucB)))
 		th := background.Threshold{TauIn: ds.qin.Whisker(), TauOut: ds.qout.Whisker()}
 		snap.Devices = append(snap.Devices, DeviceLive{

@@ -83,7 +83,7 @@ func Profile(g *dataset.Gateway) (*HomeProfile, error) {
 	devSeries := make([]dominance.DeviceSeries, len(g.Devices))
 	row := make(map[string]*DeviceProfile, len(g.Devices))
 	for k, d := range g.Devices {
-		devSeries[k] = dominance.DeviceSeries{Device: d.Device, Series: d.Overall()}
+		devSeries[k] = dominance.DeviceSeries{Device: d.Device, Series: d.Overall}
 		r := &p.Devices[k]
 		r.Threshold = background.EstimateThreshold(d.In, d.Out)
 		r.DutyCycle, r.Burstiness = activity(devSeries[k].Series.Values)
@@ -142,7 +142,7 @@ func activity(vals []float64) (duty, burst float64) {
 // Offline profiles one gateway of a store: one read of the home over the
 // whole campaign (store.Home), then Profile. m and phi must be
 // corrsim.Measure{} and dominance.DefaultPhi, the parameters Profile
-// runs at; they go once the benchmark stops passing them (ROADMAP item 1
+// runs at; they go once the benchmark stops passing them (ROADMAP item 3
 // (c)).
 func Offline(ctx context.Context, st *store.Store, gw string, m corrsim.Measure, phi float64) (*HomeProfile, error) {
 	if (dominance.Detector{Measure: m, Phi: phi}) != (dominance.Detector{Phi: dominance.DefaultPhi}) {

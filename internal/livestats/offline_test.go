@@ -44,14 +44,10 @@ func TestProfileActivity(t *testing.T) {
 				out[m] = nan
 			}
 		}
-		d := dataset.DeviceRecord{
-			Device: devices.Device{MAC: string(rune('a' + k))},
-			In:     timeseries.New(start, time.Minute, c.vals),
-			Out:    timeseries.New(start, time.Minute, out),
-		}
+		d := dataset.NewDeviceRecord(devices.Device{MAC: string(rune('a' + k))},
+			timeseries.New(start, time.Minute, c.vals), timeseries.New(start, time.Minute, out))
 		g.Devices = append(g.Devices, d)
-		var err error
-		if g.Overall, err = g.Overall.Add(d.Overall()); err != nil {
+		if err := g.Overall.Add(d.Overall); err != nil {
 			t.Fatal(err)
 		}
 	}

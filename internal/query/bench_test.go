@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"homesight/internal/gateway"
+	"homesight/internal/livestats"
 	"homesight/internal/store"
+	"homesight/internal/synth"
 )
 
 // benchStore ingests 2 gateways x 8 devices x 1 week of minutes with
@@ -94,5 +96,36 @@ func TestWarmBinnedURLsHitCache(t *testing.T) {
 	hits, misses := a.m.hits.Value(), a.m.misses.Value()
 	if rate := float64(hits) / float64(hits+misses); rate < 0.5 {
 		t.Errorf("warm cache hit rate %.3f (%d hits, %d misses) below 0.5", rate, hits, misses)
+	}
+}
+
+// BenchmarkSummaryMiss is the work of one /summary cache miss: one
+// store.Home read of a stored home over the whole campaign and one
+// livestats.Profile pass over its minute table (synth home gw000 of a
+// 2-home × 4-week campaign: 13 devices, 40 320 minutes). B/op is the
+// number to watch: each device series of the home is 322 KB.
+func BenchmarkSummaryMiss(b *testing.B) {
+	dir := b.TempDir()
+	persistCampaign(b, dir, synth.Config{Homes: 2, Weeks: 4, Seed: 20140317})
+	s, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			b.Errorf("close store: %v", err)
+		}
+	})
+	ctx, gw := context.Background(), s.Gateways()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		home, err := s.Home(ctx, gw, time.Time{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := livestats.Profile(home); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -26,7 +26,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this tre
 // persistCampaign replays every home of a synthetic deployment into a
 // fresh store under dir through the collector's report stream (cumulative
 // counters from gateway.Emitter) and closes it.
-func persistCampaign(t *testing.T, dir string, cfg synth.Config) synth.Config {
+func persistCampaign(t testing.TB, dir string, cfg synth.Config) synth.Config {
 	t.Helper()
 	dep := synth.NewDeployment(cfg)
 	cfg = dep.Config()

@@ -16,9 +16,9 @@ import (
 // stored sample in range comes back, in MAC order, with both directions
 // reconstructed from its cumulative counters (reconstruct) and its type
 // re-inferred with devices.Classify, as the wire carries only MAC and
-// name. Overall is the sum of the device overalls
-// (DeviceRecord.Overall) in that order: NaN exactly where no device
-// reported, and a half-observed minute counts its observed direction.
+// name. Overall is the records' overalls (dataset.NewDeviceRecord) added
+// into one series in that order: NaN exactly where no device reported,
+// and a half-observed minute counts its observed direction.
 // This is the one read behind the /summary endpoint and livestats.Offline
 // — each one read and one livestats.Profile pass — and the experiments'
 // store-backed homes.
@@ -47,14 +47,9 @@ func (s *Store) Home(ctx context.Context, gw string, to time.Time) (*dataset.Gat
 			continue // catalogued, but no sample in range
 		}
 		name := s.DeviceName(gw, mac)
-		d := dataset.DeviceRecord{
-			Device: devices.Device{MAC: mac, Name: name, Inferred: devices.Classify(mac, name)},
-			In:     ser[0],
-			Out:    ser[1],
-		}
+		d := dataset.NewDeviceRecord(devices.Device{MAC: mac, Name: name, Inferred: devices.Classify(mac, name)}, ser[0], ser[1])
 		g.Devices = append(g.Devices, d)
-		var err error
-		if g.Overall, err = g.Overall.Add(d.Overall()); err != nil {
+		if err := g.Overall.Add(d.Overall); err != nil {
 			return nil, err // unreachable: every series spans [start, to) on the store grid
 		}
 	}

@@ -37,6 +37,7 @@ func sameHome(t *testing.T, what string, got, want *dataset.Gateway) {
 		}
 		sameSeries(t, what+" "+w.Device.MAC+" in", g.In, w.In)
 		sameSeries(t, what+" "+w.Device.MAC+" out", g.Out, w.Out)
+		sameSeries(t, what+" "+w.Device.MAC+" overall", g.Overall, w.Overall)
 	}
 	sameSeries(t, what+" overall", got.Overall, want.Overall)
 }
@@ -135,10 +136,19 @@ func TestStoreHome(t *testing.T) {
 	if want := 7000.0 + 300; ov[20] != want || c.In.Values[20]+c.Out.Values[20] != want {
 		t.Errorf("overall minute 20 = %v, want C's %v", ov[20], want)
 	}
-	// Everywhere: the device overalls summed in MAC order.
-	want := a.Overall()
-	for _, d := range []dataset.DeviceRecord{b, c} {
-		if want, err = want.Add(d.Overall()); err != nil {
+	// Everywhere: each device's overall is its In + Out, and the gateway's
+	// is those summed in MAC order.
+	want := timeseries.New(testStart, time.Minute, make([]float64, 21))
+	for m := range want.Values {
+		want.Values[m] = math.NaN()
+	}
+	for _, d := range []dataset.DeviceRecord{a, b, c} {
+		dev := d.In.Clone()
+		if err := dev.Add(d.Out); err != nil {
+			t.Fatal(err)
+		}
+		sameSeries(t, d.Device.MAC+" overall", d.Overall, dev)
+		if err := want.Add(dev); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -182,8 +182,8 @@ type DeviceTraffic struct {
 
 // Overall returns In + Out, the device's total traffic.
 func (dt *DeviceTraffic) Overall() *timeseries.Series {
-	sum, err := dt.In.Add(dt.Out)
-	if err != nil {
+	sum := dt.In.Clone()
+	if err := sum.Add(dt.Out); err != nil {
 		// In and Out are constructed on the same grid; this is unreachable.
 		panic(err)
 	}

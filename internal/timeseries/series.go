@@ -166,25 +166,24 @@ func (s *Series) Threshold(tau float64) *Series {
 	return out
 }
 
-// Add returns the pointwise sum of s and t, which must share anchor, step
-// and length. NaN + x = x (a missing device observation contributes no
-// traffic); NaN + NaN = NaN.
-func (s *Series) Add(t *Series) (*Series, error) {
+// Add adds t into s in place (into s.Clone() to keep s); both must share
+// anchor, step and length, else s is untouched. NaN + x = x (a missing
+// device observation contributes no traffic); NaN + NaN = NaN.
+func (s *Series) Add(t *Series) error {
 	if !s.Start.Equal(t.Start) || s.Step != t.Step || len(s.Values) != len(t.Values) {
-		return nil, fmt.Errorf("%w: incompatible series", ErrRange)
+		return fmt.Errorf("%w: incompatible series", ErrRange)
 	}
-	out := s.Clone()
 	for i, v := range t.Values {
 		switch {
 		case math.IsNaN(v):
-			// keep out.Values[i]
-		case math.IsNaN(out.Values[i]):
-			out.Values[i] = v
+			// keep s.Values[i]
+		case math.IsNaN(s.Values[i]):
+			s.Values[i] = v
 		default:
-			out.Values[i] += v
+			s.Values[i] += v
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Total returns the sum of all observed values — the series' total traffic.

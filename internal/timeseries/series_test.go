@@ -173,21 +173,26 @@ func TestAdd(t *testing.T) {
 	nan := math.NaN()
 	a := New(mon, Minute, []float64{1, nan, 3, nan})
 	b := New(mon, Minute, []float64{10, 20, nan, nan})
-	sum, err := a.Add(b)
-	if err != nil {
+	if err := a.Add(b); err != nil {
 		t.Fatal(err)
 	}
-	if sum.Values[0] != 11 || sum.Values[1] != 20 || sum.Values[2] != 3 {
-		t.Errorf("sum = %v", sum.Values)
+	if a.Values[0] != 11 || a.Values[1] != 20 || a.Values[2] != 3 {
+		t.Errorf("sum = %v", a.Values)
 	}
-	if !math.IsNaN(sum.Values[3]) {
+	if !math.IsNaN(a.Values[3]) {
 		t.Error("NaN+NaN should stay NaN")
 	}
-	// Incompatible shapes.
-	if _, err := a.Add(New(mon, time.Hour, []float64{1, 2, 3, 4})); err == nil {
+	if b.Values[0] != 10 || b.Values[1] != 20 || !math.IsNaN(b.Values[2]) {
+		t.Errorf("Add mutated its argument: %v", b.Values)
+	}
+	// Incompatible shapes: an error, and the receiver untouched.
+	if err := a.Add(New(mon, time.Hour, []float64{1, 2, 3, 4})); err == nil {
 		t.Error("want error for mismatched step")
 	}
-	if _, err := a.Add(New(mon, Minute, []float64{1})); err == nil {
+	if err := a.Add(New(mon, Minute, []float64{1})); err == nil {
 		t.Error("want error for mismatched length")
+	}
+	if a.Values[0] != 11 || a.Values[1] != 20 || a.Values[2] != 3 || !math.IsNaN(a.Values[3]) {
+		t.Errorf("a failed Add changed the receiver: %v", a.Values)
 	}
 }
