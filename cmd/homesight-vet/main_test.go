@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -57,5 +58,53 @@ func TestRunExitContract(t *testing.T) {
 		if code, _, _ := vet(args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
+	}
+}
+
+// TestFixtureModuleGolden drives the whole command — LoadAll, the three
+// analysis phases and the text writer — over a multi-package module made
+// from the rule fixtures that import nothing from homesight (every dir of
+// internal/analysis/testdata/src but metrics-parity and sig-gate), one
+// package per fixture under module path "fixture", and holds its stdout
+// and exit status to testdata/fixtures.golden.
+func TestFixtureModuleGolden(t *testing.T) {
+	src := filepath.Join("..", "..", "internal", "analysis", "testdata", "src")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixture\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || e.Name() == "metrics-parity" || e.Name() == "sig-gate" {
+			continue
+		}
+		files, err := os.ReadDir(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(dir, e.Name()), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(src, e.Name(), f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name(), f.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	code, out, errOut := vet("-C", dir, "./...")
+	got := fmt.Sprintf("%sexit %d\n", out, code)
+	want, err := os.ReadFile(filepath.Join("testdata", "fixtures.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from testdata/fixtures.golden\nstderr:\n%s\ngot:\n%s", errOut, got)
 	}
 }
