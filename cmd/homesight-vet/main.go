@@ -75,9 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	// Load and type-check the whole module in parallel even when the CLI
-	// restricts the reported packages: cross-package facts (determinism,
-	// metrics-parity) must see every package to be sound.
+	// Load and type-check the whole module even when the CLI restricts the
+	// reported packages: cross-package facts (determinism, metrics-parity)
+	// must see every package to be sound.
 	pkgs, err := mod.LoadAll()
 	if err != nil {
 		return fail(err)
@@ -93,13 +93,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	findings, err := analysis.Run(mod, pkgs, analyzers, analysis.RunOptions{
+	findings := analysis.Run(mod, pkgs, analyzers, analysis.RunOptions{
 		Catalog:  *catalog,
 		Packages: paths,
 	})
-	if err != nil {
-		return fail(err)
-	}
 	if err := analysis.WriteText(stdout, mod.Root, findings); err != nil {
 		return fail(err)
 	}

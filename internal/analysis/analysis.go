@@ -17,8 +17,8 @@
 //     module, for invariants that no single package can see (metrics
 //     catalog parity).
 //
-// The cmd/homesight-vet driver loads the module (type-checking packages
-// in parallel), runs every analyzer and prints findings as
+// The cmd/homesight-vet driver loads the module one package at a time,
+// imports first, runs every analyzer and prints findings as
 // "file:line: [rule] message" lines. Findings can be suppressed per line
 // with a directive comment:
 //

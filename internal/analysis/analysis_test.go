@@ -104,11 +104,7 @@ func runFixture(t *testing.T, mod *Module, rule string) (*Package, []Finding) {
 	if len(pkg.TypeErrors) > 0 {
 		t.Fatalf("fixture must type-check; got %v", pkg.TypeErrors)
 	}
-	findings, err := Run(mod, []*Package{pkg}, analyzers, RunOptions{Catalog: fixtureCatalog(dir)})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return pkg, findings
+	return pkg, Run(mod, []*Package{pkg}, analyzers, RunOptions{Catalog: fixtureCatalog(dir)})
 }
 
 // TestGolden runs each rule's full three-phase analysis over the fixture
@@ -204,11 +200,7 @@ func loadRepoRun(t *testing.T) {
 			repoRun.err = err
 			return
 		}
-		res, err := Run(mod, pkgs, All(), RunOptions{})
-		if err != nil {
-			repoRun.err = err
-			return
-		}
+		res := Run(mod, pkgs, All(), RunOptions{})
 		repoRun.elapsed = time.Since(t0)
 		repoRun.mod, repoRun.pkgs, repoRun.res = mod, pkgs, res
 	})
@@ -239,11 +231,10 @@ func TestSelfCheck(t *testing.T) {
 	}
 }
 
-// TestFullRunUnderCeiling asserts the parallel loader keeps a whole-repo
-// analysis comfortably inside the CI budget. The ceiling is deliberately
-// generous (the observed full run is a few seconds); it exists to catch
-// an accidental return to serial loading or a quadratic pass, not to
-// benchmark.
+// TestFullRunUnderCeiling asserts a whole-repo load and analysis stays
+// comfortably inside the CI budget. The ceiling is deliberately generous
+// (the observed full run is a few seconds); it exists to catch a package
+// checked more than once or a quadratic pass, not to benchmark.
 func TestFullRunUnderCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -304,24 +295,14 @@ func TestParseDirective(t *testing.T) {
 // package no program imports is reported once, at its package clause,
 // and a directive there keeps it and everything it imports.
 func TestUnreachablePackages(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
+	dir := writeModule(t, map[string]string{
 		"go.mod":           "module unreach\n\ngo 1.22\n",
 		"main.go":          "package main\n\nfunc main() {}\n",
 		"orphan/orphan.go": "package orphan\n\nfunc Dead() {}\n",
 		"kept/kept.go": "// Package kept is test support.\n//\n//homesight:ignore unreachable — (c) a fixture\n" +
 			"package kept\n\nimport \"unreach/dep\"\n\nfunc Helper() int { return dep.Value() }\n",
 		"dep/dep.go": "package dep\n\nfunc Value() int { return 1 }\n\nfunc Unused() {}\n",
-	}
-	for name, body := range files {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	mod, err := NewModule(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -330,10 +311,7 @@ func TestUnreachablePackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Run(mod, pkgs, []*Analyzer{Unreachable}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := Run(mod, pkgs, []*Analyzer{Unreachable}, RunOptions{})
 	var got []string
 	for _, f := range findings {
 		rel, _ := filepath.Rel(dir, f.Pos.Filename)
@@ -346,4 +324,88 @@ func TestUnreachablePackages(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+}
+
+// writeModule writes files (slash paths relative to the root, go.mod
+// included) into a temp dir and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, body := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// checkDependencyOrder fails unless every package of pkgs comes after
+// each package of pkgs that it imports.
+func checkDependencyOrder(t *testing.T, pkgs []*Package) {
+	t.Helper()
+	index := map[string]int{}
+	for i, pkg := range pkgs {
+		index[pkg.Path] = i
+	}
+	for i, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				path := strings.Trim(imp.Path.Value, `"`)
+				if j, ok := index[path]; ok && j > i {
+					t.Errorf("LoadAll returned %s (#%d) before its import %s (#%d)", pkg.Path, i, path, j)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadAllDependencyOrder holds the contract Run's facts phase relies
+// on: LoadAll returns every package after the module packages it
+// imports. In the module below import-path order puts internal/a before
+// internal/z. The run phase reads z's fact for a's call to Clock in any
+// order, but b's finding needs a's fact "Stamp reaches the wall clock",
+// which the facts phase can only derive after z's facts are exported.
+func TestLoadAllDependencyOrder(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":          "module homesight\n\ngo 1.22\n",
+		"internal/a/a.go": "package a\n\nimport \"homesight/internal/z\"\n\nfunc Stamp() int64 { return z.Clock().Unix() }\n",
+		"internal/z/z.go": "package z\n\nimport \"time\"\n\nfunc Clock() time.Time { return time.Now() }\n",
+		"internal/b/b.go": "package b\n\nimport \"homesight/internal/a\"\n\nfunc Day() int64 { return a.Stamp() / 86400 }\n",
+		"cmd/x/main.go":   "package main\n\nimport \"homesight/internal/b\"\n\nfunc main() { _ = b.Day() }\n",
+	})
+	mod, err := NewModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := mod.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDependencyOrder(t, pkgs)
+	var got []string
+	for _, f := range Run(mod, pkgs, All(), RunOptions{}) {
+		rel, _ := filepath.Rel(dir, f.Pos.Filename)
+		got = append(got, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(rel), f.Pos.Line, f.Rule, f.Message))
+	}
+	want := []string{
+		"internal/a/a.go:5: [determinism] call to Clock reaches wall clock (time.Now) in deterministic scope; " +
+			"push the taint behind an injected clock/seeded generator or annotate //homesight:ignore determinism",
+		"internal/b/b.go:5: [determinism] call to Stamp reaches wall clock (Clock → time.Now) in deterministic scope; " +
+			"push the taint behind an injected clock/seeded generator or annotate //homesight:ignore determinism",
+		"internal/z/z.go:5: [determinism] wall-clock time.Now in deterministic scope breaks bit-reproducibility; " +
+			"inject a clock (store time.Now as a func value at construction) or annotate //homesight:ignore determinism",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	if testing.Short() {
+		return
+	}
+	loadRepoRun(t)
+	checkDependencyOrder(t, repoRun.pkgs)
 }

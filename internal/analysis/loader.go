@@ -10,10 +10,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package of the module (or a
@@ -37,25 +35,21 @@ type Package struct {
 
 // Module is a loaded Go module: every non-test, non-testdata package,
 // parsed and type-checked with the stdlib source importer (no external
-// dependencies, matching this module's stdlib-only constraint).
-// LoadAll type-checks independent packages concurrently; all methods are
-// safe for concurrent use.
+// dependencies, matching this module's stdlib-only constraint). It loads
+// one package at a time and is not safe for concurrent use.
 type Module struct {
 	// Root is the directory containing go.mod; Path is the module path.
 	Root, Path string
 	Fset       *token.FileSet
 
-	mu   sync.Mutex
 	pkgs map[string]*Package
-	// loading guards the serial Load path against import cycles, which
-	// the type checker itself would otherwise chase forever.
+	// order holds the loaded packages in the order Load finished them.
+	order []*Package
+	// loading marks the packages Load is inside, so an import cycle is an
+	// error rather than a recursion the type checker would chase forever.
 	loading map[string]bool
-
-	// stdMu serializes the stdlib source importer, which is not safe for
-	// concurrent use. Each stdlib package is type-checked once and cached
-	// inside the importer, so contention fades after the first wave.
-	stdMu sync.Mutex
-	std   types.ImporterFrom
+	// std is the stdlib source importer; it caches each package it checks.
+	std types.ImporterFrom
 }
 
 // FindModuleRoot walks up from dir to the nearest go.mod.
@@ -155,182 +149,36 @@ func (m *Module) PackageDirs() ([]string, error) {
 	return paths, err
 }
 
-// LoadAll loads every package of the module, returned in import-path
-// order. Files are parsed concurrently, then packages are type-checked
-// in dependency waves: a package starts checking as soon as every
-// module-internal import it has is done, with independent packages
-// checked in parallel across NumCPU workers.
+// LoadAll loads every package of the module and returns them in the
+// order Load finished them. Load type-checks every module package a
+// package imports before the package itself, so that order is a
+// dependency order: each package comes after the module packages it
+// imports.
 func (m *Module) LoadAll() ([]*Package, error) {
 	paths, err := m.PackageDirs()
 	if err != nil {
 		return nil, err
 	}
-
-	// Parse every package's files concurrently. token.FileSet is safe
-	// for concurrent AddFile.
-	type parsed struct {
-		path, dir string
-		files     []*ast.File
-		imports   []string
-		err       error
-	}
-	parsedPkgs := make([]parsed, len(paths))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for i, path := range paths {
-		wg.Add(1)
-		go func(i int, path string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			p := parsed{path: path}
-			dir, ok := m.dirOf(path)
-			if !ok {
-				p.err = fmt.Errorf("%s is not inside module %s", path, m.Path)
-				parsedPkgs[i] = p
-				return
-			}
-			p.dir = dir
-			for _, name := range nonTestGoFiles(dir) {
-				f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-				if err != nil {
-					p.err = err
-					break
-				}
-				p.files = append(p.files, f)
-				for _, imp := range f.Imports {
-					p.imports = append(p.imports, strings.Trim(imp.Path.Value, `"`))
-				}
-			}
-			parsedPkgs[i] = p
-		}(i, path)
-	}
-	wg.Wait()
-	for _, p := range parsedPkgs {
-		if p.err != nil {
-			return nil, fmt.Errorf("%s: %w", p.path, p.err)
-		}
-	}
-
-	// Type-check in dependency waves. deps counts unresolved
-	// module-internal imports; a package is ready at zero.
-	inModule := map[string]int{}
-	for i, p := range parsedPkgs {
-		inModule[p.path] = i
-	}
-	deps := make([]map[string]bool, len(parsedPkgs))
-	dependents := map[string][]int{}
-	ready := make(chan int, len(parsedPkgs))
-	scheduled := 0
-	for i, p := range parsedPkgs {
-		deps[i] = map[string]bool{}
-		for _, imp := range p.imports {
-			if _, ok := inModule[imp]; ok && imp != p.path {
-				deps[i][imp] = true
-			}
-		}
-		for imp := range deps[i] {
-			dependents[imp] = append(dependents[imp], i)
-		}
-		if len(deps[i]) == 0 {
-			ready <- i
-			scheduled++
-		}
-	}
-
-	var (
-		errMu    sync.Mutex
-		firstErr error
-		doneCh   = make(chan string, len(parsedPkgs))
-	)
-	workers := runtime.NumCPU()
-	if workers > len(parsedPkgs) {
-		workers = len(parsedPkgs)
-	}
-	var checkWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		checkWG.Add(1)
-		go func() {
-			defer checkWG.Done()
-			for i := range ready {
-				p := parsedPkgs[i]
-				pkg, err := m.checkParsed(p.path, p.dir, p.files)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%s: %w", p.path, err)
-					}
-					errMu.Unlock()
-				}
-				if pkg != nil {
-					m.mu.Lock()
-					m.pkgs[p.path] = pkg
-					m.mu.Unlock()
-				}
-				doneCh <- p.path
-			}
-		}()
-	}
-	// Drain completions, releasing dependents as their last module import
-	// lands. When done catches up with scheduled and nothing new became
-	// ready, the remainder is an import cycle — left for the serial
-	// fallback below to diagnose.
-	for done := 0; done < scheduled; done++ {
-		path := <-doneCh
-		for _, di := range dependents[path] {
-			delete(deps[di], path)
-			if len(deps[di]) == 0 {
-				ready <- di
-				scheduled++
-			}
-		}
-	}
-	close(ready)
-	checkWG.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	pkgs := make([]*Package, 0, len(paths))
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, path := range paths {
-		pkg, ok := m.pkgs[path]
-		if !ok {
-			// A dependency cycle (or an unready import) left this package
-			// unchecked; the serial loader reports the cycle precisely.
-			m.mu.Unlock()
-			p, err := m.Load(path)
-			m.mu.Lock()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			pkg = p
+		if _, err := m.Load(path); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, nil
+	return m.order, nil
 }
 
 // Load loads (or returns the cached) package at an import path inside
-// the module, type-checking its module-internal imports first (serially).
+// the module; the type checker loads its module imports first, through
+// moduleImporter.
 func (m *Module) Load(path string) (*Package, error) {
-	m.mu.Lock()
 	if pkg, ok := m.pkgs[path]; ok {
-		m.mu.Unlock()
 		return pkg, nil
 	}
 	if m.loading[path] {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("import cycle through %s", path)
 	}
 	m.loading[path] = true
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.loading, path)
-		m.mu.Unlock()
-	}()
+	defer delete(m.loading, path)
 
 	dir, ok := m.dirOf(path)
 	if !ok {
@@ -340,9 +188,8 @@ func (m *Module) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
 	m.pkgs[path] = pkg
-	m.mu.Unlock()
+	m.order = append(m.order, pkg)
 	return pkg, nil
 }
 
@@ -363,33 +210,23 @@ func (m *Module) check(path, dir string, filenames []string) (*Package, error) {
 	if len(filenames) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return m.checkParsed(path, dir, files)
-}
-
-// checkParsed type-checks one package from already-parsed files.
-func (m *Module) checkParsed(path, dir string, files []*ast.File) (*Package, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
 	pkg := &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  m.Fset,
-		Files: files,
+		Path: path,
+		Dir:  dir,
+		Fset: m.Fset,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
+	}
+	for _, name := range filenames {
+		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		pkg.Files = append(pkg.Files, f)
 	}
 	conf := types.Config{
 		Importer: &moduleImporter{mod: m, dir: dir},
@@ -443,7 +280,5 @@ func (mi *moduleImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 		}
 		return pkg.Types, nil
 	}
-	mi.mod.stdMu.Lock()
-	defer mi.mod.stdMu.Unlock()
 	return mi.mod.std.ImportFrom(path, srcDir, mode)
 }

@@ -5,16 +5,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // FactStore holds the cross-package facts exported during the facts
-// phase, keyed by (analyzer, object) and (analyzer, package path). It is
-// written single-threaded in dependency order and read concurrently by
-// the run phase.
+// phase, keyed by (analyzer, object) and (analyzer, package path). The
+// facts phase writes it in dependency order; the run and finish phases
+// read it.
 type FactStore struct {
 	obj map[string]map[types.Object]any
 	pkg map[string]map[string]any
@@ -83,7 +79,7 @@ func (fp *FactPass) ExportPackageFact(fact any) {
 
 // ModulePass is the finish-phase view of the whole analyzed module.
 type ModulePass struct {
-	// Pkgs are the loaded packages, in import-path order.
+	// Pkgs are the loaded packages, in the dependency order Run was given.
 	Pkgs []*Package
 	// Fset is the module's shared file set.
 	Fset *token.FileSet
@@ -145,23 +141,21 @@ type RunOptions struct {
 	Packages []string
 }
 
-// Run executes the three analysis phases (facts in dependency order,
-// per-file runs in parallel, module-level finish) over the loaded
-// packages and returns position-sorted findings.
-func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Finding, error) {
-	var findings []Finding
+// Run executes the three analysis phases over the loaded packages —
+// facts, per-file runs, module-level finish — and returns
+// position-sorted findings. pkgs must be in dependency order, each
+// package after the module packages it imports, as LoadAll returns them:
+// the facts phase visits them in the order given, so a package sees the
+// facts of its imports.
+func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) []Finding {
 	catalog := opts.Catalog
 	if catalog == "" {
 		catalog = m.Root + "/OBSERVABILITY.md"
 	}
 	store := newFactStore()
 
-	// Phase 1: facts, packages in dependency order (imports first).
-	ordered, err := dependencyOrder(pkgs)
-	if err != nil {
-		return nil, err
-	}
-	for _, pkg := range ordered {
+	// Phase 1: facts, imports first.
+	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Facts != nil {
 				a.Facts(&FactPass{Pkg: pkg, rule: a.Name, store: store})
@@ -169,67 +163,39 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]
 		}
 	}
 
-	// Phase 2: per-file runs, packages analyzed in parallel.
-	selected := pkgs
-	if len(opts.Packages) > 0 {
-		want := map[string]bool{}
-		for _, p := range opts.Packages {
-			want[p] = true
-		}
-		selected = nil
-		for _, pkg := range pkgs {
-			if want[pkg.Path] {
-				selected = append(selected, pkg)
-			}
-		}
-	}
+	// Phase 2: per-file runs over the selected packages. Ignore sets are
+	// collected for every file: module-level findings may land anywhere.
 	ignores := map[*ast.File]ignoreSet{}
-	var mu sync.Mutex
-	perPkg := make([][]Finding, len(selected))
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	for i, pkg := range selected {
-		wg.Add(1)
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var own []Finding
-			for _, f := range pkg.Files {
-				ig := collectIgnores(pkg.Fset, f)
-				mu.Lock()
-				ignores[f] = ig
-				mu.Unlock()
-				for _, a := range analyzers {
-					if a.Run == nil {
-						continue
-					}
-					a.Run(&Pass{
-						Fset:     pkg.Fset,
-						File:     f,
-						Pkg:      pkg.Types,
-						Info:     pkg.Info,
-						Path:     pkg.Path,
-						findings: &own,
-						rule:     a.Name,
-						ignores:  ig,
-						facts:    store,
-					})
-				}
-			}
-			perPkg[i] = own
-		}(i, pkg)
-	}
-	wg.Wait()
-	for _, fs := range perPkg {
-		findings = append(findings, fs...)
-	}
-	// Ignore sets for files outside the selection still matter to Finish
-	// (module-level findings may land anywhere).
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			if _, ok := ignores[f]; !ok {
-				ignores[f] = collectIgnores(pkg.Fset, f)
+			ignores[f] = collectIgnores(pkg.Fset, f)
+		}
+	}
+	selected := map[string]bool{}
+	for _, p := range opts.Packages {
+		selected[p] = true
+	}
+	var findings []Finding
+	for _, pkg := range pkgs {
+		if len(selected) > 0 && !selected[pkg.Path] {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, a := range analyzers {
+				if a.Run == nil {
+					continue
+				}
+				a.Run(&Pass{
+					Fset:     pkg.Fset,
+					File:     f,
+					Pkg:      pkg.Types,
+					Info:     pkg.Info,
+					Path:     pkg.Path,
+					findings: &findings,
+					rule:     a.Name,
+					ignores:  ignores[f],
+					facts:    store,
+				})
 			}
 		}
 	}
@@ -251,62 +217,5 @@ func Run(m *Module, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]
 	}
 
 	sortFindings(findings)
-	return findings, nil
-}
-
-// dependencyOrder sorts pkgs so that every package follows the packages
-// it imports (restricted to the given set). Cycles are an error.
-func dependencyOrder(pkgs []*Package) ([]*Package, error) {
-	byPath := map[string]*Package{}
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	var order []*Package
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package) error
-	visit = func(p *Package) error {
-		switch state[p.Path] {
-		case 1:
-			return fmt.Errorf("import cycle through %s", p.Path)
-		case 2:
-			return nil
-		}
-		state[p.Path] = 1
-		for _, imp := range moduleImports(p) {
-			if dep, ok := byPath[imp]; ok {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.Path] = 2
-		order = append(order, p)
-		return nil
-	}
-	sorted := make([]*Package, len(pkgs))
-	copy(sorted, pkgs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
-	for _, p := range sorted {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
-}
-
-// moduleImports lists the import paths of p's files, deduplicated.
-func moduleImports(p *Package) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range p.Files {
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if !seen[path] {
-				seen[path] = true
-				out = append(out, path)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	return findings
 }

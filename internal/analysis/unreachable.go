@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // Unreachable reports production code that no program runs: package-level
@@ -52,8 +53,10 @@ func finishUnreachable(mp *ModulePass) {
 	visit = func(path string) {
 		if pkg, ok := byPath[path]; ok && !live[path] {
 			live[path] = true
-			for _, imp := range moduleImports(pkg) {
-				visit(imp)
+			for _, f := range pkg.Files {
+				for _, imp := range f.Imports {
+					visit(strings.Trim(imp.Path.Value, `"`))
+				}
 			}
 		}
 	}

@@ -12,11 +12,10 @@ import (
 	"homesight/internal/store"
 )
 
-// defaultCacheEntries bounds the response LRU when Config.CacheEntries
-// is zero. Entries are whole encoded bodies (a few hundred bytes to a
-// few KB: raw point ranges are not cached), so the default keeps the
-// cache well under a MB.
-const defaultCacheEntries = 128
+// cacheEntries bounds the response LRU. Entries are whole encoded bodies
+// (a few hundred bytes to a few KB: raw point ranges are not cached), so
+// the cache stays well under a MB.
+const cacheEntries = 128
 
 // Config configures New.
 type Config struct {
@@ -30,10 +29,6 @@ type Config struct {
 	// Registry receives the homesight_query_* instruments; nil gets a
 	// private registry (counting stays on, nothing is exported).
 	Registry *obs.Registry
-	// CacheEntries sizes the response LRU: 0 means defaultCacheEntries,
-	// negative disables caching — the LRU and the per-home summary memo
-	// (every lookup is a miss).
-	CacheEntries int
 }
 
 // API is the homequery serving tier. Mount Handler on an obs.Server via
@@ -43,7 +38,7 @@ type API struct {
 	live  LiveSource
 	m     *metrics
 	cache *cache
-	// summaries memoises /summary per home; nil when caching is disabled.
+	// summaries memoises /summary per home.
 	summaries *summaryMemo
 	// now is the latency clock, the only wall-clock read in this package.
 	now func() time.Time
@@ -59,21 +54,14 @@ func New(cfg Config) *API {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	entries := cfg.CacheEntries
-	if entries == 0 {
-		entries = defaultCacheEntries
+	return &API{
+		st:        cfg.Store,
+		live:      cfg.Live,
+		m:         newMetrics(cfg.Registry),
+		cache:     newCache(cacheEntries),
+		summaries: newSummaryMemo(),
+		now:       time.Now,
 	}
-	a := &API{
-		st:    cfg.Store,
-		live:  cfg.Live,
-		m:     newMetrics(cfg.Registry),
-		cache: newCache(entries),
-		now:   time.Now,
-	}
-	if entries > 0 {
-		a.summaries = newSummaryMemo()
-	}
-	return a
 }
 
 // Handler returns the API mux. Every route is GET-only (the store is
@@ -155,7 +143,7 @@ func enveloped(h func(*API, *http.Request) (any, error)) func(*API, *http.Reques
 	}
 }
 
-// lookup consults the response cache; a disabled cache is all misses.
+// lookup consults the response cache, counting the hit or the miss.
 func (a *API) lookup(key string) ([]byte, bool) {
 	body, ok := a.cache.get(key)
 	if ok {

@@ -329,20 +329,6 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	s := newTestStore(t, 60)
-	a := New(Config{Store: s, CacheEntries: -1})
-	h := a.Handler()
-	get(t, h, "/api/v1/homes", http.StatusOK)
-	get(t, h, "/api/v1/homes", http.StatusOK)
-	if hits := a.m.hits.Value(); hits != 0 {
-		t.Fatalf("disabled cache recorded %d hits", hits)
-	}
-	if misses := a.m.misses.Value(); misses != 2 {
-		t.Fatalf("disabled cache recorded %d misses, want 2", misses)
-	}
-}
-
 func TestCacheEviction(t *testing.T) {
 	c := newCache(2)
 	c.put("a", []byte("1"))

@@ -11,7 +11,7 @@ import (
 // home list embeds store.Generation), so an entry can never serve an
 // answer from before a newly accepted point of that home — invalidation
 // is free, and a point for one home leaves every other home's entries
-// alone. A nil *cache is a valid, disabled cache.
+// alone.
 type cache struct {
 	mu  sync.Mutex
 	max int
@@ -25,16 +25,10 @@ type cacheEntry struct {
 }
 
 func newCache(max int) *cache {
-	if max <= 0 {
-		return nil
-	}
 	return &cache{max: max, ll: list.New(), m: make(map[string]*list.Element, max)}
 }
 
 func (c *cache) get(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -46,9 +40,6 @@ func (c *cache) get(key string) ([]byte, bool) {
 }
 
 func (c *cache) put(key string, val []byte) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -66,9 +57,6 @@ func (c *cache) put(key string, val []byte) {
 
 // len reports the current entry count (tests only).
 func (c *cache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

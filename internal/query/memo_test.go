@@ -34,9 +34,9 @@ func TestSummarySingleFlight(t *testing.T) {
 	s := newTestStore(t, 2*24*60)
 	const url = "/api/v1/homes/gw001/summary"
 
-	// What one build of this home reads, on an API that never memoises.
+	// What one build of this home reads: a fresh API's first answer.
 	before := s.Stats().RawBlockReads
-	want := fetch(t, New(Config{Store: s, CacheEntries: -1}).Handler(), url)
+	want := fetch(t, New(Config{Store: s}).Handler(), url)
 	oneBuild := s.Stats().RawBlockReads - before
 	if oneBuild == 0 {
 		t.Fatal("a summary build decoded no raw block: the test cannot count builds")
@@ -159,39 +159,22 @@ func TestPerHomeInvalidation(t *testing.T) {
 
 	// A report for A that moves the campaign end changes the one thing
 	// other homes' answers take from it: the defaulted end of the window.
-	// B's summary and whole-campaign series are rebuilt — and equal what an
-	// API without a cache serves — while its device list and an explicit
-	// range stay cached.
+	// B's summary and whole-campaign series are rebuilt — and equal what a
+	// fresh API builds — while its device list and an explicit range stay
+	// cached.
 	explicit := "/api/v1/series?gw=gw002&device=02:00:00:00:01:00&gran=3h&from=1395014400&to=1395025200"
 	ranged := expect("explicit range, cold", []string{explicit}, 0, 1)
 	appendMinute(t, s, "gw001", "02:00:00:00:00:00", minutes+5)
 	movedB := expect("B after the campaign end moved", homeB, 1, 2)
 	same("B's device list", movedB[1:2], coldB[1:2])
 	same("explicit range", expect("explicit range, warm", []string{explicit}, 1, 0), ranged)
-	uncached := New(Config{Store: s, CacheEntries: -1}).Handler()
 	for i, u := range homeB {
-		if want := fetch(t, uncached, u); !bytes.Equal(movedB[i], want) {
-			t.Fatalf("GET %s after the campaign end moved:\n%s\nan uncached API serves\n%s", u, movedB[i], want)
+		if want := fetch(t, New(Config{Store: s}).Handler(), u); !bytes.Equal(movedB[i], want) {
+			t.Fatalf("GET %s after the campaign end moved:\n%s\na fresh API serves\n%s", u, movedB[i], want)
 		}
 	}
 	if bytes.Equal(movedB[0], coldB[0]) || bytes.Equal(movedB[2], coldB[2]) {
 		t.Fatal("B's whole-campaign answers kept the old campaign end")
-	}
-}
-
-func TestSummaryMemoDisabled(t *testing.T) {
-	a := New(Config{Store: newTestStore(t, 60), CacheEntries: -1})
-	h := a.Handler()
-	hits, misses := counted(a, func() {
-		for i := 0; i < 3; i++ {
-			fetch(t, h, "/api/v1/homes/gw001/summary")
-		}
-	})
-	if hits != 0 || misses != 3 {
-		t.Fatalf("disabled cache: %d hits, %d misses over 3 summaries, want 0 and 3", hits, misses)
-	}
-	if a.summaries != nil {
-		t.Fatal("CacheEntries < 0 left the summary memo on")
 	}
 }
 

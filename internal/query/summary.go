@@ -86,10 +86,6 @@ func (a *API) handleSummary(r *http.Request) ([]byte, error) {
 	if _, ok := a.st.HomeVersion(gw); !ok {
 		return nil, notFoundf("unknown gateway %q", gw)
 	}
-	if a.summaries == nil {
-		a.m.misses.Inc()
-		return a.summaryBody(r.Context(), gw)
-	}
 	sl := a.summaries.slot(gw)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()

@@ -165,13 +165,9 @@ func computeRollups(dst []RollupBin, pts []Point, binSec int64) []RollupBin {
 }
 
 // foldRollup accumulates one point into the (append-only, ascending)
-// bin list.
+// bin list, coalescing it with the last bin when they share a start.
 func foldRollup(dst []RollupBin, p Point, binSec int64) []RollupBin {
-	m := p.Ts % binSec
-	if m < 0 {
-		m += binSec
-	}
-	start := p.Ts - m
+	start := alignDown(p.Ts, binSec)
 	if len(dst) == 0 || dst[len(dst)-1].Start != start {
 		dst = append(dst, RollupBin{Start: start})
 	}

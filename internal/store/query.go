@@ -306,23 +306,12 @@ func (s *Store) queryBins(ctx context.Context, res *Result, limit int) error {
 			res.Bins = mergeBin(res.Bins, b)
 		}
 	}
-	for _, p := range tail {
-		res.Bins = mergeBin(res.Bins, binOf(p, binSec))
-	}
+	res.Bins = computeRollups(res.Bins, tail, binSec)
 	if limit > 0 && len(res.Bins) > limit {
 		res.Bins = res.Bins[:limit]
 		res.Truncated = true
 	}
 	return nil
-}
-
-// binOf is the single-point bin of p.
-func binOf(p Point, binSec int64) RollupBin {
-	m := p.Ts % binSec
-	if m < 0 {
-		m += binSec
-	}
-	return RollupBin{Start: p.Ts - m, Count: 1, Sum: p.Val, Max: p.Val}
 }
 
 // mergeBin folds b (whose Start is >= the last accumulated Start —
