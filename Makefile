@@ -51,8 +51,8 @@ fuzz-smoke: ## short fuzz pass ($(FUZZTIME)/target) over the store codecs, WAL r
 obs-smoke: ## run the homesight binary's experiments, collector and store serve with their servers up, curl /metrics, /healthz and /api/v1, grep required series
 	GO="$(GO)" sh scripts/obs_smoke.sh
 
-check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~20-23 s and ~1.25 GB peak RSS on 2 vCPU under the 1200 MiB soft memory limit (the live heap is ~1.2 GB; unset, GC headroom takes the peak to ~2.2 GB)
-	GOMEMLIMIT=1200MiB $(GO) run ./cmd/homesight experiments -homes 196 -weeks 8 | diff - experiments_output.txt
+check-full: ## full-scale paper reproduction (196 homes x 8 weeks) diffed against experiments_output.txt; ~15-17 s and ~905 MiB peak RSS on 2 vCPU under the 900 MiB soft memory limit (unset: ~15-25 s, ~1.15-1.25 GiB peak)
+	GOMEMLIMIT=900MiB $(GO) run ./cmd/homesight experiments -homes 196 -weeks 8 | diff - experiments_output.txt
 
 check: vet fmt race lint test-faults bench-build bench-correct fuzz-smoke obs-smoke check-full ## the full CI gate: vet + gofmt + race tests + homesight-vet + fault suite + bench smoke + benchmark correctness + fuzz smoke + obs smoke + the paper's figures diffed at full scale
 	@echo "check: all gates passed"

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"homesight/internal/dataset"
 	"homesight/internal/dominance"
 	"homesight/internal/store"
 	"homesight/internal/synth"
@@ -37,7 +36,8 @@ import (
 // the ablation and the motif dominance all take it from the build
 // (Dominance). The overall series stay because the cohort selections and
 // the motif-window dominance read them again and again at minute
-// resolution; the per-direction series, two more per device, are read
+// resolution, each as a column of 4 bytes a minute (home.go) widened only
+// where read; the per-direction series, two more per device, are read
 // only by the build and die with its table.
 type Env struct {
 	Dep *synth.Deployment
@@ -273,15 +273,16 @@ func (e *Env) Warm(ctx context.Context) error {
 func (e *Env) Dominance(i int) dominance.Result { return e.home(i).dom }
 
 // WeeklyCohort returns the active series of homes with weekly coverage over
-// the first `weeks` weeks, truncated to that span.
+// the first `weeks` weeks, truncated to that span. weeks is WeeksMain or
+// WeeksWeeklyMotif, the two windows the build flags coverage for.
 func (e *Env) WeeklyCohort(weeks int) (ids []string, series []*timeseries.Series) {
+	if weeks != e.WeeksMain && weeks != e.WeeksWeeklyMotif {
+		panic(fmt.Sprintf("experiments: WeeklyCohort(%d): not WeeksMain (%d) or WeeksWeeklyMotif (%d)", weeks, e.WeeksMain, e.WeeksWeeklyMotif))
+	}
 	for _, gc := range e.gatewayCaches() {
 		covered := gc.weeklyCoverageMain
 		if weeks == e.WeeksWeeklyMotif {
 			covered = gc.weeklyCoverageMotif
-		}
-		if weeks != e.WeeksMain && weeks != e.WeeksWeeklyMotif {
-			covered = dataset.HasWeeklyCoverage(gc.raw, weeks)
 		}
 		if !covered {
 			continue
@@ -323,9 +324,9 @@ func (e *Env) RawOverall(i, days int) *timeseries.Series {
 	return truncate(e.home(i).raw, days)
 }
 
-// truncate slices a minute series to the first `days` days.
-func truncate(s *timeseries.Series, days int) *timeseries.Series {
-	return s.Between(s.Start, s.Start.Add(time.Duration(days)*timeseries.Day))
+// truncate returns a copy of the first `days` days of a kept column.
+func truncate(c *column, days int) *timeseries.Series {
+	return c.series(c.start, c.start.Add(time.Duration(days)*timeseries.Day))
 }
 
 // TopObservedGateways returns the indices of the k homes with the most
@@ -336,7 +337,7 @@ func (e *Env) TopObservedGateways(k int) []int {
 	type pair struct{ idx, obs int }
 	pairs := make([]pair, 0, len(gws))
 	for i, gc := range gws {
-		pairs = append(pairs, pair{i, truncate(gc.raw, 7).ObservedCount()})
+		pairs = append(pairs, pair{i, gc.raw.observed(gc.raw.start, gc.raw.start.Add(timeseries.Week))})
 	}
 	// Selection sort for the top k: n is small (hundreds).
 	for sel := 0; sel < k && sel < len(pairs); sel++ {

@@ -50,6 +50,11 @@ func persistHome(t *testing.T, s *store.Store, dep *synth.Deployment, i int, fla
 	return rec
 }
 
+// whole is every minute of a kept column, as series reads it back.
+func whole(c *column) *timeseries.Series {
+	return c.series(c.start, c.start.Add(math.MaxInt64))
+}
+
 func seriesEqual(t *testing.T, what string, got, want *timeseries.Series) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -115,24 +120,24 @@ func TestEnvWithStore(t *testing.T) {
 		}
 		var wantGW *timeseries.Series
 		for k, mac := range macs {
-			if devs[k].Device.MAC != mac {
-				t.Fatalf("home %d device %d: MAC %s, want %s (sorted)", i, k, devs[k].Device.MAC, mac)
+			if devs[k].dev.MAC != mac {
+				t.Fatalf("home %d device %d: MAC %s, want %s (sorted)", i, k, devs[k].dev.MAC, mac)
 			}
-			if devs[k].Device.Name != rec.DeviceName(mac) {
-				t.Fatalf("home %d device %s: name %q, want %q", i, mac, devs[k].Device.Name, rec.DeviceName(mac))
+			if devs[k].dev.Name != rec.DeviceName(mac) {
+				t.Fatalf("home %d device %s: name %q, want %q", i, mac, devs[k].dev.Name, rec.DeviceName(mac))
 			}
 			sum, out := rec.Series(mac, n) // fresh copies: sum adds out in place
 			if err := sum.Add(out); err != nil {
 				t.Fatal(err)
 			}
-			seriesEqual(t, "device overall", devs[k].Series, sum)
+			seriesEqual(t, "device overall", whole(devs[k].overall), sum)
 			if wantGW == nil {
 				wantGW = sum.Clone()
 			} else if err := wantGW.Add(sum); err != nil {
 				t.Fatal(err)
 			}
 		}
-		seriesEqual(t, "raw overall", env.RawOverall(i, days), truncate(wantGW, days))
+		seriesEqual(t, "raw overall", env.RawOverall(i, days), prefix(wantGW, days))
 	}
 
 	// Home 2 is identical to a fully synthetic Env.
@@ -142,7 +147,7 @@ func TestEnvWithStore(t *testing.T) {
 	}
 	gw2, devs2 := env.home(2).raw, env.home(2).devices
 	sgw2, sdevs2 := synthEnv.home(2).raw, synthEnv.home(2).devices
-	seriesEqual(t, "fallback gateway overall", gw2, sgw2)
+	seriesEqual(t, "fallback gateway overall", whole(gw2), whole(sgw2))
 	if len(devs2) != len(sdevs2) {
 		t.Fatalf("fallback home: %d devices, want %d", len(devs2), len(sdevs2))
 	}

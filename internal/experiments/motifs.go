@@ -230,14 +230,17 @@ func AnalyzeMotifDominance(ctx context.Context, e *Env, r MotifSetResult, profil
 		gc, w := homes[members[j].inst.GatewayID], members[j].inst.Window
 		wEnd := w.Start.Add(span)
 		// Window-local dominance at minute resolution; the gateway's
-		// window is ranked once for all the home's devices.
-		gwWin := corrsim.Default.Against(gc.raw.Between(w.Start, wEnd).Values)
-		for _, ds := range gc.devices {
-			if gwWin.Similarity(ds.Series.Between(w.Start, wEnd).Values) <= dominance.DefaultPhi {
+		// window is ranked once for all the home's devices, and each
+		// device's window is widened into one reused buffer.
+		gwWin := corrsim.Default.Against(gc.raw.widen(nil, w.Start, wEnd))
+		var win []float64
+		for _, d := range gc.devices {
+			win = d.overall.widen(win, w.Start, wEnd)
+			if gwWin.Similarity(win) <= dominance.DefaultPhi {
 				continue
 			}
-			doms[j].types = append(doms[j].types, ds.Device.Inferred)
-			if slices.ContainsFunc(gc.dom.Dominants, func(sc dominance.Score) bool { return sc.Device.MAC == ds.Device.MAC }) {
+			doms[j].types = append(doms[j].types, d.dev.Inferred)
+			if slices.ContainsFunc(gc.dom.Dominants, func(sc dominance.Score) bool { return sc.Device.MAC == d.dev.MAC }) {
 				doms[j].intersect++
 			}
 		}

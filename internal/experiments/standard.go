@@ -167,49 +167,45 @@ type Fig02Result struct {
 	PeakCCFLag int
 }
 
+// topObservedBins sums the raw overall of each of the ten top observed
+// gateways (TopObservedGateways) over its first `days` days, missing as
+// zero, into bins; a series that does not aggregate is left out.
+func topObservedBins(ctx context.Context, e *Env, days int, bin time.Duration) (ids []string, vals [][]float64, err error) {
+	top := e.TopObservedGateways(10)
+	per := make([][]float64, len(top))
+	if err := e.ForEach(ctx, len(top), func(k int) {
+		if agg, err := e.RawOverall(top[k], days).FillMissing(0).Aggregate(bin); err == nil {
+			per[k] = agg.Values
+		}
+	}); err != nil {
+		return nil, nil, err
+	}
+	for k, v := range per {
+		if v != nil {
+			ids, vals = append(ids, e.home(top[k]).id), append(vals, v)
+		}
+	}
+	return ids, vals, nil
+}
+
 // Fig02ACFCCF computes ACF/CCF structure over the top observed gateways.
 func Fig02ACFCCF(ctx context.Context, e *Env) (Fig02Result, error) {
-	top := e.TopObservedGateways(10)
 	const maxLag = 96
 	res := Fig02Result{}
-	type prepped struct {
-		id   string
-		vals []float64
-		ok   bool
+	ids, ser, err := topObservedBins(ctx, e, 14, 30*time.Minute)
+	if err != nil || len(ser) == 0 {
+		return res, err
 	}
-	per := make([]prepped, len(top))
-	gws := e.gatewayCaches()
-	if err := e.ForEach(ctx, len(top), func(k int) {
-		idx := top[k]
-		s := e.RawOverall(idx, 14).FillMissing(0)
-		agg, err := s.Aggregate(30 * time.Minute)
-		if err != nil {
-			return
-		}
-		per[k] = prepped{id: gws[idx].id, vals: agg.Values, ok: true}
-	}); err != nil {
-		return Fig02Result{}, err
-	}
-	var ser []prepped
-	for _, p := range per {
-		if p.ok {
-			ser = append(ser, p)
-		}
-	}
-	if len(ser) == 0 {
-		return res, nil
-	}
-	res.SignificanceBound = corr.WhiteNoiseBound(len(ser[0].vals))
+	res.SignificanceBound = corr.WhiteNoiseBound(len(ser[0]))
 
 	acfs := make([][]float64, len(ser))
 	if err := e.ForEach(ctx, len(ser), func(k int) {
-		acfs[k] = corr.ACF(ser[k].vals, maxLag)
+		acfs[k] = corr.ACF(ser[k], maxLag)
 	}); err != nil {
 		return Fig02Result{}, err
 	}
 	bestScore := -1.0
-	for k, p := range ser {
-		acf := acfs[k]
+	for k, acf := range acfs {
 		score := 0.0
 		for _, v := range acf[1:] {
 			if math.Abs(v) > score {
@@ -219,14 +215,14 @@ func Fig02ACFCCF(ctx context.Context, e *Env) (Fig02Result, error) {
 		if score > bestScore {
 			bestScore = score
 			res.BestACF = acf
-			res.BestACFGateway = p.id
+			res.BestACFGateway = ids[k]
 		}
 	}
 
 	bestCC := -1.0
 	for i := 0; i < len(ser); i++ {
 		for j := i + 1; j < len(ser); j++ {
-			cc, err := corr.CCF(ser[i].vals, ser[j].vals, 48)
+			cc, err := corr.CCF(ser[i], ser[j], 48)
 			if err != nil {
 				continue
 			}
@@ -239,7 +235,7 @@ func Fig02ACFCCF(ctx context.Context, e *Env) (Fig02Result, error) {
 			if peak > bestCC {
 				bestCC = peak
 				res.CCF = cc
-				res.CCFPair = [2]string{ser[i].id, ser[j].id}
+				res.CCFPair = [2]string{ids[i], ids[j]}
 				res.PeakCCFLag = lag
 			}
 		}
@@ -458,34 +454,12 @@ type Fig03Result struct {
 
 // Fig03Clustering clusters the top gateways' first-week traffic (3h bins).
 func Fig03Clustering(ctx context.Context, e *Env) (Fig03Result, error) {
-	top := e.TopObservedGateways(10)
 	res := Fig03Result{}
-	type prepped struct {
-		id   string
-		vals []float64
-		ok   bool
-	}
-	per := make([]prepped, len(top))
-	gws := e.gatewayCaches()
-	if err := e.ForEach(ctx, len(top), func(k int) {
-		idx := top[k]
-		s := e.RawOverall(idx, 7).FillMissing(0)
-		agg, err := s.Aggregate(3 * time.Hour)
-		if err != nil {
-			return
-		}
-		per[k] = prepped{id: gws[idx].id, vals: agg.Values, ok: true}
-	}); err != nil {
+	gateways, series, err := topObservedBins(ctx, e, 7, 3*time.Hour)
+	if err != nil {
 		return Fig03Result{}, err
 	}
-	var series [][]float64
-	for _, p := range per {
-		if !p.ok {
-			continue
-		}
-		series = append(series, p.vals)
-		res.Gateways = append(res.Gateways, p.id)
-	}
+	res.Gateways = gateways
 	g := corrsim.Default.Graph(series)
 	m := cluster.DistanceMatrix(len(series), func(i, j int) float64 { return 1 - g.At(i, j) })
 	dendro, err := cluster.Agglomerate(m, cluster.Average)
