@@ -6,12 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -148,6 +153,79 @@ func TestExperimentsOnDemoPartition(t *testing.T) {
 	for _, id := range []string{"fig4", "fig5"} {
 		section(t, got, id)
 	}
+}
+
+// TestExperimentsReadOnePartition: on one partition of a multi-shard
+// campaign, experiments analyses the homes that partition holds and no
+// others: its header counts the gateways store inspect lists there.
+func TestExperimentsReadOnePartition(t *testing.T) {
+	root := t.TempDir()
+	runOK(t, "collector", "-demo", "-shards", "2", "-homes", "6", "-weeks", "1", "-data-dir", root, "-log-level", "error")
+	held := regexp.MustCompile(`(?m)^gateways: (\d+)$`)
+	total := 0
+	for k := 0; k < 2; k++ {
+		dir := filepath.Join(root, fmt.Sprintf("shard-%04d", k))
+		m := held.FindStringSubmatch(runOK(t, "store", "inspect", "-dir", dir))
+		if m == nil {
+			t.Fatalf("store inspect of %s printed no gateway count", dir)
+		}
+		n, _ := strconv.Atoi(m[1])
+		got := runOK(t, "experiments", "-homes", "6", "-weeks", "1", "-data-dir", dir, "-run", "inout", "-log-level", "error")
+		if want := fmt.Sprintf("— %d gateways, 1 weeks,", n); !strings.Contains(got, want) {
+			t.Errorf("experiments on %s printed\n%s\nwant %q: the partition holds %d", dir, got, want, n)
+		}
+		total += n
+	}
+	if total != 6 {
+		t.Errorf("the two partitions hold %d gateways, want the campaign's 6", total)
+	}
+}
+
+// TestReadersNeedAPartition: every command that reads a partition fails,
+// naming the path, on a directory that holds none — a missing path or a
+// collector's fleet root — and writes nothing there.
+func TestReadersNeedAPartition(t *testing.T) {
+	root := filepath.Dir(demoPartition(t))
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, dir := range []string{missing, root} {
+		before := tree(t, dir)
+		for _, args := range [][]string{
+			{"experiments", "-homes", "2", "-weeks", "1", "-run", "fig5", "-data-dir", dir, "-log-level", "error"},
+			{"store", "inspect", "-dir", dir},
+			{"store", "verify", "-dir", dir},
+			{"store", "compact", "-dir", dir},
+			{"store", "serve", "-dir", dir, "-addr", "127.0.0.1:0"},
+		} {
+			// Serve only returns on its own when it fails: the deadline
+			// ends one that opened the directory anyway.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := run(ctx, args, io.Discard)
+			cancel()
+			if exitCode(err) == 0 || !strings.Contains(err.Error(), dir) {
+				t.Errorf("homesight %s: %v, want a failure naming %s", strings.Join(args, " "), err, dir)
+			}
+			if after := tree(t, dir); !slices.Equal(after, before) {
+				t.Errorf("homesight %s left %v behind; there was %v", strings.Join(args, " "), after, before)
+			}
+		}
+	}
+}
+
+// tree lists every path under dir, nil when there is no dir.
+func tree(t *testing.T, dir string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(dir, func(p string, _ fs.DirEntry, err error) error {
+		paths = append(paths, p)
+		return err
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	if err != nil {
+		return nil
+	}
+	return paths
 }
 
 // TestStoreServeEndsOnCancel: serve answers a stored home's summary,

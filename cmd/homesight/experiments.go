@@ -37,10 +37,9 @@ import (
 // the experiments finish so a scraper or profiler can attach to a short
 // run. See OBSERVABILITY.md for the metric catalog.
 //
-// -data-dir points the Env at a homestore directory written by the
-// collector: gateways present in the store are analysed from the
-// persisted reports (the measurement path), the rest stay synthetic.
-// See STORAGE.md.
+// -data-dir analyses the homes one collector partition (shard-NNNN)
+// holds from their persisted reports, and no others; -homes, -weeks and
+// -seed name their deployment, whose survey records it uses. STORAGE.md.
 func runExperiments(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	sh := sharedFlags(fs, 196, 8)
@@ -50,7 +49,7 @@ func runExperiments(ctx context.Context, args []string, stdout io.Writer) error 
 	timeout := fs.Duration("timeout", 0, "deadline on the whole run (0 = none)")
 	metricsPath := fs.String("metrics", "", `write run metrics JSON to this path ("-" = stderr)`)
 	dataDir := fs.String("data-dir", "",
-		"load persisted gateway series from this homestore directory (empty = fully synthetic)")
+		"analyse the homes this homestore partition holds (empty = the synthetic deployment)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -83,15 +82,9 @@ func runExperiments(ctx context.Context, args []string, stdout io.Writer) error 
 			logger.Error("env close failed", "err", err)
 		}
 	}()
-	if st := env.Store(); st != nil {
-		backed := 0
-		for i := 0; i < env.Dep.NumHomes(); i++ {
-			if env.StoreBacked(i) {
-				backed++
-			}
-		}
-		logger.Info("store attached", "dir", *dataDir,
-			"gateways", len(st.Gateways()), "homes_backed", backed)
+	campaign := env.Campaign()
+	if *dataDir != "" {
+		logger.Info("store attached", "dir", *dataDir, "homes", campaign.Homes)
 	}
 
 	var results experiments.Results
@@ -113,7 +106,7 @@ func runExperiments(ctx context.Context, args []string, stdout io.Writer) error 
 	}
 
 	fmt.Fprintf(stdout, "homesight experiments — %d gateways, %d weeks, seed %d\n\n",
-		env.Dep.Config().Homes, env.Dep.Config().Weeks, env.Dep.Config().Seed)
+		campaign.Homes, campaign.Weeks, campaign.Seed)
 
 	runCtx := ctx
 	if *timeout > 0 {

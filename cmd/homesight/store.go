@@ -26,11 +26,11 @@ commands:
 // runStore is the operator tool for one homestore partition
 // (internal/store, STORAGE.md): the on-disk format the collector writes
 // under -data-dir and experiments read with -data-dir. storeUsage lists
-// its commands. Every command opens the store through the normal recovery path, so a
-// torn WAL tail is repaired exactly as the collector would repair it on
-// restart. serve mounts the internal/query API (/api/v1/...) on the
-// observability server, so one port exposes the versioned JSON read API,
-// Prometheus-format metrics and pprof together, until ctx ends.
+// its commands. Every command opens an existing partition (a -dir that
+// holds none is an error) through the normal recovery path, so a torn WAL
+// tail is repaired as the collector would on restart. serve mounts the
+// internal/query API (/api/v1/...) on the observability server, so one
+// port exposes the JSON read API, metrics and pprof until ctx ends.
 func runStore(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	if len(args) == 0 {
 		return usageError{errors.New(storeUsage)}
@@ -50,6 +50,9 @@ func runStore(ctx context.Context, args []string, stdout io.Writer) (err error) 
 		return usagef("store %s: -dir is required", cmd)
 	}
 
+	if err := homestore.CheckPartition(*dir); err != nil {
+		return err
+	}
 	// serve shares one registry between the store and the query tier, so
 	// /metrics exposes homesight_store_* and homesight_query_* together.
 	cfg := homestore.Config{Dir: *dir}

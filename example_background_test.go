@@ -33,7 +33,7 @@ func Example_background() {
 			th := background.EstimateThreshold(dt.In, dt.Out)
 			rows = append(rows, row{
 				group:  background.GroupOf(math.Max(th.TauIn, th.TauOut)),
-				truth:  dt.Spec.Device.Truth,
+				truth:  dt.Spec.Class,
 				active: background.ActiveFraction(dt.Overall(), th.Tau()),
 			})
 		}

@@ -40,9 +40,6 @@ type Device struct {
 	Name string
 	// Inferred is the heuristically inferred type.
 	Inferred Type
-	// Truth is the ground-truth type when known (survey homes in the paper;
-	// always available for synthetic data). Empty when unknown.
-	Truth Type
 }
 
 // String implements fmt.Stringer.

@@ -182,20 +182,21 @@ func TabResidentsCorrelation(ctx context.Context, e *Env) (ResidentsResult, erro
 	oneUser, oneUserOneDom := 0, 0
 	res := ResidentsResult{}
 	for _, gc := range e.gatewayCaches() {
-		if !gc.surveyed || !gc.weeklyCoverageMain {
+		s := e.src.survey(gc.index)
+		if !s.surveyed || !gc.weeklyCoverageMain {
 			continue
 		}
 		res.SurveyHomes++
 		count := len(gc.dom.Dominants)
 		nd := float64(count)
-		nr := float64(gc.residents)
+		nr := float64(s.residents)
 		residents = append(residents, nr)
 		dominants = append(dominants, nd)
-		if gc.residents <= 2 {
+		if s.residents <= 2 {
 			resSmall = append(resSmall, nr)
 			domSmall = append(domSmall, nd)
 		}
-		if gc.residents == 1 {
+		if s.residents == 1 {
 			oneUser++
 			if count == 1 {
 				oneUserOneDom++

@@ -1,8 +1,8 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation. Each runner takes a context plus an Env (a synthetic
-// deployment, every home's build, and a parallelism budget) and returns a
-// structured result that the experiments binary, the runner engine and the
-// root benchmarks consume. DESIGN.md maps every runner to its paper
+// paper's evaluation. Each runner takes a context plus an Env (a source of
+// homes, synthetic or stored, every home's build, and a parallelism
+// budget) and returns a structured result that the experiments binary,
+// the runner engine and the root benchmarks consume. DESIGN.md maps every runner to its paper
 // counterpart; EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
@@ -14,15 +14,14 @@ import (
 	"time"
 
 	"homesight/internal/dominance"
-	"homesight/internal/store"
 	"homesight/internal/synth"
 	"homesight/internal/timeseries"
 )
 
-// Env is the shared experiment environment: a deployment handle, every
-// home's build, made once on first use, and the one worker budget that
-// the engine's experiments and their inner fan-outs (over gateways, bins
-// or motif members) share (ForEach).
+// Env is the shared experiment environment: the source of its homes
+// (source.go), every home's build, made once on first use, and the one
+// worker budget that the engine's experiments and their inner fan-outs
+// (over gateways, bins or motif members) share (ForEach).
 //
 // What is kept per home, for the length of the run: the gateway's raw and
 // active overall series over the campaign, every device's overall series
@@ -31,7 +30,7 @@ import (
 // minute resolution), and a handful of scalars (coverage
 // flags, the Sec. 4.1b/4.2c coefficients, the Fig. 4 thresholds, the
 // Def. 4 result of a weekly-cohort home) — all produced by one buildHome
-// from one generation or store read of the home (home.go). That Def. 4
+// from one read of the home from the source (home.go). That Def. 4
 // result is the only one the suite reads: Fig. 5, the Sec. 6.2 tables,
 // the ablation and the motif dominance all take it from the build
 // (Dominance). The overall series stay because the cohort selections and
@@ -40,14 +39,12 @@ import (
 // where read; the per-direction series, two more per device, are read
 // only by the build and die with its table.
 type Env struct {
-	Dep *synth.Deployment
+	src source
 
 	// WeeksMain is the analysis window of most experiments (paper: 4).
 	WeeksMain int
 	// WeeksWeeklyMotif is the weekly-motif window (paper: 6).
 	WeeksWeeklyMotif int
-	// SurveyHomes is the size of the resident survey subset (paper: 49).
-	SurveyHomes int
 
 	parallelism int
 	// sem is the shared helper budget of ForEach: parallelism-1 slots,
@@ -59,11 +56,6 @@ type Env struct {
 	// built guards gws, every home's build in home order (gatewayCaches).
 	built sync.Once
 	gws   []*gatewayCache
-
-	// Store backing (WithStore): homes whose gateway the store holds read
-	// their traffic from disk; the rest stay synthetic. See env_store.go.
-	store    *store.Store
-	storeGWs map[string]bool
 }
 
 // Option configures NewEnv. Options validate eagerly: an out-of-range
@@ -136,34 +128,32 @@ func NewEnv(opts ...Option) (*Env, error) {
 	if err := cfg.synth.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Env{
-		Dep:              synth.NewDeployment(cfg.synth),
-		WeeksMain:        4,
-		WeeksWeeklyMotif: 6,
-		SurveyHomes:      49,
-		parallelism:      cfg.parallelism,
-		sem:              make(chan struct{}, cfg.parallelism-1),
-	}
-	if e.WeeksWeeklyMotif > e.Dep.Config().Weeks {
-		e.WeeksWeeklyMotif = e.Dep.Config().Weeks
-	}
-	if e.WeeksMain > e.Dep.Config().Weeks {
-		e.WeeksMain = e.Dep.Config().Weeks
-	}
+	dep := synth.NewDeployment(cfg.synth)
+	var src source = &synthSource{dep: dep, surveys: make([]*survey, dep.NumHomes())}
 	if cfg.storeDir != "" {
-		if err := e.openStore(cfg.storeDir); err != nil {
+		var err error
+		if src, err = openStore(cfg.storeDir, dep); err != nil {
 			return nil, err
 		}
 	}
-	return e, nil
+	weeks := src.config().Weeks
+	return &Env{
+		src:              src,
+		WeeksMain:        min(4, weeks),
+		WeeksWeeklyMotif: min(6, weeks),
+		parallelism:      cfg.parallelism,
+		sem:              make(chan struct{}, cfg.parallelism-1),
+	}, nil
 }
+
+// Close releases the partition WithStore opened; otherwise it is a no-op.
+func (e *Env) Close() error { return e.src.close() }
 
 // Parallelism returns the worker budget of ForEach.
 func (e *Env) Parallelism() int { return e.parallelism }
 
-// Home returns home i's inventory and reporting plan; its traffic is only
-// generated if the caller asks the returned Home for it.
-func (e *Env) Home(i int) *synth.Home { return e.Dep.Home(i) }
+// Campaign is what the Env serves: its homes, their grid and survey seed.
+func (e *Env) Campaign() synth.Config { return e.src.config() }
 
 // ForEach runs fn(i) for every i in [0, n), fanned out across the Env's
 // shared worker budget. fn must confine its writes to per-index slots;
@@ -235,13 +225,17 @@ func (e *Env) ForEach(ctx context.Context, n int, fn func(i int)) error {
 // for that one build.
 func (e *Env) gatewayCaches() []*gatewayCache {
 	e.built.Do(func() {
-		e.gws = make([]*gatewayCache, e.Dep.NumHomes())
+		e.gws = make([]*gatewayCache, e.Campaign().Homes)
 		// Each slot i is written by exactly one worker, and nothing reads
 		// gws until the build returns.
 		//homesight:ignore ctx-flow — the one build of every home: later callers share it, so the first caller's cancellation must not cut it short
 		_ = e.ForEach(context.Background(), len(e.gws), func(i int) {
-			h := e.Home(i)
-			e.gws[i] = e.buildHome(h, e.viewOf(h))
+			//homesight:ignore ctx-flow — a home's build runs to completion by design: a half-read home must never be kept
+			g, err := e.src.home(context.Background(), i)
+			if err != nil { // disk corruption, not an analysis condition
+				panic(fmt.Sprintf("experiments: reading home %d (try homesight store verify): %v", i, err))
+			}
+			e.gws[i] = e.buildHome(i, g)
 		})
 	})
 	return e.gws

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,11 +71,11 @@ func seriesEqual(t *testing.T, what string, got, want *timeseries.Series) {
 	}
 }
 
-// TestEnvWithStore pins the WithStore contract: homes present in the
-// store load their series from disk (matching the Recorder
-// reconstruction of the same report stream exactly), homes the store
-// never saw fall back to the synthesizer bit-for-bit, and the aggregate
-// and dominance pipelines run unchanged on the mixed Env.
+// TestEnvWithStore pins the WithStore contract: the Env serves exactly
+// the homes the partition holds, in deployment order, each loading its
+// series from disk (matching the Recorder reconstruction of the same
+// report stream exactly), and the aggregate and dominance pipelines run
+// unchanged on them.
 func TestEnvWithStore(t *testing.T) {
 	cfg := synth.Config{Homes: 3, Weeks: 1, Seed: 11}
 	dep := synth.NewDeployment(cfg)
@@ -100,11 +103,13 @@ func TestEnvWithStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if !env.StoreBacked(0) || !env.StoreBacked(1) {
-		t.Fatal("homes 0 and 1 should be store-backed")
+	if n := env.Campaign().Homes; n != 2 {
+		t.Fatalf("Env serves %d homes; the partition holds 2", n)
 	}
-	if env.StoreBacked(2) {
-		t.Fatal("home 2 was never persisted; must fall back to synth")
+	for i, want := range []string{"gw000", "gw001"} {
+		if id := env.home(i).id; id != want {
+			t.Errorf("home %d is %s, want %s", i, id, want)
+		}
 	}
 
 	// Store-backed homes reconstruct exactly what a Recorder fed the same
@@ -140,28 +145,61 @@ func TestEnvWithStore(t *testing.T) {
 		seriesEqual(t, "raw overall", env.RawOverall(i, days), prefix(wantGW, days))
 	}
 
-	// Home 2 is identical to a fully synthetic Env.
-	synthEnv, err := NewEnv(WithHomes(cfg.Homes), WithWeeks(cfg.Weeks), WithSeed(cfg.Seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw2, devs2 := env.home(2).raw, env.home(2).devices
-	sgw2, sdevs2 := synthEnv.home(2).raw, synthEnv.home(2).devices
-	seriesEqual(t, "fallback gateway overall", whole(gw2), whole(sgw2))
-	if len(devs2) != len(sdevs2) {
-		t.Fatalf("fallback home: %d devices, want %d", len(devs2), len(sdevs2))
-	}
-
-	// The aggregate + dominance pipelines must run unchanged on the
-	// mixed Env: cohort selection, active overalls, dominance detection.
+	// The aggregate + dominance pipelines run unchanged on the stored
+	// homes: cohort selection, active overalls, dominance detection.
 	ids, series := env.WeeklyCohort(1)
 	if len(ids) != len(series) {
 		t.Fatalf("cohort shape: %d ids, %d series", len(ids), len(series))
 	}
-	for i := 0; i < cfg.Homes; i++ {
+	for i := 0; i < env.Campaign().Homes; i++ {
 		res := env.Dominance(i)
 		if got := len(res.All); got == 0 {
 			t.Fatalf("home %d: dominance saw no devices", i)
 		}
+	}
+}
+
+// TestEnvWithStoreRejectsForeignGateway: a partition holding a gateway
+// the deployment lacks is not a partition of that deployment, so NewEnv
+// fails and names the gateway instead of dropping its home.
+func TestEnvWithStoreRejectsForeignGateway(t *testing.T) {
+	dep := synth.NewDeployment(synth.Config{Homes: 3, Weeks: 1, Seed: 11})
+	cfg := dep.Config()
+	dir := t.TempDir()
+	s, err := store.Open(store.Config{Dir: dir, Start: cfg.Start, Step: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Homes; i++ {
+		persistHome(t, s, dep, i, "")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnv(WithHomes(2), WithWeeks(cfg.Weeks), WithSeed(cfg.Seed), WithStore(dir))
+	if err == nil {
+		_ = env.Close()
+		t.Fatal("NewEnv accepted a partition holding gw002 for a 2-home deployment")
+	}
+	if !strings.Contains(err.Error(), "gw002") {
+		t.Errorf("NewEnv error %q does not name gw002", err)
+	}
+}
+
+// TestEnvWithStoreNeedsAPartition: WithStore on a directory that holds
+// no partition fails and leaves the directory as it was.
+func TestEnvWithStoreNeedsAPartition(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing")
+	for _, d := range []string{dir, missing} {
+		if env, err := NewEnv(WithHomes(2), WithWeeks(1), WithStore(d)); err == nil {
+			_ = env.Close()
+			t.Errorf("NewEnv opened %s, which holds no partition", d)
+		} else if !strings.Contains(err.Error(), d) {
+			t.Errorf("NewEnv error %q does not name %s", err, d)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("%s after the failed opens: %v entries (%v), want none", dir, len(entries), err)
 	}
 }

@@ -73,8 +73,8 @@ func TestWarmFillsCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := slices.Clone(e.gws)
-	if len(warm) != e.Dep.NumHomes() || slices.Contains(warm, nil) {
-		t.Fatalf("Warm left homes unbuilt: %v for %d homes", warm, e.Dep.NumHomes())
+	if len(warm) != e.Campaign().Homes || slices.Contains(warm, nil) {
+		t.Fatalf("Warm left homes unbuilt: %v for %d homes", warm, e.Campaign().Homes)
 	}
 	idxs := e.WeeklyCohortIndexes()
 	if len(idxs) == 0 {
@@ -105,7 +105,7 @@ func TestCohortsNestInWeeklyMain(t *testing.T) {
 			}
 			inMain := map[string]bool{}
 			for _, i := range e.WeeklyCohortIndexes() {
-				inMain[e.Home(i).ID] = true
+				inMain[e.home(i).id] = true
 			}
 			daily, _ := e.DailyCohort()
 			weekly, _ := e.WeeklyCohort(e.WeeksWeeklyMotif)

@@ -52,7 +52,7 @@ func TestNewEnvValidation(t *testing.T) {
 	if e.parallelism != 4 {
 		t.Errorf("parallelism = %d", e.parallelism)
 	}
-	if n := e.Dep.NumHomes(); n != 3 {
+	if n := e.Campaign().Homes; n != 3 {
 		t.Errorf("homes = %d", n)
 	}
 }

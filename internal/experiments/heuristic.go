@@ -41,38 +41,29 @@ func (r HeuristicResult) Precision() float64 {
 }
 
 // TabHeuristicValidation checks the MAC/name classifier on the survey
-// subset, where ground truth is known.
+// homes, where ground truth is known.
 func TabHeuristicValidation(ctx context.Context, e *Env) (HeuristicResult, error) {
-	n := e.SurveyHomes
-	if nh := e.Dep.NumHomes(); n > nh {
-		n = nh
-	}
-	inventories := make([][]*devices.Device, n)
-	if err := e.ForEach(ctx, n, func(i int) {
-		h := e.Home(i)
-		devs := make([]*devices.Device, 0, len(h.Devices))
-		for _, spec := range h.Devices {
-			devs = append(devs, &spec.Device)
-		}
-		inventories[i] = devs
-	}); err != nil {
+	if err := ctx.Err(); err != nil {
 		return HeuristicResult{}, err
 	}
 	res := HeuristicResult{Confusion: make(map[devices.Type]map[devices.Type]int)}
-	for _, devs := range inventories {
-		for _, d := range devs {
-			res.Devices++
-			if res.Confusion[d.Truth] == nil {
-				res.Confusion[d.Truth] = make(map[devices.Type]int)
-			}
-			res.Confusion[d.Truth][d.Inferred]++
-			if d.Inferred == d.Truth {
-				res.Correct++
-			}
-			if d.Inferred != devices.Unlabeled {
-				res.Labeled++
-				if d.Inferred == d.Truth {
-					res.CorrectOfLabeled++
+	for i := range e.gatewayCaches() {
+		if s := e.src.survey(i); s.surveyed {
+			for _, spec := range s.inventory {
+				truth, inferred := spec.Class, spec.Device.Inferred
+				res.Devices++
+				if res.Confusion[truth] == nil {
+					res.Confusion[truth] = make(map[devices.Type]int)
+				}
+				res.Confusion[truth][inferred]++
+				if inferred == truth {
+					res.Correct++
+				}
+				if inferred != devices.Unlabeled {
+					res.Labeled++
+					if inferred == truth {
+						res.CorrectOfLabeled++
+					}
 				}
 			}
 		}

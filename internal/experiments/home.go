@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -11,54 +9,15 @@ import (
 	"homesight/internal/dataset"
 	"homesight/internal/devices"
 	"homesight/internal/dominance"
-	"homesight/internal/synth"
 	"homesight/internal/timeseries"
 )
 
-// viewOf loads home h's minute table — the gateway overall and every
-// device's in, out and overall series over the whole campaign — as one
-// store read (store.Home over the synthesizer's campaign grid) when the
-// store holds its gateway, and as one generation otherwise. It is the
-// only thing buildHome reads, so every per-home artifact of the suite sees
-// the same traffic with the devices in the same order (inventory order
-// from the synthesizer, MAC order from the store), each carrying its
-// survey truth. A table lives for the duration of one build: nothing
-// keeps the per-direction series afterwards. Store read errors are disk
-// corruption, not analysis conditions, so they panic like the other
-// unreachable grid mismatches in this package — run `homesight store
-// verify` on a suspect dir.
-func (e *Env) viewOf(h *synth.Home) *dataset.Gateway {
-	if !e.storeBacked(h.ID) {
-		g := &dataset.Gateway{ID: h.ID, Overall: h.Overall()}
-		for _, dt := range h.Traffic() {
-			g.Devices = append(g.Devices, dataset.NewDeviceRecord(dt.Spec.Device, dt.In, dt.Out))
-		}
-		return g
-	}
-	to := e.store.Start().Add(time.Duration(e.Dep.Config().Minutes()) * e.store.Step())
-	//homesight:ignore ctx-flow — a home's build runs to completion by design: a half-read home must never be kept
-	g, err := e.store.Home(context.Background(), h.ID, to)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: reading %s from store: %v", h.ID, err))
-	}
-	truth := make(map[string]devices.Type, len(h.Devices))
-	for _, spec := range h.Devices {
-		truth[spec.Device.MAC] = spec.Device.Truth
-	}
-	for k := range g.Devices {
-		g.Devices[k].Device.Truth = truth[g.Devices[k].Device.MAC]
-	}
-	return g
-}
-
 // gatewayCache is everything the suite keeps of one home at minute
-// resolution, produced by one buildHome over one view of the home. Its
+// resolution, produced by one buildHome over one read of the home. Its
 // series are columns: four bytes a minute for whole byte counts.
 type gatewayCache struct {
-	id        string
-	index     int
-	residents int
-	surveyed  bool
+	id    string
+	index int
 
 	// raw is the full-campaign overall traffic.
 	raw *column
@@ -175,20 +134,18 @@ type deviceTau struct {
 	th  background.Threshold
 }
 
-// buildHome derives every minute-resolution artifact of home h from one
+// buildHome derives every minute-resolution artifact of home i from one
 // table of it. Everything that reads float64 (coverage, the active sum,
 // τ, and a weekly-cohort home's one Definition 1 / Definition 4 pass, so
 // dominance is built where the home is) runs on the table; raw, active
 // and the device overalls are then kept as columns. The per-direction
-// series die with the table, which is what lets one generation (or store
-// read) of the home serve the whole suite. Sums run in table order.
-func (e *Env) buildHome(h *synth.Home, g *dataset.Gateway) *gatewayCache {
+// series die with the table, which is what lets one read of the home
+// serve the whole suite. Sums run in table order.
+func (e *Env) buildHome(i int, g *dataset.Gateway) *gatewayCache {
 	raw := g.Overall
 	gc := &gatewayCache{
-		id:                  h.ID,
-		index:               h.Index,
-		residents:           h.Residents,
-		surveyed:            h.Index < e.SurveyHomes,
+		id:                  g.ID,
+		index:               i,
 		weeklyCoverageMain:  dataset.HasWeeklyCoverage(raw, e.WeeksMain),
 		weeklyCoverageMotif: dataset.HasWeeklyCoverage(raw, e.WeeksWeeklyMotif),
 		dailyCoverageMain:   dataset.HasDailyCoverage(raw, e.WeeksMain*7),
@@ -196,7 +153,7 @@ func (e *Env) buildHome(h *synth.Home, g *dataset.Gateway) *gatewayCache {
 		devCount:            deviceCountCorrelation(g),
 	}
 
-	campaignDays := e.Dep.Config().Weeks * 7
+	campaignDays := e.Campaign().Weeks * 7
 	mainDays := e.WeeksMain * 7
 	keepDays := max(e.WeeksMain, e.WeeksWeeklyMotif) * 7
 	var sum *timeseries.Series

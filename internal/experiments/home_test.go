@@ -71,7 +71,7 @@ func TestStoreBackedThresholdsBelongToTheirDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, days := env.Dep.Config().Minutes(), env.WeeksMain*7
+	n, days := env.Campaign().Minutes(), env.WeeksMain*7
 	checked := 0
 	for i, rec := range recs {
 		got := map[string]background.Threshold{}
@@ -169,7 +169,7 @@ func TestStoreBackedExperimentsReadTheStore(t *testing.T) {
 	// Motif-window dominance over one hand-made daily motif: every day of
 	// home 0. In the plain store the only device that ever dominates a
 	// day is the main one, a laptop; silenced, it leaves days to phones.
-	start := plain.Dep.Config().Start
+	start := plain.Campaign().Start
 	m := &motif.Motif{ID: 1}
 	for d := 0; d < 7; d++ {
 		m.Members = append(m.Members, motif.Instance{
@@ -239,9 +239,9 @@ func TestStoreBackedHomeEqualsReconstructedSynthHome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dep := synth.NewDeployment(storeFixture)
 	for i := 0; i < storeFixture.Homes; i++ {
-		h := mem.Home(i)
-		want := mem.buildHome(h, reconstructedView(h))
+		want := mem.buildHome(i, reconstructedView(dep.Home(i)))
 		got := stored.home(i)
 
 		seriesEqual(t, "raw", whole(got.raw), whole(want.raw))
@@ -303,7 +303,7 @@ func TestHomeBuildKeepsNoDirectionSeries(t *testing.T) {
 	if len(gc.devices) < 3 {
 		t.Fatalf("fixture home has %d devices; the bound below would not tell 1 series per device from 3", len(gc.devices))
 	}
-	documented := int64(2+len(gc.devices)) * int64(e.Dep.Config().Minutes()) * 4
+	documented := int64(2+len(gc.devices)) * int64(e.Campaign().Minutes()) * 4
 	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	// With the pools drained the heap grows ~1.0x the documented size, run
 	// to run and under -race alike; 5% slack still fails float64 columns

@@ -42,9 +42,10 @@ func Fig01TypicalGateway(ctx context.Context, e *Env) (Fig01Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Fig01Result{}, err
 	}
-	top := e.TopObservedGateways(10)
-	h := e.Home(top[0])
-	g := e.viewOf(h)
+	g, err := e.src.home(ctx, e.TopObservedGateways(1)[0])
+	if err != nil {
+		return Fig01Result{}, err
+	}
 	// Incoming gateway traffic for one week.
 	n := 7 * 24 * 60
 	in := make([]float64, n)
@@ -55,7 +56,7 @@ func Fig01TypicalGateway(ctx context.Context, e *Env) (Fig01Result, error) {
 			}
 		}
 	}
-	res := Fig01Result{GatewayID: h.ID}
+	res := Fig01Result{GatewayID: g.ID}
 	res.ZipfFit = stats.FitZipf(in)
 	kde := stats.NewKDE(in, 0)
 	res.KDEAtZero = kde.PDF(0)
@@ -514,6 +515,7 @@ func Fig04BackgroundTau(ctx context.Context, e *Env) (Fig04Result, error) {
 	var smallPortable, largeFixed int
 	res := Fig04Result{}
 	for _, gc := range e.gatewayCaches() {
+		s := e.src.survey(gc.index)
 		for _, dt := range gc.taus {
 			th := dt.th
 			res.Devices++
@@ -528,14 +530,14 @@ func Fig04BackgroundTau(ctx context.Context, e *Env) (Fig04Result, error) {
 			switch background.GroupOf(math.Max(th.TauIn, th.TauOut)) {
 			case background.Small:
 				small++
-				if dt.dev.Truth == devices.Portable {
+				if s.class(dt.dev.MAC) == devices.Portable {
 					smallPortable++
 				}
 			case background.Medium:
 				medium++
 			case background.Large:
 				large++
-				if dt.dev.Truth == devices.Fixed {
+				if s.class(dt.dev.MAC) == devices.Fixed {
 					largeFixed++
 				}
 			}

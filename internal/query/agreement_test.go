@@ -122,11 +122,12 @@ func collectViews(t *testing.T, cfg synth.Config) agreementViews {
 	if env.WeeksMain != cfg.Weeks {
 		t.Fatalf("campaign of %d weeks, WeeksMain %d: the windows would differ", cfg.Weeks, env.WeeksMain)
 	}
-	for i := 0; i < cfg.Homes; i++ {
-		if !env.StoreBacked(i) {
-			t.Fatalf("home %d is not read from the store", i)
-		}
-		a.batch[env.Home(i).ID] = viewOf(env.Dominance(i))
+	ids, _ := env.WeeklyCohort(env.WeeksMain)
+	if n := env.Campaign().Homes; n != len(a.gws) || len(ids) != n {
+		t.Fatalf("the Env serves %d homes, %d in its weekly cohort; the store holds %d", n, len(ids), len(a.gws))
+	}
+	for k, i := range env.WeeklyCohortIndexes() {
+		a.batch[ids[k]] = viewOf(env.Dominance(i))
 	}
 	return a
 }

@@ -292,10 +292,24 @@ func (s *Store) segPath(seq uint64) string {
 	return filepath.Join(s.cfg.Dir, fmt.Sprintf("seg-%08d.seg", seq))
 }
 
+// metaFile names the anchor file every partition has from its first open.
+const metaFile = "meta.json"
+
+// CheckPartition reports an error naming dir unless it holds an existing
+// partition. Open creates one where there is none, so a reader calls
+// this first: pointed at a wrong path, it fails instead of leaving an
+// empty partition there.
+func CheckPartition(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, metaFile)); err != nil {
+		return fmt.Errorf("store: %s holds no partition: %w", dir, err)
+	}
+	return nil
+}
+
 // loadMeta reads meta.json, writing it from the config on first open.
 // A stored anchor wins: series indices must stay stable across opens.
 func (s *Store) loadMeta() error {
-	path := filepath.Join(s.cfg.Dir, "meta.json")
+	path := filepath.Join(s.cfg.Dir, metaFile)
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		raw, err = json.Marshal(storeMeta{Start: s.cfg.Start, Step: int64(s.cfg.Step / time.Second)})

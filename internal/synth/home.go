@@ -571,7 +571,6 @@ func mintIdentity(rng *rand.Rand, s *DeviceSpec) {
 		MAC:      mac,
 		Name:     name,
 		Inferred: devices.Classify(mac, name),
-		Truth:    s.Class,
 	}
 }
 

@@ -90,7 +90,7 @@ func TestInventoryShape(t *testing.T) {
 			if s.Primary {
 				primaries++
 			}
-			if s.Device.MAC == "" || s.Device.Truth == "" {
+			if s.Device.MAC == "" || s.Class == "" {
 				t.Fatalf("home %d device missing identity: %+v", i, s.Device)
 			}
 			if s.joinMin < 0 || s.leaveMin > d.Config().Minutes() || s.joinMin >= s.leaveMin {
